@@ -130,18 +130,14 @@ func specFlags(fs *flag.FlagSet) func() service.CampaignSpec {
 	campaigns := fs.String("campaigns", "", "campaign letters to run (subset of ABCD, plus F for fault injection; empty = all of A-D)")
 	app := fs.String("app", "", "comma-separated package allowlist (empty = whole fleet)")
 	quick := fs.Int("quick", 0, "scale factor k (>0 shrinks campaigns; 0 = full paper scale)")
-	noSnapshot := fs.Bool("no-snapshot", false, "workers boot each shard fresh instead of cloning a snapshot")
-	noPersist := fs.Bool("no-persist", false, "workers clone a device per shard instead of reusing one via in-place reset")
 	noTriage := fs.Bool("no-triage", false, "skip crash bucketing and minimization in the merge")
 	return func() service.CampaignSpec {
 		spec := service.CampaignSpec{
-			Seed:            *seed,
-			Fleet:           *fleet,
-			Campaigns:       *campaigns,
-			Quick:           *quick,
-			DisableSnapshot: *noSnapshot,
-			DisablePersist:  *noPersist,
-			DisableTriage:   *noTriage,
+			Seed:          *seed,
+			Fleet:         *fleet,
+			Campaigns:     *campaigns,
+			Quick:         *quick,
+			DisableTriage: *noTriage,
 		}
 		if *app != "" {
 			spec.Packages = strings.Split(*app, ",")

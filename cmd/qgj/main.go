@@ -13,9 +13,10 @@
 //	qgj -all -workers 8 -checkpoint run.ckpt -resume   # continue a killed run
 //
 // With -workers, -checkpoint, or -resume the run goes through the farm
-// engine (internal/farm): one freshly booted device per (campaign, app)
-// shard, a worker pool, an fsynced checkpoint journal, and crash triage
-// (unique signatures next to raw counts). Without them qgj runs the
+// engine (internal/farm): (campaign, app) shards on a worker pool, each
+// worker resetting one device in place between its shards, an fsynced
+// checkpoint journal, and crash triage (unique signatures next to raw
+// counts). Without them qgj runs the
 // paper's Figure 1a workflow on a single paired phone+watch.
 package main
 
@@ -62,8 +63,6 @@ func run(args []string) error {
 	workers := fs.Int("workers", 0, "farm mode: run shards on this many parallel devices (>1 enables the farm)")
 	checkpoint := fs.String("checkpoint", "", "farm mode: journal completed shards to this file")
 	resume := fs.Bool("resume", false, "farm mode: resume from -checkpoint instead of starting over")
-	snapshotMode := fs.String("snapshot", "on", "farm mode: clone shard devices from a booted snapshot (on) or boot each fresh (off); results are identical")
-	persistMode := fs.String("persist", "on", "farm mode: reuse each worker's device across shards via in-place reset (on) or clone per shard (off); results are identical")
 	worker := fs.String("worker", "", "worker mode: lease and execute shards from the farmd coordinator at this URL")
 	workerName := fs.String("worker-name", "", "worker mode: name reported in leases (default qgj-<pid>)")
 	exitIdle := fs.Bool("exit-idle", false, "worker mode: exit when the coordinator has no pending shards")
@@ -75,15 +74,8 @@ func run(args []string) error {
 	if *worker != "" {
 		return runWorker(*worker, *workerName, *exitIdle, *workerPoll, *throttle)
 	}
-	if *snapshotMode != "on" && *snapshotMode != "off" {
-		return fmt.Errorf("-snapshot must be on or off, got %q", *snapshotMode)
-	}
-	if *persistMode != "on" && *persistMode != "off" {
-		return fmt.Errorf("-persist must be on or off, got %q", *persistMode)
-	}
 
-	sharding := core.Sharding{Workers: *workers, Checkpoint: *checkpoint, Resume: *resume,
-		DisableSnapshot: *snapshotMode == "off", DisablePersist: *persistMode == "off"}
+	sharding := core.Sharding{Workers: *workers, Checkpoint: *checkpoint, Resume: *resume}
 	if sharding.Enabled() {
 		if *resume && *checkpoint == "" {
 			return fmt.Errorf("-resume requires -checkpoint")

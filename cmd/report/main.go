@@ -45,19 +45,10 @@ func run(args []string) error {
 	workers := fs.Int("workers", 0, "run the wear/phone studies on the farm engine with this many parallel devices (>1 enables sharding)")
 	checkpoint := fs.String("checkpoint", "", "farm mode: journal completed shards to this file")
 	resume := fs.Bool("resume", false, "farm mode: resume from -checkpoint instead of starting over")
-	snapshotMode := fs.String("snapshot", "on", "farm mode: clone shard devices from a booted snapshot (on) or boot each fresh (off); results are identical")
-	persistMode := fs.String("persist", "on", "farm mode: reuse each worker's device across shards via in-place reset (on) or clone per shard (off); results are identical")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *snapshotMode != "on" && *snapshotMode != "off" {
-		return fmt.Errorf("-snapshot must be on or off, got %q", *snapshotMode)
-	}
-	if *persistMode != "on" && *persistMode != "off" {
-		return fmt.Errorf("-persist must be on or off, got %q", *persistMode)
-	}
-	sharding := core.Sharding{Workers: *workers, Checkpoint: *checkpoint, Resume: *resume,
-		DisableSnapshot: *snapshotMode == "off", DisablePersist: *persistMode == "off"}
+	sharding := core.Sharding{Workers: *workers, Checkpoint: *checkpoint, Resume: *resume}
 	if *resume && *checkpoint == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}

@@ -19,24 +19,6 @@ type Sharding struct {
 	// Resume loads the Checkpoint journal and skips shards it already
 	// records, so a killed run continues exactly where it stopped.
 	Resume bool
-	// DisableSnapshot forces every shard onto the fresh-boot path instead of
-	// cloning a booted template device. The merged result is byte-identical
-	// either way; the switch exists for benchmarking the speedup and for
-	// bisecting suspected snapshot bugs. Like Workers, it is an execution
-	// strategy, not part of the work's identity: it is excluded from the
-	// checkpoint fingerprint, so journals written in either mode resume
-	// cleanly in the other.
-	DisableSnapshot bool
-	// DisablePersist turns off the persistent executor: every shard gets its
-	// own clone of the template device instead of each worker resetting one
-	// hot device in place between the shards it leases. Meaningless when
-	// DisableSnapshot is set (the fresh-boot path never reuses anything).
-	// Like DisableSnapshot, it is an execution strategy, not part of the
-	// work's identity: the merged result is byte-identical either way
-	// (reset validity is hash-checked, with transparent fallback to a fresh
-	// clone), and it is excluded from the checkpoint fingerprint, so
-	// journals written in either mode resume cleanly in the other.
-	DisablePersist bool
 }
 
 // Enabled reports whether the study should be routed through the farm

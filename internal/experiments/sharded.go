@@ -5,9 +5,9 @@ import (
 	"repro/internal/farm"
 )
 
-// runFarmStudy executes the study on the farm engine — one fresh device per
-// (campaign, package) shard, a worker pool, checkpoint/resume, and crash
-// triage — and adapts the merged farm result to the StudyResult shape every
+// runFarmStudy executes the study on the farm engine — (campaign, package)
+// shards on a worker pool, each starting from the booted template state,
+// checkpoint/resume, and crash triage — and adapts the merged farm result to the StudyResult shape every
 // table and figure function consumes.
 //
 // Determinism note: a farm run with workers=1 is the farm's own serial

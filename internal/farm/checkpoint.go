@@ -14,7 +14,7 @@ import (
 // The checkpoint journal mirrors the paper's reboot-resume scripts: the real
 // study ran 1000-intent chunks and a watchdog script restarted the campaign
 // from the last completed chunk after every device reboot. Here a chunk is
-// one shard (campaign × package on a fresh device); the coordinator appends
+// one shard (campaign × package); the coordinator appends
 // one fsynced JSON line per completed shard, so a SIGKILL at any instant
 // loses at most the shard in flight, and -resume replays the journal instead
 // of re-executing finished shards.
@@ -54,6 +54,58 @@ type journalRecord struct {
 	Crashes   []crashJSON  `json:"crashes,omitempty"`
 }
 
+// recordOf is the one place a shard result becomes its journal record:
+// journal appends and worker uploads both go through it.
+func recordOf(idx int, sr *ShardResult) journalRecord {
+	return journalRecord{
+		Index:     idx,
+		Key:       sr.Key,
+		Seed:      sr.Seed,
+		Sent:      sr.Sent,
+		BootCount: sr.BootCount,
+		Summary:   sr.Summary,
+		Report:    exportReport(sr.Report),
+		Crashes:   exportCrashes(sr.Crashes),
+	}
+}
+
+// result is recordOf's inverse: the merge input the record encodes, for
+// journal replay and uploaded records alike.
+func (rec journalRecord) result() *ShardResult {
+	return &ShardResult{
+		Key:       rec.Key,
+		Seed:      rec.Seed,
+		Sent:      rec.Sent,
+		BootCount: rec.BootCount,
+		Summary:   rec.Summary,
+		Report:    rec.Report.restore(),
+		Crashes:   restoreCrashes(rec.Crashes),
+	}
+}
+
+// EncodeShardRecord renders one shard result in the checkpoint journal's
+// wire form (one JSON line, no trailing newline). The same bytes serve as
+// a journal record and as a worker's result-upload body, so a record that
+// round-trips the journal and one that crossed the network restore
+// identically — the byte-identical-merge proof covers both.
+func EncodeShardRecord(idx int, sr *ShardResult) ([]byte, error) {
+	data, err := json.Marshal(recordOf(idx, sr))
+	if err != nil {
+		return nil, fmt.Errorf("farm: encode checkpoint record: %w", err)
+	}
+	return data, nil
+}
+
+// DecodeShardRecord parses a journal-form shard record back into the merge
+// input it encodes.
+func DecodeShardRecord(data []byte) (int, *ShardResult, error) {
+	var rec journalRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return 0, nil, fmt.Errorf("farm: decode shard record: %w", err)
+	}
+	return rec.Index, rec.result(), nil
+}
+
 // fingerprint hashes the run parameters that determine the shard plan and
 // per-shard outcomes. Workers is deliberately excluded: the determinism
 // contract makes results independent of worker count, so a journal written
@@ -76,22 +128,28 @@ func fingerprint(seed uint64, fleet string, shards []ShardKey, gen core.Generato
 	return h.Sum64()
 }
 
-// journal is the append-side of a checkpoint file. Safe for concurrent
-// appends from worker goroutines.
-type journal struct {
+// ShardJournal is the append side of a checkpoint file: the durable
+// work-queue log farm.Run and the service coordinator both write, one
+// fsynced record per completed shard. Safe for concurrent appends from
+// worker goroutines.
+type ShardJournal struct {
 	mu sync.Mutex
 	f  *os.File
 }
 
 // createJournal starts a fresh checkpoint file (truncating any previous
 // content) and writes the header.
-func createJournal(path string, h journalHeader) (*journal, error) {
+func createJournal(path string, h journalHeader) (*ShardJournal, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("farm: create checkpoint: %w", err)
 	}
-	j := &journal{f: f}
-	if err := j.appendLine(h); err != nil {
+	j := &ShardJournal{f: f}
+	data, err := json.Marshal(h)
+	if err == nil {
+		err = j.AppendEncoded(data)
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -101,7 +159,7 @@ func createJournal(path string, h journalHeader) (*journal, error) {
 // openJournalAppend reopens an existing checkpoint for further records,
 // first truncating it to validLen so a torn trailing record from the killed
 // run cannot run into the next append.
-func openJournalAppend(path string, validLen int64) (*journal, error) {
+func openJournalAppend(path string, validLen int64) (*ShardJournal, error) {
 	if err := os.Truncate(path, validLen); err != nil {
 		return nil, fmt.Errorf("farm: trim torn checkpoint tail: %w", err)
 	}
@@ -109,24 +167,26 @@ func openJournalAppend(path string, validLen int64) (*journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("farm: reopen checkpoint: %w", err)
 	}
-	return &journal{f: f}, nil
+	return &ShardJournal{f: f}, nil
 }
 
-// appendLine marshals v, appends it as one line, and fsyncs so the record
-// survives a SIGKILL (durability is the whole point of the journal).
-func (j *journal) appendLine(v any) error {
-	data, err := encodeJournalLine(v)
+// Append durably records one completed shard (fsynced before returning).
+func (j *ShardJournal) Append(idx int, sr *ShardResult) error {
+	data, err := EncodeShardRecord(idx, sr)
 	if err != nil {
 		return err
 	}
-	return j.appendRaw(data)
+	return j.AppendEncoded(data)
 }
 
-// appendRaw appends one pre-encoded record line (sans newline) and fsyncs.
-func (j *journal) appendRaw(data []byte) error {
+// AppendEncoded durably records one already-encoded line (sans newline) —
+// on the coordinator, the bytes a worker uploaded, avoiding a decode/
+// re-encode round trip on its hot path. The caller must have validated the
+// record. The fsync is the point: the record survives a SIGKILL.
+func (j *ShardJournal) AppendEncoded(line []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Write(append(data, '\n')); err != nil {
+	if _, err := j.f.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("farm: write checkpoint record: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
@@ -135,30 +195,13 @@ func (j *journal) appendRaw(data []byte) error {
 	return nil
 }
 
-// encodeJournalLine renders one record in the journal's wire form.
-func encodeJournalLine(v any) ([]byte, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("farm: encode checkpoint record: %w", err)
-	}
-	return data, nil
-}
-
-// decodeJournalLine parses one journal-form record.
-func decodeJournalLine(data []byte, v any) error {
-	return json.Unmarshal(data, v)
-}
-
-func (j *journal) Close() error {
+// Close releases the journal file handle. Nil-safe.
+func (j *ShardJournal) Close() error {
 	if j == nil {
 		return nil
 	}
 	return j.f.Close()
 }
-
-// isNotExist reports whether err means the checkpoint file is absent (a
-// -resume against a path that was never written starts a fresh run).
-func isNotExist(err error) bool { return os.IsNotExist(err) }
 
 // loadJournal reads a checkpoint file, tolerating a truncated tail: the
 // first malformed or unterminated line ends the replay (everything after it
@@ -185,7 +228,7 @@ func loadJournal(path string) (journalHeader, map[int]journalRecord, int64, erro
 	done := make(map[int]journalRecord)
 	validLen := int64(len(lines[0]))
 	for _, line := range lines[1:] {
-		// appendLine writes record+newline in one call, so an unterminated
+		// AppendEncoded writes record+newline in one call, so an unterminated
 		// line is by definition a torn write — even if it happens to parse.
 		if !strings.HasSuffix(line, "\n") {
 			break

@@ -1,7 +1,7 @@
 // Package farm is the campaign execution engine: it shards a fuzz study
 // into independent (campaign, package) work units, runs them on a pool of
-// worker goroutines — each unit on a freshly booted simulated device with
-// its own fleet instance — journals progress to a checkpoint file after
+// worker goroutines — each worker resetting one hot simulated device in
+// place between its units — journals progress to a checkpoint file after
 // every completed shard, and merges the per-shard analysis results into a
 // single report.
 //
@@ -12,9 +12,10 @@
 //  1. Intent generation splits a fresh SplitMix64 stream per shard
 //     (rng.Split on the shard key), so no shard's randomness depends on
 //     execution order.
-//  2. Every shard boots its own device and builds its own fleet from the
-//     study seed, so no simulator or behaviour-model state leaks between
-//     shards or workers.
+//  2. Every shard starts from the same booted template state with its own
+//     freshly rewound fleet behaviour state (persist.go validates every
+//     reset against the template), so no simulator or behaviour-model
+//     state leaks between shards or workers.
 //  3. Merging happens in canonical shard-plan order after all shards
 //     complete, regardless of completion order.
 //
@@ -25,7 +26,7 @@ package farm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -65,10 +66,10 @@ type Config struct {
 	// histograms). Each shard additionally runs its device with a private
 	// registry that is absorbed into this one when the shard completes, so
 	// the farm endpoint exposes device/fuzzer/binder metrics aggregated
-	// across every shard instead of the old single-device blind spot.
+	// across every shard.
 	Telemetry *telemetry.Registry
 	// Status, when non-nil, is kept current with the live shard table
-	// (state, queue wait, clone source, throughput, ETA); serve it with
+	// (state, queue wait, boot source, throughput, ETA); serve it with
 	// StatusHandler. Status is presentation-only: it never influences
 	// scheduling or results.
 	Status *StatusBoard
@@ -96,9 +97,8 @@ type ShardResult struct {
 	Summary   core.Summary
 	Report    *analysis.Report
 	Crashes   []*triage.Crash
-	// BootSource reports how the shard device came up ("clone" or
-	// "fresh-boot"); live-status detail only, excluded from the journal and
-	// the merge.
+	// BootSource reports how the shard device came up ("reuse" or "clone");
+	// live-status detail only, excluded from the journal and the merge.
 	BootSource string
 }
 
@@ -147,7 +147,7 @@ type farmMetrics struct {
 	recorderEvents *telemetry.Counter
 	// Persistent-executor outcomes: shards served by resetting a worker's
 	// hot device in place, devices retired after a failed reset, and shards
-	// that fell back to a fresh clone while persist was enabled.
+	// that came up on a fresh clone (cold start or after a retirement).
 	persistReuses    *telemetry.Counter
 	persistRetires   *telemetry.Counter
 	persistFallbacks *telemetry.Counter
@@ -179,9 +179,9 @@ func newFarmMetrics(reg *telemetry.Registry) farmMetrics {
 	}
 }
 
-// buildFleet materializes the population for the given kind. Each shard
-// calls this for itself: behaviour models are stateful, so sharing a fleet
-// between devices would leak state across shards and break determinism.
+// buildFleet materializes the canonical population for the given kind: the
+// plan's target list and merge metadata. Shards never share it — each
+// executor instantiates its own behaviour state from the fleet template.
 func buildFleet(kind apps.FleetKind, seed uint64) (*apps.Fleet, error) {
 	switch kind {
 	case apps.WearFleet, 0:
@@ -211,21 +211,20 @@ func deviceConfig(kind apps.FleetKind) wearos.Config {
 	return cfg
 }
 
-// Run executes the farm: plan, resume, fan out, journal, merge, triage.
+// Run executes the farm in one process by composing the Plan API: plan,
+// open the journal (restoring completed shards on resume), execute the rest
+// on a pool of Executors in LPT order, then Merge. The service coordinator
+// composes the same steps, with leases in place of the pool.
 func Run(cfg Config) (*Result, error) {
-	// Canonical shard plan: campaign-major, fleet order within a campaign.
 	p, err := NewPlan(cfg)
 	if err != nil {
 		return nil, err
 	}
-	campaigns, fleetKind, fleet := p.campaigns, p.kind, p.fleet
-	plan, fp := p.shards, p.fingerprint
-
-	met := newFarmMetrics(cfg.Telemetry)
+	met := p.met
 	workers := cfg.Sharding.NormalizedWorkers()
-	met.shardsTotal.Set(float64(len(plan)))
+	met.shardsTotal.Set(float64(len(p.shards)))
 	met.workers.Set(float64(workers))
-	cfg.Status.reset(plan, workers)
+	cfg.Status.Track(p.shards, workers)
 	if cfg.Telemetry != nil && cfg.Status != nil {
 		// Derived live-status gauges refresh at scrape time from the board
 		// rather than riding the shard hot path.
@@ -243,11 +242,11 @@ func Run(cfg Config) (*Result, error) {
 		})
 	}
 
-	results := make([]*ShardResult, len(plan))
+	results := make([]*ShardResult, len(p.shards))
 	resumed := 0
-	var jnl *journal
+	var jnl *ShardJournal
 	if cfg.Sharding.Checkpoint != "" {
-		jnl, resumed, err = prepareCheckpoint(cfg, fp, fleetKind, plan, results)
+		jnl, results, resumed, err = p.OpenJournal(cfg.Sharding.Checkpoint, cfg.Sharding.Resume)
 		if err != nil {
 			return nil, err
 		}
@@ -255,31 +254,27 @@ func Run(cfg Config) (*Result, error) {
 		met.resumed.Add(uint64(resumed))
 		for idx, r := range results {
 			if r != nil {
-				cfg.Status.markResumed(idx, r.Sent)
+				cfg.Status.MarkResumed(idx, r.Sent)
 			}
 		}
 	}
 
-	// Per-package fuzzable-component counts (computed by NewPlan) feed the
-	// tail-aware scheduler's shard cost estimates.
-	if err := runPending(cfg, fleetKind, plan, p.comps, results, jnl, workers, met); err != nil {
+	if err := p.execute(results, jnl, workers); err != nil {
 		return nil, err
 	}
-
-	res := merge(fleet, campaigns, plan, results, met)
+	res, err := p.Merge(results)
+	if err != nil {
+		return nil, err
+	}
 	res.Resumed = resumed
 	res.Workers = workers
-	if !cfg.DisableTriage {
-		res.Triage = triageCrashes(cfg, fleetKind, fleet, results)
-		met.crashesRaw.Set(float64(res.Triage.Crashes))
-		met.crashBuckets.Set(float64(res.Triage.Unique()))
-	}
 	return res, nil
 }
 
 // selectTargets filters the fleet packages, preserving fleet order, and
 // rejects names that match nothing (a typo'd -app must not silently produce
-// an empty campaign).
+// an empty campaign). Every unmatched name is reported, sorted, so the
+// error reads the same on every run.
 func selectTargets(fleet *apps.Fleet, names []string) ([]*manifest.Package, error) {
 	if len(names) == 0 {
 		return fleet.Packages, nil
@@ -295,73 +290,30 @@ func selectTargets(fleet *apps.Fleet, names []string) ([]*manifest.Package, erro
 			delete(allow, p.Name)
 		}
 	}
-	for n := range allow {
-		return nil, fmt.Errorf("farm: package %q not in the %s fleet", n, fleet.Kind)
+	if len(allow) > 0 {
+		var missing []string
+		for n := range allow {
+			missing = append(missing, n)
+		}
+		slices.Sort(missing)
+		return nil, fmt.Errorf("farm: packages not in the %s fleet: %q", fleet.Kind, missing)
 	}
 	return out, nil
 }
 
-// prepareCheckpoint loads (on resume) or creates the journal, restores
-// completed shards into results, and returns the append handle.
-func prepareCheckpoint(cfg Config, fp uint64, kind apps.FleetKind, plan []ShardKey, results []*ShardResult) (*journal, int, error) {
-	path := cfg.Sharding.Checkpoint
-	hdr := journalHeader{
-		Version:     journalVersion,
-		Fingerprint: fp,
-		Shards:      len(plan),
-		Seed:        cfg.Seed,
-		Fleet:       kind.String(),
-	}
-	if cfg.Sharding.Resume {
-		prev, done, validLen, err := loadJournal(path)
-		switch {
-		case err == nil:
-			if prev.Fingerprint != fp {
-				return nil, 0, fmt.Errorf(
-					"farm: checkpoint %s was written by a different run (fingerprint %016x, want %016x); refusing to resume",
-					path, prev.Fingerprint, fp)
-			}
-			resumed := 0
-			for idx, rec := range done {
-				if idx < 0 || idx >= len(plan) || plan[idx] != rec.Key {
-					return nil, 0, fmt.Errorf("farm: checkpoint %s: record %d does not match the shard plan", path, idx)
-				}
-				results[idx] = &ShardResult{
-					Key:       rec.Key,
-					Seed:      rec.Seed,
-					Sent:      rec.Sent,
-					BootCount: rec.BootCount,
-					Summary:   rec.Summary,
-					Report:    rec.Report.restore(),
-					Crashes:   restoreCrashes(rec.Crashes),
-				}
-				resumed++
-			}
-			jnl, err := openJournalAppend(path, validLen)
-			return jnl, resumed, err
-		case isNotExist(err):
-			// Resuming a run that never started is a fresh run.
-			jnl, err := createJournal(path, hdr)
-			return jnl, 0, err
-		default:
-			return nil, 0, err
-		}
-	}
-	jnl, err := createJournal(path, hdr)
-	return jnl, 0, err
-}
-
-// runPending executes every shard without a result yet on a worker pool and
-// journals each completion. Pending shards are dispatched longest-first
-// (scheduleLPT) so the biggest shard starts immediately instead of landing
-// on an otherwise-drained pool and gating the merge barrier alone.
-func runPending(cfg Config, kind apps.FleetKind, plan []ShardKey, comps map[string]int, results []*ShardResult, jnl *journal, workers int, met farmMetrics) error {
+// execute runs every shard without a result yet on a pool of workers, one
+// Executor each, and journals each completion. Pending shards are
+// dispatched in the plan's LPT order, so the biggest shard starts
+// immediately instead of landing on an otherwise-drained pool and gating
+// the merge barrier alone.
+func (p *Plan) execute(results []*ShardResult, jnl *ShardJournal, workers int) error {
+	cfg, met := p.cfg, p.met
 	var pending []int
 	sent := 0
 	done := 0
-	for i, r := range results {
-		if r == nil {
-			pending = append(pending, i)
+	for _, idx := range p.order {
+		if r := results[idx]; r == nil {
+			pending = append(pending, idx)
 		} else {
 			sent += r.Sent
 			done++
@@ -370,10 +322,7 @@ func runPending(cfg Config, kind apps.FleetKind, plan []ShardKey, comps map[stri
 	if len(pending) == 0 {
 		return nil
 	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	scheduleLPT(pending, plan, comps, cfg.Gen)
+	workers = min(workers, len(pending))
 
 	idxCh := make(chan int)
 	feedStart := time.Now()
@@ -398,10 +347,7 @@ func runPending(cfg Config, kind apps.FleetKind, plan []ShardKey, comps map[stri
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker owns one persistent executor: a hot device reset in
-			// place between the shards this worker leases, with transparent
-			// fallback to cloning (persist.go).
-			ex := newUnitExecutor()
+			ex := p.NewExecutor()
 			for idx := range idxCh {
 				if failed() {
 					continue // drain
@@ -409,18 +355,18 @@ func runPending(cfg Config, kind apps.FleetKind, plan []ShardKey, comps map[stri
 				wait := time.Since(feedStart)
 				met.queueWait.Observe(wait.Seconds())
 				met.inflight.Add(1)
-				cfg.Status.markRunning(idx, wait)
+				cfg.Status.MarkRunning(idx, wait)
 				start := time.Now()
-				sr, err := runShard(cfg, kind, plan[idx], met, ex)
+				sr, err := ex.ExecuteShard(idx)
 				dur := time.Since(start)
 				met.shardSeconds.Observe(dur.Seconds())
 				met.inflight.Add(-1)
 				if err != nil {
-					cfg.Status.markFailed(idx)
-					fail(fmt.Errorf("farm: shard %s: %w", plan[idx], err))
+					cfg.Status.MarkFailed(idx)
+					fail(fmt.Errorf("farm: shard %s: %w", p.shards[idx], err))
 					continue
 				}
-				cfg.Status.markDone(idx, sr.Sent, dur, sr.BootSource)
+				cfg.Status.MarkDone(idx, sr.Sent, dur, sr.BootSource)
 				met.done.Inc()
 				met.intents.Add(uint64(sr.Sent))
 				mu.Lock()
@@ -429,19 +375,10 @@ func runPending(cfg Config, kind apps.FleetKind, plan []ShardKey, comps map[stri
 				done++
 				var jerr error
 				if jnl != nil {
-					jerr = jnl.appendLine(journalRecord{
-						Index:     idx,
-						Key:       sr.Key,
-						Seed:      sr.Seed,
-						Sent:      sr.Sent,
-						BootCount: sr.BootCount,
-						Summary:   sr.Summary,
-						Report:    exportReport(sr.Report),
-						Crashes:   exportCrashes(sr.Crashes),
-					})
+					jerr = jnl.Append(idx, sr)
 				}
 				if cfg.Progress != nil {
-					cfg.Progress(done, len(plan), sr.Key, sent)
+					cfg.Progress(done, len(p.shards), sr.Key, sent)
 				}
 				mu.Unlock()
 				if jerr != nil {
@@ -458,39 +395,15 @@ func runPending(cfg Config, kind apps.FleetKind, plan []ShardKey, comps map[stri
 	return firstErr
 }
 
-// scheduleLPT reorders pending shard indices longest-processing-time-first.
-// Shard cost is proportional to the intents it will inject — the campaign's
-// per-component count times the package's fuzzable-component count — which
-// is known exactly up front, so the classic LPT bound applies: dispatching
-// the largest shards first keeps the last-finishing worker's overhang to at
-// most one small shard instead of one large one. Ties keep canonical plan
-// order, so the schedule (and therefore the journal append order under one
-// worker) is deterministic.
-func scheduleLPT(pending []int, plan []ShardKey, comps map[string]int, gen core.GeneratorConfig) {
-	est := make(map[int]int, len(pending))
-	for _, idx := range pending {
-		key := plan[idx]
-		est[idx] = key.Campaign.CountPerComponent(gen) * comps[key.Package]
-	}
-	sort.SliceStable(pending, func(i, j int) bool {
-		a, b := pending[i], pending[j]
-		if est[a] != est[b] {
-			return est[a] > est[b]
-		}
-		return a < b
-	})
-}
-
 // runShard executes one work unit in full isolation: own fleet behaviour
-// state, own device, own collectors. The device comes from the snapshot
-// cache (a clone of the booted template, observably identical to a fresh
-// boot) unless snapshots are disabled; the fleet shares the template's
-// manifests but samples behaviour for just this shard's package. The
+// state, own device state, own collectors. The device is the executor's
+// hot device reset to the booted template (or a fresh clone of it); the
 // shard's generator seed is a SplitMix64 split of the study seed on the
 // shard key, so generation is independent of execution order and worker
 // count.
-func runShard(cfg Config, kind apps.FleetKind, key ShardKey, met farmMetrics, ex *unitExecutor) (*ShardResult, error) {
-	fleet, dev, source, err := ex.boot(cfg, kind, key.Package, met)
+func (e *Executor) runShard(key ShardKey) (*ShardResult, error) {
+	cfg, met := e.p.cfg, e.p.met
+	fleet, dev, source, err := e.boot(key.Package, met)
 	if err != nil {
 		return nil, err
 	}
@@ -584,61 +497,31 @@ func runShard(cfg Config, kind apps.FleetKind, key ShardKey, met farmMetrics, ex
 	return sr, nil
 }
 
-// merge folds the shard results, in canonical plan order, into per-campaign
-// and combined reports. Plan order is campaign-major, so each campaign's
-// shards are a contiguous run.
-func merge(fleet *apps.Fleet, campaigns []core.Campaign, plan []ShardKey, results []*ShardResult, met farmMetrics) *Result {
-	start := time.Now()
-	defer func() { met.mergeSeconds.Observe(time.Since(start).Seconds()) }()
-
-	res := &Result{Fleet: fleet, Combined: analysis.AnalyzeEntries(nil), Shards: len(plan)}
-	byCampaign := make(map[core.Campaign]*CampaignResult, len(campaigns))
-	for _, c := range campaigns {
-		cr := &CampaignResult{Campaign: c, Report: analysis.AnalyzeEntries(nil)}
-		byCampaign[c] = cr
-	}
-	for i, key := range plan {
-		sr := results[i]
-		cr := byCampaign[key.Campaign]
-		cr.Report.Merge(sr.Report)
-		cr.Sent += sr.Sent
-		cr.Summaries = append(cr.Summaries, sr.Summary)
-	}
-	for _, c := range campaigns {
-		cr := byCampaign[c]
-		res.Campaigns = append(res.Campaigns, *cr)
-		res.Combined.Merge(cr.Report)
-		res.Sent += cr.Sent
-	}
-	return res
-}
-
 // triageCrashes buckets every crash across the run (canonical shard order)
-// and greedily minimizes one reproducer per bucket on a fresh oracle
-// device. Runs after the merge, serially, so its output is as deterministic
-// as the merge itself.
-func triageCrashes(cfg Config, kind apps.FleetKind, fleet *apps.Fleet, results []*ShardResult) *triage.Result {
+// and greedily minimizes one reproducer per bucket on an oracle device.
+// Runs after the merge, serially, so its output is as deterministic as the
+// merge itself.
+func (p *Plan) triageCrashes(results []*ShardResult) *triage.Result {
 	var all []*triage.Crash
 	for _, sr := range results {
 		all = append(all, sr.Crashes...)
 	}
 	res := triage.Bucketize(all)
-	// One persistent executor serves every bucket's oracle device: triage
-	// runs serially after the merge, so the buckets re-use a single hot
-	// device the same way a worker's shards do.
-	ex := newUnitExecutor()
+	// One executor serves every bucket's oracle device: triage runs
+	// serially after the merge, so the buckets re-use a single hot device
+	// the same way a worker's shards do.
+	ex := p.NewExecutor()
 	for i := range res.Buckets {
-		minimizeBucket(cfg, kind, fleet, &res.Buckets[i], ex)
+		ex.minimize(&res.Buckets[i])
 	}
 	return res
 }
 
-// minimizeBucket reduces the bucket's exemplar intent while the same stack
-// bucket keeps reproducing on a fresh oracle device. Oracle boots go
-// through the executor too (reset-or-clone when snapshots are enabled) but
-// with a zero-value farmMetrics so triage does not pollute the shard-level
-// hit/clone/persist telemetry.
-func minimizeBucket(cfg Config, kind apps.FleetKind, fleet *apps.Fleet, b *triage.Bucket, ex *unitExecutor) {
+// minimize reduces the bucket's exemplar intent while the same stack
+// bucket keeps reproducing on an oracle device. Oracle boots go through
+// the executor with a zero-value farmMetrics so triage does not pollute the
+// shard-level hit/clone/persist telemetry.
+func (e *Executor) minimize(b *triage.Bucket) {
 	// Only exception-style failures minimize: a fault verdict is caused by
 	// the injected fault window, not the intent in flight, so shrinking that
 	// intent on a fault-free oracle device can never reproduce the bucket.
@@ -649,11 +532,11 @@ func minimizeBucket(cfg Config, kind apps.FleetKind, fleet *apps.Fleet, b *triag
 	if exemplar == nil || exemplar.Intent == nil {
 		return
 	}
-	ctype, ok := componentType(fleet, exemplar.Intent.Component)
+	ctype, ok := componentType(e.p.fleet, exemplar.Intent.Component)
 	if !ok {
 		return
 	}
-	_, dev, _, err := ex.boot(cfg, kind, exemplar.Intent.Component.Package, farmMetrics{})
+	_, dev, _, err := e.boot(exemplar.Intent.Component.Package, farmMetrics{})
 	if err != nil {
 		return
 	}
@@ -695,7 +578,8 @@ func minimizeBucket(cfg Config, kind apps.FleetKind, fleet *apps.Fleet, b *triag
 
 // fuzzableComponents counts the package's Activities and Services — the
 // component set FuzzApp iterates, and therefore the exact dispatch budget
-// multiplier for a fault shard's window schedule.
+// multiplier for a shard's intent volume and a fault shard's window
+// schedule.
 func fuzzableComponents(pkg *manifest.Package) int {
 	n := 0
 	for _, c := range pkg.Components {

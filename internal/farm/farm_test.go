@@ -178,6 +178,33 @@ func TestUnknownPackageFails(t *testing.T) {
 	}
 }
 
+// TestUnknownPackagesListedSorted: every unmatched package name is
+// reported, sorted, so the error reads the same on every run whatever the
+// map iteration order.
+func TestUnknownPackagesListedSorted(t *testing.T) {
+	cases := []struct {
+		name string
+		pkgs []string
+		want string
+	}{
+		{"one bad", []string{"a.bad"}, `["a.bad"]`},
+		{"two bad", []string{"b.bad", "a.bad"}, `["a.bad" "b.bad"]`},
+		{"bad among good", []string{"com.strava.wear", "z.bad", "a.bad", "com.heartwatch.wear"}, `["a.bad" "z.bad"]`},
+		{"repeated bad", []string{"b.bad", "a.bad", "b.bad"}, `["a.bad" "b.bad"]`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := "farm: packages not in the wear fleet: " + tc.want
+			for i := 0; i < 10; i++ {
+				_, err := farm.NewPlan(farm.Config{Seed: 1, Packages: tc.pkgs})
+				if err == nil || err.Error() != want {
+					t.Fatalf("attempt %d: err = %v, want %s", i, err, want)
+				}
+			}
+		})
+	}
+}
+
 func TestFarmTelemetryAndProgress(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var calls int
@@ -311,7 +338,7 @@ func TestStatusBoardTracksRun(t *testing.T) {
 		if sh.State != farm.StateDone {
 			t.Fatalf("shard %s state = %q", sh.Key, sh.State)
 		}
-		if sh.Source != farm.BootClone && sh.Source != farm.BootFresh && sh.Source != farm.BootReuse {
+		if sh.Source != farm.BootClone && sh.Source != farm.BootReuse {
 			t.Fatalf("shard %s boot source = %q", sh.Key, sh.Source)
 		}
 		if sh.Sent == 0 {

@@ -1,32 +1,51 @@
-// Persistent-mode shard execution. The snapshot path (snapshot.go) stamps a
-// fresh device clone per campaign unit; the persistent executor goes one
-// step further, AFL-persistent-mode style: each worker keeps ONE hot device
-// and resets it in place between the shards it leases (wearos.OS.ResetTo),
-// and keeps its instantiated fleets and rewinds their behaviour draw
-// streams instead of resampling (apps.FleetTemplate.Reset).
+// Persistent-mode shard execution, AFL-persistent-mode style: each
+// executing goroutine owns one Executor, which keeps ONE hot device and
+// resets it in place between the shards it runs (wearos.OS.ResetTo), and
+// keeps its instantiated fleets and rewinds their behaviour draw streams
+// instead of resampling (apps.FleetTemplate.Reset). It clones a device from
+// the boot snapshot (snapshot.go) only on a cold start or after retiring
+// one.
 //
 // Correctness never depends on reuse. Every reset is validated against the
 // template's captured state hash; a device that crashed its way into a
 // reboot, aged past its template, or tripped the hash check in any way is
 // retired and the unit transparently falls back to a fresh clone. The
-// merged study result is byte-identical across persist on/off — the
-// cross-mode equivalence tests pin it — so core.Sharding.DisablePersist is
-// an execution strategy, excluded from the checkpoint fingerprint exactly
-// like DisableSnapshot and Workers.
+// tests check the merged study byte for byte against a fresh-boot oracle
+// (export_test.go).
 package farm
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/apps"
 	"repro/internal/wearos"
 )
 
-// unitExecutor carries one worker's reusable execution state across the
-// campaign units it runs: the hot device, the template it was cut from, and
-// the per-package fleets already instantiated. Not safe for concurrent use —
-// each worker goroutine owns exactly one.
-type unitExecutor struct {
+// Boot-source names reported on ShardResult.BootSource and the status board.
+const (
+	// BootClone marks a shard whose device was cloned from the boot
+	// snapshot (cold start or after a retirement).
+	BootClone = "clone"
+	// BootReuse marks a shard served by the executor's hot device, reset
+	// in place.
+	BootReuse = "reuse"
+)
+
+// freshBoot, when set, provisions every unit instead of the executor: a
+// newly booted device and a from-scratch fleet. Only tests set it
+// (export_test.go); fresh boot is the oracle the executor is checked
+// against.
+var freshBoot func(kind apps.FleetKind, seed uint64, pkg string) (*apps.Fleet, *wearos.OS, string, error)
+
+// Executor is a persistent shard runner bound to one plan: a hot device
+// reset in place between the shards it runs, the template it was cut from,
+// and the per-package fleets already instantiated. farm.Run gives one to
+// each pool goroutine; a service worker keeps one for the campaign it is
+// serving. Not safe for concurrent use — one Executor per executing
+// goroutine, like one device per worker.
+type Executor struct {
+	p    *Plan
 	dev  *wearos.OS
 	snap *wearos.Snapshot // template dev was cloned from; nil iff dev is nil
 	tmpl *apps.FleetTemplate
@@ -36,21 +55,34 @@ type unitExecutor struct {
 	fleets map[string]*apps.Fleet
 }
 
-// newUnitExecutor returns an empty executor; the first boot populates it.
-func newUnitExecutor() *unitExecutor {
-	return &unitExecutor{fleets: make(map[string]*apps.Fleet)}
+// NewExecutor returns an empty executor for this plan; its first shard
+// populates it.
+func (p *Plan) NewExecutor() *Executor {
+	return &Executor{p: p, fleets: make(map[string]*apps.Fleet)}
 }
 
-// boot produces the per-shard (fleet, device) pair like bootShard, but
-// reuses the executor's hot device and cached fleets when the run allows it
-// (snapshots on, persist not disabled). A nil executor always clones —
-// callers without worker-affine state just use the plain path.
-func (e *unitExecutor) boot(cfg Config, kind apps.FleetKind, pkgName string, met farmMetrics) (*apps.Fleet, *wearos.OS, string, error) {
-	if e == nil || cfg.Sharding.DisableSnapshot || cfg.Sharding.DisablePersist {
-		return bootShard(cfg, kind, pkgName, met)
+// ExecuteShard runs work unit idx of the plan in full isolation (runShard):
+// private fleet behaviour state, per-shard generator split, triage
+// collection and flight recording per the plan's Config.
+func (e *Executor) ExecuteShard(idx int) (*ShardResult, error) {
+	if idx < 0 || idx >= len(e.p.shards) {
+		return nil, fmt.Errorf("farm: shard index %d outside plan of %d", idx, len(e.p.shards))
 	}
+	return e.runShard(e.p.shards[idx])
+}
 
-	tmpl, fleetHit, err := bootCache.fleetTemplate(kind, cfg.Seed)
+// boot produces the per-shard (fleet, device) pair: the hot device reset to
+// the boot snapshot (or a fresh clone of it) with the package installed
+// and its handlers registered, and the package's fleet rewound to its
+// freshly instantiated state. met records the cache outcome (a hit needs
+// both the fleet template and the device snapshot cached) and the
+// reuse/clone outcome; source names the path for the status board.
+func (e *Executor) boot(pkgName string, met farmMetrics) (*apps.Fleet, *wearos.OS, string, error) {
+	kind, seed := e.p.kind, e.p.cfg.Seed
+	if freshBoot != nil {
+		return freshBoot(kind, seed, pkgName)
+	}
+	tmpl, fleetHit, err := bootCache.fleetTemplate(kind, seed)
 	if err != nil {
 		return nil, nil, "", err
 	}
@@ -87,10 +119,10 @@ func (e *unitExecutor) boot(cfg Config, kind apps.FleetKind, pkgName string, met
 // fleet returns the cached fleet for pkg rewound to its freshly
 // instantiated state, or nil when the cache cannot serve it (template
 // changed, or the rewind failed its sanity checks).
-func (e *unitExecutor) fleet(tmpl *apps.FleetTemplate, pkg string) *apps.Fleet {
+func (e *Executor) fleet(tmpl *apps.FleetTemplate, pkg string) *apps.Fleet {
 	if e.tmpl != tmpl {
-		// Different template (seed or kind changed mid-process): every cached
-		// fleet is stale.
+		// Different template (the process-wide cache evicted and rebuilt
+		// it): every cached fleet is stale.
 		clear(e.fleets)
 		return nil
 	}
@@ -110,7 +142,7 @@ func (e *unitExecutor) fleet(tmpl *apps.FleetTemplate, pkg string) *apps.Fleet {
 // outcome: a reuse, or a retirement (reset attempted and failed) followed
 // by a fallback clone. A cold start (no device yet, or the template
 // changed) counts as a fallback but not a retirement.
-func (e *unitExecutor) device(snap *wearos.Snapshot, met farmMetrics) (*wearos.OS, string) {
+func (e *Executor) device(snap *wearos.Snapshot, met farmMetrics) (*wearos.OS, string) {
 	if e.dev != nil && e.snap == snap {
 		start := time.Now()
 		ok := e.dev.ResetTo(snap)

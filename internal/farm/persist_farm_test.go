@@ -38,15 +38,17 @@ func persistExport(t *testing.T, c core.Campaign, pkgs []string, gen core.Genera
 // at campaign granularity: for each campaign A-D and the fault-injection
 // campaign F, a persistent-mode run — where one hot device per worker is
 // reset in place between shards, including shards that just crashed
-// processes or closed fault windows on it — exports byte-identically to a
-// clone-per-shard run.
+// processes or closed fault windows on it — exports byte-identically to
+// the fresh-boot oracle.
 func TestPersistEquivalencePerCampaign(t *testing.T) {
 	for _, c := range append(append([]core.Campaign{}, core.AllCampaigns...), core.CampaignF) {
-		want := persistExport(t, c, testPackages, testGen(), core.Sharding{Workers: 1, DisablePersist: true}, nil)
+		off := farm.UseFreshBoot(t)
+		want := persistExport(t, c, testPackages, testGen(), core.Sharding{Workers: 1}, nil)
+		off()
 		reg := telemetry.NewRegistry()
 		got := persistExport(t, c, testPackages, testGen(), core.Sharding{Workers: 2}, reg)
 		if got != want {
-			t.Errorf("campaign %s: persistent-mode export differs from clone-per-shard:\n--- clone ---\n%s\n--- persist ---\n%s",
+			t.Errorf("campaign %s: persistent-mode export differs from fresh boot:\n--- fresh boot ---\n%s\n--- persist ---\n%s",
 				c.Letter(), want, got)
 		}
 		snap := reg.Snapshot()
@@ -60,17 +62,19 @@ func TestPersistEquivalencePerCampaign(t *testing.T) {
 // reboot (com.motorola.omni's sensor-service escalation) through a
 // persistent worker followed by another shard on the same worker: the
 // rebooted hot device must retire, the next shard must fall back to a
-// clone, and the merged export must still match clone-per-shard mode.
+// clone, and the merged export must still match the fresh-boot oracle.
 func TestPersistRetiresRebootShardDevice(t *testing.T) {
 	pkgs := []string{"com.motorola.omni", "com.heartwatch.wear"}
 	// Zero Gen = full paper scale; the reboot needs the full action matrix.
 	gen := core.GeneratorConfig{}
-	want := persistExport(t, core.CampaignA, pkgs, gen, core.Sharding{Workers: 1, DisablePersist: true}, nil)
+	off := farm.UseFreshBoot(t)
+	want := persistExport(t, core.CampaignA, pkgs, gen, core.Sharding{Workers: 1}, nil)
+	off()
 
 	reg := telemetry.NewRegistry()
 	got := persistExport(t, core.CampaignA, pkgs, gen, core.Sharding{Workers: 1}, reg)
 	if got != want {
-		t.Error("persistent-mode export differs from clone-per-shard after a reboot shard")
+		t.Error("persistent-mode export differs from fresh boot after a reboot shard")
 	}
 	snap := reg.Snapshot()
 	if n := snap.Counters["farm_persist_retires_total"]; n == 0 {

@@ -62,10 +62,13 @@ func TestSnapshotCacheEvictsOneEntry(t *testing.T) {
 // device reboots, and recover to reuse on the shard after that.
 func TestUnitExecutorReusesHotDevice(t *testing.T) {
 	const pkg = "com.heartwatch.wear"
-	cfg := Config{Seed: 1}
-	ex := newUnitExecutor()
+	p, err := NewPlan(Config{Seed: 1, Packages: []string{pkg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := p.NewExecutor()
 
-	fleet1, dev1, src1, err := ex.boot(cfg, apps.WearFleet, pkg, farmMetrics{})
+	fleet1, dev1, src1, err := ex.boot(pkg, farmMetrics{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +76,7 @@ func TestUnitExecutorReusesHotDevice(t *testing.T) {
 		t.Fatalf("cold-start source = %q, want %q", src1, BootClone)
 	}
 
-	fleet2, dev2, src2, err := ex.boot(cfg, apps.WearFleet, pkg, farmMetrics{})
+	fleet2, dev2, src2, err := ex.boot(pkg, farmMetrics{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +95,7 @@ func TestUnitExecutorReusesHotDevice(t *testing.T) {
 	if !dev2.SystemServer().MaybeReboot() {
 		t.Fatal("core service death did not reboot the device")
 	}
-	_, dev3, src3, err := ex.boot(cfg, apps.WearFleet, pkg, farmMetrics{})
+	_, dev3, src3, err := ex.boot(pkg, farmMetrics{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,22 +110,11 @@ func TestUnitExecutorReusesHotDevice(t *testing.T) {
 	}
 
 	// The fallback clone becomes the new hot device.
-	_, dev4, src4, err := ex.boot(cfg, apps.WearFleet, pkg, farmMetrics{})
+	_, dev4, src4, err := ex.boot(pkg, farmMetrics{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if src4 != BootReuse || dev4 != dev3 {
 		t.Fatalf("executor did not recover after retirement (source=%q)", src4)
-	}
-
-	// A nil executor and disabled modes take the plain clone path.
-	var nilEx *unitExecutor
-	if _, _, src, err := nilEx.boot(cfg, apps.WearFleet, pkg, farmMetrics{}); err != nil || src != BootClone {
-		t.Fatalf("nil executor: source=%q err=%v, want %q", src, err, BootClone)
-	}
-	off := cfg
-	off.Sharding.DisablePersist = true
-	if _, _, src, err := ex.boot(off, apps.WearFleet, pkg, farmMetrics{}); err != nil || src != BootClone {
-		t.Fatalf("persist off: source=%q err=%v, want %q", src, err, BootClone)
 	}
 }

@@ -1,17 +1,17 @@
-// Exported planning/execution/merge surface for distributed callers.
+// The planning/execution/merge surface. A run is four steps, each a
+// first-class call so they can be split across processes:
 //
-// farm.Run owns the whole lifecycle in one process: plan, execute, journal,
-// merge. The coordinator/worker service (internal/service) splits that
-// lifecycle across machines — the coordinator plans and merges, workers
-// execute shards — so the phases are exposed here as first-class steps:
-//
-//	NewPlan        the canonical shard plan + fingerprint for a Config
-//	ExecuteShard   one work unit, exactly as a farm worker goroutine runs it
-//	Merge          canonical-order merge + triage over complete results
+//	NewPlan        the canonical shard plan, LPT order and fingerprint
 //	OpenJournal    the fsynced JSONL checkpoint as a durable work-queue log
-//	Encode/DecodeShardRecord   the journal's wire form, reused for uploads
+//	NewExecutor    a persistent shard runner (one per executing goroutine)
+//	Merge          canonical-order merge + triage over complete results
 //
-// The determinism contract carries over unchanged: ExecuteShard derives the
+// plus Encode/DecodeShardRecord, the journal's wire form, reused for
+// uploads. farm.Run composes the four in one process with a goroutine
+// pool; the coordinator/worker service (internal/service) composes the same
+// four across machines with leases.
+//
+// The determinism contract carries over unchanged: an executor derives the
 // shard seed from the plan seed via rng.Split on the shard key, so a shard
 // executed on a remote worker returns byte-identical merge inputs to one
 // executed in-process, and Merge over any assignment of shards to workers
@@ -21,10 +21,13 @@ package farm
 
 import (
 	"fmt"
+	"os"
+	"slices"
+	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/manifest"
 )
 
 // Plan is the canonical shard plan for a Config: the work-queue contents a
@@ -35,6 +38,7 @@ type Plan struct {
 	cfg   Config
 	kind  apps.FleetKind
 	fleet *apps.Fleet
+	met   farmMetrics
 	// campaigns is the normalized campaign list (Config.Campaigns or all
 	// four), shards the canonical campaign-major shard order.
 	campaigns []core.Campaign
@@ -44,14 +48,15 @@ type Plan struct {
 	// journal header carries, embedded in every service lease so a worker
 	// can never execute a shard from the wrong run.
 	fingerprint uint64
-	// comps counts fuzzable components per package, the exact per-shard
-	// intent-cost input the LPT scheduler uses.
-	comps map[string]int
+	// est is each shard's exact intent volume; order lists every shard
+	// index largest-est first, ties in plan order.
+	est   []int
+	order []int
 }
 
-// NewPlan normalizes cfg and builds the canonical shard plan. It performs
-// the same planning steps as Run: fleet construction, target selection,
-// campaign-major shard enumeration, and fingerprinting.
+// NewPlan normalizes cfg and builds the canonical shard plan: fleet
+// construction, target selection, campaign-major shard enumeration, the
+// LPT dispatch order, and fingerprinting.
 func NewPlan(cfg Config) (*Plan, error) {
 	campaigns := cfg.Campaigns
 	if len(campaigns) == 0 {
@@ -70,30 +75,36 @@ func NewPlan(cfg Config) (*Plan, error) {
 		return nil, err
 	}
 	var shards []ShardKey
+	var est []int
 	for _, c := range campaigns {
 		for _, p := range targets {
 			shards = append(shards, ShardKey{Campaign: c, Package: p.Name})
+			est = append(est, c.CountPerComponent(cfg.Gen)*fuzzableComponents(p))
 		}
 	}
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("farm: empty shard plan (no packages matched)")
 	}
-	comps := make(map[string]int, len(targets))
-	for _, p := range targets {
-		for _, c := range p.Components {
-			if c.Type == manifest.Activity || c.Type == manifest.Service {
-				comps[p.Name]++
-			}
-		}
+	// Shard cost is known exactly up front, so the classic LPT bound
+	// applies: dispatching the largest shards first keeps the
+	// last-finishing worker's overhang to at most one small shard. The
+	// stable sort keeps ties in plan order, so the schedule (and the
+	// journal append order under one worker) is deterministic.
+	order := make([]int, len(shards))
+	for i := range order {
+		order[i] = i
 	}
+	slices.SortStableFunc(order, func(a, b int) int { return est[b] - est[a] })
 	return &Plan{
 		cfg:         cfg,
 		kind:        kind,
 		fleet:       fleet,
+		met:         newFarmMetrics(cfg.Telemetry),
 		campaigns:   campaigns,
 		shards:      shards,
 		fingerprint: fingerprint(cfg.Seed, kind.String(), shards, cfg.Gen),
-		comps:       comps,
+		est:         est,
+		order:       order,
 	}, nil
 }
 
@@ -104,66 +115,23 @@ func (p *Plan) Shards() []ShardKey { return p.shards }
 // checkpoint journal's header fingerprint.
 func (p *Plan) Fingerprint() uint64 { return p.fingerprint }
 
-// Fleet returns the canonical fleet instance (metadata for the merge).
-func (p *Plan) Fleet() *apps.Fleet { return p.fleet }
-
 // FleetKind returns the normalized population kind.
 func (p *Plan) FleetKind() apps.FleetKind { return p.kind }
 
-// Campaigns returns the normalized campaign list.
-func (p *Plan) Campaigns() []core.Campaign { return p.campaigns }
-
 // EstimatedIntents returns shard idx's exact intent volume — the LPT
-// scheduling weight. A coordinator granting leases largest-first gets the
-// same tail-latency bound the in-process farm gets from scheduleLPT.
-func (p *Plan) EstimatedIntents(idx int) int {
-	key := p.shards[idx]
-	return key.Campaign.CountPerComponent(p.cfg.Gen) * p.comps[key.Package]
-}
+// scheduling weight.
+func (p *Plan) EstimatedIntents(idx int) int { return p.est[idx] }
 
-// ExecuteShard runs one work unit in full isolation, exactly as a farm
-// worker goroutine would: snapshot-cloned (or fresh-booted) device, private
-// fleet behaviour state, per-shard generator split, triage collection and
-// flight recording per the plan's Config. Safe for concurrent use — shards
-// share nothing but the immutable boot templates. Callers executing many
-// shards sequentially should prefer an Executor, which additionally reuses
-// a hot device across the calls.
-func (p *Plan) ExecuteShard(idx int) (*ShardResult, error) {
-	if idx < 0 || idx >= len(p.shards) {
-		return nil, fmt.Errorf("farm: shard index %d outside plan of %d", idx, len(p.shards))
-	}
-	return runShard(p.cfg, p.kind, p.shards[idx], newFarmMetrics(p.cfg.Telemetry), nil)
-}
+// Order returns every shard index in dispatch order: largest
+// EstimatedIntents first, ties in plan order. Run feeds its worker pool in
+// this order and the service coordinator grants leases in it. Callers must
+// not mutate it.
+func (p *Plan) Order() []int { return p.order }
 
-// Executor is a persistent-mode shard runner bound to one plan: the same
-// hot-device-reset reuse a farm worker goroutine gets, exposed to
-// distributed callers that execute leased shards one at a time in a loop
-// (the service worker). Not safe for concurrent use — one Executor per
-// executing goroutine, like one device per worker.
-type Executor struct {
-	p  *Plan
-	ex *unitExecutor
-}
-
-// NewExecutor returns a fresh persistent executor for this plan.
-func (p *Plan) NewExecutor() *Executor {
-	return &Executor{p: p, ex: newUnitExecutor()}
-}
-
-// ExecuteShard runs one work unit like Plan.ExecuteShard, reusing the
-// executor's hot device when the plan's Sharding allows persist.
-func (e *Executor) ExecuteShard(idx int) (*ShardResult, error) {
-	p := e.p
-	if idx < 0 || idx >= len(p.shards) {
-		return nil, fmt.Errorf("farm: shard index %d outside plan of %d", idx, len(p.shards))
-	}
-	return runShard(p.cfg, p.kind, p.shards[idx], newFarmMetrics(p.cfg.Telemetry), e.ex)
-}
-
-// Merge folds one complete result set, in canonical plan order, into the
-// merged Result and runs triage (unless the plan's Config disables it) —
-// the exact post-barrier tail of Run. Every slot must hold the result for
-// the same-indexed shard; order of arrival is irrelevant by construction.
+// Merge folds one complete result set, in canonical plan order, into
+// per-campaign and combined reports and runs triage (unless the plan's
+// Config disables it). Every slot must hold the result for the
+// same-indexed shard; order of arrival is irrelevant by construction.
 func (p *Plan) Merge(results []*ShardResult) (*Result, error) {
 	if len(results) != len(p.shards) {
 		return nil, fmt.Errorf("farm: merge needs %d shard results, got %d", len(p.shards), len(results))
@@ -176,102 +144,76 @@ func (p *Plan) Merge(results []*ShardResult) (*Result, error) {
 			return nil, fmt.Errorf("farm: merge: slot %d holds %s, want %s", i, sr.Key, p.shards[i])
 		}
 	}
-	met := newFarmMetrics(p.cfg.Telemetry)
-	res := merge(p.fleet, p.campaigns, p.shards, results, met)
+	start := time.Now()
+	res := &Result{Fleet: p.fleet, Combined: analysis.AnalyzeEntries(nil), Shards: len(p.shards)}
+	// Plan order is campaign-major, so each campaign's shards are a
+	// contiguous run.
+	byCampaign := make(map[core.Campaign]*CampaignResult, len(p.campaigns))
+	for _, c := range p.campaigns {
+		byCampaign[c] = &CampaignResult{Campaign: c, Report: analysis.AnalyzeEntries(nil)}
+	}
+	for i, key := range p.shards {
+		sr := results[i]
+		cr := byCampaign[key.Campaign]
+		cr.Report.Merge(sr.Report)
+		cr.Sent += sr.Sent
+		cr.Summaries = append(cr.Summaries, sr.Summary)
+	}
+	for _, c := range p.campaigns {
+		cr := byCampaign[c]
+		res.Campaigns = append(res.Campaigns, *cr)
+		res.Combined.Merge(cr.Report)
+		res.Sent += cr.Sent
+	}
+	p.met.mergeSeconds.Observe(time.Since(start).Seconds())
 	if !p.cfg.DisableTriage {
-		res.Triage = triageCrashes(p.cfg, p.kind, p.fleet, results)
-		met.crashesRaw.Set(float64(res.Triage.Crashes))
-		met.crashBuckets.Set(float64(res.Triage.Unique()))
+		res.Triage = p.triageCrashes(results)
+		p.met.crashesRaw.Set(float64(res.Triage.Crashes))
+		p.met.crashBuckets.Set(float64(res.Triage.Unique()))
 	}
 	return res, nil
 }
 
-// EncodeShardRecord renders one shard result in the checkpoint journal's
-// wire form (one JSON line, no trailing newline). The same bytes serve as
-// a journal record and as a worker's result-upload body, so a record that
-// round-trips the journal and one that crossed the network restore
-// identically — the byte-identical-merge proof covers both.
-func EncodeShardRecord(idx int, sr *ShardResult) ([]byte, error) {
-	return encodeJournalLine(journalRecord{
-		Index:     idx,
-		Key:       sr.Key,
-		Seed:      sr.Seed,
-		Sent:      sr.Sent,
-		BootCount: sr.BootCount,
-		Summary:   sr.Summary,
-		Report:    exportReport(sr.Report),
-		Crashes:   exportCrashes(sr.Crashes),
-	})
-}
-
-// DecodeShardRecord parses a journal-form shard record back into the merge
-// input it encodes.
-func DecodeShardRecord(data []byte) (int, *ShardResult, error) {
-	var rec journalRecord
-	if err := decodeJournalLine(data, &rec); err != nil {
-		return 0, nil, fmt.Errorf("farm: decode shard record: %w", err)
-	}
-	return rec.Index, &ShardResult{
-		Key:       rec.Key,
-		Seed:      rec.Seed,
-		Sent:      rec.Sent,
-		BootCount: rec.BootCount,
-		Summary:   rec.Summary,
-		Report:    rec.Report.restore(),
-		Crashes:   restoreCrashes(rec.Crashes),
-	}, nil
-}
-
-// ShardJournal is the plan-scoped durable work-queue log: the same fsynced
-// JSONL checkpoint file farm.Run writes, opened against a Plan so a
-// coordinator can persist completed shards one record at a time and recover
-// the done-set after a restart.
-type ShardJournal struct {
-	j *journal
-}
-
 // OpenJournal creates (or, with resume, reloads) the checkpoint journal at
-// path for this plan. On resume it returns the restored results indexed by
-// shard — the durable done-set; every nil slot is pending work. A journal
-// written by a different plan (fingerprint mismatch) is refused, the same
-// guarantee -resume gives the CLI.
+// path for this plan. It returns the restored results indexed by shard —
+// the durable done-set; every nil slot is pending work — and how many were
+// restored. A journal written by a different plan (fingerprint mismatch)
+// is refused, and resuming a journal that was never written starts fresh.
 func (p *Plan) OpenJournal(path string, resume bool) (*ShardJournal, []*ShardResult, int, error) {
-	cfg := p.cfg
-	cfg.Sharding.Checkpoint = path
-	cfg.Sharding.Resume = resume
 	results := make([]*ShardResult, len(p.shards))
-	jnl, resumed, err := prepareCheckpoint(cfg, p.fingerprint, p.kind, p.shards, results)
+	if resume {
+		prev, done, validLen, err := loadJournal(path)
+		switch {
+		case err == nil:
+			if prev.Fingerprint != p.fingerprint {
+				return nil, nil, 0, fmt.Errorf(
+					"farm: checkpoint %s was written by a different run (fingerprint %016x, want %016x); refusing to resume",
+					path, prev.Fingerprint, p.fingerprint)
+			}
+			for idx, rec := range done {
+				if idx < 0 || idx >= len(p.shards) || p.shards[idx] != rec.Key {
+					return nil, nil, 0, fmt.Errorf("farm: checkpoint %s: record %d does not match the shard plan", path, idx)
+				}
+				results[idx] = rec.result()
+			}
+			jnl, err := openJournalAppend(path, validLen)
+			if err != nil {
+				return nil, nil, 0, err
+			}
+			return jnl, results, len(done), nil
+		case !os.IsNotExist(err):
+			return nil, nil, 0, err
+		}
+	}
+	jnl, err := createJournal(path, journalHeader{
+		Version:     journalVersion,
+		Fingerprint: p.fingerprint,
+		Shards:      len(p.shards),
+		Seed:        p.cfg.Seed,
+		Fleet:       p.kind.String(),
+	})
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	return &ShardJournal{j: jnl}, results, resumed, nil
-}
-
-// Append durably records one completed shard (fsynced before returning).
-func (sj *ShardJournal) Append(idx int, sr *ShardResult) error {
-	return sj.j.appendLine(journalRecord{
-		Index:     idx,
-		Key:       sr.Key,
-		Seed:      sr.Seed,
-		Sent:      sr.Sent,
-		BootCount: sr.BootCount,
-		Summary:   sr.Summary,
-		Report:    exportReport(sr.Report),
-		Crashes:   exportCrashes(sr.Crashes),
-	})
-}
-
-// AppendEncoded durably records an already-encoded shard record (the bytes
-// a worker uploaded), avoiding a decode/re-encode round trip on the
-// coordinator's hot path. The caller must have validated the record.
-func (sj *ShardJournal) AppendEncoded(line []byte) error {
-	return sj.j.appendRaw(line)
-}
-
-// Close flushes and releases the journal file handle.
-func (sj *ShardJournal) Close() error {
-	if sj == nil {
-		return nil
-	}
-	return sj.j.Close()
+	return jnl, results, 0, nil
 }

@@ -1,55 +1,135 @@
-package farm
+package farm_test
 
 import (
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/farm"
+	"repro/internal/service"
 )
 
-// TestScheduleLPT pins the tail-aware dispatch order: shards sort by exact
-// up-front cost (campaign per-component count × fuzzable components),
-// largest first, with ties keeping canonical plan order.
+// TestScheduleLPT pins the one dispatch order the farm and the service
+// share. Plan.Order sorts shards by exact up-front cost (EstimatedIntents),
+// largest first, ties in plan order. farm.Run feeds its pool in that order
+// (the journal append order under one worker shows it), and
+// Coordinator.Lease grants in it, a reclaimed shard going back to its place
+// ahead of every cheaper one.
 func TestScheduleLPT(t *testing.T) {
-	gen := core.GeneratorConfig{ActionStride: 4, SchemeStride: 2, RandomVariants: 1, ExtrasVariants: 1}
-	plan := []ShardKey{
-		{Campaign: core.CampaignA, Package: "com.small"},  // 1 component
-		{Campaign: core.CampaignA, Package: "com.big"},    // 9 components
-		{Campaign: core.CampaignA, Package: "com.medium"}, // 4 components
-		{Campaign: core.CampaignA, Package: "com.big2"},   // 9 components (tie with com.big)
+	spec := service.CampaignSpec{Seed: 1, Campaigns: "AB", Quick: 10}
+	plan, err := spec.Plan()
+	if err != nil {
+		t.Fatal(err)
 	}
-	comps := map[string]int{"com.small": 1, "com.big": 9, "com.medium": 4, "com.big2": 9}
+	order := plan.Order()
+	if len(order) != len(plan.Shards()) {
+		t.Fatalf("order has %d shards, plan %d", len(order), len(plan.Shards()))
+	}
+	seen := make([]bool, len(order))
+	ties := 0
+	for i, idx := range order {
+		if seen[idx] {
+			t.Fatalf("shard %d appears twice in the order", idx)
+		}
+		seen[idx] = true
+		if i == 0 {
+			continue
+		}
+		prev := order[i-1]
+		switch a, b := plan.EstimatedIntents(prev), plan.EstimatedIntents(idx); {
+		case a < b:
+			t.Fatalf("order[%d] = shard %d (%d intents) after shard %d (%d intents)", i, idx, b, prev, a)
+		case a == b && prev > idx:
+			t.Fatalf("tie at %d intents out of plan order: shard %d before %d", a, prev, idx)
+		case a == b:
+			ties++
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no equal-cost shards in the plan; the tie rule goes untested")
+	}
 
-	pending := []int{0, 1, 2, 3}
-	scheduleLPT(pending, plan, comps, gen)
-	if want := []int{1, 3, 2, 0}; !reflect.DeepEqual(pending, want) {
-		t.Fatalf("LPT order = %v, want %v (big, big2 tie in plan order, medium, small)", pending, want)
+	// The in-process pool: under one worker, journal records land in
+	// dispatch order.
+	ckpt := filepath.Join(t.TempDir(), "order.ckpt")
+	cfg := farm.Config{
+		Seed:          1,
+		Campaigns:     []core.Campaign{core.CampaignA, core.CampaignB},
+		Packages:      testPackages,
+		Gen:           testGen(),
+		Sharding:      core.Sharding{Workers: 1, Checkpoint: ckpt},
+		DisableTriage: true,
+	}
+	small, err := farm.NewPlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := farm.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var appended []int
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[1:] {
+		var rec struct{ Index int }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		appended = append(appended, rec.Index)
+	}
+	if !reflect.DeepEqual(appended, small.Order()) {
+		t.Fatalf("Run dispatched %v, want plan order %v", appended, small.Order())
 	}
 
-	// A partially resumed run schedules only what is pending, same rule.
-	partial := []int{0, 2}
-	scheduleLPT(partial, plan, comps, gen)
-	if want := []int{2, 0}; !reflect.DeepEqual(partial, want) {
-		t.Fatalf("partial LPT order = %v, want %v", partial, want)
+	// The coordinator: lease the first three shards, keep the first and
+	// third alive, and let the second expire. The next grant is the
+	// reclaimed shard; the rest follow in order.
+	var clock atomic.Int64
+	clock.Store(time.Unix(1700000000, 0).UnixNano())
+	coord, err := service.NewCoordinator(service.Options{Clock: func() time.Time { return time.Unix(0, clock.Load()) }})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Campaigns with bigger per-component counts outrank component count
-	// alone when the product says so.
-	mixed := []ShardKey{
-		{Campaign: core.CampaignA, Package: "com.small"},
-		{Campaign: core.CampaignD, Package: "com.small"},
+	defer coord.Shutdown()
+	if _, err := coord.Submit(spec); err != nil {
+		t.Fatal(err)
 	}
-	if core.CampaignA.CountPerComponent(gen) == core.CampaignD.CountPerComponent(gen) {
-		t.Skip("campaigns A and D have equal per-component cost at this gen scale")
+	var grants []service.LeaseGrant
+	for {
+		g, err := coord.Lease("w")
+		if errors.Is(err, service.ErrNoWork) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		grants = append(grants, g)
+		if len(grants) == 3 {
+			ttl := coord.LeaseTTL()
+			clock.Add(int64(ttl / 2))
+			for _, keep := range []service.LeaseGrant{grants[0], grants[2]} {
+				if _, err := coord.Heartbeat(keep.LeaseID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			clock.Add(int64(ttl/2 + time.Second))
+		}
 	}
-	order := []int{0, 1}
-	scheduleLPT(order, mixed, map[string]int{"com.small": 1}, gen)
-	first := mixed[order[0]].Campaign
-	wantFirst := core.CampaignA
-	if core.CampaignD.CountPerComponent(gen) > core.CampaignA.CountPerComponent(gen) {
-		wantFirst = core.CampaignD
+	var granted []int
+	for _, g := range grants {
+		granted = append(granted, g.Shard)
 	}
-	if first != wantFirst {
-		t.Fatalf("campaign %s dispatched first, want %s", first.Letter(), wantFirst.Letter())
+	want := append(append(append([]int{}, order[:3]...), order[1]), order[3:]...)
+	if !reflect.DeepEqual(granted, want) {
+		t.Fatalf("Lease granted %v, want %v", granted, want)
 	}
 }

@@ -1,17 +1,13 @@
-// Forkserver-style shard startup: instead of booting a fresh device and
-// rebuilding the fleet population for every (campaign, package) shard, the
-// farm boots one template device per distinct device configuration, builds
-// one fleet template per (fleet kind, seed), and stamps each shard out of
-// them — wearos.Snapshot.Clone for the device, apps.FleetTemplate.
-// Instantiate for the behaviour models. Clones are observably identical to
-// fresh boots (the snapshot determinism contract), so the merged result is
-// byte-identical in both modes; core.Sharding.DisableSnapshot selects the
-// fresh-boot path for benchmarking and bisection.
+// Forkserver-style boot templates: the farm boots one template device per
+// distinct device configuration and builds one fleet template per (fleet
+// kind, seed); executors (persist.go) stamp shard devices out of them with
+// wearos.Snapshot.Clone and shard behaviour models with
+// apps.FleetTemplate.Instantiate. Clones are observably identical to fresh
+// boots (the snapshot determinism contract).
 package farm
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/apps"
 	"repro/internal/wearos"
@@ -108,58 +104,3 @@ func (c *snapshotCache) deviceSnapshot(cfg wearos.Config) (s *wearos.Snapshot, h
 	c.mu.Unlock()
 	return s, false, nil
 }
-
-// bootShard produces the per-shard (fleet, device) pair, via the snapshot
-// caches unless cfg disables them. The returned device has the shard's
-// package installed and its handlers registered, and nothing else — exactly
-// the state runShard previously reached by booting fresh. met records the
-// cache outcome and the clone latency (a hit requires both the fleet
-// template and the device snapshot to be cached). source names the boot
-// path ("clone" or "fresh-boot") for the shard status board.
-func bootShard(cfg Config, kind apps.FleetKind, pkgName string, met farmMetrics) (*apps.Fleet, *wearos.OS, string, error) {
-	if cfg.Sharding.DisableSnapshot {
-		fleet, err := apps.BuildFleetPackage(kind, cfg.Seed, pkgName)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		dev := wearos.New(deviceConfig(kind))
-		if _, err := fleet.InstallPackageInto(dev, pkgName); err != nil {
-			return nil, nil, "", err
-		}
-		return fleet, dev, BootFresh, nil
-	}
-
-	start := time.Now()
-	tmpl, fleetHit, err := bootCache.fleetTemplate(kind, cfg.Seed)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	snap, devHit, err := bootCache.deviceSnapshot(deviceConfig(kind))
-	if err != nil {
-		return nil, nil, "", err
-	}
-	fleet, err := tmpl.Instantiate(pkgName)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	dev := snap.Clone()
-	if _, err := fleet.InstallPackageInto(dev, pkgName); err != nil {
-		return nil, nil, "", err
-	}
-	met.cloneSeconds.Observe(time.Since(start).Seconds())
-	if fleetHit && devHit {
-		met.snapHits.Inc()
-	} else {
-		met.snapMisses.Inc()
-	}
-	return fleet, dev, BootClone, nil
-}
-
-// Boot-source names reported on ShardResult.BootSource and the status board.
-const (
-	BootClone = "clone"
-	BootFresh = "fresh-boot"
-	// BootReuse marks a shard served by the persistent executor's hot device
-	// (reset in place instead of cloned; see persist.go).
-	BootReuse = "reuse"
-)

@@ -13,112 +13,109 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestSnapshotMatchesFreshBootMerge is the tentpole's acceptance gate: the
-// snapshot-clone path must produce a byte-identical merged study for any
-// worker count, compared against the fresh-boot path. The fresh-boot serial
-// run is the reference; every other (mode, workers) combination must match.
+// TestSnapshotMatchesFreshBootMerge is the executor's acceptance gate: the
+// persistent executor (snapshot clones plus hot-device reuse) must produce
+// a merged study byte-identical to the fresh-boot oracle's for any worker
+// count. The oracle's serial run is the reference.
 func TestSnapshotMatchesFreshBootMerge(t *testing.T) {
-	want := exportForCompare(t, runStudy(t, core.Sharding{Workers: 1, DisableSnapshot: true}))
-	for _, tc := range []struct {
-		name     string
-		sharding core.Sharding
-	}{
-		// The zero Sharding value runs persistent mode (snapshot clones plus
-		// hot-device reuse), so the workers=N rows also prove the persistent
-		// executor's reuse path merges byte-identically.
-		{"persist/workers=1", core.Sharding{Workers: 1}},
-		{"persist/workers=4", core.Sharding{Workers: 4}},
-		{"persist/workers=8", core.Sharding{Workers: 8}},
-		{"clone-per-shard/workers=1", core.Sharding{Workers: 1, DisablePersist: true}},
-		{"clone-per-shard/workers=8", core.Sharding{Workers: 8, DisablePersist: true}},
-		{"freshboot/workers=4", core.Sharding{Workers: 4, DisableSnapshot: true}},
-	} {
-		if got := exportForCompare(t, runStudy(t, tc.sharding)); got != want {
-			t.Errorf("%s export differs from fresh-boot serial run:\n--- fresh serial ---\n%s\n--- %s ---\n%s",
-				tc.name, want, tc.name, got)
+	off := farm.UseFreshBoot(t)
+	want := exportForCompare(t, runStudy(t, core.Sharding{Workers: 1}))
+	freshParallel := exportForCompare(t, runStudy(t, core.Sharding{Workers: 4}))
+	off()
+	if freshParallel != want {
+		t.Error("fresh-boot workers=4 export differs from fresh-boot serial run")
+	}
+	for _, workers := range []int{1, 4, 8} {
+		if got := exportForCompare(t, runStudy(t, core.Sharding{Workers: workers})); got != want {
+			t.Errorf("workers=%d export differs from fresh-boot serial run:\n--- fresh serial ---\n%s\n--- workers=%d ---\n%s",
+				workers, want, workers, got)
 		}
 	}
 }
 
-// TestCheckpointCrossSnapshotModes pins that DisableSnapshot stays out of
-// the checkpoint fingerprint: a journal written by a fresh-boot run resumes
-// cleanly under the snapshot path (and vice versa) with identical output.
-func TestCheckpointCrossSnapshotModes(t *testing.T) {
-	dir := t.TempDir()
-	offJournal := filepath.Join(dir, "off.ckpt")
-	killed := filepath.Join(dir, "killed.ckpt")
-
-	uninterrupted := runStudy(t, core.Sharding{Workers: 2, Checkpoint: offJournal, DisableSnapshot: true})
-	want := exportForCompare(t, uninterrupted)
-
-	// Tear the fresh-boot journal after three shards (header + 3 records +
-	// a torn partial line), then resume it with snapshots enabled.
-	data, err := os.ReadFile(offJournal)
+// tearJournal copies the header plus the first keep records of the journal
+// at src to dst and appends a torn partial record, the state a SIGKILL
+// mid-append leaves behind.
+func tearJournal(t *testing.T, src, dst string, keep int) {
+	t.Helper()
+	data, err := os.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	const keep = 3
 	if len(lines) < keep+2 {
 		t.Fatalf("journal too short to truncate: %d lines", len(lines))
 	}
 	torn := strings.Join(lines[:1+keep], "\n") + "\n" + `{"index":5,"key":{"camp`
-	if err := os.WriteFile(killed, []byte(torn), 0o644); err != nil {
+	if err := os.WriteFile(dst, []byte(torn), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	killedNoPersist := filepath.Join(dir, "killed-no-persist.ckpt")
-	if err := os.WriteFile(killedNoPersist, []byte(torn), 0o644); err != nil {
-		t.Fatal(err)
-	}
+// TestCheckpointCrossSnapshotModes pins that the boot path stays out of the
+// checkpoint fingerprint: a torn journal written by the fresh-boot oracle
+// resumes under the executor, and a torn journal the executor extended
+// resumes under the oracle, both with output identical to an uninterrupted
+// run.
+func TestCheckpointCrossSnapshotModes(t *testing.T) {
+	dir := t.TempDir()
+	freshJournal := filepath.Join(dir, "fresh.ckpt")
+	killed := filepath.Join(dir, "killed.ckpt")
+	killedAgain := filepath.Join(dir, "killed-again.ckpt")
 
+	off := farm.UseFreshBoot(t)
+	want := exportForCompare(t, runStudy(t, core.Sharding{Workers: 2, Checkpoint: freshJournal}))
+	off()
+
+	// Oracle journal torn after three shards, resumed by the executor.
+	const keep = 3
+	tearJournal(t, freshJournal, killed, keep)
 	resumed := runStudy(t, core.Sharding{Workers: 2, Checkpoint: killed, Resume: true})
 	if got := exportForCompare(t, resumed); got != want {
-		t.Errorf("snapshot-mode resume of a fresh-boot journal differs:\n--- fresh-boot full ---\n%s\n--- resumed ---\n%s", want, got)
+		t.Errorf("executor resume of a fresh-boot journal differs:\n--- fresh-boot full ---\n%s\n--- resumed ---\n%s", want, got)
 	}
 	if resumed.Sharding.Resumed != keep {
 		t.Fatalf("resumed = %d shards, want %d", resumed.Sharding.Resumed, keep)
 	}
 
-	// DisablePersist likewise stays out of the fingerprint: the same torn
-	// fresh-boot journal resumes under clone-per-shard mode with identical
-	// output (the resume above already exercised persistent mode).
-	resumedNoPersist := runStudy(t, core.Sharding{Workers: 2, Checkpoint: killedNoPersist, Resume: true, DisablePersist: true})
-	if got := exportForCompare(t, resumedNoPersist); got != want {
-		t.Error("clone-per-shard resume of a fresh-boot journal differs")
+	// The journal now mixes oracle and executor records; torn after six, it
+	// resumes under the oracle.
+	const keepAgain = 6
+	tearJournal(t, killed, killedAgain, keepAgain)
+	defer farm.UseFreshBoot(t)()
+	again := runStudy(t, core.Sharding{Workers: 2, Checkpoint: killedAgain, Resume: true})
+	if got := exportForCompare(t, again); got != want {
+		t.Error("fresh-boot resume of an executor-extended journal differs")
 	}
-	if resumedNoPersist.Sharding.Resumed != keep {
-		t.Fatalf("no-persist resumed = %d shards, want %d", resumedNoPersist.Sharding.Resumed, keep)
+	if again.Sharding.Resumed != keepAgain {
+		t.Fatalf("oracle resumed = %d shards, want %d", again.Sharding.Resumed, keepAgain)
 	}
 
-	// The opposite direction: the journal completed under snapshots replays
-	// fully under fresh boots.
-	replayed := runStudy(t, core.Sharding{Workers: 2, Checkpoint: killed, Resume: true, DisableSnapshot: true})
+	// And the completed executor journal replays fully under the oracle.
+	replayed := runStudy(t, core.Sharding{Workers: 2, Checkpoint: killed, Resume: true})
 	if got := exportForCompare(t, replayed); got != want {
-		t.Error("fresh-boot replay of a snapshot-completed journal differs")
+		t.Error("fresh-boot replay of an executor-completed journal differs")
 	}
 	if replayed.Sharding.Resumed != replayed.Sharding.Shards {
 		t.Fatalf("replay resumed %d of %d shards", replayed.Sharding.Resumed, replayed.Sharding.Shards)
 	}
 }
 
-// TestSnapshotTelemetry verifies the farm boot metrics across the three
-// execution modes. Persistent mode: every shard records one cache outcome
-// and one queue wait, and comes up either by hot-device reuse (one reset
-// latency) or by a fallback clone (one clone latency) — the two must
-// account for every shard. Clone-per-shard mode (persist off): one clone
-// latency per shard and no persist outcomes. Fresh-boot mode: none of the
-// above. The boot cache is process-global (earlier tests may have warmed
-// it), so the hit/miss split is not asserted — only the total.
+// TestSnapshotTelemetry verifies the farm boot metrics. Under the
+// executor every shard records one cache outcome and one queue wait, and
+// comes up either by hot-device reuse (one reset latency) or by a fallback
+// clone (one clone latency) — the two must account for every shard. Under
+// the fresh-boot oracle none of them are recorded. The boot cache is
+// process-global (earlier tests may have warmed it), so the hit/miss split
+// is not asserted — only the total.
 func TestSnapshotTelemetry(t *testing.T) {
-	run := func(sharding core.Sharding) telemetry.Snapshot {
-		sharding.Workers = 4
+	run := func() telemetry.Snapshot {
 		reg := telemetry.NewRegistry()
 		res, err := farm.Run(farm.Config{
 			Seed:      1,
 			Packages:  testPackages,
 			Gen:       testGen(),
-			Sharding:  sharding,
+			Sharding:  core.Sharding{Workers: 4},
 			Telemetry: reg,
 		})
 		if err != nil {
@@ -131,7 +128,7 @@ func TestSnapshotTelemetry(t *testing.T) {
 	}
 	shards := uint64(4 * len(testPackages))
 
-	snap := run(core.Sharding{})
+	snap := run()
 	hits := snap.Counters["farm_snapshot_hits_total"]
 	misses := snap.Counters["farm_snapshot_misses_total"]
 	if hits+misses != shards {
@@ -158,24 +155,15 @@ func TestSnapshotTelemetry(t *testing.T) {
 		t.Fatalf("farm_shard_queue_wait_seconds count = %d, want %d", got, shards)
 	}
 
-	noPersist := run(core.Sharding{DisablePersist: true})
-	if got := noPersist.Histograms["farm_clone_seconds"].Count; got != shards {
-		t.Fatalf("farm_clone_seconds count = %d, want %d", got, shards)
-	}
-	if n := noPersist.Counters["farm_persist_reuses_total"] +
-		noPersist.Counters["farm_persist_retires_total"] +
-		noPersist.Counters["farm_persist_fallbacks_total"]; n != 0 {
-		t.Fatalf("persist-off run recorded %d persist outcomes", n)
-	}
-
-	off := run(core.Sharding{DisableSnapshot: true})
-	if n := off.Counters["farm_snapshot_hits_total"] + off.Counters["farm_snapshot_misses_total"]; n != 0 {
+	defer farm.UseFreshBoot(t)()
+	fresh := run()
+	if n := fresh.Counters["farm_snapshot_hits_total"] + fresh.Counters["farm_snapshot_misses_total"]; n != 0 {
 		t.Fatalf("fresh-boot run recorded %d snapshot cache outcomes", n)
 	}
-	if got := off.Histograms["farm_clone_seconds"].Count; got != 0 {
+	if got := fresh.Histograms["farm_clone_seconds"].Count; got != 0 {
 		t.Fatalf("fresh-boot run recorded %d clone latencies", got)
 	}
-	if n := off.Counters["farm_persist_reuses_total"] + off.Counters["farm_persist_fallbacks_total"]; n != 0 {
+	if n := fresh.Counters["farm_persist_reuses_total"] + fresh.Counters["farm_persist_fallbacks_total"]; n != 0 {
 		t.Fatalf("fresh-boot run recorded %d persist outcomes", n)
 	}
 }
@@ -184,9 +172,12 @@ func TestSnapshotTelemetry(t *testing.T) {
 // FIC reboot-manifestation path: the full-scale campaign A run against
 // com.motorola.omni drives the paper's sensor-service escalation to a
 // device reboot. A cloned shard device must report the same reboot and the
-// same BootCount (template boot + its own reboot) as a fresh boot.
+// same BootCount (template boot + its own reboot) as the fresh-boot oracle.
 func TestRebootManifestsOnClonedShard(t *testing.T) {
-	run := func(disable bool) *farm.Result {
+	run := func(fresh bool) *farm.Result {
+		if fresh {
+			defer farm.UseFreshBoot(t)()
+		}
 		res, err := farm.Run(farm.Config{
 			Seed:      1,
 			Packages:  []string{"com.motorola.omni"},
@@ -194,7 +185,7 @@ func TestRebootManifestsOnClonedShard(t *testing.T) {
 			// Zero Gen = full paper scale; the reboot needs the full action
 			// matrix to accumulate three sensor-listener ANRs.
 			Gen:      core.GeneratorConfig{},
-			Sharding: core.Sharding{Workers: 1, DisableSnapshot: disable},
+			Sharding: core.Sharding{Workers: 1},
 		})
 		if err != nil {
 			t.Fatal(err)

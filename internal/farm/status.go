@@ -27,8 +27,8 @@ const (
 type ShardStatus struct {
 	Key   ShardKey `json:"key"`
 	State string   `json:"state"`
-	// Source is the boot path ("reuse", "clone" or "fresh-boot"); empty until the
-	// shard completes. Resumed shards report no source — they were never
+	// Source is the boot path ("reuse" or "clone"); empty until the shard
+	// completes. Resumed shards report no source — they were never
 	// booted in this process.
 	Source string `json:"source,omitempty"`
 	// QueueWait is how long the shard sat in the queue before a worker
@@ -86,9 +86,9 @@ type StatusBoard struct {
 // Config.Status at Run time.
 func NewStatusBoard() *StatusBoard { return &StatusBoard{} }
 
-// reset initializes the board for a new plan. Run calls it before any
-// shard starts, including on resume.
-func (b *StatusBoard) reset(plan []ShardKey, workers int) {
+// Track (re)initializes the board for a shard plan. Run and the service
+// coordinator call it before any shard starts, including on resume.
+func (b *StatusBoard) Track(plan []ShardKey, workers int) {
 	if b == nil {
 		return
 	}
@@ -103,8 +103,8 @@ func (b *StatusBoard) reset(plan []ShardKey, workers int) {
 	b.execSeconds, b.execCount, b.intents = 0, 0, 0
 }
 
-// markResumed records a shard restored from the checkpoint journal.
-func (b *StatusBoard) markResumed(idx, sent int) {
+// MarkResumed records a shard restored from the checkpoint journal.
+func (b *StatusBoard) MarkResumed(idx, sent int) {
 	if b == nil {
 		return
 	}
@@ -118,8 +118,8 @@ func (b *StatusBoard) markResumed(idx, sent int) {
 	b.intents += sent
 }
 
-// markRunning records a worker picking the shard up after wait in queue.
-func (b *StatusBoard) markRunning(idx int, wait time.Duration) {
+// MarkRunning records a worker picking the shard up after wait in queue.
+func (b *StatusBoard) MarkRunning(idx int, wait time.Duration) {
 	if b == nil {
 		return
 	}
@@ -132,9 +132,9 @@ func (b *StatusBoard) markRunning(idx int, wait time.Duration) {
 	b.shards[idx].QueueWait = wait.Seconds()
 }
 
-// markDone records a completed shard: intents sent, execution time, and
-// which boot path produced its device.
-func (b *StatusBoard) markDone(idx, sent int, dur time.Duration, source string) {
+// MarkDone records a completed shard: intents sent, execution time, and
+// which boot path (or, on the service, which worker) produced it.
+func (b *StatusBoard) MarkDone(idx, sent int, dur time.Duration, source string) {
 	if b == nil {
 		return
 	}
@@ -156,8 +156,8 @@ func (b *StatusBoard) markDone(idx, sent int, dur time.Duration, source string) 
 	b.intents += sent
 }
 
-// markFailed records a shard whose worker returned an error.
-func (b *StatusBoard) markFailed(idx int) {
+// MarkFailed records a shard whose worker returned an error.
+func (b *StatusBoard) MarkFailed(idx int) {
 	if b == nil {
 		return
 	}
@@ -169,10 +169,10 @@ func (b *StatusBoard) markFailed(idx int) {
 	b.shards[idx].State = StateFailed
 }
 
-// markPending returns a shard to the queue — the service coordinator's
+// MarkPending returns a shard to the queue — the service coordinator's
 // lease-reclamation path (a worker died holding the shard; its work is
 // discarded and the shard becomes grantable again).
-func (b *StatusBoard) markPending(idx int) {
+func (b *StatusBoard) MarkPending(idx int) {
 	if b == nil {
 		return
 	}
@@ -183,32 +183,6 @@ func (b *StatusBoard) markPending(idx int) {
 	}
 	b.shards[idx] = ShardStatus{Key: b.shards[idx].Key, State: StatePending}
 }
-
-// Exported mark surface. farm.Run drives a board itself; the service
-// coordinator owns shard scheduling (leases instead of goroutines), so it
-// needs the same marks as first-class API. All are nil-safe like the
-// unexported forms.
-
-// Track (re)initializes the board for a shard plan — the exported form of
-// the reset farm.Run performs.
-func (b *StatusBoard) Track(plan []ShardKey, workers int) { b.reset(plan, workers) }
-
-// MarkPending returns a shard to the pending state (lease reclaimed).
-func (b *StatusBoard) MarkPending(idx int) { b.markPending(idx) }
-
-// MarkRunning records the shard being picked up after wait in queue.
-func (b *StatusBoard) MarkRunning(idx int, wait time.Duration) { b.markRunning(idx, wait) }
-
-// MarkDone records a completed shard.
-func (b *StatusBoard) MarkDone(idx, sent int, dur time.Duration, source string) {
-	b.markDone(idx, sent, dur, source)
-}
-
-// MarkResumed records a shard restored from the durable journal.
-func (b *StatusBoard) MarkResumed(idx, sent int) { b.markResumed(idx, sent) }
-
-// MarkFailed records a shard whose execution errored.
-func (b *StatusBoard) MarkFailed(idx int) { b.markFailed(idx) }
 
 // Status returns an aggregated snapshot of the board. The Shards slice is
 // a copy; callers may retain it.

@@ -83,7 +83,7 @@ func BenchmarkQueueResultRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sr, err := plan.ExecuteShard(g.Shard)
+	sr, err := plan.NewExecutor().ExecuteShard(g.Shard)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -143,7 +143,7 @@ func TestUploadBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := plan.ExecuteShard(grant.Shard)
+	sr, err := plan.NewExecutor().ExecuteShard(grant.Shard)
 	if err != nil {
 		t.Fatal(err)
 	}

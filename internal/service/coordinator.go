@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -652,8 +653,8 @@ func (c *Coordinator) CampaignTelemetry(id string) (*telemetry.Registry, error) 
 }
 
 // Lease grants the next pending shard: campaigns in submission order,
-// shards within a campaign largest-first (the same LPT policy the
-// in-process farm schedules by), reclaiming any expired leases first.
+// shards within a campaign in the plan's LPT order (the order farm.Run
+// feeds its pool), reclaiming any expired leases first.
 func (c *Coordinator) Lease(worker string) (LeaseGrant, error) {
 	now := c.now()
 	c.mu.Lock()
@@ -665,18 +666,12 @@ func (c *Coordinator) Lease(worker string) (LeaseGrant, error) {
 	c.reapLocked(now)
 	for _, id := range c.order {
 		camp := c.campaigns[id]
-		best, bestCost := -1, -1
-		for idx, st := range camp.states {
-			if st != shardPending {
-				continue
-			}
-			if cost := camp.plan.EstimatedIntents(idx); cost > bestCost {
-				best, bestCost = idx, cost
-			}
-		}
-		if best < 0 {
+		order := camp.plan.Order()
+		i := slices.IndexFunc(order, func(idx int) bool { return camp.states[idx] == shardPending })
+		if i < 0 {
 			continue
 		}
+		best := order[i]
 		c.leaseSeq++
 		l := &lease{
 			id:      fmt.Sprintf("l%d-%s-%d", c.leaseSeq, camp.id, best),

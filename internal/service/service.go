@@ -61,13 +61,6 @@ type CampaignSpec struct {
 	Quick int `json:"quick,omitempty"`
 	// Gen sets explicit generator strides, overriding Quick.
 	Gen *GenSpec `json:"gen,omitempty"`
-	// DisableSnapshot forces workers onto the fresh-boot path (results are
-	// identical; exists for benchmarking, like the CLI flag).
-	DisableSnapshot bool `json:"disableSnapshot,omitempty"`
-	// DisablePersist turns off the workers' hot-device reuse between leased
-	// shards (results are identical; exists for benchmarking and bisection,
-	// like the CLI flag).
-	DisablePersist bool `json:"disablePersist,omitempty"`
 	// DisableTriage skips crash bucketing and minimization.
 	DisableTriage bool `json:"disableTriage,omitempty"`
 }
@@ -130,7 +123,6 @@ func (s CampaignSpec) FarmConfig() (farm.Config, error) {
 		Campaigns:     campaigns,
 		Packages:      s.Packages,
 		Gen:           gen,
-		Sharding:      core.Sharding{DisableSnapshot: s.DisableSnapshot, DisablePersist: s.DisablePersist},
 		DisableTriage: s.DisableTriage,
 	}, nil
 }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -95,7 +97,7 @@ func executeShard(t *testing.T, grant service.LeaseGrant) []byte {
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
-	sr, err := plan.ExecuteShard(grant.Shard)
+	sr, err := plan.NewExecutor().ExecuteShard(grant.Shard)
 	if err != nil {
 		t.Fatalf("execute shard %d: %v", grant.Shard, err)
 	}
@@ -280,7 +282,7 @@ func TestLeaseEdgeCases(t *testing.T) {
 				if err != nil {
 					t.Fatalf("plan: %v", err)
 				}
-				sr, err := plan.ExecuteShard(g.Shard)
+				sr, err := plan.NewExecutor().ExecuteShard(g.Shard)
 				if err != nil {
 					t.Fatalf("execute: %v", err)
 				}
@@ -501,6 +503,95 @@ func TestCoordinatorRestartResumes(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Error("post-restart export differs from single-process run")
+	}
+}
+
+// TestOldSpecFieldsStillLoad: specs written while the boot-mode knobs
+// existed still carry "disableSnapshot" and "disablePersist". A submit body
+// and an on-disk spec sidecar with them must decode, plan to the bare
+// spec's fingerprint, and survive a coordinator restart with an export
+// byte-identical to the single-process run.
+func TestOldSpecFieldsStillLoad(t *testing.T) {
+	const oldFields = `"disableSnapshot":true,"disablePersist":true,`
+	plan, err := testSpec().Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFP := fmt.Sprintf("%016x", plan.Fingerprint())
+
+	dir := t.TempDir()
+	first := newCoordinator(t, service.Options{DataDir: dir})
+	ts := httptest.NewServer(service.Handler(first))
+	bare, err := json.Marshal(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := strings.Replace(string(bare), "{", "{"+oldFields, 1)
+	resp, err := http.Post(ts.URL+"/api/v1/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info service.CampaignInfo
+	err = json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("old-style submit: status %d, err %v", resp.StatusCode, err)
+	}
+	ts.Close()
+	if info.Fingerprint != wantFP {
+		t.Fatalf("old-style spec fingerprint %s, want the bare spec's %s", info.Fingerprint, wantFP)
+	}
+	g, err := first.Lease("pre-restart")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Complete(g.LeaseID, g.Fingerprint, executeShard(t, g)); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Put the fields back into the sidecar, as an older coordinator wrote it.
+	sidecar := filepath.Join(dir, info.ID+".spec.json")
+	data, err := os.ReadFile(sidecar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(data), `"spec": {`, `"spec": {`+oldFields, 1)
+	if old == string(data) {
+		t.Fatalf("sidecar has no spec object: %s", data)
+	}
+	if err := os.WriteFile(sidecar, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	second := newCoordinator(t, service.Options{DataDir: dir})
+	infos := second.Campaigns()
+	if len(infos) != 1 || infos[0].Fingerprint != wantFP || infos[0].Done != 1 {
+		t.Fatalf("restored campaigns = %+v, want %s with 1 shard done", infos, wantFP)
+	}
+	ts = httptest.NewServer(service.Handler(second))
+	defer ts.Close()
+	if _, err := service.RunWorker(context.Background(), service.WorkerOptions{
+		Coordinator:  ts.URL,
+		Name:         "post-restart",
+		ExitWhenIdle: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	client := service.NewClient(ts.URL, nil)
+	waitForState(t, func() (service.CampaignInfo, error) { return client.Campaign(info.ID) }, service.CampaignComplete)
+	got, err := client.Export(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := serialBaseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Error("old-spec campaign export differs from single-process run")
 	}
 }
 

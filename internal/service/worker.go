@@ -52,9 +52,9 @@ type WorkerStats struct {
 //
 // The worker re-plans every campaign spec locally and refuses a lease whose
 // fingerprint differs from its own plan's — executing a shard from the
-// wrong run is impossible by construction, not by trust. Plans are cached
-// by fingerprint, so a campaign's fleet is built once per worker, not once
-// per shard.
+// wrong run is impossible by construction, not by trust. The worker keeps
+// one executor (executorSlot), so consecutive shards of a campaign share a
+// plan and a hot device, and serving another campaign replaces both.
 //
 // Cancelling ctx drains: the in-flight shard is finished and uploaded
 // (results are never thrown away at shutdown), pending-but-unstarted leases
@@ -62,6 +62,38 @@ type WorkerStats struct {
 // outright instead simply stops heartbeating and the reaper re-queues its
 // shard — drain is the polite fast path, expiry the crash-safe slow path.
 func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
+	return runWorker(ctx, opts, &executorSlot{})
+}
+
+// executorSlot holds the executor for the campaign a worker is serving, so
+// a long-running worker holds one re-planned fleet and one hot device
+// however many campaigns it serves.
+type executorSlot struct {
+	fingerprint string
+	ex          *farm.Executor
+}
+
+// get returns the executor for grant's campaign. A lease carrying a
+// different fingerprint than the slot holds re-plans the spec locally and
+// replaces the executor; a lease whose fingerprint differs from that local
+// plan's is refused.
+func (s *executorSlot) get(grant *LeaseGrant) (*farm.Executor, error) {
+	if s.ex != nil && s.fingerprint == grant.Fingerprint {
+		return s.ex, nil
+	}
+	p, err := grant.Spec.Plan()
+	if err != nil {
+		return nil, fmt.Errorf("service: plan campaign %s: %w", grant.CampaignID, err)
+	}
+	if fp := fmt.Sprintf("%016x", p.Fingerprint()); fp != grant.Fingerprint {
+		return nil, fmt.Errorf("service: lease %s fingerprint %s does not match local plan %s",
+			grant.LeaseID, grant.Fingerprint, fp)
+	}
+	s.fingerprint, s.ex = grant.Fingerprint, p.NewExecutor()
+	return s.ex, nil
+}
+
+func runWorker(ctx context.Context, opts WorkerOptions, slot *executorSlot) (WorkerStats, error) {
 	var stats WorkerStats
 	if opts.Poll <= 0 {
 		opts.Poll = 500 * time.Millisecond
@@ -77,11 +109,6 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 	if client == nil {
 		client = NewClient(opts.Coordinator, nil)
 	}
-	// One persistent executor per campaign fingerprint: the worker executes
-	// leased shards one at a time, so each campaign's shards share a locally
-	// re-planned fleet AND a hot device that is reset in place between
-	// leases (farm persistent mode).
-	executors := make(map[string]*farm.Executor)
 
 	for {
 		if ctx.Err() != nil {
@@ -107,22 +134,12 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 			continue
 		}
 
-		executor := executors[grant.Fingerprint]
-		if executor == nil {
-			p, err := grant.Spec.Plan()
-			if err != nil {
-				client.Release(grant.LeaseID)
-				return stats, fmt.Errorf("service: plan campaign %s: %w", grant.CampaignID, err)
-			}
-			if fp := fmt.Sprintf("%016x", p.Fingerprint()); fp != grant.Fingerprint {
-				// The lease belongs to a different run than the spec
-				// plans to — refuse it rather than upload foreign data.
-				client.Release(grant.LeaseID)
-				return stats, fmt.Errorf("service: lease %s fingerprint %s does not match local plan %s",
-					grant.LeaseID, grant.Fingerprint, fp)
-			}
-			executor = p.NewExecutor()
-			executors[grant.Fingerprint] = executor
+		executor, err := slot.get(grant)
+		if err != nil {
+			// Unplannable, or the lease belongs to a different run than the
+			// spec plans to — refuse it rather than upload foreign data.
+			client.Release(grant.LeaseID)
+			return stats, err
 		}
 
 		logger.Printf("lease %s: campaign %s shard %d (%s)", grant.LeaseID, grant.CampaignID, grant.Shard, grant.Key)

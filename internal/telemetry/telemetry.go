@@ -183,8 +183,11 @@ func sortLabels(labels []Label) []Label {
 	return out
 }
 
-// lookup get-or-creates the entry, enforcing kind consistency.
-func (r *Registry) lookup(name string, k kind, labels []Label) *entry {
+// lookup get-or-creates the entry, enforcing kind consistency. A new entry
+// gets its metric value under the registry lock, so concurrent first uses
+// of one name (shard registries absorbed from parallel farm workers) never
+// race to create it; bounds apply to a new histogram only.
+func (r *Registry) lookup(name string, k kind, bounds []float64, labels []Label) *entry {
 	labels = sortLabels(labels)
 	key := metricKey(name, labels)
 	r.mu.Lock()
@@ -196,6 +199,14 @@ func (r *Registry) lookup(name string, k kind, labels []Label) *entry {
 		return e
 	}
 	e := &entry{name: name, labels: labels, kind: k}
+	switch k {
+	case kindCounter:
+		e.counter = &Counter{}
+	case kindGauge:
+		e.gauge = &Gauge{}
+	case kindHistogram:
+		e.hist = NewHistogram(bounds)
+	}
 	r.metrics[key] = e
 	return e
 }
@@ -205,11 +216,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	e := r.lookup(name, kindCounter, labels)
-	if e.counter == nil {
-		e.counter = &Counter{}
-	}
-	return e.counter
+	return r.lookup(name, kindCounter, nil, labels).counter
 }
 
 // Gauge returns the gauge for name+labels, creating it on first use.
@@ -217,11 +224,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	e := r.lookup(name, kindGauge, labels)
-	if e.gauge == nil {
-		e.gauge = &Gauge{}
-	}
-	return e.gauge
+	return r.lookup(name, kindGauge, nil, labels).gauge
 }
 
 // Histogram returns the histogram for name+labels, creating it with the
@@ -231,11 +234,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	if r == nil {
 		return nil
 	}
-	e := r.lookup(name, kindHistogram, labels)
-	if e.hist == nil {
-		e.hist = NewHistogram(bounds)
-	}
-	return e.hist
+	return r.lookup(name, kindHistogram, bounds, labels).hist
 }
 
 // OnCollect registers fn to run before every exposition (WritePrometheus

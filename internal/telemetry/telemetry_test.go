@@ -45,6 +45,31 @@ func TestCounterHandleIdentity(t *testing.T) {
 	}
 }
 
+// TestConcurrentFirstUse: goroutines that look up the same new metric at
+// once (parallel farm workers absorbing their shard registries) must all
+// get the one handle, with no race on its creation.
+func TestConcurrentFirstUse(t *testing.T) {
+	reg := NewRegistry()
+	const goroutines = 16
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reg.Counter("first_total").Inc()
+			reg.Gauge("first_gauge").Add(1)
+			reg.Histogram("first_seconds", nil).Observe(0.5)
+		}()
+	}
+	wg.Wait()
+	if got := reg.Counter("first_total").Value(); got != goroutines {
+		t.Fatalf("counter = %d, want %d", got, goroutines)
+	}
+	if got := reg.Snapshot().Histograms["first_seconds"].Count; got != goroutines {
+		t.Fatalf("histogram count = %d, want %d", got, goroutines)
+	}
+}
+
 func TestGaugeConcurrentAdd(t *testing.T) {
 	reg := NewRegistry()
 	g := reg.Gauge("test_gauge")

@@ -1,14 +1,13 @@
 #!/bin/sh
-# Benchmark-regression gate for the injection hot path, the snapshot farm,
-# and the persistent-mode executor.
+# Benchmark-regression gate for the injection hot path and the farm's
+# persistent executor.
 #
-# Runs the hot-path benchmark suite plus the farm boot-strategy triple
-# (persist/snapshot/fresh-boot) and the device-level shard-boot and
-# unit-reset microbenchmark pairs, emits BENCH_10.json (machine-readable
-# current numbers next to the frozen pre-optimization baselines), and fails
-# if any gated benchmark regresses past its ceiling, the farm's snapshot
-# speedup drops under its 2x floor, or the persistent executor's per-unit
-# reset-over-clone speedup drops under its 3x floor. The ceilings are
+# Runs the hot-path benchmark suite plus the eight-worker farm run and the
+# device-level shard-boot and unit-reset microbenchmark pairs, emits
+# BENCH_10.json (machine-readable current numbers next to the frozen
+# pre-optimization baselines), and fails if any gated benchmark regresses
+# past its ceiling or the persistent executor's per-unit reset-over-clone
+# speedup drops under its 3x floor. The ceilings are
 # set from the perf passes that introduced them, with ~40-70% headroom for
 # machine-to-machine variance; they exist to catch order-of-magnitude
 # regressions (a reintroduced per-intent allocation, an unbatched counter,
@@ -45,10 +44,10 @@ for _ in 1 2 3 4 5 6 7 8; do
         -benchmem -benchtime=1s -count=1 . | tee -a "$raw"
 done
 
-# The farm triple feeds the snapshot and end-to-end persist speedup floors;
-# the shard-boot pair isolates the device-level clone cost and the unit
-# pair feeds the per-unit persist speedup floor.
-go test -run '^$' -bench 'Farm8Persist|Farm8Snapshot|Farm8FreshBoot' \
+# Farm8Persist is held under its ceilings; the shard-boot pair isolates the
+# device-level clone cost and the unit pair feeds the per-unit persist
+# speedup floor.
+go test -run '^$' -bench 'Farm8Persist' \
     -benchmem -benchtime=1s -count=3 ./internal/farm | tee -a "$raw"
 go test -run '^$' -bench 'ShardBootFresh|ShardBootClone|UnitReset|UnitClone' \
     -benchmem -benchtime=1s -count=3 ./internal/wearos | tee -a "$raw"

@@ -1,8 +1,8 @@
 // Command benchgate parses `go test -bench` output, compares the hot-path
 // benchmarks against the frozen pre-optimization baseline and the
 // regression ceilings, writes the machine-readable BENCH_10.json artifact,
-// and exits non-zero if any gated number is over its ceiling or the farm's
-// snapshot or persistent-mode speedups drop under their floors.
+// and exits non-zero if any gated number is over its ceiling or the
+// persistent executor's per-unit speedup drops under its floor.
 //
 // When -count>1 was used, the minimum per benchmark is kept: minima are the
 // robust location estimator under scheduler and frequency noise, which on a
@@ -54,11 +54,9 @@ var gates = map[string]*result{
 	"BenchmarkLogcatAppend":              {BaselineNs: 23.85, CeilingNs: 90},
 	"BenchmarkLogcatFormatParse":         {BaselineNs: 2419, CeilingNs: 3400},
 
-	// Snapshot-farm gates (PR 5). Baselines are the fresh-boot-per-shard
-	// numbers measured immediately before the snapshot/clone path landed;
-	// ceilings carry ~70% headroom over the optimized numbers.
-	"BenchmarkFarm8Snapshot":  {BaselineNs: 1.551e8, BaselineAllocs: 171484, CeilingNs: 8.0e7, CeilingAllocs: 140000},
-	"BenchmarkFarm8FreshBoot": {BaselineNs: 1.551e8, BaselineAllocs: 171484, CeilingNs: 2.6e8, CeilingAllocs: 260000},
+	// Snapshot gates (PR 5). Baselines are the fresh-boot-per-shard numbers
+	// measured immediately before the snapshot/clone path landed; ceilings
+	// carry ~70% headroom over the optimized numbers.
 	"BenchmarkShardBootFresh": {BaselineNs: 2.38e6, CeilingNs: 4.5e6, CeilingAllocs: 100},
 	"BenchmarkShardBootClone": {BaselineNs: 2.38e6, BaselineAllocs: 46, CeilingNs: 6.0e4, CeilingAllocs: 100},
 
@@ -106,27 +104,12 @@ const recorderDeltaCeiling = 0.05
 // runs interleaved like the recorder pair, so the same 5% applies.
 const faultDeltaCeiling = 0.05
 
-// farmSpeedupFloor is the snapshot tentpole's acceptance bar: the same
-// eight-worker farm run must be at least this many times faster cloning
-// shard devices from a snapshot than booting each fresh. Measured min-of-3
-// on the machine that set the ceilings: ~3.2x.
-const farmSpeedupFloor = 2.0
-
 // persistUnitSpeedupFloor is the persistent-mode tentpole's acceptance bar,
 // measured where device provisioning dominates: one campaign unit (install
 // + handler registration + crash repro — the triage oracle / minimizer
 // re-execution shape) on a hot device reset in place versus on a fresh
 // clone. Measured min-of-3 on the machine that set the ceilings: ~3.4x.
-// The end-to-end Farm8 pair cannot show this ratio — at QuickGen(4) scale
-// campaign dispatch dominates both modes — so it carries its own modest
-// wall-clock floor below and the allocation ceiling above.
 const persistUnitSpeedupFloor = 3.0
-
-// persistFarmSpeedupFloor bounds the end-to-end eight-worker run: persist
-// must never be slower than clone-per-shard, and on the machine that set
-// the ceilings it is ~1.3x faster (the ~40% allocation cut is the bigger
-// effect at this campaign scale; see docs/performance.md).
-const persistFarmSpeedupFloor = 1.1
 
 type output struct {
 	GeneratedBy string             `json:"generated_by"`
@@ -146,23 +129,14 @@ type output struct {
 	// path (the dormant fault engine's marginal cost).
 	DispatchFaultDelta        float64 `json:"dispatch_fault_delta"`
 	DispatchFaultDeltaCeiling float64 `json:"dispatch_fault_delta_ceiling"`
-	// FarmSnapshotSpeedup is FreshBoot ns/op over Snapshot ns/op for the
-	// eight-worker farm benchmark pair.
-	FarmSnapshotSpeedup      float64 `json:"farm_snapshot_speedup"`
-	FarmSnapshotSpeedupFloor float64 `json:"farm_snapshot_speedup_floor"`
 	// FarmPersistSpeedup is UnitClone ns/op over UnitReset ns/op: the
 	// per-campaign-unit cost ratio of clone-per-execution versus the
 	// persistent executor's reset-in-place, measured on the oracle-shaped
 	// unit where provisioning dominates.
-	FarmPersistSpeedup      float64 `json:"farm_persist_speedup"`
-	FarmPersistSpeedupFloor float64 `json:"farm_persist_speedup_floor"`
-	// Farm8PersistSpeedup is Farm8Snapshot ns/op over Farm8Persist ns/op:
-	// the end-to-end eight-worker ratio at QuickGen(4) campaign scale,
-	// where campaign dispatch bounds both modes.
-	Farm8PersistSpeedup      float64  `json:"farm8_persist_speedup"`
-	Farm8PersistSpeedupFloor float64  `json:"farm8_persist_speedup_floor"`
-	Pass                     bool     `json:"pass"`
-	Failures                 []string `json:"failures,omitempty"`
+	FarmPersistSpeedup      float64  `json:"farm_persist_speedup"`
+	FarmPersistSpeedupFloor float64  `json:"farm_persist_speedup_floor"`
+	Pass                    bool     `json:"pass"`
+	Failures                []string `json:"failures,omitempty"`
 }
 
 func main() {
@@ -189,9 +163,7 @@ func main() {
 		DispatchTelemetryDeltaCeiling: dispatchDeltaCeiling,
 		DispatchRecorderDeltaCeiling:  recorderDeltaCeiling,
 		DispatchFaultDeltaCeiling:     faultDeltaCeiling,
-		FarmSnapshotSpeedupFloor:      farmSpeedupFloor,
 		FarmPersistSpeedupFloor:       persistUnitSpeedupFloor,
-		Farm8PersistSpeedupFloor:      persistFarmSpeedupFloor,
 		Pass:                          true,
 	}
 
@@ -242,16 +214,6 @@ func main() {
 		}
 	}
 
-	snapRun, okS := parsed["BenchmarkFarm8Snapshot"]
-	freshRun, okF := parsed["BenchmarkFarm8FreshBoot"]
-	if okS && okF && snapRun.NsPerOp > 0 {
-		out.FarmSnapshotSpeedup = round4(freshRun.NsPerOp / snapRun.NsPerOp)
-		if out.FarmSnapshotSpeedup < farmSpeedupFloor {
-			out.fail("farm snapshot speedup %.2fx below the %.1fx floor",
-				out.FarmSnapshotSpeedup, farmSpeedupFloor)
-		}
-	}
-
 	unitClone, okC := parsed["BenchmarkUnitClone"]
 	unitReset, okU := parsed["BenchmarkUnitReset"]
 	if okC && okU && unitReset.NsPerOp > 0 {
@@ -259,15 +221,6 @@ func main() {
 		if out.FarmPersistSpeedup < persistUnitSpeedupFloor {
 			out.fail("farm persist per-unit speedup %.2fx below the %.1fx floor",
 				out.FarmPersistSpeedup, persistUnitSpeedupFloor)
-		}
-	}
-
-	persistRun, okP := parsed["BenchmarkFarm8Persist"]
-	if okS && okP && persistRun.NsPerOp > 0 {
-		out.Farm8PersistSpeedup = round4(snapRun.NsPerOp / persistRun.NsPerOp)
-		if out.Farm8PersistSpeedup < persistFarmSpeedupFloor {
-			out.fail("farm8 persist speedup %.2fx below the %.2fx floor",
-				out.Farm8PersistSpeedup, persistFarmSpeedupFloor)
 		}
 	}
 
@@ -288,8 +241,8 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: %d benchmarks within ceilings; telemetry delta %.1f%%; recorder delta %.1f%%; fault-hook delta %.1f%%; farm snapshot speedup %.2fx; persist per-unit speedup %.2fx; farm8 persist speedup %.2fx\n",
-		len(out.Benchmarks), out.DispatchTelemetryDelta*100, out.DispatchRecorderDelta*100, out.DispatchFaultDelta*100, out.FarmSnapshotSpeedup, out.FarmPersistSpeedup, out.Farm8PersistSpeedup)
+	fmt.Printf("benchgate: %d benchmarks within ceilings; telemetry delta %.1f%%; recorder delta %.1f%%; fault-hook delta %.1f%%; persist per-unit speedup %.2fx\n",
+		len(out.Benchmarks), out.DispatchTelemetryDelta*100, out.DispatchRecorderDelta*100, out.DispatchFaultDelta*100, out.FarmPersistSpeedup)
 }
 
 func (o *output) fail(format string, args ...any) {

@@ -25,21 +25,19 @@ go test -run '^$' -bench Dispatch -benchtime 100x .
 go test -race ./internal/farm/...
 
 # End-to-end sharded-campaign smoke: a reduced fleet slice through cmd/qgj
-# with workers + checkpoint, written with snapshots and persistent mode
-# disabled, then killed (journal truncated after two shard records) and
-# resumed with both enabled. Asserts the farm CLI path (flags, journaling,
-# cross-mode resume, triage roll-up, non-zero-injection gate) works outside
-# the unit-test harness and that neither -snapshot nor -persist lands in
-# the checkpoint fingerprint.
+# with workers + checkpoint, then killed (journal truncated after two shard
+# records) and resumed. Asserts the farm CLI path (flags, journaling,
+# resume, triage roll-up, non-zero-injection gate) works outside the
+# unit-test harness.
 ckpt="$(mktemp -t qgj-verify-XXXXXX.ckpt)"
 scrape_log="$(mktemp -t qgj-scrape-XXXXXX.log)"
 scrape_pid=""
 trap 'rm -f "$ckpt" "$scrape_log"; [ -n "$scrape_pid" ] && kill "$scrape_pid" 2>/dev/null || true' EXIT
 go run ./cmd/qgj -app com.heartwatch.wear -all -quick 8 -progress 0 \
-    -workers 4 -checkpoint "$ckpt" -snapshot=off -persist=off >/dev/null
+    -workers 4 -checkpoint "$ckpt" >/dev/null
 head -n 3 "$ckpt" > "$ckpt.torn" && mv "$ckpt.torn" "$ckpt"
 go run ./cmd/qgj -app com.heartwatch.wear -all -quick 8 -progress 0 \
-    -workers 4 -checkpoint "$ckpt" -snapshot=on -persist=on -resume >/dev/null
+    -workers 4 -checkpoint "$ckpt" -resume >/dev/null
 
 # Live-scrape smoke: a lingering sharded run serves /metrics, /farm, and
 # /healthz on an ephemeral port; curl each while (or just after) the farm
@@ -126,13 +124,6 @@ w1_pid=""; w2_pid=""
 # The byte-identical-merge invariant across the wire, kill included.
 "$bindir/farmd" local $svc_spec -workers 2 -o "$svcdata/serial.json"
 cmp "$svcdata/distributed.json" "$svcdata/serial.json"
-
-# Cross-persist-mode equivalence: the same spec with persistent-mode device
-# reuse disabled must export byte-identically — which, chained with the cmp
-# above, proves the distributed run (mid-lease SIGKILL included) matches a
-# clone-per-shard run bit for bit.
-"$bindir/farmd" local $svc_spec -workers 2 -no-persist -o "$svcdata/serial-nopersist.json"
-cmp "$svcdata/serial.json" "$svcdata/serial-nopersist.json"
 
 # /farm board per campaign, JSON 404 for unknown IDs, lease-expiry metrics.
 curl -fsS "$base/farm?campaign=$id" | grep -q '"shards"'
