@@ -216,8 +216,8 @@ func loadJournal(path string) (journalHeader, map[int]journalRecord, int64, erro
 		return hdr, nil, 0, err
 	}
 	lines := strings.SplitAfter(string(data), "\n")
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) == "" {
-		return hdr, nil, 0, fmt.Errorf("farm: checkpoint %s is empty", path)
+	if len(lines) == 0 || strings.TrimSpace(lines[0]) == "" || !strings.HasSuffix(lines[0], "\n") {
+		return hdr, nil, 0, fmt.Errorf("farm: checkpoint %s is empty or its header is torn", path)
 	}
 	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
 		return hdr, nil, 0, fmt.Errorf("farm: checkpoint %s: bad header: %w", path, err)

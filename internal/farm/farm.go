@@ -68,10 +68,10 @@ type Config struct {
 	// the farm endpoint exposes device/fuzzer/binder metrics aggregated
 	// across every shard.
 	Telemetry *telemetry.Registry
-	// Status, when non-nil, is kept current with the live shard table
-	// (state, queue wait, boot source, throughput, ETA); serve it with
-	// StatusHandler. Status is presentation-only: it never influences
-	// scheduling or results.
+	// Status, when non-nil, is the board Run schedules from (nil uses a
+	// private one): the live shard table (state, queue wait, boot source,
+	// throughput, ETA); serve it with StatusHandler. The table decides
+	// dispatch order only, never results.
 	Status *StatusBoard
 	// Progress, when non-nil, is called after every completed shard with
 	// the cumulative completed/total counts and intents sent so far. Calls
@@ -212,9 +212,10 @@ func deviceConfig(kind apps.FleetKind) wearos.Config {
 }
 
 // Run executes the farm in one process by composing the Plan API: plan,
-// open the journal (restoring completed shards on resume), execute the rest
-// on a pool of Executors in LPT order, then Merge. The service coordinator
-// composes the same steps, with leases in place of the pool.
+// load the shard table (restoring completed shards from the journal on
+// resume), then run a pool of Executors that each take the next pending
+// shard from the table until none is left, and Merge. The service
+// coordinator drains the same table, with leases in place of the pool.
 func Run(cfg Config) (*Result, error) {
 	p, err := NewPlan(cfg)
 	if err != nil {
@@ -224,17 +225,20 @@ func Run(cfg Config) (*Result, error) {
 	workers := cfg.Sharding.NormalizedWorkers()
 	met.shardsTotal.Set(float64(len(p.shards)))
 	met.workers.Set(float64(workers))
-	cfg.Status.Track(p.shards, workers)
+	board := cfg.Status
+	if board == nil {
+		board = NewStatusBoard()
+	}
+	board.Track(p, workers)
 	if cfg.Telemetry != nil && cfg.Status != nil {
 		// Derived live-status gauges refresh at scrape time from the board
 		// rather than riding the shard hot path.
-		board := cfg.Status
 		pendingG := cfg.Telemetry.Gauge("farm_shards_pending")
 		runningG := cfg.Telemetry.Gauge("farm_shards_running")
 		etaG := cfg.Telemetry.Gauge("farm_eta_seconds")
 		rateG := cfg.Telemetry.Gauge("farm_intents_per_second")
 		cfg.Telemetry.OnCollect(func() {
-			s := board.Status()
+			s := board.Tally()
 			pendingG.Set(float64(s.Pending))
 			runningG.Set(float64(s.Running))
 			etaG.Set(s.ETASeconds)
@@ -242,27 +246,81 @@ func Run(cfg Config) (*Result, error) {
 		})
 	}
 
-	results := make([]*ShardResult, len(p.shards))
 	resumed := 0
 	var jnl *ShardJournal
 	if cfg.Sharding.Checkpoint != "" {
-		jnl, results, resumed, err = p.OpenJournal(cfg.Sharding.Checkpoint, cfg.Sharding.Resume)
+		var restored []*ShardResult
+		jnl, restored, resumed, err = p.OpenJournal(cfg.Sharding.Checkpoint, cfg.Sharding.Resume)
 		if err != nil {
 			return nil, err
 		}
 		defer jnl.Close()
 		met.resumed.Add(uint64(resumed))
-		for idx, r := range results {
-			if r != nil {
-				cfg.Status.MarkResumed(idx, r.Sent)
+		for idx, sr := range restored {
+			if sr != nil {
+				board.Resume(idx, sr)
 			}
 		}
 	}
 
-	if err := p.execute(results, jnl, workers); err != nil {
-		return nil, err
+	start := time.Now()
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex // serializes journal appends and Progress; guards firstErr
+		firstErr error
+	)
+	for range min(workers, len(p.shards)-resumed) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ex := p.NewExecutor()
+			for {
+				mu.Lock()
+				stop := firstErr != nil
+				mu.Unlock()
+				if stop {
+					return
+				}
+				wait := time.Since(start)
+				idx, ok := board.Next(wait)
+				if !ok {
+					return
+				}
+				met.queueWait.Observe(wait.Seconds())
+				met.inflight.Add(1)
+				t0 := time.Now()
+				sr, err := ex.ExecuteShard(idx)
+				dur := time.Since(t0)
+				met.shardSeconds.Observe(dur.Seconds())
+				met.inflight.Add(-1)
+				mu.Lock()
+				if err != nil {
+					board.Fail(idx)
+					err = fmt.Errorf("farm: shard %s: %w", p.shards[idx], err)
+				} else {
+					board.Done(idx, sr, dur, sr.BootSource)
+					met.done.Inc()
+					met.intents.Add(uint64(sr.Sent))
+					if jnl != nil {
+						err = jnl.Append(idx, sr)
+					}
+					if cfg.Progress != nil {
+						t := board.Tally()
+						cfg.Progress(t.Finished(), t.Total, sr.Key, t.IntentsTotal)
+					}
+				}
+				if firstErr == nil {
+					firstErr = err
+				}
+				mu.Unlock()
+			}
+		}()
 	}
-	res, err := p.Merge(results)
+	wg.Wait()
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	res, err := p.Merge(board.TakeResults())
 	if err != nil {
 		return nil, err
 	}
@@ -299,100 +357,6 @@ func selectTargets(fleet *apps.Fleet, names []string) ([]*manifest.Package, erro
 		return nil, fmt.Errorf("farm: packages not in the %s fleet: %q", fleet.Kind, missing)
 	}
 	return out, nil
-}
-
-// execute runs every shard without a result yet on a pool of workers, one
-// Executor each, and journals each completion. Pending shards are
-// dispatched in the plan's LPT order, so the biggest shard starts
-// immediately instead of landing on an otherwise-drained pool and gating
-// the merge barrier alone.
-func (p *Plan) execute(results []*ShardResult, jnl *ShardJournal, workers int) error {
-	cfg, met := p.cfg, p.met
-	var pending []int
-	sent := 0
-	done := 0
-	for _, idx := range p.order {
-		if r := results[idx]; r == nil {
-			pending = append(pending, idx)
-		} else {
-			sent += r.Sent
-			done++
-		}
-	}
-	if len(pending) == 0 {
-		return nil
-	}
-	workers = min(workers, len(pending))
-
-	idxCh := make(chan int)
-	feedStart := time.Now()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex // guards results/sent/done/journal append/progress
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ex := p.NewExecutor()
-			for idx := range idxCh {
-				if failed() {
-					continue // drain
-				}
-				wait := time.Since(feedStart)
-				met.queueWait.Observe(wait.Seconds())
-				met.inflight.Add(1)
-				cfg.Status.MarkRunning(idx, wait)
-				start := time.Now()
-				sr, err := ex.ExecuteShard(idx)
-				dur := time.Since(start)
-				met.shardSeconds.Observe(dur.Seconds())
-				met.inflight.Add(-1)
-				if err != nil {
-					cfg.Status.MarkFailed(idx)
-					fail(fmt.Errorf("farm: shard %s: %w", p.shards[idx], err))
-					continue
-				}
-				cfg.Status.MarkDone(idx, sr.Sent, dur, sr.BootSource)
-				met.done.Inc()
-				met.intents.Add(uint64(sr.Sent))
-				mu.Lock()
-				results[idx] = sr
-				sent += sr.Sent
-				done++
-				var jerr error
-				if jnl != nil {
-					jerr = jnl.Append(idx, sr)
-				}
-				if cfg.Progress != nil {
-					cfg.Progress(done, len(p.shards), sr.Key, sent)
-				}
-				mu.Unlock()
-				if jerr != nil {
-					fail(jerr)
-				}
-			}
-		}()
-	}
-	for _, idx := range pending {
-		idxCh <- idx
-	}
-	close(idxCh)
-	wg.Wait()
-	return firstErr
 }
 
 // runShard executes one work unit in full isolation: own fleet behaviour

@@ -415,6 +415,26 @@ func TestStatusHandlerCampaignFilter(t *testing.T) {
 		}
 	}
 
+	// The per-letter views partition the board: their state counts and
+	// intents sum to the unfiltered snapshot's.
+	tally := func(s farm.StatusSnapshot) [7]int {
+		return [7]int{s.Total, s.Pending, s.Running, s.Done, s.Resumed, s.Failed, s.IntentsTotal}
+	}
+	whole := board.Status()
+	var sum [7]int
+	for _, letter := range []string{"A", "B"} {
+		part, ok := whole.FilterCampaign(letter)
+		if !ok {
+			t.Fatalf("campaign %s missing from the board", letter)
+		}
+		for i, v := range tally(part) {
+			sum[i] += v
+		}
+	}
+	if sum != tally(whole) {
+		t.Fatalf("per-letter tallies sum to %v, board has %v (total, pending, running, done, resumed, failed, intents)", sum, tally(whole))
+	}
+
 	// A campaign outside the plan: 404 with a JSON error body.
 	resp, body = get("?campaign=D")
 	if resp.StatusCode != http.StatusNotFound {

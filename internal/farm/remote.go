@@ -7,9 +7,11 @@
 //	Merge          canonical-order merge + triage over complete results
 //
 // plus Encode/DecodeShardRecord, the journal's wire form, reused for
-// uploads. farm.Run composes the four in one process with a goroutine
-// pool; the coordinator/worker service (internal/service) composes the same
-// four across machines with leases.
+// uploads, and the StatusBoard, the shard table both compositions drain.
+// farm.Run composes the four in one process with a goroutine pool taking
+// shards from the board; the coordinator/worker service (internal/service)
+// composes the same four across machines, granting the board's shards as
+// leases.
 //
 // The determinism contract carries over unchanged: an executor derives the
 // shard seed from the plan seed via rng.Split on the shard key, so a shard
@@ -123,9 +125,9 @@ func (p *Plan) FleetKind() apps.FleetKind { return p.kind }
 func (p *Plan) EstimatedIntents(idx int) int { return p.est[idx] }
 
 // Order returns every shard index in dispatch order: largest
-// EstimatedIntents first, ties in plan order. Run feeds its worker pool in
-// this order and the service coordinator grants leases in it. Callers must
-// not mutate it.
+// EstimatedIntents first, ties in plan order. StatusBoard.Next hands out
+// pending shards in this order, to Run's pool and the coordinator's leases
+// alike. Callers must not mutate it.
 func (p *Plan) Order() []int { return p.order }
 
 // Merge folds one complete result set, in canonical plan order, into

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -131,5 +132,102 @@ func TestScheduleLPT(t *testing.T) {
 	want := append(append(append([]int{}, order[:3]...), order[1]), order[3:]...)
 	if !reflect.DeepEqual(granted, want) {
 		t.Fatalf("Lease granted %v, want %v", granted, want)
+	}
+}
+
+// TestStatusBoardQueue drives the shard table as the queue Run and the
+// coordinator drain: Next follows Plan.Order (ties included), resumed rows
+// are never handed out, a requeued shard regains its LPT place, the last
+// Done reports completion exactly once, and a drained board has no work.
+func TestStatusBoardQueue(t *testing.T) {
+	plan, err := service.CampaignSpec{Seed: 1, Campaigns: "AB", Quick: 10}.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := plan.Order()
+	result := func(idx int) *farm.ShardResult { return &farm.ShardResult{Key: plan.Shards()[idx], Sent: 1} }
+	without := func(drop ...int) []int {
+		var out []int
+		for _, idx := range order {
+			if !slices.Contains(drop, idx) {
+				out = append(out, idx)
+			}
+		}
+		return out
+	}
+	cases := []struct {
+		name    string
+		resumed []int
+		// requeueAt > 0 takes that many shards, requeues the second-taken
+		// one, then drains.
+		requeueAt int
+		want      []int
+	}{
+		{name: "plan order", want: order},
+		{name: "resumed skipped", resumed: []int{order[0], order[5]}, want: without(order[0], order[5])},
+		{name: "requeue regains place", requeueAt: 3,
+			want: append(append(append([]int{}, order[:3]...), order[1]), order[3:]...)},
+		{name: "all resumed", resumed: order, want: nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			board := farm.NewStatusBoard()
+			board.Track(plan, 2)
+			for _, idx := range tc.resumed {
+				board.Resume(idx, result(idx))
+			}
+			var taken []int
+			completions := 0
+			for {
+				idx, ok := board.Next(0)
+				if !ok {
+					break
+				}
+				taken = append(taken, idx)
+				if len(taken) == tc.requeueAt {
+					board.Requeue(taken[1])
+					continue
+				}
+				if len(taken) < tc.requeueAt {
+					continue
+				}
+				if board.Done(idx, result(idx), time.Millisecond, "test") {
+					completions++
+				}
+			}
+			if tc.requeueAt > 0 {
+				// The two shards still running from before the requeue.
+				for _, idx := range []int{taken[0], taken[2]} {
+					if board.Done(idx, result(idx), time.Millisecond, "test") {
+						completions++
+					}
+				}
+			}
+			if !slices.Equal(taken, tc.want) {
+				t.Fatalf("Next handed out %v, want %v", taken, tc.want)
+			}
+			if len(taken) > 0 && completions != 1 {
+				t.Fatalf("completion reported %d times, want once", completions)
+			}
+			if idx, ok := board.Next(0); ok {
+				t.Fatalf("drained board handed out shard %d", idx)
+			}
+			if idx := order[len(order)-1]; board.Done(idx, result(idx), time.Millisecond, "test") {
+				t.Fatal("a repeated Done reported completion again")
+			}
+			s := board.Status()
+			if s.Finished() != s.Total || s.Resumed != len(tc.resumed) || s.IntentsTotal != s.Total {
+				t.Fatalf("drained board: finished %d of %d, resumed %d, intents %d", s.Finished(), s.Total, s.Resumed, s.IntentsTotal)
+			}
+			results := board.TakeResults()
+			for idx, sr := range results {
+				if sr == nil || sr.Key != plan.Shards()[idx] {
+					t.Fatalf("result slot %d holds %v", idx, sr)
+				}
+			}
+			if slices.ContainsFunc(board.TakeResults(), func(sr *farm.ShardResult) bool { return sr != nil }) {
+				t.Fatal("TakeResults left results on the board")
+			}
+		})
 	}
 }

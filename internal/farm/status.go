@@ -1,8 +1,9 @@
-// Live shard status: a StatusBoard mirrors the farm scheduler's view of
-// every shard (pending, running, done, resumed, failed) so operators can
-// watch a long sweep from the /farm HTTP endpoint while it runs. The board
-// is presentation-only — the farm updates it with fire-and-forget marks and
-// never reads it back, so it cannot perturb the determinism contract.
+// Live shard status: a StatusBoard is the scheduler's own shard table
+// (pending, running, done, resumed, failed), served at the /farm HTTP
+// endpoint so operators can watch a long sweep while it runs. The table
+// decides only which shard runs next; results are merged in canonical plan
+// order whatever the dispatch order, so it cannot perturb the determinism
+// contract.
 package farm
 
 import (
@@ -66,122 +67,118 @@ type StatusSnapshot struct {
 	ETASeconds float64 `json:"etaSeconds"`
 }
 
-// StatusBoard tracks per-shard progress for a single farm run. The zero
-// value is unusable; create one with NewStatusBoard and pass it in
-// Config.Status. All methods are safe for concurrent use and nil-safe, so
-// the farm can mark unconditionally.
+// StatusBoard is the shard table of one run: one row per shard with its
+// state, the plan's LPT order, and each finished shard's result. It is the
+// scheduler's own state, not a mirror of it: farm.Run's pool goroutines and
+// the service coordinator's Lease both take work with Next, and the rows
+// served at /farm are the same rows. The zero value is unusable; create one
+// with NewStatusBoard (and pass it in Config.Status to watch a Run). All
+// methods are safe for concurrent use; Status is also nil-safe.
 type StatusBoard struct {
 	mu      sync.Mutex
 	workers int
 	start   time.Time
 	shards  []ShardStatus
-	// execSeconds/execCount average executed (non-resumed) shard duration
-	// for the ETA estimate.
-	execSeconds float64
-	execCount   int
-	intents     int
+	order   []int
+	results []*ShardResult
 }
 
-// NewStatusBoard returns an empty board; the farm populates it via
-// Config.Status at Run time.
+// NewStatusBoard returns an empty board; Track loads a plan into it.
 func NewStatusBoard() *StatusBoard { return &StatusBoard{} }
 
-// Track (re)initializes the board for a shard plan. Run and the service
-// coordinator call it before any shard starts, including on resume.
-func (b *StatusBoard) Track(plan []ShardKey, workers int) {
-	if b == nil {
-		return
-	}
+// Track (re)initializes the board as the table for plan p: every shard
+// pending, none holding a result. Run and the service coordinator call it
+// before any shard starts, including on resume.
+func (b *StatusBoard) Track(p *Plan, workers int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.workers = workers
 	b.start = time.Now()
-	b.shards = make([]ShardStatus, len(plan))
-	for i, k := range plan {
+	b.shards = make([]ShardStatus, len(p.shards))
+	for i, k := range p.shards {
 		b.shards[i] = ShardStatus{Key: k, State: StatePending}
 	}
-	b.execSeconds, b.execCount, b.intents = 0, 0, 0
+	b.order = p.order
+	b.results = make([]*ShardResult, len(p.shards))
 }
 
-// MarkResumed records a shard restored from the checkpoint journal.
-func (b *StatusBoard) MarkResumed(idx, sent int) {
-	if b == nil {
-		return
-	}
+// Resume moves a pending shard to resumed with the result restored from
+// the checkpoint journal. Next never hands a resumed shard out.
+func (b *StatusBoard) Resume(idx int, sr *ShardResult) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if idx < 0 || idx >= len(b.shards) {
-		return
+	if b.shards[idx].State == StatePending {
+		b.shards[idx].State = StateResumed
+		b.shards[idx].Sent = sr.Sent
+		b.results[idx] = sr
 	}
-	b.shards[idx].State = StateResumed
-	b.shards[idx].Sent = sent
-	b.intents += sent
 }
 
-// MarkRunning records a worker picking the shard up after wait in queue.
-func (b *StatusBoard) MarkRunning(idx int, wait time.Duration) {
-	if b == nil {
-		return
-	}
+// Next moves the first pending shard in LPT order to running, recording
+// how long it waited, and returns its index; ok is false when no shard is
+// pending.
+func (b *StatusBoard) Next(wait time.Duration) (idx int, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if idx < 0 || idx >= len(b.shards) {
-		return
+	for _, i := range b.order {
+		if s := &b.shards[i]; s.State == StatePending {
+			s.State = StateRunning
+			s.QueueWait = wait.Seconds()
+			return i, true
+		}
 	}
-	b.shards[idx].State = StateRunning
-	b.shards[idx].QueueWait = wait.Seconds()
+	return 0, false
 }
 
-// MarkDone records a completed shard: intents sent, execution time, and
-// which boot path (or, on the service, which worker) produced it.
-func (b *StatusBoard) MarkDone(idx, sent int, dur time.Duration, source string) {
-	if b == nil {
-		return
-	}
+// Requeue returns a running shard to pending, at its LPT place: its
+// worker died, released it, or uploaded a record that could not be kept.
+func (b *StatusBoard) Requeue(idx int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if idx < 0 || idx >= len(b.shards) {
-		return
+	if b.shards[idx].State == StateRunning {
+		b.shards[idx] = ShardStatus{Key: b.shards[idx].Key, State: StatePending}
 	}
+}
+
+// Done moves a running shard to done with its result, execution time and
+// source (the boot path, or on the service the worker). It reports whether
+// this transition finished the table, which is true exactly once.
+func (b *StatusBoard) Done(idx int, sr *ShardResult, dur time.Duration, source string) (last bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	s := &b.shards[idx]
+	if s.State != StateRunning {
+		return false
+	}
 	s.State = StateDone
-	s.Sent = sent
+	s.Sent = sr.Sent
 	s.Seconds = dur.Seconds()
 	s.Source = source
 	if s.Seconds > 0 {
-		s.Throughput = float64(sent) / s.Seconds
+		s.Throughput = float64(sr.Sent) / s.Seconds
 	}
-	b.execSeconds += s.Seconds
-	b.execCount++
-	b.intents += sent
+	b.results[idx] = sr
+	t := summarize(b.shards, 0, 0)
+	return t.Finished() == t.Total
 }
 
-// MarkFailed records a shard whose worker returned an error.
-func (b *StatusBoard) MarkFailed(idx int) {
-	if b == nil {
-		return
-	}
+// Fail moves a running shard to failed: its executor returned an error.
+func (b *StatusBoard) Fail(idx int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if idx < 0 || idx >= len(b.shards) {
-		return
+	if b.shards[idx].State == StateRunning {
+		b.shards[idx].State = StateFailed
 	}
-	b.shards[idx].State = StateFailed
 }
 
-// MarkPending returns a shard to the queue — the service coordinator's
-// lease-reclamation path (a worker died holding the shard; its work is
-// discarded and the shard becomes grantable again).
-func (b *StatusBoard) MarkPending(idx int) {
-	if b == nil {
-		return
-	}
+// TakeResults returns the result slots, indexed by shard, for Plan.Merge
+// and drops the board's hold on them; the rows keep serving Status.
+func (b *StatusBoard) TakeResults() []*ShardResult {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if idx < 0 || idx >= len(b.shards) {
-		return
-	}
-	b.shards[idx] = ShardStatus{Key: b.shards[idx].Key, State: StatePending}
+	out := b.results
+	b.results = make([]*ShardResult, len(b.shards))
+	return out
 }
 
 // Status returns an aggregated snapshot of the board. The Shards slice is
@@ -192,91 +189,77 @@ func (b *StatusBoard) Status() StatusSnapshot {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	snap := StatusSnapshot{
-		Workers:      b.workers,
-		Total:        len(b.shards),
-		Shards:       append([]ShardStatus(nil), b.shards...),
-		IntentsTotal: b.intents,
-	}
-	for _, s := range b.shards {
-		switch s.State {
-		case StatePending:
-			snap.Pending++
-		case StateRunning:
-			snap.Running++
-		case StateDone:
-			snap.Done++
-		case StateResumed:
-			snap.Resumed++
-		case StateFailed:
-			snap.Failed++
-		}
-	}
-	if !b.start.IsZero() {
-		snap.ElapsedSeconds = time.Since(b.start).Seconds()
-	}
-	if snap.ElapsedSeconds > 0 {
-		snap.IntentsPerSecond = float64(b.intents) / snap.ElapsedSeconds
-	}
-	if b.execCount > 0 {
-		remaining := snap.Pending + snap.Running
-		workers := b.workers
-		if workers < 1 {
-			workers = 1
-		}
-		mean := b.execSeconds / float64(b.execCount)
-		snap.ETASeconds = float64(remaining) * mean / float64(workers)
-	}
+	snap := b.tallyLocked()
+	snap.Shards = append([]ShardStatus(nil), b.shards...)
 	return snap
+}
+
+// Tally is Status without the rows: the counts, intents, throughput and
+// ETA alone.
+func (b *StatusBoard) Tally() StatusSnapshot {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.tallyLocked()
+}
+
+func (b *StatusBoard) tallyLocked() StatusSnapshot {
+	var elapsed float64
+	if !b.start.IsZero() {
+		elapsed = time.Since(b.start).Seconds()
+	}
+	return summarize(b.shards, b.workers, elapsed)
+}
+
+// Finished counts the shards holding a result: done here or resumed.
+func (s StatusSnapshot) Finished() int { return s.Done + s.Resumed }
+
+// summarize is the one tally over shard rows, for the whole board and for
+// one campaign's rows alike. ETA is the remaining count × the mean
+// executed-shard seconds ÷ workers.
+func summarize(rows []ShardStatus, workers int, elapsed float64) StatusSnapshot {
+	s := StatusSnapshot{Workers: workers, Total: len(rows), ElapsedSeconds: elapsed}
+	var execSeconds float64
+	for _, r := range rows {
+		switch r.State {
+		case StatePending:
+			s.Pending++
+		case StateRunning:
+			s.Running++
+		case StateDone:
+			s.Done++
+			execSeconds += r.Seconds
+		case StateResumed:
+			s.Resumed++
+		case StateFailed:
+			s.Failed++
+		}
+		s.IntentsTotal += r.Sent
+	}
+	if elapsed > 0 {
+		s.IntentsPerSecond = float64(s.IntentsTotal) / elapsed
+	}
+	if s.Done > 0 {
+		mean := execSeconds / float64(s.Done)
+		s.ETASeconds = float64(s.Pending+s.Running) * mean / float64(max(workers, 1))
+	}
+	return s
 }
 
 // FilterCampaign narrows the snapshot to the shards of one campaign
 // letter (case-insensitive). ok reports whether the plan contains that
-// campaign at all; when it does, the aggregate tallies (total, state
-// counts, intents, throughput, ETA) are recomputed over the filtered rows
-// so the view reads as a self-consistent per-campaign table.
+// campaign at all; when it does, the tallies are recomputed over the
+// filtered rows so the view reads as a self-consistent per-campaign table.
 func (s StatusSnapshot) FilterCampaign(letter string) (StatusSnapshot, bool) {
 	want := strings.ToUpper(strings.TrimSpace(letter))
-	out := StatusSnapshot{Workers: s.Workers, ElapsedSeconds: s.ElapsedSeconds}
-	var execSeconds float64
-	execCount := 0
+	var rows []ShardStatus
 	for _, sh := range s.Shards {
-		if sh.Key.Campaign.Letter() != want {
-			continue
+		if sh.Key.Campaign.Letter() == want {
+			rows = append(rows, sh)
 		}
-		out.Shards = append(out.Shards, sh)
-		out.Total++
-		switch sh.State {
-		case StatePending:
-			out.Pending++
-		case StateRunning:
-			out.Running++
-		case StateDone:
-			out.Done++
-			execSeconds += sh.Seconds
-			execCount++
-		case StateResumed:
-			out.Resumed++
-		case StateFailed:
-			out.Failed++
-		}
-		out.IntentsTotal += sh.Sent
 	}
-	if out.Total == 0 {
-		return out, false
-	}
-	if out.ElapsedSeconds > 0 {
-		out.IntentsPerSecond = float64(out.IntentsTotal) / out.ElapsedSeconds
-	}
-	if execCount > 0 {
-		workers := s.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		mean := execSeconds / float64(execCount)
-		out.ETASeconds = float64(out.Pending+out.Running) * mean / float64(workers)
-	}
-	return out, true
+	out := summarize(rows, s.Workers, s.ElapsedSeconds)
+	out.Shards = rows
+	return out, len(rows) > 0
 }
 
 // StatusHandler serves the board as indented JSON — mount it on the

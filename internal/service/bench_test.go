@@ -18,16 +18,14 @@ func benchSpec() CampaignSpec {
 	}
 }
 
-// requeueForBench returns a completed shard to the pending state so the
-// upload benchmark can cycle it. Benchmark plumbing only.
-func (c *Coordinator) requeueForBench(campID string, idx int, sent int) {
+// requeueForBench reloads the campaign's shard table, returning the
+// completed shard to pending so the upload benchmark can cycle it (the
+// other shard was never leased). Benchmark plumbing only.
+func (c *Coordinator) requeueForBench(campID string) {
 	c.mu.Lock()
 	camp := c.campaigns[campID]
-	camp.states[idx] = shardPending
-	camp.results[idx] = nil
-	camp.done--
-	camp.sent -= sent
 	c.mu.Unlock()
+	camp.board.Track(camp.plan, 0)
 }
 
 // BenchmarkQueueLeaseCycle measures the coordinator's queue hot path — one
@@ -105,6 +103,6 @@ func BenchmarkQueueResultRoundTrip(b *testing.B) {
 		if err := c.Complete(g.LeaseID, fp, record); err != nil {
 			b.Fatal(err)
 		}
-		c.requeueForBench(info.ID, g.Shard, sr.Sent)
+		c.requeueForBench(info.ID)
 	}
 }

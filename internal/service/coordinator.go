@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -114,15 +113,6 @@ type LeaseGrant struct {
 	TTLSeconds float64 `json:"ttlSeconds"`
 }
 
-// shardState is one queue slot's lifecycle.
-type shardState uint8
-
-const (
-	shardPending shardState = iota
-	shardLeased
-	shardDone
-)
-
 type lease struct {
 	id      string
 	camp    *campaign
@@ -132,29 +122,22 @@ type lease struct {
 	expires time.Time
 }
 
-// campaign is one hosted run: plan, queue slots, journal, live boards.
+// campaign is one hosted run: plan, shard table, journal, live streams.
+// The board is the shard table (state and result per shard); the
+// coordinator adds only what leases need.
 type campaign struct {
 	id      string
 	spec    CampaignSpec
 	plan    *farm.Plan
 	created time.Time
-
-	states  []shardState
-	results []*farm.ShardResult
+	board   *farm.StatusBoard
 	// reclaimed marks shards whose lease expired at least once; granting
 	// one again counts as a steal.
 	reclaimed []bool
-	leases    map[int]*lease // shard -> active lease
 	journal   *farm.ShardJournal
-	board     *farm.StatusBoard
 	reg       *telemetry.Registry
 	stream    *triage.Stream
-	done      int
-	resumed   int
-	sent      int
 
-	merging  bool
-	result   *farm.Result
 	export   []byte
 	mergeErr error
 	// finished closes when the merge (or its failure) lands.
@@ -164,7 +147,7 @@ type campaign struct {
 	intentsC *telemetry.Counter
 	shardsC  *telemetry.Counter
 	crashesC *telemetry.Counter
-	leasesC  *telemetry.Counter
+	grantsC  *telemetry.Counter
 }
 
 // svcMetrics caches the coordinator's service-level metric handles.
@@ -290,17 +273,10 @@ func (c *Coordinator) poolStats() (pending, leased, active, complete, live int) 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, camp := range c.campaigns {
-		campPending := 0
-		for _, st := range camp.states {
-			switch st {
-			case shardPending:
-				campPending++
-			case shardLeased:
-				leased++
-			}
-		}
-		pending += campPending
-		if camp.result != nil || camp.mergeErr != nil {
+		t := camp.board.Tally()
+		pending += t.Pending
+		leased += t.Running
+		if camp.settled() {
 			complete++
 		} else {
 			active++
@@ -401,7 +377,7 @@ func (c *Coordinator) enforceRetain() {
 	var complete []*campaign
 	for _, id := range c.order {
 		camp := c.campaigns[id]
-		if camp.result != nil || camp.mergeErr != nil {
+		if camp.settled() {
 			complete = append(complete, camp)
 		}
 	}
@@ -511,59 +487,50 @@ func (c *Coordinator) host(id string, spec CampaignSpec, created time.Time, rest
 		spec:      spec,
 		plan:      plan,
 		created:   created,
-		states:    make([]shardState, n),
-		results:   make([]*farm.ShardResult, n),
-		reclaimed: make([]bool, n),
-		leases:    make(map[int]*lease),
 		board:     farm.NewStatusBoard(),
+		reclaimed: make([]bool, n),
 		reg:       telemetry.NewRegistry(),
 		stream:    triage.NewStream(),
 		finished:  make(chan struct{}),
 	}
-	camp.board.Track(plan.Shards(), 0)
+	camp.board.Track(plan, 0)
 	camp.intentsC = camp.reg.Counter("campaign_intents_total")
 	camp.shardsC = camp.reg.Counter("campaign_shards_done_total")
 	camp.crashesC = camp.reg.Counter("campaign_crashes_total")
-	camp.leasesC = camp.reg.Counter("campaign_leases_granted_total")
+	camp.grantsC = camp.reg.Counter("campaign_leases_granted_total")
 	camp.reg.Gauge("campaign_shards_total").Set(float64(n))
 
 	if c.opts.DataDir != "" {
-		jnl, restored, resumed, err := plan.OpenJournal(c.journalFile(id), restore)
+		jnl, restored, _, err := plan.OpenJournal(c.journalFile(id), restore)
 		if err != nil {
 			return nil, err
 		}
 		camp.journal = jnl
-		camp.resumed = resumed
 		for idx, sr := range restored {
-			if sr == nil {
-				continue
+			if sr != nil {
+				camp.board.Resume(idx, sr)
+				camp.stream.Add(sr.Crashes)
+				camp.intentsC.Add(uint64(sr.Sent))
+				camp.shardsC.Inc()
+				camp.crashesC.Add(uint64(len(sr.Crashes)))
 			}
-			camp.states[idx] = shardDone
-			camp.results[idx] = sr
-			camp.done++
-			camp.sent += sr.Sent
-			camp.board.MarkResumed(idx, sr.Sent)
-			camp.stream.Add(sr.Crashes)
-			camp.intentsC.Add(uint64(sr.Sent))
-			camp.shardsC.Inc()
-			camp.crashesC.Add(uint64(len(sr.Crashes)))
 		}
 	}
 
 	c.mu.Lock()
 	c.campaigns[id] = camp
 	c.order = append(c.order, id)
-	allDone := camp.done == n
-	if allDone && !camp.merging {
-		camp.merging = true
-	}
 	c.mu.Unlock()
-	if allDone {
+	if t := camp.board.Tally(); t.Finished() == t.Total {
 		c.merges.Add(1)
 		go c.finalize(camp)
 	}
 	return camp, nil
 }
+
+// settled reports whether the campaign's merge has landed, successfully
+// or not. Callers hold c.mu.
+func (camp *campaign) settled() bool { return camp.export != nil || camp.mergeErr != nil }
 
 // info renders a campaign's public view; callers must not hold c.mu.
 func (c *Coordinator) info(camp *campaign) CampaignInfo {
@@ -573,32 +540,26 @@ func (c *Coordinator) info(camp *campaign) CampaignInfo {
 }
 
 func (c *Coordinator) infoLocked(camp *campaign) CampaignInfo {
+	t := camp.board.Tally()
 	inf := CampaignInfo{
 		ID:          camp.id,
 		Spec:        camp.spec,
 		Fingerprint: fmt.Sprintf("%016x", camp.plan.Fingerprint()),
-		Shards:      len(camp.states),
-		Resumed:     camp.resumed,
-		Sent:        camp.sent,
+		Shards:      t.Total,
+		Pending:     t.Pending,
+		Leased:      t.Running,
+		Done:        t.Finished(),
+		Resumed:     t.Resumed,
+		Sent:        t.IntentsTotal,
 		Created:     camp.created,
-	}
-	for _, st := range camp.states {
-		switch st {
-		case shardPending:
-			inf.Pending++
-		case shardLeased:
-			inf.Leased++
-		case shardDone:
-			inf.Done++
-		}
 	}
 	switch {
 	case camp.mergeErr != nil:
 		inf.State = CampaignFailed
 		inf.Error = camp.mergeErr.Error()
-	case camp.result != nil:
+	case camp.export != nil:
 		inf.State = CampaignComplete
-	case camp.merging:
+	case t.Finished() == t.Total:
 		inf.State = CampaignMerging
 	default:
 		inf.State = CampaignRunning
@@ -653,8 +614,8 @@ func (c *Coordinator) CampaignTelemetry(id string) (*telemetry.Registry, error) 
 }
 
 // Lease grants the next pending shard: campaigns in submission order,
-// shards within a campaign in the plan's LPT order (the order farm.Run
-// feeds its pool), reclaiming any expired leases first.
+// shards within a campaign from its board's Next (the call farm.Run's pool
+// makes, in the plan's LPT order), reclaiming any expired leases first.
 func (c *Coordinator) Lease(worker string) (LeaseGrant, error) {
 	now := c.now()
 	c.mu.Lock()
@@ -666,12 +627,10 @@ func (c *Coordinator) Lease(worker string) (LeaseGrant, error) {
 	c.reapLocked(now)
 	for _, id := range c.order {
 		camp := c.campaigns[id]
-		order := camp.plan.Order()
-		i := slices.IndexFunc(order, func(idx int) bool { return camp.states[idx] == shardPending })
-		if i < 0 {
+		best, ok := camp.board.Next(now.Sub(camp.created))
+		if !ok {
 			continue
 		}
-		best := order[i]
 		c.leaseSeq++
 		l := &lease{
 			id:      fmt.Sprintf("l%d-%s-%d", c.leaseSeq, camp.id, best),
@@ -681,12 +640,9 @@ func (c *Coordinator) Lease(worker string) (LeaseGrant, error) {
 			granted: now,
 			expires: now.Add(c.opts.LeaseTTL),
 		}
-		camp.states[best] = shardLeased
-		camp.leases[best] = l
 		c.leases[l.id] = l
-		camp.board.MarkRunning(best, now.Sub(camp.created))
 		c.met.leasesGranted.Inc()
-		camp.leasesC.Inc()
+		camp.grantsC.Inc()
 		if camp.reclaimed[best] {
 			c.met.leasesStolen.Inc()
 		}
@@ -731,18 +687,17 @@ func (c *Coordinator) Release(leaseID string) error {
 		return ErrLeaseGone
 	}
 	delete(c.leases, leaseID)
-	delete(l.camp.leases, l.shard)
-	l.camp.states[l.shard] = shardPending
-	l.camp.board.MarkPending(l.shard)
+	l.camp.board.Requeue(l.shard)
 	c.met.leasesFreed.Inc()
 	return nil
 }
 
 // Complete accepts a shard result upload: the journal wire form plus the
 // uploader's plan fingerprint. The record must match the lease (fingerprint,
-// shard index, shard key); accepted records are fsynced to the campaign
-// journal before the shard is marked done. Completing the last shard
-// triggers the canonical merge in the background.
+// shard index, shard key). An accepted record is fsynced to the campaign
+// journal, and only then is the shard marked done; a failed append
+// re-queues the shard. Completing the last shard triggers the canonical
+// merge in the background.
 func (c *Coordinator) Complete(leaseID string, fingerprint string, record []byte) error {
 	now := c.now()
 	// Backpressure gate, before any lease-state mutation: if the fsync
@@ -779,46 +734,36 @@ func (c *Coordinator) Complete(leaseID string, fingerprint string, record []byte
 	}
 	camp := l.camp
 	c.workers[l.worker] = now
+	delete(c.leases, leaseID)
 	wantFP := fmt.Sprintf("%016x", camp.plan.Fingerprint())
 	if fingerprint != wantFP || idx != l.shard || sr.Key != camp.plan.Shards()[idx] {
 		// The upload contradicts the lease: refuse it and re-queue the
 		// shard — a confused worker must not poison the merge.
-		delete(c.leases, leaseID)
-		delete(camp.leases, l.shard)
-		camp.states[l.shard] = shardPending
-		camp.board.MarkPending(l.shard)
+		camp.board.Requeue(l.shard)
 		c.met.resultsRej.Inc()
 		c.mu.Unlock()
 		return fmt.Errorf("%w: fingerprint %s / shard %d does not match lease (want %s / %d)",
 			ErrBadRecord, fingerprint, idx, wantFP, l.shard)
 	}
-	delete(c.leases, leaseID)
-	delete(camp.leases, idx)
-	camp.states[idx] = shardDone
-	camp.results[idx] = sr
-	camp.done++
-	camp.sent += sr.Sent
-	camp.board.MarkDone(idx, sr.Sent, now.Sub(l.granted), l.worker)
+	jnl := camp.journal
+	c.mu.Unlock()
+
+	// Durability before acknowledgment: the fsynced journal line is what
+	// makes a restart not lose this shard. Until it lands the shard stays
+	// running without a lease, so neither the reaper nor Lease touches it.
+	if jnl != nil {
+		if err := jnl.AppendEncoded(record); err != nil {
+			camp.board.Requeue(idx)
+			return err
+		}
+	}
+	last := camp.board.Done(idx, sr, now.Sub(l.granted), l.worker)
 	camp.intentsC.Add(uint64(sr.Sent))
 	camp.shardsC.Inc()
 	camp.crashesC.Add(uint64(len(sr.Crashes)))
 	c.met.results.Inc()
-	jnl := camp.journal
-	allDone := camp.done == len(camp.states)
-	if allDone {
-		camp.merging = true
-	}
-	c.mu.Unlock()
-
-	// Durability before acknowledgment: the fsynced journal line is what
-	// makes a restart not lose this shard.
-	if jnl != nil {
-		if err := jnl.AppendEncoded(record); err != nil {
-			return err
-		}
-	}
 	camp.stream.Add(sr.Crashes)
-	if allDone {
+	if last {
 		c.merges.Add(1)
 		go c.finalize(camp)
 	}
@@ -826,24 +771,19 @@ func (c *Coordinator) Complete(leaseID string, fingerprint string, record []byte
 }
 
 // finalize merges a finished campaign in canonical plan order, runs triage,
-// and renders the canonical export. Runs off the request path; Result and
-// Export block on camp.finished.
+// and renders the canonical export. Runs off the request path; Export
+// blocks on camp.finished. The board hands its results to the merge and
+// keeps only its rows.
 func (c *Coordinator) finalize(camp *campaign) {
 	defer c.merges.Done()
-	res, err := camp.plan.Merge(camp.results)
+	res, err := camp.plan.Merge(camp.board.TakeResults())
 	var export []byte
 	if err == nil {
-		res.Workers = 0 // execution detail; remote workers are not pool workers
-		res.Resumed = camp.resumed
+		res.Resumed = camp.board.Tally().Resumed
 		export, err = ExportResult(res, camp.spec.Seed)
 	}
 	c.mu.Lock()
-	if err != nil {
-		camp.mergeErr = err
-	} else {
-		camp.result = res
-		camp.export = export
-	}
+	camp.export, camp.mergeErr = export, err
 	c.mu.Unlock()
 	camp.stream.Close()
 	close(camp.finished)
@@ -856,49 +796,17 @@ func (c *Coordinator) finalize(camp *campaign) {
 func (c *Coordinator) Export(id string) ([]byte, error) {
 	c.mu.Lock()
 	camp := c.campaigns[id]
-	var merging bool
-	if camp != nil {
-		merging = camp.merging
-	}
 	c.mu.Unlock()
 	if camp == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	if !merging {
+	if t := camp.board.Tally(); t.Finished() < t.Total {
 		return nil, fmt.Errorf("%w: %s", ErrNotComplete, id)
 	}
 	<-camp.finished
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if camp.mergeErr != nil {
-		return nil, camp.mergeErr
-	}
-	return camp.export, nil
-}
-
-// Result returns the merged farm.Result of a complete campaign (in-process
-// callers; the HTTP surface serves Export).
-func (c *Coordinator) Result(id string) (*farm.Result, error) {
-	c.mu.Lock()
-	camp := c.campaigns[id]
-	var merging bool
-	if camp != nil {
-		merging = camp.merging
-	}
-	c.mu.Unlock()
-	if camp == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	if !merging {
-		return nil, fmt.Errorf("%w: %s", ErrNotComplete, id)
-	}
-	<-camp.finished
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if camp.mergeErr != nil {
-		return nil, camp.mergeErr
-	}
-	return camp.result, nil
+	return camp.export, camp.mergeErr
 }
 
 // TriageStream returns a campaign's incremental bucket stream.
@@ -920,10 +828,8 @@ func (c *Coordinator) reapLocked(now time.Time) {
 			continue
 		}
 		delete(c.leases, id)
-		delete(l.camp.leases, l.shard)
-		l.camp.states[l.shard] = shardPending
 		l.camp.reclaimed[l.shard] = true
-		l.camp.board.MarkPending(l.shard)
+		l.camp.board.Requeue(l.shard)
 		c.met.leasesExpired.Inc()
 	}
 }

@@ -1,0 +1,131 @@
+package service
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/farm"
+)
+
+// executeLease runs a granted shard the way a worker does and returns the
+// upload's fingerprint and record.
+func executeLease(t *testing.T, g LeaseGrant) (string, []byte) {
+	t.Helper()
+	plan, err := g.Spec.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := plan.NewExecutor().ExecuteShard(g.Shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record, err := farm.EncodeShardRecord(g.Shard, sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%016x", plan.Fingerprint()), record
+}
+
+// TestFailedAppendRequeuesShard: when the journal append of the last
+// upload fails, Complete reports the error and the shard goes back to the
+// queue; the campaign keeps running and Export answers ErrNotComplete
+// instead of waiting for a merge that was never started.
+func TestFailedAppendRequeuesShard(t *testing.T) {
+	c, err := NewCoordinator(Options{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	info, err := c.Submit(CampaignSpec{Seed: 1, Campaigns: "A", Packages: []string{"com.heartwatch.wear"}, Quick: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := c.Lease("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, record := executeLease(t, g)
+	c.mu.Lock()
+	c.campaigns[info.ID].journal.Close()
+	c.mu.Unlock()
+
+	if err := c.Complete(g.LeaseID, fp, record); err == nil {
+		t.Fatal("Complete accepted an upload its journal could not record")
+	}
+	got, err := c.Campaign(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != CampaignRunning || got.Done != 0 || got.Pending != 1 {
+		t.Fatalf("after the failed append: state %s, done %d, pending %d; want running, 0, 1", got.State, got.Done, got.Pending)
+	}
+	again, err := c.Lease("w2")
+	if err != nil {
+		t.Fatalf("shard not leasable again: %v", err)
+	}
+	if again.Shard != g.Shard {
+		t.Fatalf("re-leased shard %d, want %d", again.Shard, g.Shard)
+	}
+	exported := make(chan error, 1)
+	go func() {
+		_, err := c.Export(info.ID)
+		exported <- err
+	}()
+	select {
+	case err := <-exported:
+		if !errors.Is(err, ErrNotComplete) {
+			t.Fatalf("Export = %v, want ErrNotComplete", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("Export blocked on a merge that never started")
+	}
+}
+
+// TestFinalizeDropsShardResults: once a campaign has merged, its board no
+// longer holds the shard results, and Status still serves every row.
+func TestFinalizeDropsShardResults(t *testing.T) {
+	c, err := NewCoordinator(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	info, err := c.Submit(CampaignSpec{Seed: 1, Campaigns: "A", Packages: []string{"com.heartwatch.wear", "com.strava.wear"}, Quick: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range info.Shards {
+		g, err := c.Lease("w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, record := executeLease(t, g)
+		if err := c.Complete(g.LeaseID, fp, record); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Export(info.ID); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	camp := c.campaigns[info.ID]
+	c.mu.Unlock()
+	for idx, sr := range camp.board.TakeResults() {
+		if sr != nil {
+			t.Fatalf("merged campaign still holds shard %d's result", idx)
+		}
+	}
+	snap, err := c.Status(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Shards) != info.Shards || snap.Done != info.Shards {
+		t.Fatalf("status serves %d rows, %d done; want %d", len(snap.Shards), snap.Done, info.Shards)
+	}
+	for _, row := range snap.Shards {
+		if row.State != farm.StateDone || row.Source != "w" || row.Sent == 0 {
+			t.Fatalf("row %s after export: %+v", row.Key, row)
+		}
+	}
+}
