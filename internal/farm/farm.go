@@ -417,21 +417,27 @@ func (e *Executor) runShard(key ShardKey) (*ShardResult, error) {
 		eng = faultinject.NewEngine(dev, faultinject.NewPlan(fseed, budget), key.Package)
 	}
 	if tri != nil {
+		// attach pairs the record the delivery just finalized with its
+		// reproducer intent and, when the record can become its bucket's
+		// exemplar, a snapshot of the recorder's window.
+		attach := func(in *intent.Intent) {
+			tri.AttachIntent(in)
+			if tri.WantsFlight() {
+				tri.AttachFlight(rec.Trace(), rec.Window())
+			}
+		}
 		inj.Observe = func(in *intent.Intent, res wearos.DeliveryResult) {
 			if res == wearos.DeliveredCrash || res == wearos.DeliveredANR {
-				// The failure just finalized a triage record; pair it with
-				// its reproducer intent and snapshot the recorder's window —
-				// the events that led here, ending at this failure.
-				tri.AttachIntent(in)
-				tri.AttachFlight(rec.Trace(), rec.Window())
+				// A failure record: its window holds the events that led
+				// here, ending at this failure.
+				attach(in)
 			}
 			if eng != nil && eng.TakeVerdict() {
 				// A fault window just closed and its VERDICT line finalized a
-				// fault record; pair it with the in-flight intent (the
-				// workload coordinate) and the recorder window (which holds
-				// the fault begin/probe/verdict event trail).
-				tri.AttachIntent(in)
-				tri.AttachFlight(rec.Trace(), rec.Window())
+				// fault record: the intent in flight is the workload
+				// coordinate, and the window holds the fault begin/probe/
+				// verdict event trail.
+				attach(in)
 			}
 		}
 	}

@@ -308,6 +308,64 @@ func TestFlightRecorderAttachedToBuckets(t *testing.T) {
 	}
 }
 
+// TestFlightWindowsOnlyOnExemplarCandidates guards the forensics budget:
+// a shard keeps a flight window only on records that can become their
+// bucket's exemplar (at most two per bucket: the first record, and the
+// first carrying an intent), while every merged exemplar still has one.
+func TestFlightWindowsOnlyOnExemplarCandidates(t *testing.T) {
+	p, err := farm.NewPlan(farm.Config{
+		Seed:      1,
+		Campaigns: []core.Campaign{core.CampaignA, core.CampaignB, core.CampaignC, core.CampaignD, core.CampaignF},
+		Packages:  testPackages,
+		Gen:       testGen(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := p.NewExecutor()
+	results := make([]*farm.ShardResult, len(p.Shards()))
+	records, windowed := 0, 0
+	windowedBuckets := make(map[uint64]bool)
+	for i := range results {
+		if results[i], err = ex.ExecuteShard(i); err != nil {
+			t.Fatal(err)
+		}
+		perBucket := make(map[uint64]int)
+		for _, c := range results[i].Crashes {
+			records++
+			if c.Flight == nil {
+				continue
+			}
+			windowed++
+			perBucket[c.Hash()]++
+			windowedBuckets[c.Hash()] = true
+		}
+		for h, n := range perBucket {
+			if n > 2 {
+				t.Errorf("shard %s: bucket %016x keeps %d windows, want <= 2", results[i].Key, h, n)
+			}
+		}
+	}
+	if windowed == 0 || windowed == records {
+		t.Fatalf("%d of %d records keep a window; want some, but not all", windowed, records)
+	}
+
+	res, err := p.Merge(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range res.Triage.Buckets {
+		if len(b.Exemplar.Flight) > 0 {
+			continue
+		}
+		// A fault verdict graded at campaign end settles outside any
+		// delivery and never had a window to keep; any other record did.
+		if !b.Exemplar.IsFault() || windowedBuckets[b.Hash] {
+			t.Errorf("bucket %016x (%s %s) exemplar has no flight window", b.Hash, b.Kind, b.Class)
+		}
+	}
+}
+
 func TestStatusBoardTracksRun(t *testing.T) {
 	board := farm.NewStatusBoard()
 	res, err := farm.Run(farm.Config{

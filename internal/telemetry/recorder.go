@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 )
@@ -53,25 +52,25 @@ func (k EventKind) String() string {
 	}
 }
 
-// MarshalJSON renders the kind as its name so journals and report artifacts
-// stay readable and stable if the enum is ever reordered.
-func (k EventKind) MarshalJSON() ([]byte, error) {
-	return json.Marshal(k.String())
+// MarshalText renders the kind as its name (a JSON string in journals and
+// report artifacts), so they stay readable and stable if the enum is ever
+// reordered.
+func (k EventKind) MarshalText() ([]byte, error) {
+	return []byte(k.String()), nil
 }
 
-// UnmarshalJSON parses the kind name written by MarshalJSON.
-func (k *EventKind) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
-	}
-	for c := EventIntent; c <= EventFault; c++ {
-		if c.String() == s {
+// UnmarshalText parses the kind name written by MarshalText. The zero kind
+// (what a JSON null leaves, since null never reaches UnmarshalText) is named
+// "unknown" and parses back, so every decoded window re-encodes to bytes
+// that decode again.
+func (k *EventKind) UnmarshalText(text []byte) error {
+	for c := EventKind(0); c <= EventFault; c++ {
+		if c.String() == string(text) {
 			*k = c
 			return nil
 		}
 	}
-	return fmt.Errorf("telemetry: unknown event kind %q", s)
+	return fmt.Errorf("telemetry: unknown event kind %q", text)
 }
 
 // Event is one structured flight-recorder entry. All fields are plain

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 )
@@ -131,6 +132,54 @@ func TestEventJSONRoundTrip(t *testing.T) {
 	var bad Event
 	if err := json.Unmarshal([]byte(`{"seq":1,"kind":"nope"}`), &bad); err == nil {
 		t.Fatal("unknown kind must fail to parse")
+	}
+}
+
+// TestEventKindTextCodec pins the JSON bytes of a window holding every event
+// kind: journals and exports written before the text codec must read and
+// re-encode unchanged.
+func TestEventKindTextCodec(t *testing.T) {
+	var window []Event
+	for k := EventIntent; k <= EventFault; k++ {
+		window = append(window, Event{Seq: uint64(k), Kind: k, Detail: "d"})
+	}
+	const golden = `[` +
+		`{"seq":1,"time":"0001-01-01T00:00:00Z","kind":"intent","detail":"d"},` +
+		`{"seq":2,"time":"0001-01-01T00:00:00Z","kind":"dispatch","detail":"d"},` +
+		`{"seq":3,"time":"0001-01-01T00:00:00Z","kind":"denial","detail":"d"},` +
+		`{"seq":4,"time":"0001-01-01T00:00:00Z","kind":"reboot","detail":"d"},` +
+		`{"seq":5,"time":"0001-01-01T00:00:00Z","kind":"verdict","detail":"d"},` +
+		`{"seq":6,"time":"0001-01-01T00:00:00Z","kind":"binder","detail":"d"},` +
+		`{"seq":7,"time":"0001-01-01T00:00:00Z","kind":"fault","detail":"d"}]`
+	data, err := json.Marshal(window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != golden {
+		t.Fatalf("window encodes as\n%s\nwant\n%s", data, golden)
+	}
+	var back []Event
+	if err := json.Unmarshal([]byte(golden), &back); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(back, window) {
+		t.Fatalf("golden decodes as %+v, want %+v", back, window)
+	}
+	for _, bad := range []string{`"nope"`, `"Intent"`, `""`, `3`} {
+		var k EventKind
+		if err := json.Unmarshal([]byte(bad), &k); err == nil {
+			t.Errorf("kind %s decoded as %v, want an error", bad, k)
+		}
+	}
+	// A null kind stays zero, and the zero kind round-trips as "unknown".
+	for _, zero := range []string{`null`, `"unknown"`} {
+		k := EventKind(0)
+		if err := json.Unmarshal([]byte(zero), &k); err != nil || k != 0 {
+			t.Errorf("kind %s decoded as %v (err %v), want the zero kind", zero, k, err)
+		}
+		if data, err := json.Marshal(k); err != nil || string(data) != `"unknown"` {
+			t.Errorf("zero kind encodes as %s (err %v), want \"unknown\"", data, err)
+		}
 	}
 }
 

@@ -51,14 +51,11 @@ type BucketUpdate struct {
 // update per batch-and-bucket. Safe for concurrent producers (shard
 // completions) and consumers (HTTP watchers).
 type Stream struct {
-	mu     sync.Mutex
-	byHash map[uint64]*Bucket
-	order  []uint64 // discovery order, for Snapshot
+	mu      sync.Mutex
+	buckets bucketSet
 	// announced tracks per-bucket shipping state (see the *Sent consts) so
 	// each exemplar's flight window crosses the wire exactly once.
 	announced map[uint64]int
-	crashes   int
-	anrs      int
 	log       []BucketUpdate
 	closed    bool
 	// waiters are woken (channel close) whenever the log grows or the
@@ -68,7 +65,7 @@ type Stream struct {
 
 // NewStream returns an empty triage stream.
 func NewStream() *Stream {
-	return &Stream{byHash: make(map[uint64]*Bucket), announced: make(map[uint64]int)}
+	return &Stream{announced: make(map[uint64]int)}
 }
 
 // Add folds one batch of crash records (typically one shard's crashes)
@@ -86,31 +83,14 @@ func (s *Stream) Add(crashes []*Crash) {
 	touched := make(map[uint64]bool)
 	var touchOrder []uint64
 	for _, c := range crashes {
-		s.crashes++
-		if c.IsANR() {
-			s.anrs++
-		}
-		h := c.Hash()
-		b, ok := s.byHash[h]
-		if !ok {
-			b = &Bucket{Hash: h, Kind: c.Kind, Class: c.RootClass(), Frame: c.RootFrame(), Exemplar: c}
-			if c.IsANR() {
-				b.Class, b.Frame = "ANR", c.Component
-			}
-			s.byHash[h] = b
-			s.order = append(s.order, h)
-		}
-		b.Count++
-		if b.Exemplar.Intent == nil && c.Intent != nil {
-			b.Exemplar = c
-		}
+		h := s.buckets.add(c)
 		if !touched[h] {
 			touched[h] = true
 			touchOrder = append(touchOrder, h)
 		}
 	}
 	for _, h := range touchOrder {
-		b := s.byHash[h]
+		b := s.buckets.byHash[h]
 		up := BucketUpdate{
 			Cursor: len(s.log) + 1,
 			Hash:   h,
@@ -201,12 +181,7 @@ func (s *Stream) Closed() bool {
 func (s *Stream) Snapshot() *Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := &Result{Crashes: s.crashes, ANRs: s.anrs}
-	for _, h := range s.order {
-		out.Buckets = append(out.Buckets, *s.byHash[h])
-	}
-	sortBuckets(out.Buckets)
-	return out
+	return s.buckets.result()
 }
 
 // wakeLocked closes all waiter channels; callers hold s.mu.

@@ -183,6 +183,55 @@ func TestStreamMatchesBucketize(t *testing.T) {
 	}
 }
 
+// TestStreamLabelsFaultBuckets: fault-verdict buckets get the same
+// signature on the live stream as in the final result (the injected fault
+// kind as class, the app as frame), and the stream counts fault records.
+func TestStreamLabelsFaultBuckets(t *testing.T) {
+	crashes := []*Crash{
+		{Kind: KindStall, Fault: "binder-dead", Process: "com.a", Component: "binder"},
+		{Kind: KindStall, Fault: "binder-dead", Process: "com.a", Component: "binder"},
+		{Kind: KindDegraded, Fault: "sensor-stall", Process: "com.b", Component: "sensor"},
+		{Kind: KindANR, Process: "com.a", Component: "com.a/.Main"},
+		streamCrash("java.lang.NullPointerException", "com.a.Main.onCreate"),
+	}
+	want := Bucketize(crashes)
+	s := NewStream()
+	s.Add(crashes[:2])
+	s.Add(crashes[2:])
+	got := s.Snapshot()
+	if got.Crashes != want.Crashes || got.ANRs != want.ANRs || got.Faults != want.Faults || got.Faults != 3 {
+		t.Fatalf("stream totals (%d, %d, %d) != bucketize (%d, %d, %d)",
+			got.Crashes, got.ANRs, got.Faults, want.Crashes, want.ANRs, want.Faults)
+	}
+	type sig struct {
+		Kind, Class, Frame string
+		Count              int
+	}
+	sigs := func(r *Result) map[uint64]sig {
+		out := make(map[uint64]sig)
+		for _, b := range r.Buckets {
+			out[b.Hash] = sig{b.Kind, b.Class, b.Frame, b.Count}
+		}
+		return out
+	}
+	if g, w := sigs(got), sigs(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("stream buckets %+v != bucketize %+v", g, w)
+	}
+	// The live update log carries the same labels.
+	ups, _, _ := s.Since(0)
+	for _, up := range ups {
+		w := sigs(want)[up.Hash]
+		if up.Kind != w.Kind || up.Class != w.Class || up.Frame != w.Frame {
+			t.Errorf("update %+v labels the bucket differently from %+v", up, w)
+		}
+	}
+	for _, b := range want.Buckets {
+		if b.Kind == KindStall && (b.Class != "binder-dead" || b.Frame != "com.a") {
+			t.Fatalf("fault bucket labelled %q/%q, want binder-dead/com.a", b.Class, b.Frame)
+		}
+	}
+}
+
 func bucketHashes(r *Result) []uint64 {
 	out := make([]uint64, len(r.Buckets))
 	for i, b := range r.Buckets {

@@ -73,7 +73,9 @@ type Crash struct {
 	// (attached with Flight).
 	Trace string
 	// Flight is the flight-recorder window snapshotted at the failure:
-	// the structured events leading up to and ending at it.
+	// the structured events leading up to and ending at it. The collector
+	// keeps it only on records that can become a bucket's exemplar (see
+	// Collector.WantsFlight).
 	Flight []telemetry.Event
 }
 
@@ -187,48 +189,77 @@ func (r *Result) Unique() int {
 // reproducer intent; output order is deterministic for any permutation-free
 // input order.
 func Bucketize(crashes []*Crash) *Result {
-	byHash := make(map[uint64]*Bucket)
-	var order []uint64
-	anrs, faults := 0, 0
+	var s bucketSet
 	for _, c := range crashes {
-		if c.IsANR() {
-			anrs++
-		}
-		if c.IsFault() {
-			faults++
-		}
-		h := c.Hash()
-		b, ok := byHash[h]
-		if !ok {
-			b = &Bucket{Hash: h, Kind: c.Kind, Class: c.RootClass(), Frame: c.RootFrame(), Exemplar: c}
-			if c.IsANR() {
-				b.Class, b.Frame = "ANR", c.Component
-			}
-			if c.IsFault() {
-				// Fault buckets have no stack either: show the injected fault
-				// kind where crashes show the exception class, and the app
-				// the verdict was graded against where crashes show a frame.
-				b.Class, b.Frame = c.Fault, c.Process
-			}
-			byHash[h] = b
-			order = append(order, h)
-		}
-		b.Count++
-		// Upgrade the exemplar to the first crash with a reproducer.
-		if b.Exemplar.Intent == nil && c.Intent != nil {
-			b.Exemplar = c
-		}
+		s.add(c)
 	}
-	out := &Result{Crashes: len(crashes), ANRs: anrs, Faults: faults}
-	for _, h := range order {
-		out.Buckets = append(out.Buckets, *byHash[h])
+	return s.result()
+}
+
+// bucketSet is the bucket fold Bucketize runs in one pass and Stream runs
+// one batch at a time, so the two can never disagree on a bucket's
+// signature, count or exemplar.
+type bucketSet struct {
+	byHash map[uint64]*Bucket
+	order  []uint64 // discovery order
+	// crashes, anrs and faults are Result's raw record tallies.
+	crashes, anrs, faults int
+}
+
+// add folds one record into its bucket and returns the bucket's hash.
+func (s *bucketSet) add(c *Crash) uint64 {
+	s.crashes++
+	if c.IsANR() {
+		s.anrs++
+	}
+	if c.IsFault() {
+		s.faults++
+	}
+	h := c.Hash()
+	b, ok := s.byHash[h]
+	if !ok {
+		if s.byHash == nil {
+			s.byHash = make(map[uint64]*Bucket)
+		}
+		b = newBucket(h, c)
+		s.byHash[h] = b
+		s.order = append(s.order, h)
+	}
+	b.Count++
+	// Upgrade the exemplar to the first crash with a reproducer.
+	if b.Exemplar.Intent == nil && c.Intent != nil {
+		b.Exemplar = c
+	}
+	return h
+}
+
+// result copies the buckets out in Bucketize's deterministic order.
+func (s *bucketSet) result() *Result {
+	out := &Result{Crashes: s.crashes, ANRs: s.anrs, Faults: s.faults}
+	for _, h := range s.order {
+		out.Buckets = append(out.Buckets, *s.byHash[h])
 	}
 	sortBuckets(out.Buckets)
 	return out
 }
 
+// newBucket opens the bucket whose first occurrence is c (Count zero).
+func newBucket(h uint64, c *Crash) *Bucket {
+	b := &Bucket{Hash: h, Kind: c.Kind, Class: c.RootClass(), Frame: c.RootFrame(), Exemplar: c}
+	if c.IsANR() {
+		b.Class, b.Frame = "ANR", c.Component
+	}
+	if c.IsFault() {
+		// Fault buckets have no stack either: show the injected fault kind
+		// where crashes show the exception class, and the app the verdict
+		// was graded against where crashes show a frame.
+		b.Class, b.Frame = c.Fault, c.Process
+	}
+	return b
+}
+
 // sortBuckets orders buckets most-frequent first with deterministic
-// tie-breaks (class, frame, hash) — shared by Bucketize and Stream.Snapshot.
+// tie-breaks (class, frame, hash).
 func sortBuckets(buckets []Bucket) {
 	sort.SliceStable(buckets, func(i, j int) bool {
 		bi, bj := &buckets[i], &buckets[j]
@@ -262,13 +293,32 @@ type Collector struct {
 	crashes []*Crash
 	blocks  map[int]*block // by PID
 	last    *Crash         // most recently finalized record
+	// seen holds, per bucket hash, which exemplar candidates the settled
+	// records (every record before last) already took: seenFirst once a
+	// record opened the bucket, seenIntent once one carried an intent.
+	seen map[uint64]uint8
+	// gate is last's flight-window decision (gateOpen until made).
+	gate uint8
 }
+
+// Per-bucket candidate bits (Collector.seen).
+const (
+	seenFirst uint8 = 1 << iota
+	seenIntent
+)
+
+// Flight-window decisions for the most recent record (Collector.gate).
+const (
+	gateOpen uint8 = iota // not decided yet
+	gateKeep              // last may become its bucket's exemplar
+	gateDrop              // last can never be an exemplar
+)
 
 var _ logcat.Sink = (*Collector)(nil)
 
 // NewCollector returns an empty streaming crash collector.
 func NewCollector() *Collector {
-	return &Collector{blocks: make(map[int]*block)}
+	return &Collector{blocks: make(map[int]*block), seen: make(map[uint64]uint8)}
 }
 
 // Crashes returns the finalized records in log order. The collector keeps
@@ -290,15 +340,53 @@ func (c *Collector) AttachIntent(in *intent.Intent) bool {
 
 // AttachFlight pairs a flight-recorder window (and its trace ID) with the
 // most recently finalized record, when that record does not already carry
-// one — same contract and timing as AttachIntent. The caller hands over
+// one and WantsFlight holds — same timing as AttachIntent, and called after
+// it, since the decision reads the record's intent. The caller hands over
 // ownership of events (Recorder.Window already returns a private copy).
 func (c *Collector) AttachFlight(trace string, events []telemetry.Event) bool {
-	if c.last == nil || c.last.Flight != nil || len(events) == 0 {
+	if len(events) == 0 || !c.WantsFlight() {
 		return false
 	}
 	c.last.Trace = trace
 	c.last.Flight = events
 	return true
+}
+
+// WantsFlight reports whether AttachFlight would keep a window on the most
+// recently finalized record, so a caller can skip snapshotting one that
+// would be dropped. Only a record that Bucketize or Stream could pick as
+// its bucket's exemplar keeps a window, and exemplar choice is "first
+// occurrence, upgraded to the first carrying an intent". Within one
+// collector (one shard) the candidates are therefore the first record of
+// each bucket and the first record of the bucket with an intent; every
+// other record's window could never be shown. The decision is made once
+// per record, on the first call, and never flips.
+func (c *Collector) WantsFlight() bool {
+	if c.last == nil || c.last.Flight != nil {
+		return false
+	}
+	if c.gate == gateOpen {
+		c.gate = gateDrop
+		seen := c.seen[c.last.Hash()]
+		if seen&seenFirst == 0 || (seen&seenIntent == 0 && c.last.Intent != nil) {
+			c.gate = gateKeep
+		}
+	}
+	return c.gate == gateKeep
+}
+
+// settle makes rec the most recent record. The previous one can no longer
+// take an intent, so its candidacy is final and folds into seen.
+func (c *Collector) settle(rec *Crash) {
+	if prev := c.last; prev != nil {
+		bits := seenFirst
+		if prev.Intent != nil {
+			bits |= seenIntent
+		}
+		c.seen[prev.Hash()] |= bits
+	}
+	c.crashes = append(c.crashes, rec)
+	c.last, c.gate = rec, gateOpen
 }
 
 // ConsumeAll feeds a slice of entries (a pulled logcat dump) in order.
@@ -362,8 +450,7 @@ func (c *Collector) consumeFaultVerdict(msg string) {
 	if !rec.IsFault() {
 		return
 	}
-	c.crashes = append(c.crashes, rec)
-	c.last = rec
+	c.settle(rec)
 }
 
 // consumeANR turns an "ANR in <proc> (<component>)" line into a finalized
@@ -380,8 +467,7 @@ func (c *Collector) consumeANR(msg string) {
 		return
 	}
 	rec := &Crash{Kind: KindANR, Process: proc, Component: comp}
-	c.crashes = append(c.crashes, rec)
-	c.last = rec
+	c.settle(rec)
 }
 
 func (c *Collector) consumeRuntime(e logcat.Entry) {
@@ -424,8 +510,7 @@ func (c *Collector) finalize(pid int) {
 		return
 	}
 	rec := &Crash{Kind: KindCrash, Process: blk.process, Classes: blk.classes, Frames: blk.frames}
-	c.crashes = append(c.crashes, rec)
-	c.last = rec
+	c.settle(rec)
 }
 
 // normalizeFrame reduces an ART frame line to its "pkg.Class.method"
