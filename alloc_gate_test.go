@@ -58,8 +58,8 @@ func TestDispatchAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(2000, func() {
 		dev.StartActivity(in)
 	})
-	// Span sampling (1 in 512 dispatches) allocates a handful of spans per
-	// 2000-run batch; amortized that must stay under 0.1 allocs/op.
+	// AllocsPerRun rounds down to whole allocations, so "> 0.1" demands
+	// exactly zero.
 	if allocs > 0.1 {
 		t.Fatalf("dispatch allocates %.3f objects/op, want ~0 (hot path regression)", allocs)
 	}
@@ -132,9 +132,9 @@ func TestGenerationAllocBudget(t *testing.T) {
 }
 
 // TestCampaignSweepAllocBudget bounds a full instrumented FuzzApp sweep —
-// generation, dispatch, logging, telemetry, pacing — against the budget the
-// perf pass established (~1 alloc per injected intent, dominated by the
-// per-batch result map writes and sampled spans).
+// generation, dispatch, logging, telemetry, pacing — to under one alloc per
+// injected intent (measured ~0.23: the per-component generator setup and
+// the per-batch result map writes).
 func TestCampaignSweepAllocBudget(t *testing.T) {
 	dev := wearos.New(wearos.DefaultWatchConfig())
 	fleet := qgj.BuildWearFleet(1)
@@ -150,8 +150,8 @@ func TestCampaignSweepAllocBudget(t *testing.T) {
 		inj.FuzzApp(core.CampaignA, fleet.Packages[0])
 	})
 	perIntent := allocs / float64(warm.Sent)
-	if perIntent > 3 {
-		t.Fatalf("campaign sweep allocates %.2f objects/intent (%.0f per sweep of %d), budget is 3",
+	if perIntent > 1 {
+		t.Fatalf("campaign sweep allocates %.2f objects/intent (%.0f per sweep of %d), budget is 1",
 			perIntent, allocs, warm.Sent)
 	}
 }

@@ -186,7 +186,7 @@ func BenchmarkDispatchNoEffect(b *testing.B) {
 }
 
 // BenchmarkDispatchNoTelemetry is the same delivery with the metric
-// registry and span tracer disabled. Comparing against
+// registry disabled. Comparing against
 // BenchmarkDispatchNoEffect bounds the instrumentation overhead on the hot
 // path; the budget is <5% (docs/observability.md).
 func BenchmarkDispatchNoTelemetry(b *testing.B) {

@@ -96,7 +96,7 @@ func serve(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv, err := telemetry.Serve(*addr, reg, nil, service.Routes(coord)...)
+	srv, err := telemetry.Serve(*addr, reg, service.Routes(coord)...)
 	if err != nil {
 		return err
 	}

@@ -57,7 +57,7 @@ func run(args []string) error {
 	all := fs.Bool("all", false, "run all four campaigns against -app")
 	quick := fs.Int("quick", 0, "scale factor k (>0 shrinks campaigns; 0 = full scale)")
 	logDump := fs.Bool("logcat", false, "dump the wearable's logcat after fuzzing")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /vars, /spans and /debug/pprof on this address (e.g. :9100 or :0)")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /vars and /debug/pprof on this address (e.g. :9100 or :0)")
 	linger := fs.Duration("linger", 0, "keep the process (and -metrics-addr endpoint) alive this long after the run")
 	progressEvery := fs.Duration("progress", 2*time.Second, "interval between progress lines on stderr (0 disables)")
 	workers := fs.Int("workers", 0, "farm mode: run shards on this many parallel devices (>1 enables the farm)")
@@ -95,7 +95,7 @@ func run(args []string) error {
 
 	tel := watch.OS.Telemetry()
 	if *metricsAddr != "" {
-		srv, err := telemetry.Serve(*metricsAddr, tel, watch.OS.Tracer())
+		srv, err := telemetry.Serve(*metricsAddr, tel)
 		if err != nil {
 			return err
 		}
@@ -248,7 +248,7 @@ func runFarm(sharding core.Sharding, seed uint64, app, campaign string, all bool
 		cfg.Packages = []string{app}
 	}
 	if metricsAddr != "" {
-		srv, err := telemetry.Serve(metricsAddr, cfg.Telemetry, nil,
+		srv, err := telemetry.Serve(metricsAddr, cfg.Telemetry,
 			telemetry.Route{Pattern: "/farm", Handler: farm.StatusHandler(cfg.Status)})
 		if err != nil {
 			return err

@@ -39,7 +39,7 @@ func run(args []string) error {
 	uiEvents := fs.Int("ui-events", 0, "QGJ-UI events per mode (0 = the paper's 41405)")
 	ablations := fs.Bool("ablations", false, "also run the extension studies (aging ablations, rejuvenation, validation eras)")
 	jsonOut := fs.String("json", "", "also write machine-readable artifacts to this file (wear+phone+ui exports)")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /vars, /spans, /healthz and /farm on this address while the studies run (farm mode feeds them)")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /vars, /healthz and /farm on this address while the studies run (farm mode feeds them)")
 	linger := fs.Duration("linger", 0, "keep the process (and -metrics-addr endpoint) alive this long after the run")
 	progress := fs.Bool("progress", false, "print rate-limited study progress to stderr")
 	workers := fs.Int("workers", 0, "run the wear/phone studies on the farm engine with this many parallel devices (>1 enables sharding)")
@@ -72,7 +72,7 @@ func run(args []string) error {
 	if *metricsAddr != "" {
 		reg = telemetry.NewRegistry()
 		board = farm.NewStatusBoard()
-		srv, err := telemetry.Serve(*metricsAddr, reg, nil,
+		srv, err := telemetry.Serve(*metricsAddr, reg,
 			telemetry.Route{Pattern: "/farm", Handler: farm.StatusHandler(board)})
 		if err != nil {
 			return err

@@ -37,7 +37,7 @@ func run(args []string) error {
 	shell := fs.String("shell", "", "run one adb shell command")
 	logDump := fs.Bool("logcat", false, "dump logcat at the end")
 	dropbox := fs.Bool("dropbox", false, "dump DropBox crash/ANR/restart records at the end")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /vars, /spans and /debug/pprof on this address (e.g. :9100 or :0)")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /vars and /debug/pprof on this address (e.g. :9100 or :0)")
 	linger := fs.Duration("linger", 0, "keep the process (and -metrics-addr endpoint) alive this long after the run")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -49,7 +49,7 @@ func run(args []string) error {
 		return err
 	}
 	if *metricsAddr != "" {
-		srv, err := telemetry.Serve(*metricsAddr, dev.Telemetry(), dev.Tracer())
+		srv, err := telemetry.Serve(*metricsAddr, dev.Telemetry())
 		if err != nil {
 			return err
 		}

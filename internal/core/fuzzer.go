@@ -152,8 +152,6 @@ func (inj *Injector) FuzzComponent(c Campaign, comp *manifest.Component) Compone
 		injSecs = m.injSecs
 		progress = m.progress
 	}
-	sp := inj.Dev.Tracer().Start("fuzz:" + c.Letter() + ":" + comp.Flat())
-
 	// The flight recorder sees every generated intent before it is sent;
 	// comp.Flat() is cached on the component, so the per-intent record is a
 	// slot write of existing strings.
@@ -197,7 +195,6 @@ func (inj *Injector) FuzzComponent(c Campaign, comp *manifest.Component) Compone
 			inj.Progress(run.Sent)
 		}
 	})
-	sp.End()
 	progress.Set(float64(run.Sent))
 	if m != nil {
 		m.generated.Add(uint64(run.Sent))

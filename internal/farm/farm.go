@@ -381,7 +381,7 @@ func (e *Executor) runShard(key ShardKey) (*ShardResult, error) {
 	var shardReg *telemetry.Registry
 	if cfg.Telemetry != nil {
 		shardReg = telemetry.NewRegistry()
-		dev.AttachTelemetry(shardReg, nil)
+		dev.AttachTelemetry(shardReg)
 	}
 
 	col := analysis.NewCollector().UseTelemetry(shardReg)

@@ -205,6 +205,27 @@ func TestUnknownPackagesListedSorted(t *testing.T) {
 	}
 }
 
+// TestRepeatedCampaignRejected: a campaign listed twice would plan two
+// shards under one ShardKey and Merge would fold both into each result,
+// multiplying that campaign's counts. NewPlan and Run refuse it, naming
+// the letter.
+func TestRepeatedCampaignRejected(t *testing.T) {
+	for _, cs := range [][]core.Campaign{
+		{core.CampaignA, core.CampaignA},
+		{core.CampaignB, core.CampaignF, core.CampaignC, core.CampaignF},
+	} {
+		cfg := farm.Config{Seed: 1, Campaigns: cs, Packages: testPackages[:1], Gen: testGen(),
+			Sharding: core.Sharding{Workers: 1}}
+		want := "farm: campaign " + cs[len(cs)-1].Letter() + " listed twice"
+		if _, err := farm.NewPlan(cfg); err == nil || err.Error() != want {
+			t.Fatalf("NewPlan(%v): err = %v, want %s", cs, err, want)
+		}
+		if _, err := farm.Run(cfg); err == nil || err.Error() != want {
+			t.Fatalf("Run(%v): err = %v, want %s", cs, err, want)
+		}
+	}
+}
+
 func TestFarmTelemetryAndProgress(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var calls int

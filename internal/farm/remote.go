@@ -64,6 +64,13 @@ func NewPlan(cfg Config) (*Plan, error) {
 	if len(campaigns) == 0 {
 		campaigns = core.AllCampaigns
 	}
+	// A repeated campaign would plan two shards under one ShardKey, and
+	// Merge would then fold both into each of them.
+	for i, c := range campaigns {
+		if slices.Contains(campaigns[:i], c) {
+			return nil, fmt.Errorf("farm: campaign %s listed twice", c.Letter())
+		}
+	}
 	kind := cfg.Fleet
 	if kind == 0 {
 		kind = apps.WearFleet

@@ -658,20 +658,36 @@ func TestWorkerDrainReleasesLease(t *testing.T) {
 // TestSubmitValidation rejects malformed specs with useful errors.
 func TestSubmitValidation(t *testing.T) {
 	coord := newCoordinator(t, service.Options{})
+	ts := httptest.NewServer(service.Handler(coord))
+	defer ts.Close()
 	cases := []struct {
 		name string
 		spec service.CampaignSpec
+		want string
 	}{
-		{"unknown fleet", service.CampaignSpec{Seed: 1, Fleet: "tablet", Quick: 10}},
-		{"bad campaign letter", service.CampaignSpec{Seed: 1, Campaigns: "AX", Quick: 10}},
-		{"unknown package", service.CampaignSpec{Seed: 1, Packages: []string{"com.nope"}, Quick: 10}},
+		{"unknown fleet", service.CampaignSpec{Seed: 1, Fleet: "tablet", Quick: 10}, "tablet"},
+		{"bad campaign letter", service.CampaignSpec{Seed: 1, Campaigns: "AX", Quick: 10}, "unknown campaign"},
+		{"unknown package", service.CampaignSpec{Seed: 1, Packages: []string{"com.nope"}, Quick: 10}, "com.nope"},
+		// A repeated letter would plan two shards under one key and the
+		// merge would multiply that campaign's counts.
+		{"repeated campaign letter", service.CampaignSpec{Seed: 1, Campaigns: "AA", Quick: 10}, "campaign A listed twice"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := coord.Submit(tc.spec); err == nil {
-				t.Fatal("submit accepted an invalid spec")
+			body, _ := json.Marshal(tc.spec)
+			resp, err := http.Post(ts.URL+"/api/v1/campaigns", "application/json", strings.NewReader(string(body)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.want) {
+				t.Fatalf("submit: status %d body %q, want 400 naming %s", resp.StatusCode, msg, tc.want)
 			}
 		})
+	}
+	if got := coord.Campaigns(); len(got) != 0 {
+		t.Fatalf("rejected submits left campaigns %v", got)
 	}
 }
 

@@ -121,10 +121,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 func TestServeEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("served_total").Inc()
-	tr := NewTracer(nil, 8)
-	tr.Start("boot").End()
 
-	srv, err := Serve("127.0.0.1:0", reg, tr)
+	srv, err := Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,9 +157,6 @@ func TestServeEndpoints(t *testing.T) {
 	if out := get("/vars", "application/json; charset=utf-8"); !strings.Contains(out, `"served_total": 1`) {
 		t.Fatalf("/vars missing counter:\n%s", out)
 	}
-	if out := get("/spans", "application/json; charset=utf-8"); !strings.Contains(out, `"boot"`) {
-		t.Fatalf("/spans missing span:\n%s", out)
-	}
 	if out := get("/healthz", "text/plain; charset=utf-8"); strings.TrimSpace(out) != "ok" {
 		t.Fatalf("/healthz = %q, want ok", out)
 	}
@@ -174,10 +169,11 @@ func TestServeEndpoints(t *testing.T) {
 }
 
 // TestHandlerExtraRoutes pins the Route extension point: a mounted route
-// serves and is listed by the root index.
+// serves and is listed by the root index, and the index lists only routes
+// that are served.
 func TestHandlerExtraRoutes(t *testing.T) {
 	reg := NewRegistry()
-	srv, err := Serve("127.0.0.1:0", reg, nil, Route{
+	srv, err := Serve("127.0.0.1:0", reg, Route{
 		Pattern: "/farm",
 		Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -207,5 +203,18 @@ func TestHandlerExtraRoutes(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(body), "/farm") {
 		t.Fatalf("root index missing /farm: %q", body)
+	}
+	for _, path := range strings.Fields(string(body)) {
+		if !strings.HasPrefix(path, "/") || path == "/debug/pprof/" {
+			continue
+		}
+		resp, err := client.Get("http://" + srv.Addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("root index lists %s, which answers %d", path, resp.StatusCode)
+		}
 	}
 }

@@ -21,13 +21,11 @@ type Route struct {
 //
 //	/metrics        Prometheus text exposition
 //	/vars           expvar-style JSON snapshot
-//	/spans          finished spans as JSON (when a tracer is attached)
 //	/healthz        liveness probe ("ok")
 //	/debug/pprof/*  the standard Go profiling handlers
 //
-// tracer may be nil. Extra routes are mounted verbatim and listed by the
-// root index.
-func Handler(reg *Registry, tracer *Tracer, extra ...Route) http.Handler {
+// Extra routes are mounted verbatim and listed by the root index.
+func Handler(reg *Registry, extra ...Route) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -39,18 +37,6 @@ func Handler(reg *Registry, tracer *Tracer, extra ...Route) http.Handler {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(reg.Snapshot())
 	})
-	if tracer != nil {
-		mux.HandleFunc("/spans", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(struct {
-				Active   int          `json:"active"`
-				Dropped  uint64       `json:"dropped"`
-				Finished []SpanRecord `json:"finished"`
-			}{tracer.Active(), tracer.Dropped(), tracer.Finished()})
-		})
-	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -60,7 +46,7 @@ func Handler(reg *Registry, tracer *Tracer, extra ...Route) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	index := "qgj telemetry: /metrics /vars /spans /healthz"
+	index := "qgj telemetry: /metrics /vars /healthz"
 	for _, rt := range extra {
 		index += " " + rt.Pattern
 		mux.Handle(rt.Pattern, rt.Handler)
@@ -87,12 +73,12 @@ type Server struct {
 
 // Serve binds addr (e.g. ":9090" or ":0" for an ephemeral port) and serves
 // the exposition handler in a background goroutine until Close.
-func Serve(addr string, reg *Registry, tracer *Tracer, extra ...Route) (*Server, error) {
+func Serve(addr string, reg *Registry, extra ...Route) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: Handler(reg, tracer, extra...), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: Handler(reg, extra...), ReadHeaderTimeout: 5 * time.Second}
 	s := &Server{Addr: ln.Addr().String(), ln: ln, srv: srv}
 	go func() { _ = srv.Serve(ln) }()
 	return s, nil

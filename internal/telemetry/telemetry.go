@@ -1,8 +1,9 @@
 // Package telemetry is the observability substrate for the QGJ pipeline:
 // an atomic counter/gauge registry, fixed-bucket latency histograms with
-// quantile estimation, and lightweight spans with parent linkage. It is
-// dependency-free (standard library only) so every layer — core, binder,
-// wearos, logcat, analysis, adb, uifuzz — can import it without cycles.
+// quantile estimation, and a flight recorder of structured dispatch events.
+// It is dependency-free (standard library only) so every layer — core,
+// binder, wearos, logcat, analysis, adb, uifuzz — can import it without
+// cycles.
 //
 // Design notes:
 //

@@ -3,6 +3,7 @@ package triage
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -124,6 +125,31 @@ func TestStreamWaitWakesOnAddAndClose(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	s.Add([]*Crash{streamCrash("java.lang.NullPointerException", "com.app.Main.onCreate")})
 	wg.Wait()
+
+	// A cursor beyond the end of the log is clamped like Since's: the
+	// waiter wakes on the next Add with that update.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ups, next, closed := s.Wait(context.Background(), 99)
+		if len(ups) != 1 || ups[0].Class != "java.lang.IllegalStateException" || next != 2 || closed {
+			t.Errorf("Wait(99) woke with ups=%v next=%d closed=%v, want the one new update", ups, next, closed)
+		}
+	}()
+	// Add only once the waiter is parked, so it must be woken.
+	for parked := false; !parked; runtime.Gosched() {
+		s.mu.Lock()
+		parked = len(s.waiters) > 0
+		s.mu.Unlock()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	s.Add([]*Crash{streamCrash("java.lang.IllegalStateException", "com.app.Sync.push")})
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait(99) slept through an Add")
+	}
 
 	// A waiter past the end of the log wakes on Close.
 	_, cursor, _ := s.Since(0)

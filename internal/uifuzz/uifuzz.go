@@ -111,17 +111,14 @@ func (f *Fuzzer) Run(mode Mode, cfg Config) Outcome {
 		excTotal = tel.Counter("uifuzz_exceptions_total", ml)
 		crashTotal = tel.Counter("uifuzz_crashes_total", ml)
 	}
-	runSpan := f.dev.Tracer().Start("uifuzz:" + mode.String())
 
 	// Step 5: run Monkey to produce the baseline event stream and log.
-	genSpan := runSpan.Child("monkey-generate")
 	gen := monkey.NewGenerator(f.dev, monkey.Config{
 		Seed:        cfg.Seed,
 		Events:      cfg.Events,
 		IntentRatio: cfg.IntentRatio,
 	})
 	log := monkey.RenderLog(gen.Generate())
-	genSpan.End()
 
 	// Step 6: parse the Monkey log back into events.
 	events := monkey.ParseLog(log)
@@ -131,7 +128,6 @@ func (f *Fuzzer) Run(mode Mode, cfg Config) Outcome {
 	col := analysis.NewCollector().UseTelemetry(tel)
 	f.dev.Logcat().Subscribe(col)
 
-	replaySpan := runSpan.Child("mutate-replay")
 	out := Outcome{Mode: mode}
 	for _, ev := range events {
 		mutated := mut.mutate(ev)
@@ -157,8 +153,6 @@ func (f *Fuzzer) Run(mode Mode, cfg Config) Outcome {
 		// Light pacing: Monkey throttles between events.
 		f.dev.Clock().Advance(10 * time.Millisecond)
 	}
-	replaySpan.End()
-	runSpan.End()
 	out.Report = col.Report()
 	return out
 }

@@ -29,9 +29,9 @@ type Config struct {
 	LogCapacity int
 	// Aging parameterizes the system-server aging model.
 	Aging AgingConfig
-	// DisableTelemetry skips creating the device metric registry and span
-	// tracer; every instrumentation site degrades to a nil-check. The zero
-	// value keeps telemetry on.
+	// DisableTelemetry skips creating the device metric registry; every
+	// instrumentation site degrades to a nil-check. The zero value keeps
+	// telemetry on.
 	DisableTelemetry bool
 }
 
@@ -190,7 +190,6 @@ type OS struct {
 	dropbox     *dropBox
 
 	tel         *telemetry.Registry
-	tracer      *telemetry.Tracer
 	rec         *telemetry.Recorder
 	osm         osMetrics
 	dispatchSeq uint64
@@ -245,14 +244,6 @@ func (o *OS) gateMsg(k gateKey, build func() string) string {
 	o.gateMsgs[k] = msg
 	return msg
 }
-
-// spanSampleEvery is the dispatch span sampling rate (power of two). A span
-// per delivery costs several allocations and tracer mutex round-trips —
-// far over the telemetry overhead budget at millions of intents — so only
-// every Nth dispatch is traced. Counters and histograms remain exact. The
-// rate is set so the amortized span cost stays under the <5% overhead
-// budget now that an uninstrumented dispatch runs in a few hundred ns.
-const spanSampleEvery = 512
 
 // dispatchFlushEvery is the batching window for the per-result
 // wearos_dispatch_total counters (power of two). The simulation is
@@ -320,10 +311,8 @@ func newKernel(cfg Config, clock *vclock.Virtual, buf *logcat.Buffer) *OS {
 		cfg.ANRThreshold = 5 * time.Second
 	}
 	var tel *telemetry.Registry
-	var tracer *telemetry.Tracer
 	if !cfg.DisableTelemetry {
 		tel = telemetry.NewRegistry()
-		tracer = telemetry.NewTracer(nil, telemetry.DefaultSpanCapacity)
 	}
 	o := &OS{
 		cfg:          cfg,
@@ -331,7 +320,6 @@ func newKernel(cfg Config, clock *vclock.Virtual, buf *logcat.Buffer) *OS {
 		buf:          buf,
 		log:          log,
 		tel:          tel,
-		tracer:       tracer,
 		reg:          manifest.NewRegistry(),
 		perms:        manifest.NewPermissionRegistry(manifest.StandardPermissions...),
 		router:       binder.NewRouter(),
@@ -410,9 +398,6 @@ func (o *OS) SystemServer() *SystemServer { return o.sysSrv }
 // goroutines while the (single-threaded) simulation runs.
 func (o *OS) Telemetry() *telemetry.Registry { return o.tel }
 
-// Tracer returns the device span tracer, or nil when telemetry is disabled.
-func (o *OS) Tracer() *telemetry.Tracer { return o.tracer }
-
 // SetFlightRecorder attaches a flight recorder: the dispatcher, the gates,
 // the failure oracles, and the binder router record structured events into
 // it from then on. The recorder is stamped from the device clock. Passing
@@ -471,15 +456,14 @@ func (o *OS) RestartSensorService() {
 		"restarting crashed service sensorservice (pid %d)", o.sensor.PID())
 }
 
-// AttachTelemetry wires a metric registry (and optional tracer) into a
-// device booted without one — the snapshot/clone path shares one immutable
-// Config per template, so per-shard registries cannot ride in on Config.
-// Subsystem handles are re-cached and the state gauges (boot count, live
-// processes, instability) are brought current; counters start from zero at
-// attach time, which is exactly what a per-shard registry wants.
-func (o *OS) AttachTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) {
+// AttachTelemetry wires a metric registry into a device booted without
+// one — the snapshot/clone path shares one immutable Config per template,
+// so per-shard registries cannot ride in on Config. Subsystem handles are
+// re-cached and the state gauges (boot count, live processes, instability)
+// are brought current; counters start from zero at attach time, which is
+// exactly what a per-shard registry wants.
+func (o *OS) AttachTelemetry(reg *telemetry.Registry) {
 	o.tel = reg
-	o.tracer = tracer
 	o.osm = newOSMetrics(reg)
 	o.router.SetTelemetry(reg)
 	o.buf.SetTelemetry(reg)
@@ -555,23 +539,14 @@ func (o *OS) dispatch(in *intent.Intent, kind manifest.ComponentType) DeliveryRe
 	if kind == manifest.Service {
 		verb = "startService"
 	}
-	var sp *telemetry.Span
-	if o.tracer != nil && o.dispatchSeq&(spanSampleEvery-1) == 0 {
-		name := "dispatch:START"
-		if kind == manifest.Service {
-			name = "dispatch:startService"
-		}
-		sp = o.tracer.Start(name)
-	}
 	o.dispatchSeq++
 	if o.faultHooks.Pre != nil {
 		o.faultHooks.Pre(o.dispatchSeq)
 	}
-	result := o.deliver(in, kind, verb, sp)
+	result := o.deliver(in, kind, verb)
 	if o.faultHooks.Post != nil {
 		o.faultHooks.Post(o.dispatchSeq, result)
 	}
-	sp.End()
 	if o.rec != nil {
 		// Static result names and intent-owned strings: the slot write
 		// allocates and formats nothing. Clean deliveries take the sampled
@@ -634,18 +609,12 @@ func (o *OS) logDispatch(verb string, in *intent.Intent) {
 		"%s u0 %s from uid %d", verb, in.String(), in.SenderUID)
 }
 
-// deliver runs the Android dispatch checks in order under the dispatch span;
-// permission and handler stages get child spans so a stalled or slow run
-// shows where time went.
-func (o *OS) deliver(in *intent.Intent, kind manifest.ComponentType, verb string, sp *telemetry.Span) DeliveryResult {
+// deliver runs the Android dispatch checks in order, then the handler and
+// its settlement.
+func (o *OS) deliver(in *intent.Intent, kind manifest.ComponentType, verb string) DeliveryResult {
 	o.logDispatch(verb, in)
 
-	var pc *telemetry.Span
-	if sp != nil {
-		pc = sp.Child("permission-check")
-	}
 	comp, blocked := o.gate(in, kind)
-	pc.End()
 	if blocked != 0 {
 		return blocked
 	}
@@ -664,21 +633,11 @@ func (o *OS) deliver(in *intent.Intent, kind manifest.ComponentType, verb string
 	h := o.handlers[comp.Name]
 	var out Outcome
 	if h != nil {
-		var hs *telemetry.Span
-		if sp != nil {
-			hs = sp.Child("handler:" + comp.Flat())
-		}
 		o.env = Env{PID: proc.PID, Clock: o.clock, Log: o.log}
 		out = h(&o.env, in)
-		hs.End()
 	}
 	tr := o.traits[comp.Name]
-	var ss *telemetry.Span
-	if sp != nil {
-		ss = sp.Child("settle")
-	}
 	result := o.settle(proc, comp, tr, out)
-	ss.End()
 
 	// 6. Aging consequences are applied; a pending reboot tears the device
 	// down *after* the delivery completes, never mid-dispatch.

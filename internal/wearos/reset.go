@@ -142,13 +142,11 @@ func (o *OS) ResetTo(s *Snapshot) bool {
 	// with telemetry disabled and nothing was attached since the last reset
 	// (the farm's steady state), every handle is already nil and the re-arm
 	// — the only allocation in the reset path — is skipped.
-	if !o.cfg.DisableTelemetry || o.tel != nil || o.tracer != nil {
+	if !o.cfg.DisableTelemetry || o.tel != nil {
 		if !o.cfg.DisableTelemetry {
 			o.tel = telemetry.NewRegistry()
-			o.tracer = telemetry.NewTracer(nil, telemetry.DefaultSpanCapacity)
 		} else {
 			o.tel = nil
-			o.tracer = nil
 		}
 		o.osm = newOSMetrics(o.tel)
 		o.router.SetTelemetry(o.tel)

@@ -174,9 +174,9 @@ const (
 
 // --- Telemetry surface ---------------------------------------------------------
 
-// Telemetry aliases. Every device carries a metric registry and a span
-// tracer (os.Telemetry() / os.Tracer()) unless booted with
-// wearos.Config.DisableTelemetry; see docs/observability.md.
+// Telemetry aliases. Every device carries a metric registry
+// (os.Telemetry()) unless booted with wearos.Config.DisableTelemetry; see
+// docs/observability.md.
 type (
 	// Telemetry is a device's metric registry (counters, gauges, histograms).
 	Telemetry = telemetry.Registry
@@ -184,14 +184,12 @@ type (
 	TelemetrySnapshot = telemetry.Snapshot
 	// TelemetryServer is a live exposition HTTP server.
 	TelemetryServer = telemetry.Server
-	// Tracer records lightweight spans across the dispatch pipeline.
-	Tracer = telemetry.Tracer
 )
 
-// ServeTelemetry exposes reg (Prometheus text + JSON + pprof) on addr;
-// tracer may be nil. Close the returned server when done.
-func ServeTelemetry(addr string, reg *Telemetry, tracer *Tracer) (*TelemetryServer, error) {
-	return telemetry.Serve(addr, reg, tracer)
+// ServeTelemetry exposes reg (Prometheus text + JSON + pprof) on addr.
+// Close the returned server when done.
+func ServeTelemetry(addr string, reg *Telemetry) (*TelemetryServer, error) {
+	return telemetry.Serve(addr, reg)
 }
 
 // --- Extension surface ---------------------------------------------------------

@@ -182,8 +182,8 @@ func main() {
 		if gate.CeilingAllocs > 0 && r.AllocsPerOp > gate.CeilingAllocs {
 			out.fail("%s: %.2f allocs/op exceeds ceiling %.2f", name, r.AllocsPerOp, gate.CeilingAllocs)
 		}
-		// A zero alloc ceiling (expressed as 0.1 to tolerate sampled spans)
-		// is handled by the general case above.
+		// A zero alloc ceiling is written as 0.1: benchmark allocs/op are
+		// whole numbers, and a ceiling of 0 would disable the check.
 	}
 
 	inst, okA := parsed["BenchmarkDispatchNoEffect"]

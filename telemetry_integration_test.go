@@ -29,7 +29,7 @@ func TestTelemetryMatchesReport(t *testing.T) {
 	col := analysis.NewCollector().UseTelemetry(dev.Telemetry())
 	dev.Logcat().Subscribe(col)
 
-	srv, err := qgj.ServeTelemetry("127.0.0.1:0", dev.Telemetry(), dev.Tracer())
+	srv, err := qgj.ServeTelemetry("127.0.0.1:0", dev.Telemetry())
 	if err != nil {
 		t.Fatal(err)
 	}
