@@ -18,6 +18,7 @@ import (
 	qgj "repro"
 	"repro/internal/core"
 	"repro/internal/intent"
+	"repro/internal/logcat"
 	"repro/internal/manifest"
 	"repro/internal/telemetry"
 	"repro/internal/wearos"
@@ -102,6 +103,46 @@ func TestDispatchRecorderAllocFree(t *testing.T) {
 	})
 	if allocs > 0.1 {
 		t.Fatalf("recorder-on dispatch allocates %.3f objects/op, want ~0 (flight recorder regression)", allocs)
+	}
+}
+
+// TestDecodeAllocFree pins the logcat decoder at zero allocations per line
+// of the injection hot path: the lazy dispatch, delivery, rejection and
+// caught-exception payloads, and an eager permission-denial line the device
+// replays from its gate cache (the decoder memoizes its component parse).
+func TestDecodeAllocFree(t *testing.T) {
+	comp := intent.ComponentName{Package: "com.bench", Class: "com.bench.ui.Main"}
+	lines := []struct {
+		name string
+		e    logcat.Entry
+		want logcat.EventKind
+	}{
+		{"dispatch", logcat.Entry{PID: 1000, Tag: logcat.TagActivityManager, Payload: logcat.Payload{
+			Op: logcat.MsgDispatch, Verb: "START", Act: "android.intent.action.VIEW",
+			Data: "https://foo.com/", HasData: true, Comp: comp, UID: core.QGJUID,
+		}}, logcat.EventNone},
+		{"delivering", logcat.Entry{PID: 1000, Tag: logcat.TagActivityManager, Payload: logcat.Payload{
+			Op: logcat.MsgDelivering, Verb: "activity", Comp: comp, PID: 4242,
+		}}, logcat.EventDelivery},
+		{"rejected", logcat.Entry{PID: 1000, Tag: logcat.TagActivityManager, Payload: logcat.Payload{
+			Op: logcat.MsgRejected, Comp: comp, Err: "java.lang.IllegalArgumentException: missing extra",
+		}}, logcat.EventRejection},
+		{"caught", logcat.Entry{PID: 4242, Tag: "com.bench", Payload: logcat.Payload{
+			Op: logcat.MsgCaught, Err: "java.lang.NumberFormatException: For input string",
+		}}, logcat.EventCaught},
+		{"denial", logcat.Entry{PID: 1000, Tag: logcat.TagActivityManager,
+			Message: "java.lang.SecurityException: Permission Denial: com.bench/.ui.Main not exported from uid 10123 targeting com.bench/.ui.Main",
+		}, logcat.EventDenial},
+	}
+	for _, l := range lines {
+		var d logcat.Decoder
+		if ev := d.Decode(&l.e); ev.Kind != l.want {
+			t.Fatalf("%s decoded to kind %d, want %d", l.name, ev.Kind, l.want)
+		}
+		allocs := testing.AllocsPerRun(1000, func() { d.Decode(&l.e) })
+		if allocs > 0.1 {
+			t.Fatalf("decoding a %s line allocates %.3f objects/op, want 0", l.name, allocs)
+		}
 	}
 }
 

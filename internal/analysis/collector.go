@@ -5,16 +5,16 @@
 // to gather information, and for each component classified the behavior of
 // the application according to the expected scenarios" (Section III-D).
 // This package implements that pipeline: a streaming Collector consumes log
-// entries (either live, as a logcat sink, or from a pulled dump), tracks
-// which component each process was last delivered, reassembles FATAL
-// EXCEPTION blocks, associates ANR traces, performs the temporal-chain
-// root-cause analysis of Section IV-A, and aggregates per-component
-// reports. It never sees fuzzer or behaviour-model internals.
+// entries (either live, as a logcat sink, or from a pulled dump) through a
+// logcat.Decoder, which parses every line format and reassembles FATAL
+// EXCEPTION blocks. On the decoded events the collector tracks which
+// component each process was last delivered, associates ANR traces,
+// performs the temporal-chain root-cause analysis of Section IV-A, and
+// aggregates per-component reports. It never sees fuzzer or
+// behaviour-model internals.
 package analysis
 
 import (
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/intent"
@@ -181,15 +181,11 @@ const blameWindow = 2 * time.Minute
 // an ANR entry to be associated with it.
 const anrTraceWindow = 2 * time.Second
 
-// recentFailure is a queue entry for reboot attribution.
+// recentFailure is a component failure at a log time: a reboot-attribution
+// queue entry, or a process's last ANR.
 type recentFailure struct {
 	at   time.Time
 	comp intent.ComponentName
-}
-
-// crashBlock reassembles one in-flight FATAL EXCEPTION block.
-type crashBlock struct {
-	headers []javalang.Class
 }
 
 // Collector is a streaming analyzer; it implements logcat.Sink so it can be
@@ -197,12 +193,11 @@ type crashBlock struct {
 // dumps via ConsumeAll/AnalyzeEntries.
 type Collector struct {
 	report *Report
+	dec    logcat.Decoder
 
-	pidComp    map[int]intent.ComponentName
-	pidProc    map[int]string
-	crashParse map[int]*crashBlock
-	recent     []recentFailure
-	lastANR    map[string]anrMark // by process name
+	pidComp map[int]intent.ComponentName
+	recent  []recentFailure
+	lastANR map[string]recentFailure // by process name
 
 	// Escalation markers for reboot attribution (the post-mortem anchors).
 	blameProcAt time.Time
@@ -225,21 +220,14 @@ type Collector struct {
 	levels         map[intent.ComponentName]Manifestation
 }
 
-type anrMark struct {
-	at   time.Time
-	comp intent.ComponentName
-}
-
 var _ logcat.Sink = (*Collector)(nil)
 
 // NewCollector returns an empty streaming analyzer.
 func NewCollector() *Collector {
 	return &Collector{
-		report:     newReport(),
-		pidComp:    make(map[int]intent.ComponentName),
-		pidProc:    make(map[int]string),
-		crashParse: make(map[int]*crashBlock),
-		lastANR:    make(map[string]anrMark),
+		report:  newReport(),
+		pidComp: make(map[int]intent.ComponentName),
+		lastANR: make(map[string]recentFailure),
 	}
 }
 
@@ -305,266 +293,87 @@ func AnalyzeEntries(entries []logcat.Entry) *Report {
 	return c.Report()
 }
 
-// Consume implements logcat.Sink: one log entry at a time, in order.
+// Consume implements logcat.Sink: one log entry at a time, in order. The
+// collector reads the decoder's typed events; the only text it parses is an
+// app line's exception header, and only inside an ANR-trace window.
 func (c *Collector) Consume(e logcat.Entry) {
 	defer telemetry.Time(c.consumeSeconds)()
 	c.report.Entries++
 	c.entriesTotal.Inc()
-	if e.Payload.Op != logcat.MsgEager {
-		c.consumeLazy(e)
-		return
-	}
-	switch e.Tag {
-	case logcat.TagActivityManager:
-		c.consumeAM(e)
-	case logcat.TagAndroidRuntime:
-		c.consumeRuntime(e)
-	case logcat.TagDEBUG:
-		c.consumeNative(e)
-	case logcat.TagSystemServer:
-		c.consumeSystemServer(e)
-	case logcat.TagWatchdog:
-		c.consumeWatchdog(e)
-	default:
-		c.consumeApp(e)
-	}
-}
-
-// consumeLazy classifies structurally logged entries straight from their
-// payload operands, skipping both the text rendering and the re-parsing the
-// eager path pays. Each case mirrors, exactly, what consumeAM/consumeApp
-// would conclude from the rendered line (pinned by the dump-equivalence
-// tests); entries the eager path ignores — dispatch announcements — are
-// ignored here too.
-func (c *Collector) consumeLazy(e logcat.Entry) {
-	p := &e.Payload
-	switch p.Op {
-	case logcat.MsgDelivering:
-		cn := p.Comp
-		c.pidComp[p.PID] = cn
-		cr := c.report.component(cn)
-		cr.Type = p.Verb
+	ev := c.dec.Decode(&e)
+	switch ev.Kind {
+	case logcat.EventDelivery:
+		c.pidComp[ev.PID] = ev.Comp
+		cr := c.report.component(ev.Comp)
+		cr.Type = ev.Text
 		cr.Deliveries++
-		c.syncManifest(cn)
-
-	case logcat.MsgRejected:
-		if class, _, ok := javalang.ParseHeader(p.Err); ok {
-			c.report.component(p.Comp).Rejected[class]++
-			c.syncManifest(p.Comp)
-		}
-
-	case logcat.MsgCaught:
-		cn, ok := c.pidComp[e.PID]
-		if !ok {
-			return
-		}
-		if class, _, ok := javalang.ParseHeader(p.Err); ok {
-			c.report.component(cn).Caught[class]++
-			c.syncManifest(cn)
-		}
-	}
-}
-
-func (c *Collector) consumeAM(e logcat.Entry) {
-	msg := e.Message
-	switch {
-	case strings.HasPrefix(msg, "Delivering to "):
-		// "Delivering to activity cmp=<flat> pid=<n>"
-		rest := strings.TrimPrefix(msg, "Delivering to ")
-		kind, rest, ok := strings.Cut(rest, " cmp=")
-		if !ok {
-			return
-		}
-		flat, pidStr, ok := strings.Cut(rest, " pid=")
-		if !ok {
-			return
-		}
-		cn, ok := intent.UnflattenComponent(flat)
-		if !ok {
-			return
-		}
-		pid, err := strconv.Atoi(strings.TrimSpace(pidStr))
-		if err != nil {
-			return
-		}
-		c.pidComp[pid] = cn
-		cr := c.report.component(cn)
-		cr.Type = kind
-		cr.Deliveries++
-		c.syncManifest(cn)
-
-	case strings.Contains(msg, "java.lang.SecurityException") && strings.Contains(msg, " targeting "):
-		flat := msg[strings.LastIndex(msg, " targeting ")+len(" targeting "):]
-		cn, ok := intent.UnflattenComponent(strings.TrimSpace(flat))
-		if !ok {
-			return
-		}
-		c.report.component(cn).Security++
+		c.syncManifest(ev.Comp)
+	case logcat.EventDenial:
+		c.report.component(ev.Comp).Security++
 		c.report.SecurityEvents++
 		c.securityTotal.Inc()
-		c.syncManifest(cn)
-
-	case strings.HasPrefix(msg, "Exception thrown delivering intent to cmp="):
-		rest := strings.TrimPrefix(msg, "Exception thrown delivering intent to cmp=")
-		flat, header, ok := strings.Cut(rest, ": ")
-		if !ok {
-			return
-		}
-		cn, ok := intent.UnflattenComponent(flat)
-		if !ok {
-			return
-		}
-		if class, _, ok := javalang.ParseHeader(header); ok {
-			c.report.component(cn).Rejected[class]++
+		c.syncManifest(ev.Comp)
+	case logcat.EventRejection:
+		c.report.component(ev.Comp).Rejected[ev.Class]++
+		c.syncManifest(ev.Comp)
+	case logcat.EventCaught:
+		if cn, ok := c.pidComp[ev.PID]; ok {
+			c.report.component(cn).Caught[ev.Class]++
 			c.syncManifest(cn)
 		}
-
-	case strings.HasPrefix(msg, "ANR in "):
-		// "ANR in <proc> (<flat>)"
-		rest := strings.TrimPrefix(msg, "ANR in ")
-		proc, flatParen, ok := strings.Cut(rest, " (")
-		if !ok {
+	case logcat.EventANR:
+		if ev.Comp.IsZero() {
 			return
 		}
-		flat := strings.TrimSuffix(flatParen, ")")
-		cn, ok := intent.UnflattenComponent(flat)
-		if !ok {
-			return
-		}
-		cr := c.report.component(cn)
+		cr := c.report.component(ev.Comp)
 		cr.ANRs++
 		c.report.ANREvents++
 		c.anrTotal.Inc()
-		c.syncManifest(cn)
-		c.lastANR[proc] = anrMark{at: e.Time, comp: cn}
-		c.pushRecent(e.Time, cn)
-
-	case strings.HasPrefix(msg, "Process ") && strings.Contains(msg, "has died"):
-		// Finalize a pending crash block: "Process <name> (pid <n>) has died".
-		pid := parseDiedPID(msg)
-		if pid <= 0 {
-			return
-		}
-		blk, ok := c.crashParse[pid]
+		c.syncManifest(ev.Comp)
+		c.lastANR[ev.Proc] = recentFailure{at: e.Time, comp: ev.Comp}
+		c.pushRecent(e.Time, ev.Comp)
+	case logcat.EventFatal:
+		cn, ok := c.pidComp[ev.PID]
 		if !ok {
-			return
-		}
-		delete(c.crashParse, pid)
-		cn, ok := c.pidComp[pid]
-		if !ok || len(blk.headers) == 0 {
 			return
 		}
 		// Temporal-chain root cause: the deepest "Caused by" is the first
 		// exception raised, so it takes the blame (Section IV-A).
-		root := blk.headers[len(blk.headers)-1]
+		root := javalang.Class(ev.Classes[len(ev.Classes)-1])
 		cr := c.report.component(cn)
 		cr.CrashRoots[root]++
 		c.report.CrashEvents++
 		c.crashTotal.Inc()
 		c.syncManifest(cn)
 		c.pushRecent(e.Time, cn)
-	}
-}
-
-func parseDiedPID(msg string) int {
-	i := strings.Index(msg, "(pid ")
-	if i < 0 {
-		return 0
-	}
-	rest := msg[i+len("(pid "):]
-	j := strings.IndexByte(rest, ')')
-	if j < 0 {
-		return 0
-	}
-	pid, err := strconv.Atoi(rest[:j])
-	if err != nil {
-		return 0
-	}
-	return pid
-}
-
-func (c *Collector) consumeRuntime(e logcat.Entry) {
-	msg := e.Message
-	if msg == "FATAL EXCEPTION: main" {
-		c.crashParse[e.PID] = &crashBlock{}
-		return
-	}
-	blk, ok := c.crashParse[e.PID]
-	if !ok {
-		return
-	}
-	if strings.HasPrefix(msg, "Process: ") || strings.HasPrefix(msg, "\tat ") || strings.HasPrefix(msg, "at ") {
-		return
-	}
-	if class, _, ok := javalang.ParseHeader(msg); ok {
-		blk.headers = append(blk.headers, class)
-	}
-}
-
-func (c *Collector) consumeNative(e logcat.Entry) {
-	msg := e.Message
-	if !strings.HasPrefix(msg, "Fatal signal ") {
-		return
-	}
-	switch {
-	case strings.Contains(msg, "sensorservice"):
-		sig := signalOf(msg)
-		c.report.CoreServiceDeaths = append(c.report.CoreServiceDeaths, "sensorservice "+sig)
-	case strings.Contains(msg, "system_server"):
-		sig := signalOf(msg)
-		c.report.CoreServiceDeaths = append(c.report.CoreServiceDeaths, "system_server "+sig)
-	}
-}
-
-func signalOf(msg string) string {
-	for _, sig := range []string{javalang.SIGABRT, javalang.SIGSEGV} {
-		if strings.Contains(msg, sig) {
-			return sig
-		}
-	}
-	return "SIG?"
-}
-
-func (c *Collector) consumeWatchdog(e logcat.Entry) {
-	// "Blocked in handler on sensor thread (client <proc> unresponsive);
-	// sending SIGABRT to sensorservice" — the first escalation anchor.
-	msg := e.Message
-	i := strings.Index(msg, "(client ")
-	if i < 0 {
-		return
-	}
-	rest := msg[i+len("(client "):]
-	proc, _, ok := strings.Cut(rest, " unresponsive")
-	if !ok {
-		return
-	}
-	c.blameProc, c.blameProcAt, c.hasBlame = proc, e.Time, true
-}
-
-func (c *Collector) consumeSystemServer(e logcat.Entry) {
-	msg := e.Message
-	if strings.HasPrefix(msg, "unable to bind AmbientService for ") {
+	case logcat.EventSignal:
+		c.report.CoreServiceDeaths = append(c.report.CoreServiceDeaths, ev.Proc+" "+ev.Text)
+	case logcat.EventWatchdog:
+		// The unresponsive sensor client: the first escalation anchor.
+		c.blameProc, c.blameProcAt, c.hasBlame = ev.Proc, e.Time, true
+	case logcat.EventAmbient:
 		// The second escalation anchor names the failing component.
-		rest := strings.TrimPrefix(msg, "unable to bind AmbientService for ")
-		flat, _, _ := strings.Cut(rest, " after")
-		if cn, ok := intent.UnflattenComponent(strings.TrimSpace(flat)); ok {
-			c.blameComp, c.blameCompAt, c.hasBlame = cn, e.Time, true
+		c.blameComp, c.blameCompAt, c.hasBlame = ev.Comp, e.Time, true
+	case logcat.EventReboot:
+		c.report.RebootTimes = append(c.report.RebootTimes, e.Time)
+		c.rebootsTotal.Inc()
+		c.attributeReboot(e.Time)
+		c.recent = c.recent[:0]
+		// Processes restart after reboot; stale PID mappings must not leak
+		// attributions across the boot.
+		c.pidComp = make(map[int]intent.ComponentName)
+		c.lastANR = make(map[string]recentFailure)
+		c.hasBlame = false
+	case logcat.EventAppLine:
+		// An exception header logged by the app shortly after its ANR is the
+		// trace of whatever wedged the looper (e.g. the DeadObjectException
+		// hinting at garbage collection, Section IV-A).
+		if mark, ok := c.lastANR[e.Tag]; ok && e.Time.Sub(mark.at) <= anrTraceWindow {
+			if class, _, ok := javalang.ParseHeader(ev.Text); ok {
+				c.report.component(mark.comp).ANRClasses[class]++
+			}
 		}
-		return
 	}
-	if !strings.HasPrefix(msg, "!!! REBOOTING") {
-		return
-	}
-	c.report.RebootTimes = append(c.report.RebootTimes, e.Time)
-	c.rebootsTotal.Inc()
-	c.attributeReboot(e.Time)
-	c.recent = c.recent[:0]
-	// Processes restart after reboot; stale PID mappings must not leak
-	// attributions across the boot.
-	c.pidComp = make(map[int]intent.ComponentName)
-	c.crashParse = make(map[int]*crashBlock)
-	c.lastANR = make(map[string]anrMark)
-	c.hasBlame = false
 }
 
 // attributeReboot implements the post-mortem: when the log names the
@@ -598,32 +407,6 @@ func (c *Collector) attributeReboot(at time.Time) {
 		}
 		c.report.component(f.comp).RebootInvolved = true
 		c.syncManifest(f.comp)
-	}
-}
-
-// consumeApp handles entries whose tag is an app process name: caught
-// exceptions and ANR-adjacent traces.
-func (c *Collector) consumeApp(e logcat.Entry) {
-	msg := e.Message
-	if strings.HasPrefix(msg, "caught exception while handling intent: ") {
-		header := strings.TrimPrefix(msg, "caught exception while handling intent: ")
-		cn, ok := c.pidComp[e.PID]
-		if !ok {
-			return
-		}
-		if class, _, ok := javalang.ParseHeader(header); ok {
-			c.report.component(cn).Caught[class]++
-			c.syncManifest(cn)
-		}
-		return
-	}
-	// An exception header logged by the app shortly after its ANR is the
-	// trace of whatever wedged the looper (e.g. the DeadObjectException
-	// hinting at garbage collection, Section IV-A).
-	if mark, ok := c.lastANR[e.Tag]; ok && e.Time.Sub(mark.at) <= anrTraceWindow {
-		if class, _, ok := javalang.ParseHeader(msg); ok {
-			c.report.component(mark.comp).ANRClasses[class]++
-		}
 	}
 }
 

@@ -1,0 +1,351 @@
+package logcat
+
+import (
+	"strconv"
+	"strings"
+
+	"repro/internal/intent"
+	"repro/internal/javalang"
+)
+
+// EventKind discriminates a decoded Event. Each kind's comment names the
+// line it decodes and, after the colon, the Event fields it sets.
+type EventKind uint8
+
+const (
+	EventNone      EventKind = iota // nothing a consumer reads (dispatches, banners, open-block lines)
+	EventDelivery                   // "Delivering to <type> cmp=<flat> pid=<n>": PID, Comp, Text (type)
+	EventDenial                     // "java.lang.SecurityException: ... targeting <flat>": Comp
+	EventRejection                  // "Exception thrown delivering intent to cmp=<flat>: <throwable>": Comp, Class
+	EventCaught                     // "caught exception while handling intent: <throwable>": PID, Class
+	EventANR                        // "ANR in <proc> (<flat>)": Proc, Text (flat as logged), Comp (zero if unparsable)
+	EventFatal                      // a FATAL EXCEPTION block ended by "Process <name> (pid <n>) has died": PID, Proc, Classes, Frames
+	EventSignal                     // "Fatal signal <sig> ..." killing a core service: Proc, Text (signal)
+	EventWatchdog                   // "... (client <proc> unresponsive) ...", first reboot anchor: Proc
+	EventAmbient                    // "unable to bind AmbientService for <flat> ...", second reboot anchor: Comp
+	EventReboot                     // "!!! REBOOTING ..."
+	EventVerdict                    // "VERDICT verdict=<v> fault=<k> target=<t> app=<pkg> ...": Verdict, Fault, Target, Proc
+	EventAppLine                    // any other app-tag line, a candidate ANR trace: Text
+)
+
+// Event is one decoded log line; fields outside its Kind's stay zero.
+type Event struct {
+	Kind  EventKind
+	PID   int
+	Comp  intent.ComponentName
+	Class javalang.Class
+	Proc  string
+	Text  string
+	// Classes is a fatal block's exception chain, outermost wrapper first
+	// and root cause last, as ART prints it; Frames are the root-cause
+	// section's frames, innermost first, each as "pkg.Class.method".
+	Classes, Frames        []string
+	Verdict, Fault, Target string
+}
+
+// Decoder turns log entries, in log order, into typed events. It is the one
+// reader of the line formats the device logs: consumers (classification,
+// crash triage) switch on its events instead of parsing text. It is
+// stateful — FATAL EXCEPTION blocks span lines and are reassembled per PID —
+// so each consumer owns one. The zero value decodes every kind; NewDecoder
+// restricts a decoder to the kinds its consumer reads.
+//
+// A lazy Payload decodes to the event its rendered text decodes to
+// (FuzzDecode pins this), so a pulled dump decodes like the live stream.
+// Dispatch announcements and lines on tags no event matches are neither
+// rendered nor parsed.
+type Decoder struct {
+	skip   uint32         // bit k set: kind k decodes to EventNone
+	ev     Event          // the last decoded event, which Decode returns
+	blocks map[int]*Event // in-flight EventFatal reassemblies, by PID
+	// comps memoizes component parses: denial lines repeat per component,
+	// and a short-form flat ("pkg/.Cls") allocates on every parse.
+	comps map[string]intent.ComponentName
+}
+
+// NewDecoder returns a decoder of only the given kinds. A line of any other
+// kind decodes to EventNone, and the costly parts of its parse (component
+// names, exception headers, block reassembly) are skipped.
+func NewDecoder(kinds ...EventKind) Decoder {
+	d := Decoder{skip: ^uint32(0)}
+	for _, k := range kinds {
+		d.skip &^= 1 << k
+	}
+	return d
+}
+
+func (d *Decoder) wants(k EventKind) bool { return d.skip&(1<<k) == 0 }
+
+// Decode returns the event e carries (Kind EventNone when there is none or
+// the decoder does not decode its kind). The event is the decoder's own and
+// the next Decode overwrites it; Event is large, and a per-line copy of it
+// would cost more than decoding most lines does.
+func (d *Decoder) Decode(e *Entry) *Event {
+	if d.ev.Kind != EventNone {
+		d.ev = Event{}
+	}
+	p := &e.Payload
+	switch am := e.Tag == TagActivityManager; {
+	case p.Op == MsgEager:
+		d.decodeText(e, e.Message)
+	case p.Op == MsgCaught:
+		d.thrown(EventCaught, e.PID, intent.ComponentName{}, p.Err)
+	case am && p.Op == MsgDelivering:
+		ev := d.emit(EventDelivery)
+		ev.PID, ev.Comp, ev.Text = p.PID, p.Comp, p.Verb
+	case am && p.Op == MsgRejected:
+		d.thrown(EventRejection, 0, p.Comp, p.Err)
+	case !am || p.Op != MsgDispatch:
+		// A payload under a tag the device never logs it with: decode its
+		// text.
+		d.decodeText(e, e.Msg())
+	}
+	if !d.wants(d.ev.Kind) {
+		d.ev = Event{}
+	}
+	return &d.ev
+}
+
+// emit makes the decoder's event one of kind k and returns it for its
+// fields to be set. Decode drops it if the decoder does not decode kind k;
+// the parses worth skipping check wants first.
+func (d *Decoder) emit(k EventKind) *Event {
+	d.ev.Kind = k
+	return &d.ev
+}
+
+func (d *Decoder) decodeText(e *Entry, msg string) {
+	// Apps log caught exceptions under their process name, but the line
+	// reads the same whichever tag carries it.
+	if header, ok := strings.CutPrefix(msg, "caught exception while handling intent: "); ok {
+		d.thrown(EventCaught, e.PID, intent.ComponentName{}, header)
+		return
+	}
+	switch e.Tag {
+	case TagActivityManager:
+		d.activityManager(msg)
+	case TagAndroidRuntime:
+		d.runtime(e.PID, msg)
+	case TagDEBUG:
+		d.nativeSignal(msg)
+	case TagSystemServer:
+		d.systemServer(msg)
+	case TagWatchdog:
+		d.watchdog(msg)
+	default:
+		if e.Tag == TagFaultInject && strings.HasPrefix(msg, "VERDICT ") {
+			d.verdict(msg)
+		} else {
+			d.emit(EventAppLine).Text = msg
+		}
+	}
+}
+
+// component parses a flat component name through the memo.
+func (d *Decoder) component(flat string) (intent.ComponentName, bool) {
+	cn, ok := d.comps[flat]
+	if !ok {
+		if cn, ok = intent.UnflattenComponent(flat); ok {
+			if d.comps == nil {
+				d.comps = make(map[string]intent.ComponentName)
+			}
+			d.comps[flat] = cn
+		}
+	}
+	return cn, ok
+}
+
+func (d *Decoder) activityManager(msg string) {
+	if rest, ok := strings.CutPrefix(msg, "Delivering to "); ok {
+		kind, rest, ok1 := strings.Cut(rest, " cmp=")
+		flat, pidText, ok2 := strings.Cut(rest, " pid=")
+		if !d.wants(EventDelivery) || !ok1 || !ok2 {
+			return
+		}
+		cn, ok3 := d.component(flat)
+		pid, err := strconv.Atoi(strings.TrimSpace(pidText))
+		if ok3 && err == nil {
+			ev := d.emit(EventDelivery)
+			ev.PID, ev.Comp, ev.Text = pid, cn, kind
+		}
+	} else if strings.HasPrefix(msg, string(javalang.ClassSecurity)) {
+		const marker = " targeting "
+		if !d.wants(EventDenial) {
+			return
+		}
+		i := strings.LastIndex(msg, marker)
+		if i < 0 {
+			return
+		}
+		if cn, ok := d.component(strings.TrimSpace(msg[i+len(marker):])); ok {
+			d.emit(EventDenial).Comp = cn
+		}
+	} else if rest, ok := strings.CutPrefix(msg, "Exception thrown delivering intent to cmp="); ok {
+		flat, header, ok := strings.Cut(rest, ": ")
+		if !d.wants(EventRejection) || !ok {
+			return
+		}
+		if cn, ok := d.component(flat); ok {
+			d.thrown(EventRejection, 0, cn, header)
+		}
+	} else if rest, ok := strings.CutPrefix(msg, "ANR in "); ok {
+		proc, comp, ok := strings.Cut(rest, " (")
+		if ok {
+			comp = strings.TrimSuffix(comp, ")")
+			cn, _ := d.component(comp)
+			ev := d.emit(EventANR)
+			ev.Proc, ev.Text, ev.Comp = proc, comp, cn
+		}
+	} else if strings.HasPrefix(msg, "Process ") && strings.Contains(msg, "has died") {
+		// "Process <name> (pid <n>) has died"
+		_, rest, _ := strings.Cut(msg, "(pid ")
+		pidText, _, ok := strings.Cut(rest, ")")
+		if pid, err := strconv.Atoi(pidText); ok && err == nil {
+			d.finalize(pid)
+		}
+	}
+}
+
+// thrown emits an EventRejection or EventCaught naming header's exception
+// class, unless header is not an exception header.
+func (d *Decoder) thrown(kind EventKind, pid int, cn intent.ComponentName, header string) {
+	if !d.wants(kind) {
+		return
+	}
+	if class, _, ok := javalang.ParseHeader(header); ok {
+		ev := d.emit(kind)
+		ev.PID, ev.Comp, ev.Class = pid, cn, class
+	}
+}
+
+// runtime feeds one AndroidRuntime line into its PID's FATAL EXCEPTION
+// block, opening a new block on the block's first line.
+func (d *Decoder) runtime(pid int, msg string) {
+	if !d.wants(EventFatal) {
+		return
+	}
+	if msg == "FATAL EXCEPTION: main" {
+		if d.blocks == nil {
+			d.blocks = make(map[int]*Event)
+		}
+		d.blocks[pid] = &Event{Kind: EventFatal, PID: pid}
+		return
+	}
+	blk, ok := d.blocks[pid]
+	if !ok {
+		return
+	}
+	if rest, ok := strings.CutPrefix(msg, "Process: "); ok {
+		name, _, _ := strings.Cut(rest, ",") // "Process: <name>, PID: <n>"
+		blk.Proc = strings.TrimSpace(name)
+	} else if strings.HasPrefix(msg, "\tat ") || strings.HasPrefix(msg, "at ") {
+		if f, ok := normalizeFrame(msg); ok {
+			blk.Frames = append(blk.Frames, f)
+		}
+	} else if class, _, ok := javalang.ParseHeader(msg); ok {
+		// A new exception section starts and owns the frames that follow,
+		// so the root cause, the last section, ends up owning Frames.
+		blk.Classes = append(blk.Classes, string(class))
+		blk.Frames = nil
+	}
+}
+
+// finalize ends pid's open block as the decoded event; a block that named
+// no exception is dropped.
+func (d *Decoder) finalize(pid int) {
+	blk, ok := d.blocks[pid]
+	if !ok || pid <= 0 {
+		return
+	}
+	delete(d.blocks, pid)
+	if len(blk.Classes) > 0 {
+		d.ev = *blk
+	}
+}
+
+// normalizeFrame reduces an ART frame line to its "pkg.Class.method"
+// identity, "\tat com.foo.Bar.baz(Bar.java:42)" -> "com.foo.Bar.baz": line
+// numbers shift between builds, the frame identity does not.
+func normalizeFrame(line string) (string, bool) {
+	s := strings.TrimPrefix(strings.TrimSpace(line), "at ")
+	if i := strings.IndexByte(s, '('); i >= 0 {
+		s = s[:i]
+	}
+	s = strings.TrimSpace(s)
+	return s, s != ""
+}
+
+// nativeSignal decodes debuggerd's "Fatal signal <sig> ..." when it names a
+// core service whose death escalates toward a reboot.
+func (d *Decoder) nativeSignal(msg string) {
+	if !strings.HasPrefix(msg, "Fatal signal ") {
+		return
+	}
+	var proc string
+	switch {
+	case strings.Contains(msg, "sensorservice"):
+		proc = "sensorservice"
+	case strings.Contains(msg, "system_server"):
+		proc = "system_server"
+	default:
+		return
+	}
+	sig := "SIG?"
+	if strings.Contains(msg, javalang.SIGABRT) {
+		sig = javalang.SIGABRT
+	} else if strings.Contains(msg, javalang.SIGSEGV) {
+		sig = javalang.SIGSEGV
+	}
+	ev := d.emit(EventSignal)
+	ev.Proc, ev.Text = proc, sig
+}
+
+func (d *Decoder) systemServer(msg string) {
+	if rest, ok := strings.CutPrefix(msg, "unable to bind AmbientService for "); ok {
+		flat, _, _ := strings.Cut(rest, " after")
+		if cn, ok := d.component(strings.TrimSpace(flat)); ok {
+			d.emit(EventAmbient).Comp = cn
+		}
+	} else if strings.HasPrefix(msg, "!!! REBOOTING") {
+		// Every process dies with the reboot. crashProcess logs a block and
+		// its "has died" line back to back, so no block can straddle one.
+		clear(d.blocks)
+		d.emit(EventReboot)
+	}
+}
+
+// watchdog decodes "Blocked in handler on sensor thread (client <proc>
+// unresponsive); sending SIGABRT to sensorservice".
+func (d *Decoder) watchdog(msg string) {
+	_, rest, ok := strings.Cut(msg, "(client ")
+	proc, _, ok2 := strings.Cut(rest, " unresponsive")
+	if ok && ok2 {
+		d.emit(EventWatchdog).Proc = proc
+	}
+}
+
+// verdict decodes "VERDICT verdict=<v> fault=<k> target=<t> app=<pkg>
+// window=<a>-<b> probes=<f>/<n>"; one missing its verdict or fault is not.
+func (d *Decoder) verdict(msg string) {
+	var verdict, fault, target, app string
+	for _, f := range strings.Fields(msg) {
+		key, val, ok := strings.Cut(f, "=")
+		if !ok {
+			continue
+		}
+		switch key {
+		case "verdict":
+			verdict = val
+		case "fault":
+			fault = val
+		case "target":
+			target = val
+		case "app":
+			app = val
+		}
+	}
+	if verdict != "" && fault != "" {
+		ev := d.emit(EventVerdict)
+		ev.Verdict, ev.Fault, ev.Target, ev.Proc = verdict, fault, target, app
+	}
+}

@@ -97,8 +97,8 @@ type Payload struct {
 	HasData   bool
 	HasExtras bool
 	// Comp is the target component, rendered as cmp=<flat> by MsgDispatch,
-	// MsgDelivering and MsgRejected, and consumed structurally (parse-free)
-	// by the streaming analyzer.
+	// MsgDelivering and MsgRejected, and read structurally (parse-free) by
+	// the Decoder.
 	Comp intent.ComponentName
 	// Err is the rendered throwable ("<class>: <message>") for
 	// MsgRejected/MsgCaught.

@@ -138,14 +138,15 @@ func (s *Stream) Since(cursor int) ([]BucketUpdate, int, bool) {
 }
 
 // Wait blocks until an update after cursor exists, the stream closes, or
-// ctx is done; it then behaves as Since. A cursor past the end of the log
-// is clamped as Since clamps it, so it waits for the next Add. The
+// ctx is done; it then behaves as Since. The cursor is clamped to the log
+// as Since clamps it, both ends, so a cursor past the end waits for the
+// next Add and a negative one waits like cursor 0. The
 // returned closed flag lets a long-poll handler distinguish "no news yet"
 // from "campaign over".
 func (s *Stream) Wait(ctx context.Context, cursor int) ([]BucketUpdate, int, bool) {
 	for {
 		s.mu.Lock()
-		cursor = min(cursor, len(s.log))
+		cursor = max(0, min(cursor, len(s.log)))
 		if len(s.log) > cursor || s.closed {
 			s.mu.Unlock()
 			return s.Since(cursor)

@@ -114,15 +114,19 @@ func TestStreamShipsExemplarOnce(t *testing.T) {
 func TestStreamWaitWakesOnAddAndClose(t *testing.T) {
 	s := NewStream()
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ups, _, closed := s.Wait(context.Background(), 0)
-		if len(ups) != 1 || closed {
-			t.Errorf("Wait woke with ups=%d closed=%v, want 1 update on open stream", len(ups), closed)
-		}
-	}()
-	time.Sleep(10 * time.Millisecond)
+	// A negative cursor is clamped like Since's: on an empty stream it
+	// parks next to cursor 0 until the first Add.
+	for _, cursor := range []int{0, -1} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ups, next, closed := s.Wait(context.Background(), cursor)
+			if len(ups) != 1 || next != 1 || closed {
+				t.Errorf("Wait(%d) woke with ups=%d next=%d closed=%v, want 1 update on open stream", cursor, len(ups), next, closed)
+			}
+		}()
+	}
+	awaitParked(t, s, 2)
 	s.Add([]*Crash{streamCrash("java.lang.NullPointerException", "com.app.Main.onCreate")})
 	wg.Wait()
 
@@ -137,11 +141,7 @@ func TestStreamWaitWakesOnAddAndClose(t *testing.T) {
 		}
 	}()
 	// Add only once the waiter is parked, so it must be woken.
-	for parked := false; !parked; runtime.Gosched() {
-		s.mu.Lock()
-		parked = len(s.waiters) > 0
-		s.mu.Unlock()
-	}
+	awaitParked(t, s, 1)
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	s.Add([]*Crash{streamCrash("java.lang.IllegalStateException", "com.app.Sync.push")})
@@ -171,6 +171,24 @@ func TestStreamWaitWakesOnAddAndClose(t *testing.T) {
 	ups, _, _ := s.Wait(ctx, 99)
 	if len(ups) != 0 {
 		t.Fatalf("cancelled Wait returned %d updates", len(ups))
+	}
+}
+
+// awaitParked waits until n waiters are parked on s.
+func awaitParked(t *testing.T, s *Stream, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		parked := len(s.waiters)
+		s.mu.Unlock()
+		if parked >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d waiters parked, want %d", parked, n)
+		}
+		runtime.Gosched()
 	}
 }
 

@@ -4,7 +4,9 @@
 // fault-injection studies on Android (Cotroneo et al.) make their results
 // analyzable by bucketing failures by stack signature and reporting unique
 // counts next to raw counts; this package implements that pipeline for the
-// reproduction: a streaming logcat collector that reassembles crash records,
+// reproduction: a streaming collector that turns the logcat decoder's
+// fatal-block, ANR and fault-verdict events into failure records (the
+// decoder, not this package, reassembles FATAL EXCEPTION blocks),
 // stack-hash bucketing (root exception class + root stack frame), exemplar
 // selection, and a greedy intent minimizer that drops extras and fields
 // while the crash still reproduces.
@@ -13,11 +15,8 @@ package triage
 import (
 	"hash/fnv"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/intent"
-	"repro/internal/javalang"
 	"repro/internal/logcat"
 	"repro/internal/telemetry"
 )
@@ -276,23 +275,13 @@ func sortBuckets(buckets []Bucket) {
 	})
 }
 
-// block is one in-flight FATAL EXCEPTION reassembly.
-type block struct {
-	process string
-	classes []string
-	// frames holds the frames of the *current* (most recently opened)
-	// exception section; each new "Caused by:" header resets it, so when the
-	// block finalizes it holds the root cause's frames.
-	frames []string
-}
-
-// Collector is a streaming crash reassembler; it implements logcat.Sink so
-// it can run next to the analysis collector on a live device buffer, and can
-// equally consume pulled dumps via ConsumeAll.
+// Collector is a streaming failure-record collector; it implements
+// logcat.Sink so it can run next to the analysis collector on a live device
+// buffer, and can equally consume pulled dumps via ConsumeAll.
 type Collector struct {
+	dec     logcat.Decoder
 	crashes []*Crash
-	blocks  map[int]*block // by PID
-	last    *Crash         // most recently finalized record
+	last    *Crash // most recently finalized record
 	// seen holds, per bucket hash, which exemplar candidates the settled
 	// records (every record before last) already took: seenFirst once a
 	// record opened the bucket, seenIntent once one carried an intent.
@@ -318,7 +307,8 @@ var _ logcat.Sink = (*Collector)(nil)
 
 // NewCollector returns an empty streaming crash collector.
 func NewCollector() *Collector {
-	return &Collector{blocks: make(map[int]*block), seen: make(map[uint64]uint8)}
+	dec := logcat.NewDecoder(logcat.EventFatal, logcat.EventANR, logcat.EventVerdict)
+	return &Collector{dec: dec, seen: make(map[uint64]uint8)}
 }
 
 // Crashes returns the finalized records in log order. The collector keeps
@@ -396,151 +386,22 @@ func (c *Collector) ConsumeAll(entries []logcat.Entry) {
 	}
 }
 
-// Consume implements logcat.Sink.
+// Consume implements logcat.Sink: fatal blocks, ANRs and fault verdicts
+// become records, each complete (and attachable) once its last line is in.
 func (c *Collector) Consume(e logcat.Entry) {
-	// Triage only reads FATAL EXCEPTION blocks and process-death notices,
-	// which are always logged eagerly; lazily rendered dispatch traffic
-	// cannot match and is skipped without touching its text.
-	if e.Payload.Op != logcat.MsgEager {
-		return
-	}
-	switch e.Tag {
-	case logcat.TagAndroidRuntime:
-		c.consumeRuntime(e)
-	case logcat.TagActivityManager:
-		switch {
-		case strings.HasPrefix(e.Message, "Process ") && strings.Contains(e.Message, "has died"):
-			c.finalize(diedPID(e.Message))
-		case strings.HasPrefix(e.Message, "ANR in "):
-			c.consumeANR(e.Message)
+	ev := c.dec.Decode(&e)
+	switch ev.Kind {
+	case logcat.EventFatal:
+		c.settle(&Crash{Kind: KindCrash, Process: ev.Proc, Classes: ev.Classes, Frames: ev.Frames})
+	case logcat.EventANR:
+		// The verbatim component text is the bucket identity, parsed or not.
+		if ev.Proc != "" && ev.Text != "" {
+			c.settle(&Crash{Kind: KindANR, Process: ev.Proc, Component: ev.Text})
 		}
-	case logcat.TagFaultInject:
-		if strings.HasPrefix(e.Message, "VERDICT ") {
-			c.consumeFaultVerdict(e.Message)
+	case logcat.EventVerdict:
+		rec := &Crash{Kind: ev.Verdict, Fault: ev.Fault, Process: ev.Proc, Component: ev.Target}
+		if rec.IsFault() {
+			c.settle(rec)
 		}
 	}
-}
-
-// consumeFaultVerdict parses the fault engine's graded-outcome line
-// ("VERDICT verdict=<v> fault=<k> target=<t> app=<pkg> window=<a>-<b>
-// probes=<f>/<n>") into a finalized fault record. Like ANRs these are
-// single-line and complete (attachable) immediately.
-func (c *Collector) consumeFaultVerdict(msg string) {
-	var verdict, fault, target, app string
-	for _, f := range strings.Fields(msg) {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok {
-			continue
-		}
-		switch k {
-		case "verdict":
-			verdict = v
-		case "fault":
-			fault = v
-		case "target":
-			target = v
-		case "app":
-			app = v
-		}
-	}
-	if verdict == "" || fault == "" {
-		return
-	}
-	rec := &Crash{Kind: verdict, Fault: fault, Process: app, Component: target}
-	if !rec.IsFault() {
-		return
-	}
-	c.settle(rec)
-}
-
-// consumeANR turns an "ANR in <proc> (<component>)" line into a finalized
-// ANR record. Unlike crashes, ANRs are single-line: there is no block to
-// reassemble, so the record is complete (and attachable) immediately.
-func (c *Collector) consumeANR(msg string) {
-	rest := strings.TrimPrefix(msg, "ANR in ")
-	proc, comp, ok := strings.Cut(rest, " (")
-	if !ok {
-		return
-	}
-	comp = strings.TrimSuffix(comp, ")")
-	if proc == "" || comp == "" {
-		return
-	}
-	rec := &Crash{Kind: KindANR, Process: proc, Component: comp}
-	c.settle(rec)
-}
-
-func (c *Collector) consumeRuntime(e logcat.Entry) {
-	msg := e.Message
-	if msg == "FATAL EXCEPTION: main" {
-		c.blocks[e.PID] = &block{}
-		return
-	}
-	blk, ok := c.blocks[e.PID]
-	if !ok {
-		return
-	}
-	switch {
-	case strings.HasPrefix(msg, "Process: "):
-		// "Process: <name>, PID: <n>"
-		rest := strings.TrimPrefix(msg, "Process: ")
-		name, _, _ := strings.Cut(rest, ",")
-		blk.process = strings.TrimSpace(name)
-	case strings.HasPrefix(msg, "\tat ") || strings.HasPrefix(msg, "at "):
-		if f, ok := normalizeFrame(msg); ok {
-			blk.frames = append(blk.frames, f)
-		}
-	default:
-		if class, _, ok := javalang.ParseHeader(msg); ok {
-			blk.classes = append(blk.classes, string(class))
-			// A new exception section starts: the frames that follow belong
-			// to it, so the root cause (last section) ends up owning frames.
-			blk.frames = nil
-		}
-	}
-}
-
-func (c *Collector) finalize(pid int) {
-	blk, ok := c.blocks[pid]
-	if !ok || pid <= 0 {
-		return
-	}
-	delete(c.blocks, pid)
-	if len(blk.classes) == 0 {
-		return
-	}
-	rec := &Crash{Kind: KindCrash, Process: blk.process, Classes: blk.classes, Frames: blk.frames}
-	c.settle(rec)
-}
-
-// normalizeFrame reduces an ART frame line to its "pkg.Class.method"
-// identity: "\tat com.foo.Bar.baz(Bar.java:42)" -> "com.foo.Bar.baz".
-func normalizeFrame(line string) (string, bool) {
-	s := strings.TrimSpace(line)
-	s = strings.TrimPrefix(s, "at ")
-	if i := strings.IndexByte(s, '('); i >= 0 {
-		s = s[:i]
-	}
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return "", false
-	}
-	return s, true
-}
-
-func diedPID(msg string) int {
-	i := strings.Index(msg, "(pid ")
-	if i < 0 {
-		return 0
-	}
-	rest := msg[i+len("(pid "):]
-	j := strings.IndexByte(rest, ')')
-	if j < 0 {
-		return 0
-	}
-	pid, err := strconv.Atoi(rest[:j])
-	if err != nil {
-		return 0
-	}
-	return pid
 }

@@ -1,7 +1,6 @@
 package triage
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/intent"
@@ -338,25 +337,5 @@ func TestMinimizeBareIntentStaysBare(t *testing.T) {
 	}
 	if min.Action != "" || len(min.Extras.Keys()) != 0 {
 		t.Fatalf("bare intent grew fields: %+v", min)
-	}
-}
-
-func TestNormalizeFrame(t *testing.T) {
-	cases := map[string]string{
-		"\tat com.foo.Bar.baz(Bar.java:42)": "com.foo.Bar.baz",
-		"at com.foo.Bar.baz(Native Method)": "com.foo.Bar.baz",
-		"\tat com.foo.Bar.baz":              "com.foo.Bar.baz",
-	}
-	for in, want := range cases {
-		got, ok := normalizeFrame(in)
-		if !ok || got != want {
-			t.Fatalf("normalizeFrame(%q) = %q, %v; want %q", in, got, ok, want)
-		}
-	}
-	if _, ok := normalizeFrame("\tat ("); ok {
-		t.Fatal("empty frame must not normalize")
-	}
-	if strings.TrimSpace("") != "" {
-		t.Fatal("unreachable")
 	}
 }

@@ -17,14 +17,18 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	qgj "repro"
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/faultinject"
 	"repro/internal/intent"
+	"repro/internal/javalang"
 	"repro/internal/logcat"
 	"repro/internal/manifest"
+	"repro/internal/triage"
 	"repro/internal/wearos"
 )
 
@@ -163,48 +167,151 @@ func TestPooledGenerationClonesAreStable(t *testing.T) {
 	}
 }
 
-// TestAnalysisMatchesParsedDump pins the classification equivalence: the
-// streaming collector fed live entries must agree with a collector fed the
-// dump text parsed back line by line (the paper's pull-then-analyze path).
-func TestAnalysisMatchesParsedDump(t *testing.T) {
-	dev := buildGoldenScenario(t)
-	live := analysis.AnalyzeEntries(dev.Logcat().Snapshot())
-
+// parsedDump returns the device's logcat dump parsed back line by line (the
+// paper's pull-then-analyze path), stamped with the boot year the
+// threadtime format omits.
+func parsedDump(t *testing.T, dev *wearos.OS, year int) []logcat.Entry {
+	t.Helper()
 	var parsed []logcat.Entry
 	for _, line := range strings.Split(strings.TrimSuffix(dev.Logcat().Dump(), "\n"), "\n") {
-		e, ok := logcat.ParseLine(line, 0)
+		e, ok := logcat.ParseLine(line, year)
 		if !ok {
 			t.Fatalf("dump line does not parse: %q", line)
 		}
 		parsed = append(parsed, e)
 	}
-	fromDump := analysis.AnalyzeEntries(parsed)
+	return parsed
+}
 
-	if live.Entries != fromDump.Entries {
-		t.Fatalf("entries: live %d, parsed %d", live.Entries, fromDump.Entries)
+// reportDigest renders everything an analysis report holds, components in
+// name order.
+func reportDigest(r *analysis.Report) string {
+	var b strings.Builder
+	for _, cn := range r.ComponentNames() {
+		fmt.Fprintf(&b, "%+v\n", *r.Components[cn])
 	}
-	if live.CrashEvents != fromDump.CrashEvents ||
-		live.ANREvents != fromDump.ANREvents ||
-		live.SecurityEvents != fromDump.SecurityEvents {
-		t.Fatalf("event counts diverge: live crash=%d anr=%d sec=%d, parsed crash=%d anr=%d sec=%d",
-			live.CrashEvents, live.ANREvents, live.SecurityEvents,
-			fromDump.CrashEvents, fromDump.ANREvents, fromDump.SecurityEvents)
+	for _, at := range r.RebootTimes {
+		fmt.Fprintf(&b, "reboot %s\n", at.Format(time.RFC3339Nano))
 	}
-	if len(live.Components) != len(fromDump.Components) {
-		t.Fatalf("component counts diverge: live %d, parsed %d",
-			len(live.Components), len(fromDump.Components))
+	fmt.Fprintf(&b, "deaths=%q crash=%d anr=%d sec=%d entries=%d\n",
+		r.CoreServiceDeaths, r.CrashEvents, r.ANREvents, r.SecurityEvents, r.Entries)
+	return b.String()
+}
+
+// triageDigest renders the identity of every record a triage collector
+// reassembles from entries, one per line.
+func triageDigest(entries []logcat.Entry) []string {
+	c := triage.NewCollector()
+	c.ConsumeAll(entries)
+	var out []string
+	for _, rec := range c.Crashes() {
+		out = append(out, fmt.Sprintf("%016x %s %q %q %q %q %q",
+			rec.Hash(), rec.Kind, rec.Process, rec.Component, rec.Fault, rec.Classes, rec.Frames))
 	}
-	for cn, lc := range live.Components {
-		pc, ok := fromDump.Components[cn]
-		if !ok {
-			t.Fatalf("component %s missing from parsed report", cn.FlattenToString())
+	return out
+}
+
+// checkLiveMatchesDump asserts both logcat consumers — classification and
+// crash triage — conclude the same from the live entries as from the dump
+// text parsed back, and returns the live results.
+func checkLiveMatchesDump(t *testing.T, dev *wearos.OS) (*analysis.Report, []string) {
+	t.Helper()
+	snap := dev.Logcat().Snapshot()
+	parsed := parsedDump(t, dev, snap[0].Time.Year())
+	live, fromDump := analysis.AnalyzeEntries(snap), analysis.AnalyzeEntries(parsed)
+	if got, want := reportDigest(fromDump), reportDigest(live); got != want {
+		t.Fatalf("analysis of the parsed dump diverges:\n dump:\n%s\n live:\n%s", got, want)
+	}
+	liveRecs, dumpRecs := triageDigest(snap), triageDigest(parsed)
+	if got, want := strings.Join(dumpRecs, "\n"), strings.Join(liveRecs, "\n"); got != want {
+		t.Fatalf("triage of the parsed dump diverges:\n dump:\n%s\n live:\n%s", got, want)
+	}
+	return live, liveRecs
+}
+
+// TestAnalysisMatchesParsedDump pins the classification and triage
+// equivalence on the golden scenario: the streaming collectors fed live
+// entries must agree with collectors fed the dump text parsed back line by
+// line.
+func TestAnalysisMatchesParsedDump(t *testing.T) {
+	live, _ := checkLiveMatchesDump(t, buildGoldenScenario(t))
+	if live.Entries == 0 || len(live.Components) == 0 {
+		t.Fatalf("golden scenario classified nothing: %+v", live)
+	}
+}
+
+// buildEscalationScenario drives the log kinds the golden scenario lacks:
+// one campaign-F fault window graded by its VERDICT line, ANRs with a thrown
+// trace from a sensor client until the watchdog SIGABRTs sensorservice and
+// the device reboots, and an ambient-bound crash streak that ends in the
+// system_server SIGSEGV reboot.
+func buildEscalationScenario(t testing.TB) *wearos.OS {
+	t.Helper()
+	dev := wearos.New(wearos.DefaultWatchConfig())
+	const app = "com.escalate.wear"
+	name := func(cls string) intent.ComponentName {
+		return intent.ComponentName{Package: app, Class: app + "." + cls}
+	}
+	plain, sensor, ambient := name("Plain"), name("SensorFace"), name("AmbientFace")
+	pkg := &manifest.Package{Name: app, Category: manifest.NotHealthFitness, Origin: manifest.ThirdParty}
+	for _, cn := range []intent.ComponentName{plain, sensor, ambient} {
+		pkg.Components = append(pkg.Components, &manifest.Component{Name: cn, Type: manifest.Activity, Exported: true})
+	}
+	if err := dev.InstallPackage(pkg); err != nil {
+		t.Fatal(err)
+	}
+	dev.RegisterHandler(sensor, func(*wearos.Env, *intent.Intent) wearos.Outcome {
+		return wearos.Outcome{BusyFor: 8 * time.Second, Thrown: javalang.New(javalang.ClassDeadObject, "sensor listener gone").
+			WithStack(javalang.Frame{Class: app + ".SensorFace", Method: "onSensorChanged", File: "SensorFace.java", Line: 88})}
+	}, wearos.ComponentTraits{UsesSensorManager: true})
+	dev.RegisterHandler(ambient, func(*wearos.Env, *intent.Intent) wearos.Outcome {
+		root := javalang.New(javalang.ClassNullPointer, "ambient callback").
+			WithStack(javalang.Frame{Class: app + ".AmbientFace", Method: "onEnterAmbient", File: "AmbientFace.java", Line: 12})
+		return wearos.Outcome{Thrown: javalang.New(javalang.ClassRuntime, "Unable to start activity").WithCause(root)}
+	}, wearos.ComponentTraits{AmbientBound: true})
+
+	send := func(cn intent.ComponentName, n int) {
+		for i := 0; i < n; i++ {
+			dev.StartActivity(&intent.Intent{Action: "android.intent.action.MAIN", Component: cn, SenderUID: core.QGJUID})
+			dev.Clock().Advance(time.Second)
 		}
-		if lc.Manifestation() != pc.Manifestation() || lc.Deliveries != pc.Deliveries ||
-			lc.Security != pc.Security || lc.ANRs != pc.ANRs ||
-			fmt.Sprint(lc.CrashRoots) != fmt.Sprint(pc.CrashRoots) ||
-			fmt.Sprint(lc.Rejected) != fmt.Sprint(pc.Rejected) ||
-			fmt.Sprint(lc.Caught) != fmt.Sprint(pc.Caught) {
-			t.Fatalf("component %s classification diverges", cn.FlattenToString())
+	}
+	fault := faultinject.NewEngine(dev, &faultinject.Plan{Windows: []faultinject.Window{
+		{Kind: faultinject.BinderDead, Start: 2, End: 4, Recover: true},
+	}}, app)
+	send(plain, 6)
+	fault.Finish()
+	send(sensor, 3)
+	send(ambient, 4)
+	return dev
+}
+
+// TestEscalationScenarioMatchesParsedDump extends the live-versus-dump
+// equivalence to ANRs, ANR traces, native signals, watchdog and
+// AmbientService anchors, reboots and fault verdicts.
+func TestEscalationScenarioMatchesParsedDump(t *testing.T) {
+	dev := buildEscalationScenario(t)
+	kinds := make(map[logcat.EventKind]int)
+	var dec logcat.Decoder
+	for _, e := range dev.Logcat().Snapshot() {
+		kinds[dec.Decode(&e).Kind]++
+	}
+	for _, k := range []logcat.EventKind{logcat.EventANR, logcat.EventFatal, logcat.EventSignal,
+		logcat.EventWatchdog, logcat.EventAmbient, logcat.EventReboot, logcat.EventVerdict} {
+		if kinds[k] == 0 {
+			t.Errorf("scenario logs no event of kind %d", k)
 		}
 	}
+	live, recs := checkLiveMatchesDump(t, dev)
+	if live.CrashEvents != 4 || live.ANREvents != 3 || len(live.RebootTimes) != 2 ||
+		len(live.CoreServiceDeaths) != 2 || len(recs) != 8 {
+		t.Fatalf("scenario shape changed: %d crashes, %d ANRs, %d reboots, %d core-service deaths, %d triage records",
+			live.CrashEvents, live.ANREvents, len(live.RebootTimes), len(live.CoreServiceDeaths), len(recs))
+	}
+	for _, cr := range live.Components {
+		if cr.Manifestation() == analysis.ManifestReboot {
+			return
+		}
+	}
+	t.Fatal("no component was blamed for a reboot")
 }

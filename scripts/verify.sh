@@ -24,13 +24,15 @@ go test -run '^$' -bench Dispatch -benchtime 100x .
 # exercises the worker pool, journal appends, and merge under -race.
 go test -race ./internal/farm/...
 
-# The shard table is restored from journal lines and uploaded records,
-# triage reassembles failure records from raw logcat lines, and campaign
-# specs arrive as submit bodies and inside lease grants: fuzz both
-# decoders, the collector and the spec planner briefly beyond their seed
-# corpora (one target per run, as -fuzz requires).
+# The shard table is restored from journal lines and uploaded records, the
+# logcat decoder turns raw lines into the events both collectors read,
+# triage reassembles failure records from them, and campaign specs arrive as
+# submit bodies and inside lease grants: fuzz the record and journal
+# decoders, the logcat decoder, the collectors and the spec planner briefly
+# beyond their seed corpora (one target per run, as -fuzz requires).
 go test -run '^$' -fuzz '^FuzzDecodeShardRecord$' -fuzztime 5s -parallel 2 ./internal/farm
 go test -run '^$' -fuzz '^FuzzLoadJournal$' -fuzztime 5s -parallel 2 ./internal/farm
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 5s -parallel 2 ./internal/logcat
 go test -run '^$' -fuzz '^FuzzCollector$' -fuzztime 5s -parallel 2 ./internal/triage
 go test -run '^$' -fuzz '^FuzzCampaignSpec$' -fuzztime 5s -parallel 2 ./internal/service
 
