@@ -39,12 +39,12 @@ func run(args []string) error {
 	uiEvents := fs.Int("ui-events", 0, "QGJ-UI events per mode (0 = the paper's 41405)")
 	ablations := fs.Bool("ablations", false, "also run the extension studies (aging ablations, rejuvenation, validation eras)")
 	jsonOut := fs.String("json", "", "also write machine-readable artifacts to this file (wear+phone+ui exports)")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /vars, /healthz and /farm on this address while the studies run (farm mode feeds them)")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /vars, /healthz and /farm on this address while the studies run")
 	linger := fs.Duration("linger", 0, "keep the process (and -metrics-addr endpoint) alive this long after the run")
 	progress := fs.Bool("progress", false, "print rate-limited study progress to stderr")
-	workers := fs.Int("workers", 0, "run the wear/phone studies on the farm engine with this many parallel devices (>1 enables sharding)")
-	checkpoint := fs.String("checkpoint", "", "farm mode: journal completed shards to this file")
-	resume := fs.Bool("resume", false, "farm mode: resume from -checkpoint instead of starting over")
+	workers := fs.Int("workers", 0, "shard the wear/phone studies across this many parallel devices (0 = the paper's single aging device)")
+	checkpoint := fs.String("checkpoint", "", "shard the studies and journal completed shards to this file")
+	resume := fs.Bool("resume", false, "sharded mode: resume from -checkpoint instead of starting over")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -63,10 +63,9 @@ func run(args []string) error {
 	}
 
 	// The live-observability surface: one registry and one shard status
-	// board shared by every farm-backed study in this invocation. Serial
-	// (unsharded) studies run their own per-device registries and leave
-	// these empty — the endpoints still answer, which is what a scrape
-	// harness wants.
+	// board shared by every study in this invocation. Sharded and aging
+	// studies both run on the farm and feed them; an aging study's device
+	// keeps its own registry, which the export's telemetry block reads.
 	var reg *telemetry.Registry
 	var board *farm.StatusBoard
 	if *metricsAddr != "" {

@@ -4,13 +4,13 @@ package core
 // themselves stay single-threaded (one simulated device is not safe for
 // concurrent use); sharding instead partitions a study into independent
 // (campaign, package) work units that internal/farm executes on a pool of
-// independently-booted devices. The zero value means "serial, no
-// checkpointing" and preserves the historical behaviour.
+// independently-booted devices. The zero value means "not sharded": the
+// study runs as the farm's aging plan, every unit in order on one device
+// that is never reset, the paper's single-watch design.
 type Sharding struct {
 	// Workers is the number of concurrent shard executors. 0 means unset
-	// (serial legacy path unless a Checkpoint is given); an explicit 1 runs
-	// the farm's serial baseline — same shard plan and merge, one device at
-	// a time.
+	// (the aging plan unless a Checkpoint is given); an explicit 1 runs the
+	// sharded baseline — same shard plan and merge, one device at a time.
 	Workers int
 	// Checkpoint, when non-empty, is the journal file progress is written to
 	// after every completed shard — the moral equivalent of the paper's
@@ -21,8 +21,9 @@ type Sharding struct {
 	Resume bool
 }
 
-// Enabled reports whether the study should be routed through the farm
-// (parallel workers or a checkpoint journal were requested).
+// Enabled reports whether the study should run as independent shards
+// (parallel workers or a checkpoint journal were requested) rather than
+// as the aging plan.
 func (s Sharding) Enabled() bool {
 	return s.Workers > 0 || s.Checkpoint != "" || s.Resume
 }

@@ -20,9 +20,7 @@ import (
 // better compared to [8] where NullPointerExceptions contributed to 46% of
 // all exceptions...", Section IV-E).
 func RunLegacyPhoneStudy(opts Options) (*StudyResult, error) {
-	fleet := apps.BuildLegacyPhoneFleet(opts.Seed)
-	dev := wearos.New(wearos.DefaultPhoneConfig())
-	return runStudy(fleet, dev, opts)
+	return runFarmStudy(apps.LegacyPhoneFleet, opts)
 }
 
 // ValidationEraComparison summarizes the historical contrast: NPE's share
@@ -164,48 +162,36 @@ func RunAgingAblations(seed uint64, gen core.GeneratorConfig) ([]AgingAblation, 
 // decays between failures; without it, unrelated failures pile into the
 // same aging window. Returns (rebootsWithPacing, rebootsWithoutPacing).
 func PacingAblation(seed uint64, gen core.GeneratorConfig) (paced, unpaced int, err error) {
-	run := func(pace bool) (int, error) {
-		fleet := apps.BuildWearFleet(seed)
-		dev := wearos.New(wearos.DefaultWatchConfig())
-		if err := fleet.InstallInto(dev); err != nil {
-			return 0, err
-		}
-		g := gen
-		g.Seed = seed
-		if !pace {
-			// Same intent stream, but no inter-intent delays: deliver
-			// back-to-back so instability never decays between failures.
-			for _, c := range core.AllCampaigns {
-				for _, pkg := range dev.Registry().Packages() {
-					for _, comp := range pkg.Components {
-						kind := comp.Type
-						c.Generate(comp.Name, g, core.QGJUID, func(in *intent.Intent) {
-							if kind == manifest.Service {
-								dev.StartService(in)
-							} else {
-								dev.StartActivity(in)
-							}
-						})
+	sr, err := RunWearStudy(Options{Seed: seed, Gen: gen})
+	if err != nil {
+		return 0, 0, err
+	}
+	paced = sr.Device.BootCount() - 1
+
+	// Same intent stream, but no inter-intent delays: deliver back-to-back
+	// so instability never decays between failures.
+	fleet := apps.BuildWearFleet(seed)
+	dev := wearos.New(wearos.DefaultWatchConfig())
+	if err := fleet.InstallInto(dev); err != nil {
+		return 0, 0, err
+	}
+	g := gen
+	g.Seed = seed
+	for _, c := range core.AllCampaigns {
+		for _, pkg := range dev.Registry().Packages() {
+			for _, comp := range pkg.Components {
+				kind := comp.Type
+				c.Generate(comp.Name, g, core.QGJUID, func(in *intent.Intent) {
+					if kind == manifest.Service {
+						dev.StartService(in)
+					} else {
+						dev.StartActivity(in)
 					}
-				}
-			}
-			return dev.BootCount() - 1, nil
-		}
-		inj := &core.Injector{Dev: dev, Cfg: g}
-		for _, c := range core.AllCampaigns {
-			for _, pkg := range dev.Registry().Packages() {
-				inj.FuzzApp(c, pkg)
+				})
 			}
 		}
-		return dev.BootCount() - 1, nil
 	}
-	if paced, err = run(true); err != nil {
-		return 0, 0, err
-	}
-	if unpaced, err = run(false); err != nil {
-		return 0, 0, err
-	}
-	return paced, unpaced, nil
+	return paced, dev.BootCount() - 1, nil
 }
 
 // RejuvenationStudy is the counterfactual for the paper's Section IV-E

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -424,5 +425,27 @@ func TestCampaignOutcomeForLookup(t *testing.T) {
 	}
 	if got := sr.CampaignOutcomeFor(core.CampaignC); got == nil || got.Campaign != core.CampaignC {
 		t.Fatalf("lookup = %v", got)
+	}
+}
+
+// TestUnknownPackageRejected: a typo'd package must fail the study, not
+// fuzz nothing and report four empty campaigns.
+func TestUnknownPackageRejected(t *testing.T) {
+	for _, sharding := range []core.Sharding{{}, {Workers: 2}} {
+		_, err := RunWearStudy(Options{Seed: 1, Gen: QuickGen(30), Packages: []string{"com.strava.wearr"}, Sharding: sharding})
+		if err == nil || !strings.Contains(err.Error(), `"com.strava.wearr"`) {
+			t.Fatalf("sharding %+v: err = %v, want the unknown package named", sharding, err)
+		}
+	}
+}
+
+// TestAgingStudyRefusesFaultCampaign: without sharding the study is the
+// aging design, which has no fresh device per unit for campaign F's fault
+// engine; it must refuse F rather than send F's traffic with no faults.
+func TestAgingStudyRefusesFaultCampaign(t *testing.T) {
+	_, err := RunWearStudy(Options{Seed: 1, Gen: QuickGen(30), Packages: []string{"com.strava.wear"},
+		Campaigns: []core.Campaign{core.CampaignF}})
+	if err == nil || !strings.Contains(err.Error(), "campaign F") {
+		t.Fatalf("err = %v, want the aging study to refuse campaign F", err)
 	}
 }

@@ -1,0 +1,101 @@
+package farm_test
+
+import (
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/farm"
+	"repro/internal/telemetry"
+)
+
+func agingConfig() farm.Config {
+	return farm.Config{Seed: 1, Packages: testPackages, Gen: testGen(), Aging: true}
+}
+
+// TestAgingPlanRunsOneAgingDevice: an aging plan dispatches in plan order
+// on one device that is never reset, hands that device back, and leaves
+// the snapshot and persist counters (which describe resets and clones)
+// untouched.
+func TestAgingPlanRunsOneAgingDevice(t *testing.T) {
+	cfg := agingConfig()
+	p, err := farm.NewPlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, idx := range p.Order() {
+		if idx != i {
+			t.Fatalf("aging order = %v, want plan order", p.Order())
+		}
+	}
+
+	reg := telemetry.NewRegistry()
+	cfg.Telemetry = reg
+	var keys []farm.ShardKey
+	cfg.Progress = func(done, total int, key farm.ShardKey, sentSoFar int) { keys = append(keys, key) }
+	res, err := farm.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(keys, p.Shards()) {
+		t.Fatalf("units ran as %v, want plan order %v", keys, p.Shards())
+	}
+	if res.Device == nil || res.Device.Telemetry() == nil {
+		t.Fatal("aging run returned no device with its own registry")
+	}
+	if res.Workers != 1 || res.Sent == 0 {
+		t.Fatalf("workers = %d, sent = %d", res.Workers, res.Sent)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["farm_shards_done_total"]; got != uint64(res.Shards) {
+		t.Fatalf("farm_shards_done_total = %d, want %d", got, res.Shards)
+	}
+	for name, v := range snap.Counters {
+		if v != 0 && (strings.HasPrefix(name, "farm_persist_") || strings.HasPrefix(name, "farm_snapshot_")) {
+			t.Errorf("%s = %d on an aging run, want 0", name, v)
+		}
+	}
+
+	shard := agingConfig()
+	shard.Aging = false
+	sres, err := farm.Run(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sres.Device != nil {
+		t.Fatal("a shard plan returned a device")
+	}
+}
+
+func TestAgingPlanRejectsCampaignF(t *testing.T) {
+	cfg := agingConfig()
+	cfg.Campaigns = []core.Campaign{core.CampaignA, core.CampaignF}
+	if _, err := farm.Run(cfg); err == nil || !strings.Contains(err.Error(), "campaign F") {
+		t.Fatalf("err = %v, want an aging plan to refuse campaign F", err)
+	}
+}
+
+func TestAgingPlanRejectsCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "aging.ckpt")
+	for _, sh := range []core.Sharding{{Checkpoint: path}, {Checkpoint: path, Resume: true}, {Resume: true}} {
+		cfg := agingConfig()
+		cfg.Sharding = sh
+		if _, err := farm.Run(cfg); err == nil || !strings.Contains(err.Error(), "checkpoint") {
+			t.Fatalf("%+v: err = %v, want an aging plan to refuse a checkpoint", sh, err)
+		}
+	}
+}
+
+func TestAgingPlanRejectsWorkers(t *testing.T) {
+	cfg := agingConfig()
+	cfg.Sharding.Workers = 2
+	if _, err := farm.Run(cfg); err == nil || !strings.Contains(err.Error(), "one device") {
+		t.Fatalf("err = %v, want an aging plan to refuse 2 workers", err)
+	}
+	cfg.Sharding.Workers = 1
+	if _, err := farm.Run(cfg); err != nil {
+		t.Fatalf("one worker: %v", err)
+	}
+}

@@ -22,6 +22,9 @@
 // The simulated device itself stays single-threaded; parallelism exists
 // only between devices, which is exactly how the paper's physical campaigns
 // would scale across watches.
+//
+// An aging plan (Config.Aging) gives up properties 1 and 2 by design: the
+// paper's single watch, every unit in plan order on one never-reset device.
 package farm
 
 import (
@@ -55,8 +58,14 @@ type Config struct {
 	// follows fleet order.
 	Packages []string
 	// Gen scales generation. Gen.Seed is ignored: each shard derives its
-	// seed from Config.Seed via rng.Split on the shard key.
+	// seed from Config.Seed via rng.Split on the shard key (an aging plan's
+	// units all use Config.Seed).
 	Gen core.GeneratorConfig
+	// Aging runs the units in plan order on one device with the whole fleet
+	// installed, never reset, so system-server aging carries from each unit
+	// into the next (the paper's reboots). It refuses campaign F, a
+	// checkpoint and more than one worker.
+	Aging bool
 	// Sharding sets worker count and checkpoint behaviour.
 	Sharding core.Sharding
 	// DisableTriage skips crash bucketing and intent minimization.
@@ -66,7 +75,7 @@ type Config struct {
 	// histograms). Each shard additionally runs its device with a private
 	// registry that is absorbed into this one when the shard completes, so
 	// the farm endpoint exposes device/fuzzer/binder metrics aggregated
-	// across every shard.
+	// across every shard (an aging plan's device keeps its own instead).
 	Telemetry *telemetry.Registry
 	// Status, when non-nil, is the board Run schedules from (nil uses a
 	// private one): the live shard table (state, queue wait, boot source,
@@ -97,8 +106,9 @@ type ShardResult struct {
 	Summary   core.Summary
 	Report    *analysis.Report
 	Crashes   []*triage.Crash
-	// BootSource reports how the shard device came up ("reuse" or "clone");
-	// live-status detail only, excluded from the journal and the merge.
+	// BootSource reports how the unit's device came up (BootReuse,
+	// BootClone or BootAging); live-status detail only, excluded from the
+	// journal and the merge.
 	BootSource string
 }
 
@@ -125,6 +135,9 @@ type Result struct {
 	Workers int
 	// Triage holds deduplicated crash buckets (nil when DisableTriage).
 	Triage *triage.Result
+	// Device is an aging plan's single device as the run left it; nil for
+	// shard plans, whose devices are reset between units.
+	Device *wearos.OS
 }
 
 // farmMetrics caches the engine's metric handles (all nil-safe no-ops when
@@ -195,18 +208,23 @@ func buildFleet(kind apps.FleetKind, seed uint64) (*apps.Fleet, error) {
 	}
 }
 
+// agingDeviceConfig returns the paper's device for the fleet kind, with its
+// own telemetry registry: the aging plan's device.
+func agingDeviceConfig(kind apps.FleetKind) wearos.Config {
+	switch kind {
+	case apps.PhoneFleet, apps.LegacyPhoneFleet:
+		return wearos.DefaultPhoneConfig()
+	default:
+		return wearos.DefaultWatchConfig()
+	}
+}
+
 // deviceConfig returns the per-shard device configuration. Device-level
 // telemetry is disabled: shard devices are ephemeral and their registries
 // unreachable, and PR 1's perturbation tests guarantee telemetry does not
 // affect simulation outcomes either way.
 func deviceConfig(kind apps.FleetKind) wearos.Config {
-	var cfg wearos.Config
-	switch kind {
-	case apps.PhoneFleet, apps.LegacyPhoneFleet:
-		cfg = wearos.DefaultPhoneConfig()
-	default:
-		cfg = wearos.DefaultWatchConfig()
-	}
+	cfg := agingDeviceConfig(kind)
 	cfg.DisableTelemetry = true
 	return cfg
 }
@@ -269,11 +287,13 @@ func Run(cfg Config) (*Result, error) {
 		mu       sync.Mutex // serializes journal appends and Progress; guards firstErr
 		firstErr error
 	)
-	for range min(workers, len(p.shards)-resumed) {
+	execs := make([]*Executor, min(workers, len(p.shards)-resumed))
+	for i := range execs {
+		execs[i] = p.NewExecutor()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ex := p.NewExecutor()
+			ex := execs[i]
 			for {
 				mu.Lock()
 				stop := firstErr != nil
@@ -326,6 +346,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.Resumed = resumed
 	res.Workers = workers
+	if cfg.Aging {
+		res.Device = execs[0].dev
+	}
 	return res, nil
 }
 
@@ -359,37 +382,54 @@ func selectTargets(fleet *apps.Fleet, names []string) ([]*manifest.Package, erro
 	return out, nil
 }
 
-// runShard executes one work unit in full isolation: own fleet behaviour
-// state, own device state, own collectors. The device is the executor's
-// hot device reset to the booted template (or a fresh clone of it); the
-// shard's generator seed is a SplitMix64 split of the study seed on the
-// shard key, so generation is independent of execution order and worker
-// count.
+// runShard executes one work unit with its own collectors. A shard is fully
+// isolated: own fleet behaviour state, the executor's hot device reset to
+// the booted template (or a fresh clone of it), and a generator seed split
+// from the study seed on the shard key, so generation is independent of
+// execution order and worker count. An aging unit continues on the device
+// the previous units aged, with the study seed itself.
 func (e *Executor) runShard(key ShardKey) (*ShardResult, error) {
 	cfg, met := e.p.cfg, e.p.met
-	fleet, dev, source, err := e.boot(key.Package, met)
+	var (
+		pkg    *manifest.Package
+		dev    *wearos.OS
+		source = BootAging
+		err    error
+	)
+	if cfg.Aging {
+		pkg, dev, err = e.bootAging(key.Package)
+	} else {
+		var fleet *apps.Fleet
+		if fleet, dev, source, err = e.boot(key.Package, met); err == nil {
+			pkg = fleet.Package(key.Package)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	pkg := fleet.Package(key.Package)
 
 	// A per-shard metric registry rides next to the farm registry: the
 	// device/fuzzer/binder/logcat metrics land here and are absorbed into
 	// cfg.Telemetry when the shard completes, so the farm endpoint shows
 	// them aggregated across shards. The registry is attached post-boot
-	// because cloned devices share one immutable template Config.
+	// because cloned devices share one immutable template Config. The aging
+	// device keeps its own registry for the whole run instead.
 	var shardReg *telemetry.Registry
-	if cfg.Telemetry != nil {
+	if cfg.Telemetry != nil && !cfg.Aging {
 		shardReg = telemetry.NewRegistry()
 		dev.AttachTelemetry(shardReg)
 	}
 
+	// The unit's collectors are detached when it ends: a reset drops them
+	// anyway, but the aging device lives on into the next unit.
 	col := analysis.NewCollector().UseTelemetry(shardReg)
 	dev.Logcat().Subscribe(col)
+	defer dev.Logcat().Unsubscribe(col)
 	var tri *triage.Collector
 	if !cfg.DisableTriage {
 		tri = triage.NewCollector()
 		dev.Logcat().Subscribe(tri)
+		defer dev.Logcat().Unsubscribe(tri)
 	}
 
 	// The flight recorder exists for the failure windows triage attaches,
@@ -402,7 +442,10 @@ func (e *Executor) runShard(key ShardKey) (*ShardResult, error) {
 	}
 
 	gen := cfg.Gen
-	gen.Seed = rng.New(cfg.Seed).Split("farm-shard-" + key.String()).Uint64()
+	gen.Seed = cfg.Seed
+	if !cfg.Aging {
+		gen.Seed = rng.New(cfg.Seed).Split("farm-shard-" + key.String()).Uint64()
+	}
 	inj := &core.Injector{Dev: dev, Cfg: gen}
 
 	// Fault shards (FIC F) attach the fault-injection engine after boot (the

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/manifest"
 	"repro/internal/wearos"
 )
 
@@ -30,6 +31,9 @@ const (
 	// BootReuse marks a shard served by the executor's hot device, reset
 	// in place.
 	BootReuse = "reuse"
+	// BootAging marks a unit of an aging plan, run on the plan's single
+	// device as the previous units left it.
+	BootAging = "aging"
 )
 
 // freshBoot, when set, provisions every unit instead of the executor: a
@@ -47,7 +51,7 @@ var freshBoot func(kind apps.FleetKind, seed uint64, pkg string) (*apps.Fleet, *
 type Executor struct {
 	p    *Plan
 	dev  *wearos.OS
-	snap *wearos.Snapshot // template dev was cloned from; nil iff dev is nil
+	snap *wearos.Snapshot // template dev was cloned from; nil if dev is nil or aging
 	tmpl *apps.FleetTemplate
 	// fleets caches instantiated fleets by package name. The shard plan is
 	// campaign-major, so every package comes around once per campaign; the
@@ -114,6 +118,24 @@ func (e *Executor) boot(pkgName string, met farmMetrics) (*apps.Fleet, *wearos.O
 	}
 	e.dev, e.snap = dev, snap
 	return fleet, dev, source, nil
+}
+
+// bootAging serves every unit of an aging plan from one device, booted on
+// the first unit with the whole fleet installed and never reset. It skips
+// the boot templates, so the snapshot and persist counters stay at zero.
+func (e *Executor) bootAging(pkgName string) (*manifest.Package, *wearos.OS, error) {
+	if e.dev == nil {
+		fleet, err := buildFleet(e.p.kind, e.p.cfg.Seed)
+		if err != nil {
+			return nil, nil, err
+		}
+		dev := wearos.New(agingDeviceConfig(e.p.kind))
+		if err := fleet.InstallInto(dev); err != nil {
+			return nil, nil, fmt.Errorf("farm: install fleet: %w", err)
+		}
+		e.dev = dev
+	}
+	return e.dev.Registry().Package(pkgName), e.dev, nil
 }
 
 // fleet returns the cached fleet for pkg rewound to its freshly

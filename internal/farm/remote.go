@@ -71,6 +71,16 @@ func NewPlan(cfg Config) (*Plan, error) {
 			return nil, fmt.Errorf("farm: campaign %s listed twice", c.Letter())
 		}
 	}
+	if cfg.Aging {
+		switch {
+		case slices.Contains(campaigns, core.CampaignF):
+			return nil, fmt.Errorf("farm: campaign F attaches its fault engine to a fresh device per unit; an aging plan cannot run it")
+		case cfg.Sharding.Checkpoint != "" || cfg.Sharding.Resume:
+			return nil, fmt.Errorf("farm: an aging plan cannot checkpoint (a journal cannot restore a half-aged device)")
+		case cfg.Sharding.Workers > 1:
+			return nil, fmt.Errorf("farm: an aging plan runs on one device, not %d workers", cfg.Sharding.Workers)
+		}
+	}
 	kind := cfg.Fleet
 	if kind == 0 {
 		kind = apps.WearFleet
@@ -98,12 +108,15 @@ func NewPlan(cfg Config) (*Plan, error) {
 	// applies: dispatching the largest shards first keeps the
 	// last-finishing worker's overhang to at most one small shard. The
 	// stable sort keeps ties in plan order, so the schedule (and the
-	// journal append order under one worker) is deterministic.
+	// journal append order under one worker) is deterministic. An aging
+	// plan's order is its result, so it keeps plan order.
 	order := make([]int, len(shards))
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return est[b] - est[a] })
+	if !cfg.Aging {
+		slices.SortStableFunc(order, func(a, b int) int { return est[b] - est[a] })
+	}
 	return &Plan{
 		cfg:         cfg,
 		kind:        kind,
@@ -132,7 +145,7 @@ func (p *Plan) FleetKind() apps.FleetKind { return p.kind }
 func (p *Plan) EstimatedIntents(idx int) int { return p.est[idx] }
 
 // Order returns every shard index in dispatch order: largest
-// EstimatedIntents first, ties in plan order. StatusBoard.Next hands out
+// EstimatedIntents first, ties in plan order (an aging plan: plan order). StatusBoard.Next hands out
 // pending shards in this order, to Run's pool and the coordinator's leases
 // alike. Callers must not mutate it.
 func (p *Plan) Order() []int { return p.order }

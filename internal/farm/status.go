@@ -28,9 +28,9 @@ const (
 type ShardStatus struct {
 	Key   ShardKey `json:"key"`
 	State string   `json:"state"`
-	// Source is the boot path ("reuse" or "clone"); empty until the shard
-	// completes. Resumed shards report no source — they were never
-	// booted in this process.
+	// Source is the boot path ("reuse", "clone" or "aging"); empty until
+	// the shard completes. Resumed shards report no source — they were
+	// never booted in this process.
 	Source string `json:"source,omitempty"`
 	// QueueWait is how long the shard sat in the queue before a worker
 	// picked it up, in seconds.

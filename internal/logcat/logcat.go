@@ -15,6 +15,7 @@ package logcat
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -400,6 +401,15 @@ func (b *Buffer) Subscribe(s Sink) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.sinks = append(b.sinks, s)
+}
+
+// Unsubscribe detaches every registration of s (which must be comparable,
+// as pointer sinks are). Appends already fanning out finish on the old
+// sink list.
+func (b *Buffer) Unsubscribe(s Sink) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.sinks = slices.DeleteFunc(slices.Clone(b.sinks), func(x Sink) bool { return x == s })
 }
 
 // SetTelemetry wires the buffer's counters into reg: logcat_entries_total

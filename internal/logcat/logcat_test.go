@@ -100,6 +100,24 @@ func TestSinksObserveAppends(t *testing.T) {
 	}
 }
 
+type countSink struct{ n int }
+
+func (c *countSink) Consume(Entry) { c.n++ }
+
+func TestUnsubscribeDetachesOnlyThatSink(t *testing.T) {
+	b := NewBuffer(4)
+	kept, dropped := &countSink{}, &countSink{}
+	b.Subscribe(kept)
+	b.Subscribe(dropped)
+	b.Subscribe(SinkFunc(func(Entry) {})) // an uncomparable sink must not trip the scan
+	b.Append(Entry{PID: 1})
+	b.Unsubscribe(dropped)
+	b.Append(Entry{PID: 2})
+	if kept.n != 2 || dropped.n != 1 {
+		t.Fatalf("kept saw %d, dropped saw %d; want 2 and 1", kept.n, dropped.n)
+	}
+}
+
 func TestLoggerStampsVirtualTime(t *testing.T) {
 	clk := vclock.NewVirtual(time.Time{})
 	b := NewBuffer(8)

@@ -18,18 +18,11 @@ import (
 // the verify.sh smoke diff exactly these bytes.
 func ExportResult(res *farm.Result, seed uint64) ([]byte, error) {
 	sr := &experiments.StudyResult{
-		Fleet:    res.Fleet,
-		Combined: res.Combined,
-		Sent:     res.Sent,
-		Triage:   res.Triage,
-	}
-	for _, cr := range res.Campaigns {
-		sr.Campaigns = append(sr.Campaigns, experiments.CampaignOutcome{
-			Campaign:  cr.Campaign,
-			Report:    cr.Report,
-			Sent:      cr.Sent,
-			Summaries: cr.Summaries,
-		})
+		Fleet:     res.Fleet,
+		Campaigns: res.Campaigns,
+		Combined:  res.Combined,
+		Sent:      res.Sent,
+		Triage:    res.Triage,
 	}
 	exp := report.ExportStudy(sr, seed)
 	data, err := json.MarshalIndent(exp, "", "  ")

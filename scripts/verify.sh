@@ -51,29 +51,43 @@ head -n 3 "$ckpt" > "$ckpt.torn" && mv "$ckpt.torn" "$ckpt"
 go run ./cmd/qgj -app com.heartwatch.wear -all -quick 8 -progress 0 \
     -workers 4 -checkpoint "$ckpt" -resume >/dev/null
 
-# Live-scrape smoke: a lingering sharded run serves /metrics, /farm, and
-# /healthz on an ephemeral port; curl each while (or just after) the farm
-# runs. Asserts the observability surface works end to end — registry
+# Live-scrape smoke: a lingering run serves /metrics, /farm, and /healthz
+# on an ephemeral port; curl each while (or just after) the farm runs.
+# Asserts the observability surface works end to end — registry
 # exposition, farm-wide status board, health probe — not just in httptest.
+# scrape_farm checks the background CLI $scrape_pid, which announces its
+# address on stderr in $scrape_log, then waits for it to exit.
+scrape_farm() {
+    addr=""
+    for _ in $(seq 1 100); do
+        addr="$(sed -n 's#.*telemetry on http://\([^/]*\)/metrics.*#\1#p' "$scrape_log")"
+        [ -n "$addr" ] && break
+        sleep 0.1
+    done
+    [ -n "$addr" ] || { echo "verify: no metrics address announced" >&2; cat "$scrape_log" >&2; exit 1; }
+    curl -fsS "http://$addr/healthz" | grep -q '^ok$'
+    for _ in $(seq 1 50); do
+        if curl -fsS "http://$addr/metrics" | grep -q '^farm_shards_total'; then break; fi
+        sleep 0.1
+    done
+    curl -fsS "http://$addr/metrics" | grep -q '^farm_shards_total'
+    curl -fsS "http://$addr/farm" | grep -q '"shards"'
+    wait "$scrape_pid"
+    scrape_pid=""
+}
+
+# A sharded qgj campaign.
 go run ./cmd/qgj -app com.heartwatch.wear -all -quick 8 -progress 0 \
     -workers 4 -metrics-addr 127.0.0.1:0 -linger 5s >/dev/null 2>"$scrape_log" &
 scrape_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr="$(sed -n 's#.*telemetry on http://\([^/]*\)/metrics.*#\1#p' "$scrape_log")"
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "verify: qgj never announced its metrics address" >&2; cat "$scrape_log" >&2; exit 1; }
-curl -fsS "http://$addr/healthz" | grep -q '^ok$'
-for _ in $(seq 1 50); do
-    if curl -fsS "http://$addr/metrics" | grep -q '^farm_shards_total'; then break; fi
-    sleep 0.1
-done
-curl -fsS "http://$addr/metrics" | grep -q '^farm_shards_total'
-curl -fsS "http://$addr/farm" | grep -q '"shards"'
-wait "$scrape_pid"
-scrape_pid=""
+scrape_farm
+
+# The default path: cmd/report with no -workers runs the paper's aging
+# study, which is a farm plan too, so it feeds the same endpoints.
+: > "$scrape_log"
+go run ./cmd/report -quick 8 -only tab3 -metrics-addr 127.0.0.1:0 -linger 3s >/dev/null 2>"$scrape_log" &
+scrape_pid=$!
+scrape_farm
 
 # Distributed farm-service smoke: coordinator + networked workers over real
 # HTTP and real processes. A victim worker takes a lease and is SIGKILLed
