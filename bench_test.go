@@ -15,6 +15,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/farm"
 	"repro/internal/faultinject"
 	"repro/internal/intent"
 	"repro/internal/logcat"
@@ -31,13 +32,13 @@ var benchGen = experiments.QuickGen(8)
 // cachedStudy runs one reduced wear study for the figure benches.
 var (
 	studyOnce sync.Once
-	study     *experiments.StudyResult
+	study     *farm.Result
 )
 
-func cachedWearStudy(b *testing.B) *experiments.StudyResult {
+func cachedWearStudy(b *testing.B) *farm.Result {
 	b.Helper()
 	studyOnce.Do(func() {
-		sr, err := experiments.RunWearStudy(experiments.Options{Seed: 1, Gen: benchGen})
+		sr, err := experiments.RunWearStudy(farm.Config{Seed: 1, Gen: benchGen, Aging: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -81,7 +82,7 @@ func BenchmarkTableII_FleetConstruction(b *testing.B) {
 func BenchmarkTableIII_BehaviorDistribution(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sr, err := experiments.RunWearStudy(experiments.Options{Seed: 1, Gen: benchGen})
+		sr, err := experiments.RunWearStudy(farm.Config{Seed: 1, Gen: benchGen, Aging: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,7 +98,7 @@ func BenchmarkTableIII_BehaviorDistribution(b *testing.B) {
 func BenchmarkTableIV_PhoneCrashes(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sr, err := experiments.RunPhoneStudy(experiments.Options{Seed: 1, Gen: benchGen})
+		sr, err := experiments.RunPhoneStudy(farm.Config{Seed: 1, Gen: benchGen, Aging: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -384,7 +385,7 @@ func BenchmarkAblationRejuvenation(b *testing.B) {
 func BenchmarkAblationValidationEras(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cmp, err := experiments.CompareValidationEras(experiments.Options{Seed: 1, Gen: benchGen})
+		cmp, err := experiments.CompareValidationEras(farm.Config{Seed: 1, Gen: benchGen, Aging: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -126,13 +126,11 @@ func run(args []string) error {
 	if *app == "" {
 		return fmt.Errorf("missing -app (or use -list); e.g. -app com.strava.wear")
 	}
-	gen := core.GeneratorConfig{Seed: *seed}
+	gen := core.GeneratorConfig{}
 	if *quick > 0 {
-		gen.ActionStride = *quick
-		gen.SchemeStride = (*quick + 1) / 2
-		gen.RandomVariants = 1
-		gen.ExtrasVariants = 1
+		gen = experiments.QuickGen(*quick)
 	}
+	gen.Seed = *seed
 
 	campaigns := core.AllCampaigns
 	if !*all {
@@ -230,10 +228,7 @@ func runFarm(sharding core.Sharding, seed uint64, app, campaign string, all bool
 	}
 	gen := core.GeneratorConfig{}
 	if quick > 0 {
-		gen.ActionStride = quick
-		gen.SchemeStride = (quick + 1) / 2
-		gen.RandomVariants = 1
-		gen.ExtrasVariants = 1
+		gen = experiments.QuickGen(quick)
 	}
 	cfg := farm.Config{
 		Seed:      seed,

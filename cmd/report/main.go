@@ -48,7 +48,6 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sharding := core.Sharding{Workers: *workers, Checkpoint: *checkpoint, Resume: *resume}
 	if *resume && *checkpoint == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
@@ -56,10 +55,6 @@ func run(args []string) error {
 	var prog *telemetry.Progress
 	if *progress {
 		prog = telemetry.NewProgress(os.Stderr, 2*time.Second)
-	}
-	progressCB := func(c core.Campaign, pkg string, sent int) {
-		prog.Tickf("report: %v campaign %s app %s sent=%d",
-			prog.Elapsed().Round(time.Millisecond), c.Letter(), pkg, sent)
 	}
 
 	// The live-observability surface: one registry and one shard status
@@ -93,19 +88,39 @@ func run(args []string) error {
 		gen = experiments.QuickGen(*quick)
 	}
 
-	needWear := sel("tab2") || sel("tab3") || sel("fig2") || sel("fig3a") || sel("fig3b") || sel("fig4")
-	needPhone := sel("tab4")
-	needUI := sel("tab5")
+	// The one place the flags choose the study design: with no -workers
+	// and no -checkpoint the studies are the paper's single aging watch,
+	// otherwise independent shards with crash triage. Every study of this
+	// invocation runs the same design.
+	sharding := core.Sharding{Workers: *workers, Checkpoint: *checkpoint, Resume: *resume}
+	study := farm.Config{
+		Seed:      *seed,
+		Gen:       gen,
+		Aging:     !sharding.Enabled(),
+		Sharding:  sharding,
+		Telemetry: reg,
+		Status:    board,
+		Progress: func(done, total int, key farm.ShardKey, sent int) {
+			prog.Tickf("report: %v campaign %s app %s sent=%d",
+				prog.Elapsed().Round(time.Millisecond), key.Campaign.Letter(), key.Package, sent)
+		},
+	}
+
+	// -json exports all three studies, so it runs whichever ones the
+	// selected artifacts did not already need.
+	needWear := *jsonOut != "" || sel("tab2") || sel("tab3") || sel("fig2") || sel("fig3a") || sel("fig3b") || sel("fig4")
+	needPhone := *jsonOut != "" || sel("tab4")
+	needUI := *jsonOut != "" || sel("tab5")
 
 	if sel("tab1") {
 		fmt.Println(report.TableI(experiments.TableI(gen, 912)))
 	}
 
-	var wear *experiments.StudyResult
+	var wear, phone *farm.Result
 	if needWear {
 		start := time.Now()
 		var err error
-		wear, err = experiments.RunWearStudy(experiments.Options{Seed: *seed, Gen: gen, Progress: progressCB, Sharding: sharding, Telemetry: reg, Status: board})
+		wear, err = experiments.RunWearStudy(study)
 		// Flush the last rate-limited heartbeat so the final counts are not
 		// swallowed when the study ends between ticks.
 		prog.Flush()
@@ -118,7 +133,7 @@ func run(args []string) error {
 			fmt.Printf("[wear triage: %d unique failure signatures / %d raw crashes / %d ANRs]\n\n",
 				wear.Triage.Unique(), wear.Triage.Crashes-wear.Triage.ANRs-wear.Triage.Faults,
 				wear.Triage.ANRs)
-			if rows := experiments.FaultResilience(wear); len(rows) > 0 {
+			if rows := experiments.FaultResilienceFromTriage(wear.Triage); len(rows) > 0 {
 				fmt.Println(report.FaultTable(rows))
 			}
 		}
@@ -145,29 +160,36 @@ func run(args []string) error {
 	if needPhone {
 		start := time.Now()
 		// The phone study never shares the wear study's checkpoint file — a
-		// journal fingerprints exactly one shard plan.
-		phoneSharding := sharding
-		phoneSharding.Checkpoint = ""
-		phoneSharding.Resume = false
-		phone, err := experiments.RunPhoneStudy(experiments.Options{Seed: *seed, Gen: gen, Progress: progressCB, Sharding: phoneSharding, Telemetry: reg, Status: board})
+		// journal fingerprints exactly one shard plan — but keeps its design.
+		cfg := study
+		cfg.Sharding.Checkpoint = ""
+		cfg.Sharding.Resume = false
+		var err error
+		phone, err = experiments.RunPhoneStudy(cfg)
 		prog.Flush()
 		if err != nil {
 			return fmt.Errorf("phone study: %w", err)
 		}
 		fmt.Printf("[phone study: %d intents, %v]\n\n",
 			phone.Sent, time.Since(start).Round(time.Millisecond))
-		rows, others, total := experiments.TableIV(phone)
-		fmt.Println(report.TableIV(rows, others, total))
+		if sel("tab4") {
+			rows, others, total := experiments.TableIV(phone)
+			fmt.Println(report.TableIV(rows, others, total))
+		}
 	}
 
+	var ui *experiments.UIResult
 	if needUI {
 		start := time.Now()
-		ui, err := experiments.RunUIStudy(experiments.UIOptions{Seed: *seed, Events: *uiEvents})
+		var err error
+		ui, err = experiments.RunUIStudy(experiments.UIOptions{Seed: *seed, Events: *uiEvents})
 		if err != nil {
 			return fmt.Errorf("ui study: %w", err)
 		}
 		fmt.Printf("[ui study: %v]\n\n", time.Since(start).Round(time.Millisecond))
-		fmt.Println(report.TableV(experiments.TableV(ui)))
+		if sel("tab5") {
+			fmt.Println(report.TableV(experiments.TableV(ui)))
+		}
 	}
 
 	if *ablations {
@@ -177,7 +199,7 @@ func run(args []string) error {
 	}
 
 	if *jsonOut != "" {
-		if err := writeJSONArtifacts(*jsonOut, *seed, gen, *uiEvents, sharding); err != nil {
+		if err := writeJSONArtifacts(*jsonOut, *seed, wear, phone, ui); err != nil {
 			return err
 		}
 		fmt.Printf("[machine-readable artifacts written to %s]\n", *jsonOut)
@@ -189,24 +211,9 @@ func run(args []string) error {
 	return nil
 }
 
-// writeJSONArtifacts re-runs the three studies and writes their exports as
-// one JSON document. The export runs never reuse the CLI's checkpoint file
-// (a journal fingerprints exactly one shard plan), only its worker count.
-func writeJSONArtifacts(path string, seed uint64, gen core.GeneratorConfig, uiEvents int, sharding core.Sharding) error {
-	sharding.Checkpoint = ""
-	sharding.Resume = false
-	wear, err := experiments.RunWearStudy(experiments.Options{Seed: seed, Gen: gen, Sharding: sharding})
-	if err != nil {
-		return fmt.Errorf("wear study for JSON export: %w", err)
-	}
-	phone, err := experiments.RunPhoneStudy(experiments.Options{Seed: seed, Gen: gen, Sharding: sharding})
-	if err != nil {
-		return fmt.Errorf("phone study for JSON export: %w", err)
-	}
-	ui, err := experiments.RunUIStudy(experiments.UIOptions{Seed: seed, Events: uiEvents})
-	if err != nil {
-		return fmt.Errorf("ui study for JSON export: %w", err)
-	}
+// writeJSONArtifacts writes the three studies' exports as one JSON
+// document.
+func writeJSONArtifacts(path string, seed uint64, wear, phone *farm.Result, ui *experiments.UIResult) error {
 	doc := struct {
 		Wear  report.StudyExport `json:"wear"`
 		Phone report.StudyExport `json:"phone"`
@@ -246,7 +253,7 @@ func runAblations(seed uint64, gen core.GeneratorConfig) error {
 		rs.BaselineReboots, rs.RejuvenatedReboots, rs.Rejuvenations, rs.Sent)
 
 	fmt.Println("\nEXTENSION: INPUT-VALIDATION ERAS (JJB-era Android 2.x vs Android 7.1.1)")
-	cmp, err := experiments.CompareValidationEras(experiments.Options{Seed: seed, Gen: gen})
+	cmp, err := experiments.CompareValidationEras(farm.Config{Seed: seed, Gen: gen, Aging: true})
 	if err != nil {
 		return fmt.Errorf("era comparison: %w", err)
 	}

@@ -4,12 +4,13 @@ package core
 // themselves stay single-threaded (one simulated device is not safe for
 // concurrent use); sharding instead partitions a study into independent
 // (campaign, package) work units that internal/farm executes on a pool of
-// independently-booted devices. The zero value means "not sharded": the
-// study runs as the farm's aging plan, every unit in order on one device
-// that is never reset, the paper's single-watch design.
+// independently-booted devices. The zero value means "not sharded" to the
+// CLIs (see Enabled); cmd/report then runs the farm's aging plan, every
+// unit in order on one device that is never reset, the paper's
+// single-watch design.
 type Sharding struct {
 	// Workers is the number of concurrent shard executors. 0 means unset
-	// (the aging plan unless a Checkpoint is given); an explicit 1 runs the
+	// (not sharded unless a Checkpoint is given); an explicit 1 runs the
 	// sharded baseline — same shard plan and merge, one device at a time.
 	Workers int
 	// Checkpoint, when non-empty, is the journal file progress is written to

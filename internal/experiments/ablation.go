@@ -4,6 +4,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/farm"
 	"repro/internal/intent"
 	"repro/internal/javalang"
 	"repro/internal/manifest"
@@ -18,9 +19,10 @@ import (
 // fleet: the Android 2.x baseline of Maji et al. 2012, against which the
 // paper claims input validation improved ("Although these results are
 // better compared to [8] where NullPointerExceptions contributed to 46% of
-// all exceptions...", Section IV-E).
-func RunLegacyPhoneStudy(opts Options) (*StudyResult, error) {
-	return runFarmStudy(apps.LegacyPhoneFleet, opts)
+// all exceptions...", Section IV-E). cfg.Fleet is ignored.
+func RunLegacyPhoneStudy(cfg farm.Config) (*farm.Result, error) {
+	cfg.Fleet = apps.LegacyPhoneFleet
+	return farm.Run(cfg)
 }
 
 // ValidationEraComparison summarizes the historical contrast: NPE's share
@@ -35,12 +37,12 @@ type ValidationEraComparison struct {
 
 // CompareValidationEras runs the legacy and modern phone studies under the
 // same seed/scale and extracts the input-validation-improvement signal.
-func CompareValidationEras(opts Options) (ValidationEraComparison, error) {
-	legacy, err := RunLegacyPhoneStudy(opts)
+func CompareValidationEras(cfg farm.Config) (ValidationEraComparison, error) {
+	legacy, err := RunLegacyPhoneStudy(cfg)
 	if err != nil {
 		return ValidationEraComparison{}, err
 	}
-	modern, err := RunPhoneStudy(opts)
+	modern, err := RunPhoneStudy(cfg)
 	if err != nil {
 		return ValidationEraComparison{}, err
 	}
@@ -162,11 +164,11 @@ func RunAgingAblations(seed uint64, gen core.GeneratorConfig) ([]AgingAblation, 
 // decays between failures; without it, unrelated failures pile into the
 // same aging window. Returns (rebootsWithPacing, rebootsWithoutPacing).
 func PacingAblation(seed uint64, gen core.GeneratorConfig) (paced, unpaced int, err error) {
-	sr, err := RunWearStudy(Options{Seed: seed, Gen: gen})
+	res, err := RunWearStudy(farm.Config{Seed: seed, Gen: gen, Aging: true})
 	if err != nil {
 		return 0, 0, err
 	}
-	paced = sr.Device.BootCount() - 1
+	paced = res.Device.BootCount() - 1
 
 	// Same intent stream, but no inter-intent delays: deliver back-to-back
 	// so instability never decays between failures.

@@ -4,11 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/farm"
 )
 
 func TestLegacyPhoneStudyRuns(t *testing.T) {
-	sr, err := RunLegacyPhoneStudy(Options{
+	sr, err := RunLegacyPhoneStudy(farm.Config{
 		Seed:     1,
+		Aging:    true,
 		Gen:      QuickGen(6),
 		Packages: []string{"com.android.chrome", "com.android.settings", "com.android.phone"},
 	})
@@ -30,7 +32,7 @@ func TestValidationErasFullScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale era comparison skipped in -short mode")
 	}
-	cmp, err := CompareValidationEras(Options{Seed: 1})
+	cmp, err := CompareValidationEras(farm.Config{Seed: 1, Aging: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,21 +6,22 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/farm"
 	"repro/internal/javalang"
 	"repro/internal/manifest"
 )
 
 // fullWear runs the complete wear study once per test binary (it takes a
 // few seconds) and shares the result.
-var fullWearResult *StudyResult
+var fullWearResult *farm.Result
 
-func fullWear(t *testing.T) *StudyResult {
+func fullWear(t *testing.T) *farm.Result {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("full-scale wear study skipped in -short mode")
 	}
 	if fullWearResult == nil {
-		sr, err := RunWearStudy(Options{Seed: 1})
+		sr, err := RunWearStudy(farm.Config{Seed: 1, Aging: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,15 +30,15 @@ func fullWear(t *testing.T) *StudyResult {
 	return fullWearResult
 }
 
-var fullPhoneResult *StudyResult
+var fullPhoneResult *farm.Result
 
-func fullPhone(t *testing.T) *StudyResult {
+func fullPhone(t *testing.T) *farm.Result {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("full-scale phone study skipped in -short mode")
 	}
 	if fullPhoneResult == nil {
-		sr, err := RunPhoneStudy(Options{Seed: 1})
+		sr, err := RunPhoneStudy(farm.Config{Seed: 1, Aging: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,8 +48,9 @@ func fullPhone(t *testing.T) *StudyResult {
 }
 
 func TestQuickStudySubsetRuns(t *testing.T) {
-	sr, err := RunWearStudy(Options{
+	sr, err := RunWearStudy(farm.Config{
 		Seed:     2,
+		Aging:    true,
 		Gen:      QuickGen(8),
 		Packages: []string{"com.google.android.apps.fitness", "com.strava.wear"},
 	})
@@ -88,7 +90,7 @@ func TestTableIVolumesMatchPaper(t *testing.T) {
 }
 
 func TestTableIIMatchesPaperExactly(t *testing.T) {
-	sr, err := RunWearStudy(Options{Seed: 1, Gen: QuickGen(30), Packages: []string{"com.strava.wear"}})
+	sr, err := RunWearStudy(farm.Config{Seed: 1, Gen: QuickGen(30), Packages: []string{"com.strava.wear"}, Aging: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +400,7 @@ func TestFullUIStudyTableV(t *testing.T) {
 }
 
 func TestStudyDeterminism(t *testing.T) {
-	opts := Options{Seed: 9, Gen: QuickGen(10), Packages: []string{"com.whatsapp.wear"}}
+	opts := farm.Config{Seed: 9, Gen: QuickGen(10), Packages: []string{"com.whatsapp.wear"}, Aging: true}
 	a, err := RunWearStudy(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -418,33 +420,24 @@ func TestStudyDeterminism(t *testing.T) {
 	}
 }
 
-func TestCampaignOutcomeForLookup(t *testing.T) {
-	sr, err := RunWearStudy(Options{Seed: 1, Gen: QuickGen(30), Packages: []string{"com.strava.wear"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sr.CampaignOutcomeFor(core.CampaignC); got == nil || got.Campaign != core.CampaignC {
-		t.Fatalf("lookup = %v", got)
-	}
-}
-
 // TestUnknownPackageRejected: a typo'd package must fail the study, not
 // fuzz nothing and report four empty campaigns.
 func TestUnknownPackageRejected(t *testing.T) {
-	for _, sharding := range []core.Sharding{{}, {Workers: 2}} {
-		_, err := RunWearStudy(Options{Seed: 1, Gen: QuickGen(30), Packages: []string{"com.strava.wearr"}, Sharding: sharding})
+	for _, cfg := range []farm.Config{{Aging: true}, {Sharding: core.Sharding{Workers: 2}}} {
+		cfg.Seed, cfg.Gen, cfg.Packages = 1, QuickGen(30), []string{"com.strava.wearr"}
+		_, err := RunWearStudy(cfg)
 		if err == nil || !strings.Contains(err.Error(), `"com.strava.wearr"`) {
-			t.Fatalf("sharding %+v: err = %v, want the unknown package named", sharding, err)
+			t.Fatalf("aging=%v: err = %v, want the unknown package named", cfg.Aging, err)
 		}
 	}
 }
 
-// TestAgingStudyRefusesFaultCampaign: without sharding the study is the
-// aging design, which has no fresh device per unit for campaign F's fault
-// engine; it must refuse F rather than send F's traffic with no faults.
+// TestAgingStudyRefusesFaultCampaign: the aging design has no fresh device
+// per unit for campaign F's fault engine; it must refuse F rather than send
+// F's traffic with no faults.
 func TestAgingStudyRefusesFaultCampaign(t *testing.T) {
-	_, err := RunWearStudy(Options{Seed: 1, Gen: QuickGen(30), Packages: []string{"com.strava.wear"},
-		Campaigns: []core.Campaign{core.CampaignF}})
+	_, err := RunWearStudy(farm.Config{Seed: 1, Gen: QuickGen(30), Packages: []string{"com.strava.wear"},
+		Campaigns: []core.Campaign{core.CampaignF}, Aging: true})
 	if err == nil || !strings.Contains(err.Error(), "campaign F") {
 		t.Fatalf("err = %v, want the aging study to refuse campaign F", err)
 	}

@@ -41,17 +41,10 @@ const (
 	scoreFailedRecovery = 0.0
 )
 
-// FaultResilience derives the resilience table from the study's triage
-// buckets; nil when the study ran no fault campaign.
-func FaultResilience(sr *StudyResult) []FaultResilienceRow {
-	return FaultResilienceFromTriage(sr.Triage)
-}
-
-// FaultResilienceFromTriage derives the resilience table straight from a
-// triage result (the farm CLIs hold a farm.Result, not a StudyResult). Rows
-// are sorted by fault kind then app, so the table is a deterministic
-// function of the (already deterministic) merged triage result; nil when
-// no fault buckets exist.
+// FaultResilienceFromTriage derives the resilience table from a study's
+// triage buckets. Rows are sorted by fault kind then app, so the table is a
+// deterministic function of the (already deterministic) merged triage
+// result; nil when no fault buckets exist.
 func FaultResilienceFromTriage(t *triage.Result) []FaultResilienceRow {
 	if t == nil {
 		return nil

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/farm"
 	"repro/internal/javalang"
 	"repro/internal/manifest"
 )
@@ -19,7 +20,7 @@ func TestSeedRobustness(t *testing.T) {
 	}
 	for _, seed := range []uint64{2, 3, 5} {
 		seed := seed
-		sr, err := RunWearStudy(Options{Seed: seed, Gen: QuickGen(3)})
+		sr, err := RunWearStudy(farm.Config{Seed: seed, Gen: QuickGen(3), Aging: true})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

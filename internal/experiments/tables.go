@@ -6,6 +6,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/farm"
 	"repro/internal/intent"
 	"repro/internal/javalang"
 	"repro/internal/manifest"
@@ -99,13 +100,13 @@ type TableIIIRow struct {
 
 // TableIII computes the distribution of behaviours among campaigns,
 // app-level, most severe manifestation (Section IV-B).
-func TableIII(sr *StudyResult) []TableIIIRow {
-	category := make(map[string]manifest.AppCategory, len(sr.Fleet.Packages))
-	for _, p := range sr.Fleet.Packages {
+func TableIII(res *farm.Result) []TableIIIRow {
+	category := make(map[string]manifest.AppCategory, len(res.Fleet.Packages))
+	for _, p := range res.Fleet.Packages {
 		category[p.Name] = p.Category
 	}
-	rows := make([]TableIIIRow, 0, len(sr.Campaigns))
-	for _, c := range sr.Campaigns {
+	rows := make([]TableIIIRow, 0, len(res.Campaigns))
+	for _, c := range res.Campaigns {
 		apps := c.Report.AppManifestations()
 		// Apps that were fuzzed but show nothing in the logs still count as
 		// no-effect; ensure every fleet package is represented.
@@ -114,7 +115,7 @@ func TableIII(sr *StudyResult) []TableIIIRow {
 			manifest.NotHealthFitness: {},
 		}
 		totals := map[manifest.AppCategory]int{}
-		for _, p := range sr.Fleet.Packages {
+		for _, p := range res.Fleet.Packages {
 			m, ok := apps[p.Name]
 			if !ok {
 				m = analysis.ManifestNoEffect
@@ -153,8 +154,8 @@ type TableIVRow struct {
 
 // TableIV computes the phone crash distribution by exception type; classes
 // with fewer than 5 crashes are folded into "Others" like the paper.
-func TableIV(sr *StudyResult) (rows []TableIVRow, others TableIVRow, total int) {
-	counts := sr.Combined.CrashClassTotals()
+func TableIV(res *farm.Result) (rows []TableIVRow, others TableIVRow, total int) {
+	counts := res.Combined.CrashClassTotals()
 	for _, cc := range counts {
 		total += cc.Count
 	}
@@ -185,21 +186,21 @@ type Fig2Series struct {
 }
 
 // Fig2 computes the exception-type distribution.
-func Fig2(sr *StudyResult) Fig2Series {
+func Fig2(res *farm.Result) Fig2Series {
 	return Fig2Series{
-		SecurityShare: sr.Combined.SecurityShare(),
-		ByType:        sr.Combined.UncaughtByComponentType(false),
+		SecurityShare: res.Combined.SecurityShare(),
+		ByType:        res.Combined.UncaughtByComponentType(false),
 	}
 }
 
 // Fig3a computes the component-level manifestation distribution.
-func Fig3a(sr *StudyResult) map[analysis.Manifestation]int {
-	return sr.Combined.ManifestationCounts()
+func Fig3a(res *farm.Result) map[analysis.Manifestation]int {
+	return res.Combined.ManifestationCounts()
 }
 
 // Fig3b computes the blamed-exception distribution per manifestation.
-func Fig3b(sr *StudyResult) map[analysis.Manifestation][]analysis.BlameShare {
-	return sr.Combined.ManifestationBlame()
+func Fig3b(res *farm.Result) map[analysis.Manifestation][]analysis.BlameShare {
+	return res.Combined.ManifestationBlame()
 }
 
 // Fig4Series groups crash-causing exceptions by app classification.
@@ -213,15 +214,15 @@ type Fig4Series struct {
 }
 
 // Fig4 computes the built-in vs third-party crash comparison.
-func Fig4(sr *StudyResult) Fig4Series {
-	origin := make(map[string]manifest.Origin, len(sr.Fleet.Packages))
+func Fig4(res *farm.Result) Fig4Series {
+	origin := make(map[string]manifest.Origin, len(res.Fleet.Packages))
 	totals := map[manifest.Origin]int{}
-	for _, p := range sr.Fleet.Packages {
+	for _, p := range res.Fleet.Packages {
 		origin[p.Name] = p.Origin
 		totals[p.Origin]++
 	}
 	crashed := map[manifest.Origin]int{}
-	for _, pkg := range sr.Combined.AppsWithCrash() {
+	for _, pkg := range res.Combined.AppsWithCrash() {
 		crashed[origin[pkg]]++
 	}
 	rates := make(map[manifest.Origin]float64, 2)
@@ -231,7 +232,7 @@ func Fig4(sr *StudyResult) Fig4Series {
 		}
 	}
 	classes := map[manifest.Origin]map[javalang.Class]int{}
-	for pkg, roots := range sr.Combined.CrashRootsByPackage() {
+	for pkg, roots := range res.Combined.CrashRootsByPackage() {
 		o := origin[pkg]
 		m, ok := classes[o]
 		if !ok {
@@ -263,10 +264,10 @@ func Fig4(sr *StudyResult) Fig4Series {
 
 // RebootComponents lists components involved in reboots (Fig. 3a's "4 of
 // the components").
-func RebootComponents(sr *StudyResult) []intent.ComponentName {
+func RebootComponents(res *farm.Result) []intent.ComponentName {
 	var out []intent.ComponentName
-	for _, cn := range sr.Combined.ComponentNames() {
-		if sr.Combined.Components[cn].RebootInvolved {
+	for _, cn := range res.Combined.ComponentNames() {
+		if res.Combined.Components[cn].RebootInvolved {
 			out = append(out, cn)
 		}
 	}

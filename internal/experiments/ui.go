@@ -13,8 +13,8 @@ type UIOptions struct {
 	Events int
 }
 
-// UIStudyResult is the outcome of both mutation modes.
-type UIStudyResult struct {
+// UIResult is the outcome of both mutation modes.
+type UIResult struct {
 	SemiValid uifuzz.Outcome
 	Random    uifuzz.Outcome
 }
@@ -22,8 +22,8 @@ type UIStudyResult struct {
 // RunUIStudy executes the QGJ-UI experiment on a fresh Android Watch
 // emulator carrying the built-in apps plus the top-20 third-party apps,
 // once per mutation mode (Section III-E).
-func RunUIStudy(opts UIOptions) (*UIStudyResult, error) {
-	res := &UIStudyResult{}
+func RunUIStudy(opts UIOptions) (*UIResult, error) {
+	res := &UIResult{}
 	for _, mode := range []uifuzz.Mode{uifuzz.SemiValid, uifuzz.Random} {
 		// A fresh emulator per mode keeps runs independent and repeatable,
 		// the paper's stated reason for using the emulator at all.
@@ -55,7 +55,7 @@ type TableVRow struct {
 }
 
 // TableV renders the study as Table V's rows.
-func TableV(res *UIStudyResult) []TableVRow {
+func TableV(res *UIResult) []TableVRow {
 	row := func(o uifuzz.Outcome) TableVRow {
 		return TableVRow{
 			Experiment:     o.Mode.String(),

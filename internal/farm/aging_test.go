@@ -16,9 +16,9 @@ func agingConfig() farm.Config {
 }
 
 // TestAgingPlanRunsOneAgingDevice: an aging plan dispatches in plan order
-// on one device that is never reset, hands that device back, and leaves
-// the snapshot and persist counters (which describe resets and clones)
-// untouched.
+// on one device that is never reset, hands that device back, never
+// triages (agingConfig leaves DisableTriage unset), and leaves the snapshot
+// and persist counters (which describe resets and clones) untouched.
 func TestAgingPlanRunsOneAgingDevice(t *testing.T) {
 	cfg := agingConfig()
 	p, err := farm.NewPlan(cfg)
@@ -47,6 +47,9 @@ func TestAgingPlanRunsOneAgingDevice(t *testing.T) {
 	}
 	if res.Workers != 1 || res.Sent == 0 {
 		t.Fatalf("workers = %d, sent = %d", res.Workers, res.Sent)
+	}
+	if res.Triage != nil {
+		t.Fatal("an aging plan triaged its crashes; it never does")
 	}
 	snap := reg.Snapshot()
 	if got := snap.Counters["farm_shards_done_total"]; got != uint64(res.Shards) {

@@ -63,8 +63,8 @@ type Config struct {
 	Gen core.GeneratorConfig
 	// Aging runs the units in plan order on one device with the whole fleet
 	// installed, never reset, so system-server aging carries from each unit
-	// into the next (the paper's reboots). It refuses campaign F, a
-	// checkpoint and more than one worker.
+	// into the next (the paper's reboots). It never triages, and it refuses
+	// campaign F, a checkpoint and more than one worker.
 	Aging bool
 	// Sharding sets worker count and checkpoint behaviour.
 	Sharding core.Sharding
@@ -133,12 +133,27 @@ type Result struct {
 	Shards  int
 	Resumed int
 	Workers int
-	// Triage holds deduplicated crash buckets (nil when DisableTriage).
+	// Triage holds deduplicated crash buckets (nil when DisableTriage or
+	// for an aging plan).
 	Triage *triage.Result
 	// Device is an aging plan's single device as the run left it; nil for
 	// shard plans, whose devices are reset between units.
 	Device *wearos.OS
 }
+
+// Reboots counts the device reboots across every campaign of the run.
+func (r *Result) Reboots() int {
+	n := 0
+	for _, c := range r.Campaigns {
+		n += len(c.Report.RebootTimes)
+	}
+	return n
+}
+
+// triages reports whether the run buckets and minimizes its crashes. An
+// aging plan never does: it is the paper's single-watch study, which has
+// no triage stage.
+func (c Config) triages() bool { return !c.DisableTriage && !c.Aging }
 
 // farmMetrics caches the engine's metric handles (all nil-safe no-ops when
 // Config.Telemetry is nil).
@@ -426,7 +441,7 @@ func (e *Executor) runShard(key ShardKey) (*ShardResult, error) {
 	dev.Logcat().Subscribe(col)
 	defer dev.Logcat().Unsubscribe(col)
 	var tri *triage.Collector
-	if !cfg.DisableTriage {
+	if cfg.triages() {
 		tri = triage.NewCollector()
 		dev.Logcat().Subscribe(tri)
 		defer dev.Logcat().Unsubscribe(tri)

@@ -23,24 +23,22 @@ var testPackages = []string{"com.heartwatch.wear", "com.strava.wear", "com.whats
 
 func testGen() core.GeneratorConfig { return experiments.QuickGen(10) }
 
-// exportForCompare renders a study result as canonical JSON with the
-// execution metadata (worker count, checkpoint path, resumed count) blanked:
-// the determinism contract is about the scientific outputs — Table III,
-// Fig 3a, campaign counts, triage buckets — not about how the run executed.
-func exportForCompare(t *testing.T, sr *experiments.StudyResult) string {
+// exportForCompare renders a study result as its canonical JSON export.
+// The export carries only the scientific outputs — Table III, Fig 3a,
+// campaign counts, triage buckets — never how the run executed, so equal
+// plans must render equal bytes whatever the worker count or resume history.
+func exportForCompare(t *testing.T, res *farm.Result) string {
 	t.Helper()
-	exp := report.ExportStudy(sr, 1)
-	exp.Sharding = nil
-	data, err := json.MarshalIndent(exp, "", " ")
+	data, err := json.MarshalIndent(report.ExportStudy(res, 1), "", " ")
 	if err != nil {
 		t.Fatalf("marshal export: %v", err)
 	}
 	return string(data)
 }
 
-func runStudy(t *testing.T, sharding core.Sharding) *experiments.StudyResult {
+func runStudy(t *testing.T, sharding core.Sharding) *farm.Result {
 	t.Helper()
-	sr, err := experiments.RunWearStudy(experiments.Options{
+	res, err := experiments.RunWearStudy(farm.Config{
 		Seed:     1,
 		Gen:      testGen(),
 		Packages: testPackages,
@@ -49,7 +47,7 @@ func runStudy(t *testing.T, sharding core.Sharding) *experiments.StudyResult {
 	if err != nil {
 		t.Fatalf("study: %v", err)
 	}
-	return sr
+	return res
 }
 
 func TestWorkerCountInvariance(t *testing.T) {
@@ -62,15 +60,12 @@ func TestWorkerCountInvariance(t *testing.T) {
 	if got, want := exportForCompare(t, parallel), exportForCompare(t, serial); got != want {
 		t.Errorf("workers=8 export differs from workers=1:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", want, got)
 	}
-	if serial.Sharding == nil || serial.Sharding.Workers != 1 {
-		t.Fatalf("serial sharding info = %+v", serial.Sharding)
-	}
-	if parallel.Sharding == nil || parallel.Sharding.Workers != 8 {
-		t.Fatalf("parallel sharding info = %+v", parallel.Sharding)
+	if serial.Workers != 1 || parallel.Workers != 8 {
+		t.Fatalf("workers = %d and %d, want 1 and 8", serial.Workers, parallel.Workers)
 	}
 	wantShards := 4 * len(testPackages)
-	if serial.Sharding.Shards != wantShards {
-		t.Fatalf("shards = %d, want %d", serial.Sharding.Shards, wantShards)
+	if serial.Shards != wantShards {
+		t.Fatalf("shards = %d, want %d", serial.Shards, wantShards)
 	}
 	if serial.Triage == nil {
 		t.Fatal("farm run must carry a triage result")
@@ -111,8 +106,8 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 	if got := exportForCompare(t, resumed); got != want {
 		t.Errorf("resumed run differs from uninterrupted run:\n--- uninterrupted ---\n%s\n--- resumed ---\n%s", want, got)
 	}
-	if resumed.Sharding.Resumed != keep {
-		t.Fatalf("resumed = %d shards, want %d", resumed.Sharding.Resumed, keep)
+	if resumed.Resumed != keep {
+		t.Fatalf("resumed = %d shards, want %d", resumed.Resumed, keep)
 	}
 
 	// The journal is now complete: resuming again replays every shard.
@@ -120,8 +115,8 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 	if got := exportForCompare(t, replayed); got != want {
 		t.Error("full-journal replay differs from uninterrupted run")
 	}
-	if replayed.Sharding.Resumed != replayed.Sharding.Shards {
-		t.Fatalf("replay resumed %d of %d shards", replayed.Sharding.Resumed, replayed.Sharding.Shards)
+	if replayed.Resumed != replayed.Shards {
+		t.Fatalf("replay resumed %d of %d shards", replayed.Resumed, replayed.Shards)
 	}
 }
 

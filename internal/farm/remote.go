@@ -152,7 +152,7 @@ func (p *Plan) Order() []int { return p.order }
 
 // Merge folds one complete result set, in canonical plan order, into
 // per-campaign and combined reports and runs triage (unless the plan's
-// Config disables it). Every slot must hold the result for the
+// Config disables it or is an aging plan). Every slot must hold the result for the
 // same-indexed shard; order of arrival is irrelevant by construction.
 func (p *Plan) Merge(results []*ShardResult) (*Result, error) {
 	if len(results) != len(p.shards) {
@@ -188,7 +188,7 @@ func (p *Plan) Merge(results []*ShardResult) (*Result, error) {
 		res.Sent += cr.Sent
 	}
 	p.met.mergeSeconds.Observe(time.Since(start).Seconds())
-	if !p.cfg.DisableTriage {
+	if p.cfg.triages() {
 		res.Triage = p.triageCrashes(results)
 		p.met.crashesRaw.Set(float64(res.Triage.Crashes))
 		p.met.crashBuckets.Set(float64(res.Triage.Unique()))

@@ -74,8 +74,8 @@ func TestCheckpointCrossSnapshotModes(t *testing.T) {
 	if got := exportForCompare(t, resumed); got != want {
 		t.Errorf("executor resume of a fresh-boot journal differs:\n--- fresh-boot full ---\n%s\n--- resumed ---\n%s", want, got)
 	}
-	if resumed.Sharding.Resumed != keep {
-		t.Fatalf("resumed = %d shards, want %d", resumed.Sharding.Resumed, keep)
+	if resumed.Resumed != keep {
+		t.Fatalf("resumed = %d shards, want %d", resumed.Resumed, keep)
 	}
 
 	// The journal now mixes oracle and executor records; torn after six, it
@@ -87,8 +87,8 @@ func TestCheckpointCrossSnapshotModes(t *testing.T) {
 	if got := exportForCompare(t, again); got != want {
 		t.Error("fresh-boot resume of an executor-extended journal differs")
 	}
-	if again.Sharding.Resumed != keepAgain {
-		t.Fatalf("oracle resumed = %d shards, want %d", again.Sharding.Resumed, keepAgain)
+	if again.Resumed != keepAgain {
+		t.Fatalf("oracle resumed = %d shards, want %d", again.Resumed, keepAgain)
 	}
 
 	// And the completed executor journal replays fully under the oracle.
@@ -96,8 +96,8 @@ func TestCheckpointCrossSnapshotModes(t *testing.T) {
 	if got := exportForCompare(t, replayed); got != want {
 		t.Error("fresh-boot replay of an executor-completed journal differs")
 	}
-	if replayed.Sharding.Resumed != replayed.Sharding.Shards {
-		t.Fatalf("replay resumed %d of %d shards", replayed.Sharding.Resumed, replayed.Sharding.Shards)
+	if replayed.Resumed != replayed.Shards {
+		t.Fatalf("replay resumed %d of %d shards", replayed.Resumed, replayed.Shards)
 	}
 }
 

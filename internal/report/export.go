@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/experiments"
+	"repro/internal/farm"
 	"repro/internal/telemetry"
 	"repro/internal/uifuzz"
 )
@@ -31,10 +32,8 @@ type StudyExport struct {
 	// artifact carries its own instrumentation (counters, gauges, histogram
 	// quantiles) next to the paper tables.
 	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
-	// Sharding records how a farm-backed run executed (absent for serial
-	// runs).
-	Sharding *ShardingExport `json:"sharding,omitempty"`
-	// Triage lists deduplicated crash signatures (farm runs only).
+	// Triage lists deduplicated crash signatures (shard plans only; an
+	// aging study never triages).
 	Triage *TriageExport `json:"triage,omitempty"`
 	// FaultResilience is the graded fault-injection table (FIC F runs only):
 	// one row per (fault kind, app) with a graceful-degradation score.
@@ -51,14 +50,6 @@ type FaultResilienceExportRow struct {
 	SilentDrops      int     `json:"silentDrops,omitempty"`
 	FailedRecoveries int     `json:"failedRecoveries,omitempty"`
 	Score            float64 `json:"score"`
-}
-
-// ShardingExport describes the farm execution of a study.
-type ShardingExport struct {
-	Workers    int    `json:"workers"`
-	Shards     int    `json:"shards"`
-	Resumed    int    `json:"resumed,omitempty"`
-	Checkpoint string `json:"checkpoint,omitempty"`
 }
 
 // TriageExport is the deduplicated failure roll-up.
@@ -132,38 +123,32 @@ type TableIVExportRow struct {
 	Share   float64 `json:"share"`
 }
 
-// ExportStudy converts a study result into its export form.
-func ExportStudy(sr *experiments.StudyResult, seed uint64) StudyExport {
+// ExportStudy converts a study result into its export form. It carries the
+// scientific outputs only, never how the run executed (worker count,
+// checkpoint, resumed shards), so equal plans export equal bytes.
+func ExportStudy(res *farm.Result, seed uint64) StudyExport {
 	out := StudyExport{
-		Fleet:   sr.Fleet.Kind.String(),
+		Fleet:   res.Fleet.Kind.String(),
 		Seed:    seed,
-		Sent:    sr.Sent,
-		Reboots: sr.Reboots(),
+		Sent:    res.Sent,
+		Reboots: res.Reboots(),
 		Fig3a:   map[string]int{},
 		Fig4:    map[string]float64{},
 	}
-	if sr.Device != nil {
-		if reg := sr.Device.Telemetry(); reg != nil {
+	if res.Device != nil {
+		if reg := res.Device.Telemetry(); reg != nil {
 			snap := reg.Snapshot()
 			out.Telemetry = &snap
 		}
 	}
-	if sr.Sharding != nil {
-		out.Sharding = &ShardingExport{
-			Workers:    sr.Sharding.Workers,
-			Shards:     sr.Sharding.Shards,
-			Resumed:    sr.Sharding.Resumed,
-			Checkpoint: sr.Sharding.Checkpoint,
-		}
-	}
-	if sr.Triage != nil {
+	if res.Triage != nil {
 		out.Triage = &TriageExport{
-			RawCrashes: sr.Triage.Crashes,
-			RawANRs:    sr.Triage.ANRs,
-			RawFaults:  sr.Triage.Faults,
-			Unique:     sr.Triage.Unique(),
+			RawCrashes: res.Triage.Crashes,
+			RawANRs:    res.Triage.ANRs,
+			RawFaults:  res.Triage.Faults,
+			Unique:     res.Triage.Unique(),
 		}
-		for _, b := range sr.Triage.Buckets {
+		for _, b := range res.Triage.Buckets {
 			be := TriageBucketExport{
 				Hash:       fmt.Sprintf("%016x", b.Hash),
 				Kind:       b.Kind,
@@ -186,7 +171,7 @@ func ExportStudy(sr *experiments.StudyResult, seed uint64) StudyExport {
 			out.Triage.Buckets = append(out.Triage.Buckets, be)
 		}
 	}
-	for _, c := range sr.Campaigns {
+	for _, c := range res.Campaigns {
 		out.Campaigns = append(out.Campaigns, CampaignExport{
 			Campaign: c.Campaign.Letter(),
 			Sent:     c.Sent,
@@ -196,16 +181,16 @@ func ExportStudy(sr *experiments.StudyResult, seed uint64) StudyExport {
 			Reboots:  len(c.Report.RebootTimes),
 		})
 	}
-	out.Combined.SecurityShare = sr.Combined.SecurityShare()
-	for _, cc := range sr.Combined.UncaughtClassDistribution(false) {
+	out.Combined.SecurityShare = res.Combined.SecurityShare()
+	for _, cc := range res.Combined.UncaughtClassDistribution(false) {
 		out.Combined.Uncaught = append(out.Combined.Uncaught,
 			ClassCountExport{Class: string(cc.Class), Count: cc.Count})
 	}
-	for _, cc := range sr.Combined.CrashClassTotals() {
+	for _, cc := range res.Combined.CrashClassTotals() {
 		out.Combined.CrashClasses = append(out.Combined.CrashClasses,
 			ClassCountExport{Class: string(cc.Class), Count: cc.Count})
 	}
-	for _, row := range experiments.TableIII(sr) {
+	for _, row := range experiments.TableIII(res) {
 		out.TableIII = append(out.TableIII,
 			TableIIIExportRow{
 				Campaign: row.Campaign.Letter(), Category: "Health/Fitness",
@@ -218,7 +203,7 @@ func ExportStudy(sr *experiments.StudyResult, seed uint64) StudyExport {
 				Hang: row.NotHealth.Hang, NoEffect: row.NotHealth.NoEffect,
 			})
 	}
-	rows, others, _ := experiments.TableIV(sr)
+	rows, others, _ := experiments.TableIV(res)
 	for _, r := range rows {
 		out.TableIV = append(out.TableIV,
 			TableIVExportRow{Class: string(r.Class), Crashes: r.Crashes, Share: r.Share})
@@ -227,16 +212,16 @@ func ExportStudy(sr *experiments.StudyResult, seed uint64) StudyExport {
 		out.TableIV = append(out.TableIV,
 			TableIVExportRow{Class: "Others", Crashes: others.Crashes, Share: others.Share})
 	}
-	for m, n := range experiments.Fig3a(sr) {
+	for m, n := range experiments.Fig3a(res) {
 		out.Fig3a[m.String()] = n
 	}
-	for origin, rate := range experiments.Fig4(sr).CrashAppRate {
+	for origin, rate := range experiments.Fig4(res).CrashAppRate {
 		out.Fig4[origin.String()] = rate
 	}
-	for _, cn := range experiments.RebootComponents(sr) {
+	for _, cn := range experiments.RebootComponents(res) {
 		out.Reboot = append(out.Reboot, cn.FlattenToString())
 	}
-	for _, r := range experiments.FaultResilience(sr) {
+	for _, r := range experiments.FaultResilienceFromTriage(res.Triage) {
 		out.FaultResilience = append(out.FaultResilience, FaultResilienceExportRow{
 			Fault: r.Fault, App: r.App, Windows: r.Windows,
 			Degraded: r.Degraded, Stalls: r.Stalls,
@@ -264,7 +249,7 @@ type UIExportRow struct {
 }
 
 // ExportUI converts a UI study into its export form.
-func ExportUI(res *experiments.UIStudyResult) UIExport {
+func ExportUI(res *experiments.UIResult) UIExport {
 	row := func(o uifuzz.Outcome) UIExportRow {
 		return UIExportRow{
 			Experiment:    o.Mode.String(),

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/farm"
 	"repro/internal/telemetry"
 )
 
@@ -24,20 +25,23 @@ var updateGolden = flag.Bool("update", false, "rewrite the aging-study golden ex
 func TestAgingStudyGolden(t *testing.T) {
 	cases := []struct {
 		fleet string
-		run   func(experiments.Options) (*experiments.StudyResult, error)
-		opts  experiments.Options
+		run   func(farm.Config) (*farm.Result, error)
+		opts  farm.Config
 	}{
-		{"wear", experiments.RunWearStudy, experiments.Options{
+		{"wear", experiments.RunWearStudy, farm.Config{
 			Seed:     1,
+			Aging:    true,
 			Packages: []string{"com.motorola.omni", "com.google.android.deskclock"},
 		}},
-		{"phone", experiments.RunPhoneStudy, experiments.Options{
+		{"phone", experiments.RunPhoneStudy, farm.Config{
 			Seed:     1,
+			Aging:    true,
 			Gen:      experiments.QuickGen(3),
 			Packages: []string{"com.android.chrome", "com.android.settings"},
 		}},
-		{"legacy-phone", experiments.RunLegacyPhoneStudy, experiments.Options{
+		{"legacy-phone", experiments.RunLegacyPhoneStudy, farm.Config{
 			Seed:     1,
+			Aging:    true,
 			Gen:      experiments.QuickGen(3),
 			Packages: []string{"com.android.chrome", "com.android.settings"},
 		}},

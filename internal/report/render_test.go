@@ -7,15 +7,17 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/farm"
 	"repro/internal/javalang"
 	"repro/internal/manifest"
 )
 
-func quickStudy(t *testing.T) *experiments.StudyResult {
+func quickStudy(t *testing.T) *farm.Result {
 	t.Helper()
-	sr, err := experiments.RunWearStudy(experiments.Options{
-		Seed: 1,
-		Gen:  experiments.QuickGen(6),
+	sr, err := experiments.RunWearStudy(farm.Config{
+		Seed:  1,
+		Gen:   experiments.QuickGen(6),
+		Aging: true,
 		Packages: []string{
 			"com.google.android.apps.fitness",
 			"com.whatsapp.wear",

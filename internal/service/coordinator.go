@@ -163,6 +163,7 @@ type svcMetrics struct {
 	resultsRej    *telemetry.Counter
 	throttled     *telemetry.Counter
 	archived      *telemetry.Counter
+	archiveFailed *telemetry.Counter
 }
 
 func newSvcMetrics(reg *telemetry.Registry) svcMetrics {
@@ -178,6 +179,7 @@ func newSvcMetrics(reg *telemetry.Registry) svcMetrics {
 		resultsRej:    reg.Counter("service_results_rejected_total"),
 		throttled:     reg.Counter("service_uploads_throttled_total"),
 		archived:      reg.Counter("service_campaigns_archived_total"),
+		archiveFailed: reg.Counter("service_archive_failures_total"),
 	}
 }
 
@@ -339,35 +341,43 @@ func (c *Coordinator) restore() error {
 		}
 	}
 	// Archived campaigns keep their listing across restarts: each eviction
-	// left an info snapshot in done/.
-	if doneEntries, err := os.ReadDir(c.doneDir()); err == nil {
-		for _, e := range doneEntries {
-			if !strings.HasSuffix(e.Name(), ".info.json") {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(c.doneDir(), e.Name()))
-			if err != nil {
-				continue
-			}
-			var info CampaignInfo
-			if json.Unmarshal(data, &info) != nil || info.ID == "" {
-				continue
-			}
-			info.State = CampaignArchived
-			c.archived = append(c.archived, info)
-			if n := parseSeq(info.ID); n >= c.seq {
-				c.seq = n
-			}
-		}
-		sort.Slice(c.archived, func(i, j int) bool {
-			return c.archived[i].Created.Before(c.archived[j].Created)
-		})
+	// left an info snapshot in done/. An unreadable one is refused like a
+	// malformed sidecar, or the campaign would vanish from the listing.
+	doneEntries, err := os.ReadDir(c.doneDir())
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("service: scan archive: %w", err)
 	}
+	for _, e := range doneEntries {
+		if !strings.HasSuffix(e.Name(), ".info.json") {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(c.doneDir(), e.Name()))
+		if err != nil {
+			return fmt.Errorf("service: read archive info %s: %w", e.Name(), err)
+		}
+		var info CampaignInfo
+		if err := json.Unmarshal(data, &info); err != nil {
+			return fmt.Errorf("service: parse archive info %s: %w", e.Name(), err)
+		}
+		if info.ID == "" {
+			return fmt.Errorf("service: archive info %s names no campaign", e.Name())
+		}
+		info.State = CampaignArchived
+		c.archived = append(c.archived, info)
+		if n := parseSeq(info.ID); n >= c.seq {
+			c.seq = n
+		}
+	}
+	sort.Slice(c.archived, func(i, j int) bool {
+		return c.archived[i].Created.Before(c.archived[j].Created)
+	})
 	return nil
 }
 
 // enforceRetain archives completed campaigns beyond the retention window,
-// oldest first. No-op when Options.Retain is 0 (keep everything).
+// oldest first. No-op when Options.Retain is 0 (keep everything). A
+// campaign whose archiving fails stays hosted; the failure is counted and
+// the next retention pass retries it.
 func (c *Coordinator) enforceRetain() {
 	if c.opts.Retain <= 0 {
 		return
@@ -382,30 +392,26 @@ func (c *Coordinator) enforceRetain() {
 		}
 	}
 	for len(complete) > c.opts.Retain {
-		c.archiveLocked(complete[0])
+		if err := c.archiveLocked(complete[0]); err != nil {
+			c.met.archiveFailed.Inc()
+		}
 		complete = complete[1:]
 	}
 }
 
-// archiveLocked evicts one completed campaign: its journal is closed, the
-// sidecar/journal pair moves to DataDir/done/ alongside an info snapshot,
-// and only its listing stays in memory. Callers hold c.mu.
-func (c *Coordinator) archiveLocked(camp *campaign) {
+// archiveLocked evicts one completed campaign: its artifacts move to
+// DataDir/done/, then its journal is closed and only its listing stays in
+// memory. If the move fails, the campaign stays hosted. Callers hold c.mu.
+func (c *Coordinator) archiveLocked(camp *campaign) error {
 	info := c.infoLocked(camp)
 	info.State = CampaignArchived
-	if camp.journal != nil {
-		camp.journal.Close()
-		camp.journal = nil
-	}
 	if c.opts.DataDir != "" {
-		if err := os.MkdirAll(c.doneDir(), 0o755); err == nil {
-			os.Rename(c.specFile(camp.id), filepath.Join(c.doneDir(), camp.id+".spec.json"))
-			os.Rename(c.journalFile(camp.id), filepath.Join(c.doneDir(), camp.id+".ckpt"))
-			if data, err := json.MarshalIndent(info, "", "  "); err == nil {
-				os.WriteFile(filepath.Join(c.doneDir(), camp.id+".info.json"), append(data, '\n'), 0o644)
-			}
+		if err := c.moveToDone(camp.id, info); err != nil {
+			return fmt.Errorf("service: archive %s: %w", camp.id, err)
 		}
 	}
+	camp.journal.Close()
+	camp.journal = nil
 	delete(c.campaigns, camp.id)
 	for i, id := range c.order {
 		if id == camp.id {
@@ -415,6 +421,34 @@ func (c *Coordinator) archiveLocked(camp *campaign) {
 	}
 	c.archived = append(c.archived, info)
 	c.met.archived.Inc()
+	return nil
+}
+
+// moveToDone writes the campaign's info snapshot to DataDir/done/ and moves
+// its journal and then its sidecar there. The sidecar goes last because a
+// restart re-hosts every campaign whose sidecar is still in DataDir. A
+// failed step undoes the ones before it, so the campaign is either wholly
+// archived or wholly still hosted.
+func (c *Coordinator) moveToDone(id string, info CampaignInfo) error {
+	data, err := json.MarshalIndent(info, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(c.doneDir(), 0o755); err != nil {
+		return err
+	}
+	infoPath := filepath.Join(c.doneDir(), id+".info.json")
+	if err := os.WriteFile(infoPath, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	journal := filepath.Join(c.doneDir(), id+".ckpt")
+	if err := os.Rename(c.journalFile(id), journal); err != nil {
+		return errors.Join(err, os.Remove(infoPath))
+	}
+	if err := os.Rename(c.specFile(id), filepath.Join(c.doneDir(), id+".spec.json")); err != nil {
+		return errors.Join(err, os.Rename(journal, c.journalFile(id)), os.Remove(infoPath))
+	}
+	return nil
 }
 
 // parseSeq extracts the numeric sequence from a campaign ID ("c7-..." -> 7).
@@ -779,7 +813,6 @@ func (c *Coordinator) finalize(camp *campaign) {
 	res, err := camp.plan.Merge(camp.board.TakeResults())
 	var export []byte
 	if err == nil {
-		res.Resumed = camp.board.Tally().Resumed
 		export, err = ExportResult(res, camp.spec.Seed)
 	}
 	c.mu.Lock()

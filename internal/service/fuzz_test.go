@@ -3,9 +3,14 @@ package service_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"testing"
 
+	"repro/internal/farm"
 	"repro/internal/service"
 )
 
@@ -65,5 +70,94 @@ func FuzzCampaignSpec(f *testing.F) {
 		if !slices.Equal(again.Shards(), shards) {
 			t.Fatalf("shards changed in the round trip:\n%v\n%v", again.Shards(), shards)
 		}
+	})
+}
+
+// FuzzWorkerEnvelopes: the two bodies a worker sends, a lease request and a
+// result upload, arrive at the real handlers as arbitrary bytes. Every body
+// ends in a 2xx or 4xx response, never a panic or a 5xx. The upload is
+// posted against a live lease, so a body that decodes reaches the record
+// checks (fingerprint, shard, key) and, when valid, completes the shard.
+// `go test` runs the seeds; `go test -fuzz=FuzzWorkerEnvelopes
+// ./internal/service` explores further.
+func FuzzWorkerEnvelopes(f *testing.F) {
+	// Triage off keeps the merge a valid upload triggers cheap.
+	spec := tinySpec()
+	spec.DisableTriage = true
+	plan, err := spec.Plan()
+	if err != nil {
+		f.Fatal(err)
+	}
+	sr, err := plan.NewExecutor().ExecuteShard(0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	record, err := farm.EncodeShardRecord(0, sr)
+	if err != nil {
+		f.Fatal(err)
+	}
+	fp := fmt.Sprintf("%016x", plan.Fingerprint())
+	valid, err := json.Marshal(struct {
+		Fingerprint string          `json:"fingerprint"`
+		Record      json.RawMessage `json:"record"`
+	}{fp, record})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []struct{ lease, result string }{
+		{`{"worker":"w1"}`, string(valid)},
+		{`{}`, `{"fingerprint":"` + fp + `","record":{}}`},
+		{`{"worker":7}`, `{"fingerprint":"` + fp + `","record":"not a record"}`},
+		{`null`, `{"fingerprint":"0000000000000000","record":null}`},
+		{`not json`, `{}`},
+		{``, ``},
+	} {
+		f.Add([]byte(seed.lease), []byte(seed.result))
+	}
+
+	// Retain 1 archives merged campaigns, so valid uploads do not pile up.
+	coord, err := service.NewCoordinator(service.Options{Retain: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { coord.Shutdown() })
+	h := service.Handler(coord)
+	post := func(t *testing.T, path string, body []byte) *httptest.ResponseRecorder {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code < 200 || rec.Code >= 500 || (rec.Code >= 300 && rec.Code < 400) {
+			t.Fatalf("POST %s with %q: status %d, want 2xx or 4xx\n%s", path, body, rec.Code, rec.Body)
+		}
+		return rec
+	}
+	lease := func(t *testing.T) service.LeaseGrant {
+		t.Helper()
+		grant, err := coord.Lease("fuzz")
+		if errors.Is(err, service.ErrNoWork) {
+			if _, err := coord.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+			grant, err = coord.Lease("fuzz")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return grant
+	}
+
+	f.Fuzz(func(t *testing.T, leaseBody, resultBody []byte) {
+		if rec := post(t, "/api/v1/leases", leaseBody); rec.Code == http.StatusOK {
+			var grant service.LeaseGrant
+			if err := json.Unmarshal(rec.Body.Bytes(), &grant); err != nil {
+				t.Fatalf("lease grant does not decode: %v\n%s", err, rec.Body)
+			}
+			post(t, "/api/v1/leases/"+grant.LeaseID+"/release", nil)
+		}
+		grant := lease(t)
+		post(t, "/api/v1/leases/"+grant.LeaseID+"/result", resultBody)
+		// A refused upload has already re-queued the shard; release the
+		// lease in case the body never reached the record checks.
+		post(t, "/api/v1/leases/"+grant.LeaseID+"/release", nil)
 	})
 }

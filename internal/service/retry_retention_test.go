@@ -108,36 +108,10 @@ func TestRetentionArchivesCompletedCampaigns(t *testing.T) {
 	dir := t.TempDir()
 	coord := newCoordinator(t, service.Options{DataDir: dir, Retain: 1})
 
-	complete := func(spec service.CampaignSpec) service.CampaignInfo {
-		t.Helper()
-		info, err := coord.Submit(spec)
-		if err != nil {
-			t.Fatalf("submit: %v", err)
-		}
-		grant, err := coord.Lease("w1")
-		if err != nil {
-			t.Fatalf("lease: %v", err)
-		}
-		if err := coord.Complete(grant.LeaseID, grant.Fingerprint, executeShard(t, grant)); err != nil {
-			t.Fatalf("complete: %v", err)
-		}
-		return waitForState(t, func() (service.CampaignInfo, error) { return coord.Campaign(info.ID) }, service.CampaignComplete)
-	}
-
-	first := complete(tinySpec())
+	first := completeCampaign(t, coord, tinySpec())
 	spec2 := tinySpec()
 	spec2.Seed = 2
-	second, err := coord.Submit(spec2)
-	if err != nil {
-		t.Fatalf("submit second: %v", err)
-	}
-	grant, err := coord.Lease("w1")
-	if err != nil {
-		t.Fatalf("lease second: %v", err)
-	}
-	if err := coord.Complete(grant.LeaseID, grant.Fingerprint, executeShard(t, grant)); err != nil {
-		t.Fatalf("complete second: %v", err)
-	}
+	second := submitAndUpload(t, coord, spec2)
 
 	// The second campaign's merge evicts the first; archiving runs after
 	// finalize, so poll the listing.
@@ -169,6 +143,74 @@ func TestRetentionArchivesCompletedCampaigns(t *testing.T) {
 	restarted := newCoordinator(t, service.Options{DataDir: dir, Retain: 1})
 	if got := waitForArchived(t, restarted, first.ID); got.Created.IsZero() {
 		t.Errorf("restarted listing lost the archive timestamp: %+v", got)
+	}
+}
+
+// submitAndUpload submits a one-shard spec and uploads that shard's result
+// (the merge then runs in the background).
+func submitAndUpload(t *testing.T, coord *service.Coordinator, spec service.CampaignSpec) service.CampaignInfo {
+	t.Helper()
+	info, err := coord.Submit(spec)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	grant, err := coord.Lease("w1")
+	if err != nil {
+		t.Fatalf("lease: %v", err)
+	}
+	if err := coord.Complete(grant.LeaseID, grant.Fingerprint, executeShard(t, grant)); err != nil {
+		t.Fatalf("complete: %v", err)
+	}
+	return info
+}
+
+// completeCampaign runs a one-shard spec to state complete.
+func completeCampaign(t *testing.T, coord *service.Coordinator, spec service.CampaignSpec) service.CampaignInfo {
+	t.Helper()
+	info := submitAndUpload(t, coord, spec)
+	return waitForState(t, func() (service.CampaignInfo, error) { return coord.Campaign(info.ID) }, service.CampaignComplete)
+}
+
+// TestArchiveFailureKeepsCampaignHosted: when a campaign's artifacts cannot
+// move to DataDir/done/ (here its info path is taken by a directory), the
+// campaign stays hosted with its files in place and the failure is
+// counted; and a restart refuses the unreadable info entry instead of
+// silently dropping it from the listing.
+func TestArchiveFailureKeepsCampaignHosted(t *testing.T) {
+	dir := t.TempDir()
+	coord := newCoordinator(t, service.Options{DataDir: dir, Retain: 1})
+	first := completeCampaign(t, coord, tinySpec())
+	blocker := filepath.Join(dir, "done", first.ID+".info.json")
+	if err := os.MkdirAll(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spec2 := tinySpec()
+	spec2.Seed = 2
+	completeCampaign(t, coord, spec2)
+
+	deadline := time.Now().Add(30 * time.Second)
+	for coord.Telemetry().Snapshot().Counters["service_archive_failures_total"] == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the failed archive was never counted")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if got, err := coord.Campaign(first.ID); err != nil || got.State != service.CampaignComplete {
+		t.Fatalf("campaign after a failed archive: %+v, %v; want it still hosted and complete", got, err)
+	}
+	if _, err := coord.Export(first.ID); err != nil {
+		t.Errorf("export after a failed archive: %v", err)
+	}
+	for _, name := range []string{first.ID + ".spec.json", first.ID + ".ckpt"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("artifact left the live dir after a failed archive: %v", err)
+		}
+	}
+	if err := coord.Shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if _, err := service.NewCoordinator(service.Options{DataDir: dir}); err == nil || !strings.Contains(err.Error(), first.ID+".info.json") {
+		t.Fatalf("restart over an unreadable archive info: err = %v, want it refused", err)
 	}
 }
 

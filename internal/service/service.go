@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/farm"
 )
 
@@ -112,10 +113,7 @@ func (s CampaignSpec) FarmConfig() (farm.Config, error) {
 		gen.RandomVariants = s.Gen.RandomVariants
 		gen.ExtrasVariants = s.Gen.ExtrasVariants
 	case s.Quick > 0:
-		gen.ActionStride = s.Quick
-		gen.SchemeStride = (s.Quick + 1) / 2
-		gen.RandomVariants = 1
-		gen.ExtrasVariants = 1
+		gen = experiments.QuickGen(s.Quick)
 	}
 	return farm.Config{
 		Seed:          s.Seed,

@@ -13,6 +13,11 @@
 //     paper's four manifestations and performs root-cause analysis.
 //   - Studies: one-call reproductions of every table and figure in the
 //     paper's evaluation (RunWearStudy, RunPhoneStudy, RunUIStudy, Render*).
+//     A study is a farm run: StudyOptions is its farm configuration and
+//     StudyResult the merged farm result. Set StudyOptions.Aging for the
+//     paper's design, one watch aging across every app and campaign;
+//     without it each (campaign, package) unit is an independent shard with
+//     crash triage.
 //
 // Everything runs on a virtual clock: the paper's ~1.5M-intent study
 // finishes in seconds, deterministically for a given seed.
@@ -25,6 +30,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/experiments"
+	"repro/internal/farm"
 	"repro/internal/manifest"
 	"repro/internal/notify"
 	"repro/internal/telemetry"
@@ -66,11 +72,11 @@ type (
 	// UIOutcome is one QGJ-UI experiment result (a Table V row).
 	UIOutcome = uifuzz.Outcome
 	// StudyResult is a complete campaign study (wear or phone).
-	StudyResult = experiments.StudyResult
+	StudyResult = farm.Result
 	// UIStudyResult is the complete QGJ-UI study (both modes).
-	UIStudyResult = experiments.UIStudyResult
+	UIStudyResult = experiments.UIResult
 	// StudyOptions configures RunWearStudy / RunPhoneStudy.
-	StudyOptions = experiments.Options
+	StudyOptions = farm.Config
 	// UIStudyOptions configures RunUIStudy.
 	UIStudyOptions = experiments.UIOptions
 )

@@ -72,6 +72,7 @@ func TestPublicStudyEntryPoints(t *testing.T) {
 		Seed:     1,
 		Gen:      qgj.QuickGen(20),
 		Packages: []string{"com.spotify.wear"},
+		Aging:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
