@@ -13,6 +13,7 @@
 package qgj_test
 
 import (
+	"fmt"
 	"testing"
 
 	qgj "repro"
@@ -106,33 +107,98 @@ func TestDispatchRecorderAllocFree(t *testing.T) {
 	}
 }
 
+// TestDispatchDenialsAndExtrasAllocFree pins the four gate denials and an
+// intent carrying five FIC-D extras at zero steady-state allocations per
+// dispatch, beside TestDispatchAllocFree's NoEffect case: a denial is a lazy
+// log payload, not a rendered line, and a bundle is a slice.
+func TestDispatchDenialsAndExtrasAllocFree(t *testing.T) {
+	dev := wearos.New(wearos.DefaultWatchConfig())
+	name := func(cls string) intent.ComponentName {
+		return intent.ComponentName{Package: "com.bench", Class: "com.bench." + cls}
+	}
+	pkg := &manifest.Package{
+		Name: "com.bench", Category: manifest.NotHealthFitness, Origin: manifest.ThirdParty,
+		Components: []*manifest.Component{
+			{Name: name("Main"), Type: manifest.Activity, Exported: true},
+			{Name: name("Private"), Type: manifest.Activity},
+			{Name: name("Guarded"), Type: manifest.Activity, Exported: true, Permission: "android.permission.BODY_SENSORS"},
+		},
+	}
+	if err := dev.InstallPackage(pkg); err != nil {
+		t.Fatal(err)
+	}
+	// The extras case refills its bundle before every dispatch, the way the
+	// campaign generator reuses one pooled intent.
+	extras := &intent.Intent{Action: "android.intent.action.VIEW", Component: name("Main"), SenderUID: core.QGJUID}
+	keys := make([]string, 5)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("extra_%d", i)
+	}
+	refill := func() {
+		extras.Extras.Reset()
+		for i, k := range keys {
+			extras.PutExtra(k, intent.IntValue(int64(i)))
+		}
+	}
+	cases := []struct {
+		name   string
+		in     *intent.Intent
+		before func()
+		want   wearos.DeliveryResult
+	}{
+		{"protected-action", &intent.Intent{Action: "android.intent.action.BATTERY_LOW", Component: name("Main"), SenderUID: core.QGJUID}, func() {}, wearos.BlockedSecurity},
+		{"not-found", &intent.Intent{Action: "android.intent.action.VIEW", Component: name("Missing"), SenderUID: core.QGJUID}, func() {}, wearos.BlockedNotFound},
+		{"not-exported", &intent.Intent{Action: "android.intent.action.VIEW", Component: name("Private"), SenderUID: core.QGJUID}, func() {}, wearos.BlockedSecurity},
+		{"needs-permission", &intent.Intent{Action: "android.intent.action.VIEW", Component: name("Guarded"), SenderUID: core.QGJUID}, func() {}, wearos.BlockedSecurity},
+		{"five-extras", extras, refill, wearos.DeliveredNoEffect},
+	}
+	for _, c := range cases {
+		for range 64 {
+			c.before()
+			if res := dev.StartActivity(c.in); res != c.want {
+				t.Fatalf("%s: delivery = %v, want %v", c.name, res, c.want)
+			}
+		}
+		allocs := testing.AllocsPerRun(2000, func() {
+			c.before()
+			dev.StartActivity(c.in)
+		})
+		if allocs > 0.1 {
+			t.Errorf("%s dispatch allocates %.3f objects/op, want 0", c.name, allocs)
+		}
+	}
+}
+
 // TestDecodeAllocFree pins the logcat decoder at zero allocations per line
-// of the injection hot path: the lazy dispatch, delivery, rejection and
-// caught-exception payloads, and an eager permission-denial line the device
-// replays from its gate cache (the decoder memoizes its component parse).
+// of the injection hot path: the lazy dispatch, delivery, rejection,
+// caught-exception and gate-denial payloads, and an eager permission-denial
+// line as a pulled dump carries it (the decoder memoizes its component
+// parse).
 func TestDecodeAllocFree(t *testing.T) {
 	comp := intent.ComponentName{Package: "com.bench", Class: "com.bench.ui.Main"}
+	am := func(text string, p logcat.Payload) logcat.Entry {
+		return logcat.Entry{PID: 1000, Tag: logcat.TagActivityManager, Message: text, Payload: p}
+	}
 	lines := []struct {
 		name string
 		e    logcat.Entry
 		want logcat.EventKind
 	}{
-		{"dispatch", logcat.Entry{PID: 1000, Tag: logcat.TagActivityManager, Payload: logcat.Payload{
+		{"dispatch", am("", logcat.Payload{
 			Op: logcat.MsgDispatch, Verb: "START", Act: "android.intent.action.VIEW",
-			Data: "https://foo.com/", HasData: true, Comp: comp, UID: core.QGJUID,
-		}}, logcat.EventNone},
-		{"delivering", logcat.Entry{PID: 1000, Tag: logcat.TagActivityManager, Payload: logcat.Payload{
-			Op: logcat.MsgDelivering, Verb: "activity", Comp: comp, PID: 4242,
-		}}, logcat.EventDelivery},
-		{"rejected", logcat.Entry{PID: 1000, Tag: logcat.TagActivityManager, Payload: logcat.Payload{
-			Op: logcat.MsgRejected, Comp: comp, Err: "java.lang.IllegalArgumentException: missing extra",
-		}}, logcat.EventRejection},
-		{"caught", logcat.Entry{PID: 4242, Tag: "com.bench", Payload: logcat.Payload{
-			Op: logcat.MsgCaught, Err: "java.lang.NumberFormatException: For input string",
-		}}, logcat.EventCaught},
-		{"denial", logcat.Entry{PID: 1000, Tag: logcat.TagActivityManager,
-			Message: "java.lang.SecurityException: Permission Denial: com.bench/.ui.Main not exported from uid 10123 targeting com.bench/.ui.Main",
-		}, logcat.EventDenial},
+			Data: "https://foo.com/", HasData: true, Comp: comp, N: core.QGJUID,
+		}), logcat.EventNone},
+		{"delivering", am("", logcat.Payload{Op: logcat.MsgDelivering, Verb: "activity", Comp: comp, N: 4242}), logcat.EventDelivery},
+		{"rejected", am("java.lang.IllegalArgumentException: missing extra",
+			logcat.Payload{Op: logcat.MsgRejected, Comp: comp}), logcat.EventRejection},
+		{"caught", logcat.Entry{PID: 4242, Tag: "com.bench", Message: "java.lang.NumberFormatException: For input string",
+			Payload: logcat.Payload{Op: logcat.MsgCaught}}, logcat.EventCaught},
+		{"protected", am("", logcat.Payload{Op: logcat.MsgDenyProtected, Act: "android.intent.action.BATTERY_LOW", Comp: comp, N: core.QGJUID}), logcat.EventDenial},
+		{"not-exported", am("", logcat.Payload{Op: logcat.MsgDenyNotExported, Comp: comp, N: core.QGJUID}), logcat.EventDenial},
+		{"needs-permission", am("android.permission.BODY_SENSORS", logcat.Payload{Op: logcat.MsgDenyPermission, Comp: comp}), logcat.EventDenial},
+		{"not-found", am("", logcat.Payload{Op: logcat.MsgNotFound, Verb: "service", Comp: comp}), logcat.EventNone},
+		{"denial-text", am("java.lang.SecurityException: Permission Denial: com.bench/.ui.Main not exported from uid 10123 targeting com.bench/.ui.Main",
+			logcat.Payload{}), logcat.EventDenial},
 	}
 	for _, l := range lines {
 		var d logcat.Decoder

@@ -8,11 +8,14 @@
 package qgj_test
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	qgj "repro"
 	"repro/internal/analysis"
+	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/farm"
@@ -22,6 +25,7 @@ import (
 	"repro/internal/manifest"
 	"repro/internal/notify"
 	"repro/internal/telemetry"
+	"repro/internal/triage"
 	"repro/internal/wearos"
 )
 
@@ -250,6 +254,63 @@ func benchmarkDispatch(b *testing.B, cfg wearos.Config, setup ...func(*wearos.OS
 			b.Fatalf("delivery = %v", res)
 		}
 	}
+}
+
+// mixApp installs and returns the first wear-fleet app whose campaign A–D
+// traffic draws no-effect deliveries, caught exceptions, rejections,
+// crashes and SecurityException denials alike, trying each app on a fresh
+// device.
+func mixApp(b *testing.B, fleet *apps.Fleet, gen core.GeneratorConfig) (*wearos.OS, *manifest.Package) {
+	b.Helper()
+	want := []wearos.DeliveryResult{wearos.DeliveredNoEffect, wearos.DeliveredHandledException,
+		wearos.DeliveredRejected, wearos.DeliveredCrash, wearos.BlockedSecurity}
+	for _, p := range fleet.Packages {
+		dev := wearos.New(wearos.DefaultWatchConfig())
+		pkg, err := fleet.InstallPackageInto(dev, p.Name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		seen := map[wearos.DeliveryResult]bool{}
+		for _, run := range (&core.Injector{Dev: dev, Cfg: gen}).FuzzAppAllCampaigns(pkg) {
+			for res := range run.Results() {
+				seen[res] = true
+			}
+		}
+		if !slices.ContainsFunc(want, func(r wearos.DeliveryResult) bool { return !seen[r] }) {
+			return dev, pkg
+		}
+	}
+	b.Fatal("no wear-fleet app draws the whole campaign mix")
+	return nil, nil
+}
+
+// BenchmarkDispatchCampaignMix measures the per-intent cost of a campaign,
+// not only the warm NoEffect path the Dispatch* benchmarks isolate: one
+// warm device, with a farm shard's analysis and triage collectors
+// subscribed, re-runs one fleet app's campaign A–D sweep — generation,
+// FIC-D extras, no-effect deliveries, caught exceptions, rejections,
+// crashes and denials in campaign proportions, pacing. It reports ns/op,
+// B/op and allocs/op per intent sent.
+func BenchmarkDispatchCampaignMix(b *testing.B) {
+	gen := experiments.QuickGen(4)
+	dev, pkg := mixApp(b, qgj.BuildWearFleet(1), gen)
+	dev.Logcat().Subscribe(analysis.NewCollector())
+	dev.Logcat().Subscribe(triage.NewCollector())
+	inj := &core.Injector{Dev: dev, Cfg: gen}
+	var before, after runtime.MemStats
+	b.ResetTimer()
+	runtime.ReadMemStats(&before)
+	sent := 0
+	for sent < b.N {
+		for _, run := range inj.FuzzAppAllCampaigns(pkg) {
+			sent += run.Sent
+		}
+	}
+	runtime.ReadMemStats(&after)
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sent), "ns/op")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(sent), "B/op")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(sent), "allocs/op")
 }
 
 // BenchmarkCampaignInstrumented and BenchmarkCampaignNoTelemetry run one

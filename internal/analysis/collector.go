@@ -194,6 +194,10 @@ type recentFailure struct {
 type Collector struct {
 	report *Report
 	dec    logcat.Decoder
+	// hot is the report of the component the last event named: delivery,
+	// denial and rejection lines come in runs per component, and comparing
+	// names that share their strings is cheaper than hashing them.
+	hot *ComponentReport
 
 	pidComp map[int]intent.ComponentName
 	recent  []recentFailure
@@ -255,14 +259,11 @@ func (c *Collector) UseTelemetry(reg *telemetry.Registry) *Collector {
 
 // syncManifest re-derives the component's manifestation and moves it between
 // the severity gauges when it changed (or registers it on first sight).
-func (c *Collector) syncManifest(cn intent.ComponentName) {
+func (c *Collector) syncManifest(cr *ComponentReport) {
 	if c.manifest == nil {
 		return
 	}
-	cr, ok := c.report.Components[cn]
-	if !ok {
-		return
-	}
+	cn := cr.Component
 	cur := cr.Manifestation()
 	prev, seen := c.levels[cn]
 	if seen && prev == cur {
@@ -304,32 +305,35 @@ func (c *Collector) Consume(e logcat.Entry) {
 	switch ev.Kind {
 	case logcat.EventDelivery:
 		c.pidComp[ev.PID] = ev.Comp
-		cr := c.report.component(ev.Comp)
+		cr := c.component(ev.Comp)
 		cr.Type = ev.Text
 		cr.Deliveries++
-		c.syncManifest(ev.Comp)
+		c.syncManifest(cr)
 	case logcat.EventDenial:
-		c.report.component(ev.Comp).Security++
+		cr := c.component(ev.Comp)
+		cr.Security++
 		c.report.SecurityEvents++
 		c.securityTotal.Inc()
-		c.syncManifest(ev.Comp)
+		c.syncManifest(cr)
 	case logcat.EventRejection:
-		c.report.component(ev.Comp).Rejected[ev.Class]++
-		c.syncManifest(ev.Comp)
+		cr := c.component(ev.Comp)
+		cr.Rejected[ev.Class]++
+		c.syncManifest(cr)
 	case logcat.EventCaught:
 		if cn, ok := c.pidComp[ev.PID]; ok {
-			c.report.component(cn).Caught[ev.Class]++
-			c.syncManifest(cn)
+			cr := c.component(cn)
+			cr.Caught[ev.Class]++
+			c.syncManifest(cr)
 		}
 	case logcat.EventANR:
 		if ev.Comp.IsZero() {
 			return
 		}
-		cr := c.report.component(ev.Comp)
+		cr := c.component(ev.Comp)
 		cr.ANRs++
 		c.report.ANREvents++
 		c.anrTotal.Inc()
-		c.syncManifest(ev.Comp)
+		c.syncManifest(cr)
 		c.lastANR[ev.Proc] = recentFailure{at: e.Time, comp: ev.Comp}
 		c.pushRecent(e.Time, ev.Comp)
 	case logcat.EventFatal:
@@ -340,11 +344,11 @@ func (c *Collector) Consume(e logcat.Entry) {
 		// Temporal-chain root cause: the deepest "Caused by" is the first
 		// exception raised, so it takes the blame (Section IV-A).
 		root := javalang.Class(ev.Classes[len(ev.Classes)-1])
-		cr := c.report.component(cn)
+		cr := c.component(cn)
 		cr.CrashRoots[root]++
 		c.report.CrashEvents++
 		c.crashTotal.Inc()
-		c.syncManifest(cn)
+		c.syncManifest(cr)
 		c.pushRecent(e.Time, cn)
 	case logcat.EventSignal:
 		c.report.CoreServiceDeaths = append(c.report.CoreServiceDeaths, ev.Proc+" "+ev.Text)
@@ -370,10 +374,18 @@ func (c *Collector) Consume(e logcat.Entry) {
 		// hinting at garbage collection, Section IV-A).
 		if mark, ok := c.lastANR[e.Tag]; ok && e.Time.Sub(mark.at) <= anrTraceWindow {
 			if class, _, ok := javalang.ParseHeader(ev.Text); ok {
-				c.report.component(mark.comp).ANRClasses[class]++
+				c.component(mark.comp).ANRClasses[class]++
 			}
 		}
 	}
+}
+
+// component returns cn's report, creating it on first sight.
+func (c *Collector) component(cn intent.ComponentName) *ComponentReport {
+	if c.hot == nil || c.hot.Component != cn {
+		c.hot = c.report.component(cn)
+	}
+	return c.hot
 }
 
 // attributeReboot implements the post-mortem: when the log names the
@@ -394,8 +406,9 @@ func (c *Collector) attributeReboot(at time.Time) {
 		}
 	}
 	if !blameComp.IsZero() {
-		c.report.component(blameComp).RebootInvolved = true
-		c.syncManifest(blameComp)
+		cr := c.component(blameComp)
+		cr.RebootInvolved = true
+		c.syncManifest(cr)
 		return
 	}
 	for _, f := range c.recent {
@@ -405,8 +418,9 @@ func (c *Collector) attributeReboot(at time.Time) {
 		if blameProc != "" && f.comp.Package != blameProc {
 			continue
 		}
-		c.report.component(f.comp).RebootInvolved = true
-		c.syncManifest(f.comp)
+		cr := c.component(f.comp)
+		cr.RebootInvolved = true
+		c.syncManifest(cr)
 	}
 }
 

@@ -105,15 +105,10 @@ func AnalyzeIntent(in *intent.Intent) DefectKind {
 		if in.Extras.HasNull() {
 			return KindNullExtra
 		}
-		unexpected := false
-		for _, k := range in.Extras.Keys() {
-			if !extraKeyExpected(k) {
-				unexpected = true
-				break
+		for i := range in.Extras.Len() {
+			if k, _ := in.Extras.At(i); !extraKeyExpected(k) {
+				return KindRandomExtras
 			}
-		}
-		if unexpected {
-			return KindRandomExtras
 		}
 	}
 	hasAction := in.Action != ""

@@ -132,13 +132,15 @@ func (inj *Injector) FuzzComponent(c Campaign, comp *manifest.Component) Compone
 		Component: comp.Name,
 		Type:      comp.Type,
 		Campaign:  c,
-		Results:   make(map[wearos.DeliveryResult]int, 8),
 	}
+	// Results are tallied in an array indexed by DeliveryResult and written
+	// to run.Results once, at the end of the run.
+	var results [wearos.DeviceRebooted + 1]int
 	clock := inj.Dev.Clock()
 
 	// Metric handles come from the per-campaign cache. The per-intent
 	// counters (generated, injected-by-result) are not touched per intent at
-	// all: run.Sent and run.Results already tally them exactly, and the
+	// all: run.Sent and results already tally them exactly, and the
 	// registry atomics are settled once at the end of the run — the
 	// granularity at which the exposition endpoint's exactness is specified.
 	// Only the sampled latency histogram and the progress gauge remain on
@@ -181,7 +183,7 @@ func (inj *Injector) FuzzComponent(c Campaign, comp *manifest.Component) Compone
 		if timed {
 			injSecs.Observe(time.Since(start).Seconds())
 		}
-		run.Results[res]++
+		results[res]++
 		run.Sent++
 		if inj.Observe != nil {
 			inj.Observe(in, res)
@@ -196,13 +198,22 @@ func (inj *Injector) FuzzComponent(c Campaign, comp *manifest.Component) Compone
 		}
 	})
 	progress.Set(float64(run.Sent))
+	run.Results = make(map[wearos.DeliveryResult]int, 8)
+	for res, n := range results {
+		if n > 0 {
+			run.Results[wearos.DeliveryResult(res)] = n
+		}
+	}
 	if m != nil {
 		m.generated.Add(uint64(run.Sent))
-		for res, n := range run.Results {
+		for res, n := range results {
+			if n == 0 {
+				continue
+			}
 			rc := m.byResult[res]
 			if rc == nil {
 				rc = inj.Dev.Telemetry().Counter("qgj_intents_injected_total",
-					telemetry.L("campaign", c.Letter()), telemetry.L("result", res.String()))
+					telemetry.L("campaign", c.Letter()), telemetry.L("result", wearos.DeliveryResult(res).String()))
 				m.byResult[res] = rc
 			}
 			rc.Add(uint64(n))

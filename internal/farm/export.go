@@ -144,8 +144,8 @@ func exportIntent(in *intent.Intent) *intentJSON {
 		Component:  in.Component,
 		Flags:      in.Flags,
 	}
-	for _, k := range in.Extras.Keys() {
-		v, _ := in.Extras.Get(k)
+	for i := range in.Extras.Len() {
+		k, v := in.Extras.At(i)
 		out.Extras = append(out.Extras, extraJSON{Key: k, Value: v})
 	}
 	return out

@@ -89,7 +89,7 @@ func (c *snapshotCache) deviceSnapshot(cfg wearos.Config) (s *wearos.Snapshot, h
 		c.mu.Unlock()
 		return s, true, nil
 	}
-	s, err = wearos.New(cfg).Snapshot()
+	s, err = wearos.BootSnapshot(cfg)
 	if err != nil {
 		c.mu.Unlock()
 		return nil, false, err

@@ -2,6 +2,7 @@ package intent
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -85,35 +86,53 @@ func NullValue() Value           { return Value{Kind: KindNull} }
 
 // Bundle is an ordered set of typed key/value extras. Android's Bundle is a
 // string-keyed map; we keep insertion order so flattened intents are
-// reproducible.
+// reproducible. Fuzzed intents carry at most a handful of extras, so the
+// entries live in one slice and lookups scan it: a map would hash every key
+// and, because Value is larger than a map slot holds inline, allocate per
+// Put.
 type Bundle struct {
-	keys   []string
-	values map[string]Value
+	entries []bundleEntry
+}
+
+type bundleEntry struct {
+	key   string
+	value Value
 }
 
 // NewBundle returns an empty bundle.
 func NewBundle() *Bundle {
-	return &Bundle{values: make(map[string]Value)}
+	return &Bundle{}
 }
 
-// Put inserts or replaces the value for key.
+// index returns the position of key, or -1.
+func (b *Bundle) index(key string) int {
+	for i := range b.entries {
+		if b.entries[i].key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// Put inserts or replaces the value for key; a replaced key keeps its
+// position.
 func (b *Bundle) Put(key string, v Value) {
-	if b.values == nil {
-		b.values = make(map[string]Value)
+	if i := b.index(key); i >= 0 {
+		b.entries[i].value = v
+		return
 	}
-	if _, exists := b.values[key]; !exists {
-		b.keys = append(b.keys, key)
-	}
-	b.values[key] = v
+	b.entries = append(b.entries, bundleEntry{key: key, value: v})
 }
 
 // Get returns the value for key; ok is false when absent.
 func (b *Bundle) Get(key string) (Value, bool) {
-	if b == nil || b.values == nil {
+	if b == nil {
 		return Value{}, false
 	}
-	v, ok := b.values[key]
-	return v, ok
+	if i := b.index(key); i >= 0 {
+		return b.entries[i].value, true
+	}
+	return Value{}, false
 }
 
 // Len returns the number of extras.
@@ -121,7 +140,7 @@ func (b *Bundle) Len() int {
 	if b == nil {
 		return 0
 	}
-	return len(b.keys)
+	return len(b.entries)
 }
 
 // Keys returns the keys in insertion order (a copy).
@@ -129,7 +148,18 @@ func (b *Bundle) Keys() []string {
 	if b == nil {
 		return nil
 	}
-	return append([]string(nil), b.keys...)
+	out := make([]string, len(b.entries))
+	for i := range b.entries {
+		out[i] = b.entries[i].key
+	}
+	return out
+}
+
+// At returns the i-th extra in insertion order (0 <= i < Len); iterating
+// with At copies nothing, unlike Keys.
+func (b *Bundle) At(i int) (key string, v Value) {
+	e := &b.entries[i]
+	return e.key, e.value
 }
 
 // HasNull reports whether any extra carries an explicit null value.
@@ -137,22 +167,21 @@ func (b *Bundle) HasNull() bool {
 	if b == nil {
 		return false
 	}
-	for _, v := range b.values {
-		if v.Kind == KindNull {
+	for i := range b.entries {
+		if b.entries[i].value.Kind == KindNull {
 			return true
 		}
 	}
 	return false
 }
 
-// Reset empties the bundle in place, retaining the key slice and map
-// storage so a pooled bundle stops allocating once warmed up.
+// Reset empties the bundle in place, retaining the entry storage so a
+// pooled bundle stops allocating once warmed up.
 func (b *Bundle) Reset() {
 	if b == nil {
 		return
 	}
-	b.keys = b.keys[:0]
-	clear(b.values)
+	b.entries = b.entries[:0]
 }
 
 // Clone returns a deep copy of the bundle.
@@ -160,14 +189,7 @@ func (b *Bundle) Clone() *Bundle {
 	if b == nil {
 		return nil
 	}
-	out := &Bundle{
-		keys:   append([]string(nil), b.keys...),
-		values: make(map[string]Value, len(b.values)),
-	}
-	for k, v := range b.values {
-		out.values[k] = v
-	}
-	return out
+	return &Bundle{entries: slices.Clone(b.entries)}
 }
 
 // String renders the bundle content deterministically: insertion order for
@@ -178,12 +200,11 @@ func (b *Bundle) String() string {
 	}
 	var sb strings.Builder
 	sb.WriteString("Bundle[")
-	for i, k := range b.keys {
+	for i, e := range b.entries {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		v := b.values[k]
-		fmt.Fprintf(&sb, "%s=%s(%s)", k, v.String(), v.Kind)
+		fmt.Fprintf(&sb, "%s=%s(%s)", e.key, e.value.String(), e.value.Kind)
 	}
 	sb.WriteByte(']')
 	return sb.String()

@@ -142,7 +142,7 @@ func (in *Intent) String() string {
 			buf = append(buf, ' ')
 		}
 		buf = append(buf, "dat="...)
-		buf = append(buf, URIText(in.Data)...)
+		buf = append(buf, URIText(&in.Data)...)
 	}
 	for _, c := range in.Categories {
 		if len(buf) > mark {

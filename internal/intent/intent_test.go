@@ -1,6 +1,7 @@
 package intent
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -282,5 +283,61 @@ func TestQuickComponentRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestURITextServesSampleText(t *testing.T) {
+	for _, s := range append(Schemes, "unknown") {
+		u := SampleData(s)
+		if got, want := URIText(&u), u.String(); got != want {
+			t.Errorf("URIText(SampleData(%q)) = %q, want %q", s, got, want)
+		}
+		u.Fragment = "f"
+		if got, want := URIText(&u), u.String(); got != want {
+			t.Errorf("URIText of a non-sample %q URI = %q, want %q", s, got, want)
+		}
+	}
+}
+
+// TestBundleOrderAndIndependence: a replaced key keeps its position, Keys
+// and At follow insertion order, Reset keeps nothing, and a clone shares no
+// storage with its source in either direction.
+func TestBundleOrderAndIndependence(t *testing.T) {
+	b := NewBundle()
+	for i, k := range []string{"c", "a", "b"} {
+		b.Put(k, IntValue(int64(i)))
+	}
+	b.Put("a", NullValue())
+	want := []string{"c", "a", "b"}
+	if got := b.Keys(); !slices.Equal(got, want) {
+		t.Fatalf("Keys() = %v, want %v", got, want)
+	}
+	for i, k := range want {
+		if key, _ := b.At(i); key != k {
+			t.Fatalf("At(%d) = %q, want %q", i, key, k)
+		}
+	}
+	if v, ok := b.Get("a"); !ok || v.Kind != KindNull || b.Len() != 3 {
+		t.Fatalf("replaced value = %v, %v (len %d)", v, ok, b.Len())
+	}
+	if got := b.String(); got != "Bundle[c=0(int), a=null(null), b=2(int)]" {
+		t.Fatalf("String() = %q", got)
+	}
+
+	cp := b.Clone()
+	cp.Put("c", StringValue("clone"))
+	b.Put("b", StringValue("source"))
+	if v, _ := b.Get("c"); v.Kind != KindInt {
+		t.Errorf("writing the clone changed the source: c = %v", v)
+	}
+	if v, _ := cp.Get("b"); v.Kind != KindInt {
+		t.Errorf("writing the source changed the clone: b = %v", v)
+	}
+	b.Reset()
+	if b.Len() != 0 || b.HasNull() || cp.Len() != 3 {
+		t.Errorf("after Reset: len %d, null %v, clone len %d", b.Len(), b.HasNull(), cp.Len())
+	}
+	if _, ok := b.Get("a"); ok {
+		t.Error("Reset kept a key")
 	}
 }

@@ -127,25 +127,31 @@ func (u URI) String() string {
 // IsZero reports whether the URI is unset.
 func (u URI) IsZero() bool { return u.Scheme == "" && u.Opaque == "" && u.Host == "" && u.Path == "" }
 
-// uriTexts interns the rendered text of the catalog's sample data URIs.
+// samples[i] is SampleData(Schemes[i]) and sampleTexts[i] its text.
 // Campaign generation draws data almost exclusively from SampleData, so the
-// dispatch hot path can hand out a shared string instead of re-assembling
-// the same dozen URIs millions of times. URI is comparable (all fields are
-// strings), so the table is a plain map lookup.
-var uriTexts = func() map[URI]string {
-	m := make(map[URI]string, len(Schemes))
-	for _, s := range Schemes {
-		u := SampleData(s)
-		m[u] = u.String()
+// dispatch hot path hands out these shared strings instead of re-assembling
+// the same dozen URIs millions of times.
+var samples, sampleTexts = func() ([]URI, []string) {
+	uris, texts := make([]URI, len(Schemes)), make([]string, len(Schemes))
+	for i, s := range Schemes {
+		uris[i] = SampleData(s)
+		texts[i] = uris[i].String()
 	}
-	return m
+	return uris, texts
 }()
 
-// URIText returns the textual form of u, serving catalog sample URIs from
-// an intern table and falling back to String() for everything else.
-func URIText(u URI) string {
-	if s, ok := uriTexts[u]; ok {
-		return s
+// URIText returns the textual form of *u, serving catalog sample URIs from
+// sampleTexts and falling back to String() for everything else. It finds
+// the scheme and compares u with its sample field by field: a URI-keyed map
+// would hash seven strings per lookup.
+func URIText(u *URI) string {
+	for i, s := range Schemes {
+		if u.Scheme == s {
+			if *u == samples[i] {
+				return sampleTexts[i]
+			}
+			break
+		}
 	}
 	return u.String()
 }

@@ -52,15 +52,23 @@ type Event struct {
 //
 // A lazy Payload decodes to the event its rendered text decodes to
 // (FuzzDecode pins this), so a pulled dump decodes like the live stream.
-// Dispatch announcements and lines on tags no event matches are neither
-// rendered nor parsed.
+// Dispatch announcements, resolution failures and lines on tags no event
+// matches are neither rendered nor parsed, and a Permission Denial payload
+// decodes from its component field.
 type Decoder struct {
 	skip   uint32         // bit k set: kind k decodes to EventNone
 	ev     Event          // the last decoded event, which Decode returns
 	blocks map[int]*Event // in-flight EventFatal reassemblies, by PID
-	// comps memoizes component parses: denial lines repeat per component,
-	// and a short-form flat ("pkg/.Cls") allocates on every parse.
+	// comps memoizes component parses: lines of a pulled dump repeat per
+	// component, and a short-form flat ("pkg/.Cls") allocates on every
+	// parse.
 	comps map[string]intent.ComponentName
+	// denied memoizes deniedComponent's last answer: a campaign draws its
+	// denials in runs against one component.
+	denied struct {
+		c, cn intent.ComponentName
+		ok    bool
+	}
 }
 
 // NewDecoder returns a decoder of only the given kinds. A line of any other
@@ -89,15 +97,22 @@ func (d *Decoder) Decode(e *Entry) *Event {
 	case p.Op == MsgEager:
 		d.decodeText(e, e.Message)
 	case p.Op == MsgCaught:
-		d.thrown(EventCaught, e.PID, intent.ComponentName{}, p.Err)
+		d.thrown(EventCaught, e.PID, intent.ComponentName{}, e.Message)
 	case am && p.Op == MsgDelivering:
 		ev := d.emit(EventDelivery)
-		ev.PID, ev.Comp, ev.Text = p.PID, p.Comp, p.Verb
+		ev.PID, ev.Comp, ev.Text = p.N, p.Comp, p.Verb
 	case am && p.Op == MsgRejected:
-		d.thrown(EventRejection, 0, p.Comp, p.Err)
-	case !am || p.Op != MsgDispatch:
+		d.thrown(EventRejection, 0, p.Comp, e.Message)
+	case am && (p.Op == MsgDenyProtected || p.Op == MsgDenyNotExported || p.Op == MsgDenyPermission):
+		if d.wants(EventDenial) {
+			if cn, ok := d.deniedComponent(p.Comp); ok {
+				d.emit(EventDenial).Comp = cn
+			}
+		}
+	case !am || p.Op != MsgDispatch && p.Op != MsgNotFound:
 		// A payload under a tag the device never logs it with: decode its
-		// text.
+		// text. (MsgNotFound lines name no event: they are not
+		// SecurityExceptions.)
 		d.decodeText(e, e.Msg())
 	}
 	if !d.wants(d.ev.Kind) {
@@ -153,6 +168,41 @@ func (d *Decoder) component(flat string) (intent.ComponentName, bool) {
 		}
 	}
 	return cn, ok
+}
+
+// deniedComponent returns the component a Permission Denial line naming c
+// decodes to: the text after its last " targeting ", trimmed and parsed.
+// The flat form of an installed component parses back to the component
+// itself, which the fast path checks from c's fields; anything else (an
+// empty class, a class starting with '.', a package holding '/', blanks or
+// non-ASCII bytes) takes the text path over the rendered flat.
+func (d *Decoder) deniedComponent(c intent.ComponentName) (intent.ComponentName, bool) {
+	m := &d.denied // its zero value holds the zero component's answer
+	if c == m.c {
+		return m.cn, m.ok
+	}
+	m.c = c
+	if plainName(c.Package) && plainName(c.Class) && c.Class[0] != '.' && !strings.Contains(c.Package, "/") {
+		m.cn, m.ok = c, true
+	} else {
+		tail := string(appendTargeting(nil, c))
+		i := strings.LastIndex(tail, targetingMarker)
+		m.cn, m.ok = d.component(strings.TrimSpace(tail[i+len(targetingMarker):]))
+	}
+	return m.cn, m.ok
+}
+
+// plainName reports whether s is non-empty printable ASCII without blanks.
+func plainName(s string) bool {
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c <= ' ' || c >= 0x7f {
+			return false
+		}
+	}
+	return true
 }
 
 func (d *Decoder) activityManager(msg string) {

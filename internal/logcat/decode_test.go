@@ -188,26 +188,36 @@ func plainComponent(s string) (intent.ComponentName, bool) {
 	return intent.UnflattenComponent(s)
 }
 
-// fuzzEntry builds an eager entry (op%5 == 0) or a lazy one whose operands
-// are ones the device can log; ok is false for a lazy payload whose target
-// component is not loggable.
+// fuzzEntry builds an eager entry (op%numOps == 0) or a lazy one whose
+// operands are ones the device can log; ok is false for a lazy payload whose
+// target component is not loggable. A gate denial takes flat's two halves as
+// they are, so its component need not parse back from its flat form (an
+// empty or '.'-led class, blanks, a zero name): the device logs whatever the
+// intent names.
 func fuzzEntry(op uint8, tag string, pid int, text, flat string, bits uint8) (Entry, bool) {
 	e := Entry{
 		Time: time.Date(2026, 6, 1, 9, 30, 15, 123_000_000, time.UTC),
-		PID:  pid, TID: pid, Level: Level(1 + bits%6), Tag: tag,
+		PID:  pid, TID: pid, Level: Level(1 + bits%6), Tag: tag, Message: text,
 	}
-	if op%5 == 0 {
-		e.Message = text
+	const numOps = uint8(MsgNotFound) + 1
+	if op%numOps == 0 {
 		return e, true
 	}
 	comp, ok := plainComponent(flat)
 	p := Payload{
-		Op: MsgOp(op % 5), Verb: fuzzVerbs[int(bits)%len(fuzzVerbs)],
+		Op: MsgOp(op % numOps), Verb: fuzzVerbs[int(bits)%len(fuzzVerbs)],
 		Act: text, Data: flat, HasData: bits&8 != 0, HasExtras: bits&16 != 0,
-		Comp: comp, Err: text, UID: pid, PID: pid,
+		Comp: comp, N: pid,
 	}
-	if !ok && p.Op != MsgDispatch && p.Op != MsgCaught {
-		return Entry{}, false
+	switch p.Op {
+	case MsgDenyProtected, MsgDenyNotExported, MsgDenyPermission, MsgNotFound:
+		pkg, cls, _ := strings.Cut(flat, "/")
+		p.Comp = intent.ComponentName{Package: pkg, Class: cls}
+	case MsgDispatch, MsgCaught:
+	default:
+		if !ok {
+			return Entry{}, false
+		}
 	}
 	e.Payload = p
 	return e, true
@@ -260,6 +270,16 @@ func FuzzDecode(f *testing.F) {
 		{uint8(MsgRejected), TagActivityManager, 77, "java.lang.IllegalArgumentException: bad", "com.a/.Main", 0},
 		{uint8(MsgCaught), "com.a", 77, "java.lang.NullPointerException: x", "", 0},
 		{uint8(MsgCaught), TagWatchdog, 77, "(client com.a unresponsive)", "", 0},
+		{uint8(MsgDenyProtected), TagActivityManager, 10123, "android.intent.action.BATTERY_LOW", "com.a/com.a.Main", 0},
+		{uint8(MsgDenyNotExported), TagActivityManager, 10123, "", "com.a/com.a.Private", 0},
+		{uint8(MsgDenyPermission), TagActivityManager, 10123, "android.permission.BODY_SENSORS", "com.a/com.a.Guarded", 0},
+		{uint8(MsgNotFound), TagActivityManager, 10123, "", "com.a/com.a.Missing", 4},
+		{uint8(MsgNotFound), TagActivityManager, 10123, "", "com.a/com.a.Missing", 5},
+		{uint8(MsgDenyProtected), TagActivityManager, 10123, "android.intent.action.BATTERY_LOW", "", 0},
+		{uint8(MsgDenyNotExported), TagActivityManager, 10123, "", "com.a/", 0},
+		{uint8(MsgDenyNotExported), TagActivityManager, 10123, "", "com.a/.Main", 0},
+		{uint8(MsgDenyPermission), TagActivityManager, 10123, "p targeting com.b/.X", "com.a/targeting com.c/.Y ", 0},
+		{uint8(MsgDenyProtected), "com.a", 10123, "android.intent.action.BATTERY_LOW", "com.a/com.a.Main", 0},
 	} {
 		f.Add(s.op, s.tag, s.pid, s.text, s.flat, s.bits, ^uint16(0))
 		f.Add(s.op, s.tag, s.pid, s.text, s.flat, s.bits, uint16(1<<EventFatal|1<<EventANR|1<<EventVerdict))

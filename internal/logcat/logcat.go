@@ -18,10 +18,10 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/intent"
+	"repro/internal/javalang"
 	"repro/internal/telemetry"
 )
 
@@ -66,53 +66,73 @@ type MsgOp uint8
 const (
 	// MsgEager marks a conventionally logged entry: Message holds the text.
 	MsgEager MsgOp = iota
-	// MsgDispatch renders "<Verb> u0 <intent> from uid <UID>" where
-	// <intent> is the logcat-style flattened intent built from Act, Data,
-	// Comp and HasExtras. Only intents without categories, MIME type, and
-	// flags take this path (the operand set covers exactly what campaign
-	// intents carry); richer intents fall back to eager formatting.
+	// MsgDispatch renders "<Verb> u0 <intent> from uid <N>" where <intent>
+	// is the logcat-style flattened intent built from Act, Data, Comp and
+	// HasExtras. Only intents without categories, MIME type, and flags take
+	// this path (the operand set covers exactly what campaign intents
+	// carry); richer intents fall back to eager formatting.
 	MsgDispatch
-	// MsgDelivering renders "Delivering to <Verb> cmp=<Flat> pid=<PID>".
+	// MsgDelivering renders "Delivering to <Verb> cmp=<Flat> pid=<N>".
 	MsgDelivering
 	// MsgRejected renders
-	// "Exception thrown delivering intent to cmp=<Flat>: <Err>".
+	// "Exception thrown delivering intent to cmp=<Flat>: <Message>".
 	MsgRejected
-	// MsgCaught renders "caught exception while handling intent: <Err>".
+	// MsgCaught renders "caught exception while handling intent: <Message>".
 	MsgCaught
+	// MsgDenyProtected renders the SecurityException an unprivileged sender
+	// of a protected action gets: "java.lang.SecurityException: Permission
+	// Denial: not allowed to send broadcast <Act> from pid=?, uid=<N>
+	// targeting <Flat>".
+	MsgDenyProtected
+	// MsgDenyNotExported renders "java.lang.SecurityException: Permission
+	// Denial: <Flat> not exported from uid <N> targeting <Flat>".
+	MsgDenyNotExported
+	// MsgDenyPermission renders "java.lang.SecurityException: Permission
+	// Denial: starting <Flat> requires <Message> targeting <Flat>".
+	MsgDenyPermission
+	// MsgNotFound renders the resolution failure for a component of kind
+	// Verb: "android.content.ActivityNotFoundException: Unable to find
+	// explicit activity class <Flat>; have you declared this activity in
+	// your AndroidManifest.xml?" for an activity, else "Unable to start
+	// service <Flat>: not found".
+	MsgNotFound
 )
 
-// Payload carries the structured operands of a lazily rendered message.
-// Operand strings are expected to be long-lived (interned catalog entries,
-// cached component flats) so storing them allocates nothing.
+// Payload carries the structured operands of a lazily rendered message. The
+// operand text of MsgRejected, MsgCaught (the thrown exception,
+// "<class>: <message>") and MsgDenyPermission (the permission) lives in the
+// entry's Message. Operand strings are expected to be long-lived (interned
+// catalog entries, cached component flats) so storing them allocates
+// nothing.
 type Payload struct {
-	Op MsgOp
 	// Verb is the dispatch verb (START, startService, bindService,
 	// broadcastIntent) for MsgDispatch, or the component kind (activity,
-	// service, receiver) for MsgDelivering.
+	// service, receiver) for MsgDelivering and MsgNotFound.
 	Verb string
-	// Act/Data/Comp/HasExtras are the intent fields of MsgDispatch. HasData
-	// distinguishes "no data" from data rendering to the empty string, the
-	// way Intent.String keys off URI.IsZero.
-	Act       string
-	Data      string
+	// Act/Data/Comp/HasExtras are the intent fields of MsgDispatch; Act is
+	// also the denied action of MsgDenyProtected. HasData distinguishes "no
+	// data" from data rendering to the empty string, the way Intent.String
+	// keys off URI.IsZero.
+	Act  string
+	Data string
+	// Comp is the target component, rendered in its flat form by every op
+	// but MsgCaught, and read structurally (parse-free) by the Decoder.
+	Comp intent.ComponentName
+	// N is the number operand: the sender UID of MsgDispatch and the
+	// Permission Denial ops, the target process of MsgDelivering.
+	N         int
+	Op        MsgOp
 	HasData   bool
 	HasExtras bool
-	// Comp is the target component, rendered as cmp=<flat> by MsgDispatch,
-	// MsgDelivering and MsgRejected, and read structurally (parse-free) by
-	// the Decoder.
-	Comp intent.ComponentName
-	// Err is the rendered throwable ("<class>: <message>") for
-	// MsgRejected/MsgCaught.
-	Err string
-	// UID is the sender UID of MsgDispatch; PID the target process of
-	// MsgDelivering.
-	UID int
-	PID int
 }
 
-// appendMsg renders the payload's message text into dst. The output is
-// byte-identical to what the eager fmt.Sprintf call sites produced.
-func (p *Payload) appendMsg(dst []byte) []byte {
+// securityDenial is the thrown class prefix of the Permission Denial ops.
+const securityDenial = string(javalang.ClassSecurity) + ": Permission Denial: "
+
+// appendMsg renders the payload's message text into dst; text is the
+// entry's Message, the payload's operand text. The output is byte-identical
+// to what the eager fmt.Sprintf call sites produced.
+func (p *Payload) appendMsg(dst []byte, text string) []byte {
 	switch p.Op {
 	case MsgDispatch:
 		dst = append(dst, p.Verb...)
@@ -143,24 +163,59 @@ func (p *Payload) appendMsg(dst []byte) []byte {
 			dst = append(dst, "(has extras)"...)
 		}
 		dst = append(dst, "} from uid "...)
-		dst = strconv.AppendInt(dst, int64(p.UID), 10)
+		dst = strconv.AppendInt(dst, int64(p.N), 10)
 	case MsgDelivering:
 		dst = append(dst, "Delivering to "...)
 		dst = append(dst, p.Verb...)
 		dst = append(dst, " cmp="...)
 		dst = appendFlat(dst, p.Comp)
 		dst = append(dst, " pid="...)
-		dst = strconv.AppendInt(dst, int64(p.PID), 10)
+		dst = strconv.AppendInt(dst, int64(p.N), 10)
 	case MsgRejected:
 		dst = append(dst, "Exception thrown delivering intent to cmp="...)
 		dst = appendFlat(dst, p.Comp)
 		dst = append(dst, ": "...)
-		dst = append(dst, p.Err...)
+		dst = append(dst, text...)
 	case MsgCaught:
 		dst = append(dst, "caught exception while handling intent: "...)
-		dst = append(dst, p.Err...)
+		dst = append(dst, text...)
+	case MsgDenyProtected:
+		dst = append(dst, securityDenial+"not allowed to send broadcast "...)
+		dst = append(dst, p.Act...)
+		dst = append(dst, " from pid=?, uid="...)
+		dst = strconv.AppendInt(dst, int64(p.N), 10)
+		dst = appendTargeting(dst, p.Comp)
+	case MsgDenyNotExported:
+		dst = append(dst, securityDenial...)
+		dst = appendFlat(dst, p.Comp)
+		dst = append(dst, " not exported from uid "...)
+		dst = strconv.AppendInt(dst, int64(p.N), 10)
+		dst = appendTargeting(dst, p.Comp)
+	case MsgDenyPermission:
+		dst = append(dst, securityDenial+"starting "...)
+		dst = appendFlat(dst, p.Comp)
+		dst = append(dst, " requires "...)
+		dst = append(dst, text...)
+		dst = appendTargeting(dst, p.Comp)
+	case MsgNotFound:
+		if p.Verb != "activity" {
+			dst = append(dst, "Unable to start service "...)
+			dst = appendFlat(dst, p.Comp)
+			return append(dst, ": not found"...)
+		}
+		dst = append(dst, string(javalang.ClassActivityNotFound)+": Unable to find explicit activity class "...)
+		dst = appendFlat(dst, p.Comp)
+		dst = append(dst, "; have you declared this activity in your AndroidManifest.xml?"...)
 	}
 	return dst
+}
+
+// targetingMarker introduces the denied component at the end of a
+// Permission Denial line.
+const targetingMarker = " targeting "
+
+func appendTargeting(dst []byte, c intent.ComponentName) []byte {
+	return appendFlat(append(dst, targetingMarker...), c)
 }
 
 // appendFlat mirrors intent.ComponentName.FlattenToString without the
@@ -180,15 +235,17 @@ func appendFlat(dst []byte, c intent.ComponentName) []byte {
 
 // Entry is one log line. Entries are either eager (Message holds the text,
 // Payload.Op == MsgEager) or lazy (Payload holds the operands and Message
-// is empty); Msg and Format render both identically.
+// at most the operand text); Msg and Format render both identically.
+// Entries travel by value to every sink, so the struct is kept small
+// (TestEntrySize pins it).
 type Entry struct {
 	Time    time.Time
 	PID     int
 	TID     int
-	Level   Level
 	Tag     string
 	Message string
 	Payload Payload
+	Level   Level
 }
 
 // Msg returns the entry's message text, rendering a lazy payload on demand.
@@ -196,7 +253,7 @@ func (e *Entry) Msg() string {
 	if e.Payload.Op == MsgEager {
 		return e.Message
 	}
-	return string(e.Payload.appendMsg(nil))
+	return string(e.Payload.appendMsg(nil, e.Message))
 }
 
 // threadtimeLayout is logcat's threadtime timestamp format (no year).
@@ -229,7 +286,7 @@ func (e *Entry) AppendFormat(dst []byte) []byte {
 	if e.Payload.Op == MsgEager {
 		return append(dst, e.Message...)
 	}
-	return e.Payload.appendMsg(dst)
+	return e.Payload.appendMsg(dst, e.Message)
 }
 
 // Format renders the entry in logcat's threadtime format, which the pull
@@ -258,7 +315,8 @@ const (
 // Sink receives entries as they are appended; the streaming analyzer and
 // test recorders register sinks so multi-million-entry campaigns do not have
 // to retain the full log in memory. Sinks that only understand rendered
-// text should read e.Msg(), never e.Message (lazy entries leave it empty).
+// text should read e.Msg(), never e.Message (a lazy entry's Message holds
+// at most an operand of its text).
 type Sink interface {
 	Consume(Entry)
 }
@@ -271,8 +329,12 @@ func (f SinkFunc) Consume(e Entry) { f(e) }
 
 // Buffer is a bounded ring of log entries, like the kernel log buffer
 // logcat reads. Oldest entries are dropped when the buffer is full.
+//
+// A Buffer is not safe for concurrent use. Each device's buffer is owned by
+// the goroutine that drives the device, which is the only one that appends,
+// subscribes, snapshots or clears it; a telemetry scrape from another
+// goroutine reads only the registry's atomics, never the ring.
 type Buffer struct {
-	mu      sync.Mutex
 	entries []Entry
 	// maxCap is the retention capacity of a lazily allocated ring (see
 	// NewGrowableBuffer); zero means the backing is fixed at len(entries).
@@ -286,6 +348,8 @@ type Buffer struct {
 	appended     *telemetry.Counter
 	droppedGauge *telemetry.Gauge
 	onFirstDrop  func(capacity int)
+	// warned records that onFirstDrop ran (it runs at most once per reset).
+	warned bool
 
 	// total is the exact number of appends since construction; flushed is
 	// the portion already added to the appended counter. Batching the
@@ -339,10 +403,8 @@ func NewGrowableBuffer(capacity int) *Buffer {
 // replay a boot-time baseline into a fresh (typically growable) buffer
 // before any sinks subscribe.
 func (b *Buffer) Restore(entries []Entry) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	for i := range entries {
-		b.push(entries[i])
+		b.push(&entries[i])
 	}
 	b.total += uint64(len(entries))
 }
@@ -356,10 +418,9 @@ func (b *Buffer) Restore(entries []Entry) {
 // The persistent-mode device reset uses it so a reused device never re-pays
 // the geometric ring growth that dominates a fresh clone's allocations.
 func (b *Buffer) ResetRetain(baseline []Entry) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.start, b.count = 0, 0
 	b.dropped = 0
+	b.warned = false
 	b.sinks = nil
 	b.appended = nil
 	b.droppedGauge = nil
@@ -370,7 +431,7 @@ func (b *Buffer) ResetRetain(baseline []Entry) {
 		b.count = len(baseline)
 	} else {
 		for i := range baseline {
-			b.push(baseline[i])
+			b.push(&baseline[i])
 		}
 	}
 	b.total = uint64(len(baseline))
@@ -378,7 +439,7 @@ func (b *Buffer) ResetRetain(baseline []Entry) {
 }
 
 // grow enlarges a growable ring's backing array by growFactor (capped at
-// maxCap), linearizing retained entries to the front; the caller holds b.mu.
+// maxCap), linearizing retained entries to the front.
 func (b *Buffer) grow() {
 	newCap := len(b.entries) * growFactor
 	if newCap > b.maxCap {
@@ -398,8 +459,6 @@ func (b *Buffer) grow() {
 // Subscribe registers a sink that observes every subsequent Append. Sinks
 // are invoked synchronously in registration order.
 func (b *Buffer) Subscribe(s Sink) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.sinks = append(b.sinks, s)
 }
 
@@ -407,8 +466,6 @@ func (b *Buffer) Subscribe(s Sink) {
 // as pointer sinks are). Appends already fanning out finish on the old
 // sink list.
 func (b *Buffer) Unsubscribe(s Sink) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.sinks = slices.DeleteFunc(slices.Clone(b.sinks), func(x Sink) bool { return x == s })
 }
 
@@ -416,8 +473,6 @@ func (b *Buffer) Unsubscribe(s Sink) {
 // counts appends, logcat_dropped_lines mirrors Dropped(). A nil registry
 // detaches.
 func (b *Buffer) SetTelemetry(reg *telemetry.Registry) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.appended = reg.Counter("logcat_entries_total")
 	b.droppedGauge = reg.Gauge("logcat_dropped_lines")
 	b.droppedGauge.Set(float64(b.dropped))
@@ -427,14 +482,13 @@ func (b *Buffer) SetTelemetry(reg *telemetry.Registry) {
 }
 
 // appendFlushEvery is the batching window for the logcat_entries_total
-// counter (power of two). The exact count lives in b.total under the ring
-// mutex; the shared atomic is only touched once per window (and on every
-// read accessor), keeping the per-line append path free of atomics.
+// counter (power of two). The exact count lives in b.total; the shared
+// atomic is only touched once per window (and on every read accessor),
+// keeping the per-line append path free of atomics.
 const appendFlushEvery = 64
 
-// flushLocked pushes the pending append delta into the telemetry counter;
-// the caller holds b.mu.
-func (b *Buffer) flushLocked() {
+// flush pushes the pending append delta into the telemetry counter.
+func (b *Buffer) flush() {
 	if d := b.total - b.flushed; d != 0 {
 		b.appended.Add(d)
 		b.flushed = b.total
@@ -443,18 +497,15 @@ func (b *Buffer) flushLocked() {
 
 // FlushTelemetry makes the batched counters current, e.g. before a scrape
 // at a campaign boundary.
-func (b *Buffer) FlushTelemetry() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.flushLocked()
-}
+func (b *Buffer) FlushTelemetry() { b.flush() }
 
-// OnFirstDrop registers fn to run once, when the first entry is evicted
-// for capacity. Dropped lines silently corrupt manifestation counts (the
-// analyzer never sees them), so callers surface a warning here.
+// OnFirstDrop registers fn to run once, when the first entry is evicted for
+// capacity while no sink is subscribed. Dropped lines silently corrupt
+// manifestation counts when the analyzer reads a pulled dump, so callers
+// surface a warning here; a subscribed sink has already seen every line it
+// analyzes, so drops under one warn nobody. Dropped and the
+// logcat_dropped_lines gauge count every drop either way.
 func (b *Buffer) OnFirstDrop(fn func(capacity int)) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.onFirstDrop = fn
 }
 
@@ -465,16 +516,18 @@ func (b *Buffer) OnFirstDrop(fn func(capacity int)) {
 // append path. Dropped() stays exact; scrapes lag by at most the cadence.
 const droppedGaugeEvery = 1024
 
-// push stores e in the ring; the caller holds b.mu. It reports whether this
-// push evicted the first-ever entry (the OnFirstDrop trigger).
-func (b *Buffer) push(e Entry) bool {
+// slot claims the ring slot of the next entry, growing a growable ring or
+// evicting the oldest entry when the ring is full, and returns it for the
+// caller to overwrite. Loggers build entries in place: an Entry is large, and
+// copying it through Append's argument into the ring is measurable per line.
+func (b *Buffer) slot() *Entry {
 	capN := len(b.entries)
 	if b.count == capN && capN < b.maxCap {
 		b.grow()
 		capN = len(b.entries)
 	}
 	if b.count == capN {
-		b.entries[b.start] = e
+		e := &b.entries[b.start]
 		if b.start++; b.start == capN {
 			b.start = 0
 		}
@@ -482,64 +535,54 @@ func (b *Buffer) push(e Entry) bool {
 		if b.dropped == 1 || b.dropped&(droppedGaugeEvery-1) == 0 {
 			b.droppedGauge.Set(float64(b.dropped))
 		}
-		return b.dropped == 1
+		if !b.warned && len(b.sinks) == 0 && b.onFirstDrop != nil {
+			b.warned = true
+			b.onFirstDrop(capN)
+		}
+		return e
 	}
 	idx := b.start + b.count
 	if idx >= capN {
 		idx -= capN
 	}
-	b.entries[idx] = e
 	b.count++
-	return false
+	return &b.entries[idx]
+}
+
+// push stores *e in the ring.
+func (b *Buffer) push(e *Entry) { *b.slot() = *e }
+
+// publish counts the entry just stored in the ring and fans it out to the
+// sinks.
+func (b *Buffer) publish(e *Entry) {
+	b.total++
+	if b.total-b.flushed >= appendFlushEvery {
+		b.flush()
+	}
+	for _, s := range b.sinks {
+		s.Consume(*e)
+	}
 }
 
 // Append adds an entry to the buffer and fans it out to sinks.
 func (b *Buffer) Append(e Entry) {
-	b.mu.Lock()
-	var firstDrop func(int)
-	if b.push(e) {
-		firstDrop = b.onFirstDrop
-	}
-	b.total++
-	if b.total-b.flushed >= appendFlushEvery {
-		b.flushLocked()
-	}
-	sinks := b.sinks
-	capN := len(b.entries)
-	b.mu.Unlock()
-	if firstDrop != nil {
-		firstDrop(capN)
-	}
-	for _, s := range sinks {
-		s.Consume(e)
-	}
+	slot := b.slot()
+	*slot = e
+	b.publish(slot)
 }
 
-// AppendBatch adds several entries under a single mutex acquisition —
-// multi-line artifacts (stack traces, boot banners) pay the lock once
-// instead of per line. Sinks still observe every entry, in order.
+// AppendBatch adds several entries — multi-line artifacts (stack traces,
+// boot banners) stay contiguous. Sinks still observe every entry, in order.
+// The buffer does not retain entries.
 func (b *Buffer) AppendBatch(entries []Entry) {
-	if len(entries) == 0 {
-		return
-	}
-	b.mu.Lock()
-	var firstDrop func(int)
 	for i := range entries {
-		if b.push(entries[i]) {
-			firstDrop = b.onFirstDrop
-		}
+		b.push(&entries[i])
 	}
 	b.total += uint64(len(entries))
 	if b.total-b.flushed >= appendFlushEvery {
-		b.flushLocked()
+		b.flush()
 	}
-	sinks := b.sinks
-	capN := len(b.entries)
-	b.mu.Unlock()
-	if firstDrop != nil {
-		firstDrop(capN)
-	}
-	for _, s := range sinks {
+	for _, s := range b.sinks {
 		for i := range entries {
 			s.Consume(entries[i])
 		}
@@ -548,18 +591,14 @@ func (b *Buffer) AppendBatch(entries []Entry) {
 
 // Len returns the number of retained entries.
 func (b *Buffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.flushLocked()
+	b.flush()
 	return b.count
 }
 
 // Dropped returns how many entries were evicted due to capacity. Reading
 // the exact count also re-syncs the sampled logcat_dropped_lines gauge.
 func (b *Buffer) Dropped() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.flushLocked()
+	b.flush()
 	if b.dropped > 0 {
 		b.droppedGauge.Set(float64(b.dropped))
 	}
@@ -570,9 +609,7 @@ func (b *Buffer) Dropped() uint64 {
 // is copied with at most two copy calls (the wrapped and unwrapped runs),
 // not a per-element modulo walk.
 func (b *Buffer) Snapshot() []Entry {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.flushLocked()
+	b.flush()
 	out := make([]Entry, b.count)
 	head := b.start + b.count
 	if head > len(b.entries) {
@@ -585,8 +622,6 @@ func (b *Buffer) Snapshot() []Entry {
 
 // Clear discards all retained entries (adb logcat -c).
 func (b *Buffer) Clear() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.start, b.count = 0, 0
 }
 
@@ -602,10 +637,13 @@ func (b *Buffer) Dump() string {
 }
 
 // Logger is a convenience handle that stamps entries with a clock and
-// writes them to a buffer.
+// writes them to a buffer. Like the Buffer, it belongs to the goroutine
+// that drives its device.
 type Logger struct {
 	buf *Buffer
 	now func() time.Time
+	// block is Block's reusable entry slice; AppendBatch does not retain it.
+	block []Entry
 }
 
 // NewLogger returns a logger writing to buf with timestamps from now.
@@ -619,30 +657,31 @@ func (l *Logger) Log(pid, tid int, level Level, tag, format string, args ...any)
 	if len(args) > 0 {
 		msg = fmt.Sprintf(format, args...)
 	}
-	l.buf.Append(Entry{
-		Time: l.now(), PID: pid, TID: tid, Level: level, Tag: tag, Message: msg,
-	})
+	e := l.buf.slot()
+	*e = Entry{Time: l.now(), PID: pid, TID: tid, Level: level, Tag: tag, Message: msg}
+	l.buf.publish(e)
 }
 
-// LogLazy appends an entry whose message renders on demand from p. The
-// injection hot path uses this to store structure instead of paying
-// fmt.Sprintf per intent.
-func (l *Logger) LogLazy(pid, tid int, level Level, tag string, p Payload) {
-	l.buf.Append(Entry{
-		Time: l.now(), PID: pid, TID: tid, Level: level, Tag: tag, Payload: p,
-	})
+// LogLazy appends an entry whose message renders on demand from p and its
+// operand text (see Payload). The injection hot path uses this to store
+// structure instead of paying fmt.Sprintf per intent.
+func (l *Logger) LogLazy(pid, tid int, level Level, tag, text string, p Payload) {
+	e := l.buf.slot()
+	e.Time, e.PID, e.TID, e.Level, e.Tag, e.Message = l.now(), pid, tid, level, tag, text
+	e.Payload = p
+	l.buf.publish(e)
 }
 
 // Block appends several entries sharing the same metadata — used for
-// multi-line artifacts like stack traces so they stay contiguous. The lines
-// land in the ring under one lock acquisition.
+// multi-line artifacts like stack traces so they stay contiguous.
 func (l *Logger) Block(pid, tid int, level Level, tag string, lines []string) {
 	t := l.now()
-	entries := make([]Entry, len(lines))
-	for i, line := range lines {
-		entries[i] = Entry{Time: t, PID: pid, TID: tid, Level: level, Tag: tag, Message: line}
+	entries := l.block[:0]
+	for _, line := range lines {
+		entries = append(entries, Entry{Time: t, PID: pid, TID: tid, Level: level, Tag: tag, Message: line})
 	}
 	l.buf.AppendBatch(entries)
+	l.block = entries[:0]
 }
 
 // Buffer exposes the underlying ring, for pull/clear operations.

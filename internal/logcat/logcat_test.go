@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"repro/internal/vclock"
 )
@@ -227,5 +228,49 @@ func TestDefaultCapacity(t *testing.T) {
 	b := NewBuffer(0)
 	if got := len(b.entries); got != DefaultCapacity {
 		t.Fatalf("default capacity = %d", got)
+	}
+}
+
+// TestEntrySize pins the size of Entry, which every sink receives by value:
+// a lazy payload's text operand shares Message and its UID or PID shares one
+// number field.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 176 {
+		t.Fatalf("sizeof(Entry) = %d bytes, want 176", got)
+	}
+}
+
+// TestFirstDropWarnsOnlyWithoutSinks: the first-drop callback stays quiet
+// while a sink sees every line, fires once on the first drop nobody
+// observed, and re-arms on reset; Dropped counts every drop throughout.
+func TestFirstDropWarnsOnlyWithoutSinks(t *testing.T) {
+	b := NewBuffer(2)
+	warned := 0
+	b.OnFirstDrop(func(capacity int) {
+		if capacity != 2 {
+			t.Errorf("capacity = %d, want 2", capacity)
+		}
+		warned++
+	})
+	sink := &countSink{}
+	b.Subscribe(sink)
+	for i := range 5 {
+		b.Append(Entry{PID: i})
+	}
+	if warned != 0 || b.Dropped() != 3 {
+		t.Fatalf("with a sink: warned %d times, dropped %d; want 0 and 3", warned, b.Dropped())
+	}
+	b.Unsubscribe(sink)
+	b.AppendBatch([]Entry{{PID: 5}, {PID: 6}})
+	b.Append(Entry{PID: 7})
+	if warned != 1 || b.Dropped() != 6 {
+		t.Fatalf("without a sink: warned %d times, dropped %d; want 1 and 6", warned, b.Dropped())
+	}
+	b.ResetRetain(nil)
+	for i := range 3 {
+		b.Append(Entry{PID: i})
+	}
+	if warned != 2 || b.Dropped() != 1 {
+		t.Fatalf("after reset: warned %d times, dropped %d; want 2 and 1", warned, b.Dropped())
 	}
 }

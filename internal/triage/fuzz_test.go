@@ -102,7 +102,7 @@ func parseScript(script string) []scriptStep {
 			if op == "A" {
 				log(n, tag, msg, logcat.Payload{})
 			} else {
-				log(n, tag, "", logcat.Payload{Op: logcat.MsgCaught, Err: msg})
+				log(n, tag, msg, logcat.Payload{Op: logcat.MsgCaught})
 			}
 		case "LD":
 			f := strings.Fields(rest)
@@ -112,12 +112,12 @@ func parseScript(script string) []scriptStep {
 			cn, ok := plainFlat(f[1])
 			n, err := strconv.Atoi(f[2])
 			if ok && err == nil {
-				log(1000, logcat.TagActivityManager, "", logcat.Payload{Op: logcat.MsgDelivering, Verb: f[0], Comp: cn, PID: n})
+				log(1000, logcat.TagActivityManager, "", logcat.Payload{Op: logcat.MsgDelivering, Verb: f[0], Comp: cn, N: n})
 			}
 		case "LR":
 			flat, msg, _ := strings.Cut(rest, " ")
 			if cn, ok := plainFlat(flat); ok {
-				log(1000, logcat.TagActivityManager, "", logcat.Payload{Op: logcat.MsgRejected, Comp: cn, Err: msg})
+				log(1000, logcat.TagActivityManager, msg, logcat.Payload{Op: logcat.MsgRejected, Comp: cn})
 			}
 		case "LP":
 			verb, act, _ := strings.Cut(rest, " ")

@@ -11,7 +11,6 @@ package vclock
 
 import (
 	"container/heap"
-	"sync"
 	"time"
 )
 
@@ -30,11 +29,12 @@ var Epoch = time.Date(2017, time.June, 1, 9, 0, 0, 0, time.UTC)
 // Virtual is a manually advanced clock with support for scheduled callbacks.
 // The zero value is not usable; construct with NewVirtual.
 //
-// Virtual is safe for concurrent use, but callbacks fire synchronously on the
-// goroutine that advances time, which keeps the whole simulation
-// deterministic and single threaded.
+// Virtual is not safe for concurrent use: a device's clock is owned by the
+// goroutine that drives the device, and callbacks fire synchronously on it
+// when it advances time, which keeps the whole simulation deterministic and
+// single threaded. (The device reads it on every log line, so an
+// uncontended lock would still cost a visible share of dispatch.)
 type Virtual struct {
-	mu     sync.Mutex
 	now    time.Time
 	seq    int64
 	timers timerHeap
@@ -59,8 +59,6 @@ func (v *Virtual) Reset(start time.Time) {
 	if start.IsZero() {
 		start = Epoch
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	v.now = start
 	v.seq = 0
 	for i := range v.timers {
@@ -70,11 +68,7 @@ func (v *Virtual) Reset(start time.Time) {
 }
 
 // Now returns the current virtual instant.
-func (v *Virtual) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now
-}
+func (v *Virtual) Now() time.Time { return v.now }
 
 // Sleep advances virtual time by d, firing any timers that become due, in
 // order. Negative or zero durations only fire timers already due.
@@ -86,10 +80,7 @@ func (v *Virtual) Advance(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	v.mu.Lock()
-	target := v.now.Add(d)
-	v.mu.Unlock()
-	v.runUntil(target)
+	v.runUntil(v.now.Add(d))
 }
 
 // AdvanceTo moves the clock forward to the instant t (no-op if t is in the
@@ -103,23 +94,15 @@ func (v *Virtual) Schedule(delay time.Duration, fn func(now time.Time)) (cancel 
 	if delay < 0 {
 		delay = 0
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	v.seq++
 	t := &timer{at: v.now.Add(delay), seq: v.seq, fn: fn}
 	heap.Push(&v.timers, t)
-	return func() {
-		v.mu.Lock()
-		defer v.mu.Unlock()
-		t.cancelled = true
-	}
+	return func() { t.cancelled = true }
 }
 
 // Pending reports the number of timers that have been scheduled but not yet
 // fired or cancelled.
 func (v *Virtual) Pending() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	n := 0
 	for _, t := range v.timers {
 		if !t.cancelled {
@@ -131,19 +114,16 @@ func (v *Virtual) Pending() int {
 
 func (v *Virtual) runUntil(target time.Time) {
 	for {
-		v.mu.Lock()
 		if target.After(v.now) {
 			// Nothing due before target? Jump straight to target.
 			if len(v.timers) == 0 || v.timers[0].at.After(target) {
 				v.now = target
-				v.mu.Unlock()
 				return
 			}
 			t := heap.Pop(&v.timers).(*timer)
 			if t.at.After(v.now) {
 				v.now = t.at
 			}
-			v.mu.Unlock()
 			if !t.cancelled {
 				t.fn(t.at)
 			}
@@ -151,11 +131,9 @@ func (v *Virtual) runUntil(target time.Time) {
 		}
 		// target <= now: fire timers that are already due.
 		if len(v.timers) == 0 || v.timers[0].at.After(v.now) {
-			v.mu.Unlock()
 			return
 		}
 		t := heap.Pop(&v.timers).(*timer)
-		v.mu.Unlock()
 		if !t.cancelled {
 			t.fn(t.at)
 		}

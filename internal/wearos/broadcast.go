@@ -83,20 +83,20 @@ func (o *OS) SendBroadcast(in *intent.Intent) BroadcastResult {
 		}
 		proc := o.ensureProcess(comp.Name.Package)
 		o.lastDeliver[proc.PID] = comp.Name
-		o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, logcat.Payload{
+		o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, "", logcat.Payload{
 			Op:   logcat.MsgDelivering,
 			Verb: "receiver",
 			Comp: comp.Name,
-			PID:  proc.PID,
+			N:    proc.PID,
 		})
 
-		h := o.handlers[comp.Name]
+		reg := o.registered(comp)
 		var out Outcome
-		if h != nil {
+		if reg.h != nil {
 			o.env = Env{PID: proc.PID, Clock: o.clock, Log: o.log}
-			out = h(&o.env, in)
+			out = reg.h(&o.env, in)
 		}
-		dr := o.settle(proc, comp, o.traits[comp.Name], out)
+		dr := o.settle(proc, comp, reg.tr, out)
 		res.Delivered++
 		res.worsen(dr)
 		if o.sysSrv.MaybeReboot() {

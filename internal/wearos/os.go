@@ -179,9 +179,14 @@ type OS struct {
 	sysSrv *SystemServer
 	sensor *sensors.Service
 
-	handlers     map[intent.ComponentName]Handler
-	traits       map[intent.ComponentName]ComponentTraits
+	handlers     map[intent.ComponentName]registration
 	bindHandlers map[intent.ComponentName]BindHandler
+	// hotComp and hotReg memoize the registration of the component last
+	// delivered to: a campaign sends thousands of intents to one component
+	// in a row, and comparing the resolved component's pointer is cheaper
+	// than hashing its name. RegisterHandler and ResetTo clear the memo.
+	hotComp *manifest.Component
+	hotReg  registration
 
 	bootCount   int
 	bootTime    time.Time
@@ -207,42 +212,9 @@ type OS struct {
 	// dispatches and by FlushTelemetry (see the constant's comment).
 	dispatchPending [DeviceRebooted + 1]uint32
 
-	// gateMsgs caches fully rendered gate-denial log lines. Denials are
-	// deterministic per (component, action, uid, kind, reason), and fuzzing
-	// campaigns hammer the same denials millions of times, so each distinct
-	// line is formatted exactly once.
-	gateMsgs map[gateKey]string
 	// env is the reusable handler environment; the simulation is
 	// single-threaded and handlers must not retain it past their call.
 	env Env
-}
-
-// gateKey identifies one deterministic gate-denial message.
-type gateKey struct {
-	comp   intent.ComponentName
-	action string
-	uid    int
-	kind   manifest.ComponentType
-	reason uint8
-}
-
-// Gate denial reasons (gateKey.reason).
-const (
-	gateProtected uint8 = iota + 1
-	gateNotFound
-	gateNotExported
-	gateNeedsPermission
-)
-
-// gateMsg returns the cached denial line for k, rendering it with build on
-// first use.
-func (o *OS) gateMsg(k gateKey, build func() string) string {
-	if msg, ok := o.gateMsgs[k]; ok {
-		return msg
-	}
-	msg := build()
-	o.gateMsgs[k] = msg
-	return msg
 }
 
 // dispatchFlushEvery is the batching window for the per-result
@@ -295,16 +267,28 @@ func newOSMetrics(reg *telemetry.Registry) osMetrics {
 
 // New boots a simulated device with the given configuration.
 func New(cfg Config) *OS {
-	o := newKernel(cfg, vclock.NewVirtual(time.Time{}), logcat.NewBuffer(cfg.LogCapacity))
+	return boot(cfg, logcat.NewBuffer(cfg.LogCapacity))
+}
+
+// BootSnapshot boots a template device and captures it, the way the farm
+// builds its boot templates. The template logs only its boot lines before
+// the capture, so it boots on a lazily grown ring instead of New's eager
+// one; the snapshot is the one New(cfg).Snapshot() returns.
+func BootSnapshot(cfg Config) (*Snapshot, error) {
+	return boot(cfg, logcat.NewGrowableBuffer(cfg.LogCapacity)).Snapshot()
+}
+
+func boot(cfg Config, buf *logcat.Buffer) *OS {
+	o := newKernel(cfg, vclock.NewVirtual(time.Time{}), buf)
 	o.logBootSequence()
 	return o
 }
 
 // newKernel wires up every OS subsystem around the provided clock and log
-// buffer without logging the boot sequence. New composes it with a fresh
-// clock and an eagerly allocated ring; Snapshot.Clone composes it with the
-// template's frozen clock time and a lazily grown ring pre-seeded with the
-// boot baseline.
+// buffer without logging the boot sequence. New and BootSnapshot compose it
+// with a fresh clock (and an eagerly allocated or a lazily grown ring);
+// Snapshot.Clone composes it with the template's frozen clock time and a
+// lazily grown ring pre-seeded with the boot baseline.
 func newKernel(cfg Config, clock *vclock.Virtual, buf *logcat.Buffer) *OS {
 	log := logcat.NewLogger(buf, clock.Now)
 	if cfg.ANRThreshold <= 0 {
@@ -324,12 +308,10 @@ func newKernel(cfg Config, clock *vclock.Virtual, buf *logcat.Buffer) *OS {
 		perms:        manifest.NewPermissionRegistry(manifest.StandardPermissions...),
 		router:       binder.NewRouter(),
 		procs:        newProcessTable(2000),
-		handlers:     make(map[intent.ComponentName]Handler),
-		traits:       make(map[intent.ComponentName]ComponentTraits),
+		handlers:     make(map[intent.ComponentName]registration),
 		bindHandlers: make(map[intent.ComponentName]BindHandler),
 		lastDeliver:  make(map[int]intent.ComponentName),
 		dropbox:      newDropBox(),
-		gateMsgs:     make(map[gateKey]string),
 	}
 	o.sysSrv = newSystemServer(cfg.Aging, clock.Now, log)
 	o.sysSrv.requestReboot = o.reboot
@@ -496,8 +478,23 @@ func (o *OS) InstallPackage(pkg *manifest.Package) error {
 // RegisterHandler attaches the behaviour handler and traits for a
 // component. Components without handlers behave as graceful no-ops.
 func (o *OS) RegisterHandler(cn intent.ComponentName, h Handler, tr ComponentTraits) {
-	o.handlers[cn] = h
-	o.traits[cn] = tr
+	o.handlers[cn] = registration{h: h, tr: tr}
+	o.hotComp = nil
+}
+
+// registration is a component's behaviour: its handler and traits.
+type registration struct {
+	h  Handler
+	tr ComponentTraits
+}
+
+// registered returns the behaviour registered for the resolved component
+// comp (the zero registration when there is none).
+func (o *OS) registered(comp *manifest.Component) registration {
+	if comp != o.hotComp {
+		o.hotComp, o.hotReg = comp, o.handlers[comp.Name]
+	}
+	return o.hotReg
 }
 
 // ensureProcess starts the app process on demand, like zygote forking on
@@ -593,15 +590,15 @@ func (o *OS) FlushTelemetry() {
 // rendered text; anything richer falls back to eager formatting.
 func (o *OS) logDispatch(verb string, in *intent.Intent) {
 	if len(in.Categories) == 0 && in.Type == "" && in.Flags == 0 {
-		o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, logcat.Payload{
+		o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, "", logcat.Payload{
 			Op:        logcat.MsgDispatch,
 			Verb:      verb,
 			Act:       in.Action,
-			Data:      intent.URIText(in.Data),
+			Data:      intent.URIText(&in.Data),
 			HasData:   !in.Data.IsZero(),
 			Comp:      in.Component,
 			HasExtras: in.Extras.Len() > 0,
-			UID:       in.SenderUID,
+			N:         in.SenderUID,
 		})
 		return
 	}
@@ -622,22 +619,21 @@ func (o *OS) deliver(in *intent.Intent, kind manifest.ComponentType, verb string
 	// 4. Process bring-up and delivery bookkeeping.
 	proc := o.ensureProcess(comp.Name.Package)
 	o.lastDeliver[proc.PID] = comp.Name
-	o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, logcat.Payload{
+	o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, "", logcat.Payload{
 		Op:   logcat.MsgDelivering,
 		Verb: comp.Type.String(),
 		Comp: comp.Name,
-		PID:  proc.PID,
+		N:    proc.PID,
 	})
 
 	// 5. Handler execution.
-	h := o.handlers[comp.Name]
+	reg := o.registered(comp)
 	var out Outcome
-	if h != nil {
+	if reg.h != nil {
 		o.env = Env{PID: proc.PID, Clock: o.clock, Log: o.log}
-		out = h(&o.env, in)
+		out = reg.h(&o.env, in)
 	}
-	tr := o.traits[comp.Name]
-	result := o.settle(proc, comp, tr, out)
+	result := o.settle(proc, comp, reg.tr, out)
 
 	// 6. Aging consequences are applied; a pending reboot tears the device
 	// down *after* the delivery completes, never mid-dispatch.
@@ -651,21 +647,15 @@ func (o *OS) deliver(in *intent.Intent, kind manifest.ComponentType, verb string
 // resolution, export/permission) and returns either the resolved component
 // or the blocking DeliveryResult (zero when delivery may proceed).
 func (o *OS) gate(in *intent.Intent, kind manifest.ComponentType) (*manifest.Component, DeliveryResult) {
-	// Denial lines are deterministic per (component, action, uid, kind), so
-	// each distinct one is rendered once via gateMsg and then replayed from
-	// the cache; Log passes a plain message through without reformatting.
+	// Denial lines are lazy payloads: fuzzing campaigns draw the same
+	// denials millions of times, and the operands are strings the intent
+	// and the manifest already hold.
 
 	// 1. Protected actions are reserved for the OS; QGJ (an unprivileged
 	// app) sending e.g. ACTION_BATTERY_LOW gets a SecurityException and the
 	// intent is ignored — "the specified and secure behavior" (Section IV-A).
 	if intent.IsProtected(in.Action) && in.SenderUID != UIDSystem {
-		msg := o.gateMsg(gateKey{comp: in.Component, action: in.Action, uid: in.SenderUID, reason: gateProtected},
-			func() string {
-				thr := javalang.Newf(javalang.ClassSecurity,
-					"Permission Denial: not allowed to send broadcast %s from pid=?, uid=%d", in.Action, in.SenderUID)
-				return thr.Error() + " targeting " + in.Component.FlattenToString()
-			})
-		o.log.Log(1000, 1000, logcat.Warn, logcat.TagActivityManager, msg)
+		o.logDenial("", logcat.Payload{Op: logcat.MsgDenyProtected, Act: in.Action, Comp: in.Component, N: in.SenderUID})
 		o.rec.RecordNow(telemetry.EventDenial, in.Component.Class, in.Action, "protected-action")
 		return nil, BlockedSecurity
 	}
@@ -673,44 +663,28 @@ func (o *OS) gate(in *intent.Intent, kind manifest.ComponentType) (*manifest.Com
 	// 2. Resolution.
 	comp := o.reg.Resolve(in, kind)
 	if comp == nil {
-		msg := o.gateMsg(gateKey{comp: in.Component, kind: kind, reason: gateNotFound},
-			func() string {
-				if kind == manifest.Activity {
-					return javalang.Newf(javalang.ClassActivityNotFound,
-						"Unable to find explicit activity class %s; have you declared this activity in your AndroidManifest.xml?",
-						in.Component.FlattenToString()).Error()
-				}
-				return "Unable to start service " + in.Component.FlattenToString() + ": not found"
-			})
-		o.log.Log(1000, 1000, logcat.Warn, logcat.TagActivityManager, msg)
+		o.logDenial("", logcat.Payload{Op: logcat.MsgNotFound, Verb: kind.String(), Comp: in.Component})
 		o.rec.RecordNow(telemetry.EventDenial, in.Component.Class, in.Action, "not-found")
 		return nil, BlockedNotFound
 	}
 
 	// 3. Export / permission checks on the target component.
 	if !comp.Exported && in.SenderUID != UIDSystem {
-		msg := o.gateMsg(gateKey{comp: comp.Name, uid: in.SenderUID, reason: gateNotExported},
-			func() string {
-				thr := javalang.Newf(javalang.ClassSecurity,
-					"Permission Denial: %s not exported from uid %d", comp.Flat(), in.SenderUID)
-				return thr.Error() + " targeting " + comp.Flat()
-			})
-		o.log.Log(1000, 1000, logcat.Warn, logcat.TagActivityManager, msg)
+		o.logDenial("", logcat.Payload{Op: logcat.MsgDenyNotExported, Comp: comp.Name, N: in.SenderUID})
 		o.rec.RecordNow(telemetry.EventDenial, in.Component.Class, in.Action, "not-exported")
 		return nil, BlockedSecurity
 	}
 	if comp.Permission != "" && in.SenderUID != UIDSystem {
-		msg := o.gateMsg(gateKey{comp: comp.Name, uid: in.SenderUID, reason: gateNeedsPermission},
-			func() string {
-				thr := javalang.Newf(javalang.ClassSecurity,
-					"Permission Denial: starting %s requires %s", comp.Flat(), comp.Permission)
-				return thr.Error() + " targeting " + comp.Flat()
-			})
-		o.log.Log(1000, 1000, logcat.Warn, logcat.TagActivityManager, msg)
+		o.logDenial(comp.Permission, logcat.Payload{Op: logcat.MsgDenyPermission, Comp: comp.Name})
 		o.rec.RecordNow(telemetry.EventDenial, in.Component.Class, in.Action, "needs-permission")
 		return nil, BlockedSecurity
 	}
 	return comp, 0
+}
+
+// logDenial logs a gate denial as ActivityManager's warning.
+func (o *OS) logDenial(text string, p logcat.Payload) {
+	o.log.LogLazy(1000, 1000, logcat.Warn, logcat.TagActivityManager, text, p)
 }
 
 // settle converts a handler outcome into logs, process state changes, and a
@@ -754,21 +728,16 @@ func (o *OS) settle(proc *Process, comp *manifest.Component, tr ComponentTraits,
 		return DeliveredNoEffect
 	case out.Caught:
 		// Handled gracefully: the app logs it and moves on.
-		o.log.LogLazy(proc.PID, proc.PID, logcat.Warn, proc.Name, logcat.Payload{
-			Op:  logcat.MsgCaught,
-			Err: out.Thrown.Error(),
-		})
+		o.log.LogLazy(proc.PID, proc.PID, logcat.Warn, proc.Name, out.Thrown.Error(),
+			logcat.Payload{Op: logcat.MsgCaught})
 		o.sysSrv.RecordStartSuccess(comp.Name)
 		return DeliveredHandledException
 	case out.Rejected:
 		// Validation refusal: the exception crosses the IPC boundary back
 		// to the sender. Logged by the system with component attribution so
 		// the analyzer can count it (Fig. 2), but nothing crashes.
-		o.log.LogLazy(1000, 1000, logcat.Warn, logcat.TagActivityManager, logcat.Payload{
-			Op:   logcat.MsgRejected,
-			Comp: comp.Name,
-			Err:  out.Thrown.Error(),
-		})
+		o.log.LogLazy(1000, 1000, logcat.Warn, logcat.TagActivityManager, out.Thrown.Error(),
+			logcat.Payload{Op: logcat.MsgRejected, Comp: comp.Name})
 		o.sysSrv.RecordStartSuccess(comp.Name)
 		return DeliveredRejected
 	default:

@@ -62,7 +62,7 @@ func TestProtectedActionBlocked(t *testing.T) {
 	// The SecurityException must be visible in logcat for the analyzer.
 	found := false
 	for _, e := range o.Logcat().Snapshot() {
-		if strings.Contains(e.Message, "java.lang.SecurityException") {
+		if strings.Contains(e.Msg(), "java.lang.SecurityException") {
 			found = true
 		}
 	}

@@ -18,11 +18,6 @@ package wearos
 //   - the post-restore state hash disagrees with the hash captured at
 //     Snapshot time — the catch-all tripwire for any state surface a future
 //     subsystem adds without teaching the reset about it.
-//
-// The gate-denial render cache (gateMsgs) is deliberately retained across
-// resets: entries are a pure function of their key, so a warm cache is
-// observably identical to a cold one. It is excluded from the state hash
-// for the same reason.
 
 import (
 	"math"
@@ -65,7 +60,6 @@ func (o *OS) resetStateHash() uint64 {
 	mix(uint64(o.reg.Count()))
 	mix(uint64(o.perms.Count()))
 	mix(uint64(len(o.handlers)))
-	mix(uint64(len(o.traits)))
 	mix(uint64(len(o.bindHandlers)))
 
 	mix(uint64(o.procs.nextPID))
@@ -178,9 +172,8 @@ func (o *OS) ResetTo(s *Snapshot) bool {
 	o.perms.Reset(s.perms)
 
 	restoreMap(o.handlers, s.handlers)
-	restoreMap(o.traits, s.traits)
 	restoreMap(o.bindHandlers, s.bindHandlers)
-	// gateMsgs intentionally retained (see package comment).
+	o.hotComp, o.hotReg = nil, registration{}
 
 	o.bootTime = s.bootTime
 	o.rebootLog = append(o.rebootLog[:0], s.rebootLog...)

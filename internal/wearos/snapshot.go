@@ -42,7 +42,7 @@ type agingState struct {
 // shares the installed packages (manifest.Package values are treated as
 // read-only after template installation; interned component strings are
 // write-once) and deep-copies everything mutable: the logcat baseline, the
-// aging maps, dropbox records, and the handler/trait tables.
+// aging maps, dropbox records, and the handler tables.
 //
 // Handlers registered before the snapshot are shared by reference across
 // clones; they must not close over per-device mutable state. The farm
@@ -61,10 +61,8 @@ type Snapshot struct {
 	packages []*manifest.Package // install order
 	perms    []string
 
-	handlers     map[intent.ComponentName]Handler
-	traits       map[intent.ComponentName]ComponentTraits
+	handlers     map[intent.ComponentName]registration
 	bindHandlers map[intent.ComponentName]BindHandler
-	gateMsgs     map[gateKey]string
 
 	nextPID   int
 	sensorPID int
@@ -109,10 +107,8 @@ func (o *OS) Snapshot() (*Snapshot, error) {
 		baseline:     o.buf.Snapshot(),
 		packages:     o.reg.Packages(),
 		perms:        o.perms.List(),
-		handlers:     make(map[intent.ComponentName]Handler, len(o.handlers)),
-		traits:       make(map[intent.ComponentName]ComponentTraits, len(o.traits)),
-		bindHandlers: make(map[intent.ComponentName]BindHandler, len(o.bindHandlers)),
-		gateMsgs:     make(map[gateKey]string, len(o.gateMsgs)),
+		handlers:     copyMap(o.handlers),
+		bindHandlers: copyMap(o.bindHandlers),
 		nextPID:      o.procs.nextPID,
 		sensorPID:    o.sensor.PID(),
 		dropbox:      append([]DropBoxEntry(nil), o.dropbox.entries...),
@@ -127,18 +123,6 @@ func (o *OS) Snapshot() (*Snapshot, error) {
 			rejuvenations: o.sysSrv.rejuvenations,
 			timeline:      append([]InstabilitySample(nil), o.sysSrv.timeline...),
 		},
-	}
-	for k, v := range o.handlers {
-		s.handlers[k] = v
-	}
-	for k, v := range o.traits {
-		s.traits[k] = v
-	}
-	for k, v := range o.bindHandlers {
-		s.bindHandlers[k] = v
-	}
-	for k, v := range o.gateMsgs {
-		s.gateMsgs[k] = v
 	}
 	s.stateHash = o.resetStateHash()
 	return s, nil
@@ -174,18 +158,8 @@ func (s *Snapshot) Clone() *OS {
 	for _, p := range s.perms {
 		o.perms.Register(p)
 	}
-	for k, v := range s.handlers {
-		o.handlers[k] = v
-	}
-	for k, v := range s.traits {
-		o.traits[k] = v
-	}
-	for k, v := range s.bindHandlers {
-		o.bindHandlers[k] = v
-	}
-	for k, v := range s.gateMsgs {
-		o.gateMsgs[k] = v
-	}
+	restoreMap(o.handlers, s.handlers)
+	restoreMap(o.bindHandlers, s.bindHandlers)
 
 	o.bootCount = s.bootCount
 	o.bootTime = s.bootTime

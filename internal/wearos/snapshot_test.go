@@ -1,6 +1,7 @@
 package wearos
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -96,6 +97,29 @@ func TestCloneMatchesFreshBoot(t *testing.T) {
 	fp, cp := fresh.Process("com.test.app"), clone.Process("com.test.app")
 	if fp == nil || cp == nil || fp.PID != cp.PID || fp.UID != cp.UID {
 		t.Fatalf("process identity fresh=%+v clone=%+v", fp, cp)
+	}
+}
+
+// TestBootSnapshotMatchesNewSnapshot: a template booted on the growable
+// ring captures the snapshot New(cfg).Snapshot() does, and clones of the two
+// run identically.
+func TestBootSnapshotMatchesNewSnapshot(t *testing.T) {
+	eager, err := New(DefaultWatchConfig()).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := BootSnapshot(DefaultWatchConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(eager, lazy) {
+		t.Fatalf("snapshots differ:\n eager %+v\n  lazy %+v", eager, lazy)
+	}
+	a, b := eager.Clone(), lazy.Clone()
+	driveWorkload(t, a)
+	driveWorkload(t, b)
+	if da, db := a.Logcat().Dump(), b.Logcat().Dump(); da != db {
+		t.Fatalf("clone dumps diverge:\n--- New ---\n%s\n--- BootSnapshot ---\n%s", da, db)
 	}
 }
 

@@ -2,9 +2,10 @@
 # Benchmark-regression gate for the injection hot path and the farm's
 # persistent executor.
 #
-# Runs the hot-path benchmark suite plus the eight-worker farm run and the
+# Runs the hot-path benchmark suite (with the per-intent campaign-mix
+# dispatch benchmark) plus the eight-worker farm run and the
 # device-level shard-boot and unit-reset microbenchmark pairs, emits
-# BENCH_10.json (machine-readable current numbers next to the frozen
+# BENCH_19.json (machine-readable current numbers next to the frozen
 # pre-optimization baselines), and fails if any gated benchmark regresses
 # past its ceiling or the persistent executor's per-unit reset-over-clone
 # speedup drops under its 3x floor. The ceilings are
@@ -18,7 +19,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_10.json}"
+out="${1:-BENCH_19.json}"
 raw="$(mktemp -t qgj-bench-XXXXXX.txt)"
 trap 'rm -f "$raw"' EXIT
 
@@ -26,7 +27,7 @@ trap 'rm -f "$raw"' EXIT
 # under scheduler noise (the telemetry-delta gate compares two ~300ns
 # numbers and would flake on single runs).
 go test -run '^$' \
-    -bench 'CampaignInstrumented|CampaignNoTelemetry|TableI_CampaignGeneration|IntentString|LogcatAppend|LogcatFormatParse' \
+    -bench 'CampaignInstrumented|CampaignNoTelemetry|TableI_CampaignGeneration|IntentString|LogcatAppend|LogcatFormatParse|DispatchCampaignMix' \
     -benchmem -benchtime=1s -count=3 . | tee "$raw"
 
 # The dispatch quartet feeds three ratio gates (telemetry delta <=8%,

@@ -1,6 +1,6 @@
 // Command benchgate parses `go test -bench` output, compares the hot-path
 // benchmarks against the frozen pre-optimization baseline and the
-// regression ceilings, writes the machine-readable BENCH_10.json artifact,
+// regression ceilings, writes the machine-readable BENCH_N.json artifact,
 // and exits non-zero if any gated number is over its ceiling or the
 // persistent executor's per-unit speedup drops under its floor.
 //
@@ -35,6 +35,7 @@ type result struct {
 
 	// Regression ceilings; exceeding any fails the gate.
 	CeilingNs     float64 `json:"ceiling_ns_per_op,omitempty"`
+	CeilingBytes  float64 `json:"ceiling_bytes_per_op,omitempty"`
 	CeilingAllocs float64 `json:"ceiling_allocs_per_op,omitempty"`
 }
 
@@ -80,6 +81,18 @@ var gates = map[string]*result{
 	// decode/re-encode on the upload path.
 	"BenchmarkQueueLeaseCycle":      {BaselineNs: 1220, BaselineAllocs: 6, CeilingNs: 6.0e3, CeilingAllocs: 20},
 	"BenchmarkQueueResultRoundTrip": {BaselineNs: 267550, BaselineAllocs: 155, CeilingNs: 1.5e6, CeilingAllocs: 500},
+
+	// End-to-end dispatch gate: one op is one intent of a fleet app's
+	// campaign A–D sweep on a warm device with a shard's collectors
+	// subscribed, so the NoEffect micro gates above cannot hide a
+	// regression on the denial, rejection, crash or FIC-D extras paths.
+	// Baseline is the cost with a map-backed extras bundle and eagerly
+	// rendered, map-cached denial lines (1,524 ns, 1.6 allocs, 85 B per
+	// intent); measured ~950 ns, 1.26 allocs, 31 B with slice-backed
+	// bundles and lazy denials. Allocations print as whole numbers per op,
+	// so the bytes ceiling is the sharp allocation gate: a heap-allocated
+	// bundle value per Put alone trips it.
+	"BenchmarkDispatchCampaignMix": {BaselineNs: 1524, BaselineAllocs: 1.6, CeilingNs: 1400, CeilingBytes: 55, CeilingAllocs: 2},
 }
 
 // dispatchDeltaCeiling bounds DispatchNoEffect/DispatchNoTelemetry - 1.
@@ -141,7 +154,7 @@ type output struct {
 
 func main() {
 	input := flag.String("input", "", "raw `go test -bench` output file")
-	outPath := flag.String("output", "BENCH_10.json", "JSON artifact path")
+	outPath := flag.String("output", "BENCH_19.json", "JSON artifact path")
 	flag.Parse()
 	if *input == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -input is required")
@@ -178,6 +191,9 @@ func main() {
 		out.Benchmarks[name] = &r
 		if r.CeilingNs > 0 && r.NsPerOp > r.CeilingNs {
 			out.fail("%s: %.1f ns/op exceeds ceiling %.1f", name, r.NsPerOp, r.CeilingNs)
+		}
+		if r.CeilingBytes > 0 && r.BytesPerOp > r.CeilingBytes {
+			out.fail("%s: %.1f B/op exceeds ceiling %.1f", name, r.BytesPerOp, r.CeilingBytes)
 		}
 		if gate.CeilingAllocs > 0 && r.AllocsPerOp > gate.CeilingAllocs {
 			out.fail("%s: %.2f allocs/op exceeds ceiling %.2f", name, r.AllocsPerOp, gate.CeilingAllocs)
