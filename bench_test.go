@@ -287,15 +287,14 @@ func mixApp(b *testing.B, fleet *apps.Fleet, gen core.GeneratorConfig) (*wearos.
 // BenchmarkDispatchCampaignMix measures the per-intent cost of a campaign,
 // not only the warm NoEffect path the Dispatch* benchmarks isolate: one
 // warm device, with a farm shard's analysis and triage collectors
-// subscribed, re-runs one fleet app's campaign A–D sweep — generation,
+// subscribed through the shard's single-decoder sink, re-runs one fleet app's campaign A–D sweep — generation,
 // FIC-D extras, no-effect deliveries, caught exceptions, rejections,
 // crashes and denials in campaign proportions, pacing. It reports ns/op,
 // B/op and allocs/op per intent sent.
 func BenchmarkDispatchCampaignMix(b *testing.B) {
 	gen := experiments.QuickGen(4)
 	dev, pkg := mixApp(b, qgj.BuildWearFleet(1), gen)
-	dev.Logcat().Subscribe(analysis.NewCollector())
-	dev.Logcat().Subscribe(triage.NewCollector())
+	dev.Logcat().Subscribe(triage.NewShardSink(analysis.NewCollector(), triage.NewCollector()))
 	inj := &core.Injector{Dev: dev, Cfg: gen}
 	var before, after runtime.MemStats
 	b.ResetTimer()

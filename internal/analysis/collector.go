@@ -200,8 +200,14 @@ type Collector struct {
 	hot *ComponentReport
 
 	pidComp map[int]intent.ComponentName
-	recent  []recentFailure
-	lastANR map[string]recentFailure // by process name
+	// lastPID and lastComp mirror the pidComp entry the last delivery
+	// wrote (valid while hasLast): a campaign delivers runs of intents to
+	// one process and component, and a repeat needs no map write.
+	lastPID  int
+	lastComp intent.ComponentName
+	hasLast  bool
+	recent   []recentFailure
+	lastANR  map[string]recentFailure // by process name
 
 	// Escalation markers for reboot attribution (the post-mortem anchors).
 	blameProcAt time.Time
@@ -294,17 +300,25 @@ func AnalyzeEntries(entries []logcat.Entry) *Report {
 	return c.Report()
 }
 
-// Consume implements logcat.Sink: one log entry at a time, in order. The
-// collector reads the decoder's typed events; the only text it parses is an
-// app line's exception header, and only inside an ANR-trace window.
-func (c *Collector) Consume(e logcat.Entry) {
+// Consume implements logcat.Sink: one log entry at a time, in order,
+// decoded by the collector's own decoder.
+func (c *Collector) Consume(e logcat.Entry) { c.Observe(&e, c.dec.Decode(&e)) }
+
+// Observe takes one log entry, in log order, with the event a full
+// logcat.Decoder decoded from it; a caller that feeds several consumers
+// decodes each line once. The collector reads the typed event; the only
+// text it parses is an app line's exception header, and only inside an
+// ANR-trace window.
+func (c *Collector) Observe(e *logcat.Entry, ev *logcat.Event) {
 	defer telemetry.Time(c.consumeSeconds)()
 	c.report.Entries++
 	c.entriesTotal.Inc()
-	ev := c.dec.Decode(&e)
 	switch ev.Kind {
 	case logcat.EventDelivery:
-		c.pidComp[ev.PID] = ev.Comp
+		if !c.hasLast || ev.PID != c.lastPID || ev.Comp != c.lastComp {
+			c.pidComp[ev.PID] = ev.Comp
+			c.lastPID, c.lastComp, c.hasLast = ev.PID, ev.Comp, true
+		}
 		cr := c.component(ev.Comp)
 		cr.Type = ev.Text
 		cr.Deliveries++
@@ -366,6 +380,7 @@ func (c *Collector) Consume(e logcat.Entry) {
 		// Processes restart after reboot; stale PID mappings must not leak
 		// attributions across the boot.
 		c.pidComp = make(map[int]intent.ComponentName)
+		c.hasLast = false
 		c.lastANR = make(map[string]recentFailure)
 		c.hasBlame = false
 	case logcat.EventAppLine:

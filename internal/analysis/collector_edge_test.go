@@ -182,3 +182,21 @@ func mustCN(t *testing.T, flat string) intent.ComponentName {
 	}
 	return c
 }
+
+func TestCollectorDeliveryAfterRebootReusingPID(t *testing.T) {
+	// A reboot forgets every PID mapping; a delivery that repeats the last
+	// pre-reboot (PID, component) pair must map it again, or the crash that
+	// follows goes unattributed.
+	col := NewCollector()
+	deliver := entry(logcat.TagActivityManager, "Delivering to activity cmp=com.a/.B pid=7", 0)
+	col.Consume(deliver)
+	col.Consume(entry(logcat.TagSystemServer, "!!! REBOOTING: test !!!", time.Second))
+	col.Consume(deliver)
+	col.Consume(logcat.Entry{PID: 7, Tag: logcat.TagAndroidRuntime, Level: logcat.Error, Message: "FATAL EXCEPTION: main"})
+	col.Consume(logcat.Entry{PID: 7, Tag: logcat.TagAndroidRuntime, Level: logcat.Error, Message: "java.lang.NullPointerException: x"})
+	col.Consume(entry(logcat.TagActivityManager, "Process com.a (pid 7) has died", 2*time.Second))
+	cr := col.Report().Components[mustCN(t, "com.a/.B")]
+	if cr == nil || cr.CrashRoots[javalang.ClassNullPointer] != 1 {
+		t.Fatalf("post-reboot crash not attributed: %+v", cr)
+	}
+}

@@ -113,8 +113,11 @@ func AnalyzeIntent(in *intent.Intent) DefectKind {
 	}
 	hasAction := in.Action != ""
 	hasData := !in.Data.IsZero()
-	if hasAction && !intent.KnownAction(in.Action) {
-		return KindRandomAction
+	var spec intent.ActionSpec
+	if hasAction {
+		if spec = intent.LookupAction(in.Action); !spec.Known {
+			return KindRandomAction
+		}
 	}
 	if hasData && !intent.KnownScheme(in.Data.Scheme) {
 		return KindRandomData
@@ -123,12 +126,12 @@ func AnalyzeIntent(in *intent.Intent) DefectKind {
 		return KindMissingAction
 	}
 	if !hasData {
-		if intent.ActionExpectsData(in.Action) {
+		if spec.ExpectsData() {
 			return KindMissingData
 		}
 		return KindNone // action legitimately takes no data
 	}
-	if !intent.ActionAcceptsScheme(in.Action, in.Data.Scheme) {
+	if !spec.AcceptsScheme(in.Data.Scheme) {
 		return KindMismatch
 	}
 	return KindNone

@@ -132,33 +132,57 @@ func (cfg GeneratorConfig) normalized() GeneratorConfig {
 	return cfg
 }
 
-// actionCache/schemeCache memoize the strided catalog views. Generate runs
-// once per (campaign, component) — hundreds of thousands of times at farm
-// scale — and the catalogs are immutable, so each stride is materialized
-// once. Callers treat the returned slices as read-only.
-var (
-	actionCache sync.Map // int (stride) -> []string
-	schemeCache sync.Map // int (stride) -> []string
-)
+// catalog is the strided view of the action and scheme catalogs one
+// generator configuration draws from, with every per-entry derivation the
+// campaigns need computed once: each scheme's sample URI, and each
+// action's valid datum (the sample URI of the first strided scheme it
+// accepts, in catalog order for determinism). Callers treat it as
+// read-only.
+type catalog struct {
+	actions []string
+	// data[j] is the j-th strided scheme's sample URI.
+	data []intent.URI
+	// valid[i] is actions[i]'s valid datum, the zero URI (no data) for a
+	// data-less action.
+	valid []intent.URI
+}
 
-func stridedCatalog(cache *sync.Map, all []string, stride int) []string {
-	if v, ok := cache.Load(stride); ok {
-		return v.([]string)
+// catalogs memoizes catalog views by stride pair. Generate runs once per
+// (campaign, component) — hundreds of thousands of times at farm scale —
+// and the catalogs are immutable, so each view is materialized once.
+var catalogs sync.Map // [2]int{action stride, scheme stride} -> *catalog
+
+func (cfg GeneratorConfig) catalog() *catalog {
+	key := [2]int{cfg.ActionStride, cfg.SchemeStride}
+	if v, ok := catalogs.Load(key); ok {
+		return v.(*catalog)
 	}
+	c := &catalog{actions: strided(intent.Actions, cfg.ActionStride)}
+	schemes := strided(intent.Schemes, cfg.SchemeStride)
+	for _, s := range schemes {
+		c.data = append(c.data, intent.SampleData(s))
+	}
+	c.valid = make([]intent.URI, len(c.actions))
+	for i, a := range c.actions {
+		spec := intent.LookupAction(a)
+		for j, s := range schemes {
+			if spec.AcceptsScheme(s) {
+				c.valid[i] = c.data[j]
+				break
+			}
+		}
+	}
+	catalogs.Store(key, c)
+	return c
+}
+
+// strided takes every stride-th entry of all.
+func strided(all []string, stride int) []string {
 	out := make([]string, 0, len(all)/stride+1)
 	for i := 0; i < len(all); i += stride {
 		out = append(out, all[i])
 	}
-	cache.Store(stride, out)
 	return out
-}
-
-func (cfg GeneratorConfig) actions() []string {
-	return stridedCatalog(&actionCache, intent.Actions, cfg.ActionStride)
-}
-
-func (cfg GeneratorConfig) schemes() []string {
-	return stridedCatalog(&schemeCache, intent.Schemes, cfg.SchemeStride)
 }
 
 // CountPerComponent predicts how many intents the campaign generates for
@@ -166,7 +190,8 @@ func (cfg GeneratorConfig) schemes() []string {
 // Table I.
 func (c Campaign) CountPerComponent(cfg GeneratorConfig) int {
 	cfg = cfg.normalized()
-	nA, nS := len(cfg.actions()), len(cfg.schemes())
+	cat := cfg.catalog()
+	nA, nS := len(cat.actions), len(cat.data)
 	switch c {
 	case CampaignA:
 		return nA * nS
@@ -221,8 +246,7 @@ var intentPool = sync.Pool{New: func() any { return new(intent.Intent) }}
 func (c Campaign) Generate(target intent.ComponentName, cfg GeneratorConfig, senderUID int, emit func(*intent.Intent)) {
 	cfg = cfg.normalized()
 	r := rng.New(cfg.Seed).Split("campaign-" + c.Letter() + "-" + target.FlattenToString())
-	actions := cfg.actions()
-	schemes := cfg.schemes()
+	cat := cfg.catalog()
 
 	in := intentPool.Get().(*intent.Intent)
 	defer func() {
@@ -240,30 +264,30 @@ func (c Campaign) Generate(target intent.ComponentName, cfg GeneratorConfig, sen
 	case CampaignA:
 		// Cartesian product of valid actions and valid data; many pairs are
 		// semantically incompatible — exactly the defect FIC A probes.
-		for _, a := range actions {
-			for _, s := range schemes {
+		for _, a := range cat.actions {
+			for j := range cat.data {
 				in := base()
 				in.Action = a
-				in.Data = intent.SampleData(s)
+				in.Data = cat.data[j]
 				emit(in)
 			}
 		}
 	case CampaignB:
 		// Action XOR data; everything else blank.
-		for _, a := range actions {
+		for _, a := range cat.actions {
 			in := base()
 			in.Action = a
 			emit(in)
 		}
-		for _, s := range schemes {
+		for j := range cat.data {
 			in := base()
-			in.Data = intent.SampleData(s)
+			in.Data = cat.data[j]
 			emit(in)
 		}
 	case CampaignC:
 		// Valid action with random data, then random action with valid
 		// data, RandomVariants times each.
-		for _, a := range actions {
+		for _, a := range cat.actions {
 			for v := 0; v < cfg.RandomVariants; v++ {
 				in := base()
 				in.Action = a
@@ -271,23 +295,21 @@ func (c Campaign) Generate(target intent.ComponentName, cfg GeneratorConfig, sen
 				emit(in)
 			}
 		}
-		for _, s := range schemes {
+		for j := range cat.data {
 			for v := 0; v < cfg.RandomVariants; v++ {
 				in := base()
 				in.Action = randomAction(r)
-				in.Data = intent.SampleData(s)
+				in.Data = cat.data[j]
 				emit(in)
 			}
 		}
 	case CampaignD:
 		// Valid {Action, Data} pair plus 1-5 random extras.
-		for _, a := range actions {
+		for i, a := range cat.actions {
 			for v := 0; v < cfg.ExtrasVariants; v++ {
 				in := base()
 				in.Action = a
-				if s, ok := validSchemeFor(a, schemes); ok {
-					in.Data = intent.SampleData(s)
-				}
+				in.Data = cat.valid[i]
 				nExtras := r.IntBetween(1, 5)
 				for e := 0; e < nExtras; e++ {
 					// Same RNG consumption as rng.Pick(r, fuzzExtraKeys),
@@ -303,12 +325,10 @@ func (c Campaign) Generate(target intent.ComponentName, cfg GeneratorConfig, sen
 		// with a scheme the action legitimately accepts when one exists.
 		// Failures under FIC F come from the injected OS faults, so the
 		// intents themselves stay as benign as the generator can make them.
-		for _, a := range actions {
+		for i, a := range cat.actions {
 			in := base()
 			in.Action = a
-			if s, ok := validSchemeFor(a, schemes); ok {
-				in.Data = intent.SampleData(s)
-			}
+			in.Data = cat.valid[i]
 			emit(in)
 		}
 	}
@@ -338,17 +358,6 @@ func randomSchemeToken(r *rng.Source) string {
 	// colliding with one of the 12 catalog schemes is rare and harmless
 	// (the intent simply counts as semi-valid for that delivery).
 	return string(b)
-}
-
-// validSchemeFor picks a scheme the action legitimately accepts, preferring
-// the catalog order for determinism. ok is false for data-less actions.
-func validSchemeFor(action string, schemes []string) (string, bool) {
-	for _, s := range schemes {
-		if intent.ActionAcceptsScheme(action, s) {
-			return s, true
-		}
-	}
-	return "", false
 }
 
 // randomExtraValue draws a random typed extra; roughly a quarter are

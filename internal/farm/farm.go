@@ -435,17 +435,17 @@ func (e *Executor) runShard(key ShardKey) (*ShardResult, error) {
 		dev.AttachTelemetry(shardReg)
 	}
 
-	// The unit's collectors are detached when it ends: a reset drops them
-	// anyway, but the aging device lives on into the next unit.
+	// The unit's collectors share one sink, which decodes each line once.
+	// It is detached when the unit ends: a reset drops it anyway, but the
+	// aging device lives on into the next unit.
 	col := analysis.NewCollector().UseTelemetry(shardReg)
-	dev.Logcat().Subscribe(col)
-	defer dev.Logcat().Unsubscribe(col)
 	var tri *triage.Collector
 	if cfg.triages() {
 		tri = triage.NewCollector()
-		dev.Logcat().Subscribe(tri)
-		defer dev.Logcat().Unsubscribe(tri)
 	}
+	sink := triage.NewShardSink(col, tri)
+	dev.Logcat().Subscribe(sink)
+	defer dev.Logcat().Unsubscribe(sink)
 
 	// The flight recorder exists for the failure windows triage attaches,
 	// so it rides only when triage (or the farm registry, which counts its

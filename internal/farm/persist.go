@@ -162,9 +162,11 @@ func (e *Executor) fleet(tmpl *apps.FleetTemplate, pkg string) *apps.Fleet {
 // device returns the executor's hot device reset to snap, or a fresh clone
 // when there is no reusable device. The persist counters record the
 // outcome: a reuse, or a retirement (reset attempted and failed) followed
-// by a fallback clone. A cold start (no device yet, or the template
-// changed) counts as a fallback but not a retirement.
+// by a fallback clone, which adopts the retired device's grown logcat ring.
+// A cold start (no device yet, or the template changed) counts as a
+// fallback but not a retirement, and clones a new ring.
 func (e *Executor) device(snap *wearos.Snapshot, met farmMetrics) (*wearos.OS, string) {
+	var retired *wearos.OS
 	if e.dev != nil && e.snap == snap {
 		start := time.Now()
 		ok := e.dev.ResetTo(snap)
@@ -174,10 +176,11 @@ func (e *Executor) device(snap *wearos.Snapshot, met farmMetrics) (*wearos.OS, s
 			return e.dev, BootReuse
 		}
 		met.persistRetires.Inc()
+		retired = e.dev
 	}
 	met.persistFallbacks.Inc()
 	start := time.Now()
-	dev := snap.Clone()
+	dev := snap.CloneReplacing(retired)
 	met.cloneSeconds.Observe(time.Since(start).Seconds())
 	return dev, BootClone
 }

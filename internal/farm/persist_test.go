@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/javalang"
 )
 
@@ -116,5 +117,67 @@ func TestUnitExecutorReusesHotDevice(t *testing.T) {
 	}
 	if src4 != BootReuse || dev4 != dev3 {
 		t.Fatalf("executor did not recover after retirement (source=%q)", src4)
+	}
+}
+
+// TestRetiredRingAdoption: when a hot device retires after a reboot, its
+// replacement adopts the grown logcat ring instead of growing a new one,
+// and the shard it runs is byte-identical to a fresh-boot oracle's.
+func TestRetiredRingAdoption(t *testing.T) {
+	const pkg = "com.heartwatch.wear"
+	p, err := NewPlan(Config{
+		Seed: 1, Packages: []string{pkg},
+		Campaigns: []core.Campaign{core.CampaignA, core.CampaignB},
+		Gen:       core.GeneratorConfig{ActionStride: 2, SchemeStride: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := p.NewExecutor()
+	if _, err := ex.ExecuteShard(0); err != nil {
+		t.Fatal(err)
+	}
+	hot := ex.dev
+	ring := hot.Logcat()
+	grown := ring.Cap()
+
+	hot.SystemServer().RecordCoreServiceDown("sensorservice", javalang.SIGABRT)
+	if !hot.SystemServer().MaybeReboot() {
+		t.Fatal("core service death did not reboot the device")
+	}
+	got, err := ex.ExecuteShard(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.BootSource != BootClone || ex.dev == hot {
+		t.Fatalf("rebooted device was not retired (source %q)", got.BootSource)
+	}
+	if ex.dev.Logcat() != ring {
+		t.Fatal("replacement device did not adopt the retired device's ring")
+	}
+	// A fresh clone starts at 256 entries, so a shard that logs more would
+	// have grown its ring.
+	if n := ring.Len(); n <= 256 {
+		t.Fatalf("shard 1 logged only %d lines; it exercises no ring growth", n)
+	}
+	if ring.Cap() != grown {
+		t.Fatalf("adopted ring grew from %d to %d entries during the shard", grown, ring.Cap())
+	}
+
+	UseFreshBoot(t)
+	want, err := p.NewExecutor().ExecuteShard(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotRec, err := EncodeShardRecord(1, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRec, err := EncodeShardRecord(1, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(gotRec) != string(wantRec) {
+		t.Fatalf("shard on the adopted ring differs from the fresh-boot oracle:\n got: %s\nwant: %s", gotRec, wantRec)
 	}
 }

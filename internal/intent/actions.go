@@ -128,38 +128,38 @@ var BroadcastActions = []string{
 // protectedActions is the subset of BroadcastActions that only the system
 // may send (AOSP's "protected-broadcast" list, abridged to the actions the
 // catalog carries).
-var protectedActions = map[string]bool{
-	"android.intent.action.AIRPLANE_MODE":             true,
-	"android.intent.action.BATTERY_CHANGED":           true,
-	"android.intent.action.BATTERY_LOW":               true,
-	"android.intent.action.BATTERY_OKAY":              true,
-	"android.intent.action.BOOT_COMPLETED":            true,
-	"android.intent.action.LOCKED_BOOT_COMPLETED":     true,
-	"android.intent.action.ACTION_POWER_CONNECTED":    true,
-	"android.intent.action.ACTION_POWER_DISCONNECTED": true,
-	"android.intent.action.ACTION_SHUTDOWN":           true,
-	"android.intent.action.REBOOT":                    true,
-	"android.intent.action.DEVICE_STORAGE_LOW":        true,
-	"android.intent.action.DEVICE_STORAGE_OK":         true,
-	"android.intent.action.CONFIGURATION_CHANGED":     true,
-	"android.intent.action.LOCALE_CHANGED":            true,
-	"android.intent.action.TIMEZONE_CHANGED":          true,
-	"android.intent.action.TIME_SET":                  true,
-	"android.intent.action.TIME_TICK":                 true,
-	"android.intent.action.DATE_CHANGED":              true,
-	"android.intent.action.SCREEN_ON":                 true,
-	"android.intent.action.SCREEN_OFF":                true,
-	"android.intent.action.USER_PRESENT":              true,
-	"android.intent.action.DREAMING_STARTED":          true,
-	"android.intent.action.DREAMING_STOPPED":          true,
-	"android.intent.action.PACKAGE_ADDED":             true,
-	"android.intent.action.PACKAGE_REMOVED":           true,
-	"android.intent.action.PACKAGE_REPLACED":          true,
-	"android.intent.action.PACKAGE_FIRST_LAUNCH":      true,
-	"android.intent.action.PACKAGES_SUSPENDED":        true,
-	"android.intent.action.UID_REMOVED":               true,
-	"android.intent.action.MY_PACKAGE_REPLACED":       true,
-	"android.hardware.action.NEW_PICTURE":             true,
+var protectedActions = []string{
+	"android.intent.action.AIRPLANE_MODE",
+	"android.intent.action.BATTERY_CHANGED",
+	"android.intent.action.BATTERY_LOW",
+	"android.intent.action.BATTERY_OKAY",
+	"android.intent.action.BOOT_COMPLETED",
+	"android.intent.action.LOCKED_BOOT_COMPLETED",
+	"android.intent.action.ACTION_POWER_CONNECTED",
+	"android.intent.action.ACTION_POWER_DISCONNECTED",
+	"android.intent.action.ACTION_SHUTDOWN",
+	"android.intent.action.REBOOT",
+	"android.intent.action.DEVICE_STORAGE_LOW",
+	"android.intent.action.DEVICE_STORAGE_OK",
+	"android.intent.action.CONFIGURATION_CHANGED",
+	"android.intent.action.LOCALE_CHANGED",
+	"android.intent.action.TIMEZONE_CHANGED",
+	"android.intent.action.TIME_SET",
+	"android.intent.action.TIME_TICK",
+	"android.intent.action.DATE_CHANGED",
+	"android.intent.action.SCREEN_ON",
+	"android.intent.action.SCREEN_OFF",
+	"android.intent.action.USER_PRESENT",
+	"android.intent.action.DREAMING_STARTED",
+	"android.intent.action.DREAMING_STOPPED",
+	"android.intent.action.PACKAGE_ADDED",
+	"android.intent.action.PACKAGE_REMOVED",
+	"android.intent.action.PACKAGE_REPLACED",
+	"android.intent.action.PACKAGE_FIRST_LAUNCH",
+	"android.intent.action.PACKAGES_SUSPENDED",
+	"android.intent.action.UID_REMOVED",
+	"android.intent.action.MY_PACKAGE_REPLACED",
+	"android.hardware.action.NEW_PICTURE",
 }
 
 // Actions is the full fuzzing catalog: activity actions plus broadcast
@@ -173,25 +173,68 @@ func buildActions() []string {
 	return out
 }
 
+// ActionSpec is everything the catalog knows about one action, so a caller
+// on the per-intent path looks an action up once instead of once per
+// question.
+type ActionSpec struct {
+	// Known marks a catalog action (Actions).
+	Known bool
+	// Protected marks an action only privileged OS processes may send.
+	Protected bool
+	// Schemes are the data schemes the action legitimately operates on
+	// (actionSchemes); nil when it takes no data.
+	Schemes []string
+}
+
+// ExpectsData reports whether the action has any data expectation.
+func (s ActionSpec) ExpectsData() bool { return s.Schemes != nil }
+
+// AcceptsScheme reports whether the action can legitimately carry data
+// with the given scheme. Actions without a data expectation accept only
+// "no data", so any scheme is a mismatch for them.
+func (s ActionSpec) AcceptsScheme(scheme string) bool {
+	for _, sc := range s.Schemes {
+		if sc == scheme {
+			return true
+		}
+	}
+	return false
+}
+
+// actionSpecs indexes every action the catalog tables name.
+var actionSpecs = func() map[string]ActionSpec {
+	m := make(map[string]ActionSpec, len(Actions))
+	for _, a := range Actions {
+		s := m[a]
+		s.Known = true
+		m[a] = s
+	}
+	for _, a := range protectedActions {
+		s := m[a]
+		s.Protected = true
+		m[a] = s
+	}
+	for a, ss := range actionSchemes {
+		s := m[a]
+		s.Schemes = ss
+		m[a] = s
+	}
+	return m
+}()
+
+// LookupAction returns the catalog's spec of action (the zero spec for an
+// action the catalog does not name).
+func LookupAction(action string) ActionSpec { return actionSpecs[action] }
+
 // IsProtected reports whether action may only be sent by privileged OS
 // processes. Sending a protected action from an ordinary app raises a
 // SecurityException, the paper's dominant exception class (81.3%).
-func IsProtected(action string) bool { return protectedActions[action] }
+func IsProtected(action string) bool { return actionSpecs[action].Protected }
 
 // KnownAction reports whether action is registered in the catalog; the adb
 // `pm`-style strict validation and the dispatcher's "no such action" path
 // use this.
-func KnownAction(action string) bool {
-	return knownActions[action]
-}
-
-var knownActions = func() map[string]bool {
-	m := make(map[string]bool, len(Actions))
-	for _, a := range Actions {
-		m[a] = true
-	}
-	return m
-}()
+func KnownAction(action string) bool { return actionSpecs[action].Known }
 
 // Common intent categories.
 const (

@@ -39,26 +39,13 @@ var actionSchemes = map[string][]string{
 }
 
 // ActionAcceptsScheme reports whether the action can legitimately carry
-// data with the given scheme. Actions without a data expectation accept
-// only "no data", so any scheme is a mismatch for them.
+// data with the given scheme (ActionSpec.AcceptsScheme).
 func ActionAcceptsScheme(action, scheme string) bool {
-	ss, ok := actionSchemes[action]
-	if !ok {
-		return false
-	}
-	for _, s := range ss {
-		if s == scheme {
-			return true
-		}
-	}
-	return false
+	return actionSpecs[action].AcceptsScheme(scheme)
 }
 
 // ActionExpectsData reports whether the action has any data expectation.
-func ActionExpectsData(action string) bool {
-	_, ok := actionSchemes[action]
-	return ok
-}
+func ActionExpectsData(action string) bool { return actionSpecs[action].ExpectsData() }
 
 // KnownScheme reports whether s is one of the fuzzer's 12 configured data
 // URI schemes.

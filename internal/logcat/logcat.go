@@ -595,6 +595,10 @@ func (b *Buffer) Len() int {
 	return b.count
 }
 
+// Cap returns the length of the ring's backing array: the capacity of a
+// fixed ring, and what a growable ring has grown to so far.
+func (b *Buffer) Cap() int { return len(b.entries) }
+
 // Dropped returns how many entries were evicted due to capacity. Reading
 // the exact count also re-syncs the sampled logcat_dropped_lines gauge.
 func (b *Buffer) Dropped() uint64 {

@@ -254,11 +254,17 @@ func (p *Package) Launcher() *Component {
 }
 
 // Registry indexes installed packages and resolves component lookups; it is
-// the PackageManager's data plane.
+// the PackageManager's data plane. Like the device that owns it, it is not
+// safe for concurrent use: Resolve updates its memo.
 type Registry struct {
 	packages map[string]*Package
 	byName   map[intent.ComponentName]*Component
 	order    []string
+	// hot memoizes the component the last explicit Resolve found: a
+	// campaign resolves thousands of intents to one component in a row,
+	// and comparing names that share their strings is cheaper than hashing
+	// them. Install, Uninstall and Clear drop it.
+	hot *Component
 }
 
 // NewRegistry returns an empty registry.
@@ -281,6 +287,7 @@ func (r *Registry) Install(pkg *Package) error {
 			return fmt.Errorf("manifest: component %s declared in package %s", c.Name, pkg.Name)
 		}
 	}
+	r.hot = nil
 	if old, ok := r.packages[pkg.Name]; ok {
 		for _, c := range old.Components {
 			delete(r.byName, c.Name)
@@ -310,6 +317,7 @@ func (r *Registry) Uninstall(name string) bool {
 	if !ok {
 		return false
 	}
+	r.hot = nil
 	for _, c := range pkg.Components {
 		delete(r.byName, c.Name)
 	}
@@ -330,6 +338,7 @@ func (r *Registry) Clear() {
 	clear(r.packages)
 	clear(r.byName)
 	r.order = r.order[:0]
+	r.hot = nil
 }
 
 // Package returns the named package, or nil.
@@ -358,7 +367,12 @@ func (r *Registry) Component(name intent.ComponentName) *Component {
 // explicit-intent focus where implicit resolution is rarely exercised).
 func (r *Registry) Resolve(in *intent.Intent, want ComponentType) *Component {
 	if in.IsExplicit() {
-		c := r.byName[in.Component]
+		c := r.hot
+		if c == nil || c.Name != in.Component {
+			if c = r.byName[in.Component]; c != nil {
+				r.hot = c
+			}
+		}
 		if c == nil || c.Type != want {
 			return nil
 		}

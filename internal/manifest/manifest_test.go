@@ -296,3 +296,43 @@ func TestEnumStrings(t *testing.T) {
 		t.Error("Origin.String broken")
 	}
 }
+
+// TestResolveMemoFollowsInstalls: the explicit-resolution memo must never
+// serve a component its package no longer installs.
+func TestResolveMemoFollowsInstalls(t *testing.T) {
+	r := NewRegistry()
+	pkg := samplePackage()
+	if err := r.Install(pkg); err != nil {
+		t.Fatal(err)
+	}
+	in := &intent.Intent{Component: cn("com.example.fit", "SyncService")}
+	first := r.Resolve(in, Service)
+	if first == nil || r.Resolve(in, Service) != first {
+		t.Fatalf("Resolve = %v, want the installed SyncService twice", first)
+	}
+
+	if !r.Uninstall(pkg.Name) {
+		t.Fatal("Uninstall reported the package missing")
+	}
+	if got := r.Resolve(in, Service); got != nil {
+		t.Fatalf("Resolve after Uninstall = %v, want nil", got)
+	}
+
+	if err := r.Install(pkg); err != nil {
+		t.Fatal(err)
+	}
+	r.Resolve(in, Service)
+	// Reinstalling the package replaces its components.
+	v2 := samplePackage()
+	if err := r.Install(v2); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Resolve(in, Service); got == nil || got == first {
+		t.Fatalf("Resolve after reinstall = %p, want the new version's component, not %p", got, first)
+	}
+
+	r.Clear()
+	if got := r.Resolve(in, Service); got != nil {
+		t.Fatalf("Resolve after Clear = %v, want nil", got)
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -159,5 +161,47 @@ func FuzzWorkerEnvelopes(f *testing.F) {
 		// A refused upload has already re-queued the shard; release the
 		// lease in case the body never reached the record checks.
 		post(t, "/api/v1/leases/"+grant.LeaseID+"/release", nil)
+	})
+}
+
+// FuzzArchivedInfo: an archived campaign's info snapshot
+// (done/<id>.info.json) is read back when a coordinator starts on its data
+// dir. Every input either makes the restore fail with an explicit error or
+// restores a listing whose every entry is an archived campaign with an ID.
+// Nothing panics. `go test -fuzz=FuzzArchivedInfo ./internal/service`
+// explores beyond the seeds.
+func FuzzArchivedInfo(f *testing.F) {
+	for _, seed := range []string{
+		`{"id":"c3-0123456789abcdef","spec":{"seed":1,"quick":10},"fingerprint":"0123456789abcdef","state":"complete","shards":4,"done":4,"intentsSent":96,"created":"2026-01-02T03:04:05Z"}`,
+		`{"id":"c18446744073709551616-x","state":"running"}`,
+		`{"id":""}`,
+		`{"state":"archived"}`,
+		`{"id":"c1-a","created":"not a time"}`,
+		`[]`,
+		`null`,
+		`not json`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		done := filepath.Join(dir, "done")
+		if err := os.MkdirAll(done, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(done, "c1-fuzz.info.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := service.NewCoordinator(service.Options{DataDir: dir})
+		if err != nil {
+			return
+		}
+		defer c.Shutdown()
+		for _, info := range c.Campaigns() {
+			if info.ID == "" || info.State != service.CampaignArchived {
+				t.Fatalf("archive info %q restored listing entry %+v", data, info)
+			}
+		}
 	})
 }

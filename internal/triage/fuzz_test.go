@@ -140,12 +140,17 @@ func parseScript(script string) []scriptStep {
 }
 
 // runSteps feeds the steps to a fresh triage collector and a fresh analysis
-// collector and returns both.
-func runSteps(steps []scriptStep) (*Collector, *analysis.Collector) {
+// collector and returns both. Each collector consumes the entries with its
+// own decoder, or, when shared, both observe them through the farm's
+// single-decoder ShardSink.
+func runSteps(steps []scriptStep, shared bool) (*Collector, *analysis.Collector) {
 	c, a := NewCollector(), analysis.NewCollector()
+	sink := NewShardSink(a, c)
 	seq := uint64(0)
 	for _, s := range steps {
 		switch {
+		case s.entry != nil && shared:
+			sink.Consume(*s.entry)
 		case s.entry != nil:
 			c.Consume(*s.entry)
 			a.Consume(*s.entry)
@@ -168,7 +173,7 @@ func runSteps(steps []scriptStep) (*Collector, *analysis.Collector) {
 
 // runScript feeds a script to a fresh triage collector and returns it.
 func runScript(script string) *Collector {
-	c, _ := runSteps(parseScript(script))
+	c, _ := runSteps(parseScript(script), false)
 	return c
 }
 
@@ -207,7 +212,8 @@ func recordKey(c *Crash) string {
 // re-run of the same script), no bucket keeps more than two windows, every
 // attributed crash the analysis counts is a triage crash record, and a
 // pulled dump of the script's log yields the same triage records and the
-// same analysis report as the live entries.
+// same analysis report as the live entries, and so does the shared
+// single-decoder sink.
 func FuzzCollector(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -229,7 +235,7 @@ func FuzzCollector(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, script string) {
 		steps := parseScript(script)
-		c, a := runSteps(steps)
+		c, a := runSteps(steps, false)
 		crashes := c.Crashes()
 		windows := make(map[uint64]int)
 		crashRecords := 0
@@ -265,21 +271,33 @@ func FuzzCollector(f *testing.F) {
 			}
 		}
 
+		sc, sa := runSteps(steps, true)
+		sameCollectors(t, "shared", sc, sa, c, a)
+
 		dump, ok := dumped(steps)
 		if !ok {
 			return
 		}
-		dc, da := runSteps(dump)
-		if len(dc.Crashes()) != len(crashes) {
-			t.Fatalf("dump collected %d records, live %d", len(dc.Crashes()), len(crashes))
-		}
-		for i, rec := range dc.Crashes() {
-			if got, want := recordKey(rec), recordKey(crashes[i]); got != want {
-				t.Fatalf("dump record %d differs:\n dump: %s\n live: %s", i, got, want)
-			}
-		}
-		if !reflect.DeepEqual(da.Report(), a.Report()) {
-			t.Fatalf("dump analysis differs:\n dump: %+v\n live: %+v", da.Report(), a.Report())
-		}
+		dc, da := runSteps(dump, false)
+		sameCollectors(t, "dump", dc, da, c, a)
 	})
+}
+
+// sameCollectors fails unless the triage records and the analysis report
+// of a run of the script (named by how it fed the collectors) equal those
+// of the live run.
+func sameCollectors(t *testing.T, how string, c *Collector, a *analysis.Collector, liveC *Collector, liveA *analysis.Collector) {
+	t.Helper()
+	got, want := c.Crashes(), liveC.Crashes()
+	if len(got) != len(want) {
+		t.Fatalf("%s run collected %d records, live %d", how, len(got), len(want))
+	}
+	for i := range got {
+		if g, w := recordKey(got[i]), recordKey(want[i]); g != w {
+			t.Fatalf("%s record %d differs:\n %s: %s\n live: %s", how, i, how, g, w)
+		}
+	}
+	if !reflect.DeepEqual(a.Report(), liveA.Report()) {
+		t.Fatalf("%s analysis differs:\n %s: %+v\n live: %+v", how, how, a.Report(), liveA.Report())
+	}
 }

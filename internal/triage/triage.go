@@ -386,10 +386,15 @@ func (c *Collector) ConsumeAll(entries []logcat.Entry) {
 	}
 }
 
-// Consume implements logcat.Sink: fatal blocks, ANRs and fault verdicts
-// become records, each complete (and attachable) once its last line is in.
-func (c *Collector) Consume(e logcat.Entry) {
-	ev := c.dec.Decode(&e)
+// Consume implements logcat.Sink, decoding with the collector's own
+// decoder, which skips every kind Observe ignores.
+func (c *Collector) Consume(e logcat.Entry) { c.Observe(c.dec.Decode(&e)) }
+
+// Observe takes the event a logcat Decoder decoded from one log entry, in
+// log order (a full decoder, or one of at least the fatal, ANR and verdict
+// kinds): fatal blocks, ANRs and fault verdicts become records, each
+// complete (and attachable) once its last line is in.
+func (c *Collector) Observe(ev *logcat.Event) {
 	switch ev.Kind {
 	case logcat.EventFatal:
 		c.settle(&Crash{Kind: KindCrash, Process: ev.Proc, Classes: ev.Classes, Frames: ev.Frames})

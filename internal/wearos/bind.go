@@ -61,7 +61,7 @@ func (o *OS) RegisterBindHandler(cn intent.ComponentName, h BindHandler) {
 func (o *OS) BindService(in *intent.Intent) (*Connection, *javalang.Throwable) {
 	o.logDispatch("bindService", in)
 
-	if intent.IsProtected(in.Action) && in.SenderUID != UIDSystem {
+	if o.protected(in.Action) && in.SenderUID != UIDSystem {
 		thr := javalang.Newf(javalang.ClassSecurity,
 			"Permission Denial: not allowed to bind with %s from uid=%d", in.Action, in.SenderUID)
 		o.log.Log(1000, 1000, logcat.Warn, logcat.TagActivityManager,

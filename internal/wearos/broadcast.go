@@ -31,7 +31,7 @@ type BroadcastResult struct {
 func (o *OS) SendBroadcast(in *intent.Intent) BroadcastResult {
 	o.logDispatch("broadcastIntent", in)
 
-	if intent.IsProtected(in.Action) && in.SenderUID != UIDSystem {
+	if o.protected(in.Action) && in.SenderUID != UIDSystem {
 		thr := javalang.Newf(javalang.ClassSecurity,
 			"Permission Denial: not allowed to send broadcast %s from pid=?, uid=%d", in.Action, in.SenderUID)
 		o.log.Log(1000, 1000, logcat.Warn, logcat.TagActivityManager,
@@ -82,7 +82,7 @@ func (o *OS) SendBroadcast(in *intent.Intent) BroadcastResult {
 			continue
 		}
 		proc := o.ensureProcess(comp.Name.Package)
-		o.lastDeliver[proc.PID] = comp.Name
+		proc.lastDelivered = comp.Name
 		o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, "", logcat.Payload{
 			Op:   logcat.MsgDelivering,
 			Verb: "receiver",
@@ -90,13 +90,13 @@ func (o *OS) SendBroadcast(in *intent.Intent) BroadcastResult {
 			N:    proc.PID,
 		})
 
-		reg := o.registered(comp)
+		reg, builtIn := o.registered(comp)
 		var out Outcome
 		if reg.h != nil {
 			o.env = Env{PID: proc.PID, Clock: o.clock, Log: o.log}
 			out = reg.h(&o.env, in)
 		}
-		dr := o.settle(proc, comp, reg.tr, out)
+		dr := o.settle(proc, comp, reg.tr, builtIn, out)
 		res.Delivered++
 		res.worsen(dr)
 		if o.sysSrv.MaybeReboot() {

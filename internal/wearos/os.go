@@ -181,18 +181,12 @@ type OS struct {
 
 	handlers     map[intent.ComponentName]registration
 	bindHandlers map[intent.ComponentName]BindHandler
-	// hotComp and hotReg memoize the registration of the component last
-	// delivered to: a campaign sends thousands of intents to one component
-	// in a row, and comparing the resolved component's pointer is cheaper
-	// than hashing its name. RegisterHandler and ResetTo clear the memo.
-	hotComp *manifest.Component
-	hotReg  registration
+	memo         dispatchMemo
 
-	bootCount   int
-	bootTime    time.Time
-	rebootLog   []time.Time
-	lastDeliver map[int]intent.ComponentName // pid -> last component delivered
-	dropbox     *dropBox
+	bootCount int
+	bootTime  time.Time
+	rebootLog []time.Time
+	dropbox   *dropBox
 
 	tel         *telemetry.Registry
 	rec         *telemetry.Recorder
@@ -215,6 +209,27 @@ type OS struct {
 	// env is the reusable handler environment; the simulation is
 	// single-threaded and handlers must not retain it past their call.
 	env Env
+}
+
+// dispatchMemo holds the dispatch path's one-entry lookup memos. A campaign
+// sends thousands of intents with one action to one component in a row, so
+// each lookup usually repeats the previous one, and comparing a pointer or
+// names that share their strings is cheaper than hashing them. ResetTo
+// zeroes every memo.
+type dispatchMemo struct {
+	// action and protected memoize intent.IsProtected (the zero value holds
+	// the empty action's answer).
+	action    string
+	protected bool
+	// comp is the resolved component last delivered to, reg its registered
+	// behaviour and builtIn whether its package is built in.
+	// RegisterHandler and InstallPackage clear comp.
+	comp    *manifest.Component
+	reg     registration
+	builtIn bool
+	// proc is the process ensureProcess last returned; it serves again only
+	// while it lives.
+	proc *Process
 }
 
 // dispatchFlushEvery is the batching window for the per-result
@@ -310,7 +325,6 @@ func newKernel(cfg Config, clock *vclock.Virtual, buf *logcat.Buffer) *OS {
 		procs:        newProcessTable(2000),
 		handlers:     make(map[intent.ComponentName]registration),
 		bindHandlers: make(map[intent.ComponentName]BindHandler),
-		lastDeliver:  make(map[int]intent.ComponentName),
 		dropbox:      newDropBox(),
 	}
 	o.sysSrv = newSystemServer(cfg.Aging, clock.Now, log)
@@ -470,6 +484,7 @@ func (o *OS) InstallPackage(pkg *manifest.Package) error {
 	if err := o.reg.Install(pkg); err != nil {
 		return err
 	}
+	o.memo.comp = nil
 	o.log.Log(1000, 1000, logcat.Info, logcat.TagPackageManager,
 		"Package %s installed (%d components)", pkg.Name, len(pkg.Components))
 	return nil
@@ -479,7 +494,7 @@ func (o *OS) InstallPackage(pkg *manifest.Package) error {
 // component. Components without handlers behave as graceful no-ops.
 func (o *OS) RegisterHandler(cn intent.ComponentName, h Handler, tr ComponentTraits) {
 	o.handlers[cn] = registration{h: h, tr: tr}
-	o.hotComp = nil
+	o.memo.comp = nil
 }
 
 // registration is a component's behaviour: its handler and traits.
@@ -489,27 +504,43 @@ type registration struct {
 }
 
 // registered returns the behaviour registered for the resolved component
-// comp (the zero registration when there is none).
-func (o *OS) registered(comp *manifest.Component) registration {
-	if comp != o.hotComp {
-		o.hotComp, o.hotReg = comp, o.handlers[comp.Name]
+// comp (the zero registration when there is none) and whether comp's
+// package is built in.
+func (o *OS) registered(comp *manifest.Component) (registration, bool) {
+	m := &o.memo
+	if comp != m.comp {
+		pkg := o.reg.Package(comp.Name.Package)
+		m.comp, m.reg, m.builtIn = comp, o.handlers[comp.Name], pkg != nil && pkg.Origin == manifest.BuiltIn
 	}
-	return o.hotReg
+	return m.reg, m.builtIn
+}
+
+// protected reports whether action is a protected action.
+func (o *OS) protected(action string) bool {
+	m := &o.memo
+	if action != m.action {
+		m.action, m.protected = action, intent.IsProtected(action)
+	}
+	return m.protected
 }
 
 // ensureProcess starts the app process on demand, like zygote forking on
 // first component start.
 func (o *OS) ensureProcess(pkg string) *Process {
-	if p := o.procs.get(pkg); p != nil {
+	if p := o.memo.proc; p != nil && p.Alive && p.Name == pkg {
 		return p
 	}
-	uid := UIDAppBase + 1 + len(o.procs.byName)
-	p := o.procs.start(pkg, uid, o.clock.Now())
-	o.router.SetAlive(p.PID, true)
-	o.osm.procStarts.Inc()
-	o.osm.liveProcs.Set(float64(o.procs.live()))
-	o.log.Log(1000, 1000, logcat.Info, logcat.TagActivityManager,
-		"Start proc %d:%s/u0a%d for activity", p.PID, pkg, uid-UIDAppBase)
+	p := o.procs.get(pkg)
+	if p == nil {
+		uid := UIDAppBase + 1 + len(o.procs.byName)
+		p = o.procs.start(pkg, uid, o.clock.Now())
+		o.router.SetAlive(p.PID, true)
+		o.osm.procStarts.Inc()
+		o.osm.liveProcs.Set(float64(o.procs.live()))
+		o.log.Log(1000, 1000, logcat.Info, logcat.TagActivityManager,
+			"Start proc %d:%s/u0a%d for activity", p.PID, pkg, uid-UIDAppBase)
+	}
+	o.memo.proc = p
 	return p
 }
 
@@ -618,7 +649,7 @@ func (o *OS) deliver(in *intent.Intent, kind manifest.ComponentType, verb string
 
 	// 4. Process bring-up and delivery bookkeeping.
 	proc := o.ensureProcess(comp.Name.Package)
-	o.lastDeliver[proc.PID] = comp.Name
+	proc.lastDelivered = comp.Name
 	o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, "", logcat.Payload{
 		Op:   logcat.MsgDelivering,
 		Verb: comp.Type.String(),
@@ -627,13 +658,13 @@ func (o *OS) deliver(in *intent.Intent, kind manifest.ComponentType, verb string
 	})
 
 	// 5. Handler execution.
-	reg := o.registered(comp)
+	reg, builtIn := o.registered(comp)
 	var out Outcome
 	if reg.h != nil {
 		o.env = Env{PID: proc.PID, Clock: o.clock, Log: o.log}
 		out = reg.h(&o.env, in)
 	}
-	result := o.settle(proc, comp, reg.tr, out)
+	result := o.settle(proc, comp, reg.tr, builtIn, out)
 
 	// 6. Aging consequences are applied; a pending reboot tears the device
 	// down *after* the delivery completes, never mid-dispatch.
@@ -654,7 +685,7 @@ func (o *OS) gate(in *intent.Intent, kind manifest.ComponentType) (*manifest.Com
 	// 1. Protected actions are reserved for the OS; QGJ (an unprivileged
 	// app) sending e.g. ACTION_BATTERY_LOW gets a SecurityException and the
 	// intent is ignored — "the specified and secure behavior" (Section IV-A).
-	if intent.IsProtected(in.Action) && in.SenderUID != UIDSystem {
+	if o.protected(in.Action) && in.SenderUID != UIDSystem {
 		o.logDenial("", logcat.Payload{Op: logcat.MsgDenyProtected, Act: in.Action, Comp: in.Component, N: in.SenderUID})
 		o.rec.RecordNow(telemetry.EventDenial, in.Component.Class, in.Action, "protected-action")
 		return nil, BlockedSecurity
@@ -688,11 +719,8 @@ func (o *OS) logDenial(text string, p logcat.Payload) {
 }
 
 // settle converts a handler outcome into logs, process state changes, and a
-// DeliveryResult.
-func (o *OS) settle(proc *Process, comp *manifest.Component, tr ComponentTraits, out Outcome) DeliveryResult {
-	pkg := o.reg.Package(comp.Name.Package)
-	builtIn := pkg != nil && pkg.Origin == manifest.BuiltIn
-
+// DeliveryResult; builtIn marks a component of a built-in package.
+func (o *OS) settle(proc *Process, comp *manifest.Component, tr ComponentTraits, builtIn bool, out Outcome) DeliveryResult {
 	// ANR takes precedence: the looper wedged before anything else could be
 	// observed.
 	if out.BusyFor > o.cfg.ANRThreshold {
@@ -792,7 +820,10 @@ func (o *OS) reboot(reason string) {
 	o.rec.RecordNow(telemetry.EventReboot, "system_server", "", reason)
 	o.sysSrv.resetAfterBoot()
 	o.sensor.Restart(o.procs.allocPID())
-	o.lastDeliver = make(map[int]intent.ComponentName)
+	// No pre-reboot PID answers LastDelivered.
+	for _, p := range o.procs.byPID {
+		p.lastDelivered = intent.ComponentName{}
+	}
 	// Boot takes a while even on a watch.
 	o.clock.Advance(20 * time.Second)
 	o.logBootSequence()
@@ -802,6 +833,8 @@ func (o *OS) reboot(reason string) {
 // the process with the given PID; used by diagnostics and tests (the log
 // analyzer reconstructs the same mapping from ActivityManager entries).
 func (o *OS) LastDelivered(pid int) (intent.ComponentName, bool) {
-	cn, ok := o.lastDeliver[pid]
-	return cn, ok
+	if p := o.procs.byPID[pid]; p != nil && !p.lastDelivered.IsZero() {
+		return p.lastDelivered, true
+	}
+	return intent.ComponentName{}, false
 }

@@ -11,6 +11,8 @@ package wearos
 
 import (
 	"time"
+
+	"repro/internal/intent"
 )
 
 // Well-known Android UIDs.
@@ -36,6 +38,9 @@ type Process struct {
 	// delivery landing inside a busy window models the queueing delay that
 	// precedes an ANR.
 	busyUntil time.Time
+	// lastDelivered is the component an intent was last delivered to in
+	// this process (zero before the first delivery, and after a reboot).
+	lastDelivered intent.ComponentName
 }
 
 // Busy reports whether the process's main looper is occupied at now.

@@ -65,7 +65,6 @@ func (o *OS) resetStateHash() uint64 {
 	mix(uint64(o.procs.nextPID))
 	mix(uint64(len(o.procs.byName)))
 	mix(uint64(len(o.procs.byPID)))
-	mix(uint64(len(o.lastDeliver)))
 
 	mix(uint64(o.sensor.PID()))
 	mix(uint64(o.sensor.State()))
@@ -173,12 +172,11 @@ func (o *OS) ResetTo(s *Snapshot) bool {
 
 	restoreMap(o.handlers, s.handlers)
 	restoreMap(o.bindHandlers, s.bindHandlers)
-	o.hotComp, o.hotReg = nil, registration{}
+	o.memo = dispatchMemo{}
 
 	o.bootTime = s.bootTime
 	o.rebootLog = append(o.rebootLog[:0], s.rebootLog...)
 	o.dispatchSeq = s.dispatchSeq
-	clear(o.lastDeliver)
 	o.dropbox.entries = append(o.dropbox.entries[:0], s.dropbox...)
 
 	o.sysSrv.instability = s.aging.instability

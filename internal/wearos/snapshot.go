@@ -135,9 +135,32 @@ func (o *OS) Snapshot() (*Snapshot, error) {
 // telemetry registry. Clones are fully independent of the snapshot and of
 // each other. Safe to call concurrently.
 func (s *Snapshot) Clone() *OS {
-	clock := vclock.NewVirtual(s.now)
 	buf := logcat.NewGrowableBuffer(s.cfg.LogCapacity)
 	buf.Restore(s.baseline)
+	return s.clone(buf)
+}
+
+// CloneReplacing is Clone for a device that replaces retired, a device of
+// the snapshot's Config that the caller discards: the clone adopts
+// retired's logcat ring, backing array included, instead of growing a new
+// one. Retention depends only on the ring's capacity, so a pre-grown ring
+// is observably identical to a lazily grown one (logcat.Buffer.ResetRetain).
+// retired must not be used afterwards. A nil retired, or one built from
+// another Config, clones exactly as Clone does.
+func (s *Snapshot) CloneReplacing(retired *OS) *OS {
+	if retired == nil || retired.cfg != s.cfg {
+		return s.Clone()
+	}
+	buf := retired.buf
+	retired.buf = nil
+	buf.ResetRetain(s.baseline)
+	return s.clone(buf)
+}
+
+// clone builds the snapshot's device around buf, a ring holding exactly the
+// boot baseline.
+func (s *Snapshot) clone(buf *logcat.Buffer) *OS {
+	clock := vclock.NewVirtual(s.now)
 	o := newKernel(s.cfg, clock, buf)
 
 	// Align identity allocation with the template: the kernel consumed one

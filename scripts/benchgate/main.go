@@ -89,10 +89,15 @@ var gates = map[string]*result{
 	// Baseline is the cost with a map-backed extras bundle and eagerly
 	// rendered, map-cached denial lines (1,524 ns, 1.6 allocs, 85 B per
 	// intent); measured ~950 ns, 1.26 allocs, 31 B with slice-backed
-	// bundles and lazy denials. Allocations print as whole numbers per op,
-	// so the bytes ceiling is the sharp allocation gate: a heap-allocated
-	// bundle value per Put alone trips it.
-	"BenchmarkDispatchCampaignMix": {BaselineNs: 1524, BaselineAllocs: 1.6, CeilingNs: 1400, CeilingBytes: 55, CeilingAllocs: 2},
+	// bundles and lazy denials. Since the collectors share the farm's
+	// single-decoder sink and the dispatch lookups are memoized, it measures
+	// ~460-550 ns and 30 B per intent (2-vCPU container, where the previous
+	// code measured ~550-730 ns), so the ceilings came down from 1,400 ns,
+	// 55 B and 2 allocs. Allocations print as whole numbers per op, so the
+	// allocs ceiling trips on a whole extra allocation per intent and the
+	// bytes ceiling is the sharp allocation gate: a heap-allocated bundle
+	// value per Put alone trips it.
+	"BenchmarkDispatchCampaignMix": {BaselineNs: 1524, BaselineAllocs: 1.6, CeilingNs: 1000, CeilingBytes: 45, CeilingAllocs: 1.5},
 }
 
 // dispatchDeltaCeiling bounds DispatchNoEffect/DispatchNoTelemetry - 1.
@@ -154,7 +159,7 @@ type output struct {
 
 func main() {
 	input := flag.String("input", "", "raw `go test -bench` output file")
-	outPath := flag.String("output", "BENCH_19.json", "JSON artifact path")
+	outPath := flag.String("output", "BENCH_20.json", "JSON artifact path")
 	flag.Parse()
 	if *input == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -input is required")

@@ -28,15 +28,18 @@ go test -race ./internal/farm/...
 # logcat decoder turns raw lines into the events both collectors read,
 # triage reassembles failure records from them, campaign specs arrive as
 # submit bodies and inside lease grants, and workers post lease requests and
-# result uploads: fuzz the record and journal decoders, the logcat decoder,
-# the collectors, the spec planner and the worker envelopes briefly beyond
-# their seed corpora (one target per run, as -fuzz requires).
+# result uploads, and a restarting coordinator reads archived campaigns'
+# info snapshots back: fuzz the record and journal decoders, the logcat
+# decoder, the collectors, the spec planner, the worker envelopes and the
+# archive restore briefly beyond their seed corpora (one target per run, as
+# -fuzz requires).
 go test -run '^$' -fuzz '^FuzzDecodeShardRecord$' -fuzztime 5s -parallel 2 ./internal/farm
 go test -run '^$' -fuzz '^FuzzLoadJournal$' -fuzztime 5s -parallel 2 ./internal/farm
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 5s -parallel 2 ./internal/logcat
 go test -run '^$' -fuzz '^FuzzCollector$' -fuzztime 5s -parallel 2 ./internal/triage
 go test -run '^$' -fuzz '^FuzzCampaignSpec$' -fuzztime 5s -parallel 2 ./internal/service
 go test -run '^$' -fuzz '^FuzzWorkerEnvelopes$' -fuzztime 5s -parallel 2 ./internal/service
+go test -run '^$' -fuzz '^FuzzArchivedInfo$' -fuzztime 5s -parallel 2 ./internal/service
 
 # End-to-end sharded-campaign smoke: a reduced fleet slice through cmd/qgj
 # with workers + checkpoint, then killed (journal truncated after two shard
