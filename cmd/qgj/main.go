@@ -105,7 +105,7 @@ func run(args []string) error {
 	// A streaming analyzer mirrors the manifestation taxonomy into the
 	// exposition (analysis_components{manifestation=...}) while campaigns run.
 	col := analysis.NewCollector().UseTelemetry(tel)
-	watch.OS.Logcat().Subscribe(col)
+	watch.OS.Logcat().Subscribe(col.Sink())
 
 	if *list {
 		comps, err := mobile.ListWearComponents()

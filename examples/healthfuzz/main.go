@@ -40,7 +40,7 @@ func main() {
 	// Stream the log into the analyzer while campaign A runs against the
 	// SensorManager health app.
 	col := qgj.NewCollector()
-	watch.OS.Logcat().Subscribe(col)
+	watch.OS.Logcat().Subscribe(col.Sink())
 
 	fz := qgj.NewFuzzer(watch.OS, qgj.GeneratorConfig{Seed: 1})
 	pkg := watch.OS.Registry().Package("com.motorola.omni")

@@ -20,7 +20,7 @@ func deviceWithApp(t *testing.T) (*wearos.OS, *Collector) {
 	t.Helper()
 	dev := wearos.New(wearos.DefaultWatchConfig())
 	col := NewCollector()
-	dev.Logcat().Subscribe(col)
+	dev.Logcat().Subscribe(col.Sink())
 	pkg := &manifest.Package{
 		Name:     "com.a.app",
 		Category: manifest.NotHealthFitness,

@@ -188,9 +188,9 @@ type recentFailure struct {
 	comp intent.ComponentName
 }
 
-// Collector is a streaming analyzer; it implements logcat.Sink so it can be
-// subscribed directly to a device buffer, and can equally consume pulled
-// dumps via ConsumeAll/AnalyzeEntries.
+// Collector is a streaming analyzer: Sink subscribes it alone to a device
+// buffer, and it can equally consume pulled dumps via
+// ConsumeAll/AnalyzeEntries.
 type Collector struct {
 	report *Report
 	dec    logcat.Decoder
@@ -206,8 +206,11 @@ type Collector struct {
 	lastPID  int
 	lastComp intent.ComponentName
 	hasLast  bool
-	recent   []recentFailure
-	lastANR  map[string]recentFailure // by process name
+	// recent is a ring of the last maxRecent failures, the oldest at
+	// recentHead; it grows to maxRecent, then wraps in place.
+	recent     []recentFailure
+	recentHead int
+	lastANR    map[string]recentFailure // by process name
 
 	// Escalation markers for reboot attribution (the post-mortem anchors).
 	blameProcAt time.Time
@@ -229,8 +232,6 @@ type Collector struct {
 	manifest       map[Manifestation]*telemetry.Gauge
 	levels         map[intent.ComponentName]Manifestation
 }
-
-var _ logcat.Sink = (*Collector)(nil)
 
 // NewCollector returns an empty streaming analyzer.
 func NewCollector() *Collector {
@@ -300,9 +301,21 @@ func AnalyzeEntries(entries []logcat.Entry) *Report {
 	return c.Report()
 }
 
-// Consume implements logcat.Sink: one log entry at a time, in order,
-// decoded by the collector's own decoder.
-func (c *Collector) Consume(e logcat.Entry) { c.Observe(&e, c.dec.Decode(&e)) }
+// Consume takes one log entry at a time, in order, decoded by the
+// collector's own decoder.
+func (c *Collector) Consume(e logcat.Entry) { (*collectorSink)(c).Consume(&e) }
+
+// Sink returns the collector as a log sink that decodes each entry in
+// place with the collector's own decoder. Every call returns the same sink,
+// so Unsubscribe(c.Sink()) detaches a subscribed one.
+func (c *Collector) Sink() logcat.Sink { return (*collectorSink)(c) }
+
+type collectorSink Collector
+
+func (s *collectorSink) Consume(e *logcat.Entry) {
+	c := (*Collector)(s)
+	c.Observe(e, c.dec.Decode(e))
+}
 
 // Observe takes one log entry, in log order, with the event a full
 // logcat.Decoder decoded from it; a caller that feeds several consumers
@@ -376,7 +389,7 @@ func (c *Collector) Observe(e *logcat.Entry, ev *logcat.Event) {
 		c.report.RebootTimes = append(c.report.RebootTimes, e.Time)
 		c.rebootsTotal.Inc()
 		c.attributeReboot(e.Time)
-		c.recent = c.recent[:0]
+		c.recent, c.recentHead = c.recent[:0], 0
 		// Processes restart after reboot; stale PID mappings must not leak
 		// attributions across the boot.
 		c.pidComp = make(map[int]intent.ComponentName)
@@ -426,7 +439,8 @@ func (c *Collector) attributeReboot(at time.Time) {
 		c.syncManifest(cr)
 		return
 	}
-	for _, f := range c.recent {
+	for i := range c.recent {
+		f := &c.recent[(c.recentHead+i)%len(c.recent)]
 		if f.at.Before(cutoff) {
 			continue
 		}
@@ -439,10 +453,15 @@ func (c *Collector) attributeReboot(at time.Time) {
 	}
 }
 
+// maxRecent bounds the reboot-attribution queue.
+const maxRecent = 256
+
 func (c *Collector) pushRecent(at time.Time, cn intent.ComponentName) {
-	const maxRecent = 256
-	c.recent = append(c.recent, recentFailure{at: at, comp: cn})
-	if len(c.recent) > maxRecent {
-		c.recent = c.recent[len(c.recent)-maxRecent:]
+	f := recentFailure{at: at, comp: cn}
+	if len(c.recent) < maxRecent {
+		c.recent = append(c.recent, f)
+		return
 	}
+	c.recent[c.recentHead] = f
+	c.recentHead = (c.recentHead + 1) % maxRecent
 }

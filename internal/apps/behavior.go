@@ -73,8 +73,9 @@ type behavior struct {
 }
 
 // stackFor fabricates a plausible Java stack for an exception escaping the
-// component; the analyzer only needs the top frames to look right.
-func stackFor(cn intent.ComponentName, kind manifest.ComponentType, class javalang.Class) []javalang.Frame {
+// component; the analyzer only needs the top frames to look right. Every
+// crash of one component shares it.
+func stackFor(cn intent.ComponentName, kind manifest.ComponentType) []javalang.Frame {
 	entry := "onCreate"
 	file := "Activity.java"
 	if kind == manifest.Service {
@@ -102,13 +103,14 @@ func lastDot(s string) int {
 	return -1
 }
 
-// message fabricates a defect-appropriate exception message.
+// message fabricates a defect-appropriate exception message; building one
+// allocates at most its string.
 func message(class javalang.Class, kind DefectKind, in *intent.Intent) string {
 	switch class {
 	case javalang.ClassNullPointer:
 		return "Attempt to invoke virtual method on a null object reference"
 	case javalang.ClassIllegalArgument:
-		return "Unexpected value in intent " + in.String()
+		return withIntent("Unexpected value in intent ", in)
 	case javalang.ClassIllegalState:
 		return "Fragment host has been destroyed; cannot handle " + kind.String()
 	case javalang.ClassClassNotFound:
@@ -118,7 +120,7 @@ func message(class javalang.Class, kind DefectKind, in *intent.Intent) string {
 	case javalang.ClassArithmetic:
 		return "divide by zero"
 	case javalang.ClassActivityNotFound:
-		return "No Activity found to handle " + in.String()
+		return withIntent("No Activity found to handle ", in)
 	case javalang.ClassNumberFormat:
 		return "For input string: \"" + in.Data.Opaque + "\""
 	case javalang.ClassBadParcelable:
@@ -130,8 +132,15 @@ func message(class javalang.Class, kind DefectKind, in *intent.Intent) string {
 	}
 }
 
+// withIntent returns prefix followed by the intent's text.
+func withIntent(prefix string, in *intent.Intent) string {
+	var buf [192]byte
+	return string(in.AppendText(append(buf[:0], prefix...)))
+}
+
 // handler adapts the behaviour model to the OS Handler signature.
 func (b *behavior) handler(compType manifest.ComponentType) wearos.Handler {
+	var stack []javalang.Frame // built on the component's first crash
 	return func(env *wearos.Env, in *intent.Intent) wearos.Outcome {
 		kind := AnalyzeIntent(in)
 		if kind == KindNone {
@@ -161,8 +170,10 @@ func (b *behavior) handler(compType manifest.ComponentType) wearos.Handler {
 				Caught: true,
 			}
 		case reactCrash:
-			thr := javalang.New(r.class, message(r.class, kind, in)).
-				WithStack(stackFor(b.name, compType, r.class)...)
+			if stack == nil {
+				stack = stackFor(b.name, compType)
+			}
+			thr := javalang.New(r.class, message(r.class, kind, in)).WithStack(stack...)
 			return wearos.Outcome{Thrown: thr}
 		case reactHang:
 			var thr *javalang.Throwable

@@ -335,29 +335,37 @@ func (c Campaign) Generate(target intent.ComponentName, cfg GeneratorConfig, sen
 }
 
 // randomAction fabricates a non-catalog action string like the paper's
-// 'S0me.r@ndom.$trinG'.
+// 'S0me.r@ndom.$trinG', built in one buffer: one allocation per action.
 func randomAction(r *rng.Source) string {
-	return r.ASCII(4, 10) + "." + r.ASCII(3, 8) + "." + r.ASCII(3, 12)
+	var buf [32]byte
+	b := r.AppendASCII(buf[:0], 4, 10)
+	b = r.AppendASCII(append(b, '.'), 3, 8)
+	b = r.AppendASCII(append(b, '.'), 3, 12)
+	return string(b)
 }
 
 // randomURI fabricates a syntactically parseable URI with a non-catalog
-// scheme.
+// scheme: "<scheme>:<opaque>" in one string, which the URI's two fields
+// share.
 func randomURI(r *rng.Source) intent.URI {
-	scheme := randomSchemeToken(r)
-	return intent.URI{Scheme: scheme, Opaque: r.ASCII(1, 16)}
+	var buf [32]byte
+	b := appendSchemeToken(buf[:0], r)
+	k := len(b)
+	text := string(r.AppendASCII(append(b, ':'), 1, 16))
+	return intent.URI{Scheme: text[:k], Opaque: text[k+1:]}
 }
 
-func randomSchemeToken(r *rng.Source) string {
+// appendSchemeToken appends a random 2-8 letter scheme. Keep regenerating
+// shouldn't be needed: a token colliding with one of the 12 catalog schemes
+// is rare and harmless (the intent simply counts as semi-valid for that
+// delivery).
+func appendSchemeToken(dst []byte, r *rng.Source) []byte {
 	const letters = "abcdefghijklmnopqrstuvwxyz"
 	n := r.IntBetween(2, 8)
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = letters[r.Intn(len(letters))]
+	for range n {
+		dst = append(dst, letters[r.Intn(len(letters))])
 	}
-	// Keep regenerating shouldn't be needed: a random 2-8 letter token
-	// colliding with one of the 12 catalog schemes is rare and harmless
-	// (the intent simply counts as semi-valid for that delivery).
-	return string(b)
+	return dst
 }
 
 // randomExtraValue draws a random typed extra; roughly a quarter are

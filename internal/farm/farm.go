@@ -569,7 +569,7 @@ func (e *Executor) minimize(b *triage.Bucket) {
 		return
 	}
 	tri := triage.NewCollector()
-	dev.Logcat().Subscribe(tri)
+	dev.Logcat().Subscribe(tri.Sink())
 	// ANR buckets reproduce as ANRs, crash buckets as crashes.
 	wantRes := wearos.DeliveredCrash
 	if b.Kind == triage.KindANR {

@@ -87,7 +87,7 @@ func TestEngineManifestations(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/recover=%v", tc.kind, tc.recover), func(t *testing.T) {
 			watch := device.NewWatch("faultwatch")
 			col := triage.NewCollector()
-			watch.OS.Logcat().Subscribe(col)
+			watch.OS.Logcat().Subscribe(col.Sink())
 			plan := &faultinject.Plan{Seed: 1, Budget: 20, Windows: []faultinject.Window{
 				{Kind: tc.kind, Start: 3, End: 6, Recover: tc.recover},
 			}}

@@ -154,12 +154,18 @@ const asciiPrintable = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123
 // ASCII returns a random printable-ASCII string with length uniform in
 // [minLen, maxLen].
 func (s *Source) ASCII(minLen, maxLen int) string {
+	var buf [32]byte
+	return string(s.AppendASCII(buf[:0], minLen, maxLen))
+}
+
+// AppendASCII appends what ASCII(minLen, maxLen) returns to dst, drawing
+// exactly as ASCII does.
+func (s *Source) AppendASCII(dst []byte, minLen, maxLen int) []byte {
 	n := s.IntBetween(minLen, maxLen)
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = asciiPrintable[s.Intn(len(asciiPrintable))]
+	for range n {
+		dst = append(dst, asciiPrintable[s.Intn(len(asciiPrintable))])
 	}
-	return string(b)
+	return dst
 }
 
 // Digits returns a random decimal digit string with length uniform in

@@ -8,7 +8,8 @@ import (
 // ShardSink is the log sink of a fuzzing unit: it decodes each line once,
 // with one full decoder, and hands the event to the unit's analysis
 // collector and then to its triage collector. Subscribing the two
-// collectors separately would decode, and copy, every line twice.
+// collectors separately would decode every line twice. It observes each
+// entry in place, in its ring slot.
 type ShardSink struct {
 	dec logcat.Decoder
 	col *analysis.Collector
@@ -24,9 +25,9 @@ func NewShardSink(col *analysis.Collector, tri *Collector) *ShardSink {
 }
 
 // Consume implements logcat.Sink.
-func (s *ShardSink) Consume(e logcat.Entry) {
-	ev := s.dec.Decode(&e)
-	s.col.Observe(&e, ev)
+func (s *ShardSink) Consume(e *logcat.Entry) {
+	ev := s.dec.Decode(e)
+	s.col.Observe(e, ev)
 	if s.tri != nil {
 		s.tri.Observe(ev)
 	}

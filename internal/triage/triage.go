@@ -303,8 +303,6 @@ const (
 	gateDrop              // last can never be an exemplar
 )
 
-var _ logcat.Sink = (*Collector)(nil)
-
 // NewCollector returns an empty streaming crash collector.
 func NewCollector() *Collector {
 	dec := logcat.NewDecoder(logcat.EventFatal, logcat.EventANR, logcat.EventVerdict)
@@ -386,9 +384,21 @@ func (c *Collector) ConsumeAll(entries []logcat.Entry) {
 	}
 }
 
-// Consume implements logcat.Sink, decoding with the collector's own
+// Consume takes one log entry, decoding it with the collector's own
 // decoder, which skips every kind Observe ignores.
-func (c *Collector) Consume(e logcat.Entry) { c.Observe(c.dec.Decode(&e)) }
+func (c *Collector) Consume(e logcat.Entry) { (*collectorSink)(c).Consume(&e) }
+
+// Sink returns the collector as a log sink that decodes each entry in
+// place with the collector's own decoder. Every call returns the same sink,
+// so Unsubscribe(c.Sink()) detaches a subscribed one.
+func (c *Collector) Sink() logcat.Sink { return (*collectorSink)(c) }
+
+type collectorSink Collector
+
+func (s *collectorSink) Consume(e *logcat.Entry) {
+	c := (*Collector)(s)
+	c.Observe(c.dec.Decode(e))
+}
 
 // Observe takes the event a logcat Decoder decoded from one log entry, in
 // log order (a full decoder, or one of at least the fatal, ANR and verdict

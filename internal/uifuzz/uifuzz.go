@@ -126,7 +126,7 @@ func (f *Fuzzer) Run(mode Mode, cfg Config) Outcome {
 	// Mutate and replay through adb; observe through logcat.
 	mut := newMutator(mode, cfg.Seed, events)
 	col := analysis.NewCollector().UseTelemetry(tel)
-	f.dev.Logcat().Subscribe(col)
+	f.dev.Logcat().Subscribe(col.Sink())
 
 	out := Outcome{Mode: mode}
 	for _, ev := range events {

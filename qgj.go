@@ -132,7 +132,7 @@ func NewFuzzer(os *OS, cfg GeneratorConfig) *Fuzzer {
 }
 
 // NewCollector returns a streaming logcat analyzer; subscribe it with
-// os.Logcat().Subscribe(c) or feed it a pulled dump via c.ConsumeAll.
+// os.Logcat().Subscribe(c.Sink()) or feed it a pulled dump via c.ConsumeAll.
 func NewCollector() *Collector { return analysis.NewCollector() }
 
 // NewShell opens an adb shell on a device's OS.

@@ -27,7 +27,7 @@ func TestTelemetryMatchesReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := analysis.NewCollector().UseTelemetry(dev.Telemetry())
-	dev.Logcat().Subscribe(col)
+	dev.Logcat().Subscribe(col.Sink())
 
 	srv, err := qgj.ServeTelemetry("127.0.0.1:0", dev.Telemetry())
 	if err != nil {
