@@ -224,9 +224,10 @@ type Engine struct {
 
 	next int
 	// nextStart caches plan.Windows[next].Start (MaxUint64 once the schedule
-	// is exhausted) so the dormant Pre hook — the overwhelmingly common case,
-	// every dispatch outside a window — is a single compare instead of a
-	// slice walk. Campaign F's hot-path budget depends on it.
+	// is exhausted). The engine publishes it to the device (publish), so a
+	// dormant dispatch — the overwhelmingly common case, every dispatch
+	// outside a window — skips both hooks after one compare. Campaign F's
+	// hot-path budget depends on it.
 	nextStart uint64
 	cur       *active
 	verdicts  []Verdict
@@ -245,8 +246,20 @@ func NewEngine(dev *wearos.OS, plan *Plan, app string) *Engine {
 	e := &Engine{dev: dev, plan: plan, app: app, log: dev.Logger(), rec: dev.FlightRecorder()}
 	e.setNextStart()
 	dev.SetFaultHooks(wearos.FaultHooks{Pre: e.Pre, Post: e.Post})
+	e.publish()
 	e.ensureProbes()
 	return e
+}
+
+// publish tells the device the first dispatch the hooks must see: every
+// one while a window is open (Post probes inside it), else the next
+// window's start.
+func (e *Engine) publish() {
+	if e.cur != nil {
+		e.dev.SetFaultNext(0)
+	} else {
+		e.dev.SetFaultNext(e.nextStart)
+	}
 }
 
 // setNextStart refreshes the cached start coordinate of the next scheduled
@@ -287,6 +300,7 @@ func (e *Engine) Pre(seq uint64) {
 		e.setNextStart()
 		e.open(w)
 	}
+	e.publish()
 }
 
 // Post runs after each delivery; inside a window it probes the faulted
@@ -309,6 +323,7 @@ func (e *Engine) Post(seq uint64, res wearos.DeliveryResult) {
 func (e *Engine) Finish() {
 	if e.cur != nil {
 		e.close()
+		e.publish()
 	}
 }
 

@@ -193,13 +193,16 @@ func plainComponent(s string) (intent.ComponentName, bool) {
 // target component is not loggable. A gate denial takes flat's two halves as
 // they are, so its component need not parse back from its flat form (an
 // empty or '.'-led class, blanks, a zero name): the device logs whatever the
-// intent names.
+// intent names. An op rendering an exception takes text whole as its
+// message, or, with bits&32, split at its first ": " into class and
+// message. A frame takes flat's halves as class and method, text as its
+// file and pid as its line; the block ops take text as the process name.
 func fuzzEntry(op uint8, tag string, pid int, text, flat string, bits uint8) (Entry, bool) {
 	e := Entry{
 		Time: time.Date(2026, 6, 1, 9, 30, 15, 123_000_000, time.UTC),
 		PID:  pid, TID: pid, Level: Level(1 + bits%6), Tag: tag, Message: text,
 	}
-	const numOps = uint8(MsgNotFound) + 1
+	const numOps = uint8(MsgDied) + 1
 	if op%numOps == 0 {
 		return e, true
 	}
@@ -213,7 +216,20 @@ func fuzzEntry(op uint8, tag string, pid int, text, flat string, bits uint8) (En
 	case MsgDenyProtected, MsgDenyNotExported, MsgDenyPermission, MsgNotFound:
 		pkg, cls, _ := strings.Cut(flat, "/")
 		p.Comp = intent.ComponentName{Package: pkg, Class: cls}
-	case MsgDispatch, MsgCaught:
+	case MsgDispatch:
+	case MsgCaught, MsgRejected, MsgException, MsgCausedBy:
+		if p.Op == MsgRejected && !ok {
+			return Entry{}, false
+		}
+		p.Verb = ""
+		if class, msg, found := strings.Cut(text, ": "); bits&32 != 0 && found && class != "" {
+			p.Verb, e.Message = class, msg
+		}
+	case MsgFrame:
+		p.Verb, p.Act, _ = strings.Cut(flat, "/")
+		p.Data, e.Message = text, ""
+	case MsgFatalProcess, MsgDied:
+		p.Verb, e.Message = text, ""
 	default:
 		if !ok {
 			return Entry{}, false
@@ -280,6 +296,31 @@ func FuzzDecode(f *testing.F) {
 		{uint8(MsgDenyNotExported), TagActivityManager, 10123, "", "com.a/.Main", 0},
 		{uint8(MsgDenyPermission), TagActivityManager, 10123, "p targeting com.b/.X", "com.a/targeting com.c/.Y ", 0},
 		{uint8(MsgDenyProtected), "com.a", 10123, "android.intent.action.BATTERY_LOW", "com.a/com.a.Main", 0},
+		{uint8(MsgDispatch), TagActivityManager, 10123, "opaque#part:%d", "zzq", 8},
+		{uint8(MsgRejected), TagActivityManager, 77, "java.lang.IllegalArgumentException: bad, 100%", "com.a/.Main", 32},
+		{uint8(MsgRejected), TagActivityManager, 77, "Weird Class: bad", "com.a/.Main", 32},
+		{uint8(MsgCaught), "com.a", 77, "java.lang.NullPointerException: x", "", 32},
+		{uint8(MsgCaught), "com.a", 77, "java.lang.ArithmeticException", "", 0},
+		{uint8(MsgCaught), "com odd,%d", 77, "Caused by: java.lang.A: b", "", 32},
+		{uint8(MsgException), TagAndroidRuntime, 77, "java.lang.NullPointerException: root", "", 32},
+		{uint8(MsgException), TagAndroidRuntime, 77, "java.lang.IllegalStateException", "", 0},
+		{uint8(MsgException), TagAndroidRuntime, 77, "not a class: x", "", 32},
+		{uint8(MsgException), TagAndroidRuntime, 77, "caught exception while handling intent: java.lang.A: b", "", 0},
+		{uint8(MsgException), TagAndroidRuntime, 77, "\tat com.a.B.c(B.java:1)", "", 0},
+		{uint8(MsgCausedBy), TagAndroidRuntime, 77, "java.lang.NullPointerException: Attempt %s", "", 32},
+		{uint8(MsgCausedBy), TagAndroidRuntime, 77, "Weird Class: x", "", 32},
+		{uint8(MsgCausedBy), "com.a", 77, "java.lang.NullPointerException: x", "", 32},
+		{uint8(MsgFrame), TagAndroidRuntime, 77, "Main.java", "com.a.Main/onCreate", 0},
+		{uint8(MsgFrame), TagAndroidRuntime, 77, "Main,1.java", "com.odd pkg.Main/on Create%s", 0},
+		{uint8(MsgFrame), TagAndroidRuntime, 77, "", "com.b.Main/lambda(1)", 0},
+		{uint8(MsgFrame), TagAndroidRuntime, 77, "", "", 0},
+		{uint8(MsgFrame), "com.a", 77, "Main.java", "com.a.Main/onCreate", 0},
+		{uint8(MsgFatalProcess), TagAndroidRuntime, 77, "com.a", "", 0},
+		{uint8(MsgFatalProcess), TagAndroidRuntime, 77, " com.odd pkg,v%d ", "", 0},
+		{uint8(MsgDied), TagActivityManager, 77, "com.a", "", 0},
+		{uint8(MsgDied), TagActivityManager, 77, "com.odd(pid 1)x", "", 0},
+		{uint8(MsgDied), TagActivityManager, 77, "com odd,%d)", "", 0},
+		{uint8(MsgDied), TagAndroidRuntime, 77, "com.a", "", 0},
 	} {
 		f.Add(s.op, s.tag, s.pid, s.text, s.flat, s.bits, ^uint16(0))
 		f.Add(s.op, s.tag, s.pid, s.text, s.flat, s.bits, uint16(1<<EventFatal|1<<EventANR|1<<EventVerdict))

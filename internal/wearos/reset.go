@@ -97,6 +97,7 @@ func (o *OS) resetStateHash() uint64 {
 	// a previous unit's instrumentation into the next one.
 	mix(bit(o.faultHooks.Pre != nil))
 	mix(bit(o.faultHooks.Post != nil))
+	mix(o.faultNext)
 	mix(bit(o.storageFault != nil))
 	mix(bit(o.rec != nil))
 	mix(bit(o.env != Env{}))
@@ -149,7 +150,7 @@ func (o *OS) ResetTo(s *Snapshot) bool {
 
 	// Detach per-unit instrumentation; the next campaign attaches its own.
 	o.rec = nil
-	o.faultHooks = FaultHooks{}
+	o.faultHooks, o.faultNext = FaultHooks{}, 0
 	o.storageFault = nil
 	o.storageDropped = 0
 	o.dispatchPending = [DeviceRebooted + 1]uint32{}

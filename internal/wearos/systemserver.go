@@ -158,7 +158,9 @@ func (s *SystemServer) decay() {
 		return
 	}
 	s.lastDecay = now
-	if s.cfg.HalfLife <= 0 {
+	// Zero times the decay factor is zero: while nothing has failed since
+	// boot (or everything decayed away), skipping the multiply is bit-exact.
+	if s.cfg.HalfLife <= 0 || s.instability == 0 {
 		return
 	}
 	s.instability *= math.Exp2(-float64(dt) / float64(s.cfg.HalfLife))
