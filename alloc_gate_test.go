@@ -17,11 +17,14 @@ import (
 	"testing"
 
 	qgj "repro"
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/intent"
+	"repro/internal/javalang"
 	"repro/internal/logcat"
 	"repro/internal/manifest"
 	"repro/internal/telemetry"
+	"repro/internal/triage"
 	"repro/internal/wearos"
 )
 
@@ -260,5 +263,62 @@ func TestCampaignSweepAllocBudget(t *testing.T) {
 	if perIntent > 1 {
 		t.Fatalf("campaign sweep allocates %.2f objects/intent (%.0f per sweep of %d), budget is 1",
 			perIntent, allocs, warm.Sent)
+	}
+}
+
+// TestFailingDispatchAllocBudget pins the allocations of a crashing and of a
+// rejected dispatch, with a shard's collectors subscribed the way the farm
+// runs them. The failure lines are lazy payloads that decode from their
+// operands, so a rejection allocates nothing, and a crash allocates five
+// objects, none of them trace text: the restarted process and its "Start
+// proc" line, the DropBox record's detail, the decoded event's class and
+// frame lists (which share one) and the crash's triage record.
+func TestFailingDispatchAllocBudget(t *testing.T) {
+	dev := wearos.New(wearos.DefaultWatchConfig())
+	name := func(cls string) intent.ComponentName {
+		return intent.ComponentName{Package: "com.bench", Class: "com.bench." + cls}
+	}
+	pkg := &manifest.Package{
+		Name: "com.bench", Category: manifest.NotHealthFitness, Origin: manifest.ThirdParty,
+		Components: []*manifest.Component{
+			{Name: name("Crashy"), Type: manifest.Activity, Exported: true},
+			{Name: name("Picky"), Type: manifest.Activity, Exported: true},
+		},
+	}
+	if err := dev.InstallPackage(pkg); err != nil {
+		t.Fatal(err)
+	}
+	frame := func(method string, line int) javalang.Frame {
+		return javalang.Frame{Class: "com.bench.Crashy", Method: method, File: "Crashy.java", Line: line}
+	}
+	crash := wearos.Outcome{Thrown: javalang.New(javalang.ClassRuntime, "Unable to start activity").
+		WithStack(frame("onCreate", 40), frame("performLaunchActivity", 2817)).
+		WithCause(javalang.New(javalang.ClassNullPointer, "Attempt to invoke virtual method on a null object reference").
+			WithStack(frame("parse", 12), frame("onCreate", 41)))}
+	reject := wearos.Outcome{Thrown: javalang.New(javalang.ClassIllegalArgument, "Unexpected value in intent"), Rejected: true}
+	dev.RegisterHandler(name("Crashy"), func(*wearos.Env, *intent.Intent) wearos.Outcome { return crash }, wearos.ComponentTraits{})
+	dev.RegisterHandler(name("Picky"), func(*wearos.Env, *intent.Intent) wearos.Outcome { return reject }, wearos.ComponentTraits{})
+	dev.Logcat().Subscribe(triage.NewShardSink(analysis.NewCollector(), triage.NewCollector()))
+
+	cases := []struct {
+		name   string
+		comp   intent.ComponentName
+		want   wearos.DeliveryResult
+		budget float64
+	}{
+		{"crash", name("Crashy"), wearos.DeliveredCrash, 5},
+		{"rejected", name("Picky"), wearos.DeliveredRejected, 0},
+	}
+	for _, c := range cases {
+		in := &intent.Intent{Action: "android.intent.action.VIEW", Component: c.comp, SenderUID: core.QGJUID}
+		for range 64 {
+			if res := dev.StartActivity(in); res != c.want {
+				t.Fatalf("%s: delivery = %v, want %v", c.name, res, c.want)
+			}
+		}
+		allocs := testing.AllocsPerRun(2000, func() { dev.StartActivity(in) })
+		if allocs > c.budget {
+			t.Errorf("%s dispatch allocates %.3f objects/op, budget %.0f", c.name, allocs, c.budget)
+		}
 	}
 }

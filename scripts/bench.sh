@@ -5,7 +5,7 @@
 # Runs the hot-path benchmark suite (with the per-intent campaign-mix
 # dispatch benchmark) plus the eight-worker farm run and the
 # device-level shard-boot and unit-reset microbenchmark pairs, emits
-# BENCH_20.json (machine-readable current numbers next to the frozen
+# BENCH_21.json (machine-readable current numbers next to the frozen
 # pre-optimization baselines), and fails if any gated benchmark regresses
 # past its ceiling or the persistent executor's per-unit reset-over-clone
 # speedup drops under its 3x floor. The ceilings are
@@ -19,7 +19,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_20.json}"
+out="${1:-BENCH_21.json}"
 raw="$(mktemp -t qgj-bench-XXXXXX.txt)"
 trap 'rm -f "$raw"' EXIT
 
