@@ -299,6 +299,29 @@ func TestURITextServesSampleText(t *testing.T) {
 	}
 }
 
+// TestSplitURITextJoinsToURIText: head, or head:tail when tail is set, is
+// the URI's text, and a generated opaque datum splits into its scheme and
+// opaque part.
+func TestSplitURITextJoinsToURIText(t *testing.T) {
+	uris := []URI{{}, {Scheme: "zzq", Opaque: "a#b:c"}, {Scheme: "zzq", Opaque: "x", Fragment: "f"}, {Scheme: "zzq", Host: "h", Path: "/p"}}
+	for _, s := range Schemes {
+		uris = append(uris, SampleData(s))
+	}
+	for _, u := range uris {
+		head, tail := SplitURIText(&u)
+		got := head
+		if tail != "" {
+			got += ":" + tail
+		}
+		if want := URIText(&u); got != want {
+			t.Errorf("SplitURIText(%+v) joins to %q, want %q", u, got, want)
+		}
+	}
+	if head, tail := SplitURIText(&URI{Scheme: "zzq", Opaque: "a#b"}); head != "zzq" || tail != "a#b" {
+		t.Errorf("random datum split into %q, %q", head, tail)
+	}
+}
+
 // TestBundleOrderAndIndependence: a replaced key keeps its position, Keys
 // and At follow insertion order, Reset keeps nothing, and a clone shares no
 // storage with its source in either direction.
