@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -244,4 +246,67 @@ func TestRegistryAbsorb(t *testing.T) {
 	var nilReg *Registry
 	nilReg.Absorb(src)
 	dst.Absorb(nil)
+}
+
+// TestRecorderWindowMatchesReference drives recorders of several capacities
+// through a long pseudo-random mix of bulk, exact and coded records and
+// trace changes, with a clock that moves on every read, and checks every
+// window against a model that keeps each event whole: the derived sequence
+// numbers, the shared trace, the coded details and the held stamps must
+// read back as recorded, across many wraps of the ring.
+func TestRecorderWindowMatchesReference(t *testing.T) {
+	codes := []string{"unknown", "no-effect", "crash"}
+	for _, capacity := range []int{1, 2, 4, 64} {
+		now := time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC)
+		r := NewRecorder(capacity)
+		r.SetClock(func() time.Time { now = now.Add(time.Millisecond); return now })
+		r.SetDetailCodes(codes)
+		var model []Event
+		var seq uint64
+		var stamp time.Time
+		trace := ""
+		x := uint32(7)
+		for i := 0; i < 5000; i++ {
+			x = x*1664525 + 1013904223
+			subject := fmt.Sprintf("s%d", i)
+			op := x >> 28 % 8
+			if op == 0 && x>>20%4 == 0 {
+				trace = fmt.Sprintf("T%d", i)
+				r.BeginTrace(trace)
+				model = model[:0]
+				continue
+			}
+			exact := op == 1 || op == 2 || op == 3
+			if exact || seq%stampSampleEvery == 0 {
+				stamp = now.Add(time.Millisecond) // the read the recorder makes
+			}
+			seq++
+			ev := Event{Seq: seq, Time: stamp, Kind: EventDispatch, Trace: trace, Subject: subject, Action: "a"}
+			switch op {
+			case 1:
+				ev.Detail = "exact"
+				r.RecordNow(EventDispatch, subject, "a", "exact")
+			case 2, 4:
+				code := uint8(x >> 16 % 3)
+				ev.Detail = codes[code]
+				r.RecordCode(EventDispatch, subject, "a", code, op == 2)
+			case 3:
+				ev.Detail = codes[1]
+				r.RecordCode(EventDispatch, subject, "a", 1, true)
+			default:
+				ev.Detail = "bulk"
+				r.Record(EventDispatch, subject, "a", "bulk")
+			}
+			model = append(model, ev)
+			if len(model) > len(r.events) {
+				model = model[1:]
+			}
+			if i%97 == 0 || i == 4999 {
+				got := r.Window()
+				if len(got) != len(model) || (len(model) > 0 && !reflect.DeepEqual(got, model)) {
+					t.Fatalf("capacity %d, step %d:\n got  %+v\n want %+v", capacity, i, got, model)
+				}
+			}
+		}
+	}
 }
