@@ -42,7 +42,7 @@ var (
 func cachedWearStudy(b *testing.B) *farm.Result {
 	b.Helper()
 	studyOnce.Do(func() {
-		sr, err := experiments.RunWearStudy(farm.Config{Seed: 1, Gen: benchGen, Aging: true})
+		sr, err := experiments.RunWearStudy(farm.Config{Seed: 1, Gen: benchGen, Aging: farm.PaperAging()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func BenchmarkTableII_FleetConstruction(b *testing.B) {
 func BenchmarkTableIII_BehaviorDistribution(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sr, err := experiments.RunWearStudy(farm.Config{Seed: 1, Gen: benchGen, Aging: true})
+		sr, err := experiments.RunWearStudy(farm.Config{Seed: 1, Gen: benchGen, Aging: farm.PaperAging()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func BenchmarkTableIII_BehaviorDistribution(b *testing.B) {
 func BenchmarkTableIV_PhoneCrashes(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sr, err := experiments.RunPhoneStudy(farm.Config{Seed: 1, Gen: benchGen, Aging: true})
+		sr, err := experiments.RunPhoneStudy(farm.Config{Seed: 1, Gen: benchGen, Aging: farm.PaperAging()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -415,7 +415,7 @@ func BenchmarkIntentString(b *testing.B) {
 func BenchmarkAblationAging(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunAgingAblations(1, benchGen)
+		rows, err := experiments.RunAgingAblations(farm.Config{Seed: 1, Gen: benchGen})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -430,7 +430,7 @@ func BenchmarkAblationAging(b *testing.B) {
 func BenchmarkAblationRejuvenation(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rs, err := experiments.RunRejuvenationStudy(1, benchGen)
+		rs, err := experiments.RunRejuvenationStudy(farm.Config{Seed: 1, Gen: benchGen})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -445,11 +445,16 @@ func BenchmarkAblationRejuvenation(b *testing.B) {
 func BenchmarkAblationValidationEras(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cmp, err := experiments.CompareValidationEras(farm.Config{Seed: 1, Gen: benchGen, Aging: true})
+		cfg := farm.Config{Seed: 1, Gen: benchGen, Aging: farm.PaperAging()}
+		legacy, err := experiments.RunLegacyPhoneStudy(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if cmp.Components == 0 {
+		modern, err := experiments.RunPhoneStudy(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cmp := experiments.CompareValidationEras(legacy, modern); cmp.Components == 0 {
 			b.Fatal("empty comparison")
 		}
 	}

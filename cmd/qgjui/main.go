@@ -14,9 +14,8 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/apps"
+	"repro/internal/experiments"
 	"repro/internal/uifuzz"
-	"repro/internal/wearos"
 )
 
 func main() {
@@ -48,13 +47,10 @@ func run(args []string) error {
 	}
 
 	for _, m := range modes {
-		// A fresh emulator per mode, like the paper's repeatable setup.
-		fleet := apps.BuildEmulatorFleet(*seed)
-		dev := wearos.New(wearos.DefaultEmulatorConfig())
-		if err := fleet.InstallInto(dev); err != nil {
+		out, err := experiments.RunUIMode(experiments.UIOptions{Seed: *seed, Events: *events}, m)
+		if err != nil {
 			return err
 		}
-		out := uifuzz.New(dev).Run(m, uifuzz.Config{Seed: *seed, Events: *events})
 		fmt.Printf("%-10s injected=%d exceptions=%d (%.1f%%) crashes=%d (%.2f%%) systemCrashes=%d\n",
 			out.Mode, out.Injected, out.ExceptionsRaised, 100*out.ExceptionRate(),
 			out.Crashes, 100*out.CrashRate(), out.SystemCrashes)

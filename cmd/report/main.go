@@ -96,7 +96,6 @@ func run(args []string) error {
 	study := farm.Config{
 		Seed:      *seed,
 		Gen:       gen,
-		Aging:     !sharding.Enabled(),
 		Sharding:  sharding,
 		Telemetry: reg,
 		Status:    board,
@@ -105,16 +104,27 @@ func run(args []string) error {
 				prog.Elapsed().Round(time.Millisecond), key.Campaign.Letter(), key.Package, sent)
 		},
 	}
+	if !sharding.Enabled() {
+		study.Aging = farm.PaperAging()
+	}
 
 	// -json exports all three studies, so it runs whichever ones the
-	// selected artifacts did not already need.
+	// selected artifacts did not already need; -ablations compares the
+	// phone study against the legacy one.
 	needWear := *jsonOut != "" || sel("tab2") || sel("tab3") || sel("fig2") || sel("fig3a") || sel("fig3b") || sel("fig4")
-	needPhone := *jsonOut != "" || sel("tab4")
+	needPhone := *jsonOut != "" || *ablations || sel("tab4")
 	needUI := *jsonOut != "" || sel("tab5")
 
 	if sel("tab1") {
 		fmt.Println(report.TableI(experiments.TableI(gen, 912)))
 	}
+
+	// The phone study never shares the wear study's checkpoint file — a
+	// journal fingerprints exactly one shard plan — but keeps its design;
+	// so does the legacy phone study of -ablations.
+	phoneStudy := study
+	phoneStudy.Sharding.Checkpoint = ""
+	phoneStudy.Sharding.Resume = false
 
 	var wear, phone *farm.Result
 	if needWear {
@@ -159,13 +169,8 @@ func run(args []string) error {
 
 	if needPhone {
 		start := time.Now()
-		// The phone study never shares the wear study's checkpoint file — a
-		// journal fingerprints exactly one shard plan — but keeps its design.
-		cfg := study
-		cfg.Sharding.Checkpoint = ""
-		cfg.Sharding.Resume = false
 		var err error
-		phone, err = experiments.RunPhoneStudy(cfg)
+		phone, err = experiments.RunPhoneStudy(phoneStudy)
 		prog.Flush()
 		if err != nil {
 			return fmt.Errorf("phone study: %w", err)
@@ -193,7 +198,7 @@ func run(args []string) error {
 	}
 
 	if *ablations {
-		if err := runAblations(*seed, gen); err != nil {
+		if err := runAblations(study, phoneStudy, phone); err != nil {
 			return err
 		}
 	}
@@ -233,10 +238,12 @@ func writeJSONArtifacts(path string, seed uint64, wear, phone *farm.Result, ui *
 
 // runAblations prints the extension studies: the aging-model ablations,
 // the rejuvenation counterfactual (Section IV-E's mitigation), and the
-// JJB-era input-validation comparison.
-func runAblations(seed uint64, gen core.GeneratorConfig) error {
+// JJB-era input-validation comparison. The first two are aging plans
+// whatever the invocation's design; the comparison runs the legacy phone
+// study under phoneStudy, the config that produced phone.
+func runAblations(study, phoneStudy farm.Config, phone *farm.Result) error {
 	fmt.Println("EXTENSION: AGING-MODEL ABLATIONS (escalation apps + one crashy app)")
-	rows, err := experiments.RunAgingAblations(seed, gen)
+	rows, err := experiments.RunAgingAblations(study)
 	if err != nil {
 		return fmt.Errorf("aging ablations: %w", err)
 	}
@@ -245,7 +252,7 @@ func runAblations(seed uint64, gen core.GeneratorConfig) error {
 	}
 
 	fmt.Println("\nEXTENSION: SOFTWARE REJUVENATION COUNTERFACTUAL (Section IV-E)")
-	rs, err := experiments.RunRejuvenationStudy(seed, gen)
+	rs, err := experiments.RunRejuvenationStudy(study)
 	if err != nil {
 		return fmt.Errorf("rejuvenation study: %w", err)
 	}
@@ -253,10 +260,11 @@ func runAblations(seed uint64, gen core.GeneratorConfig) error {
 		rs.BaselineReboots, rs.RejuvenatedReboots, rs.Rejuvenations, rs.Sent)
 
 	fmt.Println("\nEXTENSION: INPUT-VALIDATION ERAS (JJB-era Android 2.x vs Android 7.1.1)")
-	cmp, err := experiments.CompareValidationEras(farm.Config{Seed: seed, Gen: gen, Aging: true})
+	legacy, err := experiments.RunLegacyPhoneStudy(phoneStudy)
 	if err != nil {
-		return fmt.Errorf("era comparison: %w", err)
+		return fmt.Errorf("legacy phone study: %w", err)
 	}
+	cmp := experiments.CompareValidationEras(legacy, phone)
 	fmt.Printf("  NPE share of crashes: legacy %.1f%% -> modern %.1f%%\n",
 		100*cmp.LegacyNPEShare, 100*cmp.ModernNPEShare)
 	fmt.Printf("  crashing components:  legacy %d -> modern %d (of %d)\n",

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/report"
@@ -52,4 +54,52 @@ func TestShardedExportSameForAnyWorkerCount(t *testing.T) {
 	if !bytes.Equal(one, four) {
 		t.Fatalf("-workers 4 export differs from -workers 1:\n%s\n---\n%s", one, four)
 	}
+}
+
+// TestAblationsAgeWhateverTheWorkers: the aging ablations and the
+// rejuvenation counterfactual are aging plans by definition, so -workers
+// shards the invocation's other studies but leaves their rows unchanged.
+func TestAblationsAgeWhateverTheWorkers(t *testing.T) {
+	agingRows := func(args ...string) string {
+		t.Helper()
+		out := runStdout(t, append([]string{"-quick", "3", "-only", "tab1", "-ablations"}, args...)...)
+		start := strings.Index(out, "EXTENSION: AGING-MODEL ABLATIONS")
+		end := strings.Index(out, "EXTENSION: INPUT-VALIDATION ERAS")
+		if start < 0 || end < start {
+			t.Fatalf("report %v printed no extension sections:\n%s", args, out)
+		}
+		return out[start:end]
+	}
+	aging, sharded := agingRows(), agingRows("-workers", "2")
+	// At this scale the default model still reboots once.
+	if !strings.Contains(aging, "default            reboots=1") || !strings.Contains(aging, "baseline reboots=1") {
+		t.Fatalf("extension rows missing their reboots:\n%s", aging)
+	}
+	if aging != sharded {
+		t.Fatalf("-workers 2 changed the aging studies:\n%s\n---\n%s", aging, sharded)
+	}
+}
+
+// runStdout runs the CLI with args and returns what it printed to stdout.
+func runStdout(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = saved }()
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	runErr := run(args)
+	w.Close()
+	text := <-out
+	if runErr != nil {
+		t.Fatalf("report %v: %v", args, runErr)
+	}
+	return text
 }

@@ -18,11 +18,11 @@ import (
 func main() {
 	gen := qgj.QuickGen(2) // ~1/2 of full volume per axis; still minutes of virtual time
 
-	wear, err := qgj.RunWearStudy(qgj.StudyOptions{Seed: 1, Gen: gen, Aging: true})
+	wear, err := qgj.RunWearStudy(qgj.StudyOptions{Seed: 1, Gen: gen, Aging: qgj.PaperAging()})
 	if err != nil {
 		log.Fatal(err)
 	}
-	phone, err := qgj.RunPhoneStudy(qgj.StudyOptions{Seed: 1, Gen: gen, Aging: true})
+	phone, err := qgj.RunPhoneStudy(qgj.StudyOptions{Seed: 1, Gen: gen, Aging: qgj.PaperAging()})
 	if err != nil {
 		log.Fatal(err)
 	}

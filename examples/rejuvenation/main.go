@@ -25,22 +25,22 @@ func main() {
 		{"baseline (paper's device)", wearos.DefaultAgingConfig()},
 		{"with rejuvenation", wearos.RejuvenatedAgingConfig()},
 	} {
-		cfg := wearos.DefaultWatchConfig()
-		cfg.Aging = variant.aging
-		dev := wearos.New(cfg)
-		fleet := qgj.BuildWearFleet(1)
-		if err := fleet.InstallInto(dev); err != nil {
+		// Campaign A against the SensorManager health app, the paper's
+		// first escalation chain: a one-unit aging plan on a fresh watch
+		// booted with the variant's aging model.
+		res, err := qgj.RunWearStudy(qgj.StudyOptions{
+			Seed:      1,
+			Campaigns: []qgj.Campaign{qgj.CampaignA},
+			Packages:  []string{"com.motorola.omni"},
+			Aging:     &variant.aging,
+		})
+		if err != nil {
 			log.Fatal(err)
 		}
-
-		// Campaign A against the SensorManager health app: the paper's
-		// first escalation chain.
-		fz := qgj.NewFuzzer(dev, qgj.GeneratorConfig{Seed: 1})
-		pkg := dev.Registry().Package("com.motorola.omni")
-		run := fz.FuzzApp(qgj.CampaignA, pkg)
+		dev := res.Device
 
 		fmt.Printf("%s:\n", variant.name)
-		fmt.Printf("  intents sent:   %d\n", run.Sent)
+		fmt.Printf("  intents sent:   %d\n", res.Sent)
 		fmt.Printf("  reboots:        %d\n", dev.BootCount()-1)
 		fmt.Printf("  rejuvenations:  %d\n", dev.SystemServer().Rejuvenations())
 

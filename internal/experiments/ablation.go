@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"slices"
+
 	"repro/internal/analysis"
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/farm"
-	"repro/internal/intent"
 	"repro/internal/javalang"
-	"repro/internal/manifest"
 	"repro/internal/wearos"
 )
 
@@ -35,17 +35,9 @@ type ValidationEraComparison struct {
 	Components      int
 }
 
-// CompareValidationEras runs the legacy and modern phone studies under the
-// same seed/scale and extracts the input-validation-improvement signal.
-func CompareValidationEras(cfg farm.Config) (ValidationEraComparison, error) {
-	legacy, err := RunLegacyPhoneStudy(cfg)
-	if err != nil {
-		return ValidationEraComparison{}, err
-	}
-	modern, err := RunPhoneStudy(cfg)
-	if err != nil {
-		return ValidationEraComparison{}, err
-	}
+// CompareValidationEras extracts the input-validation-improvement signal
+// from a legacy and a modern phone study run under the same seed and scale.
+func CompareValidationEras(legacy, modern *farm.Result) ValidationEraComparison {
 	out := ValidationEraComparison{
 		LegacyNPEShare: npeShare(legacy.Combined),
 		ModernNPEShare: npeShare(modern.Combined),
@@ -61,7 +53,7 @@ func CompareValidationEras(cfg farm.Config) (ValidationEraComparison, error) {
 			out.ModernCrashComp++
 		}
 	}
-	return out, nil
+	return out
 }
 
 func npeShare(r *analysis.Report) float64 {
@@ -89,6 +81,13 @@ type AgingAblation struct {
 	Sent    int
 }
 
+// escalationChains are the paper's two reboot scenarios: the campaign that
+// trips each chain and the app that carries it.
+var escalationChains = []farm.ShardKey{
+	{Campaign: core.CampaignA, Package: "com.motorola.omni"},            // sensor escalation
+	{Campaign: core.CampaignD, Package: "com.google.android.deskclock"}, // ambient escalation
+}
+
 // RunAgingAblations fuzzes the two reboot-scenario apps (the paper's
 // escalation carriers) plus one ordinary crashy app under several aging
 // configurations and reports the reboot counts. The default configuration
@@ -96,7 +95,11 @@ type AgingAblation struct {
 // throttling or decay makes reboots epidemic — which is exactly why the
 // model has them (the paper observed only two reboots over ~1.5M intents
 // despite thousands of crashes).
-func RunAgingAblations(seed uint64, gen core.GeneratorConfig) ([]AgingAblation, error) {
+//
+// Each configuration is one aging plan of all four campaigns over the three
+// apps in fleet order; cfg supplies the seed, scale and observability, and
+// its Campaigns, Packages, Aging and Sharding are replaced.
+func RunAgingAblations(cfg farm.Config) ([]AgingAblation, error) {
 	configs := []struct {
 		name   string
 		mutate func(*wearos.AgingConfig)
@@ -119,81 +122,33 @@ func RunAgingAblations(seed uint64, gen core.GeneratorConfig) ([]AgingAblation, 
 	}
 	// The two escalation carriers plus one ordinary crashy app (picked from
 	// the quota so it actually crash-loops under this seed).
-	targets := []string{
-		"com.motorola.omni",            // sensor escalation (campaign A)
-		"com.google.android.deskclock", // ambient escalation (campaign D)
+	var targets []string
+	for _, ch := range escalationChains {
+		targets = append(targets, ch.Package)
 	}
-	probe := apps.BuildWearFleet(seed)
-	for _, name := range probe.CrashyApps() {
-		if name != targets[0] && name != targets[1] {
+	for _, name := range apps.BuildWearFleet(cfg.Seed).CrashyApps() {
+		if !slices.Contains(targets, name) {
 			targets = append(targets, name)
 			break
 		}
 	}
+	cfg.Campaigns, cfg.Packages, cfg.Sharding = nil, targets, core.Sharding{}
 	var out []AgingAblation
-	for _, cfg := range configs {
-		fleet := apps.BuildWearFleet(seed)
-		devCfg := wearos.DefaultWatchConfig()
-		cfg.mutate(&devCfg.Aging)
-		dev := wearos.New(devCfg)
-		if err := fleet.InstallInto(dev); err != nil {
+	for _, v := range configs {
+		aging := wearos.DefaultAgingConfig()
+		v.mutate(&aging)
+		cfg.Aging = &aging
+		res, err := RunWearStudy(cfg)
+		if err != nil {
 			return nil, err
 		}
-		g := gen
-		g.Seed = seed
-		inj := &core.Injector{Dev: dev, Cfg: g}
-		sent := 0
-		for _, c := range core.AllCampaigns {
-			for _, pkgName := range targets {
-				pkg := dev.Registry().Package(pkgName)
-				run := inj.FuzzApp(c, pkg)
-				sent += run.Sent
-			}
-		}
 		out = append(out, AgingAblation{
-			Name:    cfg.name,
-			Reboots: dev.BootCount() - 1,
-			Sent:    sent,
+			Name:    v.name,
+			Reboots: res.Device.BootCount() - 1,
+			Sent:    res.Sent,
 		})
 	}
 	return out, nil
-}
-
-// PacingAblation measures the effect of QGJ's empirically chosen delays
-// (100 ms between intents, 250 ms per 100): with pacing, instability
-// decays between failures; without it, unrelated failures pile into the
-// same aging window. Returns (rebootsWithPacing, rebootsWithoutPacing).
-func PacingAblation(seed uint64, gen core.GeneratorConfig) (paced, unpaced int, err error) {
-	res, err := RunWearStudy(farm.Config{Seed: seed, Gen: gen, Aging: true})
-	if err != nil {
-		return 0, 0, err
-	}
-	paced = res.Device.BootCount() - 1
-
-	// Same intent stream, but no inter-intent delays: deliver back-to-back
-	// so instability never decays between failures.
-	fleet := apps.BuildWearFleet(seed)
-	dev := wearos.New(wearos.DefaultWatchConfig())
-	if err := fleet.InstallInto(dev); err != nil {
-		return 0, 0, err
-	}
-	g := gen
-	g.Seed = seed
-	for _, c := range core.AllCampaigns {
-		for _, pkg := range dev.Registry().Packages() {
-			for _, comp := range pkg.Components {
-				kind := comp.Type
-				c.Generate(comp.Name, g, core.QGJUID, func(in *intent.Intent) {
-					if kind == manifest.Service {
-						dev.StartService(in)
-					} else {
-						dev.StartActivity(in)
-					}
-				})
-			}
-		}
-	}
-	return paced, dev.BootCount() - 1, nil
 }
 
 // RejuvenationStudy is the counterfactual for the paper's Section IV-E
@@ -211,30 +166,26 @@ type RejuvenationStudy struct {
 // chain), once under the default aging model and once with rejuvenation
 // enabled. With the paper's configuration the baseline reboots twice and
 // the rejuvenated run not at all.
-func RunRejuvenationStudy(seed uint64, gen core.GeneratorConfig) (RejuvenationStudy, error) {
+//
+// Each chain is a one-unit aging plan on its own freshly booted watch, and
+// the counts are summed over both; cfg supplies the seed, scale and
+// observability, and its Campaigns, Packages, Aging and Sharding are
+// replaced.
+func RunRejuvenationStudy(cfg farm.Config) (RejuvenationStudy, error) {
+	cfg.Sharding = core.Sharding{}
 	run := func(aging wearos.AgingConfig) (reboots, rejuv, sent int, err error) {
-		fleet := apps.BuildWearFleet(seed)
-		devCfg := wearos.DefaultWatchConfig()
-		devCfg.Aging = aging
-		dev := wearos.New(devCfg)
-		if err := fleet.InstallInto(dev); err != nil {
-			return 0, 0, 0, err
+		cfg.Aging = &aging
+		for _, ch := range escalationChains {
+			cfg.Campaigns, cfg.Packages = []core.Campaign{ch.Campaign}, []string{ch.Package}
+			res, err := RunWearStudy(cfg)
+			if err != nil {
+				return 0, 0, 0, err
+			}
+			reboots += res.Device.BootCount() - 1
+			rejuv += res.Device.SystemServer().Rejuvenations()
+			sent += res.Sent
 		}
-		g := gen
-		g.Seed = seed
-		inj := &core.Injector{Dev: dev, Cfg: g}
-		for _, step := range []struct {
-			campaign core.Campaign
-			pkg      string
-		}{
-			{core.CampaignA, "com.motorola.omni"},
-			{core.CampaignD, "com.google.android.deskclock"},
-		} {
-			pkg := dev.Registry().Package(step.pkg)
-			r := inj.FuzzApp(step.campaign, pkg)
-			sent += r.Sent
-		}
-		return dev.BootCount() - 1, dev.SystemServer().Rejuvenations(), sent, nil
+		return reboots, rejuv, sent, nil
 	}
 
 	out := RejuvenationStudy{}

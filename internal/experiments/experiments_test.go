@@ -21,7 +21,7 @@ func fullWear(t *testing.T) *farm.Result {
 		t.Skip("full-scale wear study skipped in -short mode")
 	}
 	if fullWearResult == nil {
-		sr, err := RunWearStudy(farm.Config{Seed: 1, Aging: true})
+		sr, err := RunWearStudy(farm.Config{Seed: 1, Aging: farm.PaperAging()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func fullPhone(t *testing.T) *farm.Result {
 		t.Skip("full-scale phone study skipped in -short mode")
 	}
 	if fullPhoneResult == nil {
-		sr, err := RunPhoneStudy(farm.Config{Seed: 1, Aging: true})
+		sr, err := RunPhoneStudy(farm.Config{Seed: 1, Aging: farm.PaperAging()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func fullPhone(t *testing.T) *farm.Result {
 func TestQuickStudySubsetRuns(t *testing.T) {
 	sr, err := RunWearStudy(farm.Config{
 		Seed:     2,
-		Aging:    true,
+		Aging:    farm.PaperAging(),
 		Gen:      QuickGen(8),
 		Packages: []string{"com.google.android.apps.fitness", "com.strava.wear"},
 	})
@@ -90,7 +90,7 @@ func TestTableIVolumesMatchPaper(t *testing.T) {
 }
 
 func TestTableIIMatchesPaperExactly(t *testing.T) {
-	sr, err := RunWearStudy(farm.Config{Seed: 1, Gen: QuickGen(30), Packages: []string{"com.strava.wear"}, Aging: true})
+	sr, err := RunWearStudy(farm.Config{Seed: 1, Gen: QuickGen(30), Packages: []string{"com.strava.wear"}, Aging: farm.PaperAging()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestFullUIStudyTableV(t *testing.T) {
 }
 
 func TestStudyDeterminism(t *testing.T) {
-	opts := farm.Config{Seed: 9, Gen: QuickGen(10), Packages: []string{"com.whatsapp.wear"}, Aging: true}
+	opts := farm.Config{Seed: 9, Gen: QuickGen(10), Packages: []string{"com.whatsapp.wear"}, Aging: farm.PaperAging()}
 	a, err := RunWearStudy(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -423,11 +423,11 @@ func TestStudyDeterminism(t *testing.T) {
 // TestUnknownPackageRejected: a typo'd package must fail the study, not
 // fuzz nothing and report four empty campaigns.
 func TestUnknownPackageRejected(t *testing.T) {
-	for _, cfg := range []farm.Config{{Aging: true}, {Sharding: core.Sharding{Workers: 2}}} {
+	for _, cfg := range []farm.Config{{Aging: farm.PaperAging()}, {Sharding: core.Sharding{Workers: 2}}} {
 		cfg.Seed, cfg.Gen, cfg.Packages = 1, QuickGen(30), []string{"com.strava.wearr"}
 		_, err := RunWearStudy(cfg)
 		if err == nil || !strings.Contains(err.Error(), `"com.strava.wearr"`) {
-			t.Fatalf("aging=%v: err = %v, want the unknown package named", cfg.Aging, err)
+			t.Fatalf("aging=%v: err = %v, want the unknown package named", cfg.Aging != nil, err)
 		}
 	}
 }
@@ -437,7 +437,7 @@ func TestUnknownPackageRejected(t *testing.T) {
 // F's traffic with no faults.
 func TestAgingStudyRefusesFaultCampaign(t *testing.T) {
 	_, err := RunWearStudy(farm.Config{Seed: 1, Gen: QuickGen(30), Packages: []string{"com.strava.wear"},
-		Campaigns: []core.Campaign{core.CampaignF}, Aging: true})
+		Campaigns: []core.Campaign{core.CampaignF}, Aging: farm.PaperAging()})
 	if err == nil || !strings.Contains(err.Error(), "campaign F") {
 		t.Fatalf("err = %v, want the aging study to refuse campaign F", err)
 	}

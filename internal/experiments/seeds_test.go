@@ -20,7 +20,7 @@ func TestSeedRobustness(t *testing.T) {
 	}
 	for _, seed := range []uint64{2, 3, 5} {
 		seed := seed
-		sr, err := RunWearStudy(farm.Config{Seed: seed, Gen: QuickGen(3), Aging: true})
+		sr, err := RunWearStudy(farm.Config{Seed: seed, Gen: QuickGen(3), Aging: farm.PaperAging()})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -24,24 +24,26 @@ type UIResult struct {
 // once per mutation mode (Section III-E).
 func RunUIStudy(opts UIOptions) (*UIResult, error) {
 	res := &UIResult{}
-	for _, mode := range []uifuzz.Mode{uifuzz.SemiValid, uifuzz.Random} {
-		// A fresh emulator per mode keeps runs independent and repeatable,
-		// the paper's stated reason for using the emulator at all.
-		fleet := apps.BuildEmulatorFleet(opts.Seed)
-		dev := wearos.New(wearos.DefaultEmulatorConfig())
-		if err := fleet.InstallInto(dev); err != nil {
-			return nil, err
-		}
-		f := uifuzz.New(dev)
-		out := f.Run(mode, uifuzz.Config{Seed: opts.Seed, Events: opts.Events})
-		switch mode {
-		case uifuzz.SemiValid:
-			res.SemiValid = out
-		case uifuzz.Random:
-			res.Random = out
-		}
+	var err error
+	if res.SemiValid, err = RunUIMode(opts, uifuzz.SemiValid); err != nil {
+		return nil, err
+	}
+	if res.Random, err = RunUIMode(opts, uifuzz.Random); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// RunUIMode runs one mutation mode of the QGJ-UI experiment on a fresh
+// emulator: a fresh one per mode keeps runs independent and repeatable,
+// the paper's stated reason for using the emulator at all.
+func RunUIMode(opts UIOptions, mode uifuzz.Mode) (uifuzz.Outcome, error) {
+	fleet := apps.BuildEmulatorFleet(opts.Seed)
+	dev := wearos.New(wearos.DefaultEmulatorConfig())
+	if err := fleet.InstallInto(dev); err != nil {
+		return uifuzz.Outcome{}, err
+	}
+	return uifuzz.New(dev).Run(mode, uifuzz.Config{Seed: opts.Seed, Events: opts.Events}), nil
 }
 
 // TableVRow is one row of Table V.

@@ -12,7 +12,7 @@ import (
 )
 
 func agingConfig() farm.Config {
-	return farm.Config{Seed: 1, Packages: testPackages, Gen: testGen(), Aging: true}
+	return farm.Config{Seed: 1, Packages: testPackages, Gen: testGen(), Aging: farm.PaperAging()}
 }
 
 // TestAgingPlanRunsOneAgingDevice: an aging plan dispatches in plan order
@@ -62,7 +62,7 @@ func TestAgingPlanRunsOneAgingDevice(t *testing.T) {
 	}
 
 	shard := agingConfig()
-	shard.Aging = false
+	shard.Aging = nil
 	sres, err := farm.Run(shard)
 	if err != nil {
 		t.Fatal(err)

@@ -61,11 +61,13 @@ type Config struct {
 	// seed from Config.Seed via rng.Split on the shard key (an aging plan's
 	// units all use Config.Seed).
 	Gen core.GeneratorConfig
-	// Aging runs the units in plan order on one device with the whole fleet
-	// installed, never reset, so system-server aging carries from each unit
-	// into the next (the paper's reboots). It never triages, and it refuses
-	// campaign F, a checkpoint and more than one worker.
-	Aging bool
+	// Aging, when non-nil, makes this an aging plan: the units run in plan
+	// order on one device with the whole fleet installed, booted with this
+	// aging model (PaperAging for the paper's) and never reset, so
+	// system-server aging carries from each unit into the next (the paper's
+	// reboots). It never triages, and it refuses campaign F, a checkpoint
+	// and more than one worker. Nil plans independent shards.
+	Aging *wearos.AgingConfig
 	// Sharding sets worker count and checkpoint behaviour.
 	Sharding core.Sharding
 	// DisableTriage skips crash bucketing and intent minimization.
@@ -153,7 +155,14 @@ func (r *Result) Reboots() int {
 // triages reports whether the run buckets and minimizes its crashes. An
 // aging plan never does: it is the paper's single-watch study, which has
 // no triage stage.
-func (c Config) triages() bool { return !c.DisableTriage && !c.Aging }
+func (c Config) triages() bool { return !c.DisableTriage && c.Aging == nil }
+
+// PaperAging returns the paper's aging model (wearos.DefaultAgingConfig) in
+// the form Config.Aging takes.
+func PaperAging() *wearos.AgingConfig {
+	a := wearos.DefaultAgingConfig()
+	return &a
+}
 
 // farmMetrics caches the engine's metric handles (all nil-safe no-ops when
 // Config.Telemetry is nil).
@@ -224,7 +233,8 @@ func buildFleet(kind apps.FleetKind, seed uint64) (*apps.Fleet, error) {
 }
 
 // agingDeviceConfig returns the paper's device for the fleet kind, with its
-// own telemetry registry: the aging plan's device.
+// own telemetry registry: the aging plan's device, before bootAging gives it
+// the plan's aging model.
 func agingDeviceConfig(kind apps.FleetKind) wearos.Config {
 	switch kind {
 	case apps.PhoneFleet, apps.LegacyPhoneFleet:
@@ -361,7 +371,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.Resumed = resumed
 	res.Workers = workers
-	if cfg.Aging {
+	if cfg.Aging != nil {
 		res.Device = execs[0].dev
 	}
 	return res, nil
@@ -411,7 +421,7 @@ func (e *Executor) runShard(key ShardKey) (*ShardResult, error) {
 		source = BootAging
 		err    error
 	)
-	if cfg.Aging {
+	if cfg.Aging != nil {
 		pkg, dev, err = e.bootAging(key.Package)
 	} else {
 		var fleet *apps.Fleet
@@ -430,7 +440,7 @@ func (e *Executor) runShard(key ShardKey) (*ShardResult, error) {
 	// because cloned devices share one immutable template Config. The aging
 	// device keeps its own registry for the whole run instead.
 	var shardReg *telemetry.Registry
-	if cfg.Telemetry != nil && !cfg.Aging {
+	if cfg.Telemetry != nil && cfg.Aging == nil {
 		shardReg = telemetry.NewRegistry()
 		dev.AttachTelemetry(shardReg)
 	}
@@ -458,7 +468,7 @@ func (e *Executor) runShard(key ShardKey) (*ShardResult, error) {
 
 	gen := cfg.Gen
 	gen.Seed = cfg.Seed
-	if !cfg.Aging {
+	if cfg.Aging == nil {
 		gen.Seed = rng.New(cfg.Seed).Split("farm-shard-" + key.String()).Uint64()
 	}
 	inj := &core.Injector{Dev: dev, Cfg: gen}

@@ -121,15 +121,18 @@ func (e *Executor) boot(pkgName string, met farmMetrics) (*apps.Fleet, *wearos.O
 }
 
 // bootAging serves every unit of an aging plan from one device, booted on
-// the first unit with the whole fleet installed and never reset. It skips
-// the boot templates, so the snapshot and persist counters stay at zero.
+// the first unit with the plan's aging model and the whole fleet installed,
+// and never reset. It skips the boot templates, so the snapshot and persist
+// counters stay at zero.
 func (e *Executor) bootAging(pkgName string) (*manifest.Package, *wearos.OS, error) {
 	if e.dev == nil {
 		fleet, err := buildFleet(e.p.kind, e.p.cfg.Seed)
 		if err != nil {
 			return nil, nil, err
 		}
-		dev := wearos.New(agingDeviceConfig(e.p.kind))
+		devCfg := agingDeviceConfig(e.p.kind)
+		devCfg.Aging = *e.p.cfg.Aging
+		dev := wearos.New(devCfg)
 		if err := fleet.InstallInto(dev); err != nil {
 			return nil, nil, fmt.Errorf("farm: install fleet: %w", err)
 		}

@@ -71,7 +71,7 @@ func NewPlan(cfg Config) (*Plan, error) {
 			return nil, fmt.Errorf("farm: campaign %s listed twice", c.Letter())
 		}
 	}
-	if cfg.Aging {
+	if cfg.Aging != nil {
 		switch {
 		case slices.Contains(campaigns, core.CampaignF):
 			return nil, fmt.Errorf("farm: campaign F attaches its fault engine to a fresh device per unit; an aging plan cannot run it")
@@ -114,7 +114,7 @@ func NewPlan(cfg Config) (*Plan, error) {
 	for i := range order {
 		order[i] = i
 	}
-	if !cfg.Aging {
+	if cfg.Aging == nil {
 		slices.SortStableFunc(order, func(a, b int) int { return est[b] - est[a] })
 	}
 	return &Plan{

@@ -30,18 +30,18 @@ func TestAgingStudyGolden(t *testing.T) {
 	}{
 		{"wear", experiments.RunWearStudy, farm.Config{
 			Seed:     1,
-			Aging:    true,
+			Aging:    farm.PaperAging(),
 			Packages: []string{"com.motorola.omni", "com.google.android.deskclock"},
 		}},
 		{"phone", experiments.RunPhoneStudy, farm.Config{
 			Seed:     1,
-			Aging:    true,
+			Aging:    farm.PaperAging(),
 			Gen:      experiments.QuickGen(3),
 			Packages: []string{"com.android.chrome", "com.android.settings"},
 		}},
 		{"legacy-phone", experiments.RunLegacyPhoneStudy, farm.Config{
 			Seed:     1,
-			Aging:    true,
+			Aging:    farm.PaperAging(),
 			Gen:      experiments.QuickGen(3),
 			Packages: []string{"com.android.chrome", "com.android.settings"},
 		}},

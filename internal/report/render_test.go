@@ -17,7 +17,7 @@ func quickStudy(t *testing.T) *farm.Result {
 	sr, err := experiments.RunWearStudy(farm.Config{
 		Seed:  1,
 		Gen:   experiments.QuickGen(6),
-		Aging: true,
+		Aging: farm.PaperAging(),
 		Packages: []string{
 			"com.google.android.apps.fitness",
 			"com.whatsapp.wear",

@@ -14,10 +14,12 @@
 //   - Studies: one-call reproductions of every table and figure in the
 //     paper's evaluation (RunWearStudy, RunPhoneStudy, RunUIStudy, Render*).
 //     A study is a farm run: StudyOptions is its farm configuration and
-//     StudyResult the merged farm result. Set StudyOptions.Aging for the
-//     paper's design, one watch aging across every app and campaign;
-//     without it each (campaign, package) unit is an independent shard with
-//     crash triage.
+//     StudyResult the merged farm result. Set StudyOptions.Aging to an
+//     aging model (PaperAging for the paper's) for the paper's design, one
+//     watch aging across every app and campaign; left nil, each (campaign,
+//     package) unit is an independent shard with crash triage. The
+//     extension studies (RunAgingAblations, RunRejuvenationStudy) take
+//     StudyOptions too and always age.
 //
 // Everything runs on a virtual clock: the paper's ~1.5M-intent study
 // finishes in seconds, deterministically for a given seed.
@@ -77,6 +79,8 @@ type (
 	UIStudyResult = experiments.UIResult
 	// StudyOptions configures RunWearStudy / RunPhoneStudy.
 	StudyOptions = farm.Config
+	// AgingConfig is the system-server aging model (StudyOptions.Aging).
+	AgingConfig = wearos.AgingConfig
 	// UIStudyOptions configures RunUIStudy.
 	UIStudyOptions = experiments.UIOptions
 )
@@ -165,6 +169,9 @@ func RunUIStudy(opts UIStudyOptions) (*UIStudyResult, error) {
 	return experiments.RunUIStudy(opts)
 }
 
+// PaperAging returns the paper's aging model for StudyOptions.Aging.
+func PaperAging() *AgingConfig { return farm.PaperAging() }
+
 // QuickGen returns a scaled-down generator configuration (~1/k² of campaign
 // A's full volume) for demos and tests.
 func QuickGen(k int) GeneratorConfig { return experiments.QuickGen(k) }
@@ -227,13 +234,13 @@ const (
 )
 
 // RunRejuvenationStudy runs the Section IV-E mitigation counterfactual.
-func RunRejuvenationStudy(seed uint64, gen GeneratorConfig) (experiments.RejuvenationStudy, error) {
-	return experiments.RunRejuvenationStudy(seed, gen)
+func RunRejuvenationStudy(opts StudyOptions) (experiments.RejuvenationStudy, error) {
+	return experiments.RunRejuvenationStudy(opts)
 }
 
 // RunAgingAblations runs the aging-model design-choice ablations.
-func RunAgingAblations(seed uint64, gen GeneratorConfig) ([]experiments.AgingAblation, error) {
-	return experiments.RunAgingAblations(seed, gen)
+func RunAgingAblations(opts StudyOptions) ([]experiments.AgingAblation, error) {
+	return experiments.RunAgingAblations(opts)
 }
 
 // RunLegacyPhoneStudy runs the JJB-era historical baseline study.

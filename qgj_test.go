@@ -72,7 +72,7 @@ func TestPublicStudyEntryPoints(t *testing.T) {
 		Seed:     1,
 		Gen:      qgj.QuickGen(20),
 		Packages: []string{"com.spotify.wear"},
-		Aging:    true,
+		Aging:    qgj.PaperAging(),
 	})
 	if err != nil {
 		t.Fatal(err)

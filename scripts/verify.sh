@@ -56,6 +56,11 @@ head -n 3 "$ckpt" > "$ckpt.torn" && mv "$ckpt.torn" "$ckpt"
 go run ./cmd/qgj -app com.heartwatch.wear -all -quick 8 -progress 0 \
     -workers 4 -checkpoint "$ckpt" -resume >/dev/null
 
+# Extension-study smoke: the aging ablations, the rejuvenation
+# counterfactual and the input-validation eras through cmd/report. The
+# unit tests that run them at full scale are skipped under -short.
+go run ./cmd/report -quick 8 -ablations -only tab1 >/dev/null
+
 # Live-scrape smoke: a lingering run serves /metrics, /farm, and /healthz
 # on an ephemeral port; curl each while (or just after) the farm runs.
 # Asserts the observability surface works end to end — registry
