@@ -1,42 +1,44 @@
-// Command qgj runs the QGJ-Master fuzzing workflow: a simulated phone
-// paired with a simulated watch carrying the paper's 46-app fleet, the QGJ
-// apps installed on both, and campaigns orchestrated over the Wear
-// MessageAPI — Figure 1a end to end.
+// Command qgj runs the QGJ-Master fuzzing workflow (the paper's Figure 1a)
+// against the simulated watch carrying the paper's 46-app fleet. It is a
+// front end over the farm engine (internal/farm), as cmd/report is.
 //
 // Usage:
 //
 //	qgj -list                             # list fuzzable wear components
 //	qgj -app com.strava.wear -campaign B  # fuzz one app with one campaign
 //	qgj -app com.strava.wear -all         # all four campaigns
-//	qgj -logcat                           # dump the watch log afterwards
+//	qgj -app com.strava.wear -logcat      # dump the watch log afterwards
 //	qgj -all -workers 8 -checkpoint run.ckpt   # farm the whole fleet
 //	qgj -all -workers 8 -checkpoint run.ckpt -resume   # continue a killed run
 //
-// With -workers, -checkpoint, or -resume the run goes through the farm
-// engine (internal/farm): (campaign, app) shards on a worker pool, each
-// worker resetting one device in place between its shards, an fsynced
-// checkpoint journal, and crash triage (unique signatures next to raw
-// counts). Without them qgj runs the
-// paper's Figure 1a workflow on a single paired phone+watch.
+// Without -workers, -checkpoint or -resume the campaigns run as the farm's
+// aging plan: app by app, in campaign order, on one watch that is never
+// reset, so aging carries across campaigns as in the paper; qgj prints the
+// per-app summaries the watch reports. With any of them (and always for
+// campaign F, whose fault engine needs a fresh device per unit) the run is
+// sharded: (campaign, app) shards on a worker pool, each worker resetting
+// one device in place between its shards, an fsynced checkpoint journal,
+// and crash triage (unique signatures next to raw counts). Without -app
+// every app of the fleet is fuzzed.
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"os/signal"
-	"strings"
+	"slices"
 	"syscall"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/experiments"
 	"repro/internal/farm"
+	"repro/internal/manifest"
 	"repro/internal/service"
 	"repro/internal/telemetry"
 )
@@ -52,17 +54,17 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("qgj", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 1, "fleet and fuzzer seed")
 	list := fs.Bool("list", false, "list fuzzable components on the wearable")
-	app := fs.String("app", "", "target package on the wearable")
+	app := fs.String("app", "", "target package on the wearable (default: every app of the fleet)")
 	campaign := fs.String("campaign", "A", "fuzz intent campaign (A-D, or F for OS fault injection)")
 	all := fs.Bool("all", false, "run all four campaigns against -app")
 	quick := fs.Int("quick", 0, "scale factor k (>0 shrinks campaigns; 0 = full scale)")
-	logDump := fs.Bool("logcat", false, "dump the wearable's logcat after fuzzing")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /vars and /debug/pprof on this address (e.g. :9100 or :0)")
+	logDump := fs.Bool("logcat", false, "dump the wearable's logcat after fuzzing (aging mode only)")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /vars, /farm and /debug/pprof on this address (e.g. :9100 or :0)")
 	linger := fs.Duration("linger", 0, "keep the process (and -metrics-addr endpoint) alive this long after the run")
 	progressEvery := fs.Duration("progress", 2*time.Second, "interval between progress lines on stderr (0 disables)")
-	workers := fs.Int("workers", 0, "farm mode: run shards on this many parallel devices (>1 enables the farm)")
-	checkpoint := fs.String("checkpoint", "", "farm mode: journal completed shards to this file")
-	resume := fs.Bool("resume", false, "farm mode: resume from -checkpoint instead of starting over")
+	workers := fs.Int("workers", 0, "sharded mode: run shards on this many parallel devices (0 = the paper's single aging watch)")
+	checkpoint := fs.String("checkpoint", "", "sharded mode: journal completed shards to this file")
+	resume := fs.Bool("resume", false, "sharded mode: resume from -checkpoint instead of starting over")
 	worker := fs.String("worker", "", "worker mode: lease and execute shards from the farmd coordinator at this URL")
 	workerName := fs.String("worker-name", "", "worker mode: name reported in leases (default qgj-<pid>)")
 	exitIdle := fs.Bool("exit-idle", false, "worker mode: exit when the coordinator has no pending shards")
@@ -75,62 +77,13 @@ func run(args []string) error {
 		return runWorker(*worker, *workerName, *exitIdle, *workerPoll, *throttle)
 	}
 
-	sharding := core.Sharding{Workers: *workers, Checkpoint: *checkpoint, Resume: *resume}
-	if sharding.Enabled() {
-		if *resume && *checkpoint == "" {
-			return fmt.Errorf("-resume requires -checkpoint")
-		}
-		return runFarm(sharding, *seed, *app, *campaign, *all, *quick, *metricsAddr, *linger, *progressEvery, *logDump)
+	if *resume && *checkpoint == "" {
+		return fmt.Errorf("-resume requires -checkpoint")
 	}
-
-	phone := device.NewPhone("nexus4")
-	watch := device.NewWatch("moto360")
-	device.Pair(phone, watch)
-	fleet := apps.BuildWearFleet(*seed)
-	if err := fleet.InstallInto(watch.OS); err != nil {
-		return err
-	}
-	core.InstallWearApp(watch)
-	mobile := core.InstallMobileApp(phone)
-
-	tel := watch.OS.Telemetry()
-	if *metricsAddr != "" {
-		srv, err := telemetry.Serve(*metricsAddr, tel)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "qgj: telemetry on http://%s/metrics\n", srv.Addr)
-	}
-	// A streaming analyzer mirrors the manifestation taxonomy into the
-	// exposition (analysis_components{manifestation=...}) while campaigns run.
-	col := analysis.NewCollector().UseTelemetry(tel)
-	watch.OS.Logcat().Subscribe(col.Sink())
-
 	if *list {
-		comps, err := mobile.ListWearComponents()
-		if err != nil {
-			return err
-		}
-		for _, c := range comps {
-			exported := "exported"
-			if !c.Exported {
-				exported = "internal"
-			}
-			fmt.Printf("%-8s %-9s %s/%s\n", c.Type, exported, c.Package, c.Class)
-		}
-		fmt.Printf("%d components\n", len(comps))
+		listComponents(*seed)
 		return nil
 	}
-
-	if *app == "" {
-		return fmt.Errorf("missing -app (or use -list); e.g. -app com.strava.wear")
-	}
-	gen := core.GeneratorConfig{}
-	if *quick > 0 {
-		gen = experiments.QuickGen(*quick)
-	}
-	gen.Seed = *seed
 
 	campaigns := core.AllCampaigns
 	if !*all {
@@ -140,48 +93,56 @@ func run(args []string) error {
 		}
 		campaigns = []core.Campaign{c}
 	}
-	if *progressEvery > 0 {
-		start := time.Now()
-		stop := telemetry.Watch(os.Stderr, *progressEvery, func() string {
-			snap := tel.Snapshot()
-			var injected uint64
-			for k, v := range snap.Counters {
-				if strings.HasPrefix(k, "qgj_intents_injected_total") {
-					injected += v
-				}
-			}
-			rate := float64(injected) / time.Since(start).Seconds()
-			return fmt.Sprintf("qgj: %v injected=%d (%.0f/s) crashes=%d anrs=%d reboots=%d",
-				time.Since(start).Round(time.Millisecond), injected, rate,
-				snap.Counters["analysis_crash_events_total"],
-				snap.Counters["analysis_anr_events_total"],
-				snap.Counters["analysis_reboots_total"])
-		})
-		defer stop()
+	gen := core.GeneratorConfig{}
+	if *quick > 0 {
+		gen = experiments.QuickGen(*quick)
 	}
-	totalSent := 0
-	for _, c := range campaigns {
-		sum, err := mobile.StartFuzz(*app, c, gen)
-		if err != nil {
-			return err
-		}
-		totalSent += sum.Sent
-		fmt.Println(sum.String())
+	cfg := farm.Config{
+		Seed:      *seed,
+		Fleet:     apps.WearFleet,
+		Campaigns: campaigns,
+		Gen:       gen,
+		Sharding:  core.Sharding{Workers: *workers, Checkpoint: *checkpoint, Resume: *resume},
+		Telemetry: telemetry.NewRegistry(),
+		Status:    farm.NewStatusBoard(),
 	}
-	if totalSent == 0 {
-		// A campaign that injected nothing found nothing; exiting 0 here
-		// would let a mis-scoped CI invocation pass silently.
-		return fmt.Errorf("campaign recorded zero injections against %s — no fuzzable components matched", *app)
+	if *app != "" {
+		cfg.Packages = []string{*app}
 	}
+	// The one place the flags choose the design: with no -workers,
+	// -checkpoint or -resume the campaigns run app by app on the paper's
+	// single aging watch (Figure 1a), otherwise as independent shards with
+	// crash triage. Campaign F always shards: its fault engine needs a fresh
+	// device per unit.
+	if !cfg.Sharding.Enabled() && !slices.Contains(campaigns, core.CampaignF) {
+		cfg.Aging = farm.PaperAging()
+	}
+	return runFarm(cfg, *metricsAddr, *linger, *progressEvery, *logDump)
+}
 
-	if *logDump {
-		fmt.Print(watch.OS.Logcat().Dump())
+// listComponents prints the wear fleet's fuzzable components (Activities
+// and Services) sorted by package and class: step 1 of the workflow, the
+// list QGJ-Master shows before a campaign.
+func listComponents(seed uint64) {
+	var comps []*manifest.Component
+	for _, p := range apps.BuildWearFleet(seed).Packages {
+		for _, c := range p.Components {
+			if c.Type == manifest.Activity || c.Type == manifest.Service {
+				comps = append(comps, c)
+			}
+		}
 	}
-	if *linger > 0 {
-		fmt.Fprintf(os.Stderr, "qgj: lingering %v for scrapes\n", *linger)
-		time.Sleep(*linger)
+	slices.SortFunc(comps, func(a, b *manifest.Component) int {
+		return cmp.Or(cmp.Compare(a.Name.Package, b.Name.Package), cmp.Compare(a.Name.Class, b.Name.Class))
+	})
+	for _, c := range comps {
+		exported := "exported"
+		if !c.Exported {
+			exported = "internal"
+		}
+		fmt.Printf("%-8s %-9s %s/%s\n", c.Type, exported, c.Name.Package, c.Name.Class)
 	}
-	return nil
+	fmt.Printf("%d components\n", len(comps))
 }
 
 // runWorker joins a farmd coordinator as a networked farm worker: lease a
@@ -212,35 +173,12 @@ func runWorker(coordinator, name string, exitIdle bool, poll, throttle time.Dura
 	return nil
 }
 
-// runFarm executes the sharded campaign on the farm engine and prints the
-// merged per-campaign summaries plus the triage roll-up.
-func runFarm(sharding core.Sharding, seed uint64, app, campaign string, all bool, quick int, metricsAddr string, linger, progressEvery time.Duration, logDump bool) error {
-	if logDump {
-		fmt.Fprintln(os.Stderr, "qgj: -logcat is ignored in farm mode (each shard boots its own device)")
-	}
-	campaigns := core.AllCampaigns
-	if !all {
-		c, err := core.ParseCampaign(campaign)
-		if err != nil {
-			return err
-		}
-		campaigns = []core.Campaign{c}
-	}
-	gen := core.GeneratorConfig{}
-	if quick > 0 {
-		gen = experiments.QuickGen(quick)
-	}
-	cfg := farm.Config{
-		Seed:      seed,
-		Fleet:     apps.WearFleet,
-		Campaigns: campaigns,
-		Gen:       gen,
-		Sharding:  sharding,
-		Telemetry: telemetry.NewRegistry(),
-		Status:    farm.NewStatusBoard(),
-	}
-	if app != "" {
-		cfg.Packages = []string{app}
+// runFarm executes the campaigns on the farm engine. An aging plan prints
+// one summary line per (campaign, app) unit, as the watch reports them; a
+// shard plan prints the merged per-campaign counts plus the triage roll-up.
+func runFarm(cfg farm.Config, metricsAddr string, linger, progressEvery time.Duration, logDump bool) error {
+	if logDump && cfg.Aging == nil {
+		fmt.Fprintln(os.Stderr, "qgj: -logcat is ignored in sharded mode (each shard boots its own device)")
 	}
 	if metricsAddr != "" {
 		srv, err := telemetry.Serve(metricsAddr, cfg.Telemetry,
@@ -262,7 +200,7 @@ func runFarm(sharding core.Sharding, seed uint64, app, campaign string, all bool
 	}
 	res, err := farm.Run(cfg)
 	prog.Flush()
-	if prog != nil {
+	if prog != nil && cfg.Aging == nil {
 		snap := cfg.Telemetry.Snapshot()
 		hits := snap.Counters["farm_snapshot_hits_total"]
 		misses := snap.Counters["farm_snapshot_misses_total"]
@@ -288,8 +226,30 @@ func runFarm(sharding core.Sharding, seed uint64, app, campaign string, all bool
 	if res.Sent == 0 {
 		return fmt.Errorf("campaign recorded zero injections across %d shards", res.Shards)
 	}
+	if cfg.Aging != nil {
+		for _, cr := range res.Campaigns {
+			for _, sum := range cr.Summaries {
+				fmt.Println(sum.String())
+			}
+		}
+		if logDump {
+			fmt.Print(res.Device.Logcat().Dump())
+		}
+	} else {
+		printShards(res, cfg.Sharding.Checkpoint)
+	}
+	if linger > 0 {
+		fmt.Fprintf(os.Stderr, "qgj: lingering %v for scrapes\n", linger)
+		time.Sleep(linger)
+	}
+	return nil
+}
+
+// printShards prints a shard plan's merged per-campaign counts, its triage
+// buckets and, for campaign F, the fault-resilience table.
+func printShards(res *farm.Result, checkpoint string) {
 	if res.Resumed > 0 {
-		fmt.Fprintf(os.Stderr, "qgj: resumed %d/%d shards from %s\n", res.Resumed, res.Shards, sharding.Checkpoint)
+		fmt.Fprintf(os.Stderr, "qgj: resumed %d/%d shards from %s\n", res.Resumed, res.Shards, checkpoint)
 	}
 	for _, cr := range res.Campaigns {
 		fmt.Printf("campaign %s: sent=%d crashes=%d anrs=%d security=%d reboots=%d\n",
@@ -327,9 +287,4 @@ func runFarm(sharding core.Sharding, seed uint64, app, campaign string, all bool
 			}
 		}
 	}
-	if linger > 0 {
-		fmt.Fprintf(os.Stderr, "qgj: lingering %v for scrapes\n", linger)
-		time.Sleep(linger)
-	}
-	return nil
 }

@@ -60,7 +60,8 @@ func run(args []string) error {
 	// The live-observability surface: one registry and one shard status
 	// board shared by every study in this invocation. Sharded and aging
 	// studies both run on the farm and feed them; an aging study's device
-	// keeps its own registry, which the export's telemetry block reads.
+	// meters straight into the registry, which the export's telemetry block
+	// then reads (without -metrics-addr the device keeps its own).
 	var reg *telemetry.Registry
 	var board *farm.StatusBoard
 	if *metricsAddr != "" {

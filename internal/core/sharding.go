@@ -5,9 +5,9 @@ package core
 // concurrent use); sharding instead partitions a study into independent
 // (campaign, package) work units that internal/farm executes on a pool of
 // independently-booted devices. The zero value means "not sharded" to the
-// CLIs (see Enabled); cmd/report then runs the farm's aging plan, every
-// unit in order on one device that is never reset, the paper's
-// single-watch design.
+// CLIs (see Enabled); cmd/report and cmd/qgj then run the farm's aging
+// plan, every unit in order on one device that is never reset, the paper's
+// single-watch design, metered into the invocation's farm registry.
 type Sharding struct {
 	// Workers is the number of concurrent shard executors. 0 means unset
 	// (not sharded unless a Checkpoint is given); an explicit 1 runs the

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/farm"
 	"repro/internal/telemetry"
 )
@@ -42,8 +43,8 @@ func TestAgingPlanRunsOneAgingDevice(t *testing.T) {
 	if !slices.Equal(keys, p.Shards()) {
 		t.Fatalf("units ran as %v, want plan order %v", keys, p.Shards())
 	}
-	if res.Device == nil || res.Device.Telemetry() == nil {
-		t.Fatal("aging run returned no device with its own registry")
+	if res.Device == nil || res.Device.Telemetry() != reg {
+		t.Fatal("aging run returned no device metered into the plan's registry")
 	}
 	if res.Workers != 1 || res.Sent == 0 {
 		t.Fatalf("workers = %d, sent = %d", res.Workers, res.Sent)
@@ -69,6 +70,47 @@ func TestAgingPlanRunsOneAgingDevice(t *testing.T) {
 	}
 	if sres.Device != nil {
 		t.Fatal("a shard plan returned a device")
+	}
+}
+
+// TestAgingPlanMetersIntoFarmRegistry: an aging plan's device and its
+// units' collectors meter into Config.Telemetry, so the paper's own mode
+// exposes the device, fuzzer and analysis families a sharded run does, with
+// counts that agree with the result. At this scale com.motorola.omni's
+// campaign A reboots the watch, and campaign B runs on the aged device.
+func TestAgingPlanMetersIntoFarmRegistry(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	res, err := farm.Run(farm.Config{
+		Seed:      1,
+		Packages:  []string{"com.heartwatch.wear", "com.motorola.omni"},
+		Campaigns: []core.Campaign{core.CampaignA, core.CampaignB},
+		Gen:       experiments.QuickGen(3),
+		Aging:     farm.PaperAging(),
+		Telemetry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reboots() == 0 {
+		t.Fatal("the plan never rebooted the watch; the reboot counters check nothing")
+	}
+	snap := reg.Snapshot()
+	for _, name := range []string{"wearos_reboots_total", "analysis_reboots_total"} {
+		if got := snap.Counters[name]; got != uint64(res.Reboots()) {
+			t.Errorf("%s = %d, want res.Reboots() = %d", name, got, res.Reboots())
+		}
+	}
+	var injected uint64
+	for name, v := range snap.Counters {
+		if strings.HasPrefix(name, "qgj_intents_injected_total{") {
+			injected += v
+		}
+	}
+	if injected != uint64(res.Sent) {
+		t.Errorf("qgj_intents_injected_total sums to %d, want res.Sent = %d", injected, res.Sent)
+	}
+	if got := snap.Counters["farm_intents_total"]; got != uint64(res.Sent) {
+		t.Errorf("farm_intents_total = %d, want res.Sent = %d", got, res.Sent)
 	}
 }
 

@@ -76,8 +76,9 @@ type Config struct {
 	// gauges, per-campaign intent counters, shard/merge latency
 	// histograms). Each shard additionally runs its device with a private
 	// registry that is absorbed into this one when the shard completes, so
-	// the farm endpoint exposes device/fuzzer/binder metrics aggregated
-	// across every shard (an aging plan's device keeps its own instead).
+	// the farm endpoint exposes device/fuzzer/binder/analysis metrics
+	// aggregated across every shard. An aging plan's device meters into
+	// this registry directly, and Result.Device.Telemetry returns it.
 	Telemetry *telemetry.Registry
 	// Status, when non-nil, is the board Run schedules from (nil uses a
 	// private one): the live shard table (state, queue wait, boot source,
@@ -234,7 +235,7 @@ func buildFleet(kind apps.FleetKind, seed uint64) (*apps.Fleet, error) {
 
 // agingDeviceConfig returns the paper's device for the fleet kind, with its
 // own telemetry registry: the aging plan's device, before bootAging gives it
-// the plan's aging model.
+// the plan's aging model (and the plan's registry, if any).
 func agingDeviceConfig(kind apps.FleetKind) wearos.Config {
 	switch kind {
 	case apps.PhoneFleet, apps.LegacyPhoneFleet:
@@ -433,22 +434,22 @@ func (e *Executor) runShard(key ShardKey) (*ShardResult, error) {
 		return nil, err
 	}
 
-	// A per-shard metric registry rides next to the farm registry: the
-	// device/fuzzer/binder/logcat metrics land here and are absorbed into
-	// cfg.Telemetry when the shard completes, so the farm endpoint shows
-	// them aggregated across shards. The registry is attached post-boot
-	// because cloned devices share one immutable template Config. The aging
-	// device keeps its own registry for the whole run instead.
-	var shardReg *telemetry.Registry
+	// The unit's device/fuzzer/binder/logcat/analysis metrics land in
+	// unitReg. A shard gets a private registry, absorbed into cfg.Telemetry
+	// when the shard completes, so the farm endpoint shows them aggregated
+	// across shards; it is attached post-boot because cloned devices share
+	// one immutable template Config. bootAging attached cfg.Telemetry itself
+	// to the aging device, so aging units meter into it directly.
+	unitReg := cfg.Telemetry
 	if cfg.Telemetry != nil && cfg.Aging == nil {
-		shardReg = telemetry.NewRegistry()
-		dev.AttachTelemetry(shardReg)
+		unitReg = telemetry.NewRegistry()
+		dev.AttachTelemetry(unitReg)
 	}
 
 	// The unit's collectors share one sink, which decodes each line once.
 	// It is detached when the unit ends: a reset drops it anyway, but the
 	// aging device lives on into the next unit.
-	col := analysis.NewCollector().UseTelemetry(shardReg)
+	col := analysis.NewCollector().UseTelemetry(unitReg)
 	var tri *triage.Collector
 	if cfg.triages() {
 		tri = triage.NewCollector()
@@ -530,7 +531,9 @@ func (e *Executor) runShard(key ShardKey) (*ShardResult, error) {
 	}
 	if cfg.Telemetry != nil {
 		met.recorderEvents.Add(rec.Recorded())
-		cfg.Telemetry.Absorb(shardReg)
+		if cfg.Aging == nil {
+			cfg.Telemetry.Absorb(unitReg)
+		}
 	}
 	return sr, nil
 }

@@ -122,8 +122,9 @@ func (e *Executor) boot(pkgName string, met farmMetrics) (*apps.Fleet, *wearos.O
 
 // bootAging serves every unit of an aging plan from one device, booted on
 // the first unit with the plan's aging model and the whole fleet installed,
-// and never reset. It skips the boot templates, so the snapshot and persist
-// counters stay at zero.
+// and never reset. The plan's registry, when there is one, meters the device
+// from before the install on; otherwise the device keeps its own. It skips
+// the boot templates, so the snapshot and persist counters stay at zero.
 func (e *Executor) bootAging(pkgName string) (*manifest.Package, *wearos.OS, error) {
 	if e.dev == nil {
 		fleet, err := buildFleet(e.p.kind, e.p.cfg.Seed)
@@ -133,6 +134,9 @@ func (e *Executor) bootAging(pkgName string) (*manifest.Package, *wearos.OS, err
 		devCfg := agingDeviceConfig(e.p.kind)
 		devCfg.Aging = *e.p.cfg.Aging
 		dev := wearos.New(devCfg)
+		if reg := e.p.cfg.Telemetry; reg != nil {
+			dev.AttachTelemetry(reg)
+		}
 		if err := fleet.InstallInto(dev); err != nil {
 			return nil, nil, fmt.Errorf("farm: install fleet: %w", err)
 		}

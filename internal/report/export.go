@@ -28,9 +28,12 @@ type StudyExport struct {
 	Fig3a     map[string]int      `json:"fig3a"`
 	Fig4      map[string]float64  `json:"fig4CrashAppRate"`
 	Reboot    []string            `json:"rebootComponents"`
-	// Telemetry embeds the device's metric snapshot at export time, so a run
-	// artifact carries its own instrumentation (counters, gauges, histogram
-	// quantiles) next to the paper tables.
+	// Telemetry embeds an aging study's device registry snapshot at export
+	// time, so a run artifact carries its own instrumentation (counters,
+	// gauges, histogram quantiles) next to the paper tables. That registry
+	// is the farm.Config.Telemetry the study metered into when one was set
+	// (so it spans every study sharing it), else the device's own; shard
+	// plans have no device and export none.
 	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
 	// Triage lists deduplicated crash signatures (shard plans only; an
 	// aging study never triages).

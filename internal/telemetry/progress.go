@@ -95,37 +95,3 @@ func (p *Progress) Final(format string, args ...any) {
 	p.mu.Unlock()
 	fmt.Fprintf(p.w, format+"\n", args...)
 }
-
-// Watch starts a background goroutine printing line() to w every interval
-// until the returned stop function is called (which prints one last line).
-// line returning "" skips that tick. Used by cmd/qgj for the periodic
-// campaign heartbeat built from registry counters.
-func Watch(w io.Writer, every time.Duration, line func() string) (stop func()) {
-	if every <= 0 {
-		every = 2 * time.Second
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				if s := line(); s != "" {
-					fmt.Fprintln(w, s)
-				}
-			}
-		}
-	}()
-	return func() {
-		once.Do(func() {
-			close(done)
-			if s := line(); s != "" {
-				fmt.Fprintln(w, s)
-			}
-		})
-	}
-}

@@ -86,13 +86,3 @@ func TestProgressFinalDropsPending(t *testing.T) {
 		t.Fatalf("output = %q", got)
 	}
 }
-
-func TestWatchPrintsFinalLineOnStop(t *testing.T) {
-	var sb strings.Builder
-	stop := Watch(&sb, time.Hour, func() string { return "beat" })
-	stop()
-	stop() // idempotent
-	if got := sb.String(); got != "beat\n" {
-		t.Fatalf("output = %q", got)
-	}
-}

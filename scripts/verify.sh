@@ -66,7 +66,9 @@ go run ./cmd/report -quick 8 -ablations -only tab1 >/dev/null
 # Asserts the observability surface works end to end — registry
 # exposition, farm-wide status board, health probe — not just in httptest.
 # scrape_farm checks the background CLI $scrape_pid, which announces its
-# address on stderr in $scrape_log, then waits for it to exit.
+# address on stderr in $scrape_log, then waits for it to exit. /metrics
+# must serve farm_shards_total and every metric family named in the
+# arguments.
 scrape_farm() {
     addr=""
     for _ in $(seq 1 100); do
@@ -76,11 +78,13 @@ scrape_farm() {
     done
     [ -n "$addr" ] || { echo "verify: no metrics address announced" >&2; cat "$scrape_log" >&2; exit 1; }
     curl -fsS "http://$addr/healthz" | grep -q '^ok$'
-    for _ in $(seq 1 50); do
-        if curl -fsS "http://$addr/metrics" | grep -q '^farm_shards_total'; then break; fi
-        sleep 0.1
+    for family in farm_shards_total "$@"; do
+        for _ in $(seq 1 50); do
+            if curl -fsS "http://$addr/metrics" | grep -q "^$family"; then break; fi
+            sleep 0.1
+        done
+        curl -fsS "http://$addr/metrics" | grep -q "^$family"
     done
-    curl -fsS "http://$addr/metrics" | grep -q '^farm_shards_total'
     curl -fsS "http://$addr/farm" | grep -q '"shards"'
     wait "$scrape_pid"
     scrape_pid=""
@@ -92,12 +96,20 @@ go run ./cmd/qgj -app com.heartwatch.wear -all -quick 8 -progress 0 \
 scrape_pid=$!
 scrape_farm
 
-# The default path: cmd/report with no -workers runs the paper's aging
-# study, which is a farm plan too, so it feeds the same endpoints.
+# The default paths: with no -workers, qgj and report run the paper's
+# aging watch, which is a farm plan too, so they feed the same endpoints,
+# and the watch meters into the farm registry (device, fuzzer and
+# analysis families included).
+: > "$scrape_log"
+go run ./cmd/qgj -app com.heartwatch.wear -all -quick 8 \
+    -metrics-addr 127.0.0.1:0 -linger 3s >/dev/null 2>"$scrape_log" &
+scrape_pid=$!
+scrape_farm qgj_intents_injected_total wearos_reboots_total
+
 : > "$scrape_log"
 go run ./cmd/report -quick 8 -only tab3 -metrics-addr 127.0.0.1:0 -linger 3s >/dev/null 2>"$scrape_log" &
 scrape_pid=$!
-scrape_farm
+scrape_farm wearos_reboots_total
 
 # Distributed farm-service smoke: coordinator + networked workers over real
 # HTTP and real processes. A victim worker takes a lease and is SIGKILLed
