@@ -3,17 +3,20 @@
 //
 // Usage:
 //
-//	report [-seed N] [-quick K] [-only tab1,tab2,fig3a,...]
+//	report [-seed N] [-quick K] [-only tab1,tab2,fig3a,...] [-ui-events N]
 //
 // Artifacts: tab1 tab2 tab3 tab4 tab5 fig2 fig3a fig3b fig4 (default all).
 // -quick K scales the campaign volume down by ~K² for fast smoke runs; the
-// published numbers require the default full scale.
+// published numbers require the default full scale. `report -only tab5`
+// runs the QGJ-UI experiment (both mutation modes, -ui-events per mode)
+// and prints Table V; -json also exports each mode's system crashes.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -23,6 +26,9 @@ import (
 	"repro/internal/report"
 	"repro/internal/telemetry"
 )
+
+// artifacts are the names -only selects from.
+var artifacts = []string{"tab1", "tab2", "tab3", "tab4", "tab5", "fig2", "fig3a", "fig3b", "fig4"}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -51,6 +57,17 @@ func run(args []string) error {
 	if *resume && *checkpoint == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
+	want := map[string]bool{}
+	if *only != "" {
+		for _, a := range strings.Split(*only, ",") {
+			a = strings.TrimSpace(strings.ToLower(a))
+			if !slices.Contains(artifacts, a) {
+				return fmt.Errorf("-only: unknown artifact %q (valid: %s)", a, strings.Join(artifacts, ", "))
+			}
+			want[a] = true
+		}
+	}
+	sel := func(name string) bool { return len(want) == 0 || want[name] }
 
 	var prog *telemetry.Progress
 	if *progress {
@@ -75,14 +92,6 @@ func run(args []string) error {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "report: telemetry on http://%s/metrics\n", srv.Addr)
 	}
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, a := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToLower(a))] = true
-		}
-	}
-	sel := func(name string) bool { return len(want) == 0 || want[name] }
 
 	gen := core.GeneratorConfig{}
 	if *quick > 0 {

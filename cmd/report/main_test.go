@@ -80,6 +80,20 @@ func TestAblationsAgeWhateverTheWorkers(t *testing.T) {
 	}
 }
 
+// TestOnlyRejectsUnknownArtifacts: a misspelled -only name is an error that
+// lists the valid ones, not a run that prints nothing.
+func TestOnlyRejectsUnknownArtifacts(t *testing.T) {
+	err := run([]string{"-only", "tab5,tab6"})
+	if err == nil {
+		t.Fatal("-only tab6 succeeded")
+	}
+	for _, want := range []string{`"tab6"`, "tab1", "tab5", "fig3b", "fig4"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+}
+
 // runStdout runs the CLI with args and returns what it printed to stdout.
 func runStdout(t *testing.T, args ...string) string {
 	t.Helper()

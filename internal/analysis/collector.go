@@ -198,6 +198,9 @@ type Collector struct {
 	// denial and rejection lines come in runs per component, and comparing
 	// names that share their strings is cheaper than hashing them.
 	hot *ComponentReport
+	// exceptions counts as the report's exception tallies grow, so a caller
+	// can tell whether an event raised one without walking the report.
+	exceptions int
 
 	pidComp map[int]intent.ComponentName
 	// lastPID and lastComp mirror the pidComp entry the last delivery
@@ -287,6 +290,11 @@ func (c *Collector) syncManifest(cr *ComponentReport) {
 // not consume further entries while reading concurrently.
 func (c *Collector) Report() *Report { return c.report }
 
+// Exceptions returns how many exception observations the collector has
+// made: SecurityEvents plus every Rejected, Caught, CrashRoots and
+// ANRClasses count of every component.
+func (c *Collector) Exceptions() int { return c.exceptions }
+
 // ConsumeAll feeds a slice of entries (a pulled logcat dump) in order.
 func (c *Collector) ConsumeAll(entries []logcat.Entry) {
 	for _, e := range entries {
@@ -340,16 +348,19 @@ func (c *Collector) Observe(e *logcat.Entry, ev *logcat.Event) {
 		cr := c.component(ev.Comp)
 		cr.Security++
 		c.report.SecurityEvents++
+		c.exceptions++
 		c.securityTotal.Inc()
 		c.syncManifest(cr)
 	case logcat.EventRejection:
 		cr := c.component(ev.Comp)
 		cr.Rejected[ev.Class]++
+		c.exceptions++
 		c.syncManifest(cr)
 	case logcat.EventCaught:
 		if cn, ok := c.pidComp[ev.PID]; ok {
 			cr := c.component(cn)
 			cr.Caught[ev.Class]++
+			c.exceptions++
 			c.syncManifest(cr)
 		}
 	case logcat.EventANR:
@@ -373,6 +384,7 @@ func (c *Collector) Observe(e *logcat.Entry, ev *logcat.Event) {
 		root := javalang.Class(ev.Classes[len(ev.Classes)-1])
 		cr := c.component(cn)
 		cr.CrashRoots[root]++
+		c.exceptions++
 		c.report.CrashEvents++
 		c.crashTotal.Inc()
 		c.syncManifest(cr)
@@ -403,6 +415,7 @@ func (c *Collector) Observe(e *logcat.Entry, ev *logcat.Event) {
 		if mark, ok := c.lastANR[e.Tag]; ok && e.Time.Sub(mark.at) <= anrTraceWindow {
 			if class, _, ok := javalang.ParseHeader(ev.Text); ok {
 				c.component(mark.comp).ANRClasses[class]++
+				c.exceptions++
 			}
 		}
 	}

@@ -397,6 +397,29 @@ func TestFullUIStudyTableV(t *testing.T) {
 	if res.SemiValid.SystemCrashes != 0 || res.Random.SystemCrashes != 0 {
 		t.Error("UI fuzzing crashed the system; paper observed none")
 	}
+	// Seed 1 exactly, as EXPERIMENTS.md reports it.
+	pinTableV(t, rows, [2][4]int{{41405, 1574, 24, 0}, {41405, 644, 0, 0}})
+}
+
+// TestUIStudyPinned runs the UI study at a small scale, so -short covers
+// it too, and pins seed 1's Table V.
+func TestUIStudyPinned(t *testing.T) {
+	res, err := RunUIStudy(UIOptions{Seed: 1, Events: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinTableV(t, TableV(res), [2][4]int{{2000, 83, 3, 0}, {2000, 27, 0, 0}})
+}
+
+// pinTableV checks the semi-valid and random rows' injected events,
+// exceptions, crashes and system crashes.
+func pinTableV(t *testing.T, rows []TableVRow, want [2][4]int) {
+	t.Helper()
+	for i, r := range rows {
+		if got := [4]int{r.InjectedEvents, r.Exceptions, r.Crashes, r.SystemCrashes}; got != want[i] {
+			t.Errorf("%s: injected/exceptions/crashes/system = %v, want %v", r.Experiment, got, want[i])
+		}
+	}
 }
 
 func TestStudyDeterminism(t *testing.T) {

@@ -19,31 +19,25 @@ type UIResult struct {
 	Random    uifuzz.Outcome
 }
 
-// RunUIStudy executes the QGJ-UI experiment on a fresh Android Watch
-// emulator carrying the built-in apps plus the top-20 third-party apps,
-// once per mutation mode (Section III-E).
+// RunUIStudy executes the QGJ-UI experiment once per mutation mode
+// (Section III-E), each on a fresh Android Watch emulator carrying the
+// built-in apps plus the top-20 third-party apps: a fresh one per mode
+// keeps runs independent and repeatable, the paper's stated reason for
+// using the emulator at all.
 func RunUIStudy(opts UIOptions) (*UIResult, error) {
 	res := &UIResult{}
-	var err error
-	if res.SemiValid, err = RunUIMode(opts, uifuzz.SemiValid); err != nil {
-		return nil, err
-	}
-	if res.Random, err = RunUIMode(opts, uifuzz.Random); err != nil {
-		return nil, err
+	for _, m := range []struct {
+		mode uifuzz.Mode
+		out  *uifuzz.Outcome
+	}{{uifuzz.SemiValid, &res.SemiValid}, {uifuzz.Random, &res.Random}} {
+		fleet := apps.BuildEmulatorFleet(opts.Seed)
+		dev := wearos.New(wearos.DefaultEmulatorConfig())
+		if err := fleet.InstallInto(dev); err != nil {
+			return nil, err
+		}
+		*m.out = uifuzz.New(dev).Run(m.mode, uifuzz.Config{Seed: opts.Seed, Events: opts.Events})
 	}
 	return res, nil
-}
-
-// RunUIMode runs one mutation mode of the QGJ-UI experiment on a fresh
-// emulator: a fresh one per mode keeps runs independent and repeatable,
-// the paper's stated reason for using the emulator at all.
-func RunUIMode(opts UIOptions, mode uifuzz.Mode) (uifuzz.Outcome, error) {
-	fleet := apps.BuildEmulatorFleet(opts.Seed)
-	dev := wearos.New(wearos.DefaultEmulatorConfig())
-	if err := fleet.InstallInto(dev); err != nil {
-		return uifuzz.Outcome{}, err
-	}
-	return uifuzz.New(dev).Run(mode, uifuzz.Config{Seed: opts.Seed, Events: opts.Events}), nil
 }
 
 // TableVRow is one row of Table V.
@@ -54,6 +48,7 @@ type TableVRow struct {
 	ExceptionRate  float64
 	Crashes        int
 	CrashRate      float64
+	SystemCrashes  int
 }
 
 // TableV renders the study as Table V's rows.
@@ -66,6 +61,7 @@ func TableV(res *UIResult) []TableVRow {
 			ExceptionRate:  o.ExceptionRate(),
 			Crashes:        o.Crashes,
 			CrashRate:      o.CrashRate(),
+			SystemCrashes:  o.SystemCrashes,
 		}
 	}
 	return []TableVRow{row(res.SemiValid), row(res.Random)}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/farm"
 	"repro/internal/telemetry"
-	"repro/internal/uifuzz"
 )
 
 // JSON export of the study artifacts, for downstream tooling (plotting,
@@ -240,31 +239,24 @@ type UIExport struct {
 	Rows []UIExportRow `json:"rows"`
 }
 
-// UIExportRow is one Table V row.
+// UIExportRow is one Table V row: an experiments.TableVRow with JSON names.
 type UIExportRow struct {
-	Experiment    string  `json:"experiment"`
-	Injected      int     `json:"injectedEvents"`
-	Exceptions    int     `json:"exceptionsRaised"`
-	ExceptionRate float64 `json:"exceptionRate"`
-	Crashes       int     `json:"crashes"`
-	CrashRate     float64 `json:"crashRate"`
-	SystemCrashes int     `json:"systemCrashes"`
+	Experiment     string  `json:"experiment"`
+	InjectedEvents int     `json:"injectedEvents"`
+	Exceptions     int     `json:"exceptionsRaised"`
+	ExceptionRate  float64 `json:"exceptionRate"`
+	Crashes        int     `json:"crashes"`
+	CrashRate      float64 `json:"crashRate"`
+	SystemCrashes  int     `json:"systemCrashes"`
 }
 
 // ExportUI converts a UI study into its export form.
 func ExportUI(res *experiments.UIResult) UIExport {
-	row := func(o uifuzz.Outcome) UIExportRow {
-		return UIExportRow{
-			Experiment:    o.Mode.String(),
-			Injected:      o.Injected,
-			Exceptions:    o.ExceptionsRaised,
-			ExceptionRate: o.ExceptionRate(),
-			Crashes:       o.Crashes,
-			CrashRate:     o.CrashRate(),
-			SystemCrashes: o.SystemCrashes,
-		}
+	var exp UIExport
+	for _, r := range experiments.TableV(res) {
+		exp.Rows = append(exp.Rows, UIExportRow(r))
 	}
-	return UIExport{Rows: []UIExportRow{row(res.SemiValid), row(res.Random)}}
+	return exp
 }
 
 // WriteJSON streams v as indented JSON.

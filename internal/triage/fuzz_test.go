@@ -254,7 +254,8 @@ func recordKey(c *Crash) string {
 // attributed crash the analysis counts is a triage crash record, and a
 // pulled dump of the script's log yields the same triage records and the
 // same analysis report as the live entries, and so does the shared
-// single-decoder sink.
+// single-decoder sink. On every leg the analysis's running exception count
+// equals a walk of its report.
 func FuzzCollector(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -334,7 +335,7 @@ func FuzzCollector(f *testing.F) {
 
 // sameCollectors fails unless the triage records and the analysis report
 // of a run of the script (named by how it fed the collectors) equal those
-// of the live run.
+// of the live run, and both runs' exception counts match their reports.
 func sameCollectors(t *testing.T, how string, c *Collector, a *analysis.Collector, liveC *Collector, liveA *analysis.Collector) {
 	t.Helper()
 	got, want := c.Crashes(), liveC.Crashes()
@@ -349,4 +350,34 @@ func sameCollectors(t *testing.T, how string, c *Collector, a *analysis.Collecto
 	if !reflect.DeepEqual(a.Report(), liveA.Report()) {
 		t.Fatalf("%s analysis differs:\n %s: %+v\n live: %+v", how, how, a.Report(), liveA.Report())
 	}
+	for _, leg := range []struct {
+		how string
+		a   *analysis.Collector
+	}{{"live", liveA}, {how, a}} {
+		if got, want := leg.a.Exceptions(), countExceptions(leg.a.Report()); got != want {
+			t.Fatalf("%s analysis counted %d exceptions, its report holds %d", leg.how, got, want)
+		}
+	}
+}
+
+// countExceptions totals every exception observation in the report
+// (security, rejected, caught, crash roots, ANR traces) by walking it: the
+// reference for the collector's running Exceptions count.
+func countExceptions(r *analysis.Report) int {
+	n := r.SecurityEvents
+	for _, cr := range r.Components {
+		for _, c := range cr.Rejected {
+			n += c
+		}
+		for _, c := range cr.Caught {
+			n += c
+		}
+		for _, c := range cr.CrashRoots {
+			n += c
+		}
+		for _, c := range cr.ANRClasses {
+			n += c
+		}
+	}
+	return n
 }

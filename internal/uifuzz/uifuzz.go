@@ -48,8 +48,6 @@ type Config struct {
 	// Events is the number of injected (mutated) events; the paper ran
 	// 41,405 per mode.
 	Events int
-	// IntentRatio forwards to the Monkey generator.
-	IntentRatio float64
 }
 
 // PaperEventCount is Table V's per-mode event volume.
@@ -113,11 +111,7 @@ func (f *Fuzzer) Run(mode Mode, cfg Config) Outcome {
 	}
 
 	// Step 5: run Monkey to produce the baseline event stream and log.
-	gen := monkey.NewGenerator(f.dev, monkey.Config{
-		Seed:        cfg.Seed,
-		Events:      cfg.Events,
-		IntentRatio: cfg.IntentRatio,
-	})
+	gen := monkey.NewGenerator(f.dev, monkey.Config{Seed: cfg.Seed, Events: cfg.Events})
 	log := monkey.RenderLog(gen.Generate())
 
 	// Step 6: parse the Monkey log back into events.
@@ -127,55 +121,34 @@ func (f *Fuzzer) Run(mode Mode, cfg Config) Outcome {
 	mut := newMutator(mode, cfg.Seed, events)
 	col := analysis.NewCollector().UseTelemetry(tel)
 	f.dev.Logcat().Subscribe(col.Sink())
+	defer f.dev.Logcat().Unsubscribe(col.Sink())
 
-	out := Outcome{Mode: mode}
+	out := Outcome{Mode: mode, Report: col.Report()}
 	for _, ev := range events {
 		mutated := mut.mutate(ev)
-		crashesBefore := col.Report().CrashEvents
-		exceptionsBefore := countExceptions(col.Report())
-		rebootsBefore := len(col.Report().RebootTimes)
+		crashesBefore := out.Report.CrashEvents
+		exceptionsBefore := col.Exceptions()
+		rebootsBefore := len(out.Report.RebootTimes)
 
 		f.replay(mutated)
 		out.Injected++
 		evTotal.Inc()
 
-		if col.Report().CrashEvents > crashesBefore {
+		if out.Report.CrashEvents > crashesBefore {
 			out.Crashes++
 			crashTotal.Inc()
 		}
-		if countExceptions(col.Report()) > exceptionsBefore {
+		if col.Exceptions() > exceptionsBefore {
 			out.ExceptionsRaised++
 			excTotal.Inc()
 		}
-		if len(col.Report().RebootTimes) > rebootsBefore {
+		if len(out.Report.RebootTimes) > rebootsBefore {
 			out.SystemCrashes++
 		}
 		// Light pacing: Monkey throttles between events.
 		f.dev.Clock().Advance(10 * time.Millisecond)
 	}
-	out.Report = col.Report()
 	return out
-}
-
-// countExceptions totals every exception observation in the report
-// (rejected, caught, crash roots, ANR traces, security).
-func countExceptions(r *analysis.Report) int {
-	n := r.SecurityEvents
-	for _, cr := range r.Components {
-		for _, c := range cr.Rejected {
-			n += c
-		}
-		for _, c := range cr.Caught {
-			n += c
-		}
-		for _, c := range cr.CrashRoots {
-			n += c
-		}
-		for _, c := range cr.ANRClasses {
-			n += c
-		}
-	}
-	return n
 }
 
 // replay sends one (mutated) event through the adb utilities.

@@ -68,6 +68,18 @@ func TestOutcomesAreDeterministic(t *testing.T) {
 	}
 }
 
+// TestOutcomeReportIsFinal: a run detaches its collector, so a later run
+// on the same device leaves the earlier outcome's report as it was.
+func TestOutcomeReportIsFinal(t *testing.T) {
+	f := New(newEmulator(t))
+	sv := f.Run(SemiValid, Config{Seed: 4, Events: 500})
+	entries := sv.Report.Entries
+	f.Run(Random, Config{Seed: 4, Events: 500})
+	if sv.Report.Entries != entries {
+		t.Fatalf("semi-valid report grew from %d to %d entries during the random run", entries, sv.Report.Entries)
+	}
+}
+
 func TestMutatorSemiValidUsesObservedValues(t *testing.T) {
 	events := []monkey.Event{
 		{Type: monkey.AppSwitch, Args: []string{"(to launcher)"},

@@ -61,6 +61,10 @@ go run ./cmd/qgj -app com.heartwatch.wear -all -quick 8 -progress 0 \
 # unit tests that run them at full scale are skipped under -short.
 go run ./cmd/report -quick 8 -ablations -only tab1 >/dev/null
 
+# UI-study smoke: both QGJ-UI mutation modes (Table V) through cmd/report
+# at a small event volume.
+go run ./cmd/report -only tab5 -ui-events 2000 >/dev/null
+
 # Live-scrape smoke: a lingering run serves /metrics, /farm, and /healthz
 # on an ephemeral port; curl each while (or just after) the farm runs.
 # Asserts the observability surface works end to end — registry
