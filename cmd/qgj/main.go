@@ -202,10 +202,9 @@ func runFarm(cfg farm.Config, metricsAddr string, linger, progressEvery time.Dur
 	prog.Flush()
 	if prog != nil && cfg.Aging == nil {
 		snap := cfg.Telemetry.Snapshot()
-		hits := snap.Counters["farm_snapshot_hits_total"]
-		misses := snap.Counters["farm_snapshot_misses_total"]
-		line := fmt.Sprintf("qgj: snapshot hits=%d misses=%d", hits, misses)
-		if clone := snap.Histograms["farm_clone_seconds"]; clone.Count > 0 {
+		clone := snap.Histograms["farm_clone_seconds"]
+		line := fmt.Sprintf("qgj: boot clones=%d", clone.Count)
+		if clone.Count > 0 {
 			line += fmt.Sprintf(" clone-avg=%s",
 				time.Duration(clone.Sum/float64(clone.Count)*float64(time.Second)).Round(time.Microsecond))
 		}

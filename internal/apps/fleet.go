@@ -279,6 +279,13 @@ func NewFleetTemplate(kind FleetKind, seed uint64) (*FleetTemplate, error) {
 // Kind returns the template's fleet kind.
 func (t *FleetTemplate) Kind() FleetKind { return t.kind }
 
+// Metadata returns the population as a fleet without behaviour: the
+// template's packages, kind and seed. It installs no handlers, but carries
+// everything the population tables read (Stats, categories, origins).
+func (t *FleetTemplate) Metadata() *Fleet {
+	return &Fleet{Kind: t.kind, Seed: t.seed, Packages: t.packages}
+}
+
 // Instantiate returns a fleet sharing the template's packages with
 // behaviour sampled for just the named package — bit-identical to
 // BuildFleetPackage(t.kind, t.seed, pkg). Safe to call concurrently.

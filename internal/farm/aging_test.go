@@ -18,8 +18,8 @@ func agingConfig() farm.Config {
 
 // TestAgingPlanRunsOneAgingDevice: an aging plan dispatches in plan order
 // on one device that is never reset, hands that device back, never
-// triages (agingConfig leaves DisableTriage unset), and leaves the snapshot
-// and persist counters (which describe resets and clones) untouched.
+// triages (agingConfig leaves DisableTriage unset), and leaves the persist
+// counters (which describe resets and clones) untouched.
 func TestAgingPlanRunsOneAgingDevice(t *testing.T) {
 	cfg := agingConfig()
 	p, err := farm.NewPlan(cfg)
@@ -57,7 +57,7 @@ func TestAgingPlanRunsOneAgingDevice(t *testing.T) {
 		t.Fatalf("farm_shards_done_total = %d, want %d", got, res.Shards)
 	}
 	for name, v := range snap.Counters {
-		if v != 0 && (strings.HasPrefix(name, "farm_persist_") || strings.HasPrefix(name, "farm_snapshot_")) {
+		if v != 0 && strings.HasPrefix(name, "farm_persist_") {
 			t.Errorf("%s = %d on an aging run, want 0", name, v)
 		}
 	}

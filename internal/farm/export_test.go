@@ -12,8 +12,8 @@ const BootFresh = "fresh-boot"
 
 // UseFreshBoot switches every executor in the test binary onto the
 // fresh-boot oracle: each unit boots a new device and builds its package's
-// fleet from scratch, sharing nothing with the boot caches, the hot device
-// or any earlier unit. It records no boot telemetry. The returned func
+// fleet from scratch, sharing nothing with the plan's templates, the hot
+// device or any earlier unit. It records no boot telemetry. The returned func
 // switches the oracle off again; t.Cleanup does too, so a failing test
 // cannot leak it into the next one.
 func UseFreshBoot(t testing.TB) (off func()) {

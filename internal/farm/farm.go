@@ -178,8 +178,6 @@ type farmMetrics struct {
 	mergeSeconds   *telemetry.Histogram
 	crashesRaw     *telemetry.Gauge
 	crashBuckets   *telemetry.Gauge
-	snapHits       *telemetry.Counter
-	snapMisses     *telemetry.Counter
 	cloneSeconds   *telemetry.Histogram
 	queueWait      *telemetry.Histogram
 	recorderEvents *telemetry.Counter
@@ -204,8 +202,6 @@ func newFarmMetrics(reg *telemetry.Registry) farmMetrics {
 		mergeSeconds:   reg.Histogram("farm_merge_seconds", telemetry.DefLatencyBuckets),
 		crashesRaw:     reg.Gauge("farm_crashes_raw"),
 		crashBuckets:   reg.Gauge("farm_crash_buckets"),
-		snapHits:       reg.Counter("farm_snapshot_hits_total"),
-		snapMisses:     reg.Counter("farm_snapshot_misses_total"),
 		cloneSeconds:   reg.Histogram("farm_clone_seconds", telemetry.DefLatencyBuckets),
 		queueWait:      reg.Histogram("farm_shard_queue_wait_seconds", telemetry.DefLatencyBuckets),
 		recorderEvents: reg.Counter("farm_recorder_events_total"),
@@ -214,22 +210,6 @@ func newFarmMetrics(reg *telemetry.Registry) farmMetrics {
 		persistRetires:   reg.Counter("farm_persist_retires_total"),
 		persistFallbacks: reg.Counter("farm_persist_fallbacks_total"),
 		resetSeconds:     reg.Histogram("farm_reset_seconds", telemetry.DefLatencyBuckets),
-	}
-}
-
-// buildFleet materializes the canonical population for the given kind: the
-// plan's target list and merge metadata. Shards never share it — each
-// executor instantiates its own behaviour state from the fleet template.
-func buildFleet(kind apps.FleetKind, seed uint64) (*apps.Fleet, error) {
-	switch kind {
-	case apps.WearFleet, 0:
-		return apps.BuildWearFleet(seed), nil
-	case apps.PhoneFleet:
-		return apps.BuildPhoneFleet(seed), nil
-	case apps.LegacyPhoneFleet:
-		return apps.BuildLegacyPhoneFleet(seed), nil
-	default:
-		return nil, fmt.Errorf("farm: unsupported fleet kind %s (intent campaigns only)", kind)
 	}
 }
 
@@ -275,19 +255,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	board.Track(p, workers)
 	if cfg.Telemetry != nil && cfg.Status != nil {
-		// Derived live-status gauges refresh at scrape time from the board
-		// rather than riding the shard hot path.
-		pendingG := cfg.Telemetry.Gauge("farm_shards_pending")
-		runningG := cfg.Telemetry.Gauge("farm_shards_running")
-		etaG := cfg.Telemetry.Gauge("farm_eta_seconds")
-		rateG := cfg.Telemetry.Gauge("farm_intents_per_second")
-		cfg.Telemetry.OnCollect(func() {
-			s := board.Tally()
-			pendingG.Set(float64(s.Pending))
-			runningG.Set(float64(s.Running))
-			etaG.Set(s.ETASeconds)
-			rateG.Set(s.IntentsPerSecond)
-		})
+		board.meterInto(cfg.Telemetry)
 	}
 
 	resumed := 0
@@ -561,7 +529,7 @@ func (p *Plan) triageCrashes(results []*ShardResult) *triage.Result {
 // minimize reduces the bucket's exemplar intent while the same stack
 // bucket keeps reproducing on an oracle device. Oracle boots go through
 // the executor with a zero-value farmMetrics so triage does not pollute the
-// shard-level hit/clone/persist telemetry.
+// shard-level clone/persist telemetry.
 func (e *Executor) minimize(b *triage.Bucket) {
 	// Only exception-style failures minimize: a fault verdict is caused by
 	// the injected fault window, not the intent in flight, so shrinking that

@@ -439,6 +439,42 @@ func TestStatusBoardTracksRun(t *testing.T) {
 	}
 }
 
+// TestStatusGaugesRegisterOnce: runs that share a board and a registry
+// refresh the derived status gauges from the one collect hook the first run
+// registered, which follows the board into each later run. A hook the test
+// registers after the first run writes farm_eta_seconds last on every
+// scrape, so a later run that added a hook of its own would overwrite it.
+func TestStatusGaugesRegisterOnce(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cfg := farm.Config{
+		Seed:      1,
+		Campaigns: []core.Campaign{core.CampaignA},
+		Packages:  testPackages,
+		Gen:       testGen(),
+		Sharding:  core.Sharding{Workers: 1},
+		Telemetry: reg,
+		Status:    farm.NewStatusBoard(),
+	}
+	if _, err := farm.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	const sentinel = -1
+	reg.OnCollect(func() { reg.Gauge("farm_eta_seconds").Set(sentinel) })
+	for run := 2; run <= 4; run++ {
+		cfg.Progress = func(done, total int, _ farm.ShardKey, _ int) {
+			if got := reg.Snapshot().Gauges["farm_shards_pending"]; got != float64(total-done) {
+				t.Errorf("run %d at %d/%d shards: farm_shards_pending = %v, want %d", run, done, total, got, total-done)
+			}
+		}
+		if _, err := farm.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := reg.Snapshot().Gauges["farm_eta_seconds"]; got != sentinel {
+		t.Fatalf("farm_eta_seconds = %v after 4 runs, want the sentinel %v: a later run registered another status hook", got, sentinel)
+	}
+}
+
 // TestStatusHandlerCampaignFilter: /farm?campaign=<letter> narrows the
 // board to one campaign's shards with recomputed tallies, and a letter
 // outside the plan answers 404 with a JSON error body.

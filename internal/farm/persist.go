@@ -3,8 +3,8 @@
 // resets it in place between the shards it runs (wearos.OS.ResetTo), and
 // keeps its instantiated fleets and rewinds their behaviour draw streams
 // instead of resampling (apps.FleetTemplate.Reset). It clones a device from
-// the boot snapshot (snapshot.go) only on a cold start or after retiring
-// one.
+// the plan's boot snapshot (remote.go) only on a cold start or after
+// retiring one.
 //
 // Correctness never depends on reuse. Every reset is validated against the
 // template's captured state hash; a device that crashed its way into a
@@ -43,16 +43,14 @@ const (
 var freshBoot func(kind apps.FleetKind, seed uint64, pkg string) (*apps.Fleet, *wearos.OS, string, error)
 
 // Executor is a persistent shard runner bound to one plan: a hot device
-// reset in place between the shards it runs, the template it was cut from,
-// and the per-package fleets already instantiated. farm.Run gives one to
-// each pool goroutine; a service worker keeps one for the campaign it is
+// reset in place between the shards it runs, and the per-package fleets
+// already instantiated from the plan's template. farm.Run gives one to each
+// pool goroutine; a service worker keeps one for the campaign it is
 // serving. Not safe for concurrent use — one Executor per executing
 // goroutine, like one device per worker.
 type Executor struct {
-	p    *Plan
-	dev  *wearos.OS
-	snap *wearos.Snapshot // template dev was cloned from; nil if dev is nil or aging
-	tmpl *apps.FleetTemplate
+	p   *Plan
+	dev *wearos.OS
 	// fleets caches instantiated fleets by package name. The shard plan is
 	// campaign-major, so every package comes around once per campaign; the
 	// cache turns the 2nd..Nth visits into a draw-stream rewind.
@@ -76,105 +74,83 @@ func (e *Executor) ExecuteShard(idx int) (*ShardResult, error) {
 }
 
 // boot produces the per-shard (fleet, device) pair: the hot device reset to
-// the boot snapshot (or a fresh clone of it) with the package installed
-// and its handlers registered, and the package's fleet rewound to its
-// freshly instantiated state. met records the cache outcome (a hit needs
-// both the fleet template and the device snapshot cached) and the
-// reuse/clone outcome; source names the path for the status board.
+// the plan's boot snapshot (or a fresh clone of it) with the package
+// installed and its handlers registered, and the package's fleet rewound to
+// its freshly instantiated state. met records the reuse/clone outcome;
+// source names the path for the status board.
 func (e *Executor) boot(pkgName string, met farmMetrics) (*apps.Fleet, *wearos.OS, string, error) {
-	kind, seed := e.p.kind, e.p.cfg.Seed
 	if freshBoot != nil {
-		return freshBoot(kind, seed, pkgName)
+		return freshBoot(e.p.tmpl.Kind(), e.p.cfg.Seed, pkgName)
 	}
-	tmpl, fleetHit, err := bootCache.fleetTemplate(kind, seed)
+	fleet, err := e.fleet(pkgName)
 	if err != nil {
 		return nil, nil, "", err
 	}
-	snap, devHit, err := bootCache.deviceSnapshot(deviceConfig(kind))
-	if err != nil {
-		return nil, nil, "", err
-	}
-	if fleetHit && devHit {
-		met.snapHits.Inc()
-	} else {
-		met.snapMisses.Inc()
-	}
-
-	fleet := e.fleet(tmpl, pkgName)
-	if fleet == nil {
-		if fleet, err = tmpl.Instantiate(pkgName); err != nil {
-			return nil, nil, "", err
-		}
-		e.tmpl = tmpl
-		e.fleets[pkgName] = fleet
-	}
-
-	dev, source := e.device(snap, met)
+	dev, source := e.device(met)
 	if _, err := fleet.InstallPackageInto(dev, pkgName); err != nil {
 		// The hot device now has a half-installed package on it; retire it
 		// so the next unit starts from a clean clone.
-		e.dev, e.snap = nil, nil
+		e.dev = nil
 		return nil, nil, "", err
 	}
-	e.dev, e.snap = dev, snap
+	e.dev = dev
 	return fleet, dev, source, nil
 }
 
 // bootAging serves every unit of an aging plan from one device, booted on
-// the first unit with the plan's aging model and the whole fleet installed,
-// and never reset. The plan's registry, when there is one, meters the device
-// from before the install on; otherwise the device keeps its own. It skips
-// the boot templates, so the snapshot and persist counters stay at zero.
+// the first unit with the plan's aging model and every package of the
+// plan's template installed in fleet order, and never reset. The plan's
+// registry, when there is one, meters the device from before the install
+// on; otherwise the device keeps its own. It skips the boot snapshot, so
+// the persist counters stay at zero.
 func (e *Executor) bootAging(pkgName string) (*manifest.Package, *wearos.OS, error) {
 	if e.dev == nil {
-		fleet, err := buildFleet(e.p.kind, e.p.cfg.Seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		devCfg := agingDeviceConfig(e.p.kind)
+		tmpl := e.p.tmpl
+		devCfg := agingDeviceConfig(tmpl.Kind())
 		devCfg.Aging = *e.p.cfg.Aging
 		dev := wearos.New(devCfg)
 		if reg := e.p.cfg.Telemetry; reg != nil {
 			dev.AttachTelemetry(reg)
 		}
-		if err := fleet.InstallInto(dev); err != nil {
-			return nil, nil, fmt.Errorf("farm: install fleet: %w", err)
+		for _, p := range e.p.fleet.Packages {
+			fleet, err := tmpl.Instantiate(p.Name)
+			if err == nil {
+				_, err = fleet.InstallPackageInto(dev, p.Name)
+			}
+			if err != nil {
+				return nil, nil, fmt.Errorf("farm: install fleet: %w", err)
+			}
 		}
 		e.dev = dev
 	}
 	return e.dev.Registry().Package(pkgName), e.dev, nil
 }
 
-// fleet returns the cached fleet for pkg rewound to its freshly
-// instantiated state, or nil when the cache cannot serve it (template
-// changed, or the rewind failed its sanity checks).
-func (e *Executor) fleet(tmpl *apps.FleetTemplate, pkg string) *apps.Fleet {
-	if e.tmpl != tmpl {
-		// Different template (the process-wide cache evicted and rebuilt
-		// it): every cached fleet is stale.
-		clear(e.fleets)
-		return nil
+// fleet returns pkg's fleet rewound to its freshly instantiated state,
+// instantiating it from the plan's template on first use or when the rewind
+// fails its sanity checks.
+func (e *Executor) fleet(pkg string) (*apps.Fleet, error) {
+	if f := e.fleets[pkg]; f != nil && e.p.tmpl.Reset(f, pkg) {
+		return f, nil
 	}
-	f := e.fleets[pkg]
-	if f == nil {
-		return nil
+	f, err := e.p.tmpl.Instantiate(pkg)
+	if err != nil {
+		return nil, err
 	}
-	if !tmpl.Reset(f, pkg) {
-		delete(e.fleets, pkg)
-		return nil
-	}
-	return f
+	e.fleets[pkg] = f
+	return f, nil
 }
 
-// device returns the executor's hot device reset to snap, or a fresh clone
-// when there is no reusable device. The persist counters record the
-// outcome: a reuse, or a retirement (reset attempted and failed) followed
-// by a fallback clone, which adopts the retired device's grown logcat ring.
-// A cold start (no device yet, or the template changed) counts as a
-// fallback but not a retirement, and clones a new ring.
-func (e *Executor) device(snap *wearos.Snapshot, met farmMetrics) (*wearos.OS, string) {
+// device returns the executor's hot device reset to the plan's snapshot,
+// or a fresh clone when there is no reusable device. The persist counters
+// record the outcome: a reuse, or a retirement (reset attempted and failed)
+// followed by a fallback clone, which adopts the retired device's grown
+// logcat ring. A cold start counts as a fallback but not a retirement, and
+// clones a new ring.
+func (e *Executor) device(met farmMetrics) (*wearos.OS, string) {
+	snap := e.p.snap
 	var retired *wearos.OS
-	if e.dev != nil && e.snap == snap {
+	if e.dev != nil {
 		start := time.Now()
 		ok := e.dev.ResetTo(snap)
 		met.resetSeconds.Observe(time.Since(start).Seconds())

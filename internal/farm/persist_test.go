@@ -3,59 +3,9 @@ package farm
 import (
 	"testing"
 
-	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/javalang"
 )
-
-// TestSnapshotCacheEvictsOneEntry is the cache-overflow regression test:
-// hitting cacheLimit must evict a single resident entry, never drop the
-// whole map. The old behaviour (nil the map on overflow) left exactly one
-// entry after the overflowing insert; single-entry eviction keeps the map
-// full.
-func TestSnapshotCacheEvictsOneEntry(t *testing.T) {
-	var c snapshotCache
-
-	base := deviceConfig(apps.WearFleet)
-	for i := 0; i < cacheLimit+3; i++ {
-		cfg := base
-		cfg.LogCapacity = 1000 + i
-		if _, hit, err := c.deviceSnapshot(cfg); err != nil {
-			t.Fatal(err)
-		} else if hit {
-			t.Fatalf("insert %d reported a hit", i)
-		}
-		if len(c.devs) > cacheLimit {
-			t.Fatalf("device cache grew to %d entries (limit %d)", len(c.devs), cacheLimit)
-		}
-		if _, hit, err := c.deviceSnapshot(cfg); err != nil || !hit {
-			t.Fatalf("entry %d not retained after its own insert (hit=%v err=%v)", i, hit, err)
-		}
-	}
-	if len(c.devs) != cacheLimit {
-		t.Fatalf("device cache has %d entries after overflow, want %d (single-entry eviction)",
-			len(c.devs), cacheLimit)
-	}
-
-	for i := 0; i < cacheLimit+3; i++ {
-		seed := uint64(1000 + i)
-		if _, hit, err := c.fleetTemplate(apps.WearFleet, seed); err != nil {
-			t.Fatal(err)
-		} else if hit {
-			t.Fatalf("insert %d reported a hit", i)
-		}
-		if len(c.fleets) > cacheLimit {
-			t.Fatalf("fleet cache grew to %d entries (limit %d)", len(c.fleets), cacheLimit)
-		}
-		if _, hit, err := c.fleetTemplate(apps.WearFleet, seed); err != nil || !hit {
-			t.Fatalf("entry %d not retained after its own insert (hit=%v err=%v)", i, hit, err)
-		}
-	}
-	if len(c.fleets) != cacheLimit {
-		t.Fatalf("fleet cache has %d entries after overflow, want %d (single-entry eviction)",
-			len(c.fleets), cacheLimit)
-	}
-}
 
 // TestUnitExecutorReusesHotDevice pins the persistent executor's lifecycle
 // against a real boot sequence: clone on cold start, reuse (same device,

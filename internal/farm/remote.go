@@ -30,15 +30,26 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/wearos"
 )
 
 // Plan is the canonical shard plan for a Config: the work-queue contents a
 // coordinator serves and the execution recipe a worker follows. Plans are
 // immutable after NewPlan; the same Config always yields the same plan and
 // the same Fingerprint.
+//
+// A plan owns the run's boot templates, forkserver style: the population
+// (tmpl), from which executors (persist.go) instantiate one package's
+// behaviour per shard, and the booted device (snap), from which they clone
+// or reset shard devices. Clones are observably identical to fresh boots
+// (the snapshot determinism contract). Both are immutable, so every
+// executor of the plan shares them.
 type Plan struct {
-	cfg   Config
-	kind  apps.FleetKind
+	cfg  Config
+	tmpl *apps.FleetTemplate
+	snap *wearos.Snapshot
+	// fleet is tmpl's metadata view: the targets, Result.Fleet and the
+	// triage oracle's component lookups.
 	fleet *apps.Fleet
 	met   farmMetrics
 	// campaigns is the normalized campaign list (Config.Campaigns or all
@@ -56,9 +67,9 @@ type Plan struct {
 	order []int
 }
 
-// NewPlan normalizes cfg and builds the canonical shard plan: fleet
-// construction, target selection, campaign-major shard enumeration, the
-// LPT dispatch order, and fingerprinting.
+// NewPlan normalizes cfg and builds the canonical shard plan: the boot
+// templates, target selection, campaign-major shard enumeration, the LPT
+// dispatch order, and fingerprinting.
 func NewPlan(cfg Config) (*Plan, error) {
 	campaigns := cfg.Campaigns
 	if len(campaigns) == 0 {
@@ -85,10 +96,15 @@ func NewPlan(cfg Config) (*Plan, error) {
 	if kind == 0 {
 		kind = apps.WearFleet
 	}
-	fleet, err := buildFleet(kind, cfg.Seed)
+	tmpl, err := apps.NewFleetTemplate(kind, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
+	snap, err := wearos.BootSnapshot(deviceConfig(kind))
+	if err != nil {
+		return nil, err
+	}
+	fleet := tmpl.Metadata()
 	targets, err := selectTargets(fleet, cfg.Packages)
 	if err != nil {
 		return nil, err
@@ -119,7 +135,8 @@ func NewPlan(cfg Config) (*Plan, error) {
 	}
 	return &Plan{
 		cfg:         cfg,
-		kind:        kind,
+		tmpl:        tmpl,
+		snap:        snap,
 		fleet:       fleet,
 		met:         newFarmMetrics(cfg.Telemetry),
 		campaigns:   campaigns,
@@ -138,7 +155,7 @@ func (p *Plan) Shards() []ShardKey { return p.shards }
 func (p *Plan) Fingerprint() uint64 { return p.fingerprint }
 
 // FleetKind returns the normalized population kind.
-func (p *Plan) FleetKind() apps.FleetKind { return p.kind }
+func (p *Plan) FleetKind() apps.FleetKind { return p.tmpl.Kind() }
 
 // EstimatedIntents returns shard idx's exact intent volume — the LPT
 // scheduling weight.
@@ -232,7 +249,7 @@ func (p *Plan) OpenJournal(path string, resume bool) (*ShardJournal, []*ShardRes
 		Fingerprint: p.fingerprint,
 		Shards:      len(p.shards),
 		Seed:        p.cfg.Seed,
-		Fleet:       p.kind.String(),
+		Fleet:       p.tmpl.Kind().String(),
 	})
 	if err != nil {
 		return nil, nil, 0, err

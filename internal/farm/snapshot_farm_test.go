@@ -102,12 +102,10 @@ func TestCheckpointCrossSnapshotModes(t *testing.T) {
 }
 
 // TestSnapshotTelemetry verifies the farm boot metrics. Under the
-// executor every shard records one cache outcome and one queue wait, and
-// comes up either by hot-device reuse (one reset latency) or by a fallback
-// clone (one clone latency) — the two must account for every shard. Under
-// the fresh-boot oracle none of them are recorded. The boot cache is
-// process-global (earlier tests may have warmed it), so the hit/miss split
-// is not asserted — only the total.
+// executor every shard records one queue wait and comes up either by
+// hot-device reuse (one reset latency) or by a fallback clone (one clone
+// latency) — the two must account for every shard. Under the fresh-boot
+// oracle none of the boot metrics are recorded.
 func TestSnapshotTelemetry(t *testing.T) {
 	run := func() telemetry.Snapshot {
 		reg := telemetry.NewRegistry()
@@ -129,12 +127,6 @@ func TestSnapshotTelemetry(t *testing.T) {
 	shards := uint64(4 * len(testPackages))
 
 	snap := run()
-	hits := snap.Counters["farm_snapshot_hits_total"]
-	misses := snap.Counters["farm_snapshot_misses_total"]
-	if hits+misses != shards {
-		t.Fatalf("snapshot hits(%d)+misses(%d) = %d, want %d (one outcome per shard)",
-			hits, misses, hits+misses, shards)
-	}
 	reuses := snap.Counters["farm_persist_reuses_total"]
 	retires := snap.Counters["farm_persist_retires_total"]
 	fallbacks := snap.Counters["farm_persist_fallbacks_total"]
@@ -157,9 +149,6 @@ func TestSnapshotTelemetry(t *testing.T) {
 
 	defer farm.UseFreshBoot(t)()
 	fresh := run()
-	if n := fresh.Counters["farm_snapshot_hits_total"] + fresh.Counters["farm_snapshot_misses_total"]; n != 0 {
-		t.Fatalf("fresh-boot run recorded %d snapshot cache outcomes", n)
-	}
 	if got := fresh.Histograms["farm_clone_seconds"].Count; got != 0 {
 		t.Fatalf("fresh-boot run recorded %d clone latencies", got)
 	}

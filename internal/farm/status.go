@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // Shard states as reported on ShardStatus.State.
@@ -81,10 +83,15 @@ type StatusBoard struct {
 	shards  []ShardStatus
 	order   []int
 	results []*ShardResult
+	// metered holds the registries the board's derived gauges are
+	// registered on (meterInto).
+	metered map[*telemetry.Registry]bool
 }
 
 // NewStatusBoard returns an empty board; Track loads a plan into it.
-func NewStatusBoard() *StatusBoard { return &StatusBoard{} }
+func NewStatusBoard() *StatusBoard {
+	return &StatusBoard{metered: make(map[*telemetry.Registry]bool)}
+}
 
 // Track (re)initializes the board as the table for plan p: every shard
 // pending, none holding a result. Run and the service coordinator call it
@@ -100,6 +107,32 @@ func (b *StatusBoard) Track(p *Plan, workers int) {
 	}
 	b.order = p.order
 	b.results = make([]*ShardResult, len(p.shards))
+}
+
+// meterInto registers the board's derived live-status gauges on reg: one
+// collect hook refreshes them at scrape time from the board rather than on
+// the shard hot path. It registers once per registry however many runs the
+// board serves; each run re-Tracks the board, and the hook reads whichever
+// run it holds.
+func (b *StatusBoard) meterInto(reg *telemetry.Registry) {
+	b.mu.Lock()
+	done := b.metered[reg]
+	b.metered[reg] = true
+	b.mu.Unlock()
+	if done {
+		return
+	}
+	pending := reg.Gauge("farm_shards_pending")
+	running := reg.Gauge("farm_shards_running")
+	eta := reg.Gauge("farm_eta_seconds")
+	rate := reg.Gauge("farm_intents_per_second")
+	reg.OnCollect(func() {
+		s := b.Tally()
+		pending.Set(float64(s.Pending))
+		running.Set(float64(s.Running))
+		eta.Set(s.ETASeconds)
+		rate.Set(s.IntentsPerSecond)
+	})
 }
 
 // Resume moves a pending shard to resumed with the result restored from

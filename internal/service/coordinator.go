@@ -333,7 +333,11 @@ func (c *Coordinator) restore() error {
 		if err := json.Unmarshal(data, &side); err != nil {
 			return fmt.Errorf("service: parse sidecar %s: %w", name, err)
 		}
-		if _, err := c.host(side.ID, side.Spec, side.Created, true); err != nil {
+		plan, err := side.Spec.Plan()
+		if err == nil {
+			_, err = c.host(side.ID, side.Spec, plan, side.Created, true)
+		}
+		if err != nil {
 			return fmt.Errorf("service: restore %s: %w", side.ID, err)
 		}
 		if n := parseSeq(side.ID); n >= c.seq {
@@ -484,7 +488,7 @@ func (c *Coordinator) Submit(spec CampaignSpec) (CampaignInfo, error) {
 	seq := c.seq
 	c.mu.Unlock()
 
-	// Plan outside the lock — fleet construction is the slow part.
+	// Plan outside the lock — building the boot templates is the slow part.
 	plan, err := spec.Plan()
 	if err != nil {
 		return CampaignInfo{}, err
@@ -500,7 +504,7 @@ func (c *Coordinator) Submit(spec CampaignSpec) (CampaignInfo, error) {
 			return CampaignInfo{}, fmt.Errorf("service: write sidecar: %w", err)
 		}
 	}
-	camp, err := c.host(id, spec, created, false)
+	camp, err := c.host(id, spec, plan, created, false)
 	if err != nil {
 		return CampaignInfo{}, err
 	}
@@ -508,13 +512,9 @@ func (c *Coordinator) Submit(spec CampaignSpec) (CampaignInfo, error) {
 	return c.info(camp), nil
 }
 
-// host builds the in-memory campaign (planning it if needed) and, with a
-// data dir, opens its durable journal (resuming when restore is set).
-func (c *Coordinator) host(id string, spec CampaignSpec, created time.Time, restore bool) (*campaign, error) {
-	plan, err := spec.Plan()
-	if err != nil {
-		return nil, err
-	}
+// host builds the in-memory campaign for spec's plan and, with a data dir,
+// opens its durable journal (resuming when restore is set).
+func (c *Coordinator) host(id string, spec CampaignSpec, plan *farm.Plan, created time.Time, restore bool) (*campaign, error) {
 	n := len(plan.Shards())
 	camp := &campaign{
 		id:        id,

@@ -8,7 +8,8 @@ import (
 )
 
 // Progress rate-limits one-line status output: Tickf prints at most once
-// per interval, Final always prints. Safe for concurrent use. Long
+// per interval, Flush prints the last line it suppressed. Safe for
+// concurrent use. Long
 // campaigns call Tickf from their progress callbacks and get a heartbeat
 // on stderr without flooding it.
 type Progress struct {
@@ -82,16 +83,4 @@ func (p *Progress) Flush() bool {
 	}
 	fmt.Fprintln(p.w, line)
 	return true
-}
-
-// Final prints unconditionally and drops any pending suppressed line — the
-// final line supersedes it.
-func (p *Progress) Final(format string, args ...any) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.pending = ""
-	p.mu.Unlock()
-	fmt.Fprintf(p.w, format+"\n", args...)
 }

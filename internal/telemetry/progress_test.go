@@ -20,22 +20,11 @@ func TestProgressFirstTickPrints(t *testing.T) {
 	}
 }
 
-func TestProgressFinalAlwaysPrints(t *testing.T) {
-	var sb strings.Builder
-	p := NewProgress(&sb, time.Hour)
-	p.Tickf("tick")
-	p.Final("done %d", 9)
-	if !strings.HasSuffix(sb.String(), "done 9\n") {
-		t.Fatalf("output = %q", sb.String())
-	}
-}
-
 func TestProgressNilSafe(t *testing.T) {
 	var p *Progress
 	if p.Tickf("x") {
 		t.Fatal("nil Progress must not print")
 	}
-	p.Final("x")
 	if p.Flush() {
 		t.Fatal("nil Progress Flush must not print")
 	}
@@ -69,20 +58,6 @@ func TestProgressFlushNothingPending(t *testing.T) {
 		t.Fatal("Flush with nothing pending must not print")
 	}
 	if got := sb.String(); got != "tick\n" {
-		t.Fatalf("output = %q", got)
-	}
-}
-
-func TestProgressFinalDropsPending(t *testing.T) {
-	var sb strings.Builder
-	p := NewProgress(&sb, time.Hour)
-	p.Tickf("tick 1") // prints
-	p.Tickf("tick 2") // suppressed
-	p.Final("done")
-	if p.Flush() {
-		t.Fatal("Final must supersede the pending heartbeat")
-	}
-	if got := sb.String(); got != "tick 1\ndone\n" {
 		t.Fatalf("output = %q", got)
 	}
 }

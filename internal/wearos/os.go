@@ -26,8 +26,6 @@ type Config struct {
 	// ANRThreshold is how long the main looper may stay busy before the
 	// watchdog declares an ANR. Android uses 5 s for input dispatch.
 	ANRThreshold time.Duration
-	// LogCapacity bounds the logcat ring buffer (0 = default).
-	LogCapacity int
 	// Aging parameterizes the system-server aging model.
 	Aging AgingConfig
 	// DisableTelemetry skips creating the device metric registry; every
@@ -295,7 +293,7 @@ func newOSMetrics(reg *telemetry.Registry) osMetrics {
 
 // New boots a simulated device with the given configuration.
 func New(cfg Config) *OS {
-	return boot(cfg, logcat.NewBuffer(cfg.LogCapacity))
+	return boot(cfg, logcat.NewBuffer(logcat.DefaultCapacity))
 }
 
 // BootSnapshot boots a template device and captures it, the way the farm
@@ -303,7 +301,7 @@ func New(cfg Config) *OS {
 // the capture, so it boots on a lazily grown ring instead of New's eager
 // one; the snapshot is the one New(cfg).Snapshot() returns.
 func BootSnapshot(cfg Config) (*Snapshot, error) {
-	return boot(cfg, logcat.NewGrowableBuffer(cfg.LogCapacity)).Snapshot()
+	return boot(cfg, logcat.NewGrowableBuffer(logcat.DefaultCapacity)).Snapshot()
 }
 
 func boot(cfg Config, buf *logcat.Buffer) *OS {

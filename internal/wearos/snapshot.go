@@ -135,7 +135,7 @@ func (o *OS) Snapshot() (*Snapshot, error) {
 // telemetry registry. Clones are fully independent of the snapshot and of
 // each other. Safe to call concurrently.
 func (s *Snapshot) Clone() *OS {
-	buf := logcat.NewGrowableBuffer(s.cfg.LogCapacity)
+	buf := logcat.NewGrowableBuffer(logcat.DefaultCapacity)
 	buf.Restore(s.baseline)
 	return s.clone(buf)
 }

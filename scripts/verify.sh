@@ -71,8 +71,8 @@ go run ./cmd/report -only tab5 -ui-events 2000 >/dev/null
 # exposition, farm-wide status board, health probe — not just in httptest.
 # scrape_farm checks the background CLI $scrape_pid, which announces its
 # address on stderr in $scrape_log, then waits for it to exit. /metrics
-# must serve farm_shards_total and every metric family named in the
-# arguments.
+# must serve farm_shards_total and a line starting with each argument (a
+# metric family, or a grep pattern such as a family with a value).
 scrape_farm() {
     addr=""
     for _ in $(seq 1 100); do
@@ -94,11 +94,13 @@ scrape_farm() {
     scrape_pid=""
 }
 
-# A sharded qgj campaign.
-go run ./cmd/qgj -app com.heartwatch.wear -all -quick 8 -progress 0 \
+# A sharded qgj campaign over the whole wear fleet: 184 shards on 4
+# workers, so executors must reset their hot devices in place, and
+# /metrics must show a non-zero farm_persist_reuses_total.
+go run ./cmd/qgj -all -quick 8 -progress 0 \
     -workers 4 -metrics-addr 127.0.0.1:0 -linger 5s >/dev/null 2>"$scrape_log" &
 scrape_pid=$!
-scrape_farm
+scrape_farm 'farm_persist_reuses_total [1-9]'
 
 # The default paths: with no -workers, qgj and report run the paper's
 # aging watch, which is a farm plan too, so they feed the same endpoints,
