@@ -23,7 +23,6 @@ import (
 	"repro/internal/intent"
 	"repro/internal/logcat"
 	"repro/internal/manifest"
-	"repro/internal/notify"
 	"repro/internal/telemetry"
 	"repro/internal/triage"
 	"repro/internal/wearos"
@@ -456,28 +455,6 @@ func BenchmarkAblationValidationEras(b *testing.B) {
 		}
 		if cmp := experiments.CompareValidationEras(legacy, modern); cmp.Components == 0 {
 			b.Fatal("empty comparison")
-		}
-	}
-}
-
-// BenchmarkNotificationFuzz measures the notification-action fuzzing
-// extension (the Wear notification surface of Section II-B).
-func BenchmarkNotificationFuzz(b *testing.B) {
-	fleet := qgj.BuildWearFleet(1)
-	dev := wearos.New(wearos.DefaultWatchConfig())
-	if err := fleet.InstallInto(dev); err != nil {
-		b.Fatal(err)
-	}
-	m := notify.NewManager(dev)
-	if posted := notify.SeedFromFleet(m); posted == 0 {
-		b.Fatal("no notifications seeded")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := notify.FuzzActions(m, notify.SemiValid, uint64(i+1), 1)
-		if out.Fired == 0 {
-			b.Fatal("nothing fired")
 		}
 	}
 }

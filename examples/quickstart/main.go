@@ -1,7 +1,6 @@
-// Quickstart: boot a simulated watch, install the paper's 46-app fleet,
-// pair it with a phone, install QGJ on both, fuzz one app over the Wear
-// MessageAPI, and read the outcome from logcat — the whole toolchain in
-// ~40 lines of API.
+// Quickstart: fuzz one app of the paper's 46-app wearable fleet with
+// campaign A on an aging watch, print QGJ's per-app summary, and read the
+// outcome from logcat — the whole toolchain in ~40 lines of API.
 package main
 
 import (
@@ -12,40 +11,28 @@ import (
 )
 
 func main() {
-	// Devices: a phone and a watch, bonded over Bluetooth.
-	phone := qgj.NewPhone("nexus4")
-	watch := qgj.NewWatch("moto360")
-	qgj.Pair(phone, watch)
-
-	// The study's wearable app population (Table II), installed on the
-	// watch with deterministic behaviour models for seed 1.
-	fleet := qgj.BuildWearFleet(1)
-	if err := fleet.InstallInto(watch.OS); err != nil {
-		log.Fatal(err)
-	}
-
-	// QGJ Mobile on the phone, QGJ Wear on the watch.
-	mobile := qgj.InstallQGJ(phone, watch)
-
-	// Step 1 of the workflow: what can we fuzz?
-	comps, err := mobile.ListWearComponents()
+	// A one-app aging plan: the study's wearable population (Table II) for
+	// seed 1 installed on one watch that ages across the run, and campaign A
+	// (semi-valid action/data) against Strava, scaled down so the demo
+	// finishes instantly.
+	res, err := qgj.RunWearStudy(qgj.StudyOptions{
+		Seed:      1,
+		Packages:  []string{"com.strava.wear"},
+		Campaigns: []qgj.Campaign{qgj.CampaignA},
+		Gen:       qgj.QuickGen(4),
+		Aging:     qgj.PaperAging(),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("wearable exposes %d components\n", len(comps))
-
-	// Steps 2-4: fuzz one app with campaign A (semi-valid action/data),
-	// scaled down so the demo finishes instantly.
-	summary, err := mobile.StartFuzz("com.strava.wear", qgj.CampaignA, qgj.QuickGen(4))
-	if err != nil {
-		log.Fatal(err)
+	for _, s := range res.Campaigns[0].Summaries {
+		fmt.Println(s)
 	}
-	fmt.Println(summary)
 
-	// Ground truth comes from logcat, exactly like the paper: pull the log
-	// and classify manifestations per component.
+	// Ground truth comes from logcat, exactly like the paper: pull the
+	// watch's log and classify manifestations per component.
 	col := qgj.NewCollector()
-	col.ConsumeAll(watch.OS.Logcat().Snapshot())
+	col.ConsumeAll(res.Device.Logcat().Snapshot())
 	rep := col.Report()
 	for _, cn := range rep.ComponentNames() {
 		cr := rep.Components[cn]

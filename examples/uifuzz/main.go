@@ -19,13 +19,13 @@ func main() {
 	for _, mode := range []qgj.UIMode{qgj.SemiValid, qgj.Random} {
 		// A fresh emulator per mode keeps the runs independent, the
 		// paper's reason for using an emulator in the first place.
-		emu := qgj.NewEmulator("wear-emulator")
+		emu := qgj.NewEmulator()
 		fleet := qgj.BuildEmulatorFleet(1)
-		if err := fleet.InstallInto(emu.OS); err != nil {
+		if err := fleet.InstallInto(emu); err != nil {
 			log.Fatal(err)
 		}
 
-		fz := qgj.NewUIFuzzer(emu.OS)
+		fz := qgj.NewUIFuzzer(emu)
 		out := fz.Run(mode, qgj.UIConfig{Seed: 1, Events: events})
 		fmt.Printf("%-10s injected=%d exceptions=%d (%.2f%%) crashes=%d (%.3f%%)\n",
 			out.Mode, out.Injected, out.ExceptionsRaised, 100*out.ExceptionRate(),
@@ -35,7 +35,7 @@ func main() {
 		// paper's example random event is absorbed, and pm rejects a
 		// garbage permission string.
 		if mode == qgj.Random {
-			sh := qgj.NewShell(emu.OS)
+			sh := qgj.NewShell(emu)
 			tap := sh.Run("input tap -8803.85 4668.17")
 			fmt.Printf("  input tap -8803.85 4668.17  -> exit %d (clamped, no crash)\n", tap.ExitCode)
 			pm := sh.Run("pm grant com.google.android.deskclock 'S0me.r@ndom.$trinG'")

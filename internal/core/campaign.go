@@ -1,7 +1,7 @@
 // Package core implements QGJ itself — the paper's primary contribution:
 // the generational intent fuzzer (QGJ-Master) with its four Fuzz Intent
-// Campaigns, the shared Fuzzer library that injects intents on the target
-// device, and the phone↔watch orchestration over the Wear MessageAPI.
+// Campaigns and the shared Fuzzer library that injects intents on the
+// target device.
 package core
 
 import (

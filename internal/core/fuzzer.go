@@ -37,9 +37,6 @@ type Injector struct {
 	Cfg GeneratorConfig
 	// SenderUID defaults to QGJUID when zero.
 	SenderUID int
-	// Progress, when non-nil, receives a callback after every injection
-	// (UI feedback in the QGJ apps; cheap counters in the experiments).
-	Progress func(sent int)
 	// Observe, when non-nil, receives every injected intent together with
 	// its delivery result, after the delivery settled. The farm's triage
 	// pipeline uses it to pair crashing intents with the FATAL EXCEPTION
@@ -193,9 +190,6 @@ func (inj *Injector) FuzzComponent(c Campaign, comp *manifest.Component) Compone
 			progress.Set(float64(run.Sent))
 			clock.Advance(BatchPause)
 		}
-		if inj.Progress != nil {
-			inj.Progress(run.Sent)
-		}
 	})
 	progress.Set(float64(run.Sent))
 	run.Results = make(map[wearos.DeliveryResult]int, 8)
@@ -260,8 +254,7 @@ func (inj *Injector) FuzzAppAllCampaigns(pkg *manifest.Package) []AppRun {
 	return out
 }
 
-// Summary is the compact result view the QGJ Wear app sends back to the
-// phone over the MessageAPI.
+// Summary is the compact per-app result view QGJ reports for one campaign.
 type Summary struct {
 	Package   string `json:"package"`
 	Campaign  string `json:"campaign"`
@@ -277,7 +270,7 @@ type Summary struct {
 	BootCount int    `json:"bootCount"`
 }
 
-// Summarize converts an AppRun into the wire summary.
+// Summarize converts an AppRun into its summary.
 func Summarize(ar AppRun, bootCount int) Summary {
 	res := ar.Results()
 	return Summary{

@@ -135,16 +135,3 @@ func TestSummarize(t *testing.T) {
 		t.Errorf("summary string = %q", s.String())
 	}
 }
-
-func TestProgressCallback(t *testing.T) {
-	dev, pkg := newFuzzTestDevice(t)
-	var calls int
-	inj := &Injector{
-		Dev: dev, Cfg: GeneratorConfig{ActionStride: 50, SchemeStride: 12},
-		Progress: func(sent int) { calls++ },
-	}
-	run := inj.FuzzComponent(CampaignB, pkg.Components[0])
-	if calls != run.Sent {
-		t.Fatalf("progress calls = %d, want %d", calls, run.Sent)
-	}
-}

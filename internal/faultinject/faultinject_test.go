@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/device"
 	"repro/internal/faultinject"
 	"repro/internal/triage"
 	"repro/internal/wearos"
@@ -85,13 +84,13 @@ func TestEngineManifestations(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%s/recover=%v", tc.kind, tc.recover), func(t *testing.T) {
-			watch := device.NewWatch("faultwatch")
+			watch := wearos.New(wearos.DefaultWatchConfig())
 			col := triage.NewCollector()
-			watch.OS.Logcat().Subscribe(col.Sink())
+			watch.Logcat().Subscribe(col.Sink())
 			plan := &faultinject.Plan{Seed: 1, Budget: 20, Windows: []faultinject.Window{
 				{Kind: tc.kind, Start: 3, End: 6, Recover: tc.recover},
 			}}
-			eng := faultinject.NewEngine(watch.OS, plan, "com.example.wear")
+			eng := faultinject.NewEngine(watch, plan, "com.example.wear")
 			drive(eng, 10)
 
 			vs := eng.Verdicts()
@@ -109,7 +108,7 @@ func TestEngineManifestations(t *testing.T) {
 				t.Errorf("no probe failed inside a %s window", tc.kind)
 			}
 
-			dump := watch.OS.Logcat().Dump()
+			dump := watch.Logcat().Dump()
 			openLine := fmt.Sprintf("opening %s fault window", tc.kind)
 			if !strings.Contains(dump, openLine) {
 				t.Errorf("logcat missing %q", openLine)
@@ -140,12 +139,12 @@ func TestEngineManifestations(t *testing.T) {
 // TestEngineFollowsSchedule runs a multi-window plan and checks every
 // window is graded exactly once, in schedule order.
 func TestEngineFollowsSchedule(t *testing.T) {
-	watch := device.NewWatch("schedwatch")
+	watch := wearos.New(wearos.DefaultWatchConfig())
 	plan := faultinject.NewPlan(11, 120)
 	if len(plan.Windows) < 3 {
 		t.Fatalf("schedule too short for the test: %d windows", len(plan.Windows))
 	}
-	eng := faultinject.NewEngine(watch.OS, plan, "com.example.wear")
+	eng := faultinject.NewEngine(watch, plan, "com.example.wear")
 	drive(eng, 120)
 	vs := eng.Verdicts()
 	if len(vs) != len(plan.Windows) {

@@ -373,7 +373,6 @@ const (
 	TagDEBUG           = "DEBUG" // native crash dumps (debuggerd)
 	TagBoot            = "boot"
 	TagMonkey          = "Monkey"
-	TagGoogleFit       = "GoogleFit"
 	TagDropBox         = "DropBoxManagerService"
 	TagFaultInject     = "FaultInject"
 )

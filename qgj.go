@@ -4,9 +4,8 @@
 //
 // The package exposes four layers:
 //
-//   - Devices: boot simulated watches, phones, and emulators
-//     (NewWatch/NewPhone/NewEmulator), install app fleets on them, and pair
-//     them over a Wear MessageAPI link.
+//   - Devices: boot simulated watches and emulators (NewWatch/NewEmulator)
+//     and install app fleets on them.
 //   - The QGJ tool: the intent fuzzer (Fuzzer, campaigns A-D of Table I)
 //     and the QGJ-UI Monkey mutation fuzzer (UIFuzzer).
 //   - Analysis: a logcat-driven Collector that classifies outcomes into the
@@ -30,11 +29,9 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/experiments"
 	"repro/internal/farm"
 	"repro/internal/manifest"
-	"repro/internal/notify"
 	"repro/internal/telemetry"
 	"repro/internal/uifuzz"
 	"repro/internal/wearos"
@@ -43,8 +40,6 @@ import (
 // Re-exported core types. The aliases keep the public API to one import
 // while the implementation stays modular under internal/.
 type (
-	// Device is a simulated unit (watch, phone, or emulator).
-	Device = device.Device
 	// OS is the simulated Android (Wear) operating system of a device.
 	OS = wearos.OS
 	// Fleet is a synthetic app population (Table II, phone, or emulator).
@@ -108,16 +103,10 @@ const (
 )
 
 // NewWatch boots a simulated Android Wear 2.0 watch (the study's Moto 360).
-func NewWatch(name string) *Device { return device.NewWatch(name) }
-
-// NewPhone boots a simulated Android 7.1.1 phone (the study's Nexus 4/6).
-func NewPhone(name string) *Device { return device.NewPhone(name) }
+func NewWatch() *OS { return wearos.New(wearos.DefaultWatchConfig()) }
 
 // NewEmulator boots the Android Watch emulator used by QGJ-UI.
-func NewEmulator(name string) *Device { return device.NewEmulator(name) }
-
-// Pair bonds two devices over the simulated Bluetooth link.
-func Pair(a, b *Device) { device.Pair(a, b) }
+func NewEmulator() *OS { return wearos.New(wearos.DefaultEmulatorConfig()) }
 
 // BuildWearFleet constructs the paper's 46-app wearable population
 // (Table II) for the given seed.
@@ -144,14 +133,6 @@ func NewShell(os *OS) *Shell { return adb.NewShell(os) }
 
 // NewUIFuzzer returns QGJ-UI bound to a device's OS.
 func NewUIFuzzer(os *OS) *UIFuzzer { return uifuzz.New(os) }
-
-// InstallQGJ installs the QGJ pair: QGJ Mobile on the phone and QGJ Wear on
-// the watch, wired over their pairing. Returns the phone-side handle used
-// to orchestrate fuzzing (Figure 1a's workflow).
-func InstallQGJ(phone, watch *Device) *core.MobileApp {
-	core.InstallWearApp(watch)
-	return core.InstallMobileApp(phone)
-}
 
 // RunWearStudy reproduces the full QGJ-Master study on the wearable
 // (Tables I-III, Figures 2-4).
@@ -206,32 +187,6 @@ func ServeTelemetry(addr string, reg *Telemetry) (*TelemetryServer, error) {
 }
 
 // --- Extension surface ---------------------------------------------------------
-
-// NotificationManager is the Wear notification service (extension; see
-// DESIGN.md §7).
-type NotificationManager = notify.Manager
-
-// Notification is one posted notification with pending-intent actions.
-type Notification = notify.Notification
-
-// NewNotificationManager returns the notification service for a device.
-func NewNotificationManager(os *OS) *NotificationManager { return notify.NewManager(os) }
-
-// SeedNotifications posts one notification per installed launcher app and
-// returns how many were posted.
-func SeedNotifications(m *NotificationManager) int { return notify.SeedFromFleet(m) }
-
-// FuzzNotificationActions mutates and fires every active notification
-// action `rounds` times (extension experiment).
-func FuzzNotificationActions(m *NotificationManager, mode notify.Mode, seed uint64, rounds int) notify.FuzzOutcome {
-	return notify.FuzzActions(m, mode, seed, rounds)
-}
-
-// Notification fuzzing modes.
-const (
-	NotifySemiValid = notify.SemiValid
-	NotifyRandom    = notify.Random
-)
 
 // RunRejuvenationStudy runs the Section IV-E mitigation counterfactual.
 func RunRejuvenationStudy(opts StudyOptions) (experiments.RejuvenationStudy, error) {

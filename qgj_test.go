@@ -8,36 +8,31 @@ import (
 )
 
 // TestPublicAPIWorkflow drives the library exactly the way the README's
-// quickstart does: devices, fleet, QGJ pair, fuzz, analyze.
+// quickstart does: a one-app aging plan, its summary, and a logcat
+// analysis of the aged watch.
 func TestPublicAPIWorkflow(t *testing.T) {
-	phone := qgj.NewPhone("nexus4")
-	watch := qgj.NewWatch("moto360")
-	qgj.Pair(phone, watch)
-
-	fleet := qgj.BuildWearFleet(1)
-	if err := fleet.InstallInto(watch.OS); err != nil {
-		t.Fatal(err)
-	}
-	mobile := qgj.InstallQGJ(phone, watch)
-
-	comps, err := mobile.ListWearComponents()
+	res, err := qgj.RunWearStudy(qgj.StudyOptions{
+		Seed:      1,
+		Packages:  []string{"com.strava.wear"},
+		Campaigns: []qgj.Campaign{qgj.CampaignA},
+		Gen:       qgj.QuickGen(4),
+		Aging:     qgj.PaperAging(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(comps) != 912 {
-		t.Fatalf("components = %d, want 912 (Table II)", len(comps))
-	}
-
-	sum, err := mobile.StartFuzz("com.strava.wear", qgj.CampaignB, qgj.QuickGen(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Sent == 0 {
+	if res.Sent == 0 {
 		t.Fatal("no intents sent")
+	}
+	if len(res.Campaigns) != 1 || len(res.Campaigns[0].Summaries) != 1 {
+		t.Fatalf("campaigns = %+v, want one summary", res.Campaigns)
+	}
+	if pkg := res.Campaigns[0].Summaries[0].Package; pkg != "com.strava.wear" {
+		t.Fatalf("summary package = %q", pkg)
 	}
 
 	col := qgj.NewCollector()
-	col.ConsumeAll(watch.OS.Logcat().Snapshot())
+	col.ConsumeAll(res.Device.Logcat().Snapshot())
 	rep := col.Report()
 	if len(rep.Components) == 0 {
 		t.Fatal("analyzer saw nothing")
@@ -51,17 +46,17 @@ func TestPublicAPIWorkflow(t *testing.T) {
 }
 
 func TestPublicShellAndUIFuzzer(t *testing.T) {
-	emu := qgj.NewEmulator("emu")
+	emu := qgj.NewEmulator()
 	fleet := qgj.BuildEmulatorFleet(1)
-	if err := fleet.InstallInto(emu.OS); err != nil {
+	if err := fleet.InstallInto(emu); err != nil {
 		t.Fatal(err)
 	}
-	sh := qgj.NewShell(emu.OS)
+	sh := qgj.NewShell(emu)
 	res := sh.Run("pm list")
 	if !strings.Contains(res.Output, "package:") {
 		t.Fatalf("pm list output = %q", res.Output)
 	}
-	out := qgj.NewUIFuzzer(emu.OS).Run(qgj.SemiValid, qgj.UIConfig{Seed: 1, Events: 1000})
+	out := qgj.NewUIFuzzer(emu).Run(qgj.SemiValid, qgj.UIConfig{Seed: 1, Events: 1000})
 	if out.Injected != 1000 {
 		t.Fatalf("injected = %d", out.Injected)
 	}
@@ -90,13 +85,13 @@ func TestPublicStudyEntryPoints(t *testing.T) {
 }
 
 func TestPublicFuzzerDirect(t *testing.T) {
-	watch := qgj.NewWatch("w")
+	watch := qgj.NewWatch()
 	fleet := qgj.BuildWearFleet(2)
-	if err := fleet.InstallInto(watch.OS); err != nil {
+	if err := fleet.InstallInto(watch); err != nil {
 		t.Fatal(err)
 	}
-	fz := qgj.NewFuzzer(watch.OS, qgj.QuickGen(10))
-	pkg := watch.OS.Registry().Package("com.whatsapp.wear")
+	fz := qgj.NewFuzzer(watch, qgj.QuickGen(10))
+	pkg := watch.Registry().Package("com.whatsapp.wear")
 	run := fz.FuzzApp(qgj.CampaignD, pkg)
 	if run.Sent == 0 {
 		t.Fatal("direct fuzzer sent nothing")

@@ -65,6 +65,13 @@ go run ./cmd/report -quick 8 -ablations -only tab1 >/dev/null
 # at a small event volume.
 go run ./cmd/report -only tab5 -ui-events 2000 >/dev/null
 
+# Example smoke: every examples/* program builds and runs to completion
+# (each exits non-zero on a library error), so the README's entry points
+# are exercised, not only compiled.
+for ex in examples/*/; do
+    go run "./$ex" >/dev/null
+done
+
 # Live-scrape smoke: a lingering run serves /metrics, /farm, and /healthz
 # on an ephemeral port; curl each while (or just after) the farm runs.
 # Asserts the observability surface works end to end — registry
