@@ -30,8 +30,10 @@ import (
 // never be resumed against a run it does not describe.
 
 // journalVersion is bumped on any incompatible format change. v2 added
-// flight-recorder windows (kind/component/trace/flight) to crash records.
-const journalVersion = 2
+// flight-recorder windows (kind/component/trace/flight) to crash records;
+// v3 folds each shard's crash list (triage.Fold) and weights the kept
+// records with "repeats", which a v2 reader would count once.
+const journalVersion = 3
 
 // journalHeader is the first line of a checkpoint file.
 type journalHeader struct {
@@ -70,8 +72,14 @@ func recordOf(idx int, sr *ShardResult) journalRecord {
 }
 
 // result is recordOf's inverse: the merge input the record encodes, for
-// journal replay and uploaded records alike.
-func (rec journalRecord) result() *ShardResult {
+// journal replay and uploaded records alike. A negative fold weight is
+// refused: it would drive bucket counts and tallies below the truth.
+func (rec journalRecord) result() (*ShardResult, error) {
+	for i, cj := range rec.Crashes {
+		if cj.Repeats < 0 {
+			return nil, fmt.Errorf("shard record %d: crash %d has negative repeats %d", rec.Index, i, cj.Repeats)
+		}
+	}
 	return &ShardResult{
 		Key:       rec.Key,
 		Seed:      rec.Seed,
@@ -80,7 +88,7 @@ func (rec journalRecord) result() *ShardResult {
 		Summary:   rec.Summary,
 		Report:    rec.Report.restore(),
 		Crashes:   restoreCrashes(rec.Crashes),
-	}
+	}, nil
 }
 
 // EncodeShardRecord renders one shard result in the checkpoint journal's
@@ -103,7 +111,11 @@ func DecodeShardRecord(data []byte) (int, *ShardResult, error) {
 	if err := json.Unmarshal(data, &rec); err != nil {
 		return 0, nil, fmt.Errorf("farm: decode shard record: %w", err)
 	}
-	return rec.Index, rec.result(), nil
+	sr, err := rec.result()
+	if err != nil {
+		return 0, nil, fmt.Errorf("farm: decode shard record: %w", err)
+	}
+	return rec.Index, sr, nil
 }
 
 // fingerprint hashes the run parameters that determine the shard plan and

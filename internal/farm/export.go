@@ -169,11 +169,13 @@ func (ij *intentJSON) restore() *intent.Intent {
 	return in
 }
 
-// crashJSON is one serialized triage record (crash or ANR), including the
-// flight-recorder window captured at the failure. telemetry.Event already
-// round-trips byte-identically through JSON, so the window serializes
-// as-is; Kind is omitted for plain crashes (the zero value) to keep v1-era
-// records readable in spirit, though the journal version still gates them.
+// crashJSON is one serialized triage record (crash, ANR or fault verdict),
+// including the flight-recorder window captured at the failure and the
+// record's fold weight (Crash.Repeats, omitted when zero).
+// telemetry.Event already round-trips byte-identically through JSON, so
+// the window serializes as-is; Kind is omitted for plain crashes (the zero
+// value) to keep v1-era records readable in spirit, though the journal
+// version still gates them.
 type crashJSON struct {
 	Kind      string            `json:"kind,omitempty"`
 	Process   string            `json:"process,omitempty"`
@@ -184,6 +186,7 @@ type crashJSON struct {
 	Intent    *intentJSON       `json:"intent,omitempty"`
 	Trace     string            `json:"trace,omitempty"`
 	Flight    []telemetry.Event `json:"flight,omitempty"`
+	Repeats   int               `json:"repeats,omitempty"`
 }
 
 func exportCrashes(crashes []*triage.Crash) []crashJSON {
@@ -199,6 +202,7 @@ func exportCrashes(crashes []*triage.Crash) []crashJSON {
 			Intent:    exportIntent(c.Intent),
 			Trace:     c.Trace,
 			Flight:    c.Flight,
+			Repeats:   c.Repeats,
 		})
 	}
 	return out
@@ -217,6 +221,7 @@ func restoreCrashes(cjs []crashJSON) []*triage.Crash {
 			Intent:    cj.Intent.restore(),
 			Trace:     cj.Trace,
 			Flight:    cj.Flight,
+			Repeats:   cj.Repeats,
 		})
 	}
 	return out

@@ -495,7 +495,9 @@ func (e *Executor) runShard(key ShardKey) (*ShardResult, error) {
 		BootSource: source,
 	}
 	if tri != nil {
-		sr.Crashes = tri.Crashes()
+		// Only the records that can become an exemplar leave the shard,
+		// weighted with the ones they stand for.
+		sr.Crashes = triage.Fold(tri.Crashes())
 	}
 	if cfg.Telemetry != nil {
 		met.recorderEvents.Add(rec.Recorded())

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/farm"
 	"repro/internal/report"
 	"repro/internal/telemetry"
+	"repro/internal/triage"
 )
 
 // testPackages is a small slice of the wear fleet covering crashy and quiet
@@ -139,6 +141,46 @@ func TestResumeRejectsForeignJournal(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("err = %v, want fingerprint mismatch", err)
+	}
+}
+
+// TestResumeRejectsUnfoldedOrNegativeJournal: a v2 journal, whose crash
+// records were never folded, is refused with the version error rather than
+// resumed with each record counted once, and a journal record carrying a
+// negative fold weight is refused rather than undercounting its bucket.
+func TestResumeRejectsUnfoldedOrNegativeJournal(t *testing.T) {
+	cfg := farm.Config{
+		Seed:      1,
+		Campaigns: []core.Campaign{core.CampaignB},
+		Packages:  []string{"com.strava.wear"},
+		Gen:       testGen(),
+		Sharding:  core.Sharding{Workers: 1, Checkpoint: filepath.Join(t.TempDir(), "run.ckpt")},
+	}
+	if _, err := farm.Run(cfg); err != nil {
+		t.Fatalf("seed run: %v", err)
+	}
+	journal, err := os.ReadFile(cfg.Sharding.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, from, to, want string }{
+		{"v2", `{"v":3,`, `{"v":2,`, "version 2, want 3"},
+		{"negative repeats", `"repeats":`, `"repeats":-`, "negative repeats"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if !strings.Contains(string(journal), tc.from) {
+				t.Fatalf("journal has no %s to rewrite", tc.from)
+			}
+			bad := strings.Replace(string(journal), tc.from, tc.to, 1)
+			if err := os.WriteFile(cfg.Sharding.Checkpoint, []byte(bad), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			resume := cfg
+			resume.Sharding.Resume = true
+			if _, err := farm.Run(resume); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("resume err = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -324,10 +366,11 @@ func TestFlightRecorderAttachedToBuckets(t *testing.T) {
 	}
 }
 
-// TestFlightWindowsOnlyOnExemplarCandidates guards the forensics budget:
-// a shard keeps a flight window only on records that can become their
-// bucket's exemplar (at most two per bucket: the first record, and the
-// first carrying an intent), while every merged exemplar still has one.
+// TestFlightWindowsOnlyOnExemplarCandidates guards the forensics budget
+// and the shard fold: a shard ships only the records that can become their
+// bucket's exemplar (at most two per bucket and kind: the first record, and
+// the first carrying an intent), each with its flight window, and the
+// merged triage equals bucketing the raw records the folded ones stand for.
 func TestFlightWindowsOnlyOnExemplarCandidates(t *testing.T) {
 	p, err := farm.NewPlan(farm.Config{
 		Seed:      1,
@@ -340,44 +383,62 @@ func TestFlightWindowsOnlyOnExemplarCandidates(t *testing.T) {
 	}
 	ex := p.NewExecutor()
 	results := make([]*farm.ShardResult, len(p.Shards()))
-	records, windowed := 0, 0
-	windowedBuckets := make(map[uint64]bool)
+	var raw []*triage.Crash
+	folded := 0
 	for i := range results {
 		if results[i], err = ex.ExecuteShard(i); err != nil {
 			t.Fatal(err)
 		}
-		perBucket := make(map[uint64]int)
-		for _, c := range results[i].Crashes {
-			records++
-			if c.Flight == nil {
-				continue
-			}
-			windowed++
-			perBucket[c.Hash()]++
-			windowedBuckets[c.Hash()] = true
+		type slot struct {
+			hash uint64
+			kind string
 		}
-		for h, n := range perBucket {
-			if n > 2 {
-				t.Errorf("shard %s: bucket %016x keeps %d windows, want <= 2", results[i].Key, h, n)
+		perSlot := make(map[slot]int)
+		crashes := results[i].Crashes
+		for j, c := range crashes {
+			if n := perSlot[slot{c.Hash(), c.Kind}] + 1; n > 2 {
+				t.Errorf("shard %s: bucket %016x kind %q ships %d records, want <= 2", results[i].Key, c.Hash(), c.Kind, n)
+			} else {
+				perSlot[slot{c.Hash(), c.Kind}] = n
+			}
+			// A fault window still open at campaign end is graded outside
+			// any delivery, so the shard's last record may lack a window;
+			// every other shipped record is a candidate and kept one.
+			if c.Flight == nil && !(c.IsFault() && j == len(crashes)-1) {
+				t.Errorf("shard %s: record %d (%s %s) has no flight window", results[i].Key, j, c.Kind, c.RootClass())
+			}
+			if c.Repeats > 0 {
+				folded++
+			}
+			one := *c
+			one.Repeats = 0
+			for range c.Weight() {
+				raw = append(raw, &one)
 			}
 		}
 	}
-	if windowed == 0 || windowed == records {
-		t.Fatalf("%d of %d records keep a window; want some, but not all", windowed, records)
+	if folded == 0 {
+		t.Fatal("no shipped record stands for a repeat; the plan exercises no fold")
 	}
 
 	res, err := p.Merge(results)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range res.Triage.Buckets {
-		if len(b.Exemplar.Flight) > 0 {
-			continue
-		}
-		// A fault verdict graded at campaign end settles outside any
-		// delivery and never had a window to keep; any other record did.
-		if !b.Exemplar.IsFault() || windowedBuckets[b.Hash] {
-			t.Errorf("bucket %016x (%s %s) exemplar has no flight window", b.Hash, b.Kind, b.Class)
+	want := triage.Bucketize(raw)
+	got := res.Triage
+	if got.Crashes != want.Crashes || got.ANRs != want.ANRs || got.Faults != want.Faults || len(got.Buckets) != len(want.Buckets) {
+		t.Fatalf("merged triage %d records (%d ANRs, %d faults) in %d buckets; the raw records give %d (%d, %d) in %d",
+			got.Crashes, got.ANRs, got.Faults, len(got.Buckets), want.Crashes, want.ANRs, want.Faults, len(want.Buckets))
+	}
+	for i := range want.Buckets {
+		g, w := got.Buckets[i], want.Buckets[i]
+		ge := *g.Exemplar
+		ge.Repeats = 0
+		if g.Hash != w.Hash || g.Count != w.Count || g.Kind != w.Kind || g.Class != w.Class || g.Frame != w.Frame ||
+			!reflect.DeepEqual(&ge, w.Exemplar) {
+			t.Errorf("bucket %d: merged %016x x%d %s %s %s, raw %016x x%d %s %s %s (or exemplars differ)",
+				i, g.Hash, g.Count, g.Kind, g.Class, g.Frame, w.Hash, w.Count, w.Kind, w.Class, w.Frame)
 		}
 	}
 }

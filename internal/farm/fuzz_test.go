@@ -12,7 +12,11 @@ import (
 
 // The shard table is restored from these bytes: journal lines on resume and
 // uploaded records on the coordinator. `go test` runs the seed corpus
-// (testdata/fuzz holds real records and journals from a small run);
+// (testdata/fuzz holds real records and journals from small runs: the
+// `journal-v3*` and `record-v3-folded` files carry folded crash lists,
+// `journal` and `journal-torn` are v2 journals, which the loader refuses,
+// and `record-negative-repeats` is a record the decoder refuses;
+// TestResumeRejectsUnfoldedOrNegativeJournal pins both refusals);
 // `go test -fuzz=FuzzLoadJournal ./internal/farm` explores further.
 
 // FuzzDecodeShardRecord: decoding never panics, and a record that decodes

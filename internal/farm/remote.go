@@ -233,7 +233,9 @@ func (p *Plan) OpenJournal(path string, resume bool) (*ShardJournal, []*ShardRes
 				if idx < 0 || idx >= len(p.shards) || p.shards[idx] != rec.Key {
 					return nil, nil, 0, fmt.Errorf("farm: checkpoint %s: record %d does not match the shard plan", path, idx)
 				}
-				results[idx] = rec.result()
+				if results[idx], err = rec.result(); err != nil {
+					return nil, nil, 0, fmt.Errorf("farm: checkpoint %s: %w", path, err)
+				}
 			}
 			jnl, err := openJournalAppend(path, validLen)
 			if err != nil {

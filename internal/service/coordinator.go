@@ -190,6 +190,9 @@ type Coordinator struct {
 	reg  *telemetry.Registry
 	met  svcMetrics
 	now  func() time.Time
+	// maxBody bounds every POST body the HTTP handlers decode. It is
+	// maxBodyBytes; tests lower it to send an over-limit body cheaply.
+	maxBody int64
 
 	mu        sync.Mutex
 	campaigns map[string]*campaign
@@ -229,6 +232,7 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 		reg:        reg,
 		met:        newSvcMetrics(reg),
 		now:        opts.Clock,
+		maxBody:    maxBodyBytes,
 		campaigns:  make(map[string]*campaign),
 		leases:     make(map[string]*lease),
 		workers:    make(map[string]time.Time),
@@ -543,10 +547,7 @@ func (c *Coordinator) host(id string, spec CampaignSpec, plan *farm.Plan, create
 		for idx, sr := range restored {
 			if sr != nil {
 				camp.board.Resume(idx, sr)
-				camp.stream.Add(sr.Crashes)
-				camp.intentsC.Add(uint64(sr.Sent))
-				camp.shardsC.Inc()
-				camp.crashesC.Add(uint64(len(sr.Crashes)))
+				camp.count(sr)
 			}
 		}
 	}
@@ -560,6 +561,15 @@ func (c *Coordinator) host(id string, spec CampaignSpec, plan *farm.Plan, create
 		go c.finalize(camp)
 	}
 	return camp, nil
+}
+
+// count meters one finished shard into the campaign's counters and its
+// triage stream. A folded crash list counts every record it stands for.
+func (camp *campaign) count(sr *farm.ShardResult) {
+	camp.intentsC.Add(uint64(sr.Sent))
+	camp.shardsC.Inc()
+	camp.crashesC.Add(uint64(triage.Count(sr.Crashes)))
+	camp.stream.Add(sr.Crashes)
 }
 
 // settled reports whether the campaign's merge has landed, successfully
@@ -792,11 +802,8 @@ func (c *Coordinator) Complete(leaseID string, fingerprint string, record []byte
 		}
 	}
 	last := camp.board.Done(idx, sr, now.Sub(l.granted), l.worker)
-	camp.intentsC.Add(uint64(sr.Sent))
-	camp.shardsC.Inc()
-	camp.crashesC.Add(uint64(len(sr.Crashes)))
+	camp.count(sr)
 	c.met.results.Inc()
-	camp.stream.Add(sr.Crashes)
 	if last {
 		c.merges.Add(1)
 		go c.finalize(camp)

@@ -1,8 +1,13 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -127,5 +132,116 @@ func TestFinalizeDropsShardResults(t *testing.T) {
 		if row.State != farm.StateDone || row.Source != "w" || row.Sent == 0 {
 			t.Fatalf("row %s after export: %+v", row.Key, row)
 		}
+	}
+}
+
+// TestOversizedBodyAnswers413: a POST body over the coordinator's bound is
+// refused with 413 and an explicit error before the coordinator acts on
+// it, so the lease of an oversized upload stays live and the identical
+// upload succeeds once it fits. Submit and lease bodies share the bound.
+func TestOversizedBodyAnswers413(t *testing.T) {
+	c, err := NewCoordinator(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	h := Handler(c)
+	post := func(path string, body []byte, want int) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != want {
+			t.Fatalf("POST %s (%d bytes, bound %d): status %d, want %d\n%s", path, len(body), c.maxBody, rec.Code, want, rec.Body)
+		}
+		if want == http.StatusRequestEntityTooLarge && !strings.Contains(rec.Body.String(), "exceeds") {
+			t.Fatalf("POST %s: 413 body %s does not name the bound", path, rec.Body)
+		}
+	}
+
+	spec, err := json.Marshal(CampaignSpec{Seed: 1, Campaigns: "A", Packages: []string{"com.heartwatch.wear"}, Quick: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.maxBody = int64(len(spec)) - 1
+	post("/api/v1/campaigns", spec, http.StatusRequestEntityTooLarge)
+	c.maxBody = maxBodyBytes
+	post("/api/v1/campaigns", spec, http.StatusCreated)
+
+	leaseBody := []byte(`{"worker":"w"}`)
+	c.maxBody = int64(len(leaseBody)) - 1
+	post("/api/v1/leases", leaseBody, http.StatusRequestEntityTooLarge)
+	c.maxBody = maxBodyBytes
+
+	g, err := c.Lease("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, record := executeLease(t, g)
+	upload, err := json.Marshal(resultUpload{Fingerprint: fp, Record: record})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := "/api/v1/leases/" + g.LeaseID + "/result"
+	c.maxBody = int64(len(upload)) - 1
+	post(path, upload, http.StatusRequestEntityTooLarge)
+	c.mu.Lock()
+	live := c.leases[g.LeaseID] != nil
+	c.mu.Unlock()
+	if !live {
+		t.Fatal("an oversized upload dropped its lease")
+	}
+	c.maxBody = int64(len(upload))
+	post(path, upload, http.StatusNoContent)
+}
+
+// TestCrashCounterCountsFoldedRecords: campaign_crashes_total counts the
+// raw failure records each folded upload stands for, so it ends equal to
+// the merged export's raw crash count rather than the shipped record count.
+func TestCrashCounterCountsFoldedRecords(t *testing.T) {
+	c, err := NewCoordinator(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	info, err := c.Submit(CampaignSpec{Seed: 1, Campaigns: "AB", Packages: []string{"com.heartwatch.wear", "com.strava.wear"}, Quick: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped := 0
+	for range info.Shards {
+		g, err := c.Lease("w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, record := executeLease(t, g)
+		_, sr, err := farm.DecodeShardRecord(record)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shipped += len(sr.Crashes)
+		if err := c.Complete(g.LeaseID, fp, record); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := c.Export(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exp struct {
+		Triage struct {
+			RawCrashes int `json:"rawCrashes"`
+		} `json:"triage"`
+	}
+	if err := json.Unmarshal(data, &exp); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := c.CampaignTelemetry(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := reg.Snapshot().Counters["campaign_crashes_total"]
+	if got != uint64(exp.Triage.RawCrashes) || shipped >= exp.Triage.RawCrashes {
+		t.Fatalf("campaign_crashes_total = %d, export raw crashes %d, shipped records %d; want the counter equal to the export and the records folded",
+			got, exp.Triage.RawCrashes, shipped)
 	}
 }

@@ -28,9 +28,34 @@ import (
 //	POST /api/v1/leases/{id}/release      return shard to queue       -> 204 | 410
 //	POST /api/v1/leases/{id}/result       upload shard record         -> 204 | 409 (mismatch) | 410 | 429 (+Retry-After)
 //
+// A POST body larger than maxBodyBytes answers 413 before the coordinator
+// sees it, so an oversized upload leaves its lease untouched.
+//
 // The service routes compose with the telemetry server: Routes returns
 // telemetry.Route entries for telemetry.Serve, so farmd's one listener
 // serves /metrics, /healthz, the farm board, and the campaign API together.
+
+// maxBodyBytes bounds every POST body the coordinator decodes. A folded
+// paper-scale shard record is ~0.1 MB and the largest raw one measured
+// 1.4 MB, so the bound only stops a body no honest client sends.
+const maxBodyBytes = 64 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most c.maxBody
+// bytes. On failure it writes the error response, 413 for an oversized
+// body and 400 otherwise, naming what was parsed, and returns false.
+func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.maxBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+		err = fmt.Errorf("body exceeds %d bytes", tooBig.Limit)
+	}
+	writeError(w, status, fmt.Errorf("service: parse %s: %w", what, err))
+	return false
+}
 
 // leaseRequest is the body of POST /api/v1/leases.
 type leaseRequest struct {
@@ -128,8 +153,7 @@ func Routes(c *Coordinator) []telemetry.Route {
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec CampaignSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: parse spec: %w", err))
+	if !c.decodeBody(w, r, "spec", &spec) {
 		return
 	}
 	info, err := c.Submit(spec)
@@ -228,8 +252,7 @@ func (c *Coordinator) handleFarm(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: parse lease request: %w", err))
+	if !c.decodeBody(w, r, "lease request", &req) {
 		return
 	}
 	if req.Worker == "" {
@@ -265,8 +288,7 @@ func (c *Coordinator) handleRelease(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var up resultUpload
-	if err := json.NewDecoder(r.Body).Decode(&up); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: parse result upload: %w", err))
+	if !c.decodeBody(w, r, "result upload", &up) {
 		return
 	}
 	if err := c.Complete(r.PathValue("id"), up.Fingerprint, up.Record); err != nil {

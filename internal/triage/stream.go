@@ -68,8 +68,9 @@ func NewStream() *Stream {
 	return &Stream{announced: make(map[uint64]int)}
 }
 
-// Add folds one batch of crash records (typically one shard's crashes)
-// into the buckets and appends one update per touched bucket. Empty
+// Add folds one batch of crash records (typically one shard's crashes,
+// raw or folded by Fold; each counts with its Weight) into the buckets and
+// appends one update per touched bucket. Empty
 // batches append nothing and wake nobody.
 func (s *Stream) Add(crashes []*Crash) {
 	if len(crashes) == 0 {

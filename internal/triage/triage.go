@@ -76,7 +76,15 @@ type Crash struct {
 	// keeps it only on records that can become a bucket's exemplar (see
 	// Collector.WantsFlight).
 	Flight []telemetry.Event
+	// Repeats counts the records this one stands for besides itself: Fold
+	// merges a shard's records that can never become an exemplar into the
+	// first record of their bucket and kind. Zero means the record stands
+	// only for itself.
+	Repeats int
 }
+
+// Weight is how many raw failure records c stands for (1+Repeats).
+func (c *Crash) Weight() int { return 1 + c.Repeats }
 
 // IsANR reports whether the record is an ANR rather than a crash.
 func (c *Crash) IsANR() bool { return c.Kind == KindANR }
@@ -183,10 +191,20 @@ func (r *Result) Unique() int {
 	return len(r.Buckets)
 }
 
-// Bucketize groups crashes by stack hash. Exemplars are chosen by input
-// order (first occurrence wins), preferring an exemplar that carries a
-// reproducer intent; output order is deterministic for any permutation-free
-// input order.
+// Count returns how many raw failure records crashes stand for: its
+// length for a raw list, the sum of weights for a folded one.
+func Count(crashes []*Crash) int {
+	n := 0
+	for _, c := range crashes {
+		n += c.Weight()
+	}
+	return n
+}
+
+// Bucketize groups crashes by stack hash, each record counting with its
+// Weight. Exemplars are chosen by input order (first occurrence wins),
+// preferring an exemplar that carries a reproducer intent; output order is
+// deterministic for any permutation-free input order.
 func Bucketize(crashes []*Crash) *Result {
 	var s bucketSet
 	for _, c := range crashes {
@@ -205,14 +223,16 @@ type bucketSet struct {
 	crashes, anrs, faults int
 }
 
-// add folds one record into its bucket and returns the bucket's hash.
+// add folds one record, with its weight, into its bucket and returns the
+// bucket's hash.
 func (s *bucketSet) add(c *Crash) uint64 {
-	s.crashes++
+	w := c.Weight()
+	s.crashes += w
 	if c.IsANR() {
-		s.anrs++
+		s.anrs += w
 	}
 	if c.IsFault() {
-		s.faults++
+		s.faults += w
 	}
 	h := c.Hash()
 	b, ok := s.byHash[h]
@@ -224,12 +244,53 @@ func (s *bucketSet) add(c *Crash) uint64 {
 		s.byHash[h] = b
 		s.order = append(s.order, h)
 	}
-	b.Count++
+	b.Count += w
 	// Upgrade the exemplar to the first crash with a reproducer.
 	if b.Exemplar.Intent == nil && c.Intent != nil {
 		b.Exemplar = c
 	}
 	return h
+}
+
+// Fold reduces a crash list (one shard's, in log order) to the records
+// that could ever become a bucket's exemplar, weighted with the records
+// they stand for. A record is kept when it is the first of its (hash,
+// Kind) or the first of its bucket that carries an intent; every other
+// record adds its weight to the kept first record of its (hash, Kind).
+// These are the candidates WantsFlight keeps windows on, and the Kind key
+// keeps the raw/ANR/fault tallies exact even across hash collisions.
+//
+// Bucketize over a fold, or over folds of consecutive slices concatenated,
+// equals Bucketize over the raw list: the same tallies, bucket order,
+// counts, signatures and exemplars (a kept exemplar is a copy of the raw
+// one, differing only in Repeats). Stream batches fold the same way, and
+// Fold(Fold(x)) equals Fold(x). The input and its records are not modified.
+func Fold(crashes []*Crash) []*Crash {
+	type slot struct {
+		hash uint64
+		kind string
+	}
+	var out []*Crash
+	first := make(map[slot]*Crash)
+	withIntent := make(map[uint64]bool)
+	for _, c := range crashes {
+		h := c.Hash()
+		k := slot{h, c.Kind}
+		head, seen := first[k]
+		if seen && (c.Intent == nil || withIntent[h]) {
+			head.Repeats += c.Weight()
+			continue
+		}
+		kept := *c
+		out = append(out, &kept)
+		if !seen {
+			first[k] = &kept
+		}
+		if c.Intent != nil {
+			withIntent[h] = true
+		}
+	}
+	return out
 }
 
 // result copies the buckets out in Bucketize's deterministic order.
@@ -282,6 +343,8 @@ type Collector struct {
 	dec     logcat.Decoder
 	crashes []*Crash
 	last    *Crash // most recently finalized record
+	// lastHash is last's bucket hash.
+	lastHash uint64
 	// seen holds, per bucket hash, which exemplar candidates the settled
 	// records (every record before last) already took: seenFirst once a
 	// record opened the bucket, seenIntent once one carried an intent.
@@ -314,12 +377,15 @@ func NewCollector() *Collector {
 func (c *Collector) Crashes() []*Crash { return c.crashes }
 
 // AttachIntent pairs the injected intent with the most recently finalized
-// crash record, when that record does not already carry one. The injector's
-// Observe hook calls this right after a delivery settles as a crash: the
-// simulation is synchronous, so the last FATAL EXCEPTION block belongs to
-// that intent. The intent is cloned; ok reports whether a record took it.
+// crash record, when that record does not already carry one and can still
+// become its bucket's exemplar. The injector's Observe hook calls this
+// right after a delivery settles as a crash: the simulation is synchronous,
+// so the last FATAL EXCEPTION block belongs to that intent. The intent is
+// cloned; ok reports whether a record took it, so it is false when the
+// record already has one or is not a candidate: a settled record of its
+// bucket already carries an intent, so this one can never be the exemplar.
 func (c *Collector) AttachIntent(in *intent.Intent) bool {
-	if c.last == nil || c.last.Intent != nil || in == nil {
+	if c.last == nil || c.last.Intent != nil || in == nil || c.seen[c.lastHash]&seenIntent != 0 {
 		return false
 	}
 	c.last.Intent = in.Clone()
@@ -347,15 +413,16 @@ func (c *Collector) AttachFlight(trace string, events []telemetry.Event) bool {
 // occurrence, upgraded to the first carrying an intent". Within one
 // collector (one shard) the candidates are therefore the first record of
 // each bucket and the first record of the bucket with an intent; every
-// other record's window could never be shown. The decision is made once
-// per record, on the first call, and never flips.
+// other record's window could never be shown, and Fold ships only these
+// candidates out of the shard. The decision is made once per record, on
+// the first call, and never flips.
 func (c *Collector) WantsFlight() bool {
 	if c.last == nil || c.last.Flight != nil {
 		return false
 	}
 	if c.gate == gateOpen {
 		c.gate = gateDrop
-		seen := c.seen[c.last.Hash()]
+		seen := c.seen[c.lastHash]
 		if seen&seenFirst == 0 || (seen&seenIntent == 0 && c.last.Intent != nil) {
 			c.gate = gateKeep
 		}
@@ -371,10 +438,10 @@ func (c *Collector) settle(rec *Crash) {
 		if prev.Intent != nil {
 			bits |= seenIntent
 		}
-		c.seen[prev.Hash()] |= bits
+		c.seen[c.lastHash] |= bits
 	}
 	c.crashes = append(c.crashes, rec)
-	c.last, c.gate = rec, gateOpen
+	c.last, c.lastHash, c.gate = rec, rec.Hash(), gateOpen
 }
 
 // ConsumeAll feeds a slice of entries (a pulled logcat dump) in order.

@@ -26,17 +26,19 @@ go test -race ./internal/farm/...
 
 # The shard table is restored from journal lines and uploaded records, the
 # logcat decoder turns raw lines into the events both collectors read,
-# triage reassembles failure records from them, campaign specs arrive as
-# submit bodies and inside lease grants, and workers post lease requests and
-# result uploads, and a restarting coordinator reads archived campaigns'
-# info snapshots back: fuzz the record and journal decoders, the logcat
-# decoder, the collectors, the spec planner, the worker envelopes and the
-# archive restore briefly beyond their seed corpora (one target per run, as
-# -fuzz requires).
+# triage reassembles failure records from them and each shard folds them
+# before they leave it, campaign specs arrive as submit bodies and inside
+# lease grants, and workers post lease requests and result uploads, and a
+# restarting coordinator reads archived campaigns' info snapshots back:
+# fuzz the record and journal decoders, the logcat decoder, the
+# collectors, the shard fold, the spec planner, the worker envelopes and
+# the archive restore briefly beyond their seed corpora (one target per
+# run, as -fuzz requires).
 go test -run '^$' -fuzz '^FuzzDecodeShardRecord$' -fuzztime 5s -parallel 2 ./internal/farm
 go test -run '^$' -fuzz '^FuzzLoadJournal$' -fuzztime 5s -parallel 2 ./internal/farm
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 5s -parallel 2 ./internal/logcat
 go test -run '^$' -fuzz '^FuzzCollector$' -fuzztime 5s -parallel 2 ./internal/triage
+go test -run '^$' -fuzz '^FuzzFold$' -fuzztime 5s -parallel 2 ./internal/triage
 go test -run '^$' -fuzz '^FuzzCampaignSpec$' -fuzztime 5s -parallel 2 ./internal/service
 go test -run '^$' -fuzz '^FuzzWorkerEnvelopes$' -fuzztime 5s -parallel 2 ./internal/service
 go test -run '^$' -fuzz '^FuzzArchivedInfo$' -fuzztime 5s -parallel 2 ./internal/service
