@@ -270,7 +270,6 @@ func NewFleetTemplate(kind FleetKind, seed uint64) (*FleetTemplate, error) {
 	for _, p := range f.Packages {
 		for _, c := range p.Components {
 			c.Flat()
-			c.BindEndpoint()
 		}
 	}
 	return &FleetTemplate{kind: kind, seed: seed, packages: f.Packages, crashy: crashy}, nil

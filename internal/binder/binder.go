@@ -1,14 +1,12 @@
 // Package binder provides a compact model of Android's Binder IPC layer:
-// named endpoints owned by processes, synchronous transactions, and death
-// notification. Two observations in the paper depend on Binder semantics —
-// android.os.DeadObjectException appearing among the exceptions behind
-// unresponsive components ("garbage collection can have the undesirable
-// effect"), and the Ambient Service bind failure in the second reboot
-// post-mortem.
+// named endpoints owned by processes and synchronous transactions that fail
+// with android.os.DeadObjectException once the owner dies — one of the
+// exceptions the paper finds behind unresponsive components ("garbage
+// collection can have the undesirable effect"). Fault campaigns inject
+// transaction faults through SetFault.
 package binder
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/javalang"
@@ -31,7 +29,6 @@ type Router struct {
 	mu        sync.Mutex
 	endpoints map[string]*Endpoint
 	alive     map[int]bool // PID liveness, maintained by the process table
-	deathSubs map[string][]func()
 	// txCount counts delivered transactions, for stats/benchmarks.
 	txCount uint64
 
@@ -54,7 +51,6 @@ func NewRouter() *Router {
 	return &Router{
 		endpoints: make(map[string]*Endpoint),
 		alive:     make(map[int]bool),
-		deathSubs: make(map[string][]func()),
 	}
 }
 
@@ -69,44 +65,12 @@ func (r *Router) Publish(name string, ownerPID int, h Handler) *Endpoint {
 	return ep
 }
 
-// Unpublish removes the endpoint.
-func (r *Router) Unpublish(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.endpoints, name)
-}
-
 // SetAlive updates PID liveness; the process table calls this on process
-// start and death. Killing a PID fires death notifications for every
-// endpoint it owns.
+// start and death. Transactions to endpoints a dead PID owns fail.
 func (r *Router) SetAlive(pid int, alive bool) {
 	r.mu.Lock()
-	r.alive[pid] = alive
-	var toNotify []func()
-	if !alive {
-		for name, ep := range r.endpoints {
-			if ep.OwnerPID == pid {
-				toNotify = append(toNotify, r.deathSubs[name]...)
-				delete(r.deathSubs, name)
-			}
-		}
-	}
-	r.mu.Unlock()
-	for _, fn := range toNotify {
-		fn()
-	}
-}
-
-// LinkToDeath registers fn to run when the endpoint's owner dies. Unknown
-// endpoints return an error immediately (mirror of Binder's behaviour).
-func (r *Router) LinkToDeath(name string, fn func()) error {
-	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.endpoints[name]; !ok {
-		return fmt.Errorf("binder: no endpoint %q", name)
-	}
-	r.deathSubs[name] = append(r.deathSubs[name], fn)
-	return nil
+	r.alive[pid] = alive
 }
 
 // SetTelemetry wires the router's dispatch metrics into reg:
@@ -141,15 +105,14 @@ func (r *Router) SetFault(fault func(name string) *javalang.Throwable) {
 }
 
 // Reset empties the router back to its NewRouter state while reusing the
-// map allocations: endpoints, PID liveness, and death subscriptions drop,
-// the transaction counter rewinds, and the telemetry, flight-recorder, and
-// fault hooks detach (a persistent-mode campaign unit re-attaches its own).
+// map allocations: endpoints and PID liveness drop, the transaction counter
+// rewinds, and the telemetry, flight-recorder, and fault hooks detach (a
+// persistent-mode campaign unit re-attaches its own).
 func (r *Router) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	clear(r.endpoints)
 	clear(r.alive)
-	clear(r.deathSubs)
 	r.txCount = 0
 	r.txOK, r.txDead, r.txLatency = nil, nil, nil
 	r.rec = nil

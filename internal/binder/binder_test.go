@@ -57,33 +57,6 @@ func TestHandlerThrowablePropagates(t *testing.T) {
 	}
 }
 
-func TestDeathNotification(t *testing.T) {
-	r := NewRouter()
-	r.Publish("svc.x", 7, echoHandler)
-	died := 0
-	if err := r.LinkToDeath("svc.x", func() { died++ }); err != nil {
-		t.Fatal(err)
-	}
-	r.SetAlive(7, false)
-	if died != 1 {
-		t.Fatalf("death callbacks = %d, want 1", died)
-	}
-	// Death subscriptions are one-shot: reviving and re-killing does not
-	// re-fire old callbacks.
-	r.SetAlive(7, true)
-	r.SetAlive(7, false)
-	if died != 1 {
-		t.Fatalf("death callbacks after revive/kill = %d, want 1", died)
-	}
-}
-
-func TestLinkToDeathUnknownEndpoint(t *testing.T) {
-	r := NewRouter()
-	if err := r.LinkToDeath("nope", func() {}); err == nil {
-		t.Fatal("LinkToDeath on unknown endpoint succeeded")
-	}
-}
-
 func TestRepublishReplacesEndpoint(t *testing.T) {
 	r := NewRouter()
 	r.Publish("svc.x", 1, func(int, any) (any, *javalang.Throwable) { return "old", nil })
@@ -91,31 +64,5 @@ func TestRepublishReplacesEndpoint(t *testing.T) {
 	reply, thr := r.Transact("svc.x", 0, nil)
 	if thr != nil || reply != "new" {
 		t.Fatalf("reply = %v thr = %v", reply, thr)
-	}
-}
-
-func TestUnpublish(t *testing.T) {
-	r := NewRouter()
-	r.Publish("svc.x", 1, echoHandler)
-	r.Unpublish("svc.x")
-	if r.Lookup("svc.x") {
-		t.Fatal("endpoint survives Unpublish")
-	}
-	_, thr := r.Transact("svc.x", 0, nil)
-	if thr == nil {
-		t.Fatal("Transact on unpublished endpoint succeeded")
-	}
-}
-
-func TestDeathOnlyFiresForOwnedEndpoints(t *testing.T) {
-	r := NewRouter()
-	r.Publish("svc.a", 1, echoHandler)
-	r.Publish("svc.b", 2, echoHandler)
-	var fired []string
-	_ = r.LinkToDeath("svc.a", func() { fired = append(fired, "a") })
-	_ = r.LinkToDeath("svc.b", func() { fired = append(fired, "b") })
-	r.SetAlive(2, false)
-	if len(fired) != 1 || fired[0] != "b" {
-		t.Fatalf("fired = %v, want [b]", fired)
 	}
 }

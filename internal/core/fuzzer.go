@@ -94,9 +94,6 @@ type ComponentRun struct {
 	Results   map[wearos.DeliveryResult]int
 }
 
-// Rebooted reports whether any injection in this run rebooted the device.
-func (cr ComponentRun) Rebooted() bool { return cr.Results[wearos.DeviceRebooted] > 0 }
-
 // AppRun summarizes one campaign against one application.
 type AppRun struct {
 	Package    string

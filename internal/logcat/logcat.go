@@ -122,11 +122,11 @@ const (
 // long-lived (interned catalog entries, cached component flats, exception
 // messages) so storing them allocates nothing.
 type Payload struct {
-	// Verb is the dispatch verb (START, startService, bindService,
-	// broadcastIntent) for MsgDispatch, the component kind (activity,
-	// service, receiver) for MsgDelivering and MsgNotFound, the exception
-	// class for the ops rendering an exception, the frame's class for
-	// MsgFrame and the process name for MsgFatalProcess and MsgDied.
+	// Verb is the dispatch verb (START, startService) for MsgDispatch, the
+	// component kind (activity, service) for MsgDelivering and MsgNotFound,
+	// the exception class for the ops rendering an exception, the frame's
+	// class for MsgFrame and the process name for MsgFatalProcess and
+	// MsgDied.
 	Verb string
 	// Act/Data/Comp/HasExtras are the intent fields of MsgDispatch; Act is
 	// also the denied action of MsgDenyProtected. HasData distinguishes "no
@@ -367,12 +367,10 @@ const (
 	TagAndroidRuntime  = "AndroidRuntime"
 	TagSystemServer    = "SystemServer"
 	TagSensorService   = "SensorService"
-	TagWindowManager   = "WindowManager"
 	TagPackageManager  = "PackageManager"
 	TagWatchdog        = "Watchdog"
 	TagDEBUG           = "DEBUG" // native crash dumps (debuggerd)
 	TagBoot            = "boot"
-	TagMonkey          = "Monkey"
 	TagDropBox         = "DropBoxManagerService"
 	TagFaultInject     = "FaultInject"
 )

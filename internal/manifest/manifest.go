@@ -191,12 +191,11 @@ type Component struct {
 	// only targets launcher activities (Section IV-D).
 	MainLauncher bool
 
-	// flat and bindEndpoint cache the rendered component identity strings;
-	// Registry.Install precomputes them so the dispatch hot path never
-	// re-flattens a long-lived component. Lazily filled on first use for
-	// components that never pass through a registry.
-	flat         string
-	bindEndpoint string
+	// flat caches the rendered component identity string; Registry.Install
+	// precomputes it so the dispatch hot path never re-flattens a long-lived
+	// component. Lazily filled on first use for components that never pass
+	// through a registry.
+	flat string
 }
 
 // Flat returns the cached Name.FlattenToString().
@@ -205,15 +204,6 @@ func (c *Component) Flat() string {
 		c.flat = c.Name.FlattenToString()
 	}
 	return c.flat
-}
-
-// BindEndpoint returns the cached "svc:<flat>" connection endpoint handed to
-// ServiceConnection callbacks.
-func (c *Component) BindEndpoint() string {
-	if c.bindEndpoint == "" {
-		c.bindEndpoint = "svc:" + c.Flat()
-	}
-	return c.bindEndpoint
 }
 
 // Package is one installed application.
@@ -298,14 +288,11 @@ func (r *Registry) Install(pkg *Package) error {
 	r.packages[pkg.Name] = pkg
 	for _, c := range pkg.Components {
 		r.byName[c.Name] = c
-		// The interned strings are write-once: packages structurally shared
+		// The interned string is write-once: packages structurally shared
 		// across device clones are installed concurrently, and rewriting an
 		// already-cached value would race with readers on sibling devices.
 		if c.flat == "" {
 			c.flat = c.Name.FlattenToString()
-		}
-		if c.bindEndpoint == "" {
-			c.bindEndpoint = "svc:" + c.flat
 		}
 	}
 	return nil
@@ -426,24 +413,6 @@ func (r *Registry) StatsFor(cat AppCategory, origin Origin) Stats {
 		}
 	}
 	return s
-}
-
-// AllComponents returns every installed component of the given types in
-// deterministic order.
-func (r *Registry) AllComponents(types ...ComponentType) []*Component {
-	allow := make(map[ComponentType]bool, len(types))
-	for _, t := range types {
-		allow[t] = true
-	}
-	var out []*Component
-	for _, name := range r.order {
-		for _, c := range r.packages[name].Components {
-			if len(allow) == 0 || allow[c.Type] {
-				out = append(out, c)
-			}
-		}
-	}
-	return out
 }
 
 // PermissionRegistry records the permission strings known to the device;

@@ -236,25 +236,6 @@ func TestStatsFor(t *testing.T) {
 	}
 }
 
-func TestAllComponentsFiltering(t *testing.T) {
-	r := NewRegistry()
-	if err := r.Install(samplePackage()); err != nil {
-		t.Fatal(err)
-	}
-	acts := r.AllComponents(Activity)
-	if len(acts) != 2 {
-		t.Fatalf("activities = %d, want 2", len(acts))
-	}
-	both := r.AllComponents(Activity, Service)
-	if len(both) != 4 {
-		t.Fatalf("activities+services = %d, want 4", len(both))
-	}
-	everything := r.AllComponents()
-	if len(everything) != 4 {
-		t.Fatalf("all = %d, want 4", len(everything))
-	}
-}
-
 func TestLauncherLookup(t *testing.T) {
 	p := samplePackage()
 	l := p.Launcher()

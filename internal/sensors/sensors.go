@@ -11,7 +11,6 @@
 package sensors
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/javalang"
@@ -334,34 +333,4 @@ func (s *Service) ResetRestart(pid int) {
 	s.fault = FaultNone
 	s.last = nil
 	s.stalled, s.stale = 0, 0
-}
-
-// Manager is the framework-side SensorManager bound to one client app
-// process. Health apps that bypass Google Fit use it directly.
-type Manager struct {
-	client string
-	svc    *Service
-}
-
-// NewManager returns a SensorManager for the named client process.
-func NewManager(client string, svc *Service) *Manager {
-	return &Manager{client: client, svc: svc}
-}
-
-// RegisterListener registers the client for sensor t.
-func (m *Manager) RegisterListener(t Type) *javalang.Throwable {
-	return m.svc.Register(m.client, t)
-}
-
-// ReadSample reads one value from sensor t.
-func (m *Manager) ReadSample(t Type) (float64, *javalang.Throwable) {
-	return m.svc.Read(m.client, t)
-}
-
-// UnregisterAll drops the client's registrations.
-func (m *Manager) UnregisterAll() { m.svc.Unregister(m.client) }
-
-// String implements fmt.Stringer for diagnostics.
-func (m *Manager) String() string {
-	return fmt.Sprintf("SensorManager(client=%s)", m.client)
 }

@@ -19,11 +19,11 @@ func newTestService(t *testing.T) (*Service, *logcat.Buffer) {
 
 func TestRegisterAndRead(t *testing.T) {
 	svc, _ := newTestService(t)
-	m := NewManager("com.fit.app", svc)
-	if thr := m.RegisterListener(HeartRate); thr != nil {
+	const client = "com.fit.app"
+	if thr := svc.Register(client, HeartRate); thr != nil {
 		t.Fatalf("register: %v", thr)
 	}
-	v, thr := m.ReadSample(HeartRate)
+	v, thr := svc.Read(client, HeartRate)
 	if thr != nil {
 		t.Fatalf("read: %v", thr)
 	}
@@ -34,8 +34,8 @@ func TestRegisterAndRead(t *testing.T) {
 
 func TestReadWithoutRegistration(t *testing.T) {
 	svc, _ := newTestService(t)
-	m := NewManager("com.fit.app", svc)
-	_, thr := m.ReadSample(StepCounter)
+	const client = "com.fit.app"
+	_, thr := svc.Read(client, StepCounter)
 	if thr == nil || thr.Class != javalang.ClassIllegalState {
 		t.Fatalf("expected IllegalStateException, got %v", thr)
 	}
@@ -43,8 +43,8 @@ func TestReadWithoutRegistration(t *testing.T) {
 
 func TestAbortKillsService(t *testing.T) {
 	svc, buf := newTestService(t)
-	m := NewManager("com.fit.app", svc)
-	if thr := m.RegisterListener(HeartRate); thr != nil {
+	const client = "com.fit.app"
+	if thr := svc.Register(client, HeartRate); thr != nil {
 		t.Fatal(thr)
 	}
 	var gotSignal string
@@ -58,10 +58,10 @@ func TestAbortKillsService(t *testing.T) {
 		t.Fatalf("system server saw signal %q", gotSignal)
 	}
 	// Registered clients now get DeadObjectException.
-	if _, thr := m.ReadSample(HeartRate); thr == nil || thr.Class != javalang.ClassDeadObject {
+	if _, thr := svc.Read(client, HeartRate); thr == nil || thr.Class != javalang.ClassDeadObject {
 		t.Fatalf("expected DeadObjectException, got %v", thr)
 	}
-	if thr := m.RegisterListener(StepCounter); thr == nil || thr.Class != javalang.ClassDeadObject {
+	if thr := svc.Register(client, StepCounter); thr == nil || thr.Class != javalang.ClassDeadObject {
 		t.Fatalf("register on dead service: %v", thr)
 	}
 	// The native crash dump must be in the log (the analyzer keys off it).
@@ -89,8 +89,8 @@ func TestAbortIsIdempotent(t *testing.T) {
 
 func TestRestartClearsState(t *testing.T) {
 	svc, _ := newTestService(t)
-	m := NewManager("c", svc)
-	if thr := m.RegisterListener(HeartRate); thr != nil {
+	const client = "c"
+	if thr := svc.Register(client, HeartRate); thr != nil {
 		t.Fatal(thr)
 	}
 	svc.Abort(javalang.SIGABRT)
@@ -101,19 +101,19 @@ func TestRestartClearsState(t *testing.T) {
 	if svc.PID() != 2230 {
 		t.Fatalf("PID = %d", svc.PID())
 	}
-	if svc.Listeners("c") != 0 {
+	if svc.Listeners(client) != 0 {
 		t.Fatal("listeners survived restart")
 	}
 }
 
 func TestUnregister(t *testing.T) {
 	svc, _ := newTestService(t)
-	m := NewManager("c", svc)
-	if thr := m.RegisterListener(HeartRate); thr != nil {
+	const client = "c"
+	if thr := svc.Register(client, HeartRate); thr != nil {
 		t.Fatal(thr)
 	}
-	m.UnregisterAll()
-	if svc.Listeners("c") != 0 {
+	svc.Unregister(client)
+	if svc.Listeners(client) != 0 {
 		t.Fatal("UnregisterAll left listeners")
 	}
 }

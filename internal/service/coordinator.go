@@ -764,7 +764,17 @@ func (c *Coordinator) Complete(leaseID string, fingerprint string, record []byte
 
 	idx, sr, err := farm.DecodeShardRecord(record)
 	if err != nil {
+		// An undecodable upload voids its lease like a mismatched one: the
+		// shard re-queues now instead of when the TTL reaps the lease.
+		c.mu.Lock()
+		c.reapLocked(now)
+		if l := c.leases[leaseID]; l != nil {
+			c.workers[l.worker] = now
+			delete(c.leases, leaseID)
+			l.camp.board.Requeue(l.shard)
+		}
 		c.met.resultsRej.Inc()
+		c.mu.Unlock()
 		return fmt.Errorf("%w: %v", ErrBadRecord, err)
 	}
 

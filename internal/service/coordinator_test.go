@@ -245,3 +245,54 @@ func TestCrashCounterCountsFoldedRecords(t *testing.T) {
 			got, exp.Triage.RawCrashes, shipped)
 	}
 }
+
+// TestUndecodableRecordRequeuesShard: an upload whose record does not
+// decode (garbage, or a crash with a negative fold weight) answers
+// ErrBadRecord and voids its lease, so a second worker is granted the
+// shard at once instead of after the lease TTL.
+func TestUndecodableRecordRequeuesShard(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		record func(t *testing.T, g LeaseGrant) []byte
+	}{
+		{"garbage", func(*testing.T, LeaseGrant) []byte { return []byte("not a record") }},
+		{"negative repeats", func(t *testing.T, g LeaseGrant) []byte {
+			_, record := executeLease(t, g)
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(record, &fields); err != nil {
+				t.Fatal(err)
+			}
+			fields["crashes"] = json.RawMessage(`[{"process":"com.heartwatch.wear","repeats":-1}]`)
+			out, err := json.Marshal(fields)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCoordinator(Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Shutdown()
+			if _, err := c.Submit(CampaignSpec{Seed: 1, Campaigns: "A", Packages: []string{"com.heartwatch.wear"}, Quick: 10}); err != nil {
+				t.Fatal(err)
+			}
+			g, err := c.Lease("w1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Complete(g.LeaseID, g.Fingerprint, tc.record(t, g)); !errors.Is(err, ErrBadRecord) {
+				t.Fatalf("Complete = %v, want ErrBadRecord", err)
+			}
+			again, err := c.Lease("w2")
+			if err != nil {
+				t.Fatalf("shard not leasable after the refused upload: %v", err)
+			}
+			if again.Shard != g.Shard {
+				t.Fatalf("re-leased shard %d, want %d", again.Shard, g.Shard)
+			}
+		})
+	}
+}

@@ -20,26 +20,6 @@ var DefLatencyBuckets = []float64{
 	1, 2.5, 5, 10,
 }
 
-// LinearBuckets returns n upper bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
-// ExpBuckets returns n upper bounds start, start*factor, ...
-func ExpBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
 // Histogram is a fixed-bucket histogram with atomic bucket counts. A value
 // v lands in the first bucket whose upper bound satisfies v <= bound; values
 // above the last bound land in the implicit +Inf overflow bucket. A nil
@@ -79,11 +59,6 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
-}
-
-// ObserveDuration records d in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	h.Observe(d.Seconds())
 }
 
 // Count returns the number of observations.

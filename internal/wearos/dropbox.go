@@ -20,7 +20,6 @@ const (
 	TagAppCrash      DropBoxTag = "data_app_crash"
 	TagAppANR        DropBoxTag = "data_app_anr"
 	TagSystemRestart DropBoxTag = "SYSTEM_RESTART"
-	TagNativeCrash   DropBoxTag = "SYSTEM_TOMBSTONE"
 )
 
 // DropBoxEntry is one filed record.

@@ -186,9 +186,8 @@ type OS struct {
 	sysSrv *SystemServer
 	sensor *sensors.Service
 
-	handlers     map[intent.ComponentName]registration
-	bindHandlers map[intent.ComponentName]BindHandler
-	memo         dispatchMemo
+	handlers map[intent.ComponentName]registration
+	memo     dispatchMemo
 
 	bootCount int
 	bootTime  time.Time
@@ -325,18 +324,17 @@ func newKernel(cfg Config, clock *vclock.Virtual, buf *logcat.Buffer) *OS {
 		tel = telemetry.NewRegistry()
 	}
 	o := &OS{
-		cfg:          cfg,
-		clock:        clock,
-		buf:          buf,
-		log:          log,
-		tel:          tel,
-		reg:          manifest.NewRegistry(),
-		perms:        manifest.NewPermissionRegistry(manifest.StandardPermissions...),
-		router:       binder.NewRouter(),
-		procs:        newProcessTable(2000),
-		handlers:     make(map[intent.ComponentName]registration),
-		bindHandlers: make(map[intent.ComponentName]BindHandler),
-		dropbox:      newDropBox(),
+		cfg:      cfg,
+		clock:    clock,
+		buf:      buf,
+		log:      log,
+		tel:      tel,
+		reg:      manifest.NewRegistry(),
+		perms:    manifest.NewPermissionRegistry(manifest.StandardPermissions...),
+		router:   binder.NewRouter(),
+		procs:    newProcessTable(2000),
+		handlers: make(map[intent.ComponentName]registration),
+		dropbox:  newDropBox(),
 	}
 	o.sysSrv = newSystemServer(cfg.Aging, clock.Now, log)
 	o.sysSrv.requestReboot = o.reboot
@@ -442,9 +440,6 @@ func (o *OS) SetFaultHooks(h FaultHooks) { o.faultHooks, o.faultNext = h, 0 }
 // them. An engine republishes it whenever its schedule moves; zero runs the
 // hooks on every dispatch.
 func (o *OS) SetFaultNext(seq uint64) { o.faultNext = seq }
-
-// DispatchSeq returns the number of dispatches the device has performed.
-func (o *OS) DispatchSeq() uint64 { return o.dispatchSeq }
 
 // SetStorageFault installs (or, with nil, lifts) an injected persistent-
 // storage fault: DropBox writes consult it and a non-nil Throwable drops

@@ -165,6 +165,60 @@ func TestCaughtExceptionIsHandled(t *testing.T) {
 	}
 }
 
+// publishWorkerEndpoint starts the test app's Worker service and publishes
+// an echo binder endpoint owned by its process, as a bound service would.
+func publishWorkerEndpoint(t *testing.T, o *OS) string {
+	t.Helper()
+	worker := cn("com.test.app", "Worker")
+	if got := o.StartService(explicit(worker, "")); got != DeliveredNoEffect {
+		t.Fatalf("start delivery = %v", got)
+	}
+	const endpoint = "svc:com.test.app/.Worker"
+	o.Binder().Publish(endpoint, o.Process("com.test.app").PID,
+		func(code int, data any) (any, *javalang.Throwable) { return data, nil })
+	return endpoint
+}
+
+// TestBindDeathNotification pins the process table's binder liveness on a
+// crash: an endpoint an app's process owns fails with DeadObjectException
+// once that process dies.
+func TestBindDeathNotification(t *testing.T) {
+	o := testDevice(t)
+	endpoint := publishWorkerEndpoint(t, o)
+	main := cn("com.test.app", "MainActivity")
+	o.RegisterHandler(main, func(env *Env, in *intent.Intent) Outcome {
+		return Outcome{Thrown: javalang.New(javalang.ClassNullPointer, "x")}
+	}, ComponentTraits{})
+	if got := o.StartActivity(explicit(main, "android.intent.action.VIEW")); got != DeliveredCrash {
+		t.Fatalf("crash delivery = %v", got)
+	}
+	if _, thr := o.Binder().Transact(endpoint, 0, nil); thr == nil || thr.Class != javalang.ClassDeadObject {
+		t.Fatalf("transact after crash: %v", thr)
+	}
+}
+
+// TestBindSurvivesANRButNotReboot: an ANR leaves the owning process alive,
+// so its endpoint keeps answering; a reboot kills every process and with it
+// the endpoint.
+func TestBindSurvivesANRButNotReboot(t *testing.T) {
+	o := testDevice(t)
+	endpoint := publishWorkerEndpoint(t, o)
+	worker := cn("com.test.app", "Worker")
+	o.RegisterHandler(worker, func(env *Env, in *intent.Intent) Outcome {
+		return Outcome{BusyFor: 10 * time.Second}
+	}, ComponentTraits{})
+	if got := o.StartService(explicit(worker, "")); got != DeliveredANR {
+		t.Fatalf("ANR delivery = %v", got)
+	}
+	if reply, thr := o.Binder().Transact(endpoint, 0, "ping"); thr != nil || reply != "ping" {
+		t.Fatalf("transact after ANR = %v, %v", reply, thr)
+	}
+	o.reboot("test")
+	if _, thr := o.Binder().Transact(endpoint, 0, nil); thr == nil || thr.Class != javalang.ClassDeadObject {
+		t.Fatalf("transact after reboot: %v", thr)
+	}
+}
+
 func TestANRDetection(t *testing.T) {
 	o := testDevice(t)
 	target := cn("com.test.app", "MainActivity")

@@ -60,7 +60,6 @@ func (o *OS) resetStateHash() uint64 {
 	mix(uint64(o.reg.Count()))
 	mix(uint64(o.perms.Count()))
 	mix(uint64(len(o.handlers)))
-	mix(uint64(len(o.bindHandlers)))
 
 	mix(uint64(o.procs.nextPID))
 	mix(uint64(len(o.procs.byName)))
@@ -156,6 +155,19 @@ func (o *OS) ResetTo(s *Snapshot) bool {
 	o.dispatchPending = [DeviceRebooted + 1]uint32{}
 	o.env = Env{}
 
+	o.restore(s)
+	return o.resetStateHash() == s.stateHash
+}
+
+// restore makes the device's process table, sensor service, registries,
+// handler tables, boot identity, dropbox and aging state those of the
+// snapshot, reusing the device's allocations. It is the whole of a clone
+// after newKernel, and the shared tail of ResetTo.
+func (o *OS) restore(s *Snapshot) {
+	// Align identity allocation with the template: a fresh kernel consumed
+	// one PID for the sensor service; rewind to the template's allocator
+	// state and sensor PID so post-restore PID sequences match a fresh boot
+	// exactly.
 	clear(o.procs.byName)
 	clear(o.procs.byPID)
 	o.procs.nextPID = s.nextPID
@@ -163,18 +175,19 @@ func (o *OS) ResetTo(s *Snapshot) bool {
 
 	o.reg.Clear()
 	for _, pkg := range s.packages {
-		// Same contract as Clone: the packages were validated at template
-		// install time, so an error here is a programming bug.
+		// Install silently: the template's install log lines are already in
+		// the restored baseline. The packages were validated when the
+		// template installed them, so an error here is a programming bug.
 		if err := o.reg.Install(pkg); err != nil {
-			panic("wearos: reset re-install: " + err.Error())
+			panic("wearos: snapshot re-install: " + err.Error())
 		}
 	}
 	o.perms.Reset(s.perms)
 
 	restoreMap(o.handlers, s.handlers)
-	restoreMap(o.bindHandlers, s.bindHandlers)
 	o.memo = dispatchMemo{}
 
+	o.bootCount = s.bootCount
 	o.bootTime = s.bootTime
 	o.rebootLog = append(o.rebootLog[:0], s.rebootLog...)
 	o.dispatchSeq = s.dispatchSeq
@@ -191,8 +204,6 @@ func (o *OS) ResetTo(s *Snapshot) bool {
 	o.sysSrv.timeline = append(o.sysSrv.timeline[:0], s.aging.timeline...)
 
 	o.osm.bootCount.Set(float64(o.bootCount))
-
-	return o.resetStateHash() == s.stateHash
 }
 
 // restoreMap makes dst hold exactly src's contents, reusing dst's

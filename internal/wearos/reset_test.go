@@ -12,13 +12,20 @@ import (
 
 // dirtyDevice drives a device through every mutable subsystem ResetTo must
 // rewind: the workload's logcat/dropbox/process/aging churn, plus a binder
-// bind, sensor listeners and a fault mode, a storage fault, scheduled
-// timers, a manual dropbox filing, and a late package install.
+// endpoint and a transaction, sensor listeners and a fault mode, a storage
+// fault, scheduled timers, a manual dropbox filing, and a late package
+// install.
 func dirtyDevice(t *testing.T, o *OS) {
 	t.Helper()
 	driveWorkload(t, o)
-	if _, thr := o.BindService(explicit(cn("com.test.app", "Worker"), "")); thr != nil {
-		t.Fatalf("bind failed: %v", thr)
+	proc := o.Process("com.test.app")
+	if proc == nil {
+		t.Fatal("workload left no live app process")
+	}
+	o.Binder().Publish("svc:com.test.app/.Worker", proc.PID,
+		func(code int, data any) (any, *javalang.Throwable) { return data, nil })
+	if _, thr := o.Binder().Transact("svc:com.test.app/.Worker", 0, nil); thr != nil {
+		t.Fatalf("transact failed: %v", thr)
 	}
 	if thr := o.SensorService().Register("com.test.app", sensors.HeartRate); thr != nil {
 		t.Fatalf("sensor register failed: %v", thr)

@@ -61,8 +61,7 @@ type Snapshot struct {
 	packages []*manifest.Package // install order
 	perms    []string
 
-	handlers     map[intent.ComponentName]registration
-	bindHandlers map[intent.ComponentName]BindHandler
+	handlers map[intent.ComponentName]registration
 
 	nextPID   int
 	sensorPID int
@@ -98,20 +97,19 @@ func (o *OS) Snapshot() (*Snapshot, error) {
 	}
 
 	s := &Snapshot{
-		cfg:          o.cfg,
-		now:          o.clock.Now(),
-		bootCount:    o.bootCount,
-		bootTime:     o.bootTime,
-		rebootLog:    append([]time.Time(nil), o.rebootLog...),
-		dispatchSeq:  o.dispatchSeq,
-		baseline:     o.buf.Snapshot(),
-		packages:     o.reg.Packages(),
-		perms:        o.perms.List(),
-		handlers:     copyMap(o.handlers),
-		bindHandlers: copyMap(o.bindHandlers),
-		nextPID:      o.procs.nextPID,
-		sensorPID:    o.sensor.PID(),
-		dropbox:      append([]DropBoxEntry(nil), o.dropbox.entries...),
+		cfg:         o.cfg,
+		now:         o.clock.Now(),
+		bootCount:   o.bootCount,
+		bootTime:    o.bootTime,
+		rebootLog:   append([]time.Time(nil), o.rebootLog...),
+		dispatchSeq: o.dispatchSeq,
+		baseline:    o.buf.Snapshot(),
+		packages:    o.reg.Packages(),
+		perms:       o.perms.List(),
+		handlers:    copyMap(o.handlers),
+		nextPID:     o.procs.nextPID,
+		sensorPID:   o.sensor.PID(),
+		dropbox:     append([]DropBoxEntry(nil), o.dropbox.entries...),
 		aging: agingState{
 			instability:   o.sysSrv.instability,
 			lastDecay:     o.sysSrv.lastDecay,
@@ -160,47 +158,8 @@ func (s *Snapshot) CloneReplacing(retired *OS) *OS {
 // clone builds the snapshot's device around buf, a ring holding exactly the
 // boot baseline.
 func (s *Snapshot) clone(buf *logcat.Buffer) *OS {
-	clock := vclock.NewVirtual(s.now)
-	o := newKernel(s.cfg, clock, buf)
-
-	// Align identity allocation with the template: the kernel consumed one
-	// PID for the sensor service from a fresh table; rewind to the
-	// template's allocator state and sensor PID so post-clone PID sequences
-	// match a fresh boot exactly.
-	o.sensor.Restart(s.sensorPID)
-	o.procs.nextPID = s.nextPID
-
-	for _, pkg := range s.packages {
-		// Install silently: the template's install log lines are already in
-		// the restored baseline. The packages were validated when the
-		// template installed them, so an error here is a programming bug.
-		if err := o.reg.Install(pkg); err != nil {
-			panic("wearos: clone re-install: " + err.Error())
-		}
-	}
-	for _, p := range s.perms {
-		o.perms.Register(p)
-	}
-	restoreMap(o.handlers, s.handlers)
-	restoreMap(o.bindHandlers, s.bindHandlers)
-
-	o.bootCount = s.bootCount
-	o.bootTime = s.bootTime
-	o.rebootLog = append([]time.Time(nil), s.rebootLog...)
-	o.dispatchSeq = s.dispatchSeq
-	o.dropbox.entries = append([]DropBoxEntry(nil), s.dropbox...)
-
-	o.sysSrv.instability = s.aging.instability
-	o.sysSrv.lastDecay = s.aging.lastDecay
-	o.sysSrv.anrByProcess = copyMap(s.aging.anrByProcess)
-	o.sysSrv.startFailures = copyMap(s.aging.startFailures)
-	o.sysSrv.lastCrashAt = copyMap(s.aging.lastCrashAt)
-	o.sysSrv.lastANRAt = copyMap(s.aging.lastANRAt)
-	o.sysSrv.rebootPending = s.aging.rebootPending
-	o.sysSrv.rejuvenations = s.aging.rejuvenations
-	o.sysSrv.timeline = append([]InstabilitySample(nil), s.aging.timeline...)
-
-	o.osm.bootCount.Set(float64(o.bootCount))
+	o := newKernel(s.cfg, vclock.NewVirtual(s.now), buf)
+	o.restore(s)
 	return o
 }
 

@@ -223,9 +223,8 @@ func TestSnapshotRefusesNonQuiescent(t *testing.T) {
 	}
 
 	bound := testDevice(t)
-	if _, thr := bound.BindService(explicit(cn("com.test.app", "Worker"), "")); thr != nil {
-		t.Fatalf("bind failed: %v", thr)
-	}
+	bound.Binder().Publish("svc:com.test.app/.Worker", 3000,
+		func(code int, data any) (any, *javalang.Throwable) { return data, nil })
 	if _, err := bound.Snapshot(); err == nil {
 		t.Fatal("snapshot succeeded with a published binder endpoint")
 	}

@@ -36,8 +36,8 @@ const goldenDumpPath = "testdata/golden_dump.txt"
 
 // buildGoldenScenario drives a deterministic reduced campaign through every
 // logging surface the optimization touches: the dispatch hot path (campaign
-// A), the extras path (campaign D), the eager fallback (an intent carrying
-// categories, MIME type, and flags), broadcasts, and service binding.
+// A), the extras path (campaign D) and the eager fallback (an intent
+// carrying categories, MIME type, and flags).
 func buildGoldenScenario(t testing.TB) *wearos.OS {
 	t.Helper()
 	dev := wearos.New(wearos.DefaultWatchConfig())
@@ -62,26 +62,6 @@ func buildGoldenScenario(t testing.TB) *wearos.OS {
 	full.Data, _ = intent.ParseURI("https://foo.com/")
 	full.PutExtra("k", intent.StringValue("v"))
 	dev.StartActivity(full)
-
-	// Service binding and broadcast surfaces.
-	for _, pkg := range fleet.Packages {
-		for _, comp := range pkg.Components {
-			if comp.Type == manifest.Service && comp.Exported {
-				conn, thr := dev.BindService(&intent.Intent{
-					Component: comp.Name, SenderUID: core.QGJUID,
-				})
-				if thr == nil {
-					conn.Close()
-				}
-				dev.SendBroadcast(&intent.Intent{
-					Action:    "android.intent.action.BATTERY_LOW",
-					Component: comp.Name,
-					SenderUID: core.QGJUID,
-				})
-				return dev
-			}
-		}
-	}
 	return dev
 }
 

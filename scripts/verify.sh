@@ -7,6 +7,14 @@ set -eux
 cd "$(dirname "$0")/.."
 
 go vet ./...
+# Formatting gate: gofmt lists every file whose layout differs; any output
+# fails the gate and names the files.
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    echo "verify: gofmt would reformat:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 go build ./...
 go test -race ./...
 
