@@ -269,10 +269,10 @@ func TestCampaignSweepAllocBudget(t *testing.T) {
 // TestFailingDispatchAllocBudget pins the allocations of a crashing and of a
 // rejected dispatch, with a shard's collectors subscribed the way the farm
 // runs them. The failure lines are lazy payloads that decode from their
-// operands, so a rejection allocates nothing, and a crash allocates five
+// operands, so a rejection allocates nothing, and a crash allocates four
 // objects, none of them trace text: the restarted process and its "Start
-// proc" line, the DropBox record's detail, the decoded event's class and
-// frame lists (which share one) and the crash's triage record.
+// proc" line, the decoded event's class and frame lists (which share one)
+// and the crash's triage record.
 func TestFailingDispatchAllocBudget(t *testing.T) {
 	dev := wearos.New(wearos.DefaultWatchConfig())
 	name := func(cls string) intent.ComponentName {
@@ -296,8 +296,8 @@ func TestFailingDispatchAllocBudget(t *testing.T) {
 		WithCause(javalang.New(javalang.ClassNullPointer, "Attempt to invoke virtual method on a null object reference").
 			WithStack(frame("parse", 12), frame("onCreate", 41)))}
 	reject := wearos.Outcome{Thrown: javalang.New(javalang.ClassIllegalArgument, "Unexpected value in intent"), Rejected: true}
-	dev.RegisterHandler(name("Crashy"), func(*wearos.Env, *intent.Intent) wearos.Outcome { return crash }, wearos.ComponentTraits{})
-	dev.RegisterHandler(name("Picky"), func(*wearos.Env, *intent.Intent) wearos.Outcome { return reject }, wearos.ComponentTraits{})
+	dev.RegisterHandler(name("Crashy"), func(*intent.Intent) wearos.Outcome { return crash }, wearos.ComponentTraits{})
+	dev.RegisterHandler(name("Picky"), func(*intent.Intent) wearos.Outcome { return reject }, wearos.ComponentTraits{})
 	dev.Logcat().Subscribe(triage.NewShardSink(analysis.NewCollector(), triage.NewCollector()))
 
 	cases := []struct {
@@ -306,7 +306,7 @@ func TestFailingDispatchAllocBudget(t *testing.T) {
 		want   wearos.DeliveryResult
 		budget float64
 	}{
-		{"crash", name("Crashy"), wearos.DeliveredCrash, 5},
+		{"crash", name("Crashy"), wearos.DeliveredCrash, 4},
 		{"rejected", name("Picky"), wearos.DeliveredRejected, 0},
 	}
 	for _, c := range cases {

@@ -36,7 +36,6 @@ func run(args []string) error {
 	components := fs.String("components", "", "list components of a package")
 	shell := fs.String("shell", "", "run one adb shell command")
 	logDump := fs.Bool("logcat", false, "dump logcat at the end")
-	dropbox := fs.Bool("dropbox", false, "dump DropBox crash/ANR/restart records at the end")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /vars and /debug/pprof on this address (e.g. :9100 or :0)")
 	linger := fs.Duration("linger", 0, "keep the process (and -metrics-addr endpoint) alive this long after the run")
 	if err := fs.Parse(args); err != nil {
@@ -94,13 +93,6 @@ func run(args []string) error {
 
 	if *logDump {
 		fmt.Print(dev.Logcat().Dump())
-	}
-	if *dropbox {
-		for _, e := range dev.DropBoxEntries("") {
-			fmt.Printf("%s %-16s %-32s %-48s %s\n",
-				e.Time.Format("15:04:05.000"), e.Tag, e.Process,
-				e.Component.FlattenToString(), e.Detail)
-		}
 	}
 	if *linger > 0 {
 		fmt.Fprintf(os.Stderr, "wearsim: lingering %v for scrapes\n", *linger)

@@ -86,7 +86,7 @@ func TestCollectorSecurityAttribution(t *testing.T) {
 func TestCollectorCrashRootCause(t *testing.T) {
 	dev, col := deviceWithApp(t)
 	target := cn("com.a.app", "Main")
-	dev.RegisterHandler(target, func(env *wearos.Env, in *intent.Intent) wearos.Outcome {
+	dev.RegisterHandler(target, func(in *intent.Intent) wearos.Outcome {
 		root := javalang.New(javalang.ClassNullPointer, "null ref")
 		top := javalang.New(javalang.ClassRuntime, "Unable to start activity").WithCause(root)
 		return wearos.Outcome{Thrown: top}
@@ -113,7 +113,7 @@ func TestCollectorRejectedAndCaught(t *testing.T) {
 	dev, col := deviceWithApp(t)
 	target := cn("com.a.app", "Svc")
 	mode := "reject"
-	dev.RegisterHandler(target, func(env *wearos.Env, in *intent.Intent) wearos.Outcome {
+	dev.RegisterHandler(target, func(in *intent.Intent) wearos.Outcome {
 		thr := javalang.New(javalang.ClassIllegalArgument, "bad")
 		if mode == "reject" {
 			return wearos.Outcome{Thrown: thr, Rejected: true}
@@ -144,7 +144,7 @@ func TestCollectorRejectedAndCaught(t *testing.T) {
 func TestCollectorANRWithTrace(t *testing.T) {
 	dev, col := deviceWithApp(t)
 	target := cn("com.a.app", "Main")
-	dev.RegisterHandler(target, func(env *wearos.Env, in *intent.Intent) wearos.Outcome {
+	dev.RegisterHandler(target, func(in *intent.Intent) wearos.Outcome {
 		return wearos.Outcome{
 			BusyFor: 10 * time.Second,
 			Thrown:  javalang.New(javalang.ClassDeadObject, "binder died"),
@@ -165,7 +165,7 @@ func TestCollectorANRWithTrace(t *testing.T) {
 func TestCollectorRebootAttribution(t *testing.T) {
 	dev, col := deviceWithApp(t)
 	target := cn("com.a.app", "Main")
-	dev.RegisterHandler(target, func(env *wearos.Env, in *intent.Intent) wearos.Outcome {
+	dev.RegisterHandler(target, func(in *intent.Intent) wearos.Outcome {
 		return wearos.Outcome{BusyFor: 10 * time.Second}
 	}, wearos.ComponentTraits{UsesSensorManager: true})
 
@@ -200,7 +200,7 @@ func TestPulledDumpMatchesStreaming(t *testing.T) {
 	// collector's view (the paper pulls logs over adb after the run).
 	dev, streaming := deviceWithApp(t)
 	target := cn("com.a.app", "Main")
-	dev.RegisterHandler(target, func(env *wearos.Env, in *intent.Intent) wearos.Outcome {
+	dev.RegisterHandler(target, func(in *intent.Intent) wearos.Outcome {
 		if in.Action == "" {
 			return wearos.Outcome{Thrown: javalang.New(javalang.ClassNullPointer, "x")}
 		}

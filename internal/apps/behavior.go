@@ -141,7 +141,7 @@ func withIntent(prefix string, in *intent.Intent) string {
 // handler adapts the behaviour model to the OS Handler signature.
 func (b *behavior) handler(compType manifest.ComponentType) wearos.Handler {
 	var stack []javalang.Frame // built on the component's first crash
-	return func(env *wearos.Env, in *intent.Intent) wearos.Outcome {
+	return func(in *intent.Intent) wearos.Outcome {
 		kind := AnalyzeIntent(in)
 		if kind == KindNone {
 			return wearos.Outcome{}

@@ -42,7 +42,7 @@ func validIntent() *intent.Intent {
 func TestHandlerIgnoresValidIntents(t *testing.T) {
 	b := mkBehavior(KindMismatch, reaction{kind: reactCrash, class: javalang.ClassNullPointer})
 	h := b.handler(manifest.Activity)
-	out := h(nil, validIntent())
+	out := h(validIntent())
 	if out.Thrown != nil || out.BusyFor != 0 {
 		t.Fatalf("valid intent triggered %+v", out)
 	}
@@ -50,7 +50,7 @@ func TestHandlerIgnoresValidIntents(t *testing.T) {
 
 func TestHandlerCrashReaction(t *testing.T) {
 	b := mkBehavior(KindMismatch, reaction{kind: reactCrash, class: javalang.ClassIllegalState})
-	out := b.handler(manifest.Activity)(nil, mismatchIntent())
+	out := b.handler(manifest.Activity)(mismatchIntent())
 	if out.Thrown == nil || out.Caught || out.Rejected {
 		t.Fatalf("crash outcome = %+v", out)
 	}
@@ -67,12 +67,12 @@ func TestHandlerCrashReaction(t *testing.T) {
 
 func TestHandlerRejectAndCatchReactions(t *testing.T) {
 	rej := mkBehavior(KindMismatch, reaction{kind: reactReject, class: javalang.ClassIllegalArgument})
-	out := rej.handler(manifest.Service)(nil, mismatchIntent())
+	out := rej.handler(manifest.Service)(mismatchIntent())
 	if out.Thrown == nil || !out.Rejected || out.Caught {
 		t.Fatalf("reject outcome = %+v", out)
 	}
 	cat := mkBehavior(KindMismatch, reaction{kind: reactCatch, class: javalang.ClassIllegalArgument})
-	out = cat.handler(manifest.Service)(nil, mismatchIntent())
+	out = cat.handler(manifest.Service)(mismatchIntent())
 	if out.Thrown == nil || !out.Caught || out.Rejected {
 		t.Fatalf("catch outcome = %+v", out)
 	}
@@ -80,7 +80,7 @@ func TestHandlerRejectAndCatchReactions(t *testing.T) {
 
 func TestHandlerHangReaction(t *testing.T) {
 	b := mkBehavior(KindMismatch, reaction{kind: reactHang, busy: scenarioHangBusy, class: javalang.ClassIllegalState})
-	out := b.handler(manifest.Service)(nil, mismatchIntent())
+	out := b.handler(manifest.Service)(mismatchIntent())
 	if out.BusyFor != scenarioHangBusy {
 		t.Fatalf("BusyFor = %v", out.BusyFor)
 	}
@@ -98,7 +98,7 @@ func TestStochasticReactionProbability(t *testing.T) {
 	fired := 0
 	const n = 4000
 	for i := 0; i < n; i++ {
-		if out := h(nil, mismatchIntent()); out.Thrown != nil {
+		if out := h(mismatchIntent()); out.Thrown != nil {
 			fired++
 		}
 	}

@@ -89,7 +89,7 @@ func TestSecurityExceptionsObserved(t *testing.T) {
 func TestCrashObservedThroughFuzzer(t *testing.T) {
 	dev, pkg := newFuzzTestDevice(t)
 	target := pkg.Components[0]
-	dev.RegisterHandler(target.Name, func(env *wearos.Env, in *intent.Intent) wearos.Outcome {
+	dev.RegisterHandler(target.Name, func(in *intent.Intent) wearos.Outcome {
 		if in.Action == "" && !in.Data.IsZero() {
 			return wearos.Outcome{Thrown: javalang.New(javalang.ClassNullPointer, "no action")}
 		}

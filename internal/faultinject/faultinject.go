@@ -468,11 +468,7 @@ func (e *Engine) probe(k Kind) (ok bool, detail string) {
 		}
 		return true, "ok"
 	default: // dropbox
-		thr := e.dev.FileDropBox(wearos.DropBoxEntry{
-			Time: e.dev.Clock().Now(), Tag: "faultinject_probe",
-			Process: "faultinject", Detail: "storage probe",
-		})
-		if thr != nil {
+		if thr := e.dev.FileDropBox("faultinject_probe", "faultinject"); thr != nil {
 			return false, thr.Class.Simple()
 		}
 		return true, "ok"

@@ -242,7 +242,6 @@ const (
 	CategoryLauncher  = "android.intent.category.LAUNCHER"
 	CategoryBrowsable = "android.intent.category.BROWSABLE"
 	CategoryHome      = "android.intent.category.HOME"
-	CategoryWearable  = "com.google.android.wearable.category.DEFAULT"
 )
 
 // MIME types the generator can attach to the Type field.

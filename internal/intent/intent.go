@@ -84,13 +84,8 @@ type Intent struct {
 	SenderUID int
 }
 
-// Intent flags (subset).
-const (
-	FlagActivityNewTask     uint32 = 0x10000000
-	FlagActivityClearTop    uint32 = 0x04000000
-	FlagIncludeStoppedPkgs  uint32 = 0x00000020
-	FlagGrantReadPermission uint32 = 0x00000001
-)
+// FlagActivityNewTask is Intent.FLAG_ACTIVITY_NEW_TASK.
+const FlagActivityNewTask uint32 = 0x10000000
 
 // IsExplicit reports whether the intent names a target component.
 func (in *Intent) IsExplicit() bool { return !in.Component.IsZero() }
@@ -200,62 +195,4 @@ func (in *Intent) AppendText(buf []byte) []byte {
 		buf = append(buf, "(has extras)"...)
 	}
 	return append(buf, '}')
-}
-
-// Defect flags describe, from the *generator's* point of view, what is
-// malformed about a fuzzed intent. The behaviour models key off these to
-// decide which validation path a component exercises. The analyzer never
-// sees them — it works from logs only, like the paper.
-type Defect uint16
-
-const (
-	// DefectNone marks a fully well-formed intent.
-	DefectNone Defect = 0
-	// DefectMismatchedPair: action and data are individually valid but the
-	// combination is invalid (FIC A).
-	DefectMismatchedPair Defect = 1 << iota
-	// DefectMissingAction: no action set (FIC B).
-	DefectMissingAction
-	// DefectMissingData: no data URI set (FIC B).
-	DefectMissingData
-	// DefectRandomAction: action is a random string (FIC C).
-	DefectRandomAction
-	// DefectRandomData: data is a random string (FIC C).
-	DefectRandomData
-	// DefectRandomExtras: extras carry random keys/values (FIC D).
-	DefectRandomExtras
-	// DefectNullExtra: at least one extra is an explicit null (FIC D).
-	DefectNullExtra
-	// DefectWrongComponentKind: intent targeted a Service API at an Activity
-	// or vice versa.
-	DefectWrongComponentKind
-)
-
-// Has reports whether d contains flag f.
-func (d Defect) Has(f Defect) bool { return d&f != 0 }
-
-// String lists the defect flags for logging/debug.
-func (d Defect) String() string {
-	if d == DefectNone {
-		return "none"
-	}
-	var names []string
-	for _, e := range []struct {
-		f Defect
-		n string
-	}{
-		{DefectMismatchedPair, "mismatched-pair"},
-		{DefectMissingAction, "missing-action"},
-		{DefectMissingData, "missing-data"},
-		{DefectRandomAction, "random-action"},
-		{DefectRandomData, "random-data"},
-		{DefectRandomExtras, "random-extras"},
-		{DefectNullExtra, "null-extra"},
-		{DefectWrongComponentKind, "wrong-component-kind"},
-	} {
-		if d.Has(e.f) {
-			names = append(names, e.n)
-		}
-	}
-	return strings.Join(names, "|")
 }

@@ -245,19 +245,6 @@ func TestValueStrings(t *testing.T) {
 	}
 }
 
-func TestDefectFlags(t *testing.T) {
-	d := DefectMissingAction | DefectNullExtra
-	if !d.Has(DefectMissingAction) || !d.Has(DefectNullExtra) || d.Has(DefectRandomAction) {
-		t.Fatalf("defect flag logic broken: %v", d)
-	}
-	if DefectNone.String() != "none" {
-		t.Errorf("DefectNone.String() = %q", DefectNone.String())
-	}
-	if s := d.String(); !strings.Contains(s, "missing-action") || !strings.Contains(s, "null-extra") {
-		t.Errorf("Defect.String() = %q", s)
-	}
-}
-
 func TestHasAddCategory(t *testing.T) {
 	in := &Intent{}
 	in.AddCategory(CategoryDefault)

@@ -57,22 +57,10 @@ type CampaignSpec struct {
 	// whole fleet.
 	Packages []string `json:"packages,omitempty"`
 	// Quick scales generation down like the CLIs' -quick flag (k shrinks
-	// campaign volume ~k²); 0 means full paper scale. Ignored when Gen is
-	// set.
+	// campaign volume ~k²); 0 means full paper scale.
 	Quick int `json:"quick,omitempty"`
-	// Gen sets explicit generator strides, overriding Quick.
-	Gen *GenSpec `json:"gen,omitempty"`
 	// DisableTriage skips crash bucketing and minimization.
 	DisableTriage bool `json:"disableTriage,omitempty"`
-}
-
-// GenSpec mirrors core.GeneratorConfig's scaling knobs (the seed is never
-// part of a spec: shard seeds derive from CampaignSpec.Seed).
-type GenSpec struct {
-	ActionStride   int `json:"actionStride,omitempty"`
-	SchemeStride   int `json:"schemeStride,omitempty"`
-	RandomVariants int `json:"randomVariants,omitempty"`
-	ExtrasVariants int `json:"extrasVariants,omitempty"`
 }
 
 // parseFleet maps a spec's fleet name to the farm-supported kinds.
@@ -106,13 +94,7 @@ func (s CampaignSpec) FarmConfig() (farm.Config, error) {
 		campaigns = append(campaigns, c)
 	}
 	gen := core.GeneratorConfig{}
-	switch {
-	case s.Gen != nil:
-		gen.ActionStride = s.Gen.ActionStride
-		gen.SchemeStride = s.Gen.SchemeStride
-		gen.RandomVariants = s.Gen.RandomVariants
-		gen.ExtrasVariants = s.Gen.ExtrasVariants
-	case s.Quick > 0:
+	if s.Quick > 0 {
 		gen = experiments.QuickGen(s.Quick)
 	}
 	return farm.Config{

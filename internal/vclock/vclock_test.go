@@ -12,141 +12,20 @@ func TestVirtualStartsAtEpochByDefault(t *testing.T) {
 	}
 }
 
-func TestVirtualSleepAdvances(t *testing.T) {
+func TestVirtualAdvance(t *testing.T) {
 	v := NewVirtual(time.Time{})
 	start := v.Now()
-	v.Sleep(150 * time.Millisecond)
+	v.Advance(150 * time.Millisecond)
 	if got, want := v.Now().Sub(start), 150*time.Millisecond; got != want {
 		t.Fatalf("advanced %v, want %v", got, want)
 	}
 }
 
-func TestVirtualNegativeSleepIsNoop(t *testing.T) {
+func TestVirtualNegativeAdvanceIsNoop(t *testing.T) {
 	v := NewVirtual(time.Time{})
 	start := v.Now()
-	v.Sleep(-time.Second)
+	v.Advance(-time.Second)
 	if !v.Now().Equal(start) {
-		t.Fatalf("negative sleep moved the clock: %v -> %v", start, v.Now())
-	}
-}
-
-func TestScheduleFiresInOrder(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	var order []int
-	v.Schedule(30*time.Millisecond, func(time.Time) { order = append(order, 3) })
-	v.Schedule(10*time.Millisecond, func(time.Time) { order = append(order, 1) })
-	v.Schedule(20*time.Millisecond, func(time.Time) { order = append(order, 2) })
-
-	v.Advance(25 * time.Millisecond)
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("after 25ms fired %v, want [1 2]", order)
-	}
-	v.Advance(10 * time.Millisecond)
-	if len(order) != 3 || order[2] != 3 {
-		t.Fatalf("after 35ms fired %v, want [1 2 3]", order)
-	}
-}
-
-func TestScheduleEqualDeadlinesFIFO(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		v.Schedule(time.Millisecond, func(time.Time) { order = append(order, i) })
-	}
-	v.Advance(time.Millisecond)
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("equal-deadline timers fired out of order: %v", order)
-		}
-	}
-}
-
-func TestScheduleCancel(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	fired := false
-	cancel := v.Schedule(time.Millisecond, func(time.Time) { fired = true })
-	cancel()
-	v.Advance(time.Second)
-	if fired {
-		t.Fatal("cancelled timer fired")
-	}
-	// Cancelling twice must be safe.
-	cancel()
-}
-
-func TestTimerSeesCorrectFireTime(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	start := v.Now()
-	var at time.Time
-	v.Schedule(42*time.Millisecond, func(now time.Time) { at = now })
-	v.Advance(time.Second)
-	if want := start.Add(42 * time.Millisecond); !at.Equal(want) {
-		t.Fatalf("timer fired at %v, want %v", at, want)
-	}
-}
-
-func TestClockIsMonotonicWhileFiring(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	var seen []time.Time
-	for i := 1; i <= 10; i++ {
-		v.Schedule(time.Duration(i)*time.Millisecond, func(time.Time) {
-			seen = append(seen, v.Now())
-		})
-	}
-	v.Advance(20 * time.Millisecond)
-	for i := 1; i < len(seen); i++ {
-		if seen[i].Before(seen[i-1]) {
-			t.Fatalf("clock went backwards: %v then %v", seen[i-1], seen[i])
-		}
-	}
-	if len(seen) != 10 {
-		t.Fatalf("fired %d timers, want 10", len(seen))
-	}
-}
-
-func TestTimerSchedulingFromWithinCallback(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	var fired []string
-	v.Schedule(time.Millisecond, func(time.Time) {
-		fired = append(fired, "outer")
-		v.Schedule(time.Millisecond, func(time.Time) {
-			fired = append(fired, "inner")
-		})
-	})
-	v.Advance(5 * time.Millisecond)
-	if len(fired) != 2 || fired[0] != "outer" || fired[1] != "inner" {
-		t.Fatalf("fired %v, want [outer inner]", fired)
-	}
-}
-
-func TestPendingCount(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	cancel := v.Schedule(time.Millisecond, func(time.Time) {})
-	v.Schedule(2*time.Millisecond, func(time.Time) {})
-	if got := v.Pending(); got != 2 {
-		t.Fatalf("Pending() = %d, want 2", got)
-	}
-	cancel()
-	if got := v.Pending(); got != 1 {
-		t.Fatalf("Pending() after cancel = %d, want 1", got)
-	}
-	v.Advance(time.Second)
-	if got := v.Pending(); got != 0 {
-		t.Fatalf("Pending() after advance = %d, want 0", got)
-	}
-}
-
-func TestAdvanceTo(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	target := Epoch.Add(time.Hour)
-	v.AdvanceTo(target)
-	if !v.Now().Equal(target) {
-		t.Fatalf("AdvanceTo: now = %v, want %v", v.Now(), target)
-	}
-	// Moving to the past is a no-op.
-	v.AdvanceTo(Epoch)
-	if !v.Now().Equal(target) {
-		t.Fatalf("AdvanceTo(past) moved clock to %v", v.Now())
+		t.Fatalf("negative advance moved the clock: %v -> %v", start, v.Now())
 	}
 }

@@ -1,6 +1,7 @@
 package wearos
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -8,85 +9,49 @@ import (
 	"repro/internal/javalang"
 )
 
-func TestDropBoxRecordsCrash(t *testing.T) {
+// TestDropBoxStorageFaultLosesEveryFiling pins the DropBox write path's one
+// observable effect: under an installed storage fault, the crash, each ANR
+// and the reboot they escalate to each log the lost write against its tag,
+// and StorageDropped counts them all.
+func TestDropBoxStorageFaultLosesEveryFiling(t *testing.T) {
 	o := testDevice(t)
-	target := cn("com.test.app", "MainActivity")
-	o.RegisterHandler(target, func(env *Env, in *intent.Intent) Outcome {
-		root := javalang.New(javalang.ClassNullPointer, "npe")
-		return Outcome{Thrown: javalang.New(javalang.ClassRuntime, "wrap").WithCause(root)}
+	main, worker := cn("com.test.app", "MainActivity"), cn("com.test.app", "Worker")
+	o.RegisterHandler(main, func(*intent.Intent) Outcome {
+		return Outcome{Thrown: javalang.New(javalang.ClassNullPointer, "npe")}
 	}, ComponentTraits{})
-	o.StartActivity(explicit(target, "android.intent.action.VIEW"))
-
-	entries := o.DropBoxEntries(TagAppCrash)
-	if len(entries) != 1 {
-		t.Fatalf("crash entries = %d", len(entries))
-	}
-	e := entries[0]
-	if e.Process != "com.test.app" || e.Component != target {
-		t.Fatalf("entry = %+v", e)
-	}
-	// DropBox records the *root cause*, like the temporal-chain analysis.
-	if e.ExceptionClass != javalang.ClassNullPointer {
-		t.Fatalf("exception class = %s", e.ExceptionClass)
-	}
-}
-
-func TestDropBoxRecordsANR(t *testing.T) {
-	o := testDevice(t)
-	target := cn("com.test.app", "Worker")
-	o.RegisterHandler(target, func(env *Env, in *intent.Intent) Outcome {
-		return Outcome{
-			BusyFor: 10 * time.Second,
-			Thrown:  javalang.New(javalang.ClassDeadObject, "binder"),
-		}
-	}, ComponentTraits{})
-	o.StartService(explicit(target, ""))
-
-	entries := o.DropBoxEntries(TagAppANR)
-	if len(entries) != 1 {
-		t.Fatalf("ANR entries = %d", len(entries))
-	}
-	if entries[0].ExceptionClass != javalang.ClassDeadObject {
-		t.Fatalf("ANR exception class = %s", entries[0].ExceptionClass)
-	}
-}
-
-func TestDropBoxRecordsReboot(t *testing.T) {
-	o := testDevice(t)
-	target := cn("com.test.app", "MainActivity")
-	o.RegisterHandler(target, func(env *Env, in *intent.Intent) Outcome {
+	o.RegisterHandler(worker, func(*intent.Intent) Outcome {
 		return Outcome{BusyFor: 10 * time.Second}
 	}, ComponentTraits{UsesSensorManager: true})
-	for i := 0; i < DefaultAgingConfig().SensorClientANRLimit; i++ {
-		o.StartActivity(explicit(target, "android.intent.action.VIEW"))
+	fault := javalang.New(javalang.ClassIllegalState, "disk full")
+	o.SetStorageFault(func() *javalang.Throwable { return fault })
+
+	if got := o.StartActivity(explicit(main, "android.intent.action.VIEW")); got != DeliveredCrash {
+		t.Fatalf("crash delivery = %v", got)
+	}
+	anrs := DefaultAgingConfig().SensorClientANRLimit
+	for i := 0; i < anrs; i++ {
+		o.StartService(explicit(worker, ""))
 	}
 	if o.BootCount() != 2 {
 		t.Fatal("device did not reboot")
 	}
-	restarts := o.DropBoxEntries(TagSystemRestart)
-	if len(restarts) != 1 {
-		t.Fatalf("restart entries = %d", len(restarts))
-	}
-	// DropBox persists across the reboot (unlike process state).
-	if anrs := o.DropBoxEntries(TagAppANR); len(anrs) == 0 {
-		t.Fatal("ANR records lost across reboot")
-	}
-	// Unfiltered query returns everything.
-	if all := o.DropBoxEntries(""); len(all) < 4 {
-		t.Fatalf("all entries = %d", len(all))
-	}
-}
 
-func TestDropBoxEviction(t *testing.T) {
-	d := newDropBox()
-	d.limit = 3
-	for i := 0; i < 5; i++ {
-		d.add(DropBoxEntry{Detail: string(rune('a' + i))})
+	dump := o.Logcat().Dump()
+	for _, tc := range []struct {
+		tag     DropBoxTag
+		process string
+		want    int
+	}{
+		{TagAppCrash, "com.test.app", 1},
+		{TagAppANR, "com.test.app", anrs},
+		{TagSystemRestart, "system_server", 1},
+	} {
+		line := "failed to write entry " + string(tc.tag) + " (" + tc.process + "): " + fault.Error()
+		if got := strings.Count(dump, line); got != tc.want {
+			t.Errorf("%q logged %d times, want %d", line, got, tc.want)
+		}
 	}
-	if len(d.entries) != 3 {
-		t.Fatalf("entries = %d", len(d.entries))
-	}
-	if d.entries[0].Detail != "c" {
-		t.Fatalf("oldest retained = %q", d.entries[0].Detail)
+	if got, want := o.StorageDropped(), uint64(1+anrs+1); got != want {
+		t.Fatalf("StorageDropped = %d, want %d", got, want)
 	}
 }

@@ -89,7 +89,7 @@ func TestFailureLinesMatchEagerText(t *testing.T) {
 		if c.mode == "anr" {
 			out.BusyFor = 2 * o.cfg.ANRThreshold
 		}
-		o.RegisterHandler(comp.Name, func(*Env, *intent.Intent) Outcome { return out }, ComponentTraits{})
+		o.RegisterHandler(comp.Name, func(*intent.Intent) Outcome { return out }, ComponentTraits{})
 		mark := o.Logcat().Len()
 		o.StartActivity(&intent.Intent{Action: "android.intent.action.VIEW", Component: comp.Name, SenderUID: UIDAppBase + 1})
 		entries := o.Logcat().Snapshot()[mark:]

@@ -12,7 +12,7 @@ import (
 func memoDevice(t *testing.T) (*OS, *Snapshot) {
 	t.Helper()
 	o := testDevice(t)
-	o.RegisterHandler(cn("com.test.app", "MainActivity"), func(env *Env, in *intent.Intent) Outcome {
+	o.RegisterHandler(cn("com.test.app", "MainActivity"), func(in *intent.Intent) Outcome {
 		if in.Action == "android.intent.action.EDIT" {
 			return Outcome{Thrown: javalang.New(javalang.ClassNullPointer, "null object reference")}
 		}

@@ -88,17 +88,8 @@ type Outcome struct {
 	BusyFor time.Duration
 }
 
-// Handler executes a component's reaction to a delivered intent. Env gives
-// the handler access to its process identity and the device clock.
-type Handler func(env *Env, in *intent.Intent) Outcome
-
-// Env is the execution environment the dispatcher hands to a component
-// handler.
-type Env struct {
-	PID   int
-	Clock vclock.Clock
-	Log   *logcat.Logger
-}
+// Handler executes a component's reaction to a delivered intent.
+type Handler func(in *intent.Intent) Outcome
 
 // DeliveryResult classifies what the dispatcher observed for one intent.
 // This is QGJ's *summary* view; the study's ground truth comes from parsing
@@ -191,8 +182,6 @@ type OS struct {
 
 	bootCount int
 	bootTime  time.Time
-	rebootLog []time.Time
-	dropbox   *dropBox
 
 	tel         *telemetry.Registry
 	rec         *telemetry.Recorder
@@ -215,10 +204,6 @@ type OS struct {
 	// the batch is flushed to the shared atomics every dispatchFlushEvery
 	// dispatches and by FlushTelemetry (see the constant's comment).
 	dispatchPending [DeviceRebooted + 1]uint32
-
-	// env is the reusable handler environment; the simulation is
-	// single-threaded and handlers must not retain it past their call.
-	env Env
 }
 
 // dispatchMemo holds the dispatch path's one-entry lookup memos. A campaign
@@ -334,7 +319,6 @@ func newKernel(cfg Config, clock *vclock.Virtual, buf *logcat.Buffer) *OS {
 		router:   binder.NewRouter(),
 		procs:    newProcessTable(2000),
 		handlers: make(map[intent.ComponentName]registration),
-		dropbox:  newDropBox(),
 	}
 	o.sysSrv = newSystemServer(cfg.Aging, clock.Now, log)
 	o.sysSrv.requestReboot = o.reboot
@@ -442,20 +426,13 @@ func (o *OS) SetFaultHooks(h FaultHooks) { o.faultHooks, o.faultNext = h, 0 }
 func (o *OS) SetFaultNext(seq uint64) { o.faultNext = seq }
 
 // SetStorageFault installs (or, with nil, lifts) an injected persistent-
-// storage fault: DropBox writes consult it and a non-nil Throwable drops
-// the record with an I/O error logged against DropBoxManagerService.
+// storage fault: DropBox writes consult it and a non-nil Throwable loses
+// the write with an I/O error logged against DropBoxManagerService.
 func (o *OS) SetStorageFault(fault func() *javalang.Throwable) { o.storageFault = fault }
 
-// StorageDropped returns how many DropBox records injected storage faults
-// have destroyed since boot.
+// StorageDropped returns how many DropBox writes injected storage faults
+// have lost since boot.
 func (o *OS) StorageDropped() uint64 { return o.storageDropped }
-
-// FileDropBox files an entry through the same storage path the failure
-// oracles use, returning the injected write error if one fired. The fault
-// engine's storage probes call this with a probe tag.
-func (o *OS) FileDropBox(e DropBoxEntry) *javalang.Throwable {
-	return o.persistDropBox(e)
-}
 
 // RestartSensorService brings the native sensor service back with a fresh
 // PID — the recovery half of a kill/restart fault window (reboots perform
@@ -488,9 +465,6 @@ func (o *OS) BootCount() int { return o.bootCount }
 
 // Uptime returns time since last boot.
 func (o *OS) Uptime() time.Duration { return o.clock.Now().Sub(o.bootTime) }
-
-// RebootTimes returns the instants at which the device rebooted.
-func (o *OS) RebootTimes() []time.Time { return append([]time.Time(nil), o.rebootLog...) }
 
 // InstallPackage installs pkg and registers nothing else; handlers are
 // attached via RegisterHandler.
@@ -547,7 +521,7 @@ func (o *OS) ensureProcess(pkg string) *Process {
 	p := o.procs.get(pkg)
 	if p == nil {
 		uid := UIDAppBase + 1 + len(o.procs.byName)
-		p = o.procs.start(pkg, uid, o.clock.Now())
+		p = o.procs.start(pkg, uid)
 		o.router.SetAlive(p.PID, true)
 		o.osm.procStarts.Inc()
 		o.osm.liveProcs.Set(float64(o.procs.live()))
@@ -676,8 +650,7 @@ func (o *OS) deliver(in *intent.Intent, kind manifest.ComponentType, verb string
 	reg, builtIn := o.registered(comp)
 	var out Outcome
 	if reg.h != nil {
-		o.env = Env{PID: proc.PID, Clock: o.clock, Log: o.log}
-		out = reg.h(&o.env, in)
+		out = reg.h(in)
 	}
 	result := o.settle(proc, comp, reg.tr, builtIn, out)
 
@@ -739,22 +712,12 @@ func (o *OS) settle(proc *Process, comp *manifest.Component, tr ComponentTraits,
 	// ANR takes precedence: the looper wedged before anything else could be
 	// observed.
 	if out.BusyFor > o.cfg.ANRThreshold {
-		proc.busyUntil = o.clock.Now().Add(out.BusyFor)
-		proc.ANRs++
 		o.osm.anrs.Inc()
 		o.log.Log(1000, 1000, logcat.Error, logcat.TagActivityManager,
 			"ANR in %s (%s)", proc.Name, comp.Flat())
 		o.log.Log(1000, 1000, logcat.Error, logcat.TagActivityManager,
 			"Reason: Input dispatching timed out (Waiting to send non-key event because the touched window has not finished processing certain input events)")
-		anrEntry := DropBoxEntry{
-			Time: o.clock.Now(), Tag: TagAppANR,
-			Process: proc.Name, Component: comp.Name,
-			Detail: "ANR in " + proc.Name,
-		}
-		if out.Thrown != nil {
-			anrEntry.ExceptionClass = out.Thrown.Class
-		}
-		o.persistDropBox(anrEntry)
+		o.FileDropBox(TagAppANR, proc.Name)
 		if out.Thrown != nil {
 			// The exception that wedged the looper is visible in the log
 			// even though the process did not crash.
@@ -798,17 +761,11 @@ func (o *OS) crashProcess(proc *Process, comp *manifest.Component, thr *javalang
 	o.log.FatalException(proc.PID, proc.Name, thr)
 	o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, "",
 		logcat.Payload{Op: logcat.MsgDied, Verb: proc.Name, N: proc.PID})
-	proc.Crashes++
 	o.procs.kill(proc.Name)
 	o.router.SetAlive(proc.PID, false)
 	o.osm.procDeaths.Inc()
 	o.osm.liveProcs.Set(float64(o.procs.live()))
-	o.persistDropBox(DropBoxEntry{
-		Time: o.clock.Now(), Tag: TagAppCrash,
-		Process: proc.Name, Component: comp.Name,
-		ExceptionClass: thr.Root().Class,
-		Detail:         thr.Root().Error(),
-	})
+	o.FileDropBox(TagAppCrash, proc.Name)
 	o.rec.RecordNow(telemetry.EventVerdict, proc.Name, comp.Flat(), string(thr.Root().Class))
 }
 
@@ -824,11 +781,7 @@ func (o *OS) reboot(reason string) {
 	}
 	o.osm.liveProcs.Set(float64(o.procs.live()))
 	o.osm.reboots.Inc()
-	o.rebootLog = append(o.rebootLog, o.clock.Now())
-	o.persistDropBox(DropBoxEntry{
-		Time: o.clock.Now(), Tag: TagSystemRestart,
-		Process: "system_server", Detail: reason,
-	})
+	o.FileDropBox(TagSystemRestart, "system_server")
 	o.rec.RecordNow(telemetry.EventReboot, "system_server", "", reason)
 	o.sysSrv.resetAfterBoot()
 	o.sensor.Restart(o.procs.allocPID())

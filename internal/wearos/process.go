@@ -9,11 +9,7 @@
 // campaigns deterministic. An OS value must not be shared across goroutines.
 package wearos
 
-import (
-	"time"
-
-	"repro/internal/intent"
-)
+import "repro/internal/intent"
 
 // Well-known Android UIDs.
 const (
@@ -24,27 +20,15 @@ const (
 
 // Process models one application (or native) process.
 type Process struct {
-	PID       int
-	Name      string // process name; for apps this is the package name
-	UID       int
-	Alive     bool
-	StartedAt time.Time
+	PID   int
+	Name  string // process name; for apps this is the package name
+	UID   int
+	Alive bool
 
-	// Crashes counts FATAL EXCEPTION deaths of this process since boot.
-	Crashes int
-	// ANRs counts Application-Not-Responding events since boot.
-	ANRs int
-	// busyUntil marks the main looper as occupied until this instant; a
-	// delivery landing inside a busy window models the queueing delay that
-	// precedes an ANR.
-	busyUntil time.Time
 	// lastDelivered is the component an intent was last delivered to in
 	// this process (zero before the first delivery, and after a reboot).
 	lastDelivered intent.ComponentName
 }
-
-// Busy reports whether the process's main looper is occupied at now.
-func (p *Process) Busy(now time.Time) bool { return p.busyUntil.After(now) }
 
 // processTable allocates PIDs and tracks app processes by name.
 type processTable struct {
@@ -68,8 +52,8 @@ func (t *processTable) allocPID() int {
 }
 
 // start launches (or relaunches) the named process.
-func (t *processTable) start(name string, uid int, now time.Time) *Process {
-	p := &Process{PID: t.allocPID(), Name: name, UID: uid, Alive: true, StartedAt: now}
+func (t *processTable) start(name string, uid int) *Process {
+	p := &Process{PID: t.allocPID(), Name: name, UID: uid, Alive: true}
 	t.byName[name] = p
 	t.byPID[p.PID] = p
 	return p

@@ -34,7 +34,7 @@ func rejuvDevice(t *testing.T) *OS {
 func TestRejuvenationDefusesSensorEscalation(t *testing.T) {
 	o := rejuvDevice(t)
 	target := cn("com.test.app", "MainActivity")
-	o.RegisterHandler(target, func(env *Env, in *intent.Intent) Outcome {
+	o.RegisterHandler(target, func(in *intent.Intent) Outcome {
 		return Outcome{BusyFor: 10 * time.Second}
 	}, ComponentTraits{UsesSensorManager: true})
 
@@ -63,7 +63,7 @@ func TestRejuvenationDefusesSensorEscalation(t *testing.T) {
 func TestRejuvenationDefusesAmbientEscalation(t *testing.T) {
 	o := rejuvDevice(t)
 	target := cn("com.test.app", "MainActivity")
-	o.RegisterHandler(target, func(env *Env, in *intent.Intent) Outcome {
+	o.RegisterHandler(target, func(in *intent.Intent) Outcome {
 		return Outcome{Thrown: javalang.New(javalang.ClassNullPointer, "x")}
 	}, ComponentTraits{AmbientBound: true})
 
@@ -109,7 +109,7 @@ func TestInstabilityTimeline(t *testing.T) {
 func TestTimelineClearsOnReboot(t *testing.T) {
 	o := testDevice(t)
 	target := cn("com.test.app", "MainActivity")
-	o.RegisterHandler(target, func(env *Env, in *intent.Intent) Outcome {
+	o.RegisterHandler(target, func(in *intent.Intent) Outcome {
 		return Outcome{BusyFor: 10 * time.Second}
 	}, ComponentTraits{UsesSensorManager: true})
 	for i := 0; i < DefaultAgingConfig().SensorClientANRLimit; i++ {

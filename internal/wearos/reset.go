@@ -3,9 +3,9 @@ package wearos
 // Persistent-mode device reset. Clone stamps out a new device per campaign
 // unit; ResetTo instead rewinds an existing device back to its snapshot
 // template in place, reusing every large allocation a clone would re-make
-// (the logcat ring, the registry/router/process-table maps, the clock's
-// timer heap). The farm's persistent executor keeps one hot device per
-// worker and resets it between shards, AFL-persistent-mode style.
+// (the logcat ring, the registry/router/process-table maps, the clock).
+// The farm's persistent executor keeps one hot device per worker and
+// resets it between shards, AFL-persistent-mode style.
 //
 // Correctness never depends on reuse succeeding: ResetTo reports false when
 // the device cannot be proven equivalent to a fresh clone, and the caller
@@ -48,11 +48,9 @@ func (o *OS) resetStateHash() uint64 {
 
 	mix(uint64(o.bootCount))
 	mix(uint64(o.bootTime.UnixNano()))
-	mix(uint64(len(o.rebootLog)))
 	mix(o.dispatchSeq)
 
 	mix(uint64(o.clock.Now().UnixNano()))
-	mix(uint64(o.clock.Pending()))
 
 	mix(uint64(o.buf.Len()))
 	mix(o.buf.Dropped())
@@ -75,7 +73,6 @@ func (o *OS) resetStateHash() uint64 {
 	mix(uint64(o.router.Endpoints()))
 	mix(o.router.TxCount())
 
-	mix(uint64(len(o.dropbox.entries)))
 	mix(o.storageDropped)
 
 	mix(math.Float64bits(o.sysSrv.instability))
@@ -99,7 +96,6 @@ func (o *OS) resetStateHash() uint64 {
 	mix(o.faultNext)
 	mix(bit(o.storageFault != nil))
 	mix(bit(o.rec != nil))
-	mix(bit(o.env != Env{}))
 
 	return h
 }
@@ -114,7 +110,7 @@ func (o *OS) resetStateHash() uint64 {
 // The reset restores every mutable subsystem Clone would build: clock,
 // logcat ring (backing array retained), telemetry registry, binder router,
 // process table, sensor service, package/permission registries, handler
-// tables, dropbox, and the system server's aging state. The final state
+// tables, and the system server's aging state. The final state
 // hash comparison against the value captured at Snapshot time is the
 // equivalence proof.
 func (o *OS) ResetTo(s *Snapshot) bool {
@@ -153,14 +149,13 @@ func (o *OS) ResetTo(s *Snapshot) bool {
 	o.storageFault = nil
 	o.storageDropped = 0
 	o.dispatchPending = [DeviceRebooted + 1]uint32{}
-	o.env = Env{}
 
 	o.restore(s)
 	return o.resetStateHash() == s.stateHash
 }
 
 // restore makes the device's process table, sensor service, registries,
-// handler tables, boot identity, dropbox and aging state those of the
+// handler tables, boot identity and aging state those of the
 // snapshot, reusing the device's allocations. It is the whole of a clone
 // after newKernel, and the shared tail of ResetTo.
 func (o *OS) restore(s *Snapshot) {
@@ -189,9 +184,7 @@ func (o *OS) restore(s *Snapshot) {
 
 	o.bootCount = s.bootCount
 	o.bootTime = s.bootTime
-	o.rebootLog = append(o.rebootLog[:0], s.rebootLog...)
 	o.dispatchSeq = s.dispatchSeq
-	o.dropbox.entries = append(o.dropbox.entries[:0], s.dropbox...)
 
 	o.sysSrv.instability = s.aging.instability
 	o.sysSrv.lastDecay = s.aging.lastDecay

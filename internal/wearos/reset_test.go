@@ -11,10 +11,9 @@ import (
 )
 
 // dirtyDevice drives a device through every mutable subsystem ResetTo must
-// rewind: the workload's logcat/dropbox/process/aging churn, plus a binder
+// rewind: the workload's logcat/process/aging churn, plus a binder
 // endpoint and a transaction, sensor listeners and a fault mode, a storage
-// fault, scheduled timers, a manual dropbox filing, and a late package
-// install.
+// fault and a dropbox filing it loses, and a late package install.
 func dirtyDevice(t *testing.T, o *OS) {
 	t.Helper()
 	driveWorkload(t, o)
@@ -35,11 +34,7 @@ func dirtyDevice(t *testing.T, o *OS) {
 	o.SetStorageFault(func() *javalang.Throwable {
 		return javalang.New(javalang.ClassIllegalState, "disk full")
 	})
-	o.FileDropBox(DropBoxEntry{
-		Time: o.Clock().Now(), Tag: "system_app_crash",
-		Process: "com.test.app", Detail: "manual filing",
-	})
-	o.Clock().Schedule(time.Hour, func(time.Time) {})
+	o.FileDropBox("system_app_crash", "com.test.app")
 	o.Clock().Advance(3 * time.Second)
 	extra := &manifest.Package{
 		Name: "com.test.extra", Origin: manifest.ThirdParty,
@@ -91,9 +86,6 @@ func TestResetMatchesClone(t *testing.T) {
 	}
 	if r, f := reused.SystemServer().Instability(), fresh.SystemServer().Instability(); r != f {
 		t.Fatalf("Instability reset=%v clone=%v", r, f)
-	}
-	if r, f := len(reused.DropBoxEntries("")), len(fresh.DropBoxEntries("")); r != f {
-		t.Fatalf("dropbox entries reset=%d clone=%d", r, f)
 	}
 	if reused.StorageDropped() != 0 {
 		t.Fatalf("StorageDropped = %d after reset, want 0", reused.StorageDropped())

@@ -42,7 +42,7 @@ type agingState struct {
 // shares the installed packages (manifest.Package values are treated as
 // read-only after template installation; interned component strings are
 // write-once) and deep-copies everything mutable: the logcat baseline, the
-// aging maps, dropbox records, and the handler tables.
+// aging maps and the handler tables.
 //
 // Handlers registered before the snapshot are shared by reference across
 // clones; they must not close over per-device mutable state. The farm
@@ -54,7 +54,6 @@ type Snapshot struct {
 
 	bootCount   int
 	bootTime    time.Time
-	rebootLog   []time.Time
 	dispatchSeq uint64
 
 	baseline []logcat.Entry
@@ -66,8 +65,7 @@ type Snapshot struct {
 	nextPID   int
 	sensorPID int
 
-	dropbox []DropBoxEntry
-	aging   agingState
+	aging agingState
 
 	// stateHash digests the template's reset-relevant state surface at
 	// capture time. ResetTo recomputes the digest over the device after an
@@ -79,7 +77,7 @@ type Snapshot struct {
 // Snapshot captures the device's current state for cloning. The device must
 // be quiescent — the state a device is in right after boot: no app
 // processes, no published binder endpoints (their handlers are closures
-// over this OS), the sensor service running, and no pending clock timers.
+// over this OS), and the sensor service running.
 // A non-quiescent device returns an error; snapshotting mid-campaign is not
 // a supported operation.
 func (o *OS) Snapshot() (*Snapshot, error) {
@@ -92,16 +90,12 @@ func (o *OS) Snapshot() (*Snapshot, error) {
 	if st := o.sensor.State(); st != sensors.ServiceRunning {
 		return nil, fmt.Errorf("wearos: snapshot of non-quiescent device: sensor service %v", st)
 	}
-	if n := o.clock.Pending(); n != 0 {
-		return nil, fmt.Errorf("wearos: snapshot of non-quiescent device: %d pending timers", n)
-	}
 
 	s := &Snapshot{
 		cfg:         o.cfg,
 		now:         o.clock.Now(),
 		bootCount:   o.bootCount,
 		bootTime:    o.bootTime,
-		rebootLog:   append([]time.Time(nil), o.rebootLog...),
 		dispatchSeq: o.dispatchSeq,
 		baseline:    o.buf.Snapshot(),
 		packages:    o.reg.Packages(),
@@ -109,7 +103,6 @@ func (o *OS) Snapshot() (*Snapshot, error) {
 		handlers:    copyMap(o.handlers),
 		nextPID:     o.procs.nextPID,
 		sensorPID:   o.sensor.PID(),
-		dropbox:     append([]DropBoxEntry(nil), o.dropbox.entries...),
 		aging: agingState{
 			instability:   o.sysSrv.instability,
 			lastDecay:     o.sysSrv.lastDecay,
@@ -129,7 +122,7 @@ func (o *OS) Snapshot() (*Snapshot, error) {
 // Clone stamps out a fresh device from the snapshot without re-running
 // boot. The clone shares the snapshot's package structures and gets its own
 // copies of every mutable piece: clock, logcat ring (lazily grown, seeded
-// with the boot baseline), process table, aging state, dropbox, and
+// with the boot baseline), process table, aging state, and
 // telemetry registry. Clones are fully independent of the snapshot and of
 // each other. Safe to call concurrently.
 func (s *Snapshot) Clone() *OS {

@@ -52,7 +52,7 @@ func benchUnit(b *testing.B, o *OS) {
 		b.Fatal(err)
 	}
 	main := cn("com.test.app", "MainActivity")
-	o.RegisterHandler(main, func(env *Env, in *intent.Intent) Outcome {
+	o.RegisterHandler(main, func(in *intent.Intent) Outcome {
 		return Outcome{Thrown: javalang.New(javalang.ClassNullPointer, "null object reference")}
 	}, ComponentTraits{})
 	if got := o.StartActivity(explicit(main, "android.intent.action.EDIT")); got != DeliveredCrash {

@@ -240,11 +240,11 @@ func buildEscalationScenario(t testing.TB) *wearos.OS {
 	if err := dev.InstallPackage(pkg); err != nil {
 		t.Fatal(err)
 	}
-	dev.RegisterHandler(sensor, func(*wearos.Env, *intent.Intent) wearos.Outcome {
+	dev.RegisterHandler(sensor, func(*intent.Intent) wearos.Outcome {
 		return wearos.Outcome{BusyFor: 8 * time.Second, Thrown: javalang.New(javalang.ClassDeadObject, "sensor listener gone").
 			WithStack(javalang.Frame{Class: app + ".SensorFace", Method: "onSensorChanged", File: "SensorFace.java", Line: 88})}
 	}, wearos.ComponentTraits{UsesSensorManager: true})
-	dev.RegisterHandler(ambient, func(*wearos.Env, *intent.Intent) wearos.Outcome {
+	dev.RegisterHandler(ambient, func(*intent.Intent) wearos.Outcome {
 		root := javalang.New(javalang.ClassNullPointer, "ambient callback").
 			WithStack(javalang.Frame{Class: app + ".AmbientFace", Method: "onEnterAmbient", File: "AmbientFace.java", Line: 12})
 		return wearos.Outcome{Thrown: javalang.New(javalang.ClassRuntime, "Unable to start activity").WithCause(root)}

@@ -23,6 +23,11 @@ go test -race ./...
 # !race build tag and need this separate non-race invocation.
 go test -run 'AllocFree|AllocBudget' .
 
+# The full-scale aging-plan package-chain relation takes seconds natively
+# and minutes under -race, so its file carries a !race build tag and runs
+# here instead.
+go test -run '^TestAgingPlanIsIndependentPackageChainsFullScale$' ./internal/farm
+
 # Hot-path benchmark smoke: a fast -benchtime pass proving the dispatch
 # benches still run (the full gate with ceilings is scripts/bench.sh).
 go test -run '^$' -bench Dispatch -benchtime 100x .
@@ -74,6 +79,13 @@ go run ./cmd/report -quick 8 -ablations -only tab1 >/dev/null
 # UI-study smoke: both QGJ-UI mutation modes (Table V) through cmd/report
 # at a small event volume.
 go run ./cmd/report -only tab5 -ui-events 2000 >/dev/null
+
+# Device-poke smoke: wearsim, the one CLI no other step runs, sends one
+# intent through its adb-style shell and dumps logcat. The dump is captured
+# first so that a failing wearsim fails the gate (sh has no pipefail).
+wearsim_out="$(go run ./cmd/wearsim -shell "am start -n com.heartwatch.wear/.ui.MainActivity" -logcat)"
+printf '%s\n' "$wearsim_out" |
+    grep -q 'Delivering to activity cmp=com.heartwatch.wear/.ui.MainActivity'
 
 # Example smoke: every examples/* program builds and runs to completion
 # (each exits non-zero on a library error), so the README's entry points
