@@ -19,6 +19,7 @@ import (
 	qgj "repro"
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/intent"
 	"repro/internal/javalang"
 	"repro/internal/logcat"
@@ -172,6 +173,39 @@ func TestDispatchDenialsAndExtrasAllocFree(t *testing.T) {
 	}
 }
 
+// TestDispatchMeteredCollectorAllocFree pins the delivery path with a
+// metering analysis collector subscribed, the way QGJ-UI and the aging
+// watch observe a device: timing each consumed line into the collector's
+// histogram allocates nothing.
+func TestDispatchMeteredCollectorAllocFree(t *testing.T) {
+	dev := wearos.New(wearos.DefaultWatchConfig())
+	pkg := &manifest.Package{
+		Name: "com.bench", Category: manifest.NotHealthFitness, Origin: manifest.ThirdParty,
+		Components: []*manifest.Component{{
+			Name: intent.ComponentName{Package: "com.bench", Class: "com.bench.ui.Main"},
+			Type: manifest.Activity, Exported: true,
+		}},
+	}
+	if err := dev.InstallPackage(pkg); err != nil {
+		t.Fatal(err)
+	}
+	col := analysis.NewCollector().UseTelemetry(dev.Telemetry())
+	dev.Logcat().Subscribe(col.Sink())
+	in := &intent.Intent{Action: "android.intent.action.VIEW", Component: pkg.Components[0].Name, SenderUID: core.QGJUID}
+	for i := 0; i < 64; i++ {
+		if res := dev.StartActivity(in); res != wearos.DeliveredNoEffect {
+			t.Fatalf("delivery = %v", res)
+		}
+	}
+	allocs := testing.AllocsPerRun(2000, func() { dev.StartActivity(in) })
+	if allocs > 0.1 {
+		t.Fatalf("dispatch with a metering collector allocates %.3f objects/op, want 0", allocs)
+	}
+	if col.Report().Entries == 0 {
+		t.Fatal("collector consumed no lines")
+	}
+}
+
 // TestDecodeAllocFree pins the logcat decoder at zero allocations per line
 // of the injection hot path: the lazy dispatch, delivery, rejection,
 // caught-exception and gate-denial payloads, and an eager permission-denial
@@ -321,4 +355,25 @@ func TestFailingDispatchAllocBudget(t *testing.T) {
 			t.Errorf("%s dispatch allocates %.3f objects/op, budget %.0f", c.name, allocs, c.budget)
 		}
 	}
+}
+
+// TestUIStudyAllocBudget bounds the whole QGJ-UI study, both mutation
+// modes, in allocations per replayed event: Monkey writes its log straight
+// into one builder, the log parses back without a line slice, the fuzzer
+// reuses its command buffer and mutation scratch, plain command lines
+// tokenize into substrings, and the second mode's emulator adopts the
+// first one's logcat ring.
+func TestUIStudyAllocBudget(t *testing.T) {
+	const events = 5000
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := experiments.RunUIStudy(experiments.UIOptions{Seed: 1, Events: events}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perEvent := allocs / (2 * events)
+	if perEvent > 10 {
+		t.Fatalf("UI study allocates %.1f objects/event (%.0f for 2 x %d events), budget is 10",
+			perEvent, allocs, events)
+	}
+	t.Logf("UI study: %.2f allocations/event", perEvent)
 }

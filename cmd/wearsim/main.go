@@ -78,8 +78,8 @@ func run(args []string) error {
 		}
 	case *shell != "":
 		res := adb.NewShell(dev).Run(*shell)
-		if res.Output != "" {
-			fmt.Println(res.Output)
+		if res.Output() != "" {
+			fmt.Println(res.Output())
 		}
 		if res.SentIntent != nil {
 			fmt.Printf("delivery: %s\n", res.Delivery)

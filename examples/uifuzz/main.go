@@ -39,7 +39,7 @@ func main() {
 			tap := sh.Run("input tap -8803.85 4668.17")
 			fmt.Printf("  input tap -8803.85 4668.17  -> exit %d (clamped, no crash)\n", tap.ExitCode)
 			pm := sh.Run("pm grant com.google.android.deskclock 'S0me.r@ndom.$trinG'")
-			fmt.Printf("  pm grant ... S0me.r@ndom.$trinG -> %s\n", pm.Output)
+			fmt.Printf("  pm grant ... S0me.r@ndom.$trinG -> %s\n", pm.Output())
 		}
 	}
 }

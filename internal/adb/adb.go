@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/intent"
 	"repro/internal/logcat"
@@ -40,8 +41,9 @@ func NewShell(dev *wearos.OS) *Shell {
 
 // Result is the outcome of one shell command.
 type Result struct {
-	// Output is what the utility printed.
-	Output string
+	// output is what the utility printed, or for an am command that
+	// dispatched an intent, the text before the intent's description.
+	output string
 	// ExitCode is the process exit status (0 = success).
 	ExitCode int
 	// Delivery is set when the command dispatched an intent.
@@ -50,11 +52,20 @@ type Result struct {
 	SentIntent *intent.Intent
 }
 
+// Output is what the utility printed. An am command that dispatched an
+// intent prints the intent's description, rendered here on demand.
+func (r Result) Output() string {
+	if r.SentIntent != nil {
+		return r.output + r.SentIntent.String()
+	}
+	return r.output
+}
+
 // Run parses and executes one shell command line.
 func (s *Shell) Run(cmdline string) Result {
 	fields := tokenize(cmdline)
 	if len(fields) == 0 {
-		return Result{Output: "", ExitCode: 0}
+		return Result{}
 	}
 	if s.cmds != nil {
 		c := s.cmds[fields[0]]
@@ -74,15 +85,44 @@ func (s *Shell) Run(cmdline string) Result {
 		return s.runLogcat(fields[1:])
 	default:
 		return Result{
-			Output:   fmt.Sprintf("/system/bin/sh: %s: not found", fields[0]),
+			output:   fmt.Sprintf("/system/bin/sh: %s: not found", fields[0]),
 			ExitCode: 127,
 		}
 	}
 }
 
 // tokenize splits a command line on spaces, honoring single and double
-// quotes (adb shell passes through a POSIX-ish shell).
+// quotes (adb shell passes through a POSIX-ish shell). A line with no quote
+// and no byte outside ASCII splits into substrings of s; any other line
+// takes tokenizeRunes.
 func tokenize(s string) []string {
+	n := 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == '\'' || c == '"' || c >= utf8.RuneSelf {
+			return tokenizeRunes(s)
+		}
+		if c != ' ' && (i == 0 || s[i-1] == ' ') {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
+	for s != "" {
+		var tok string
+		tok, s, _ = strings.Cut(s, " ")
+		if tok != "" {
+			out = append(out, tok)
+		}
+	}
+	return out
+}
+
+// tokenizeRunes is the quoting tokenizer: it copies each token rune by
+// rune, dropping the quotes, so invalid UTF-8 comes out as U+FFFD.
+func tokenizeRunes(s string) []string {
 	var out []string
 	var cur strings.Builder
 	inSingle, inDouble := false, false
@@ -111,7 +151,7 @@ func tokenize(s string) []string {
 // runAM implements `am start`, `am startservice`, and `am start-activity`.
 func (s *Shell) runAM(args []string) Result {
 	if len(args) == 0 {
-		return Result{Output: amUsage, ExitCode: 1}
+		return Result{output: amUsage, ExitCode: 1}
 	}
 	var service bool
 	switch args[0] {
@@ -119,7 +159,7 @@ func (s *Shell) runAM(args []string) Result {
 	case "startservice", "start-service":
 		service = true
 	default:
-		return Result{Output: "Error: unknown command: " + args[0], ExitCode: 1}
+		return Result{output: "Error: unknown command: " + args[0], ExitCode: 1}
 	}
 
 	in := &intent.Intent{SenderUID: wearos.UIDShell}
@@ -245,13 +285,13 @@ func (s *Shell) runAM(args []string) Result {
 			parseErr = "Error: Unknown option: " + arg
 		}
 		if parseErr != "" {
-			return Result{Output: parseErr, ExitCode: 1}
+			return Result{output: parseErr, ExitCode: 1}
 		}
 		i++
 	}
 
 	if in.Component.IsZero() && in.Action == "" {
-		return Result{Output: "Error: Intent has no component and no action", ExitCode: 1}
+		return Result{output: "Error: Intent has no component and no action", ExitCode: 1}
 	}
 
 	// The sanitization the paper highlights: launching without an action or
@@ -271,13 +311,13 @@ func (s *Shell) runAM(args []string) Result {
 	out := Result{Delivery: res, SentIntent: in}
 	switch res {
 	case wearos.BlockedNotFound:
-		out.Output = "Error: Activity not started, unable to resolve Intent " + in.String()
+		out.output = "Error: Activity not started, unable to resolve Intent "
 		out.ExitCode = 1
 	case wearos.BlockedSecurity:
-		out.Output = "java.lang.SecurityException: Permission Denial: starting Intent " + in.String()
+		out.output = "java.lang.SecurityException: Permission Denial: starting Intent "
 		out.ExitCode = 1
 	default:
-		out.Output = "Starting: Intent " + in.String()
+		out.output = "Starting: Intent "
 	}
 	return out
 }
@@ -290,35 +330,35 @@ const amUsage = "usage: am [start|startservice] [-n COMPONENT] [-a ACTION] [-d D
 // such permission exists" (Section IV-D).
 func (s *Shell) runPM(args []string) Result {
 	if len(args) == 0 {
-		return Result{Output: "usage: pm [grant|revoke|list] ...", ExitCode: 1}
+		return Result{output: "usage: pm [grant|revoke|list] ...", ExitCode: 1}
 	}
 	switch args[0] {
 	case "grant", "revoke":
 		if len(args) < 3 {
-			return Result{Output: "Error: usage: pm " + args[0] + " PACKAGE PERMISSION", ExitCode: 1}
+			return Result{output: "Error: usage: pm " + args[0] + " PACKAGE PERMISSION", ExitCode: 1}
 		}
 		pkg, perm := args[1], args[2]
 		if s.dev.Registry().Package(pkg) == nil {
-			return Result{Output: "Error: Unknown package: " + pkg, ExitCode: 1}
+			return Result{output: "Error: Unknown package: " + pkg, ExitCode: 1}
 		}
 		if !s.dev.Permissions().Known(perm) {
 			return Result{
-				Output:   "Error: Unknown permission: " + perm,
+				output:   "Error: Unknown permission: " + perm,
 				ExitCode: 1,
 			}
 		}
-		return Result{Output: ""}
+		return Result{}
 	case "list":
 		if len(args) > 1 && args[1] == "permissions" {
-			return Result{Output: strings.Join(s.dev.Permissions().List(), "\n")}
+			return Result{output: strings.Join(s.dev.Permissions().List(), "\n")}
 		}
 		var names []string
 		for _, p := range s.dev.Registry().Packages() {
 			names = append(names, "package:"+p.Name)
 		}
-		return Result{Output: strings.Join(names, "\n")}
+		return Result{output: strings.Join(names, "\n")}
 	default:
-		return Result{Output: "Error: unknown command: " + args[0], ExitCode: 1}
+		return Result{output: "Error: unknown command: " + args[0], ExitCode: 1}
 	}
 }
 
@@ -336,47 +376,47 @@ const (
 // does not crash anything).
 func (s *Shell) runInput(args []string) Result {
 	if len(args) == 0 {
-		return Result{Output: inputUsage, ExitCode: 1}
+		return Result{output: inputUsage, ExitCode: 1}
 	}
 	switch args[0] {
 	case "tap":
 		if len(args) != 3 {
-			return Result{Output: "Error: tap requires exactly 2 coordinates", ExitCode: 1}
+			return Result{output: "Error: tap requires exactly 2 coordinates", ExitCode: 1}
 		}
 		if _, _, ok := parseXY(args[1], args[2]); !ok {
-			return Result{Output: "Error: invalid coordinates: " + args[1] + " " + args[2], ExitCode: 1}
+			return Result{output: "Error: invalid coordinates: " + args[1] + " " + args[2], ExitCode: 1}
 		}
 		// Clamped in-bounds tap: absorbed by the window manager.
-		return Result{Output: ""}
+		return Result{}
 	case "swipe":
 		if len(args) != 5 && len(args) != 6 {
-			return Result{Output: "Error: swipe requires 4 coordinates", ExitCode: 1}
+			return Result{output: "Error: swipe requires 4 coordinates", ExitCode: 1}
 		}
 		if _, _, ok := parseXY(args[1], args[2]); !ok {
-			return Result{Output: "Error: invalid coordinates", ExitCode: 1}
+			return Result{output: "Error: invalid coordinates", ExitCode: 1}
 		}
 		if _, _, ok := parseXY(args[3], args[4]); !ok {
-			return Result{Output: "Error: invalid coordinates", ExitCode: 1}
+			return Result{output: "Error: invalid coordinates", ExitCode: 1}
 		}
-		return Result{Output: ""}
+		return Result{}
 	case "text":
 		if len(args) < 2 {
-			return Result{Output: "Error: text requires an argument", ExitCode: 1}
+			return Result{output: "Error: text requires an argument", ExitCode: 1}
 		}
-		return Result{Output: ""}
+		return Result{}
 	case "keyevent":
 		if len(args) != 2 {
-			return Result{Output: "Error: keyevent requires a key code", ExitCode: 1}
+			return Result{output: "Error: keyevent requires a key code", ExitCode: 1}
 		}
 		if _, err := strconv.Atoi(args[1]); err != nil {
 			// Key names like KEYCODE_HOME are also accepted.
 			if !strings.HasPrefix(args[1], "KEYCODE_") {
-				return Result{Output: "Error: invalid key code: " + args[1], ExitCode: 1}
+				return Result{output: "Error: invalid key code: " + args[1], ExitCode: 1}
 			}
 		}
-		return Result{Output: ""}
+		return Result{}
 	default:
-		return Result{Output: "Error: unknown input source: " + args[0], ExitCode: 1}
+		return Result{output: "Error: unknown input source: " + args[0], ExitCode: 1}
 	}
 }
 
@@ -422,7 +462,7 @@ func (s *Shell) runLogcat(args []string) Result {
 		switch a := args[i]; a {
 		case "-c":
 			s.dev.Logcat().Clear()
-			return Result{Output: ""}
+			return Result{}
 		case "-d", "-v", "threadtime", "brief":
 			// -d is implicit (we always dump and exit); format specifiers
 			// are accepted and ignored — output is always threadtime.
@@ -432,7 +472,7 @@ func (s *Shell) runLogcat(args []string) Result {
 			if tag, prio, ok := strings.Cut(a, ":"); ok {
 				lvl, err := parseLevel(prio)
 				if err != nil {
-					return Result{Output: "Invalid filter expression: " + a, ExitCode: 1}
+					return Result{output: "Invalid filter expression: " + a, ExitCode: 1}
 				}
 				if tag == "*" {
 					globalMin = lvl
@@ -462,7 +502,7 @@ func (s *Shell) runLogcat(args []string) Result {
 		sb.WriteString(e.Format())
 		sb.WriteByte('\n')
 	}
-	return Result{Output: sb.String()}
+	return Result{output: sb.String()}
 }
 
 func parseLevel(p string) (logcat.Level, error) {

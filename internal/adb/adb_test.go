@@ -41,13 +41,13 @@ func TestAmStartExplicit(t *testing.T) {
 	sh, _ := newShell(t)
 	res := sh.Run("am start -n com.app.one/.ui.Main -a android.intent.action.VIEW -d https://foo.com/")
 	if res.ExitCode != 0 {
-		t.Fatalf("am failed: %s", res.Output)
+		t.Fatalf("am failed: %s", res.Output())
 	}
 	if res.Delivery != wearos.DeliveredNoEffect {
 		t.Fatalf("delivery = %v", res.Delivery)
 	}
-	if !strings.Contains(res.Output, "Starting: Intent") {
-		t.Fatalf("output = %q", res.Output)
+	if !strings.Contains(res.Output(), "Starting: Intent") {
+		t.Fatalf("output = %q", res.Output())
 	}
 }
 
@@ -57,7 +57,7 @@ func TestAmAutoFillsMainLauncher(t *testing.T) {
 	sh, _ := newShell(t)
 	res := sh.Run("am start -n com.app.one/.ui.Main")
 	if res.ExitCode != 0 {
-		t.Fatalf("am failed: %s", res.Output)
+		t.Fatalf("am failed: %s", res.Output())
 	}
 	if res.SentIntent.Action != "android.intent.action.MAIN" {
 		t.Fatalf("action = %q", res.SentIntent.Action)
@@ -73,7 +73,7 @@ func TestAmForwardsRandomActionStrings(t *testing.T) {
 	sh, _ := newShell(t)
 	res := sh.Run("am start -n com.app.one/.ui.Main -a 'S0me.r@ndom.$trinG'")
 	if res.ExitCode != 0 {
-		t.Fatalf("am rejected random action: %s", res.Output)
+		t.Fatalf("am rejected random action: %s", res.Output())
 	}
 	if res.SentIntent.Action != "S0me.r@ndom.$trinG" {
 		t.Fatalf("action = %q", res.SentIntent.Action)
@@ -84,7 +84,7 @@ func TestAmStartService(t *testing.T) {
 	sh, _ := newShell(t)
 	res := sh.Run("am startservice -n com.app.one/.svc.Sync")
 	if res.ExitCode != 0 {
-		t.Fatalf("am failed: %s", res.Output)
+		t.Fatalf("am failed: %s", res.Output())
 	}
 	// Services do not get the MAIN/LAUNCHER auto-fill.
 	if res.SentIntent.Action != "" {
@@ -98,8 +98,8 @@ func TestAmUnknownComponent(t *testing.T) {
 	if res.ExitCode == 0 {
 		t.Fatal("am succeeded against missing component")
 	}
-	if !strings.Contains(res.Output, "unable to resolve Intent") {
-		t.Fatalf("output = %q", res.Output)
+	if !strings.Contains(res.Output(), "unable to resolve Intent") {
+		t.Fatalf("output = %q", res.Output())
 	}
 }
 
@@ -107,7 +107,7 @@ func TestAmExtras(t *testing.T) {
 	sh, _ := newShell(t)
 	res := sh.Run("am start -n com.app.one/.ui.Main --es key1 hello --ei key2 42 --esn key3")
 	if res.ExitCode != 0 {
-		t.Fatalf("am failed: %s", res.Output)
+		t.Fatalf("am failed: %s", res.Output())
 	}
 	ex := res.SentIntent.Extras
 	if v, ok := ex.Get("key1"); !ok || v.Str != "hello" {
@@ -132,7 +132,7 @@ func TestAmInvalidValues(t *testing.T) {
 		"am bogus",
 	} {
 		if res := sh.Run(cmd); res.ExitCode == 0 {
-			t.Errorf("command %q succeeded: %s", cmd, res.Output)
+			t.Errorf("command %q succeeded: %s", cmd, res.Output())
 		}
 	}
 }
@@ -145,19 +145,19 @@ func TestPmRejectsUnknownPermission(t *testing.T) {
 	if res.ExitCode == 0 {
 		t.Fatal("pm granted a nonexistent permission")
 	}
-	if !strings.Contains(res.Output, "Unknown permission") {
-		t.Fatalf("output = %q", res.Output)
+	if !strings.Contains(res.Output(), "Unknown permission") {
+		t.Fatalf("output = %q", res.Output())
 	}
 	ok := sh.Run("pm grant com.app.one android.permission.BODY_SENSORS")
 	if ok.ExitCode != 0 {
-		t.Fatalf("pm rejected a real permission: %s", ok.Output)
+		t.Fatalf("pm rejected a real permission: %s", ok.Output())
 	}
 }
 
 func TestPmUnknownPackage(t *testing.T) {
 	sh, _ := newShell(t)
 	res := sh.Run("pm grant com.not.installed android.permission.INTERNET")
-	if res.ExitCode == 0 || !strings.Contains(res.Output, "Unknown package") {
+	if res.ExitCode == 0 || !strings.Contains(res.Output(), "Unknown package") {
 		t.Fatalf("res = %+v", res)
 	}
 }
@@ -165,12 +165,12 @@ func TestPmUnknownPackage(t *testing.T) {
 func TestPmList(t *testing.T) {
 	sh, _ := newShell(t)
 	res := sh.Run("pm list")
-	if !strings.Contains(res.Output, "package:com.app.one") {
-		t.Fatalf("pm list output = %q", res.Output)
+	if !strings.Contains(res.Output(), "package:com.app.one") {
+		t.Fatalf("pm list output = %q", res.Output())
 	}
 	perms := sh.Run("pm list permissions")
-	if !strings.Contains(perms.Output, "android.permission.INTERNET") {
-		t.Fatalf("pm list permissions output = %q", perms.Output)
+	if !strings.Contains(perms.Output(), "android.permission.INTERNET") {
+		t.Fatalf("pm list permissions output = %q", perms.Output())
 	}
 }
 
@@ -179,7 +179,7 @@ func TestInputTapValidation(t *testing.T) {
 	// The paper's example random event: invalid (out-of-screen) floats are
 	// clamped, not fatal.
 	if res := sh.Run("input tap -8803.85 4668.17"); res.ExitCode != 0 {
-		t.Fatalf("out-of-screen tap rejected: %s", res.Output)
+		t.Fatalf("out-of-screen tap rejected: %s", res.Output())
 	}
 	if res := sh.Run("input tap abc def"); res.ExitCode == 0 {
 		t.Fatal("non-numeric tap accepted")
@@ -192,10 +192,10 @@ func TestInputTapValidation(t *testing.T) {
 func TestInputKeyevent(t *testing.T) {
 	sh, _ := newShell(t)
 	if res := sh.Run("input keyevent 26"); res.ExitCode != 0 {
-		t.Fatalf("numeric keyevent failed: %s", res.Output)
+		t.Fatalf("numeric keyevent failed: %s", res.Output())
 	}
 	if res := sh.Run("input keyevent KEYCODE_HOME"); res.ExitCode != 0 {
-		t.Fatalf("named keyevent failed: %s", res.Output)
+		t.Fatalf("named keyevent failed: %s", res.Output())
 	}
 	if res := sh.Run("input keyevent n0tAk3y"); res.ExitCode == 0 {
 		t.Fatal("garbage keyevent accepted")
@@ -206,8 +206,8 @@ func TestLogcatDumpAndClear(t *testing.T) {
 	sh, dev := newShell(t)
 	sh.Run("am start -n com.app.one/.ui.Main")
 	dump := sh.Run("logcat -d")
-	if !strings.Contains(dump.Output, "ActivityManager") {
-		t.Fatalf("logcat dump missing AM entries: %q", dump.Output[:min(120, len(dump.Output))])
+	if !strings.Contains(dump.Output(), "ActivityManager") {
+		t.Fatalf("logcat dump missing AM entries: %q", dump.Output()[:min(120, len(dump.Output()))])
 	}
 	sh.Run("logcat -c")
 	if dev.Logcat().Len() != 0 {
@@ -241,10 +241,10 @@ func TestLogcatTagFilter(t *testing.T) {
 	sh.Run("am start -n com.app.one/.ui.Main")
 	// Restrict to the ActivityManager tag.
 	res := sh.Run("logcat -d -s ActivityManager")
-	if !strings.Contains(res.Output, "ActivityManager") {
-		t.Fatalf("filtered output missing AM entries: %q", res.Output)
+	if !strings.Contains(res.Output(), "ActivityManager") {
+		t.Fatalf("filtered output missing AM entries: %q", res.Output())
 	}
-	if strings.Contains(res.Output, "PackageManager") {
+	if strings.Contains(res.Output(), "PackageManager") {
 		t.Fatal("tag filter leaked other tags")
 	}
 }
@@ -254,7 +254,7 @@ func TestLogcatFilterspec(t *testing.T) {
 	// Generate a Warn entry via a protected action.
 	sh.Run("am start -n com.app.one/.ui.Main -a android.intent.action.BATTERY_LOW")
 	warnOnly := sh.Run("logcat -d *:W")
-	for _, line := range strings.Split(strings.TrimSpace(warnOnly.Output), "\n") {
+	for _, line := range strings.Split(strings.TrimSpace(warnOnly.Output()), "\n") {
 		if line == "" {
 			continue
 		}
@@ -264,7 +264,7 @@ func TestLogcatFilterspec(t *testing.T) {
 	}
 	// Per-tag spec silences everything else.
 	amErrors := sh.Run("logcat -d ActivityManager:W")
-	if strings.Contains(amErrors.Output, "PackageManager") {
+	if strings.Contains(amErrors.Output(), "PackageManager") {
 		t.Fatal("per-tag filterspec leaked other tags")
 	}
 	bad := sh.Run("logcat -d ActivityManager:Z")

@@ -331,7 +331,8 @@ func (s *collectorSink) Consume(e *logcat.Entry) {
 // text it parses is an app line's exception header, and only inside an
 // ANR-trace window.
 func (c *Collector) Observe(e *logcat.Entry, ev *logcat.Event) {
-	defer telemetry.Time(c.consumeSeconds)()
+	timer := telemetry.StartTimer(c.consumeSeconds)
+	defer timer.Stop()
 	c.report.Entries++
 	c.entriesTotal.Inc()
 	switch ev.Kind {

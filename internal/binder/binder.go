@@ -124,7 +124,8 @@ func (r *Router) Reset() {
 // DeadObjectException, exactly the error apps observe when a remote process
 // was reclaimed.
 func (r *Router) Transact(name string, code int, data any) (any, *javalang.Throwable) {
-	defer telemetry.Time(r.txLatency)()
+	timer := telemetry.StartTimer(r.txLatency)
+	defer timer.Stop()
 	r.mu.Lock()
 	ep, ok := r.endpoints[name]
 	var ownerAlive bool

@@ -1,14 +1,18 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/farm"
 	"repro/internal/javalang"
 	"repro/internal/manifest"
+	"repro/internal/uifuzz"
+	"repro/internal/wearos"
 )
 
 // fullWear runs the complete wear study once per test binary (it takes a
@@ -409,6 +413,32 @@ func TestUIStudyPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	pinTableV(t, TableV(res), [2][4]int{{2000, 83, 3, 0}, {2000, 27, 0, 0}})
+}
+
+// TestUIStudySharedRingMatchesFreshBoot: RunUIStudy boots the emulator
+// once and runs the second mode on a clone that adopts the first device's
+// logcat ring; each mode's outcome, report included, must equal a run on
+// its own freshly booted emulator.
+func TestUIStudySharedRingMatchesFreshBoot(t *testing.T) {
+	const events = 3000
+	res, err := RunUIStudy(UIOptions{Seed: 1, Events: events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []struct {
+		mode uifuzz.Mode
+		got  uifuzz.Outcome
+	}{{uifuzz.SemiValid, res.SemiValid}, {uifuzz.Random, res.Random}} {
+		dev := wearos.New(wearos.DefaultEmulatorConfig())
+		if err := apps.BuildEmulatorFleet(1).InstallInto(dev); err != nil {
+			t.Fatal(err)
+		}
+		want := uifuzz.New(dev).Run(m.mode, uifuzz.Config{Seed: 1, Events: events})
+		if !reflect.DeepEqual(m.got, want) {
+			t.Errorf("%s: outcome on the shared-ring device differs from a fresh boot:\n got %+v\nwant %+v",
+				m.mode, m.got, want)
+		}
+	}
 }
 
 // pinTableV checks the semi-valid and random rows' injected events,

@@ -20,19 +20,28 @@ type UIResult struct {
 }
 
 // RunUIStudy executes the QGJ-UI experiment once per mutation mode
-// (Section III-E), each on a fresh Android Watch emulator carrying the
-// built-in apps plus the top-20 third-party apps: a fresh one per mode
+// (Section III-E), each on a freshly booted Android Watch emulator carrying
+// the built-in apps plus the top-20 third-party apps: a fresh one per mode
 // keeps runs independent and repeatable, the paper's stated reason for
-// using the emulator at all.
+// using the emulator at all. The emulator boots once; the second mode's
+// device is a clone of that boot, which is a fresh boot state for state
+// (wearos' TestCloneMatchesFreshBoot), and it adopts the first device's
+// logcat ring instead of allocating another.
 func RunUIStudy(opts UIOptions) (*UIResult, error) {
+	dev := wearos.New(wearos.DefaultEmulatorConfig())
+	boot, err := dev.Snapshot()
+	if err != nil {
+		return nil, err
+	}
 	res := &UIResult{}
-	for _, m := range []struct {
+	for i, m := range []struct {
 		mode uifuzz.Mode
 		out  *uifuzz.Outcome
 	}{{uifuzz.SemiValid, &res.SemiValid}, {uifuzz.Random, &res.Random}} {
-		fleet := apps.BuildEmulatorFleet(opts.Seed)
-		dev := wearos.New(wearos.DefaultEmulatorConfig())
-		if err := fleet.InstallInto(dev); err != nil {
+		if i > 0 {
+			dev = boot.CloneReplacing(dev)
+		}
+		if err := apps.BuildEmulatorFleet(opts.Seed).InstallInto(dev); err != nil {
 			return nil, err
 		}
 		*m.out = uifuzz.New(dev).Run(m.mode, uifuzz.Config{Seed: opts.Seed, Events: opts.Events})

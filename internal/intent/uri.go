@@ -74,12 +74,23 @@ func ParseURI(s string) (URI, bool) {
 		rest, u.Path = rest[:i], rest[i:]
 	}
 	// Split authority into host[:port].
-	if i := strings.LastIndexByte(rest, ':'); i >= 0 && !strings.Contains(rest[i+1:], "]") {
+	if i := portColon(rest); i >= 0 {
 		u.Host, u.Port = rest[:i], rest[i+1:]
 	} else {
 		u.Host = rest
 	}
 	return u, true
+}
+
+// portColon returns the index of the ':' that separates an authority's
+// host from its port, or -1 when it has none: the last ':' not followed by
+// a ']' (which would put it inside a bracketed IPv6 host).
+func portColon(authority string) int {
+	i := strings.LastIndexByte(authority, ':')
+	if i < 0 || strings.Contains(authority[i+1:], "]") {
+		return -1
+	}
+	return i
 }
 
 func validScheme(s string) bool {
@@ -115,7 +126,9 @@ func (u *URI) appendText(dst []byte) []byte {
 	} else {
 		dst = append(dst, "//"...)
 		dst = append(dst, u.Host...)
-		if u.Port != "" {
+		// An empty port keeps its ':' when the host has a ':' that would
+		// otherwise parse back as the port separator.
+		if u.Port != "" || portColon(u.Host) >= 0 {
 			dst = append(dst, ':')
 			dst = append(dst, u.Port...)
 		}

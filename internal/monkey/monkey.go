@@ -7,7 +7,6 @@
 package monkey
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -84,16 +83,6 @@ type Event struct {
 // IsIntent reports whether the event carries an intent to replay via am.
 func (e Event) IsIntent() bool { return len(e.Intent) > 0 }
 
-// LogLines renders the event in Monkey's verbose format.
-func (e Event) LogLines() []string {
-	var out []string
-	out = append(out, fmt.Sprintf(":Sending %s: %s", e.Type, strings.Join(e.Args, " ")))
-	if e.IsIntent() {
-		out = append(out, "    // Sending intent: am "+strings.Join(e.Intent, " "))
-	}
-	return out
-}
-
 // Config parameterizes a Monkey run.
 type Config struct {
 	Seed uint64
@@ -129,88 +118,116 @@ func NewGenerator(dev *wearos.OS, cfg Config) *Generator {
 	return g
 }
 
-// Generate produces the full event stream.
-func (g *Generator) Generate() []Event {
-	out := make([]Event, 0, g.cfg.Events)
-	for i := 0; i < g.cfg.Events; i++ {
-		t := AllEventTypes[i%len(AllEventTypes)] // equal percentages
-		out = append(out, g.event(t))
-		g.generated.Inc()
-	}
-	return out
+// sysKeys are the key codes of SysKeys events.
+var sysKeys = []string{"KEYCODE_HOME", "KEYCODE_BACK", "KEYCODE_POWER", "KEYCODE_WAKEUP"}
+
+// intentActions are the actions of the intents non-app-switch events emit.
+var intentActions = []string{
+	"android.intent.action.MAIN",
+	"android.intent.action.VIEW",
+	"android.intent.action.SEND",
 }
 
-func (g *Generator) event(t EventType) Event {
-	e := Event{Type: t}
-	switch t {
-	case Touch, Motion:
-		x := g.r.IntBetween(0, 319)
-		y := g.r.IntBetween(0, 319)
-		e.Args = []string{"(ACTION_DOWN)", coord(float64(x)), coord(float64(y))}
-	case Trackball, Nav, MajorNav:
-		e.Args = []string{"(dx)", coord(g.r.NormFloat64() * 5), "(dy)", coord(g.r.NormFloat64() * 5)}
-	case SysKeys:
-		keys := []string{"KEYCODE_HOME", "KEYCODE_BACK", "KEYCODE_POWER", "KEYCODE_WAKEUP"}
-		e.Args = []string{rng.Pick(g.r, keys)}
-	case AppSwitch:
-		e.Args = []string{"(to launcher)"}
-		if len(g.launchers) > 0 {
-			cmp := rng.Pick(g.r, g.launchers)
-			e.Intent = []string{"start", "-n", cmp}
-		}
-	case FlipKeyboard:
-		e.Args = []string{"(open)"}
-	case Permission:
-		if len(g.perms) > 0 {
-			e.Args = []string{rng.Pick(g.r, g.perms)}
-		} else {
-			e.Args = []string{"android.permission.INTERNET"}
-		}
-	case Rotation:
-		e.Args = []string{"degree=" + strconv.Itoa(g.r.Intn(4)*90)}
-	}
-	// A share of non-app-switch events also surfaces intents ("These UI
-	// events may trigger monkey to generate some intents").
-	if !e.IsIntent() && t != AppSwitch && len(g.launchers) > 0 && g.r.Bool(g.cfg.IntentRatio) {
-		cmp := rng.Pick(g.r, g.launchers)
-		actions := []string{
-			"android.intent.action.MAIN",
-			"android.intent.action.VIEW",
-			"android.intent.action.SEND",
-		}
-		e.Intent = []string{"start", "-n", cmp, "-a", rng.Pick(g.r, actions)}
-	}
-	return e
-}
+// logBytesPerEvent pre-sizes Log's builder so a run's log takes one
+// allocation: the emulator fleet's events average ~69 bytes of log (a
+// ":Sending" line, and an intent line for a third of them).
+const logBytesPerEvent = 72
 
-func coord(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
-
-// RenderLog produces the Monkey verbose log for a run; QGJ-UI parses this
-// back (workflow step 6).
-func RenderLog(events []Event) string {
+// Log runs Monkey and returns its verbose log, the text QGJ-UI parses
+// back (workflow step 6). Each event goes straight into the log as it is
+// generated: its ":Sending" line, then an "// Sending intent: am" line when
+// the event emitted an intent.
+func (g *Generator) Log() string {
 	var sb strings.Builder
-	sb.WriteString(":Monkey: seed=? count=" + strconv.Itoa(len(events)) + "\n")
-	for _, e := range events {
-		for _, l := range e.LogLines() {
-			sb.WriteString(l)
-			sb.WriteByte('\n')
-		}
+	sb.Grow(64 + g.cfg.Events*logBytesPerEvent)
+	sb.WriteString(":Monkey: seed=? count=")
+	sb.WriteString(strconv.Itoa(g.cfg.Events))
+	sb.WriteByte('\n')
+	for i := 0; i < g.cfg.Events; i++ {
+		g.writeEvent(&sb, AllEventTypes[i%len(AllEventTypes)]) // equal percentages
+		g.generated.Inc()
 	}
 	sb.WriteString("// Monkey finished\n")
 	return sb.String()
 }
 
+// writeEvent generates one event of type t and writes its log lines.
+func (g *Generator) writeEvent(sb *strings.Builder, t EventType) {
+	sb.WriteString(":Sending ")
+	sb.WriteString(t.String())
+	sb.WriteString(": ")
+	var cmp, action string // the emitted intent's component and action
+	switch t {
+	case Touch, Motion:
+		x := g.r.IntBetween(0, 319)
+		y := g.r.IntBetween(0, 319)
+		sb.WriteString("(ACTION_DOWN) ")
+		writeCoord(sb, float64(x))
+		sb.WriteByte(' ')
+		writeCoord(sb, float64(y))
+	case Trackball, Nav, MajorNav:
+		sb.WriteString("(dx) ")
+		writeCoord(sb, g.r.NormFloat64()*5)
+		sb.WriteString(" (dy) ")
+		writeCoord(sb, g.r.NormFloat64()*5)
+	case SysKeys:
+		sb.WriteString(rng.Pick(g.r, sysKeys))
+	case AppSwitch:
+		sb.WriteString("(to launcher)")
+		if len(g.launchers) > 0 {
+			cmp = rng.Pick(g.r, g.launchers)
+		}
+	case FlipKeyboard:
+		sb.WriteString("(open)")
+	case Permission:
+		if len(g.perms) > 0 {
+			sb.WriteString(rng.Pick(g.r, g.perms))
+		} else {
+			sb.WriteString("android.permission.INTERNET")
+		}
+	case Rotation:
+		var buf [8]byte
+		sb.WriteString("degree=")
+		sb.Write(strconv.AppendInt(buf[:0], int64(g.r.Intn(4)*90), 10))
+	}
+	sb.WriteByte('\n')
+	// A share of non-app-switch events also surfaces intents ("These UI
+	// events may trigger monkey to generate some intents").
+	if t != AppSwitch && len(g.launchers) > 0 && g.r.Bool(g.cfg.IntentRatio) {
+		cmp = rng.Pick(g.r, g.launchers)
+		action = rng.Pick(g.r, intentActions)
+	}
+	if cmp == "" {
+		return
+	}
+	sb.WriteString("    // Sending intent: am start -n ")
+	sb.WriteString(cmp)
+	if action != "" {
+		sb.WriteString(" -a ")
+		sb.WriteString(action)
+	}
+	sb.WriteByte('\n')
+}
+
+// writeCoord writes a coordinate with two decimals.
+func writeCoord(sb *strings.Builder, v float64) {
+	var buf [32]byte
+	sb.Write(strconv.AppendFloat(buf[:0], v, 'f', 2, 64))
+}
+
 // ParseLog reads a Monkey verbose log back into events. Unparseable lines
-// are skipped, like QGJ-UI's tolerant log scraper.
+// are skipped, like QGJ-UI's tolerant log scraper. Event arguments are
+// substrings of log.
 func ParseLog(log string) []Event {
-	var out []Event
+	out := make([]Event, 0, strings.Count(log, ":Sending "))
 	var last *Event
-	for _, line := range strings.Split(log, "\n") {
+	for rest := log; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
 		trimmed := strings.TrimSpace(line)
 		switch {
 		case strings.HasPrefix(trimmed, ":Sending "):
-			rest := strings.TrimPrefix(trimmed, ":Sending ")
-			name, args, ok := strings.Cut(rest, ": ")
+			name, args, ok := strings.Cut(strings.TrimPrefix(trimmed, ":Sending "), ": ")
 			if !ok {
 				continue
 			}

@@ -1,9 +1,12 @@
 package monkey
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/intent"
 	"repro/internal/manifest"
 	"repro/internal/wearos"
@@ -32,15 +35,20 @@ func newDevWithLaunchers(t *testing.T, n int) *wearos.OS {
 	return dev
 }
 
+// events runs a generator and parses its log back, the way QGJ-UI reads
+// Monkey's output.
+func events(dev *wearos.OS, cfg Config) []Event {
+	return ParseLog(NewGenerator(dev, cfg).Log())
+}
+
 func TestGenerateEqualPercentages(t *testing.T) {
 	dev := newDevWithLaunchers(t, 3)
-	g := NewGenerator(dev, Config{Seed: 1, Events: 1000})
-	events := g.Generate()
-	if len(events) != 1000 {
-		t.Fatalf("generated %d events", len(events))
+	evs := events(dev, Config{Seed: 1, Events: 1000})
+	if len(evs) != 1000 {
+		t.Fatalf("generated %d events", len(evs))
 	}
 	counts := map[EventType]int{}
-	for _, e := range events {
+	for _, e := range evs {
 		counts[e.Type]++
 	}
 	for _, ty := range AllEventTypes {
@@ -52,8 +60,7 @@ func TestGenerateEqualPercentages(t *testing.T) {
 
 func TestAppSwitchCarriesIntent(t *testing.T) {
 	dev := newDevWithLaunchers(t, 2)
-	g := NewGenerator(dev, Config{Seed: 2, Events: 100})
-	for _, e := range g.Generate() {
+	for _, e := range events(dev, Config{Seed: 2, Events: 100}) {
 		if e.Type == AppSwitch && !e.IsIntent() {
 			t.Fatal("AppSwitch event without intent")
 		}
@@ -62,40 +69,56 @@ func TestAppSwitchCarriesIntent(t *testing.T) {
 
 func TestIntentRatio(t *testing.T) {
 	dev := newDevWithLaunchers(t, 2)
-	g := NewGenerator(dev, Config{Seed: 3, Events: 10000, IntentRatio: 0.25})
+	evs := events(dev, Config{Seed: 3, Events: 10000, IntentRatio: 0.25})
 	intents := 0
-	events := g.Generate()
-	for _, e := range events {
+	for _, e := range evs {
 		if e.IsIntent() {
 			intents++
 		}
 	}
-	share := float64(intents) / float64(len(events))
+	share := float64(intents) / float64(len(evs))
 	// AppSwitch (10%) always + 25% of the remaining 90% ≈ 32.5%.
-	if share < 0.28 || share < 0.25 || share > 0.38 {
+	if share < 0.28 || share > 0.38 {
 		t.Fatalf("intent share = %.3f, want ~0.325", share)
 	}
 }
 
+// TestLogRoundTrip: every parsed event renders back to its own log lines,
+// so parsing loses nothing the log says.
 func TestLogRoundTrip(t *testing.T) {
 	dev := newDevWithLaunchers(t, 2)
-	g := NewGenerator(dev, Config{Seed: 4, Events: 200})
-	events := g.Generate()
-	log := RenderLog(events)
-	parsed := ParseLog(log)
-	if len(parsed) != len(events) {
-		t.Fatalf("parsed %d events, generated %d", len(parsed), len(events))
+	log := NewGenerator(dev, Config{Seed: 4, Events: 200}).Log()
+	evs := ParseLog(log)
+	if len(evs) != 200 {
+		t.Fatalf("parsed %d events, generated 200", len(evs))
 	}
-	for i := range events {
-		if parsed[i].Type != events[i].Type {
-			t.Fatalf("event %d type = %v, want %v", i, parsed[i].Type, events[i].Type)
+	var sb strings.Builder
+	sb.WriteString(":Monkey: seed=? count=200\n")
+	for _, e := range evs {
+		sb.WriteString(":Sending " + e.Type.String() + ": " + strings.Join(e.Args, " ") + "\n")
+		if e.IsIntent() {
+			sb.WriteString("    // Sending intent: am " + strings.Join(e.Intent, " ") + "\n")
 		}
-		if parsed[i].IsIntent() != events[i].IsIntent() {
-			t.Fatalf("event %d intent presence mismatch", i)
-		}
-		if parsed[i].IsIntent() && strings.Join(parsed[i].Intent, " ") != strings.Join(events[i].Intent, " ") {
-			t.Fatalf("event %d intent = %v, want %v", i, parsed[i].Intent, events[i].Intent)
-		}
+	}
+	sb.WriteString("// Monkey finished\n")
+	if sb.String() != log {
+		t.Fatalf("parsed events render a different log:\n%s\nwant:\n%s", sb.String(), log)
+	}
+}
+
+// TestLogGolden pins the Monkey log of the emulator fleet byte for byte:
+// Log must make the same RNG draws, in the same order, and write the same
+// text as the event-list renderer it replaced.
+func TestLogGolden(t *testing.T) {
+	dev := wearos.New(wearos.DefaultEmulatorConfig())
+	if err := apps.BuildEmulatorFleet(1).InstallInto(dev); err != nil {
+		t.Fatal(err)
+	}
+	log := NewGenerator(dev, Config{Seed: 1, Events: 1000}).Log()
+	sum := sha256.Sum256([]byte(log))
+	const want = "25f729dd4b650a6838c13266f0a06f48c3395ce2ba08f800b312706ceba491a6"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("Monkey log sha256 = %s, want %s (%d bytes)", got, want, len(log))
 	}
 }
 
@@ -105,13 +128,13 @@ func TestParseLogSkipsGarbage(t *testing.T) {
 		":Sending Touch: (ACTION_DOWN) 10.00 20.00\n" +
 		":Sending Unknowable: x\n" +
 		"    // Sending intent: am start -n com.appa/.ui.Main\n" +
-		"// Monkey finished\n"
-	events := ParseLog(log)
-	if len(events) != 1 {
-		t.Fatalf("parsed %d events, want 1", len(events))
+		"// Monkey finished"
+	evs := ParseLog(log)
+	if len(evs) != 1 {
+		t.Fatalf("parsed %d events, want 1", len(evs))
 	}
-	if events[0].Type != Touch || !events[0].IsIntent() {
-		t.Fatalf("event = %+v", events[0])
+	if evs[0].Type != Touch || !evs[0].IsIntent() {
+		t.Fatalf("event = %+v", evs[0])
 	}
 }
 
@@ -130,11 +153,9 @@ func TestLauncherTargets(t *testing.T) {
 
 func TestDeterministicStreams(t *testing.T) {
 	dev := newDevWithLaunchers(t, 2)
-	a := NewGenerator(dev, Config{Seed: 7, Events: 50}).Generate()
-	b := NewGenerator(dev, Config{Seed: 7, Events: 50}).Generate()
-	for i := range a {
-		if strings.Join(a[i].Args, " ") != strings.Join(b[i].Args, " ") {
-			t.Fatalf("event %d args differ", i)
-		}
+	a := NewGenerator(dev, Config{Seed: 7, Events: 50}).Log()
+	b := NewGenerator(dev, Config{Seed: 7, Events: 50}).Log()
+	if a != b {
+		t.Fatalf("same seed, different logs:\n%s\n---\n%s", a, b)
 	}
 }

@@ -146,19 +146,28 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// nop is the shared no-op stopper returned by Time for nil histograms, so
-// disabled telemetry allocates nothing.
-var nop = func() {}
-
-// Time starts a wall-clock timer and returns the function that stops it
-// and records the elapsed seconds into h. Instrumentation stays one line
-// at call sites:
+// Timer is a running wall-clock measurement for one histogram. It is a
+// value, so timing a call allocates nothing:
 //
-//	defer telemetry.Time(h)()
-func Time(h *Histogram) func() {
+//	t := telemetry.StartTimer(h)
+//	defer t.Stop()
+type Timer struct {
+	h     *Histogram
+	start time.Time
+}
+
+// StartTimer starts timing into h. A nil h gives a timer whose Stop does
+// nothing and which never reads the clock.
+func StartTimer(h *Histogram) Timer {
 	if h == nil {
-		return nop
+		return Timer{}
 	}
-	start := time.Now()
-	return func() { h.Observe(time.Since(start).Seconds()) }
+	return Timer{h: h, start: time.Now()}
+}
+
+// Stop records the seconds elapsed since StartTimer into the histogram.
+func (t Timer) Stop() {
+	if t.h != nil {
+		t.h.Observe(time.Since(t.start).Seconds())
+	}
 }

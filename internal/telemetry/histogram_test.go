@@ -111,15 +111,15 @@ func TestHistogramDefaultBucketsAndSort(t *testing.T) {
 
 func TestTimerObserves(t *testing.T) {
 	h := NewHistogram(DefLatencyBuckets)
-	stop := Time(h)
+	timer := StartTimer(h)
 	time.Sleep(time.Millisecond)
-	stop()
+	timer.Stop()
 	if h.Count() != 1 {
 		t.Fatalf("count = %d", h.Count())
 	}
 	if h.Sum() <= 0 {
 		t.Fatalf("sum = %v, want > 0", h.Sum())
 	}
-	// Nil histogram: shared no-op, no panic.
-	Time(nil)()
+	// Nil histogram: a no-op timer, no panic.
+	StartTimer(nil).Stop()
 }

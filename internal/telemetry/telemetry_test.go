@@ -104,7 +104,7 @@ func TestNilRegistryAndMetricsNoop(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
-	Time(h)()
+	StartTimer(h).Stop()
 	reg.OnCollect(func() { t.Fatal("hook on nil registry must not run") })
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil metrics must stay zero")

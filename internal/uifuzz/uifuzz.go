@@ -7,7 +7,6 @@ package uifuzz
 
 import (
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/adb"
@@ -89,6 +88,12 @@ func (o Outcome) CrashRate() float64 {
 type Fuzzer struct {
 	dev   *wearos.OS
 	shell *adb.Shell
+	// line is the command line replay builds, reused across events.
+	line []byte
+	// grantPkg is the package pm grant targets, the device's first
+	// installed package; Run reads it once, since no replayed command
+	// installs or removes a package.
+	grantPkg string
 }
 
 // New builds a fuzzer for the device.
@@ -112,10 +117,14 @@ func (f *Fuzzer) Run(mode Mode, cfg Config) Outcome {
 
 	// Step 5: run Monkey to produce the baseline event stream and log.
 	gen := monkey.NewGenerator(f.dev, monkey.Config{Seed: cfg.Seed, Events: cfg.Events})
-	log := monkey.RenderLog(gen.Generate())
+	log := gen.Log()
 
 	// Step 6: parse the Monkey log back into events.
 	events := monkey.ParseLog(log)
+	f.grantPkg = ""
+	if pkgs := f.dev.Registry().Packages(); len(pkgs) > 0 {
+		f.grantPkg = pkgs[0].Name
+	}
 
 	// Mutate and replay through adb; observe through logcat.
 	mut := newMutator(mode, cfg.Seed, events)
@@ -152,36 +161,48 @@ func (f *Fuzzer) Run(mode Mode, cfg Config) Outcome {
 }
 
 // replay sends one (mutated) event through the adb utilities.
-func (f *Fuzzer) replay(ev monkey.Event) adb.Result {
-	if ev.IsIntent() {
-		return f.shell.Run("am " + strings.Join(ev.Intent, " "))
+func (f *Fuzzer) replay(ev monkey.Event) {
+	c := f.line[:0]
+	switch {
+	case ev.IsIntent():
+		c = appendWords(append(c, "am"...), ev.Intent...)
+	case ev.Type == monkey.Touch || ev.Type == monkey.Motion:
+		if len(ev.Args) < 3 {
+			return
+		}
+		c = appendWords(append(c, "input tap"...), ev.Args[1], ev.Args[2])
+	case ev.Type == monkey.Trackball || ev.Type == monkey.Nav || ev.Type == monkey.MajorNav:
+		if len(ev.Args) < 4 {
+			return
+		}
+		c = appendWords(append(c, "input swipe 100 100"...), ev.Args[1], ev.Args[3])
+	case ev.Type == monkey.SysKeys:
+		if len(ev.Args) < 1 {
+			return
+		}
+		c = appendWords(append(c, "input keyevent"...), ev.Args[0])
+	case ev.Type == monkey.Permission:
+		// Monkey's permission events grant/revoke app permissions; pm
+		// validates the permission string strictly.
+		if len(ev.Args) < 1 || f.grantPkg == "" {
+			return
+		}
+		c = appendWords(append(c, "pm grant"...), f.grantPkg, ev.Args[0])
+	default:
+		// FlipKeyboard and Rotation are absorbed by the window manager;
+		// nothing to replay through adb.
+		return
 	}
-	switch ev.Type {
-	case monkey.Touch, monkey.Motion:
-		if len(ev.Args) >= 3 {
-			return f.shell.Run("input tap " + ev.Args[1] + " " + ev.Args[2])
-		}
-	case monkey.Trackball, monkey.Nav, monkey.MajorNav:
-		if len(ev.Args) >= 4 {
-			return f.shell.Run("input swipe 100 100 " + ev.Args[1] + " " + ev.Args[3])
-		}
-	case monkey.SysKeys:
-		if len(ev.Args) >= 1 {
-			return f.shell.Run("input keyevent " + ev.Args[0])
-		}
-	case monkey.Permission:
-		if len(ev.Args) >= 1 {
-			// Monkey's permission events grant/revoke app permissions; pm
-			// validates the permission string strictly.
-			pkgs := f.dev.Registry().Packages()
-			if len(pkgs) > 0 {
-				return f.shell.Run("pm grant " + pkgs[0].Name + " " + ev.Args[0])
-			}
-		}
-	case monkey.FlipKeyboard, monkey.Rotation:
-		// Absorbed by the window manager; nothing to replay through adb.
+	f.line = c
+	f.shell.Run(string(c))
+}
+
+// appendWords appends each word to a command line, after a space.
+func appendWords(c []byte, words ...string) []byte {
+	for _, w := range words {
+		c = append(append(c, ' '), w...)
 	}
-	return adb.Result{}
+	return c
 }
 
 // mutator implements the two argument-mutation strategies.
@@ -197,6 +218,8 @@ type mutator struct {
 	observedCoords  []string
 	observedPerms   []string
 	observedKeys    []string
+	// args and intent back the events mutate returns.
+	args, intent []string
 }
 
 func newMutator(mode Mode, seed uint64, events []monkey.Event) *mutator {
@@ -237,14 +260,17 @@ func newMutator(mode Mode, seed uint64, events []monkey.Event) *mutator {
 	return m
 }
 
-// mutate returns a mutated copy of the event.
+// mutate returns a mutated copy of the event. The copy's Args and Intent
+// live in slices the mutator owns: they never alias ev's, and they are
+// valid until the next call.
 func (m *mutator) mutate(ev monkey.Event) monkey.Event {
 	out := monkey.Event{Type: ev.Type}
-	out.Args = append([]string(nil), ev.Args...)
-	out.Intent = append([]string(nil), ev.Intent...)
-
-	if out.IsIntent() {
+	out.Args = append(m.args[:0], ev.Args...)
+	m.args = out.Args
+	if len(ev.Intent) > 0 {
+		out.Intent = append(m.intent[:0], ev.Intent...)
 		m.mutateIntent(&out)
+		m.intent = out.Intent
 		return out
 	}
 	switch ev.Type {

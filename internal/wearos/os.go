@@ -181,7 +181,6 @@ type OS struct {
 	memo     dispatchMemo
 
 	bootCount int
-	bootTime  time.Time
 
 	tel         *telemetry.Registry
 	rec         *telemetry.Recorder
@@ -349,7 +348,6 @@ func newKernel(cfg Config, clock *vclock.Virtual, buf *logcat.Buffer) *OS {
 
 func (o *OS) logBootSequence() {
 	o.bootCount++
-	o.bootTime = o.clock.Now()
 	o.osm.bootCount.Set(float64(o.bootCount))
 	o.log.Log(1, 1, logcat.Info, logcat.TagBoot,
 		"%s booting %s (boot #%d)", o.cfg.DeviceName, o.cfg.OSVersion, o.bootCount)
@@ -463,9 +461,6 @@ func (o *OS) AttachTelemetry(reg *telemetry.Registry) {
 // boot; each reboot increments it).
 func (o *OS) BootCount() int { return o.bootCount }
 
-// Uptime returns time since last boot.
-func (o *OS) Uptime() time.Duration { return o.clock.Now().Sub(o.bootTime) }
-
 // InstallPackage installs pkg and registers nothing else; handlers are
 // attached via RegisterHandler.
 func (o *OS) InstallPackage(pkg *manifest.Package) error {
@@ -521,7 +516,7 @@ func (o *OS) ensureProcess(pkg string) *Process {
 	p := o.procs.get(pkg)
 	if p == nil {
 		uid := UIDAppBase + 1 + len(o.procs.byName)
-		p = o.procs.start(pkg, uid)
+		p = o.procs.start(pkg)
 		o.router.SetAlive(p.PID, true)
 		o.osm.procStarts.Inc()
 		o.osm.liveProcs.Set(float64(o.procs.live()))
@@ -638,7 +633,6 @@ func (o *OS) deliver(in *intent.Intent, kind manifest.ComponentType, verb string
 
 	// 4. Process bring-up and delivery bookkeeping.
 	proc := o.ensureProcess(comp.Name.Package)
-	proc.lastDelivered = comp.Name
 	o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, "", logcat.Payload{
 		Op:   logcat.MsgDelivering,
 		Verb: comp.Type.String(),
@@ -785,21 +779,7 @@ func (o *OS) reboot(reason string) {
 	o.rec.RecordNow(telemetry.EventReboot, "system_server", "", reason)
 	o.sysSrv.resetAfterBoot()
 	o.sensor.Restart(o.procs.allocPID())
-	// No pre-reboot PID answers LastDelivered.
-	for _, p := range o.procs.byPID {
-		p.lastDelivered = intent.ComponentName{}
-	}
 	// Boot takes a while even on a watch.
 	o.clock.Advance(20 * time.Second)
 	o.logBootSequence()
-}
-
-// LastDelivered reports the last component an intent was delivered to in
-// the process with the given PID; used by diagnostics and tests (the log
-// analyzer reconstructs the same mapping from ActivityManager entries).
-func (o *OS) LastDelivered(pid int) (intent.ComponentName, bool) {
-	if p := o.procs.byPID[pid]; p != nil && !p.lastDelivered.IsZero() {
-		return p.lastDelivered, true
-	}
-	return intent.ComponentName{}, false
 }

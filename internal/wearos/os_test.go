@@ -375,19 +375,6 @@ func TestCrashDoesNotRebootImmediately(t *testing.T) {
 	}
 }
 
-func TestLastDelivered(t *testing.T) {
-	o := testDevice(t)
-	target := cn("com.test.app", "Worker")
-	if got := o.StartService(explicit(target, "")); got != DeliveredNoEffect {
-		t.Fatalf("result = %v", got)
-	}
-	p := o.Process("com.test.app")
-	got, ok := o.LastDelivered(p.PID)
-	if !ok || got != target {
-		t.Fatalf("LastDelivered = %v %v", got, ok)
-	}
-}
-
 func TestDispatchLogsStartEntries(t *testing.T) {
 	o := testDevice(t)
 	in := explicit(cn("com.test.app", "MainActivity"), "android.intent.action.VIEW")

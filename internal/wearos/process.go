@@ -9,8 +9,6 @@
 // campaigns deterministic. An OS value must not be shared across goroutines.
 package wearos
 
-import "repro/internal/intent"
-
 // Well-known Android UIDs.
 const (
 	UIDSystem  = 1000
@@ -22,12 +20,7 @@ const (
 type Process struct {
 	PID   int
 	Name  string // process name; for apps this is the package name
-	UID   int
 	Alive bool
-
-	// lastDelivered is the component an intent was last delivered to in
-	// this process (zero before the first delivery, and after a reboot).
-	lastDelivered intent.ComponentName
 }
 
 // processTable allocates PIDs and tracks app processes by name.
@@ -52,8 +45,8 @@ func (t *processTable) allocPID() int {
 }
 
 // start launches (or relaunches) the named process.
-func (t *processTable) start(name string, uid int) *Process {
-	p := &Process{PID: t.allocPID(), Name: name, UID: uid, Alive: true}
+func (t *processTable) start(name string) *Process {
+	p := &Process{PID: t.allocPID(), Name: name, Alive: true}
 	t.byName[name] = p
 	t.byPID[p.PID] = p
 	return p

@@ -47,7 +47,6 @@ func (o *OS) resetStateHash() uint64 {
 	}
 
 	mix(uint64(o.bootCount))
-	mix(uint64(o.bootTime.UnixNano()))
 	mix(o.dispatchSeq)
 
 	mix(uint64(o.clock.Now().UnixNano()))
@@ -183,7 +182,6 @@ func (o *OS) restore(s *Snapshot) {
 	o.memo = dispatchMemo{}
 
 	o.bootCount = s.bootCount
-	o.bootTime = s.bootTime
 	o.dispatchSeq = s.dispatchSeq
 
 	o.sysSrv.instability = s.aging.instability

@@ -53,7 +53,6 @@ type Snapshot struct {
 	now time.Time
 
 	bootCount   int
-	bootTime    time.Time
 	dispatchSeq uint64
 
 	baseline []logcat.Entry
@@ -95,7 +94,6 @@ func (o *OS) Snapshot() (*Snapshot, error) {
 		cfg:         o.cfg,
 		now:         o.clock.Now(),
 		bootCount:   o.bootCount,
-		bootTime:    o.bootTime,
 		dispatchSeq: o.dispatchSeq,
 		baseline:    o.buf.Snapshot(),
 		packages:    o.reg.Packages(),

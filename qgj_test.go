@@ -53,8 +53,8 @@ func TestPublicShellAndUIFuzzer(t *testing.T) {
 	}
 	sh := qgj.NewShell(emu)
 	res := sh.Run("pm list")
-	if !strings.Contains(res.Output, "package:") {
-		t.Fatalf("pm list output = %q", res.Output)
+	if !strings.Contains(res.Output(), "package:") {
+		t.Fatalf("pm list output = %q", res.Output())
 	}
 	out := qgj.NewUIFuzzer(emu).Run(qgj.SemiValid, qgj.UIConfig{Seed: 1, Events: 1000})
 	if out.Injected != 1000 {

@@ -56,6 +56,16 @@ go test -run '^$' -fuzz '^FuzzCampaignSpec$' -fuzztime 5s -parallel 2 ./internal
 go test -run '^$' -fuzz '^FuzzWorkerEnvelopes$' -fuzztime 5s -parallel 2 ./internal/service
 go test -run '^$' -fuzz '^FuzzArchivedInfo$' -fuzztime 5s -parallel 2 ./internal/service
 
+# Every command QGJ-UI replays goes through the adb shell's tokenizer and
+# am's component and URI parsers, and every pulled dump through the logcat
+# line parser: fuzz the shell, tokenize against its quoting reference, the
+# two intent parsers and the line parser the same way.
+go test -run '^$' -fuzz '^FuzzShellRun$' -fuzztime 5s -parallel 2 ./internal/adb
+go test -run '^$' -fuzz '^FuzzTokenize$' -fuzztime 5s -parallel 2 ./internal/adb
+go test -run '^$' -fuzz '^FuzzParseURI$' -fuzztime 5s -parallel 2 ./internal/intent
+go test -run '^$' -fuzz '^FuzzUnflattenComponent$' -fuzztime 5s -parallel 2 ./internal/intent
+go test -run '^$' -fuzz '^FuzzParseLine$' -fuzztime 5s -parallel 2 ./internal/logcat
+
 # End-to-end sharded-campaign smoke: a reduced fleet slice through cmd/qgj
 # with workers + checkpoint, then killed (journal truncated after two shard
 # records) and resumed. Asserts the farm CLI path (flags, journaling,
