@@ -229,11 +229,7 @@ func run(args []string) error {
 // writeJSONArtifacts writes the three studies' exports as one JSON
 // document.
 func writeJSONArtifacts(path string, seed uint64, wear, phone *farm.Result, ui *experiments.UIResult) error {
-	doc := struct {
-		Wear  report.StudyExport `json:"wear"`
-		Phone report.StudyExport `json:"phone"`
-		UI    report.UIExport    `json:"ui"`
-	}{
+	doc := report.Artifacts{
 		Wear:  report.ExportStudy(wear, seed),
 		Phone: report.ExportStudy(phone, seed),
 		UI:    report.ExportUI(ui),
@@ -243,7 +239,10 @@ func writeJSONArtifacts(path string, seed uint64, wear, phone *farm.Result, ui *
 		return fmt.Errorf("create JSON artifact file: %w", err)
 	}
 	defer f.Close()
-	return report.WriteJSON(f, doc)
+	if err := report.WriteArtifacts(f, &doc); err != nil {
+		return err
+	}
+	return f.Close()
 }
 
 // runAblations prints the extension studies: the aging-model ablations,

@@ -196,7 +196,8 @@ func plainComponent(s string) (intent.ComponentName, bool) {
 // intent names. An op rendering an exception takes text whole as its
 // message, or, with bits&32, split at its first ": " into class and
 // message. A frame takes flat's halves as class and method, text as its
-// file and pid as its line; the block ops take text as the process name.
+// file and pid as its line; the block ops take text as the process name. A
+// dispatch carries the launcher category with bits&64.
 func fuzzEntry(op uint8, tag string, pid int, text, flat string, bits uint8) (Entry, bool) {
 	e := Entry{
 		Time: time.Date(2026, 6, 1, 9, 30, 15, 123_000_000, time.UTC),
@@ -217,6 +218,7 @@ func fuzzEntry(op uint8, tag string, pid int, text, flat string, bits uint8) (En
 		pkg, cls, _ := strings.Cut(flat, "/")
 		p.Comp = intent.ComponentName{Package: pkg, Class: cls}
 	case MsgDispatch:
+		p.Launcher = bits&64 != 0
 	case MsgCaught, MsgRejected, MsgException, MsgCausedBy:
 		if p.Op == MsgRejected && !ok {
 			return Entry{}, false
@@ -297,6 +299,8 @@ func FuzzDecode(f *testing.F) {
 		{uint8(MsgDenyPermission), TagActivityManager, 10123, "p targeting com.b/.X", "com.a/targeting com.c/.Y ", 0},
 		{uint8(MsgDenyProtected), "com.a", 10123, "android.intent.action.BATTERY_LOW", "com.a/com.a.Main", 0},
 		{uint8(MsgDispatch), TagActivityManager, 10123, "opaque#part:%d", "zzq", 8},
+		{uint8(MsgDispatch), TagActivityManager, 10123, "android.intent.action.MAIN", "com.a/.Main", 64},
+		{uint8(MsgDispatch), TagActivityManager, 10123, "", "com.a/.Main", 8 | 64},
 		{uint8(MsgRejected), TagActivityManager, 77, "java.lang.IllegalArgumentException: bad, 100%", "com.a/.Main", 32},
 		{uint8(MsgRejected), TagActivityManager, 77, "Weird Class: bad", "com.a/.Main", 32},
 		{uint8(MsgCaught), "com.a", 77, "java.lang.NullPointerException: x", "", 32},

@@ -68,10 +68,12 @@ const (
 	// MsgEager marks a conventionally logged entry: Message holds the text.
 	MsgEager MsgOp = iota
 	// MsgDispatch renders "<Verb> u0 <intent> from uid <N>" where <intent>
-	// is the logcat-style flattened intent built from Act, Data, Comp and
-	// HasExtras. Only intents without categories, MIME type, and flags take
-	// this path (the operand set covers exactly what campaign intents
-	// carry); richer intents fall back to eager formatting.
+	// is the logcat-style flattened intent built from Act, Data, Launcher,
+	// Comp and HasExtras. Only intents without a MIME type or flags, whose
+	// categories are none or the launcher category alone, take this path
+	// (the operand set covers exactly what campaign intents and am's
+	// MAIN/LAUNCHER launches carry); richer intents fall back to eager
+	// formatting.
 	MsgDispatch
 	// MsgDelivering renders "Delivering to <Verb> cmp=<Flat> pid=<N>".
 	MsgDelivering
@@ -148,6 +150,9 @@ type Payload struct {
 	Op        MsgOp
 	HasData   bool
 	HasExtras bool
+	// Launcher marks a MsgDispatch intent whose one category is
+	// intent.CategoryLauncher, which am adds to a launch with no action.
+	Launcher bool
 }
 
 // ThrownPayload returns the operands of the lazy line op (MsgRejected,
@@ -200,6 +205,12 @@ func (p *Payload) appendMsg(dst []byte, text string) []byte {
 				dst = append(dst, ':')
 				dst = append(dst, text...)
 			}
+		}
+		if p.Launcher {
+			if len(dst) > mark {
+				dst = append(dst, ' ')
+			}
+			dst = append(dst, "cat="+intent.CategoryLauncher...)
 		}
 		if !p.Comp.IsZero() {
 			if len(dst) > mark {

@@ -1,9 +1,7 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/experiments"
 	"repro/internal/farm"
@@ -257,14 +255,4 @@ func ExportUI(res *experiments.UIResult) UIExport {
 		exp.Rows = append(exp.Rows, UIExportRow(r))
 	}
 	return exp
-}
-
-// WriteJSON streams v as indented JSON.
-func WriteJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		return fmt.Errorf("encode report JSON: %w", err)
-	}
-	return nil
 }

@@ -38,12 +38,12 @@ func TestExportStudyShape(t *testing.T) {
 func TestExportJSONRoundTrip(t *testing.T) {
 	sr := quickStudy(t)
 	exp := ExportStudy(sr, 1)
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, exp); err != nil {
+	data, err := MarshalStudy(&exp)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back StudyExport
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Fleet != exp.Fleet || back.Sent != exp.Sent || len(back.Campaigns) != len(exp.Campaigns) {
@@ -51,7 +51,7 @@ func TestExportJSONRoundTrip(t *testing.T) {
 	}
 	// Schema stability: the field names downstream tooling depends on.
 	for _, key := range []string{`"fleet"`, `"intentsSent"`, `"tableIII"`, `"fig3a"`, `"fig4CrashAppRate"`, `"securityShare"`} {
-		if !bytes.Contains(buf.Bytes(), []byte(key)) {
+		if !bytes.Contains(data, []byte(key)) {
 			t.Errorf("JSON missing key %s", key)
 		}
 	}
@@ -70,7 +70,7 @@ func TestExportUIShape(t *testing.T) {
 		t.Fatalf("row order = %+v", exp.Rows)
 	}
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, exp); err != nil {
+	if err := WriteArtifacts(&buf, &Artifacts{UI: exp}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(`"injectedEvents": 800`)) {

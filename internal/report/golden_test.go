@@ -67,13 +67,13 @@ func TestAgingStudyGolden(t *testing.T) {
 					exp.Telemetry.Histograms[name] = telemetry.HistogramSnapshot{Count: h.Count}
 				}
 			}
-			var got bytes.Buffer
-			if err := WriteJSON(&got, exp); err != nil {
+			got, err := MarshalStudy(&exp)
+			if err != nil {
 				t.Fatal(err)
 			}
 			path := filepath.Join("testdata", "aging_"+tc.fleet+".json")
 			if *updateGolden {
-				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -81,7 +81,7 @@ func TestAgingStudyGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got.Bytes(), want) {
+			if !bytes.Equal(got, want) {
 				t.Errorf("%s export diverged from %s (rerun with -update only for an intended change)", tc.fleet, path)
 			}
 		})

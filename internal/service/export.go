@@ -1,8 +1,6 @@
 package service
 
 import (
-	"encoding/json"
-
 	"repro/internal/farm"
 	"repro/internal/report"
 )
@@ -16,9 +14,6 @@ import (
 // mid-run deaths. The service's acceptance tests and the verify.sh smoke
 // diff exactly these bytes.
 func ExportResult(res *farm.Result, seed uint64) ([]byte, error) {
-	data, err := json.MarshalIndent(report.ExportStudy(res, seed), "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	exp := report.ExportStudy(res, seed)
+	return report.MarshalStudy(&exp)
 }

@@ -599,11 +599,13 @@ func (o *OS) FlushTelemetry() {
 }
 
 // logDispatch emits the "<verb> u0 <intent> from uid <n>" line. Intents
-// shaped like campaign traffic (no categories, MIME type, or flags — the
-// only fields the lazy payload cannot carry) store structure instead of
-// rendered text; anything richer falls back to eager formatting.
+// shaped like campaign traffic or am's MAIN/LAUNCHER launches (no MIME type
+// or flags, and no category but the launcher one — the only fields the lazy
+// payload cannot carry) store structure instead of rendered text; anything
+// richer falls back to eager formatting.
 func (o *OS) logDispatch(verb string, in *intent.Intent) {
-	if len(in.Categories) == 0 && in.Type == "" && in.Flags == 0 {
+	launcher := len(in.Categories) == 1 && in.Categories[0] == intent.CategoryLauncher
+	if (len(in.Categories) == 0 || launcher) && in.Type == "" && in.Flags == 0 {
 		data, opaque := intent.SplitURIText(&in.Data)
 		o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, opaque, logcat.Payload{
 			Op:        logcat.MsgDispatch,
@@ -613,6 +615,7 @@ func (o *OS) logDispatch(verb string, in *intent.Intent) {
 			HasData:   !in.Data.IsZero(),
 			Comp:      in.Component,
 			HasExtras: in.Extras.Len() > 0,
+			Launcher:  launcher,
 			N:         in.SenderUID,
 		})
 		return

@@ -295,3 +295,69 @@ func TestEscalationScenarioMatchesParsedDump(t *testing.T) {
 	}
 	t.Fatal("no component was blamed for a reboot")
 }
+
+// TestLauncherDispatchLineMatchesEager pins the dispatch line of am's
+// MAIN/LAUNCHER launch, which is stored as a lazy payload, against the
+// eager text the device logged for it before: with and without data (an
+// opaque datum is split between payload and message) and extras. Two
+// categories still take the eager path with the same text.
+func TestLauncherDispatchLineMatchesEager(t *testing.T) {
+	dev := wearos.New(wearos.DefaultWatchConfig())
+	fleet := qgj.BuildWearFleet(1)
+	if err := fleet.InstallInto(dev); err != nil {
+		t.Fatal(err)
+	}
+	comp := fleet.Packages[0].Components[0].Name
+	launch := func(action, data string, extras bool, cats ...string) *intent.Intent {
+		in := &intent.Intent{Action: action, Component: comp, SenderUID: core.QGJUID}
+		for _, c := range cats {
+			in.AddCategory(c)
+		}
+		if data != "" {
+			var ok bool
+			if in.Data, ok = intent.ParseURI(data); !ok {
+				t.Fatalf("unparsable URI %q", data)
+			}
+		}
+		if extras {
+			in.PutExtra("k", intent.StringValue("v"))
+		}
+		return in
+	}
+	const main = "android.intent.action.MAIN"
+	cases := []struct {
+		name string
+		in   *intent.Intent
+		lazy bool
+	}{
+		{"launcher", launch(main, "", false, intent.CategoryLauncher), true},
+		{"launcher-no-action", launch("", "", false, intent.CategoryLauncher), true},
+		{"launcher-data", launch(main, "https://foo.com/a?b=1&c=2", false, intent.CategoryLauncher), true},
+		{"launcher-opaque-data", launch(main, "tel:5550100", true, intent.CategoryLauncher), true},
+		{"launcher-extras", launch("", "geo:1,2", true, intent.CategoryLauncher), true},
+		{"two-categories", launch(main, "tel:123", false, intent.CategoryLauncher, intent.CategoryDefault), false},
+		{"other-category", launch(main, "", false, intent.CategoryDefault), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := dev.Logcat().Len()
+			dev.StartActivity(tc.in)
+			want := fmt.Sprintf("START u0 %s from uid %d", tc.in.String(), tc.in.SenderUID)
+			entries := dev.Logcat().Snapshot()
+			for i := len(entries) - (dev.Logcat().Len() - before); i < len(entries); i++ {
+				e := &entries[i]
+				if !strings.HasPrefix(e.Msg(), "START u0 ") {
+					continue
+				}
+				if e.Msg() != want {
+					t.Fatalf("dispatch line\n got: %q\nwant: %q", e.Msg(), want)
+				}
+				if lazy := e.Payload.Op == logcat.MsgDispatch; lazy != tc.lazy {
+					t.Fatalf("dispatch stored lazily = %v, want %v", lazy, tc.lazy)
+				}
+				return
+			}
+			t.Fatal("no dispatch line logged")
+		})
+	}
+}

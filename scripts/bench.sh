@@ -3,10 +3,10 @@
 # persistent executor.
 #
 # Runs the hot-path benchmark suite (with the per-intent campaign-mix
-# dispatch benchmark) plus the eight-worker farm run and the
-# device-level shard-boot and unit-reset microbenchmark pairs, emits
-# BENCH_21.json (machine-readable current numbers next to the frozen
-# pre-optimization baselines), and fails if any gated benchmark regresses
+# dispatch benchmark) plus the eight-worker farm run and the device-level
+# shard-boot and unit-reset microbenchmark pairs, writes the current
+# numbers next to the frozen pre-optimization baselines to the JSON file
+# named by its one argument, and fails if any gated benchmark regresses
 # past its ceiling or the persistent executor's per-unit reset-over-clone
 # speedup drops under its 3x floor. The ceilings are
 # set from the perf passes that introduced them, with ~40-70% headroom for
@@ -14,12 +14,18 @@
 # regressions (a reintroduced per-intent allocation, an unbatched counter,
 # an eagerly allocated clone ring), not single-digit drift.
 #
-# Usage: scripts/bench.sh [output.json]
+# Usage: scripts/bench.sh output.json
+# (a relative output path is taken from the repository root)
 set -eu
+
+if [ $# -ne 1 ]; then
+    echo "usage: scripts/bench.sh output.json" >&2
+    exit 2
+fi
+out="$1"
 
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_21.json}"
 raw="$(mktemp -t qgj-bench-XXXXXX.txt)"
 trap 'rm -f "$raw"' EXIT
 

@@ -164,10 +164,10 @@ type output struct {
 
 func main() {
 	input := flag.String("input", "", "raw `go test -bench` output file")
-	outPath := flag.String("output", "BENCH_21.json", "JSON artifact path")
+	outPath := flag.String("output", "", "JSON artifact path")
 	flag.Parse()
-	if *input == "" {
-		fmt.Fprintln(os.Stderr, "benchgate: -input is required")
+	if *input == "" || *outPath == "" {
+		fmt.Fprintln(os.Stderr, "benchgate: -input and -output are required")
 		os.Exit(2)
 	}
 

@@ -56,6 +56,12 @@ go test -run '^$' -fuzz '^FuzzCampaignSpec$' -fuzztime 5s -parallel 2 ./internal
 go test -run '^$' -fuzz '^FuzzWorkerEnvelopes$' -fuzztime 5s -parallel 2 ./internal/service
 go test -run '^$' -fuzz '^FuzzArchivedInfo$' -fuzztime 5s -parallel 2 ./internal/service
 
+# The study export is rendered by a hand-written writer that must give
+# encoding/json's bytes: fuzz it against json.MarshalIndent and
+# json.Encoder. Its inputs are multi-kilobyte export documents, which the
+# engine would otherwise spend the whole run minimizing byte by byte.
+go test -run '^$' -fuzz '^FuzzStudyExportJSON$' -fuzztime 5s -fuzzminimizetime 100x -parallel 2 ./internal/report
+
 # Every command QGJ-UI replays goes through the adb shell's tokenizer and
 # am's component and URI parsers, and every pulled dump through the logcat
 # line parser: fuzz the shell, tokenize against its quoting reference, the
@@ -65,6 +71,25 @@ go test -run '^$' -fuzz '^FuzzTokenize$' -fuzztime 5s -parallel 2 ./internal/adb
 go test -run '^$' -fuzz '^FuzzParseURI$' -fuzztime 5s -parallel 2 ./internal/intent
 go test -run '^$' -fuzz '^FuzzUnflattenComponent$' -fuzztime 5s -parallel 2 ./internal/intent
 go test -run '^$' -fuzz '^FuzzParseLine$' -fuzztime 5s -parallel 2 ./internal/logcat
+
+# Hard invariant: for every pinned seed, each benchmark workload's export
+# hash must equal testdata/export_hashes.txt (lines grouped by seed).
+# bench/run.sh builds the benchmark from this tree and runs one 1-second
+# set per seed, written to its own scratch directory.
+pins=testdata/export_hashes.txt
+prev=""
+grep -v '^#' "$pins" | while read -r seed workload want; do
+    set_json=".bench_build/pinned-seed$seed.json"
+    if [ "$seed" != "$prev" ]; then
+        bash bench/run.sh --seed "$seed" --seconds 1 -o "$set_json" >/dev/null </dev/null
+        prev="$seed"
+    fi
+    got="$(sed -n "/\"name\": \"$workload\"/,/\"hash\"/s/.*\"hash\": \"\([0-9a-f]*\)\".*/\1/p" "$set_json" | head -n 1)"
+    if [ "$got" != "$want" ]; then
+        echo "verify: seed $seed $workload export hash '$got', pinned $want" >&2
+        exit 1
+    fi
+done
 
 # End-to-end sharded-campaign smoke: a reduced fleet slice through cmd/qgj
 # with workers + checkpoint, then killed (journal truncated after two shard
