@@ -7,17 +7,21 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/jsonw"
 )
 
 // The checkpoint journal mirrors the paper's reboot-resume scripts: the real
 // study ran 1000-intent chunks and a watchdog script restarted the campaign
 // from the last completed chunk after every device reboot. Here a chunk is
-// one shard (campaign × package); the coordinator appends
-// one fsynced JSON line per completed shard, so a SIGKILL at any instant
-// loses at most the shard in flight, and -resume replays the journal instead
-// of re-executing finished shards.
+// one shard (campaign × package); every completed shard's JSON line is
+// appended and fsynced before the shard counts as done, and -resume replays
+// the journal instead of re-executing finished shards. farm.Run's journal
+// writer batches the fsyncs, so a SIGKILL at any instant loses at most the
+// shards in flight plus the records queued for the writer or in its
+// unsynced batch.
 //
 // Format (JSON lines):
 //
@@ -56,22 +60,7 @@ type journalRecord struct {
 	Crashes   []crashJSON  `json:"crashes,omitempty"`
 }
 
-// recordOf is the one place a shard result becomes its journal record:
-// journal appends and worker uploads both go through it.
-func recordOf(idx int, sr *ShardResult) journalRecord {
-	return journalRecord{
-		Index:     idx,
-		Key:       sr.Key,
-		Seed:      sr.Seed,
-		Sent:      sr.Sent,
-		BootCount: sr.BootCount,
-		Summary:   sr.Summary,
-		Report:    exportReport(sr.Report),
-		Crashes:   exportCrashes(sr.Crashes),
-	}
-}
-
-// result is recordOf's inverse: the merge input the record encodes, for
+// result is writeRecord's inverse: the merge input the record encodes, for
 // journal replay and uploaded records alike. A negative fold weight is
 // refused: it would drive bucket counts and tallies below the truth.
 func (rec journalRecord) result() (*ShardResult, error) {
@@ -92,16 +81,19 @@ func (rec journalRecord) result() (*ShardResult, error) {
 }
 
 // EncodeShardRecord renders one shard result in the checkpoint journal's
-// wire form (one JSON line, no trailing newline). The same bytes serve as
-// a journal record and as a worker's result-upload body, so a record that
-// round-trips the journal and one that crossed the network restore
-// identically — the byte-identical-merge proof covers both.
+// wire form (one JSON line, no trailing newline) into a buffer sized for it.
+// The same bytes serve as a journal record and as a worker's result-upload
+// body, so a record that round-trips the journal and one that crossed the
+// network restore identically — the byte-identical-merge proof covers both.
+// A value JSON cannot carry (a NaN extra, a time outside years 0-9999) is
+// an error, as it is for encoding/json.
 func EncodeShardRecord(idx int, sr *ShardResult) ([]byte, error) {
-	data, err := json.Marshal(recordOf(idx, sr))
-	if err != nil {
+	w := jsonw.Writer{B: make([]byte, 0, recordSizeHint(sr))}
+	writeRecord(&w, idx, sr)
+	if err := w.Err(); err != nil {
 		return nil, fmt.Errorf("farm: encode checkpoint record: %w", err)
 	}
-	return data, nil
+	return w.B, nil
 }
 
 // DecodeShardRecord parses a journal-form shard record back into the merge
@@ -141,12 +133,32 @@ func fingerprint(seed uint64, fleet string, shards []ShardKey, gen core.Generato
 }
 
 // ShardJournal is the append side of a checkpoint file: the durable
-// work-queue log farm.Run and the service coordinator both write, one
-// fsynced record per completed shard. Safe for concurrent appends from
-// worker goroutines.
+// work-queue log farm.Run and the service coordinator both write. The
+// coordinator appends one fsynced record per upload; farm.Run's journal
+// writer (writeBatches) appends every record waiting in its queue with one
+// fsync. Safe for concurrent appends from several goroutines.
 type ShardJournal struct {
 	mu sync.Mutex
-	f  *os.File
+	f  journalFile
+}
+
+// journalFile is what a ShardJournal writes through: the checkpoint's
+// *os.File, or whatever wrapJournalFile makes of it.
+type journalFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+// wrapJournalFile, when non-nil, wraps every checkpoint file the package
+// opens: the seam through which tests fail a write or an fsync.
+var wrapJournalFile func(*os.File) journalFile
+
+func newShardJournal(f *os.File) *ShardJournal {
+	if wrapJournalFile != nil {
+		return &ShardJournal{f: wrapJournalFile(f)}
+	}
+	return &ShardJournal{f: f}
 }
 
 // createJournal starts a fresh checkpoint file (truncating any previous
@@ -156,13 +168,13 @@ func createJournal(path string, h journalHeader) (*ShardJournal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("farm: create checkpoint: %w", err)
 	}
-	j := &ShardJournal{f: f}
+	j := newShardJournal(f)
 	data, err := json.Marshal(h)
 	if err == nil {
 		err = j.AppendEncoded(data)
 	}
 	if err != nil {
-		f.Close()
+		j.Close()
 		return nil, err
 	}
 	return j, nil
@@ -179,16 +191,7 @@ func openJournalAppend(path string, validLen int64) (*ShardJournal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("farm: reopen checkpoint: %w", err)
 	}
-	return &ShardJournal{f: f}, nil
-}
-
-// Append durably records one completed shard (fsynced before returning).
-func (j *ShardJournal) Append(idx int, sr *ShardResult) error {
-	data, err := EncodeShardRecord(idx, sr)
-	if err != nil {
-		return err
-	}
-	return j.AppendEncoded(data)
+	return newShardJournal(f), nil
 }
 
 // AppendEncoded durably records one already-encoded line (sans newline) —
@@ -196,9 +199,15 @@ func (j *ShardJournal) Append(idx int, sr *ShardResult) error {
 // re-encode round trip on its hot path. The caller must have validated the
 // record. The fsync is the point: the record survives a SIGKILL.
 func (j *ShardJournal) AppendEncoded(line []byte) error {
+	return j.appendLines(append(line, '\n'))
+}
+
+// appendLines durably records one or more newline-terminated lines with
+// one write and one fsync.
+func (j *ShardJournal) appendLines(lines []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
+	if _, err := j.f.Write(lines); err != nil {
 		return fmt.Errorf("farm: write checkpoint record: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
@@ -213,6 +222,56 @@ func (j *ShardJournal) Close() error {
 		return nil
 	}
 	return j.f.Close()
+}
+
+// executed is one shard result on its way from a worker to the journal.
+type executed struct {
+	idx int
+	sr  *ShardResult
+	dur time.Duration
+}
+
+// writeBatches is farm.Run's journal writer. It takes every result waiting
+// in queue, encodes them into one reused buffer, appends them with a single
+// fsync, and only then hands the batch to commit, with the error if the
+// batch did not become durable. After a failed batch it writes nothing
+// more: it keeps draining queue, so no worker blocks on a send, and hands
+// every later batch to commit with the same error. It returns once queue
+// is closed and empty.
+func (j *ShardJournal) writeBatches(queue <-chan executed, commit func(batch []executed, err error)) {
+	var (
+		batch []executed
+		w     jsonw.Writer
+		err   error
+	)
+	for first := range queue {
+		batch = append(batch[:0], first)
+	waiting:
+		for {
+			select {
+			case e, ok := <-queue:
+				if !ok {
+					break waiting
+				}
+				batch = append(batch, e)
+			default:
+				break waiting
+			}
+		}
+		if err == nil {
+			w = jsonw.Writer{B: w.B[:0]}
+			for _, e := range batch {
+				writeRecord(&w, e.idx, e.sr)
+				w.B = append(w.B, '\n')
+			}
+			if err = w.Err(); err != nil {
+				err = fmt.Errorf("farm: encode checkpoint record: %w", err)
+			} else {
+				err = j.appendLines(w.B)
+			}
+		}
+		commit(batch, err)
+	}
 }
 
 // loadJournal reads a checkpoint file, tolerating a truncated tail: the

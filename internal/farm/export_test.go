@@ -1,7 +1,11 @@
 package farm
 
 import (
+	"os"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/wearos"
@@ -31,4 +35,67 @@ func UseFreshBoot(t testing.TB) (off func()) {
 	off = func() { freshBoot = nil }
 	t.Cleanup(off)
 	return off
+}
+
+// FailJournalSync makes the k-th fsync (1-based, the header's included) of
+// every checkpoint file opened from now on fail with err. The failing file
+// also drops what was written since its previous fsync, as if the machine
+// had died right after, so exactly the records of earlier fsyncs stay in
+// the journal. dropped returns the lines the failed fsync dropped; off
+// switches the failure off again, as t.Cleanup does.
+func FailJournalSync(t testing.TB, k int, err error) (dropped func() []string, off func()) {
+	var (
+		mu   sync.Mutex
+		lost []string
+	)
+	wrapJournalFile = func(f *os.File) journalFile {
+		return &syncFailer{File: f, k: k, err: err, dropped: func(b []byte) {
+			mu.Lock()
+			defer mu.Unlock()
+			lost = append(lost, strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")...)
+		}}
+	}
+	off = func() { wrapJournalFile = nil }
+	t.Cleanup(off)
+	dropped = func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), lost...)
+	}
+	return dropped, off
+}
+
+// syncFailer is FailJournalSync's checkpoint file.
+type syncFailer struct {
+	*os.File
+	k, syncs int
+	err      error
+	// pending is what was written since the last fsync.
+	pending []byte
+	dropped func([]byte)
+}
+
+func (f *syncFailer) Write(p []byte) (int, error) {
+	f.pending = append(f.pending, p...)
+	return f.File.Write(p)
+}
+
+func (f *syncFailer) Sync() error {
+	f.syncs++
+	if f.syncs != f.k {
+		f.pending = f.pending[:0]
+		return f.File.Sync()
+	}
+	// A failing disk is slow to say so; meanwhile the workers fill the
+	// journal writer's queue and block on it.
+	time.Sleep(100 * time.Millisecond)
+	info, err := f.File.Stat()
+	if err != nil {
+		return err
+	}
+	if err := f.File.Truncate(info.Size() - int64(len(f.pending))); err != nil {
+		return err
+	}
+	f.dropped(f.pending)
+	return f.err
 }

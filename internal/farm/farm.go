@@ -1,9 +1,9 @@
 // Package farm is the campaign execution engine: it shards a fuzz study
 // into independent (campaign, package) work units, runs them on a pool of
 // worker goroutines — each worker resetting one hot simulated device in
-// place between its units — journals progress to a checkpoint file after
-// every completed shard, and merges the per-shard analysis results into a
-// single report.
+// place between its units — journals every completed shard to a checkpoint
+// file through one writer that batches fsyncs, and merges the per-shard
+// analysis results into a single report.
 //
 // The determinism contract (docs/farm.md): for a fixed seed and shard plan,
 // the merged result is byte-identical for any worker count and across any
@@ -87,7 +87,9 @@ type Config struct {
 	Status *StatusBoard
 	// Progress, when non-nil, is called after every completed shard with
 	// the cumulative completed/total counts and intents sent so far. Calls
-	// are serialized but arrive in completion order, not plan order.
+	// are serialized but arrive in completion order, not plan order; with a
+	// checkpoint, in durability order: a shard is reported only once its
+	// journal record is fsynced.
 	Progress func(done, total int, key ShardKey, sentSoFar int)
 }
 
@@ -278,9 +280,46 @@ func Run(cfg Config) (*Result, error) {
 	start := time.Now()
 	var (
 		wg       sync.WaitGroup
-		mu       sync.Mutex // serializes journal appends and Progress; guards firstErr
+		mu       sync.Mutex // serializes completions and Progress; guards firstErr
 		firstErr error
 	)
+	// complete marks one executed shard done, under mu.
+	complete := func(e executed) {
+		board.Done(e.idx, e.sr, e.dur, e.sr.BootSource)
+		met.done.Inc()
+		met.intents.Add(uint64(e.sr.Sent))
+		if cfg.Progress != nil {
+			t := board.Tally()
+			cfg.Progress(t.Finished(), t.Total, e.sr.Key, t.IntentsTotal)
+		}
+	}
+	// With a checkpoint, a worker hands each result to the journal writer
+	// and goes straight on to its next shard; the writer completes a batch
+	// of results only once their records are durable.
+	var queue chan executed
+	writerDone := make(chan struct{})
+	if jnl != nil {
+		// One slot per worker: every worker can finish a shard while the
+		// writer is inside a batch's fsync without waiting for it.
+		queue = make(chan executed, workers)
+		go func() {
+			defer close(writerDone)
+			jnl.writeBatches(queue, func(batch []executed, err error) {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, e := range batch {
+					if err != nil {
+						board.Fail(e.idx)
+					} else {
+						complete(e)
+					}
+				}
+				if firstErr == nil {
+					firstErr = err
+				}
+			})
+		}()
+	}
 	execs := make([]*Executor, min(workers, len(p.shards)-resumed))
 	for i := range execs {
 		execs[i] = p.NewExecutor()
@@ -307,30 +346,30 @@ func Run(cfg Config) (*Result, error) {
 				dur := time.Since(t0)
 				met.shardSeconds.Observe(dur.Seconds())
 				met.inflight.Add(-1)
-				mu.Lock()
-				if err != nil {
+				e := executed{idx, sr, dur}
+				switch {
+				case err != nil:
+					mu.Lock()
 					board.Fail(idx)
-					err = fmt.Errorf("farm: shard %s: %w", p.shards[idx], err)
-				} else {
-					board.Done(idx, sr, dur, sr.BootSource)
-					met.done.Inc()
-					met.intents.Add(uint64(sr.Sent))
-					if jnl != nil {
-						err = jnl.Append(idx, sr)
+					if firstErr == nil {
+						firstErr = fmt.Errorf("farm: shard %s: %w", p.shards[idx], err)
 					}
-					if cfg.Progress != nil {
-						t := board.Tally()
-						cfg.Progress(t.Finished(), t.Total, sr.Key, t.IntentsTotal)
-					}
+					mu.Unlock()
+				case queue != nil:
+					queue <- e
+				default:
+					mu.Lock()
+					complete(e)
+					mu.Unlock()
 				}
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
+	if queue != nil {
+		close(queue)
+		<-writerDone
+	}
 	if firstErr != nil {
 		return nil, firstErr
 	}

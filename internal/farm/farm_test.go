@@ -2,14 +2,17 @@ package farm_test
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -668,4 +671,72 @@ func TestTriageMinimizedReproducers(t *testing.T) {
 	}
 	t.Logf("triage: %d raw, %d unique, %d reproduced+minimized",
 		res.Triage.Crashes, res.Triage.Unique(), reproduced)
+}
+
+// TestJournalSyncFailureStopsRun: a failed fsync fails the run with an
+// error wrapping it, promptly (no worker stays blocked handing results to
+// the journal writer); no shard of the failed batch is reported done,
+// through Progress, the status board or farm_shards_done_total; and the
+// journal left behind resumes to the uninterrupted run's export.
+func TestJournalSyncFailureStopsRun(t *testing.T) {
+	want := exportForCompare(t, runStudy(t, core.Sharding{Workers: 2}))
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	injected := errors.New("injected fsync failure")
+	// The header's fsync and the first batch's succeed; the second batch's
+	// fails.
+	dropped, off := farm.FailJournalSync(t, 3, injected)
+	var reported []farm.ShardKey
+	reg := telemetry.NewRegistry()
+	board := farm.NewStatusBoard()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := experiments.RunWearStudy(farm.Config{
+			Seed:      1,
+			Gen:       testGen(),
+			Packages:  testPackages,
+			Sharding:  core.Sharding{Workers: 2, Checkpoint: ckpt},
+			Telemetry: reg,
+			Status:    board,
+			Progress:  func(_, _ int, key farm.ShardKey, _ int) { reported = append(reported, key) },
+		})
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, injected) {
+			t.Fatalf("run error = %v, want one wrapping %v", err, injected)
+		}
+	case <-time.After(2 * time.Minute):
+		t.Fatal("run did not return after its journal failed")
+	}
+	off()
+
+	lost := dropped()
+	if len(lost) == 0 {
+		t.Fatal("the failed fsync dropped no records")
+	}
+	status := board.Status()
+	if n := reg.Snapshot().Counters["farm_shards_done_total"]; status.Done != len(reported) || n != uint64(len(reported)) {
+		t.Errorf("%d shards done on the board and %d counted done; %d were reported", status.Done, n, len(reported))
+	}
+	if status.Failed < len(lost) {
+		t.Errorf("%d shards failed on the board; the failed batch held %d", status.Failed, len(lost))
+	}
+	for _, line := range lost {
+		var rec struct{ Key farm.ShardKey }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("dropped line is not a record: %v", err)
+		}
+		if slices.Contains(reported, rec.Key) {
+			t.Errorf("shard %s was reported done, but its batch failed", rec.Key)
+		}
+	}
+
+	resumed := runStudy(t, core.Sharding{Workers: 2, Checkpoint: ckpt, Resume: true})
+	if resumed.Resumed != len(reported) {
+		t.Errorf("resume restored %d shards; %d were reported done", resumed.Resumed, len(reported))
+	}
+	if got := exportForCompare(t, resumed); got != want {
+		t.Error("resumed run differs from the uninterrupted run")
+	}
 }

@@ -20,7 +20,8 @@ import (
 // `go test -fuzz=FuzzLoadJournal ./internal/farm` explores further.
 
 // FuzzDecodeShardRecord: decoding never panics, and a record that decodes
-// re-encodes to bytes that decode and re-encode identically.
+// re-encodes to encoding/json's bytes for it (json.Marshal of its recordOf),
+// which decode and re-encode identically.
 func FuzzDecodeShardRecord(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
@@ -40,6 +41,9 @@ func FuzzDecodeShardRecord(f *testing.F) {
 		enc, err := EncodeShardRecord(idx, sr)
 		if err != nil {
 			t.Fatalf("decoded record does not re-encode: %v", err)
+		}
+		if want, err := json.Marshal(recordOf(idx, sr)); err != nil || !bytes.Equal(enc, want) {
+			t.Fatalf("encoding differs from encoding/json's (err %v):\n%s\n%s", err, enc, want)
 		}
 		idx2, sr2, err := DecodeShardRecord(enc)
 		if err != nil {

@@ -99,12 +99,22 @@ done
 ckpt="$(mktemp -t qgj-verify-XXXXXX.ckpt)"
 scrape_log="$(mktemp -t qgj-scrape-XXXXXX.log)"
 scrape_pid=""
-trap 'rm -f "$ckpt" "$scrape_log"; [ -n "$scrape_pid" ] && kill "$scrape_pid" 2>/dev/null || true' EXIT
+trap 'rm -f "$ckpt" "$ckpt".*.out "$scrape_log"; [ -n "$scrape_pid" ] && kill "$scrape_pid" 2>/dev/null || true' EXIT
 go run ./cmd/qgj -app com.heartwatch.wear -all -quick 8 -progress 0 \
     -workers 4 -checkpoint "$ckpt" >/dev/null
 head -n 3 "$ckpt" > "$ckpt.torn" && mv "$ckpt.torn" "$ckpt"
 go run ./cmd/qgj -app com.heartwatch.wear -all -quick 8 -progress 0 \
     -workers 4 -checkpoint "$ckpt" -resume >/dev/null
+# The whole fleet, whose journal carries crash records and flight windows:
+# killed after 39 records and resumed, the stdout (counts, triage buckets)
+# must equal the uninterrupted run's byte for byte.
+go run ./cmd/qgj -all -quick 8 -progress 0 -workers 2 -checkpoint "$ckpt" \
+    > "$ckpt.full.out"
+head -n 40 "$ckpt" > "$ckpt.torn" && mv "$ckpt.torn" "$ckpt"
+go run ./cmd/qgj -all -quick 8 -progress 0 -workers 2 -checkpoint "$ckpt" \
+    -resume > "$ckpt.resumed.out"
+cmp "$ckpt.full.out" "$ckpt.resumed.out"
+rm -f "$ckpt.full.out" "$ckpt.resumed.out"
 
 # Extension-study smoke: the aging ablations, the rejuvenation
 # counterfactual and the input-validation eras through cmd/report. The
