@@ -81,17 +81,15 @@ func serve(args []string) error {
 	dataDir := fs.String("data", "", "durable queue directory (campaign sidecars + journals); empty = in-memory")
 	leaseTTL := fs.Duration("lease-ttl", 30*time.Second, "lease lifetime between worker heartbeats")
 	retain := fs.Int("retain", 0, "keep only the last N completed campaigns hosted; older ones archive to <data>/done/ (0 = keep all)")
-	maxUploads := fs.Int("max-pending-uploads", 0, "bound on shard uploads in the fsync pipeline before 429 backpressure (0 = default 64, negative = unbounded)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	reg := telemetry.NewRegistry()
 	coord, err := service.NewCoordinator(service.Options{
-		DataDir:           *dataDir,
-		LeaseTTL:          *leaseTTL,
-		Retain:            *retain,
-		MaxPendingUploads: *maxUploads,
-		Telemetry:         reg,
+		DataDir:   *dataDir,
+		LeaseTTL:  *leaseTTL,
+		Retain:    *retain,
+		Telemetry: reg,
 	})
 	if err != nil {
 		return err

@@ -69,12 +69,11 @@ func run(args []string) error {
 	workerName := fs.String("worker-name", "", "worker mode: name reported in leases (default qgj-<pid>)")
 	exitIdle := fs.Bool("exit-idle", false, "worker mode: exit when the coordinator has no pending shards")
 	workerPoll := fs.Duration("poll", 500*time.Millisecond, "worker mode: idle backoff between empty lease polls")
-	throttle := fs.Duration("throttle", 0, "worker mode: sleep this long after each lease before executing (testing aid)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *worker != "" {
-		return runWorker(*worker, *workerName, *exitIdle, *workerPoll, *throttle)
+		return runWorker(*worker, *workerName, *exitIdle, *workerPoll)
 	}
 
 	if *resume && *checkpoint == "" {
@@ -147,11 +146,10 @@ func listComponents(seed uint64) {
 
 // runWorker joins a farmd coordinator as a networked farm worker: lease a
 // shard, verify the plan fingerprint, execute, upload, repeat. SIGINT or
-// SIGTERM drains — the in-flight shard is finished and uploaded (or, if
-// execution has not started, its lease is released back to the queue)
-// before the process exits; a worker killed outright instead stops
-// heartbeating and the coordinator's reaper re-queues its shard.
-func runWorker(coordinator, name string, exitIdle bool, poll, throttle time.Duration) error {
+// SIGTERM drains — the in-flight shard is finished and uploaded before the
+// process exits; a worker killed outright instead stops heartbeating and
+// the coordinator's reaper re-queues its shard.
+func runWorker(coordinator, name string, exitIdle bool, poll time.Duration) error {
 	if name == "" {
 		name = fmt.Sprintf("qgj-%d", os.Getpid())
 	}
@@ -162,7 +160,6 @@ func runWorker(coordinator, name string, exitIdle bool, poll, throttle time.Dura
 		Name:         name,
 		Poll:         poll,
 		ExitWhenIdle: exitIdle,
-		Throttle:     throttle,
 		Log:          log.New(os.Stderr, "qgj-worker: ", 0),
 	})
 	if err != nil {

@@ -140,6 +140,12 @@ func fingerprint(seed uint64, fleet string, shards []ShardKey, gen core.Generato
 type ShardJournal struct {
 	mu sync.Mutex
 	f  journalFile
+	// err is the first write or fsync failure, which every later append
+	// returns without writing: a short write leaves a torn line that the
+	// next record would run on into, and loadJournal stops at the first
+	// malformed line, so a record appended after it would be acknowledged
+	// yet lost on restart.
+	err error
 }
 
 // journalFile is what a ShardJournal writes through: the checkpoint's
@@ -207,13 +213,15 @@ func (j *ShardJournal) AppendEncoded(line []byte) error {
 func (j *ShardJournal) appendLines(lines []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.err != nil {
+		return j.err
+	}
 	if _, err := j.f.Write(lines); err != nil {
-		return fmt.Errorf("farm: write checkpoint record: %w", err)
+		j.err = fmt.Errorf("farm: write checkpoint record: %w", err)
+	} else if err := j.f.Sync(); err != nil {
+		j.err = fmt.Errorf("farm: sync checkpoint: %w", err)
 	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("farm: sync checkpoint: %w", err)
-	}
-	return nil
+	return j.err
 }
 
 // Close releases the journal file handle. Nil-safe.

@@ -65,6 +65,38 @@ func FailJournalSync(t testing.TB, k int, err error) (dropped func() []string, o
 	return dropped, off
 }
 
+// FailJournalWrite makes the k-th write (1-based, the header's included) of
+// every checkpoint file opened from now on write only its first n bytes and
+// fail with err, as a disk that fills up mid-record does. Later writes
+// succeed again. off switches the failure off, as t.Cleanup does.
+func FailJournalWrite(t testing.TB, k, n int, err error) (off func()) {
+	wrapJournalFile = func(f *os.File) journalFile {
+		return &shortWriter{File: f, k: k, n: n, err: err}
+	}
+	off = func() { wrapJournalFile = nil }
+	t.Cleanup(off)
+	return off
+}
+
+// shortWriter is FailJournalWrite's checkpoint file.
+type shortWriter struct {
+	*os.File
+	k, n, writes int
+	err          error
+}
+
+func (f *shortWriter) Write(p []byte) (int, error) {
+	f.writes++
+	if f.writes != f.k {
+		return f.File.Write(p)
+	}
+	n, err := f.File.Write(p[:min(f.n, len(p))])
+	if err != nil {
+		return n, err
+	}
+	return n, f.err
+}
+
 // syncFailer is FailJournalSync's checkpoint file.
 type syncFailer struct {
 	*os.File

@@ -539,7 +539,7 @@ func TestStatusGaugesRegisterOnce(t *testing.T) {
 	}
 }
 
-// TestStatusHandlerCampaignFilter: /farm?campaign=<letter> narrows the
+// TestStatusHandlerCampaignFilter: /farm?letter=<letter> narrows the
 // board to one campaign's shards with recomputed tallies, and a letter
 // outside the plan answers 404 with a JSON error body.
 func TestStatusHandlerCampaignFilter(t *testing.T) {
@@ -572,9 +572,9 @@ func TestStatusHandlerCampaignFilter(t *testing.T) {
 	}
 
 	// Filtered view: only campaign B's shards, tallies recomputed.
-	resp, body := get("?campaign=b")
+	resp, body := get("?letter=b")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("?campaign=b status = %d, body %s", resp.StatusCode, body)
+		t.Fatalf("?letter=b status = %d, body %s", resp.StatusCode, body)
 	}
 	var snap farm.StatusSnapshot
 	if err := json.Unmarshal(body, &snap); err != nil {
@@ -610,9 +610,9 @@ func TestStatusHandlerCampaignFilter(t *testing.T) {
 	}
 
 	// A campaign outside the plan: 404 with a JSON error body.
-	resp, body = get("?campaign=D")
+	resp, body = get("?letter=D")
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("?campaign=D status = %d, want 404", resp.StatusCode)
+		t.Fatalf("?letter=D status = %d, want 404", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Fatalf("404 Content-Type = %q, want JSON", ct)

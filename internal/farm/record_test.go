@@ -3,6 +3,8 @@ package farm
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -344,5 +346,56 @@ func TestProgressOnlyAfterDurable(t *testing.T) {
 	}
 	if calls != res.Shards {
 		t.Fatalf("progress calls = %d, want %d", calls, res.Shards)
+	}
+}
+
+// TestJournalShortWriteIsSticky: after a write that stops mid-record, every
+// later append fails with the same error, so the journal on disk replays
+// exactly the records acknowledged before the failure, and reopening it
+// trims the torn tail so appends land again.
+func TestJournalShortWriteIsSticky(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	injected := errors.New("no space left on device")
+	// The header's write and record 0's succeed; record 1's stops after 5
+	// bytes.
+	off := FailJournalWrite(t, 3, 5, injected)
+	j, err := createJournal(path, journalHeader{Version: journalVersion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acked []int
+	for idx := 0; idx < 4; idx++ {
+		switch err := j.AppendEncoded([]byte(fmt.Sprintf(`{"index":%d}`, idx))); {
+		case err == nil:
+			acked = append(acked, idx)
+		case !errors.Is(err, injected):
+			t.Fatalf("append %d: %v, want the injected short write", idx, err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	off()
+
+	_, done, validLen, err := loadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := done[0]; !ok || len(done) != 1 || len(acked) != 1 {
+		t.Fatalf("journal replays %d records, %d acknowledged; want only record 0, both times", len(done), len(acked))
+	}
+
+	j, err = openJournalAppend(path, validLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendEncoded([]byte(`{"index":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, done, _, err = loadJournal(path); err != nil || len(done) != 2 {
+		t.Fatalf("after reopening, journal replays %d records (err %v), want 2", len(done), err)
 	}
 }

@@ -297,13 +297,13 @@ func (s StatusSnapshot) FilterCampaign(letter string) (StatusSnapshot, bool) {
 
 // StatusHandler serves the board as indented JSON — mount it on the
 // telemetry server as the /farm route. A nil board serves the zero
-// snapshot, so wiring can be unconditional. A ?campaign=<letter> query
+// snapshot, so wiring can be unconditional. A ?letter=<letter> query
 // narrows the table to one campaign's shards; a letter the plan does not
 // contain answers 404 with a JSON error body.
 func StatusHandler(b *StatusBoard) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		snap := b.Status()
-		if letter := r.URL.Query().Get("campaign"); letter != "" {
+		if letter := r.URL.Query().Get("letter"); letter != "" {
 			filtered, ok := snap.FilterCampaign(letter)
 			if !ok {
 				w.Header().Set("Content-Type", "application/json; charset=utf-8")

@@ -9,14 +9,14 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 )
 
 // Client speaks the coordinator's HTTP API — the worker loop and the farmd
 // CLI subcommands share it. Methods translate protocol status codes back
-// into the coordinator's sentinel errors (404 -> ErrNotFound, 410 ->
-// ErrLeaseGone, 409 -> ErrBadRecord/ErrNotComplete, 429 -> ErrThrottled,
-// 503 -> ErrShuttingDown), so remote callers branch on the same errors
+// into the coordinator's sentinel errors through the protocolErrors table
+// the handlers answer from, so remote callers branch on the same errors
 // in-process callers do.
 //
 // Transient failures retry transparently with exponential backoff and
@@ -27,45 +27,31 @@ import (
 type Client struct {
 	base  string
 	hc    *http.Client
-	retry RetryPolicy
+	retry retryPolicy
 	// sleep and jitter are test seams; production uses time.Sleep and
 	// rand.Float64.
 	sleep  func(time.Duration)
 	jitter func() float64
 }
 
-// RetryPolicy bounds the client's transparent retry loop.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries, including the first
-	// (default 5; 1 disables retries).
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; each subsequent
-	// retry doubles it (default 100ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the doubling (default 5s).
-	MaxDelay time.Duration
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 5
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 100 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 5 * time.Second
-	}
-	return p
+// retryPolicy bounds the client's transparent retry loop.
+type retryPolicy struct {
+	// maxAttempts is the total number of tries, including the first.
+	maxAttempts int
+	// baseDelay is the backoff before the first retry; each subsequent
+	// retry doubles it.
+	baseDelay time.Duration
+	// maxDelay caps the doubling.
+	maxDelay time.Duration
 }
 
 // backoff is the delay before retry number n (0-based): base·2ⁿ capped at
-// MaxDelay, jittered uniformly over [d/2, d] so a restarted coordinator is
+// maxDelay, jittered uniformly over [d/2, d] so a restarted coordinator is
 // not met by all its workers in lockstep.
-func (p RetryPolicy) backoff(n int, jitter func() float64) time.Duration {
-	d := p.BaseDelay << n
-	if d <= 0 || d > p.MaxDelay {
-		d = p.MaxDelay
+func (p retryPolicy) backoff(n int, jitter func() float64) time.Duration {
+	d := p.baseDelay << n
+	if d <= 0 || d > p.maxDelay {
+		d = p.maxDelay
 	}
 	return d/2 + time.Duration(jitter()*float64(d)/2)
 }
@@ -80,19 +66,16 @@ func NewClient(base string, hc *http.Client) *Client {
 	return &Client{
 		base:   base,
 		hc:     hc,
-		retry:  RetryPolicy{}.withDefaults(),
+		retry:  retryPolicy{maxAttempts: 5, baseDelay: 100 * time.Millisecond, maxDelay: 5 * time.Second},
 		sleep:  time.Sleep,
 		jitter: rand.Float64,
 	}
 }
 
-// WithRetry overrides the client's retry policy and returns the client.
-func (c *Client) WithRetry(p RetryPolicy) *Client {
-	c.retry = p.withDefaults()
-	return c
-}
-
-// apiError decodes the JSON error envelope and maps status to a sentinel.
+// apiError decodes the JSON error envelope and maps status back to its
+// sentinel. Where two sentinels share a status (409), it picks the one
+// whose text begins the message: every coordinator error wraps its
+// sentinel first.
 func apiError(status int, body []byte) error {
 	var eb errorBody
 	msg := ""
@@ -100,17 +83,10 @@ func apiError(status int, body []byte) error {
 		msg = eb.Error
 	}
 	var base error
-	switch status {
-	case http.StatusNotFound:
-		base = ErrNotFound
-	case http.StatusGone:
-		base = ErrLeaseGone
-	case http.StatusConflict:
-		base = ErrBadRecord
-	case http.StatusTooManyRequests:
-		base = ErrThrottled
-	case http.StatusServiceUnavailable:
-		base = ErrShuttingDown
+	for _, e := range protocolErrors {
+		if e.status == status && (base == nil || strings.HasPrefix(msg, e.err.Error())) {
+			base = e.err
+		}
 	}
 	if base != nil {
 		if msg != "" {
@@ -134,7 +110,7 @@ func (c *Client) do(method, path string, in, out any) ([]byte, int, error) {
 	var err error
 	for attempt := 0; ; attempt++ {
 		data, status, retryAfter, err = c.once(method, path, in, out)
-		if !retryableFailure(status, err) || attempt+1 >= c.retry.MaxAttempts {
+		if !retryableFailure(status, err) || attempt+1 >= c.retry.maxAttempts {
 			return data, status, err
 		}
 		// A Retry-After hint from the coordinator (429 backpressure)

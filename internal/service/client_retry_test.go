@@ -17,9 +17,10 @@ import (
 
 // stubbedClient returns a client whose backoff sleeps are recorded instead
 // of slept and whose jitter is pinned to the top of the range.
-func stubbedClient(base string, p RetryPolicy) (*Client, *[]time.Duration) {
+func stubbedClient(base string, p retryPolicy) (*Client, *[]time.Duration) {
 	var slept []time.Duration
-	c := NewClient(base, nil).WithRetry(p)
+	c := NewClient(base, nil)
+	c.retry = p
 	c.sleep = func(d time.Duration) { slept = append(slept, d) }
 	c.jitter = func() float64 { return 1.0 }
 	return c, &slept
@@ -37,7 +38,7 @@ func TestClientRetriesTransient5xx(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c, slept := stubbedClient(ts.URL, RetryPolicy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: time.Second})
+	c, slept := stubbedClient(ts.URL, retryPolicy{maxAttempts: 5, baseDelay: 10 * time.Millisecond, maxDelay: time.Second})
 	if _, err := c.Campaigns(); err != nil {
 		t.Fatalf("campaigns after transient errors: %v", err)
 	}
@@ -56,7 +57,7 @@ func TestClientRetriesConnectionRefused(t *testing.T) {
 	base := ts.URL
 	ts.Close()
 
-	c, slept := stubbedClient(base, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Second})
+	c, slept := stubbedClient(base, retryPolicy{maxAttempts: 3, baseDelay: time.Millisecond, maxDelay: time.Second})
 	_, err := c.Campaigns()
 	if err == nil {
 		t.Fatal("expected transport error")
@@ -74,7 +75,7 @@ func TestClientDoesNotRetryDrain(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c, slept := stubbedClient(ts.URL, RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: time.Second})
+	c, slept := stubbedClient(ts.URL, retryPolicy{maxAttempts: 5, baseDelay: time.Millisecond, maxDelay: time.Second})
 	_, err := c.Lease("w1")
 	if !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("err = %v, want ErrShuttingDown", err)
@@ -96,7 +97,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c, slept := stubbedClient(ts.URL, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Second})
+	c, slept := stubbedClient(ts.URL, retryPolicy{maxAttempts: 3, baseDelay: time.Millisecond, maxDelay: time.Second})
 	if err := c.Heartbeat("l1"); err != nil {
 		t.Fatalf("heartbeat after throttle: %v", err)
 	}
@@ -106,7 +107,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 }
 
 func TestBackoffBounds(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second}.withDefaults()
+	p := retryPolicy{baseDelay: 100 * time.Millisecond, maxDelay: time.Second}
 	low := func() float64 { return 0 }
 	high := func() float64 { return 1 }
 	if got := p.backoff(0, low); got != 50*time.Millisecond {
@@ -115,7 +116,7 @@ func TestBackoffBounds(t *testing.T) {
 	if got := p.backoff(0, high); got != 100*time.Millisecond {
 		t.Errorf("backoff(0, high) = %v, want 100ms", got)
 	}
-	// Far past the doubling range the delay pins to MaxDelay.
+	// Far past the doubling range the delay pins to maxDelay.
 	if got := p.backoff(40, high); got != time.Second {
 		t.Errorf("backoff(40, high) = %v, want the 1s cap", got)
 	}
@@ -126,11 +127,12 @@ func TestBackoffBounds(t *testing.T) {
 // wire, the throttle counter, and acceptance of the retried identical
 // upload once the pipeline drains.
 func TestUploadBackpressure(t *testing.T) {
-	coord, err := NewCoordinator(Options{MaxPendingUploads: 1})
+	coord, err := NewCoordinator(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Shutdown()
+	coord.maxPending = 1
 	spec := CampaignSpec{Seed: 1, Campaigns: "A", Packages: []string{"com.heartwatch.wear"}, Quick: 10}
 	if _, err := coord.Submit(spec); err != nil {
 		t.Fatal(err)
@@ -154,7 +156,7 @@ func TestUploadBackpressure(t *testing.T) {
 
 	ts := httptest.NewServer(Handler(coord))
 	defer ts.Close()
-	client, slept := stubbedClient(ts.URL, RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Second})
+	client, slept := stubbedClient(ts.URL, retryPolicy{maxAttempts: 2, baseDelay: time.Millisecond, maxDelay: time.Second})
 
 	// Saturate the gate, then upload: the first attempt must answer 429
 	// with the Retry-After hint, and the client-level retry must succeed

@@ -53,12 +53,6 @@ type Options struct {
 	// Telemetry receives the service-level metrics; nil creates a private
 	// registry (reachable via Coordinator.Telemetry).
 	Telemetry *telemetry.Registry
-	// MaxPendingUploads bounds how many shard uploads may sit in the
-	// journal's fsync pipeline at once. When workers outrun the fsync
-	// budget, further uploads answer ErrThrottled (HTTP 429 + Retry-After)
-	// instead of queueing unboundedly. Default 64; negative disables the
-	// bound.
-	MaxPendingUploads int
 	// Retain keeps only the last Retain completed campaigns hosted in
 	// memory; older ones are archived — their spec sidecar and journal
 	// move to DataDir/done/ and they list with state "archived". 0 keeps
@@ -67,6 +61,12 @@ type Options struct {
 	// Clock overrides time.Now for lease-expiry tests.
 	Clock func() time.Time
 }
+
+// maxPendingUploads bounds how many shard uploads may sit in the journal's
+// fsync pipeline at once. When workers outrun the fsync budget, further
+// uploads answer ErrThrottled (HTTP 429 + Retry-After) instead of queueing
+// unboundedly.
+const maxPendingUploads = 64
 
 // Campaign states reported by CampaignInfo.State.
 const (
@@ -193,6 +193,9 @@ type Coordinator struct {
 	// maxBody bounds every POST body the HTTP handlers decode. It is
 	// maxBodyBytes; tests lower it to send an over-limit body cheaply.
 	maxBody int64
+	// maxPending is maxPendingUploads; tests lower it to saturate the
+	// upload gate cheaply.
+	maxPending int
 
 	mu        sync.Mutex
 	campaigns map[string]*campaign
@@ -220,9 +223,6 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 30 * time.Second
 	}
-	if opts.MaxPendingUploads == 0 {
-		opts.MaxPendingUploads = 64
-	}
 	reg := opts.Telemetry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -233,6 +233,7 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 		met:        newSvcMetrics(reg),
 		now:        opts.Clock,
 		maxBody:    maxBodyBytes,
+		maxPending: maxPendingUploads,
 		campaigns:  make(map[string]*campaign),
 		leases:     make(map[string]*lease),
 		workers:    make(map[string]time.Time),
@@ -624,35 +625,40 @@ func (c *Coordinator) Campaigns() []CampaignInfo {
 	return out
 }
 
-// Campaign returns one campaign's info.
-func (c *Coordinator) Campaign(id string) (CampaignInfo, error) {
+// lookup returns the hosted campaign id names, or ErrNotFound.
+func (c *Coordinator) lookup(id string) (*campaign, error) {
 	c.mu.Lock()
 	camp := c.campaigns[id]
 	c.mu.Unlock()
 	if camp == nil {
-		return CampaignInfo{}, fmt.Errorf("%w: %s", ErrNotFound, id)
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+	}
+	return camp, nil
+}
+
+// Campaign returns one campaign's info.
+func (c *Coordinator) Campaign(id string) (CampaignInfo, error) {
+	camp, err := c.lookup(id)
+	if err != nil {
+		return CampaignInfo{}, err
 	}
 	return c.info(camp), nil
 }
 
 // Status returns one campaign's live shard table.
 func (c *Coordinator) Status(id string) (farm.StatusSnapshot, error) {
-	c.mu.Lock()
-	camp := c.campaigns[id]
-	c.mu.Unlock()
-	if camp == nil {
-		return farm.StatusSnapshot{}, fmt.Errorf("%w: %s", ErrNotFound, id)
+	camp, err := c.lookup(id)
+	if err != nil {
+		return farm.StatusSnapshot{}, err
 	}
 	return camp.board.Status(), nil
 }
 
 // CampaignTelemetry returns one campaign's private metric registry.
 func (c *Coordinator) CampaignTelemetry(id string) (*telemetry.Registry, error) {
-	c.mu.Lock()
-	camp := c.campaigns[id]
-	c.mu.Unlock()
-	if camp == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+	camp, err := c.lookup(id)
+	if err != nil {
+		return nil, err
 	}
 	return camp.reg, nil
 }
@@ -749,7 +755,7 @@ func (c *Coordinator) Complete(leaseID string, fingerprint string, record []byte
 	// untouched, so the worker can retry the identical request after
 	// Retry-After without any protocol consequence.
 	c.mu.Lock()
-	if c.opts.MaxPendingUploads > 0 && c.pendingUploads >= c.opts.MaxPendingUploads {
+	if c.pendingUploads >= c.maxPending {
 		c.met.throttled.Inc()
 		c.mu.Unlock()
 		return ErrThrottled
@@ -844,11 +850,9 @@ func (c *Coordinator) finalize(camp *campaign) {
 // answers ErrNotComplete while shards are outstanding and blocks only for
 // an in-flight merge.
 func (c *Coordinator) Export(id string) ([]byte, error) {
-	c.mu.Lock()
-	camp := c.campaigns[id]
-	c.mu.Unlock()
-	if camp == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+	camp, err := c.lookup(id)
+	if err != nil {
+		return nil, err
 	}
 	if t := camp.board.Tally(); t.Finished() < t.Total {
 		return nil, fmt.Errorf("%w: %s", ErrNotComplete, id)
@@ -861,11 +865,9 @@ func (c *Coordinator) Export(id string) ([]byte, error) {
 
 // TriageStream returns a campaign's incremental bucket stream.
 func (c *Coordinator) TriageStream(id string) (*triage.Stream, error) {
-	c.mu.Lock()
-	camp := c.campaigns[id]
-	c.mu.Unlock()
-	if camp == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+	camp, err := c.lookup(id)
+	if err != nil {
+		return nil, err
 	}
 	return camp.stream, nil
 }

@@ -296,3 +296,25 @@ func TestUndecodableRecordRequeuesShard(t *testing.T) {
 		})
 	}
 }
+
+// TestProtocolErrorsRoundTrip: every sentinel in the status table, bare or
+// wrapped the way the coordinator wraps it, crosses the wire through
+// writeServiceError and comes back from apiError as the same sentinel,
+// including the two that share 409.
+func TestProtocolErrorsRoundTrip(t *testing.T) {
+	for _, e := range protocolErrors {
+		for _, sent := range []error{e.err, fmt.Errorf("%w: c1-0000abcd", e.err)} {
+			rec := httptest.NewRecorder()
+			writeServiceError(rec, sent)
+			if rec.Code != e.status {
+				t.Errorf("%v: status %d, want %d", sent, rec.Code, e.status)
+			}
+			if got := apiError(rec.Code, rec.Body.Bytes()); !errors.Is(got, e.err) {
+				t.Errorf("%v: client reads %v, want %v", sent, got, e.err)
+			}
+			if retry := rec.Header().Get("Retry-After"); (retry != "") != (e.status == http.StatusTooManyRequests) {
+				t.Errorf("%v: Retry-After %q on %d", sent, retry, rec.Code)
+			}
+		}
+	}
+}

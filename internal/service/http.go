@@ -14,7 +14,8 @@ import (
 )
 
 // HTTP surface. All non-2xx responses carry a JSON error body
-// {"error": "..."}; protocol outcomes map onto status codes:
+// {"error": "..."}; the coordinator's sentinel errors map onto status codes
+// through one table, protocolErrors, which the client reads backwards:
 //
 //	POST /api/v1/campaigns                submit a CampaignSpec       -> 201 CampaignInfo
 //	GET  /api/v1/campaigns                list campaigns              -> 200 [CampaignInfo]
@@ -22,7 +23,7 @@ import (
 //	GET  /api/v1/campaigns/{id}/export    canonical merged export     -> 200 | 404 | 409 (not complete)
 //	GET  /api/v1/campaigns/{id}/triage    bucket stream since ?cursor -> 200 TriagePage (long-poll with ?wait=1)
 //	GET  /api/v1/campaigns/{id}/metrics   per-campaign registry       -> 200 Prometheus text | 404
-//	GET  /farm?campaign={id}              live shard board            -> 200 | 404 (also ?letter= filter)
+//	GET  /farm?campaign={id}&letter={A}   live shard board            -> 200 | 404
 //	POST /api/v1/leases                   request work {worker}       -> 200 LeaseGrant | 204 (no work) | 503 (draining)
 //	POST /api/v1/leases/{id}/heartbeat    extend lease                -> 200 {expires} | 410 (reclaimed)
 //	POST /api/v1/leases/{id}/release      return shard to queue       -> 204 | 410
@@ -102,26 +103,37 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
-// writeServiceError maps the coordinator's sentinel errors to status codes.
+// protocolErrors is the protocol's one sentinel <-> status table. Any
+// other coordinator error answers 400.
+var protocolErrors = []struct {
+	err    error
+	status int
+}{
+	{ErrNotFound, http.StatusNotFound},
+	{ErrLeaseGone, http.StatusGone},
+	{ErrBadRecord, http.StatusConflict},
+	{ErrNotComplete, http.StatusConflict},
+	{ErrThrottled, http.StatusTooManyRequests},
+	{ErrShuttingDown, http.StatusServiceUnavailable},
+}
+
+// writeServiceError answers err with the status of the first
+// protocolErrors entry it matches.
 func writeServiceError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, ErrNotFound):
-		writeError(w, http.StatusNotFound, err)
-	case errors.Is(err, ErrLeaseGone):
-		writeError(w, http.StatusGone, err)
-	case errors.Is(err, ErrBadRecord), errors.Is(err, ErrNotComplete):
-		writeError(w, http.StatusConflict, err)
-	case errors.Is(err, ErrThrottled):
+	status := http.StatusBadRequest
+	for _, e := range protocolErrors {
+		if errors.Is(err, e.err) {
+			status = e.status
+			break
+		}
+	}
+	if status == http.StatusTooManyRequests {
 		// Backpressure: tell the uploader when to come back. The hint is
 		// deliberately short — the fsync pipeline drains in well under a
 		// second; the client's jittered backoff spreads the herd.
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, ErrShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, err)
-	default:
-		writeError(w, http.StatusBadRequest, err)
 	}
+	writeError(w, status, err)
 }
 
 // Handler returns the coordinator's full HTTP API as one handler.
@@ -215,37 +227,24 @@ func (c *Coordinator) handleCampaignMetrics(w http.ResponseWriter, r *http.Reque
 
 // handleFarm serves the live shard board. ?campaign= selects a campaign by
 // ID (default: the most recently submitted); unknown IDs answer 404 with a
-// JSON error body. The per-campaign board itself understands ?letter= for
-// filtering down to one campaign letter's shards.
+// JSON error body. The board itself filters on ?letter=.
 func (c *Coordinator) handleFarm(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("campaign")
-	c.mu.Lock()
-	if id == "" && len(c.order) > 0 {
-		id = c.order[len(c.order)-1]
-	}
-	camp := c.campaigns[id]
-	c.mu.Unlock()
-	if camp == nil {
+	if id == "" {
+		c.mu.Lock()
+		if len(c.order) > 0 {
+			id = c.order[len(c.order)-1]
+		}
+		c.mu.Unlock()
 		if id == "" {
 			writeError(w, http.StatusNotFound, errors.New("service: no campaigns hosted yet"))
 			return
 		}
-		writeError(w, http.StatusNotFound, fmt.Errorf("%w: %s", ErrNotFound, id))
-		return
 	}
-	// farm.StatusHandler's own filter parameter is ?campaign= (a campaign
-	// letter); the service claims that name for campaign IDs, so translate
-	// ?letter= into the board's query.
-	if letter := r.URL.Query().Get("letter"); letter != "" {
-		q := r.URL.Query()
-		q.Set("campaign", letter)
-		r = r.Clone(r.Context())
-		r.URL.RawQuery = q.Encode()
-	} else if id != "" {
-		q := r.URL.Query()
-		q.Del("campaign")
-		r = r.Clone(r.Context())
-		r.URL.RawQuery = q.Encode()
+	camp, err := c.lookup(id)
+	if err != nil {
+		writeServiceError(w, err)
+		return
 	}
 	farm.StatusHandler(camp.board).ServeHTTP(w, r)
 }

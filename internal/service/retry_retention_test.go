@@ -55,8 +55,7 @@ func TestWorkerSurvivesFlakyCoordinator(t *testing.T) {
 	defer ts.Close()
 
 	// The CLI client talks through the same flaky front door.
-	client := service.NewClient(ts.URL, nil).
-		WithRetry(service.RetryPolicy{MaxAttempts: 8, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond})
+	client := service.WithFastRetry(service.NewClient(ts.URL, nil))
 	info, err := client.Submit(testSpec())
 	if err != nil {
 		t.Fatalf("submit through flaky coordinator: %v", err)

@@ -595,66 +595,6 @@ func TestOldSpecFieldsStillLoad(t *testing.T) {
 	}
 }
 
-// TestWorkerDrainReleasesLease: a worker cancelled before it starts
-// executing hands its lease back instead of letting the TTL run out.
-func TestWorkerDrainReleasesLease(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	coord := newCoordinator(t, service.Options{Telemetry: reg})
-	ts := httptest.NewServer(service.Handler(coord))
-	defer ts.Close()
-	client := service.NewClient(ts.URL, nil)
-
-	info, err := client.Submit(tinySpec())
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := service.RunWorker(ctx, service.WorkerOptions{
-			Coordinator: ts.URL,
-			Name:        "drainer",
-			Poll:        10 * time.Millisecond,
-			Throttle:    time.Hour, // park the worker between lease and execution
-		})
-		done <- err
-	}()
-
-	// Wait until the worker holds the lease, then drain it.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		inf, err := client.Campaign(info.ID)
-		if err != nil {
-			t.Fatalf("info: %v", err)
-		}
-		if inf.Leased == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("worker never took the lease")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("worker: %v", err)
-	}
-	inf, err := client.Campaign(info.ID)
-	if err != nil {
-		t.Fatalf("info: %v", err)
-	}
-	if inf.Leased != 0 || inf.Pending != 1 {
-		t.Errorf("after drain: %d leased, %d pending; want the shard released", inf.Leased, inf.Pending)
-	}
-	if got := counterValue(reg, "service_leases_released_total"); got != 1 {
-		t.Errorf("leases_released = %d, want 1", got)
-	}
-	if got := counterValue(reg, "service_leases_expired_total"); got != 0 {
-		t.Errorf("leases_expired = %d, want 0 (drain must not rely on expiry)", got)
-	}
-}
-
 // TestSubmitValidation rejects malformed specs with useful errors.
 func TestSubmitValidation(t *testing.T) {
 	coord := newCoordinator(t, service.Options{})
@@ -740,9 +680,9 @@ func TestHTTPProtocolSurface(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 
-	// Export before completion is a conflict.
-	if _, err := client.Export(info.ID); !errors.Is(err, service.ErrBadRecord) {
-		t.Errorf("early export error = %v, want 409-mapped error", err)
+	// Export before completion is a conflict the client names as such.
+	if _, err := client.Export(info.ID); !errors.Is(err, service.ErrNotComplete) {
+		t.Errorf("early export error = %v, want ErrNotComplete", err)
 	}
 
 	// Heartbeat on a never-granted lease is gone.

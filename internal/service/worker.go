@@ -23,11 +23,6 @@ type WorkerOptions struct {
 	// ExitWhenIdle stops the loop the first time the queue answers "no
 	// work" — the batch mode scripts use (a service worker keeps polling).
 	ExitWhenIdle bool
-	// Throttle sleeps after each lease grant before executing the shard.
-	// It exists so tests and demos can widen the mid-lease window (e.g. to
-	// kill the worker while it provably holds a lease); production leaves
-	// it zero.
-	Throttle time.Duration
 	// Log receives progress lines; nil discards them.
 	Log *log.Logger
 	// client overrides the HTTP client (tests).
@@ -57,10 +52,9 @@ type WorkerStats struct {
 // plan and a hot device, and serving another campaign replaces both.
 //
 // Cancelling ctx drains: the in-flight shard is finished and uploaded
-// (results are never thrown away at shutdown), pending-but-unstarted leases
-// are released back to the queue, and the loop returns. A worker killed
-// outright instead simply stops heartbeating and the reaper re-queues its
-// shard — drain is the polite fast path, expiry the crash-safe slow path.
+// (results are never thrown away at shutdown) and the loop returns. A
+// worker killed outright instead simply stops heartbeating and the reaper
+// re-queues its shard.
 func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 	return runWorker(ctx, opts, &executorSlot{})
 }
@@ -143,17 +137,6 @@ func runWorker(ctx context.Context, opts WorkerOptions, slot *executorSlot) (Wor
 		}
 
 		logger.Printf("lease %s: campaign %s shard %d (%s)", grant.LeaseID, grant.CampaignID, grant.Shard, grant.Key)
-		if opts.Throttle > 0 {
-			select {
-			case <-time.After(opts.Throttle):
-			case <-ctx.Done():
-				// Drain: nothing executed yet, so hand the shard straight
-				// back instead of making the queue wait out the TTL.
-				client.Release(grant.LeaseID)
-				logger.Printf("released lease %s (drain before execution)", grant.LeaseID)
-				return stats, nil
-			}
-		}
 
 		// Heartbeat for as long as the shard runs — even through a drain,
 		// since the result is still going to be uploaded.

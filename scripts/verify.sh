@@ -192,22 +192,21 @@ scrape_pid=$!
 scrape_farm wearos_reboots_total
 
 # Distributed farm-service smoke: coordinator + networked workers over real
-# HTTP and real processes. A victim worker takes a lease and is SIGKILLed
-# while provably holding it (-throttle parks it between lease and
-# execution); two live workers drain the queue, the reaper reclaims the
-# victim's shard after the 2s TTL, and the merged export must be
-# byte-identical to an in-process run of the same spec. Also asserts the
-# /farm campaign filter's JSON 404, the service lease metrics, worker drain
-# on SIGTERM, and the coordinator's graceful SIGTERM shutdown.
-# Binaries are built first: `go run` wrappers would orphan the child on
-# SIGKILL and the victim must die mid-lease for real.
+# HTTP and real processes. A victim takes a lease and never heartbeats it,
+# which the coordinator cannot tell from a worker killed mid-lease; two
+# live workers drain the queue, the reaper reclaims the victim's shard
+# after the 2s TTL, and the merged export must be byte-identical to an
+# in-process run of the same spec. Also asserts that exporting an
+# unfinished campaign fails as "not complete", the /farm campaign filter's
+# JSON 404, the service lease metrics, worker drain on SIGTERM, and the
+# coordinator's graceful SIGTERM shutdown. Binaries are built first so the
+# drain checks signal the workers and farmd themselves, not `go run` wrappers.
 bindir="$(mktemp -d -t qgj-svc-bin-XXXXXX)"
 svcdata="$(mktemp -d -t farmd-data-XXXXXX)"
 svclog="$(mktemp -t farmd-log-XXXXXX.log)"
-victimlog="$(mktemp -t farmd-victim-XXXXXX.log)"
-farmd_pid=""; victim_pid=""; w1_pid=""; w2_pid=""
-trap 'rm -rf "$ckpt" "$scrape_log" "$bindir" "$svcdata" "$svclog" "$victimlog"
-      for p in $scrape_pid $farmd_pid $victim_pid $w1_pid $w2_pid; do kill "$p" 2>/dev/null || true; done' EXIT
+farmd_pid=""; w1_pid=""; w2_pid=""
+trap 'rm -rf "$ckpt" "$scrape_log" "$bindir" "$svcdata" "$svclog"
+      for p in $scrape_pid $farmd_pid $w1_pid $w2_pid; do kill "$p" 2>/dev/null || true; done' EXIT
 
 go build -o "$bindir/farmd" ./cmd/farmd
 go build -o "$bindir/qgj" ./cmd/qgj
@@ -225,21 +224,18 @@ done
 svc_spec="-app com.heartwatch.wear,com.strava.wear -campaigns AB -quick 8"
 id="$("$bindir/farmd" submit -addr "$base" $svc_spec)"
 
-# The victim leases the largest shard and parks; kill it once the lease is
-# provably held (its log announces the grant).
-"$bindir/qgj" -worker "$base" -worker-name victim -throttle 60s 2>"$victimlog" &
-victim_pid=$!
-for _ in $(seq 1 100); do
-    grep -q 'lease l' "$victimlog" && break
-    sleep 0.1
-done
-grep -q 'lease l' "$victimlog"
+# Nothing has run yet: the export must fail, naming the campaign unfinished.
+if early="$("$bindir/farmd" export -addr "$base" -id "$id" 2>&1)"; then
+    echo "verify: export of an unfinished campaign succeeded" >&2; exit 1
+fi
+echo "$early" | grep -q 'not complete'
+
+# The victim leases the largest shard and never heartbeats it.
+curl -fsS -X POST "$base/api/v1/leases" -d '{"worker":"victim"}' | grep -q '"leaseId"'
 "$bindir/qgj" -worker "$base" -worker-name w1 -poll 100ms 2>/dev/null &
 w1_pid=$!
 "$bindir/qgj" -worker "$base" -worker-name w2 -poll 100ms 2>/dev/null &
 w2_pid=$!
-kill -9 "$victim_pid" && wait "$victim_pid" 2>/dev/null || true
-victim_pid=""
 
 "$bindir/farmd" wait -addr "$base" -id "$id" -quiet
 "$bindir/farmd" export -addr "$base" -id "$id" -o "$svcdata/distributed.json"
@@ -261,24 +257,15 @@ curl -fsS "$base/metrics" | grep -q '^service_leases_expired_total [1-9]'
 curl -fsS "$base/api/v1/campaigns/$id/metrics" | grep -q '^campaign_shards_done_total 4'
 
 # Fault-injection campaign smoke: campaign F through the same coordinator,
-# with another mid-lease SIGKILL. The OS-fault schedule is keyed on dispatch
+# with another lease abandoned mid-shard. The OS-fault schedule is keyed on dispatch
 # sequence numbers, so the reclaimed shard's re-execution and the in-process
 # run must both produce byte-identical exports, graceful-degradation
 # verdicts included.
 fault_spec="-app com.heartwatch.wear,com.strava.wear -campaigns F -quick 8"
 fid="$("$bindir/farmd" submit -addr "$base" $fault_spec)"
-: > "$victimlog"
-"$bindir/qgj" -worker "$base" -worker-name fault-victim -throttle 60s 2>"$victimlog" &
-victim_pid=$!
-for _ in $(seq 1 100); do
-    grep -q 'lease l' "$victimlog" && break
-    sleep 0.1
-done
-grep -q 'lease l' "$victimlog"
+curl -fsS -X POST "$base/api/v1/leases" -d '{"worker":"fault-victim"}' | grep -q '"leaseId"'
 "$bindir/qgj" -worker "$base" -worker-name fault-w1 -poll 100ms 2>/dev/null &
 w1_pid=$!
-kill -9 "$victim_pid" && wait "$victim_pid" 2>/dev/null || true
-victim_pid=""
 "$bindir/farmd" wait -addr "$base" -id "$fid" -quiet
 "$bindir/farmd" export -addr "$base" -id "$fid" -o "$svcdata/fault-distributed.json"
 kill -TERM "$w1_pid"
