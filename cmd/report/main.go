@@ -153,9 +153,6 @@ func run(args []string) error {
 			fmt.Printf("[wear triage: %d unique failure signatures / %d raw crashes / %d ANRs]\n\n",
 				wear.Triage.Unique(), wear.Triage.Crashes-wear.Triage.ANRs-wear.Triage.Faults,
 				wear.Triage.ANRs)
-			if rows := experiments.FaultResilienceFromTriage(wear.Triage); len(rows) > 0 {
-				fmt.Println(report.FaultTable(rows))
-			}
 		}
 	}
 	if sel("tab2") {

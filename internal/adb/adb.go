@@ -1,6 +1,6 @@
 // Package adb simulates the Android Debug Bridge shell utilities QGJ-UI
-// injects through: am (ActivityManager), pm (PackageManager), input, and
-// logcat. Section IV-D's findings hinge on these tools' input validation —
+// injects through: am (ActivityManager), pm (PackageManager) and input.
+// Section IV-D's findings hinge on these tools' input validation —
 // am silently normalizes a missing action/category to MAIN/LAUNCHER, pm
 // rejects permission strings that are not registered on the device, and
 // input parses coordinates strictly — so the sanitization behaviour here
@@ -14,7 +14,6 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/intent"
-	"repro/internal/logcat"
 	"repro/internal/telemetry"
 	"repro/internal/wearos"
 )
@@ -32,7 +31,7 @@ func NewShell(dev *wearos.OS) *Shell {
 	s := &Shell{dev: dev}
 	if reg := dev.Telemetry(); reg != nil {
 		s.cmds = make(map[string]*telemetry.Counter)
-		for _, tool := range []string{"am", "pm", "input", "logcat", "other"} {
+		for _, tool := range []string{"am", "pm", "input", "other"} {
 			s.cmds[tool] = reg.Counter("adb_commands_total", telemetry.L("tool", tool))
 		}
 	}
@@ -81,8 +80,6 @@ func (s *Shell) Run(cmdline string) Result {
 		return s.runPM(fields[1:])
 	case "input":
 		return s.runInput(fields[1:])
-	case "logcat":
-		return s.runLogcat(fields[1:])
 	default:
 		return Result{
 			output:   fmt.Sprintf("/system/bin/sh: %s: not found", fields[0]),
@@ -322,7 +319,9 @@ func (s *Shell) runAM(args []string) Result {
 	return out
 }
 
-const amUsage = "usage: am [start|startservice] [-n COMPONENT] [-a ACTION] [-d DATA] ..."
+// amUsage shows -n as required: the device resolves only explicit intents,
+// so an intent without a component is never delivered.
+const amUsage = "usage: am [start|startservice] -n COMPONENT [-a ACTION] [-d DATA] ..."
 
 // runPM implements the pm subcommands QGJ-UI exercises: grant/revoke and
 // list permissions. pm is strict: "if the pm utility is asked to send a
@@ -443,85 +442,4 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// runLogcat implements the logcat subcommands QGJ's workflow uses:
-//
-//	logcat -c           clear the buffer
-//	logcat [-d]         dump everything
-//	logcat -s TAG ...   restrict to the given tags
-//	logcat TAG:P ...    filterspecs (priority P = V/D/I/W/E/F, *:P for all)
-func (s *Shell) runLogcat(args []string) Result {
-	tags := map[string]bool{}
-	minLevelByTag := map[string]logcat.Level{}
-	var globalMin logcat.Level
-	silencedDefault := false
-
-	i := 0
-	for i < len(args) {
-		switch a := args[i]; a {
-		case "-c":
-			s.dev.Logcat().Clear()
-			return Result{}
-		case "-d", "-v", "threadtime", "brief":
-			// -d is implicit (we always dump and exit); format specifiers
-			// are accepted and ignored — output is always threadtime.
-		case "-s":
-			silencedDefault = true
-		default:
-			if tag, prio, ok := strings.Cut(a, ":"); ok {
-				lvl, err := parseLevel(prio)
-				if err != nil {
-					return Result{output: "Invalid filter expression: " + a, ExitCode: 1}
-				}
-				if tag == "*" {
-					globalMin = lvl
-				} else {
-					minLevelByTag[tag] = lvl
-					silencedDefault = true
-				}
-			} else {
-				tags[a] = true
-			}
-		}
-		i++
-	}
-
-	var sb strings.Builder
-	for _, e := range s.dev.Logcat().Snapshot() {
-		if lvl, ok := minLevelByTag[e.Tag]; ok {
-			if e.Level < lvl {
-				continue
-			}
-		} else if silencedDefault && !tags[e.Tag] {
-			continue
-		}
-		if globalMin != 0 && e.Level < globalMin {
-			continue
-		}
-		sb.WriteString(e.Format())
-		sb.WriteByte('\n')
-	}
-	return Result{output: sb.String()}
-}
-
-func parseLevel(p string) (logcat.Level, error) {
-	switch p {
-	case "V":
-		return logcat.Verbose, nil
-	case "D":
-		return logcat.Debug, nil
-	case "I":
-		return logcat.Info, nil
-	case "W":
-		return logcat.Warn, nil
-	case "E":
-		return logcat.Error, nil
-	case "F":
-		return logcat.Fatal, nil
-	case "S":
-		return logcat.Fatal + 1, nil // silence
-	default:
-		return 0, fmt.Errorf("adb: unknown priority %q", p)
-	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // shellSeeds are command lines of every shape the shell parses, QGJ-UI's
-// replays among them.
+// replays among them; the logcat lines take the unknown-tool path.
 var shellSeeds = []string{
 	"am start -n com.app.one/.ui.Main",
 	"am start -a 'S0me.r@ndom.$trinG' -n com.app.one/.ui.Main",

@@ -261,9 +261,8 @@ func TestInstallIntoDevice(t *testing.T) {
 	if err := f.InstallInto(dev); err != nil {
 		t.Fatal(err)
 	}
-	s := dev.Registry().StatsFor(0, 0)
-	if s.Apps != 46 {
-		t.Fatalf("installed apps = %d", s.Apps)
+	if n := dev.Registry().Count(); n != 46 {
+		t.Fatalf("installed apps = %d", n)
 	}
 }
 

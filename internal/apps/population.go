@@ -220,10 +220,6 @@ func buildPackages(blocks []populationBlock, seed *rng.Source) []*manifest.Packa
 				}
 				if a == 0 {
 					comp.MainLauncher = true
-					comp.Filters = []*manifest.IntentFilter{{
-						Actions:    []string{"android.intent.action.MAIN"},
-						Categories: []string{intent.CategoryLauncher, intent.CategoryDefault},
-					}}
 				}
 				// A small share of components is unexported or permission
 				// guarded, like real manifests; these produce the

@@ -272,9 +272,6 @@ func (e *Engine) setNextStart() {
 	}
 }
 
-// Plan returns the engine's schedule.
-func (e *Engine) Plan() *Plan { return e.plan }
-
 // Verdicts returns the graded windows so far (engine keeps ownership).
 func (e *Engine) Verdicts() []Verdict { return e.verdicts }
 

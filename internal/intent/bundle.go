@@ -3,7 +3,6 @@ package intent
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -78,10 +77,8 @@ func (v Value) String() string {
 // Convenience constructors.
 func StringValue(s string) Value { return Value{Kind: KindString, Str: s} }
 func IntValue(i int64) Value     { return Value{Kind: KindInt, I64: i} }
-func LongValue(i int64) Value    { return Value{Kind: KindLong, I64: i} }
 func FloatValue(f float64) Value { return Value{Kind: KindFloat, F64: f} }
 func BoolValue(b bool) Value     { return Value{Kind: KindBool, B: b} }
-func URIValue(u URI) Value       { return Value{Kind: KindURI, URI: u} }
 func NullValue() Value           { return Value{Kind: KindNull} }
 
 // Bundle is an ordered set of typed key/value extras. Android's Bundle is a
@@ -208,12 +205,4 @@ func (b *Bundle) String() string {
 	}
 	sb.WriteByte(']')
 	return sb.String()
-}
-
-// SortedKeys returns keys in lexicographic order; used by tests that compare
-// bundles structurally.
-func (b *Bundle) SortedKeys() []string {
-	ks := b.Keys()
-	sort.Strings(ks)
-	return ks
 }

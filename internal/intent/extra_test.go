@@ -12,7 +12,7 @@ func TestValueStringRemainingKinds(t *testing.T) {
 		want string
 	}{
 		{FloatValue(1.5), "1.5"},
-		{URIValue(u), "https://foo.com/"},
+		{Value{Kind: KindURI, URI: u}, "https://foo.com/"},
 		{BoolValue(false), "false"},
 		{Value{}, "?"},
 	}
@@ -48,16 +48,6 @@ func TestBundleString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("Bundle.String() = %q missing %q", s, want)
 		}
-	}
-}
-
-func TestBundleSortedKeys(t *testing.T) {
-	b := NewBundle()
-	b.Put("z", IntValue(1))
-	b.Put("a", IntValue(2))
-	ks := b.SortedKeys()
-	if len(ks) != 2 || ks[0] != "a" || ks[1] != "z" {
-		t.Fatalf("SortedKeys = %v", ks)
 	}
 }
 

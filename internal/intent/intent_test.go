@@ -234,7 +234,7 @@ func TestValueStrings(t *testing.T) {
 	}{
 		{StringValue("hi"), "hi"},
 		{IntValue(-3), "-3"},
-		{LongValue(1 << 40), "1099511627776"},
+		{Value{Kind: KindLong, I64: 1 << 40}, "1099511627776"},
 		{BoolValue(true), "true"},
 		{NullValue(), "null"},
 	}

@@ -5,9 +5,10 @@
 // intent raises a Throwable, and whether that Throwable is caught decides
 // whether the manifestation is "no effect", a logged-but-handled exception,
 // or a process crash ("FATAL EXCEPTION: main" in logcat). The reproduction
-// therefore needs a faithful — if compact — model of the Throwable class
-// hierarchy, cause chains, and Java-style stack traces, because the log
-// analyzer classifies outcomes by parsing exactly those artifacts.
+// therefore needs a faithful — if compact — model of Throwable classes,
+// cause chains, and Java-style stack traces, because the log analyzer
+// classifies outcomes by parsing exactly those artifacts. Classes are plain
+// names: no behaviour model reads a class hierarchy.
 //
 // Throwables are ordinary Go error values here (components *return* them and
 // the simulated OS decides their fate); we deliberately do not map them onto
@@ -23,12 +24,8 @@ import (
 type Class string
 
 // The exception classes observed in the paper's experiments (Figures 2-4,
-// Tables IV-V) plus the framework classes they inherit from.
+// Tables IV-V) and raised by the simulated apps and OS.
 const (
-	ClassThrowable Class = "java.lang.Throwable"
-	ClassError     Class = "java.lang.Error"
-	ClassException Class = "java.lang.Exception"
-
 	ClassRuntime              Class = "java.lang.RuntimeException"
 	ClassNullPointer          Class = "java.lang.NullPointerException"
 	ClassIllegalArgument      Class = "java.lang.IllegalArgumentException"
@@ -38,12 +35,8 @@ const (
 	ClassArithmetic           Class = "java.lang.ArithmeticException"
 	ClassClassCast            Class = "java.lang.ClassCastException"
 	ClassNumberFormat         Class = "java.lang.NumberFormatException"
-	ClassIndexOutOfBounds     Class = "java.lang.IndexOutOfBoundsException"
-	ClassArrayIndex           Class = "java.lang.ArrayIndexOutOfBoundsException"
 	ClassStringIndex          Class = "java.lang.StringIndexOutOfBoundsException"
-
-	ClassReflectiveOperation Class = "java.lang.ReflectiveOperationException"
-	ClassClassNotFound       Class = "java.lang.ClassNotFoundException"
+	ClassClassNotFound        Class = "java.lang.ClassNotFoundException"
 
 	ClassIO         Class = "java.io.IOException"
 	ClassRemote     Class = "android.os.RemoteException"
@@ -53,63 +46,7 @@ const (
 	ClassActivityNotFound Class = "android.content.ActivityNotFoundException"
 	ClassBadParcelable    Class = "android.os.BadParcelableException"
 	ClassWindowBadToken   Class = "android.view.WindowManager$BadTokenException"
-	ClassNotFoundRes      Class = "android.content.res.Resources$NotFoundException"
-
-	ClassOutOfMemory    Class = "java.lang.OutOfMemoryError"
-	ClassStackOverflow  Class = "java.lang.StackOverflowError"
-	ClassAssertionError Class = "java.lang.AssertionError"
 )
-
-// parentOf encodes the (single-inheritance) class hierarchy. Classes missing
-// from the map are treated as direct children of Throwable.
-var parentOf = map[Class]Class{
-	ClassError:     ClassThrowable,
-	ClassException: ClassThrowable,
-
-	ClassRuntime:              ClassException,
-	ClassNullPointer:          ClassRuntime,
-	ClassIllegalArgument:      ClassRuntime,
-	ClassIllegalState:         ClassRuntime,
-	ClassSecurity:             ClassRuntime,
-	ClassUnsupportedOperation: ClassRuntime,
-	ClassArithmetic:           ClassRuntime,
-	ClassClassCast:            ClassRuntime,
-	ClassNumberFormat:         ClassIllegalArgument,
-	ClassIndexOutOfBounds:     ClassRuntime,
-	ClassArrayIndex:           ClassIndexOutOfBounds,
-	ClassStringIndex:          ClassIndexOutOfBounds,
-
-	ClassReflectiveOperation: ClassException,
-	ClassClassNotFound:       ClassReflectiveOperation,
-
-	ClassIO:         ClassException,
-	ClassRemote:     ClassException,
-	ClassDeadObject: ClassRemote,
-	ClassTxTooLarge: ClassRemote,
-
-	ClassActivityNotFound: ClassRuntime,
-	ClassBadParcelable:    ClassRuntime,
-	ClassWindowBadToken:   ClassRuntime,
-	ClassNotFoundRes:      ClassRuntime,
-
-	ClassOutOfMemory:    ClassError,
-	ClassStackOverflow:  ClassError,
-	ClassAssertionError: ClassError,
-}
-
-// Extends reports whether c is anc or a (transitive) subclass of anc.
-func (c Class) Extends(anc Class) bool {
-	for cur := c; ; {
-		if cur == anc {
-			return true
-		}
-		p, ok := parentOf[cur]
-		if !ok {
-			return cur != ClassThrowable && anc == ClassThrowable
-		}
-		cur = p
-	}
-}
 
 // Simple returns the class name without the package qualifier, e.g.
 // "NullPointerException".
@@ -119,14 +56,6 @@ func (c Class) Simple() string {
 		s = s[i+1:]
 	}
 	return s
-}
-
-// IsChecked reports whether the class is a checked exception in Java terms
-// (an Exception that is not a RuntimeException). Checked exceptions can only
-// escape through explicit rethrow; the behaviour models use this to bias
-// which classes escape uncaught.
-func (c Class) IsChecked() bool {
-	return c.Extends(ClassException) && !c.Extends(ClassRuntime)
 }
 
 // Frame is one Java stack-trace frame.
@@ -193,16 +122,6 @@ func (t *Throwable) Root() *Throwable {
 		cur = cur.Cause
 	}
 	return cur
-}
-
-// ChainClasses lists the classes from the outermost wrapper to the root
-// cause.
-func (t *Throwable) ChainClasses() []Class {
-	var out []Class
-	for cur := t; cur != nil; cur = cur.Cause {
-		out = append(out, cur.Class)
-	}
-	return out
 }
 
 // TraceLines renders the Throwable in the format ART prints to logcat after

@@ -1,67 +1,10 @@
 package javalang
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
-
-func TestHierarchyExtends(t *testing.T) {
-	tests := []struct {
-		child, ancestor Class
-		want            bool
-	}{
-		{ClassNullPointer, ClassRuntime, true},
-		{ClassNullPointer, ClassException, true},
-		{ClassNullPointer, ClassThrowable, true},
-		{ClassNullPointer, ClassError, false},
-		{ClassNumberFormat, ClassIllegalArgument, true},
-		{ClassArrayIndex, ClassIndexOutOfBounds, true},
-		{ClassDeadObject, ClassRemote, true},
-		{ClassDeadObject, ClassIO, false}, // RemoteException extends Exception directly in this model
-		{ClassClassNotFound, ClassReflectiveOperation, true},
-		{ClassClassNotFound, ClassRuntime, false},
-		{ClassActivityNotFound, ClassRuntime, true},
-		{ClassOutOfMemory, ClassError, true},
-		{ClassOutOfMemory, ClassException, false},
-		{ClassSecurity, ClassSecurity, true},
-		{ClassThrowable, ClassThrowable, true},
-	}
-	for _, tt := range tests {
-		if got := tt.child.Extends(tt.ancestor); got != tt.want {
-			t.Errorf("%s.Extends(%s) = %v, want %v", tt.child, tt.ancestor, got, tt.want)
-		}
-	}
-}
-
-func TestUnknownClassExtendsThrowableOnly(t *testing.T) {
-	c := Class("com.example.WeirdException")
-	if !c.Extends(ClassThrowable) {
-		t.Error("unknown class should extend Throwable")
-	}
-	if c.Extends(ClassRuntime) {
-		t.Error("unknown class should not extend RuntimeException")
-	}
-}
-
-func TestIsChecked(t *testing.T) {
-	tests := []struct {
-		c    Class
-		want bool
-	}{
-		{ClassClassNotFound, true},
-		{ClassIO, true},
-		{ClassRemote, true},
-		{ClassDeadObject, true},
-		{ClassNullPointer, false},
-		{ClassSecurity, false},
-		{ClassOutOfMemory, false},
-	}
-	for _, tt := range tests {
-		if got := tt.c.IsChecked(); got != tt.want {
-			t.Errorf("%s.IsChecked() = %v, want %v", tt.c, got, tt.want)
-		}
-	}
-}
 
 func TestSimple(t *testing.T) {
 	if got := ClassNullPointer.Simple(); got != "NullPointerException" {
@@ -97,15 +40,12 @@ func TestCauseChain(t *testing.T) {
 	if got := top.Root(); got != root {
 		t.Fatalf("Root() = %v, want the NPE", got)
 	}
-	chain := top.ChainClasses()
-	want := []Class{ClassIllegalState, ClassRuntime, ClassNullPointer}
-	if len(chain) != len(want) {
-		t.Fatalf("chain = %v", chain)
+	var chain []Class
+	for cur := top; cur != nil; cur = cur.Cause {
+		chain = append(chain, cur.Class)
 	}
-	for i := range want {
-		if chain[i] != want[i] {
-			t.Fatalf("chain[%d] = %s, want %s", i, chain[i], want[i])
-		}
+	if want := []Class{ClassIllegalState, ClassRuntime, ClassNullPointer}; !slices.Equal(chain, want) {
+		t.Fatalf("chain = %v, want %v", chain, want)
 	}
 }
 

@@ -686,11 +686,6 @@ func (b *Buffer) Snapshot() []Entry {
 	return out
 }
 
-// Clear discards all retained entries (adb logcat -c).
-func (b *Buffer) Clear() {
-	b.start, b.count = 0, 0
-}
-
 // Dump renders the retained entries in threadtime format, one per line.
 func (b *Buffer) Dump() string {
 	snap := b.Snapshot()
@@ -771,9 +766,6 @@ func (l *Logger) trace(t time.Time, pid, tid int, level Level, tag string, thr *
 		op = MsgCausedBy
 	}
 }
-
-// Buffer exposes the underlying ring, for pull/clear operations.
-func (l *Logger) Buffer() *Buffer { return l.buf }
 
 // ParseLine parses one threadtime-formatted line back into an Entry. The
 // year is taken from the provided base year because logcat omits it. ok is

@@ -47,19 +47,6 @@ func TestBufferEviction(t *testing.T) {
 	}
 }
 
-func TestBufferClear(t *testing.T) {
-	b := NewBuffer(8)
-	b.Append(Entry{})
-	b.Clear()
-	if b.Len() != 0 {
-		t.Fatal("Clear left entries")
-	}
-	b.Append(Entry{PID: 42})
-	if snap := b.Snapshot(); len(snap) != 1 || snap[0].PID != 42 {
-		t.Fatalf("append after clear = %v", snap)
-	}
-}
-
 // Property: for any sequence of appends, the snapshot is always the last
 // min(n, cap) entries in order.
 func TestQuickRingInvariant(t *testing.T) {

@@ -1,6 +1,5 @@
 // Package manifest models AndroidManifest.xml-level metadata: packages,
-// application components (Activities, Services, Receivers), intent filters,
-// and permissions.
+// application components (Activities and Services), and permissions.
 //
 // The QGJ study targets Activities and Services "because they form the large
 // majority of the components on AW apps" (Section III-B); the PackageManager
@@ -12,7 +11,6 @@ package manifest
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/intent"
 )
@@ -24,7 +22,6 @@ type ComponentType int
 const (
 	Activity ComponentType = iota + 1
 	Service
-	Receiver
 )
 
 // String returns the manifest tag name for the component type.
@@ -34,8 +31,6 @@ func (t ComponentType) String() string {
 		return "activity"
 	case Service:
 		return "service"
-	case Receiver:
-		return "receiver"
 	default:
 		return "unknown"
 	}
@@ -82,111 +77,12 @@ func (o Origin) String() string {
 	}
 }
 
-// IntentFilter matches implicit intents against a component, following
-// Android's three-part test: action match, category match (every category in
-// the intent must be declared by the filter), and data match (scheme / MIME).
-type IntentFilter struct {
-	Actions     []string
-	Categories  []string
-	DataSchemes []string
-	MimeTypes   []string
-}
-
-// Matches applies the Android intent-filter test to in.
-func (f *IntentFilter) Matches(in *intent.Intent) bool {
-	if !f.matchAction(in.Action) {
-		return false
-	}
-	if !f.matchCategories(in.Categories) {
-		return false
-	}
-	return f.matchData(in)
-}
-
-func (f *IntentFilter) matchAction(action string) bool {
-	// A filter with no actions matches nothing (Android semantics).
-	if len(f.Actions) == 0 {
-		return false
-	}
-	// An intent with no action passes the action test against any filter.
-	if action == "" {
-		return true
-	}
-	for _, a := range f.Actions {
-		if a == action {
-			return true
-		}
-	}
-	return false
-}
-
-func (f *IntentFilter) matchCategories(cats []string) bool {
-	for _, c := range cats {
-		found := false
-		for _, fc := range f.Categories {
-			if fc == c {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-func (f *IntentFilter) matchData(in *intent.Intent) bool {
-	hasData := !in.Data.IsZero()
-	hasType := in.Type != ""
-	if len(f.DataSchemes) == 0 && len(f.MimeTypes) == 0 {
-		// Filter declares no data: only intents without data/type match.
-		return !hasData && !hasType
-	}
-	if hasData {
-		ok := false
-		for _, s := range f.DataSchemes {
-			if s == in.Data.Scheme {
-				ok = true
-				break
-			}
-		}
-		if len(f.DataSchemes) > 0 && !ok {
-			return false
-		}
-	}
-	if hasType {
-		ok := false
-		for _, m := range f.MimeTypes {
-			if mimeMatches(m, in.Type) {
-				ok = true
-				break
-			}
-		}
-		if len(f.MimeTypes) > 0 && !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func mimeMatches(pattern, typ string) bool {
-	if pattern == "*/*" || pattern == typ {
-		return true
-	}
-	if strings.HasSuffix(pattern, "/*") {
-		return strings.HasPrefix(typ, strings.TrimSuffix(pattern, "*"))
-	}
-	return false
-}
-
 // Component is one declared component of a package.
 type Component struct {
 	Name       intent.ComponentName
 	Type       ComponentType
 	Exported   bool
 	Permission string // required caller permission; empty means none
-	Filters    []*IntentFilter
 	// MainLauncher marks the entry activity (MAIN/LAUNCHER filter); QGJ-UI
 	// only targets launcher activities (Section IV-D).
 	MainLauncher bool
@@ -253,7 +149,7 @@ type Registry struct {
 	// hot memoizes the component the last explicit Resolve found: a
 	// campaign resolves thousands of intents to one component in a row,
 	// and comparing names that share their strings is cheaper than hashing
-	// them. Install, Uninstall and Clear drop it.
+	// them. Install and Clear drop it.
 	hot *Component
 }
 
@@ -298,26 +194,6 @@ func (r *Registry) Install(pkg *Package) error {
 	return nil
 }
 
-// Uninstall removes the named package; it reports whether it was installed.
-func (r *Registry) Uninstall(name string) bool {
-	pkg, ok := r.packages[name]
-	if !ok {
-		return false
-	}
-	r.hot = nil
-	for _, c := range pkg.Components {
-		delete(r.byName, c.Name)
-	}
-	delete(r.packages, name)
-	for i, n := range r.order {
-		if n == name {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
 // Clear removes every installed package, returning the registry to its
 // NewRegistry state while reusing the map allocations. The persistent-mode
 // device reset clears and reinstalls the snapshot's package set in place.
@@ -343,76 +219,30 @@ func (r *Registry) Packages() []*Package {
 	return out
 }
 
-// Component resolves an explicit component name; nil when unknown.
-func (r *Registry) Component(name intent.ComponentName) *Component {
-	return r.byName[name]
-}
-
-// Resolve returns the component an intent resolves to. Explicit intents
-// resolve by component name; implicit intents resolve to the best filter
-// match (first installed package wins ties, matching the paper's
-// explicit-intent focus where implicit resolution is rarely exercised).
+// Resolve returns the component an intent resolves to. Only explicit
+// intents resolve, by component name: QGJ and QGJ-UI always name their
+// target, and an intent without a component resolves to nothing.
 func (r *Registry) Resolve(in *intent.Intent, want ComponentType) *Component {
-	if in.IsExplicit() {
-		c := r.hot
-		if c == nil || c.Name != in.Component {
-			if c = r.byName[in.Component]; c != nil {
-				r.hot = c
-			}
-		}
-		if c == nil || c.Type != want {
-			return nil
-		}
-		return c
+	if !in.IsExplicit() {
+		return nil
 	}
-	for _, name := range r.order {
-		for _, c := range r.packages[name].Components {
-			if c.Type != want || !c.Exported {
-				continue
-			}
-			for _, f := range c.Filters {
-				if f.Matches(in) {
-					return c
-				}
-			}
+	c := r.hot
+	if c == nil || c.Name != in.Component {
+		if c = r.byName[in.Component]; c != nil {
+			r.hot = c
 		}
 	}
-	return nil
+	if c == nil || c.Type != want {
+		return nil
+	}
+	return c
 }
 
-// Stats summarizes the registry the way Table II does.
+// Stats summarizes a fleet the way Table II does.
 type Stats struct {
 	Apps       int
 	Activities int
 	Services   int
-	Receivers  int
-}
-
-// StatsFor aggregates component counts for packages matching the category
-// and origin. Pass zero values to aggregate over everything.
-func (r *Registry) StatsFor(cat AppCategory, origin Origin) Stats {
-	var s Stats
-	for _, name := range r.order {
-		p := r.packages[name]
-		if cat != 0 && p.Category != cat {
-			continue
-		}
-		if origin != 0 && p.Origin != origin {
-			continue
-		}
-		s.Apps++
-		for _, c := range p.Components {
-			switch c.Type {
-			case Activity:
-				s.Activities++
-			case Service:
-				s.Services++
-			case Receiver:
-				s.Receivers++
-			}
-		}
-	}
-	return s
 }
 
 // PermissionRegistry records the permission strings known to the device;
@@ -430,9 +260,6 @@ func NewPermissionRegistry(perms ...string) *PermissionRegistry {
 	}
 	return &PermissionRegistry{known: m}
 }
-
-// Register adds a permission string.
-func (pr *PermissionRegistry) Register(perm string) { pr.known[perm] = true }
 
 // Reset replaces the contents with exactly perms, reusing the map
 // allocation.

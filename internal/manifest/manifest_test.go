@@ -18,22 +18,8 @@ func samplePackage() *Package {
 		Category: HealthFitness,
 		Origin:   ThirdParty,
 		Components: []*Component{
-			{
-				Name: cn(pkg, "MainActivity"), Type: Activity, Exported: true, MainLauncher: true,
-				Filters: []*IntentFilter{{
-					Actions:    []string{"android.intent.action.MAIN"},
-					Categories: []string{intent.CategoryLauncher, intent.CategoryDefault},
-				}},
-			},
-			{
-				Name: cn(pkg, "ShareActivity"), Type: Activity, Exported: true,
-				Filters: []*IntentFilter{{
-					Actions:     []string{"android.intent.action.SEND"},
-					Categories:  []string{intent.CategoryDefault},
-					MimeTypes:   []string{"text/*"},
-					DataSchemes: nil,
-				}},
-			},
+			{Name: cn(pkg, "MainActivity"), Type: Activity, Exported: true, MainLauncher: true},
+			{Name: cn(pkg, "ShareActivity"), Type: Activity, Exported: true},
 			{Name: cn(pkg, "SyncService"), Type: Service, Exported: true},
 			{Name: cn(pkg, "HiddenService"), Type: Service, Exported: false},
 		},
@@ -87,10 +73,10 @@ func TestReinstallReplaces(t *testing.T) {
 	if err := r.Install(p2); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Component(cn(p1.Name, "MainActivity")); got != nil {
+	if got := r.Resolve(&intent.Intent{Component: cn(p1.Name, "MainActivity")}, Activity); got != nil {
 		t.Fatal("old component survived reinstall")
 	}
-	if got := r.Component(cn(p1.Name, "OnlyOne")); got == nil {
+	if got := r.Resolve(&intent.Intent{Component: cn(p1.Name, "OnlyOne")}, Activity); got == nil {
 		t.Fatal("new component not registered")
 	}
 	if n := len(r.Packages()); n != 1 {
@@ -98,141 +84,24 @@ func TestReinstallReplaces(t *testing.T) {
 	}
 }
 
-func TestUninstall(t *testing.T) {
-	r := NewRegistry()
-	p := samplePackage()
-	if err := r.Install(p); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Uninstall(p.Name) {
-		t.Fatal("Uninstall returned false")
-	}
-	if r.Uninstall(p.Name) {
-		t.Fatal("second Uninstall returned true")
-	}
-	if r.Component(cn(p.Name, "MainActivity")) != nil {
-		t.Fatal("component survived uninstall")
-	}
-}
-
+// TestImplicitResolution: an intent that names no component resolves to
+// nothing, whatever its action, type or categories; only explicit intents
+// reach a component.
 func TestImplicitResolution(t *testing.T) {
 	r := NewRegistry()
 	if err := r.Install(samplePackage()); err != nil {
 		t.Fatal(err)
 	}
-	in := &intent.Intent{
-		Action:     "android.intent.action.SEND",
-		Type:       "text/plain",
-		Categories: []string{intent.CategoryDefault},
-	}
-	got := r.Resolve(in, Activity)
-	if got == nil || got.Name.Class != "com.example.fit.ShareActivity" {
-		t.Fatalf("implicit resolve = %v", got)
-	}
-	// Non-exported components must not match implicit intents.
-	in2 := &intent.Intent{Action: "anything"}
-	if got := r.Resolve(in2, Service); got != nil {
-		t.Fatalf("resolved non-exported or non-matching service: %v", got)
-	}
-}
-
-func TestFilterActionSemantics(t *testing.T) {
-	f := &IntentFilter{Actions: []string{"A"}, Categories: []string{intent.CategoryDefault}}
-	// Intent with no action passes the action test.
-	if !f.Matches(&intent.Intent{}) {
-		t.Error("empty-action intent should match")
-	}
-	if f.Matches(&intent.Intent{Action: "B"}) {
-		t.Error("mismatched action matched")
-	}
-	// Filter with no actions matches nothing.
-	empty := &IntentFilter{}
-	if empty.Matches(&intent.Intent{}) {
-		t.Error("action-less filter matched")
-	}
-}
-
-func TestFilterCategorySemantics(t *testing.T) {
-	f := &IntentFilter{
-		Actions:    []string{"A"},
-		Categories: []string{intent.CategoryDefault, intent.CategoryBrowsable},
-	}
-	ok := &intent.Intent{Action: "A", Categories: []string{intent.CategoryDefault}}
-	if !f.Matches(ok) {
-		t.Error("subset categories should match")
-	}
-	bad := &intent.Intent{Action: "A", Categories: []string{intent.CategoryHome}}
-	if f.Matches(bad) {
-		t.Error("undeclared category matched")
-	}
-}
-
-func TestFilterDataSemantics(t *testing.T) {
-	f := &IntentFilter{Actions: []string{"A"}, DataSchemes: []string{"https"}}
-	withData := &intent.Intent{Action: "A"}
-	withData.Data, _ = intent.ParseURI("https://foo.com/")
-	if !f.Matches(withData) {
-		t.Error("scheme match failed")
-	}
-	wrong := &intent.Intent{Action: "A"}
-	wrong.Data, _ = intent.ParseURI("tel:123")
-	if f.Matches(wrong) {
-		t.Error("wrong scheme matched")
-	}
-	// Filter without data only matches intents without data.
-	noData := &IntentFilter{Actions: []string{"A"}}
-	if noData.Matches(withData) {
-		t.Error("data intent matched data-less filter")
-	}
-	if !noData.Matches(&intent.Intent{Action: "A"}) {
-		t.Error("data-less intent should match data-less filter")
-	}
-}
-
-func TestMimeWildcards(t *testing.T) {
-	tests := []struct {
-		pattern, typ string
-		want         bool
-	}{
-		{"text/plain", "text/plain", true},
-		{"text/*", "text/html", true},
-		{"text/*", "image/png", false},
-		{"*/*", "application/json", true},
-		{"image/png", "image/jpeg", false},
-	}
-	for _, tt := range tests {
-		if got := mimeMatches(tt.pattern, tt.typ); got != tt.want {
-			t.Errorf("mimeMatches(%q, %q) = %v, want %v", tt.pattern, tt.typ, got, tt.want)
+	for _, in := range []*intent.Intent{
+		{Action: "android.intent.action.MAIN", Categories: []string{intent.CategoryLauncher}},
+		{Action: "android.intent.action.SEND", Type: "text/plain", Categories: []string{intent.CategoryDefault}},
+		{},
+	} {
+		for _, want := range []ComponentType{Activity, Service} {
+			if got := r.Resolve(in, want); got != nil {
+				t.Errorf("implicit %s resolved as %s to %v", in, want, got.Name)
+			}
 		}
-	}
-}
-
-func TestStatsFor(t *testing.T) {
-	r := NewRegistry()
-	if err := r.Install(samplePackage()); err != nil {
-		t.Fatal(err)
-	}
-	other := &Package{
-		Name: "com.other.app", Category: NotHealthFitness, Origin: BuiltIn,
-		Components: []*Component{
-			{Name: cn("com.other.app", "A"), Type: Activity},
-			{Name: cn("com.other.app", "S"), Type: Service},
-		},
-	}
-	if err := r.Install(other); err != nil {
-		t.Fatal(err)
-	}
-	all := r.StatsFor(0, 0)
-	if all.Apps != 2 || all.Activities != 3 || all.Services != 3 {
-		t.Fatalf("all stats = %+v", all)
-	}
-	health := r.StatsFor(HealthFitness, 0)
-	if health.Apps != 1 || health.Activities != 2 || health.Services != 2 {
-		t.Fatalf("health stats = %+v", health)
-	}
-	builtin := r.StatsFor(0, BuiltIn)
-	if builtin.Apps != 1 || builtin.Activities != 1 {
-		t.Fatalf("builtin stats = %+v", builtin)
 	}
 }
 
@@ -256,12 +125,8 @@ func TestPermissionRegistry(t *testing.T) {
 	if pr.Known("S0me.r@ndom.$trinG") {
 		t.Error("random permission string known")
 	}
-	pr.Register("com.example.CUSTOM")
-	if !pr.Known("com.example.CUSTOM") {
-		t.Error("registered permission unknown")
-	}
 	list := pr.List()
-	if len(list) != len(StandardPermissions)+1 {
+	if len(list) != len(StandardPermissions) {
 		t.Errorf("List() has %d entries", len(list))
 	}
 }
@@ -292,11 +157,12 @@ func TestResolveMemoFollowsInstalls(t *testing.T) {
 		t.Fatalf("Resolve = %v, want the installed SyncService twice", first)
 	}
 
-	if !r.Uninstall(pkg.Name) {
-		t.Fatal("Uninstall reported the package missing")
+	// A new version without the component drops it.
+	if err := r.Install(&Package{Name: pkg.Name}); err != nil {
+		t.Fatal(err)
 	}
 	if got := r.Resolve(in, Service); got != nil {
-		t.Fatalf("Resolve after Uninstall = %v, want nil", got)
+		t.Fatalf("Resolve after reinstall without the component = %v, want nil", got)
 	}
 
 	if err := r.Install(pkg); err != nil {

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/manifest"
 	"repro/internal/rng"
 	"repro/internal/telemetry"
 	"repro/internal/wearos"
@@ -254,17 +253,4 @@ func eventTypeByName(name string) (EventType, bool) {
 		}
 	}
 	return 0, false
-}
-
-// LauncherTargets lists the launcher components Monkey can reach — QGJ-UI
-// "only sends intents to launcher activities of various applications"
-// (Section IV-D).
-func LauncherTargets(dev *wearos.OS) []*manifest.Component {
-	var out []*manifest.Component
-	for _, p := range dev.Registry().Packages() {
-		if l := p.Launcher(); l != nil {
-			out = append(out, l)
-		}
-	}
-	return out
 }

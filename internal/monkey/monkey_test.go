@@ -138,19 +138,6 @@ func TestParseLogSkipsGarbage(t *testing.T) {
 	}
 }
 
-func TestLauncherTargets(t *testing.T) {
-	dev := newDevWithLaunchers(t, 4)
-	targets := LauncherTargets(dev)
-	if len(targets) != 4 {
-		t.Fatalf("launchers = %d", len(targets))
-	}
-	for _, c := range targets {
-		if !c.MainLauncher {
-			t.Fatalf("non-launcher target %v", c.Name)
-		}
-	}
-}
-
 func TestDeterministicStreams(t *testing.T) {
 	dev := newDevWithLaunchers(t, 2)
 	a := NewGenerator(dev, Config{Seed: 7, Events: 50}).Log()

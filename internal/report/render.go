@@ -130,26 +130,6 @@ func TableV(rows []experiments.TableVRow) string {
 	return "TABLE V: DISTRIBUTION OF EXCEPTIONS AND CRASHES DURING QGJ-UI EXPERIMENTS\n" + t.String()
 }
 
-// FaultTable renders the fault-injection resilience roll-up (campaign F):
-// one row per (fault kind, app) with the per-verdict window counts and the
-// graceful-degradation score.
-func FaultTable(rows []experiments.FaultResilienceRow) string {
-	t := &table{header: []string{
-		"Fault", "App", "Windows", "Recovered", "Stall", "Silent Drop", "Failed", "Score",
-	}}
-	for _, r := range rows {
-		t.add(r.Fault, r.App,
-			fmt.Sprintf("%d", r.Windows),
-			fmt.Sprintf("%d", r.Degraded),
-			fmt.Sprintf("%d", r.Stalls),
-			fmt.Sprintf("%d", r.SilentDrops),
-			fmt.Sprintf("%d", r.FailedRecoveries),
-			fmt.Sprintf("%.2f", r.Score))
-	}
-	return "FAULT RESILIENCE: GRACEFUL-DEGRADATION SCORE PER (FAULT, APP)\n" +
-		"(1.0 = degraded and recovered visibly; 0 = subsystem never came back)\n" + t.String()
-}
-
 // bar renders a proportional ASCII bar.
 func bar(share float64, width int) string {
 	n := int(share*float64(width) + 0.5)

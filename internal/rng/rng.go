@@ -167,14 +167,3 @@ func (s *Source) AppendASCII(dst []byte, minLen, maxLen int) []byte {
 	}
 	return dst
 }
-
-// Digits returns a random decimal digit string with length uniform in
-// [minLen, maxLen].
-func (s *Source) Digits(minLen, maxLen int) string {
-	n := s.IntBetween(minLen, maxLen)
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte('0' + s.Intn(10))
-	}
-	return string(b)
-}

@@ -195,21 +195,6 @@ func TestASCIIProperties(t *testing.T) {
 	}
 }
 
-func TestDigits(t *testing.T) {
-	s := New(29)
-	for i := 0; i < 100; i++ {
-		d := s.Digits(1, 6)
-		if len(d) < 1 || len(d) > 6 {
-			t.Fatalf("Digits length %d out of range", len(d))
-		}
-		for _, r := range d {
-			if r < '0' || r > '9' {
-				t.Fatalf("Digits produced non-digit %q", d)
-			}
-		}
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	s := New(31)
 	n := 100000

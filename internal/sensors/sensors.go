@@ -197,13 +197,6 @@ func (s *Service) Register(client string, t Type) *javalang.Throwable {
 	return nil
 }
 
-// Unregister removes all listeners for client.
-func (s *Service) Unregister(client string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.listeners, client)
-}
-
 // Listeners returns how many sensors the client has registered.
 func (s *Service) Listeners(client string) int {
 	s.mu.Lock()

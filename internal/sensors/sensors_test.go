@@ -106,18 +106,6 @@ func TestRestartClearsState(t *testing.T) {
 	}
 }
 
-func TestUnregister(t *testing.T) {
-	svc, _ := newTestService(t)
-	const client = "c"
-	if thr := svc.Register(client, HeartRate); thr != nil {
-		t.Fatal(thr)
-	}
-	svc.Unregister(client)
-	if svc.Listeners(client) != 0 {
-		t.Fatal("UnregisterAll left listeners")
-	}
-}
-
 func TestSensorNames(t *testing.T) {
 	if HeartRate.String() != "android.sensor.heart_rate" {
 		t.Errorf("HeartRate name = %q", HeartRate.String())

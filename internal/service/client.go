@@ -75,7 +75,8 @@ func NewClient(base string, hc *http.Client) *Client {
 // apiError decodes the JSON error envelope and maps status back to its
 // sentinel. Where two sentinels share a status (409), it picks the one
 // whose text begins the message: every coordinator error wraps its
-// sentinel first.
+// sentinel first, so such a message is returned as it is, wrapping the
+// sentinel, rather than after the sentinel's text a second time.
 func apiError(status int, body []byte) error {
 	var eb errorBody
 	msg := ""
@@ -89,6 +90,9 @@ func apiError(status int, body []byte) error {
 		}
 	}
 	if base != nil {
+		if rest, ok := strings.CutPrefix(msg, base.Error()); ok {
+			return fmt.Errorf("%w%s", base, rest)
+		}
 		if msg != "" {
 			return fmt.Errorf("%w (%s)", base, msg)
 		}

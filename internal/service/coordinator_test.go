@@ -309,8 +309,14 @@ func TestProtocolErrorsRoundTrip(t *testing.T) {
 			if rec.Code != e.status {
 				t.Errorf("%v: status %d, want %d", sent, rec.Code, e.status)
 			}
-			if got := apiError(rec.Code, rec.Body.Bytes()); !errors.Is(got, e.err) {
+			got := apiError(rec.Code, rec.Body.Bytes())
+			if !errors.Is(got, e.err) {
 				t.Errorf("%v: client reads %v, want %v", sent, got, e.err)
+			}
+			// The sentinel's text is said once, not once more around the
+			// coordinator's message that already begins with it.
+			if n := strings.Count(got.Error(), e.err.Error()); n != 1 {
+				t.Errorf("%v: client error %q says %q %d times", sent, got, e.err, n)
 			}
 			if retry := rec.Header().Get("Retry-After"); (retry != "") != (e.status == http.StatusTooManyRequests) {
 				t.Errorf("%v: Retry-After %q on %d", sent, retry, rec.Code)

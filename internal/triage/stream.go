@@ -173,13 +173,6 @@ func (s *Stream) Close() {
 	s.wakeLocked()
 }
 
-// Closed reports whether Close was called.
-func (s *Stream) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
 // Snapshot returns the buckets accumulated so far as a Result, sorted with
 // Bucketize's deterministic order (count desc, then class/frame/hash). The
 // minimizer fields are zero: minimization only runs in the post-merge pass.

@@ -103,7 +103,7 @@ func TestGateDenialLinesMatchEagerText(t *testing.T) {
 		if e.Payload.Op == logcat.MsgEager {
 			t.Fatalf("%s %v: denial logged eagerly", c.reason, c.comp)
 		}
-		want := eagerDenial(c.reason, in, o.Registry().Component(c.comp), c.kind)
+		want := eagerDenial(c.reason, in, o.Registry().Resolve(in, c.kind), c.kind)
 		if c.line != "" && c.line != want {
 			t.Fatalf("test table disagrees with the eager text:\n table %q\n eager %q", c.line, want)
 		}

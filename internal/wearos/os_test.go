@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/intent"
 	"repro/internal/javalang"
+	"repro/internal/logcat"
 	"repro/internal/manifest"
 )
 
@@ -85,6 +86,38 @@ func TestUnknownComponentNotFound(t *testing.T) {
 	}
 	if got := o.StartService(in); got != BlockedNotFound {
 		t.Fatalf("service result = %v", got)
+	}
+}
+
+// TestImplicitIntentNotFound: only explicit intents resolve. An intent
+// that names no component, even MAIN/LAUNCHER to a package whose launcher
+// activity is installed, is blocked as not found and logs the not-found
+// line.
+func TestImplicitIntentNotFound(t *testing.T) {
+	o := testDevice(t)
+	for _, kind := range []manifest.ComponentType{manifest.Activity, manifest.Service} {
+		in := &intent.Intent{Action: "android.intent.action.MAIN", SenderUID: UIDAppBase + 100}
+		in.AddCategory(intent.CategoryLauncher)
+		var got DeliveryResult
+		if kind == manifest.Activity {
+			got = o.StartActivity(in)
+		} else {
+			got = o.StartService(in)
+		}
+		if got != BlockedNotFound {
+			t.Fatalf("implicit %s: result = %v, want BlockedNotFound", kind, got)
+		}
+		snap := o.Logcat().Snapshot()
+		e := snap[len(snap)-1]
+		if e.Payload.Op != logcat.MsgNotFound {
+			t.Fatalf("implicit %s: last line %q is not the not-found line", kind, e.Msg())
+		}
+		if want := eagerDenial("not-found", in, nil, kind); e.Msg() != want {
+			t.Errorf("implicit %s: logged %q, want %q", kind, e.Msg(), want)
+		}
+	}
+	if o.Process("com.test.app") != nil {
+		t.Fatal("an implicit intent started the app's process")
 	}
 }
 
