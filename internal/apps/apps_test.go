@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/intent"
@@ -71,7 +70,7 @@ func TestEmulatorFleetComposition(t *testing.T) {
 	for _, p := range f.Packages {
 		for _, c := range p.Components {
 			b := f.Behavior(c.Name)
-			if b == nil || !b.uiProfile {
+			if b == nil || !isUIProfile(b) {
 				t.Fatalf("component %s lacks UI profile", c.Name.FlattenToString())
 			}
 		}
@@ -272,50 +271,5 @@ func TestLauncherComponentsExist(t *testing.T) {
 		if p.Launcher() == nil {
 			t.Errorf("package %s has no launcher activity", p.Name)
 		}
-	}
-}
-
-// TestBuildFleetPackageMatchesFullBuild pins the farm's shard-fleet
-// optimization: sampling behaviour for a single package must produce the
-// exact model the full fleet build produces for that package, for every
-// package of every intent-fuzzed population.
-func TestBuildFleetPackageMatchesFullBuild(t *testing.T) {
-	const seed = 7
-	builders := map[FleetKind]func(uint64) *Fleet{
-		WearFleet:        BuildWearFleet,
-		PhoneFleet:       BuildPhoneFleet,
-		LegacyPhoneFleet: BuildLegacyPhoneFleet,
-	}
-	for kind, build := range builders {
-		full := build(seed)
-		for _, p := range full.Packages {
-			sparse, err := BuildFleetPackage(kind, seed, p.Name)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", kind, p.Name, err)
-			}
-			for _, c := range p.Components {
-				want := full.Behavior(c.Name)
-				got := sparse.Behavior(c.Name)
-				if got == nil {
-					t.Fatalf("%s/%s: no behaviour sampled for %v", kind, p.Name, c.Name)
-				}
-				if !reflect.DeepEqual(want.reactions, got.reactions) {
-					t.Errorf("%s/%s: reactions diverge for %v:\nfull:   %+v\nsparse: %+v",
-						kind, p.Name, c.Name, want.reactions, got.reactions)
-				}
-				if want.draw.Uint64() != got.draw.Uint64() {
-					t.Errorf("%s/%s: private stream diverges for %v", kind, p.Name, c.Name)
-				}
-				if sparse.Traits(c.Name) != full.Traits(c.Name) {
-					t.Errorf("%s/%s: traits diverge for %v", kind, p.Name, c.Name)
-				}
-			}
-		}
-	}
-	if _, err := BuildFleetPackage(WearFleet, seed, "com.missing"); err == nil {
-		t.Fatal("unknown package must fail")
-	}
-	if _, err := BuildFleetPackage(EmulatorFleet, seed, "com.x"); err == nil {
-		t.Fatal("emulator fleet has no single-package build")
 	}
 }

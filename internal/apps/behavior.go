@@ -67,9 +67,6 @@ type behavior struct {
 	// rewinds the stream here so a reused fleet replays the same per-delivery
 	// draws a freshly instantiated one would.
 	drawInit uint64
-	// uiProfile switches the component to the launcher-style probabilistic
-	// model for QGJ-UI runs.
-	uiProfile bool
 }
 
 // stackFor fabricates a plausible Java stack for an exception escaping the
@@ -230,7 +227,6 @@ func uiBehavior(cn intent.ComponentName, r *rng.Source) *behavior {
 		name:      cn,
 		reactions: make(map[DefectKind]reaction),
 		draw:      r.Split("ui-draw"),
-		uiProfile: true,
 	}
 	b.drawInit = b.draw.State()
 	semiValidKinds := []DefectKind{KindMismatch, KindMissingAction, KindMissingData, KindRandomExtras, KindNullExtra}

@@ -152,13 +152,31 @@ func TestMessageShapes(t *testing.T) {
 	}
 }
 
+// isUIProfile reports whether b has the launcher profile uiBehavior
+// builds: catch reactions at the random-mutation probability on both random
+// kinds, and nothing but per-delivery (probabilistic) catches and crashes.
+// Sampled fleet behaviours always fire (prob 0).
+func isUIProfile(b *behavior) bool {
+	for _, kind := range []DefectKind{KindRandomAction, KindRandomData} {
+		if rc, ok := b.reactions[kind]; !ok || rc.kind != reactCatch || rc.prob != uiIntentExceptionProbRandom {
+			return false
+		}
+	}
+	for _, rc := range b.reactions {
+		if rc.prob <= 0 || rc.kind != reactCatch && rc.kind != reactCrash {
+			return false
+		}
+	}
+	return true
+}
+
 func TestUIBehaviorShape(t *testing.T) {
 	r := rng.New(3)
 	sawCrashPath, sawCatchPath := false, false
 	for i := 0; i < 50; i++ {
 		b := uiBehavior(testCN(), r.Split(string(rune('a'+i))))
-		if !b.uiProfile {
-			t.Fatal("uiBehavior did not set uiProfile")
+		if !isUIProfile(b) {
+			t.Fatalf("uiBehavior built a behaviour of another shape: %+v", b.reactions)
 		}
 		for _, rc := range b.reactions {
 			switch rc.kind {

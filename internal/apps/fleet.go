@@ -150,21 +150,6 @@ func (f *Fleet) sampleAll() {
 	}
 }
 
-// sampleOnly samples behaviour for just the named package. The crashy
-// quota draw still covers the whole population — it decides whether this
-// package is crashy — but the per-component sampling, the expensive step,
-// is skipped for everything else. Component streams are label-split from
-// the seed, not sequence-dependent, so the sampled behaviour is identical
-// to what a full sampleAll produces for the same package.
-func (f *Fleet) sampleOnly(name string) error {
-	p := f.Package(name)
-	if p == nil {
-		return fmt.Errorf("package %q not in the %s fleet", name, f.Kind)
-	}
-	f.samplePackage(p, f.crashyQuota()[p.Name])
-	return nil
-}
-
 // crashyQuota runs the per-origin quota draw over the whole population.
 func (f *Fleet) crashyQuota() map[string]bool {
 	r := rng.New(f.Seed).Split("behaviors")
@@ -200,49 +185,15 @@ func (f *Fleet) samplePackage(p *manifest.Package, crashy bool) {
 	}
 }
 
-// newSparseFleet materializes the population of the given kind without
-// sampling any behaviour. Only the fleet kinds with a single-device
-// population support it (EmulatorFleet restructures the package list).
-func newSparseFleet(kind FleetKind, seed uint64) (*Fleet, error) {
-	switch kind {
-	case WearFleet:
-		return newFleet(WearFleet, seed, wearPopulation()), nil
-	case PhoneFleet:
-		return newFleet(PhoneFleet, seed, phonePopulation()), nil
-	case LegacyPhoneFleet:
-		return newFleet(LegacyPhoneFleet, seed, phonePopulation()), nil
-	default:
-		return nil, fmt.Errorf("apps: no single-package build for fleet kind %s", kind)
-	}
-}
-
-// BuildFleetPackage materializes the population of the given kind with
-// behaviour sampled only for the named package. Farm shards fuzz one
-// package per freshly booted device; skipping the rest of the population's
-// behaviour sampling cuts shard startup cost while keeping the target's
-// behaviour bit-identical to the full build (asserted by
-// TestBuildFleetPackageMatchesFullBuild).
-func BuildFleetPackage(kind FleetKind, seed uint64, pkg string) (*Fleet, error) {
-	f, err := newSparseFleet(kind, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.sampleOnly(pkg); err != nil {
-		return nil, err
-	}
-	if kind == WearFleet {
-		f.applyWearScenarios()
-	}
-	return f, nil
-}
-
 // FleetTemplate is the population built once and shared across every shard
 // of a farm run: the manifest packages (structurally shared, treated as
 // read-only after construction) plus the population-wide crashy quota draw.
 // Instantiate stamps out a per-shard Fleet that shares the packages but
-// samples behaviour for just one target package — the same result as
-// BuildFleetPackage without rebuilding 46 manifests and re-running the
-// quota draw per shard (asserted by TestFleetTemplateMatchesBuildFleetPackage).
+// samples behaviour for just one target package. The crashy quota still
+// covers the whole population, and component streams are label-split from
+// the seed, not sequence-dependent, so the target's behaviour is what the
+// full build samples for it (asserted by
+// TestFleetTemplateMatchesBuildFleetPackage).
 type FleetTemplate struct {
 	kind     FleetKind
 	seed     uint64
@@ -250,13 +201,21 @@ type FleetTemplate struct {
 	crashy   map[string]bool
 }
 
-// NewFleetTemplate builds the shared population once. Safe to share across
-// goroutines afterwards; Instantiate may be called concurrently.
+// NewFleetTemplate builds the shared population once. Only the fleet kinds
+// with a single-device population have one (EmulatorFleet restructures the
+// package list). Safe to share across goroutines afterwards; Instantiate
+// may be called concurrently.
 func NewFleetTemplate(kind FleetKind, seed uint64) (*FleetTemplate, error) {
-	f, err := newSparseFleet(kind, seed)
-	if err != nil {
-		return nil, err
+	var blocks []populationBlock
+	switch kind {
+	case WearFleet:
+		blocks = wearPopulation()
+	case PhoneFleet, LegacyPhoneFleet:
+		blocks = phonePopulation()
+	default:
+		return nil, fmt.Errorf("apps: no single-package build for fleet kind %s", kind)
 	}
+	f := newFleet(kind, seed, blocks)
 	crashy := f.crashyQuota()
 	if kind == WearFleet {
 		// The scenarios' manifest-level effects (ensureReachable's export/
@@ -286,8 +245,8 @@ func (t *FleetTemplate) Metadata() *Fleet {
 }
 
 // Instantiate returns a fleet sharing the template's packages with
-// behaviour sampled for just the named package — bit-identical to
-// BuildFleetPackage(t.kind, t.seed, pkg). Safe to call concurrently.
+// behaviour sampled for just the named package — bit-identical to the
+// package's behaviour in the full build. Safe to call concurrently.
 func (t *FleetTemplate) Instantiate(pkg string) (*Fleet, error) {
 	f := &Fleet{
 		Kind:      t.kind,

@@ -11,12 +11,10 @@ import (
 // appSpec names one synthetic app and its population slot.
 type appSpec struct {
 	pkg      string
-	label    string
 	category manifest.AppCategory
 	origin   manifest.Origin
-	// usesGoogleFit / usesSensorManager wire the health-app substrate
-	// dependencies (Section III-C).
-	usesGoogleFit     bool
+	// usesSensorManager wires the health-app substrate dependency
+	// (Section III-C).
 	usesSensorManager bool
 }
 
@@ -42,67 +40,67 @@ func wearPopulation() []populationBlock {
 		{
 			activities: 81, services: 34,
 			specs: []appSpec{
-				{pkg: "com.google.android.apps.fitness", label: "Google Fit", category: hb, origin: bi, usesGoogleFit: true},
-				{pkg: "com.motorola.omni", label: "Moto Body", category: hb, origin: bi, usesSensorManager: true},
+				{pkg: "com.google.android.apps.fitness", category: hb, origin: bi},
+				{pkg: "com.motorola.omni", category: hb, origin: bi, usesSensorManager: true},
 			},
 		},
 		{
 			activities: 80, services: 59,
 			specs: []appSpec{
-				{pkg: "com.runtastic.wear", label: "Runtastic", category: hb, origin: tp, usesGoogleFit: true},
-				{pkg: "com.strava.wear", label: "Strava", category: hb, origin: tp, usesGoogleFit: true},
-				{pkg: "com.fitbit.wear", label: "Fitbit", category: hb, origin: tp},
-				{pkg: "com.endomondo.wear", label: "Endomondo", category: hb, origin: tp, usesGoogleFit: true},
-				{pkg: "com.myfitnesspal.wear", label: "MyFitnessPal", category: hb, origin: tp, usesGoogleFit: true},
-				{pkg: "com.nike.runclub.wear", label: "Nike Run Club", category: hb, origin: tp},
-				{pkg: "com.sevenmins.wear", label: "7 Minute Workout", category: hb, origin: tp, usesGoogleFit: true},
-				{pkg: "com.sleepcycle.wear", label: "Sleep Cycle", category: hb, origin: tp},
-				{pkg: "com.heartwatch.wear", label: "HeartWatch", category: hb, origin: tp, usesGoogleFit: true},
-				{pkg: "com.pedometer.stepcounter.wear", label: "Pedometer", category: hb, origin: tp, usesGoogleFit: true},
-				{pkg: "com.fitify.workouts.wear", label: "Fitify", category: hb, origin: tp, usesGoogleFit: true},
+				{pkg: "com.runtastic.wear", category: hb, origin: tp},
+				{pkg: "com.strava.wear", category: hb, origin: tp},
+				{pkg: "com.fitbit.wear", category: hb, origin: tp},
+				{pkg: "com.endomondo.wear", category: hb, origin: tp},
+				{pkg: "com.myfitnesspal.wear", category: hb, origin: tp},
+				{pkg: "com.nike.runclub.wear", category: hb, origin: tp},
+				{pkg: "com.sevenmins.wear", category: hb, origin: tp},
+				{pkg: "com.sleepcycle.wear", category: hb, origin: tp},
+				{pkg: "com.heartwatch.wear", category: hb, origin: tp},
+				{pkg: "com.pedometer.stepcounter.wear", category: hb, origin: tp},
+				{pkg: "com.fitify.workouts.wear", category: hb, origin: tp},
 			},
 		},
 		{
 			activities: 168, services: 188,
 			specs: []appSpec{
-				{pkg: "com.google.android.wearable.app", label: "Wear OS Core", category: nh, origin: bi},
-				{pkg: "com.google.android.deskclock", label: "Clock", category: nh, origin: bi},
-				{pkg: "com.google.android.apps.messaging", label: "Messages", category: nh, origin: bi},
-				{pkg: "com.google.android.gm", label: "Gmail", category: nh, origin: bi},
-				{pkg: "com.google.android.calendar", label: "Calendar", category: nh, origin: bi},
-				{pkg: "com.google.android.apps.maps", label: "Maps", category: nh, origin: bi},
-				{pkg: "com.google.android.music", label: "Play Music", category: nh, origin: bi},
-				{pkg: "com.google.android.googlequicksearchbox", label: "Assistant", category: nh, origin: bi},
-				{pkg: "com.google.android.wearable.watchfaces", label: "Watch Faces", category: nh, origin: bi},
+				{pkg: "com.google.android.wearable.app", category: nh, origin: bi},
+				{pkg: "com.google.android.deskclock", category: nh, origin: bi},
+				{pkg: "com.google.android.apps.messaging", category: nh, origin: bi},
+				{pkg: "com.google.android.gm", category: nh, origin: bi},
+				{pkg: "com.google.android.calendar", category: nh, origin: bi},
+				{pkg: "com.google.android.apps.maps", category: nh, origin: bi},
+				{pkg: "com.google.android.music", category: nh, origin: bi},
+				{pkg: "com.google.android.googlequicksearchbox", category: nh, origin: bi},
+				{pkg: "com.google.android.wearable.watchfaces", category: nh, origin: bi},
 			},
 		},
 		{
 			activities: 185, services: 117,
 			specs: []appSpec{
-				{pkg: "org.telegram.wear", label: "Telegram", category: nh, origin: tp},
-				{pkg: "com.whatsapp.wear", label: "WhatsApp", category: nh, origin: tp},
-				{pkg: "com.spotify.wear", label: "Spotify", category: nh, origin: tp},
-				{pkg: "com.ubercab.wear", label: "Uber", category: nh, origin: tp},
-				{pkg: "com.lyft.wear", label: "Lyft", category: nh, origin: tp},
-				{pkg: "com.facebook.orca.wear", label: "Messenger", category: nh, origin: tp},
-				{pkg: "com.twitter.wear", label: "Twitter", category: nh, origin: tp},
-				{pkg: "com.instagram.wear", label: "Instagram", category: nh, origin: tp},
-				{pkg: "com.shazam.wear", label: "Shazam", category: nh, origin: tp},
-				{pkg: "com.evernote.wear", label: "Evernote", category: nh, origin: tp},
-				{pkg: "com.todoist.wear", label: "Todoist", category: nh, origin: tp},
-				{pkg: "com.citymapper.wear", label: "Citymapper", category: nh, origin: tp},
-				{pkg: "com.accuweather.wear", label: "AccuWeather", category: nh, origin: tp},
-				{pkg: "com.wunderground.wear", label: "Weather Underground", category: nh, origin: tp},
-				{pkg: "com.ifttt.wear", label: "IFTTT", category: nh, origin: tp},
-				{pkg: "com.duolingo.wear", label: "Duolingo", category: nh, origin: tp},
-				{pkg: "com.foursquare.wear", label: "Foursquare", category: nh, origin: tp},
-				{pkg: "com.glide.wear", label: "Glide", category: nh, origin: tp},
-				{pkg: "com.robinhood.wear", label: "Robinhood", category: nh, origin: tp},
-				{pkg: "com.paypal.wear", label: "PayPal", category: nh, origin: tp},
-				{pkg: "com.banjo.wear", label: "Banjo", category: nh, origin: tp},
-				{pkg: "com.flipboard.wear", label: "Flipboard", category: nh, origin: tp},
-				{pkg: "com.pocketcasts.wear", label: "Pocket Casts", category: nh, origin: tp},
-				{pkg: "com.wearfacesplus", label: "Watch Faces Plus", category: nh, origin: tp},
+				{pkg: "org.telegram.wear", category: nh, origin: tp},
+				{pkg: "com.whatsapp.wear", category: nh, origin: tp},
+				{pkg: "com.spotify.wear", category: nh, origin: tp},
+				{pkg: "com.ubercab.wear", category: nh, origin: tp},
+				{pkg: "com.lyft.wear", category: nh, origin: tp},
+				{pkg: "com.facebook.orca.wear", category: nh, origin: tp},
+				{pkg: "com.twitter.wear", category: nh, origin: tp},
+				{pkg: "com.instagram.wear", category: nh, origin: tp},
+				{pkg: "com.shazam.wear", category: nh, origin: tp},
+				{pkg: "com.evernote.wear", category: nh, origin: tp},
+				{pkg: "com.todoist.wear", category: nh, origin: tp},
+				{pkg: "com.citymapper.wear", category: nh, origin: tp},
+				{pkg: "com.accuweather.wear", category: nh, origin: tp},
+				{pkg: "com.wunderground.wear", category: nh, origin: tp},
+				{pkg: "com.ifttt.wear", category: nh, origin: tp},
+				{pkg: "com.duolingo.wear", category: nh, origin: tp},
+				{pkg: "com.foursquare.wear", category: nh, origin: tp},
+				{pkg: "com.glide.wear", category: nh, origin: tp},
+				{pkg: "com.robinhood.wear", category: nh, origin: tp},
+				{pkg: "com.paypal.wear", category: nh, origin: tp},
+				{pkg: "com.banjo.wear", category: nh, origin: tp},
+				{pkg: "com.flipboard.wear", category: nh, origin: tp},
+				{pkg: "com.pocketcasts.wear", category: nh, origin: tp},
+				{pkg: "com.wearfacesplus", category: nh, origin: tp},
 			},
 		},
 	}
@@ -133,7 +131,6 @@ func phonePopulation() []populationBlock {
 	for _, n := range named {
 		specs = append(specs, appSpec{
 			pkg:      "com.android." + n,
-			label:    n,
 			category: manifest.NotHealthFitness,
 			origin:   manifest.BuiltIn,
 		})
@@ -198,10 +195,8 @@ func buildPackages(blocks []populationBlock, seed *rng.Source) []*manifest.Packa
 			r := seed.Split("pkg:" + spec.pkg)
 			pkg := &manifest.Package{
 				Name:              spec.pkg,
-				Label:             spec.label,
 				Category:          spec.category,
 				Origin:            spec.origin,
-				UsesGoogleFit:     spec.usesGoogleFit,
 				UsesSensorManager: spec.usesSensorManager,
 			}
 			if spec.origin == manifest.ThirdParty {

@@ -15,10 +15,7 @@ func TestFleetTemplateResetRewindsDrawStreams(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		ref, err := newSparseFleet(kind, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := tmpl.Metadata()
 		for _, p := range ref.Packages {
 			fresh, err := tmpl.Instantiate(p.Name)
 			if err != nil {
@@ -58,10 +55,7 @@ func TestFleetTemplateResetSanityChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := newSparseFleet(WearFleet, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := tmpl.Metadata()
 	pkg := ref.Packages[0].Name
 	f, err := tmpl.Instantiate(pkg)
 	if err != nil {

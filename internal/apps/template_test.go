@@ -6,14 +6,15 @@ import (
 	"testing"
 )
 
-// TestFleetTemplateMatchesBuildFleetPackage pins the snapshot farm's fleet
-// path: instantiating a package from a shared template must produce the
-// exact behaviour model, traits, and manifest state that the per-shard
-// BuildFleetPackage build produces, for every package of every
-// intent-fuzzed population.
+// TestFleetTemplateMatchesBuildFleetPackage pins the farm's fleet path:
+// instantiating a package from a shared template must produce the exact
+// behaviour model, traits, and manifest state that the full fleet build
+// produces for that package, for every package of every intent-fuzzed
+// population.
 func TestFleetTemplateMatchesBuildFleetPackage(t *testing.T) {
 	const seed = 7
-	for _, kind := range []FleetKind{WearFleet, PhoneFleet, LegacyPhoneFleet} {
+	for _, full := range []*Fleet{BuildWearFleet(seed), BuildPhoneFleet(seed), BuildLegacyPhoneFleet(seed)} {
+		kind := full.Kind
 		tmpl, err := NewFleetTemplate(kind, seed)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
@@ -21,31 +22,26 @@ func TestFleetTemplateMatchesBuildFleetPackage(t *testing.T) {
 		if tmpl.Kind() != kind {
 			t.Fatalf("template kind = %s, want %s", tmpl.Kind(), kind)
 		}
-		ref, err := newSparseFleet(kind, seed)
-		if err != nil {
-			t.Fatal(err)
+		if n, m := len(tmpl.Metadata().Packages), len(full.Packages); n != m {
+			t.Fatalf("%s: template has %d packages, the full build %d", kind, n, m)
 		}
-		for _, p := range ref.Packages {
-			want, err := BuildFleetPackage(kind, seed, p.Name)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", kind, p.Name, err)
-			}
+		for _, p := range full.Packages {
 			got, err := tmpl.Instantiate(p.Name)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", kind, p.Name, err)
 			}
-			wp, gp := want.Package(p.Name), got.Package(p.Name)
-			if len(wp.Components) != len(gp.Components) {
+			gp := got.Package(p.Name)
+			if len(p.Components) != len(gp.Components) {
 				t.Fatalf("%s/%s: component counts diverge", kind, p.Name)
 			}
-			for i, wc := range wp.Components {
+			for i, wc := range p.Components {
 				gc := gp.Components[i]
 				if wc.Name != gc.Name || wc.Type != gc.Type ||
 					wc.Exported != gc.Exported || wc.Permission != gc.Permission {
-					t.Errorf("%s/%s: manifest diverges for %v:\nfresh:    %+v\ntemplate: %+v",
+					t.Errorf("%s/%s: manifest diverges for %v:\nfull:     %+v\ntemplate: %+v",
 						kind, p.Name, wc.Name, wc, gc)
 				}
-				wb, gb := want.Behavior(wc.Name), got.Behavior(gc.Name)
+				wb, gb := full.Behavior(wc.Name), got.Behavior(gc.Name)
 				if gb == nil {
 					t.Fatalf("%s/%s: no behaviour sampled for %v", kind, p.Name, wc.Name)
 				}
@@ -55,7 +51,7 @@ func TestFleetTemplateMatchesBuildFleetPackage(t *testing.T) {
 				if wb.draw.Uint64() != gb.draw.Uint64() {
 					t.Errorf("%s/%s: private stream diverges for %v", kind, p.Name, wc.Name)
 				}
-				if want.Traits(wc.Name) != got.Traits(gc.Name) {
+				if full.Traits(wc.Name) != got.Traits(gc.Name) {
 					t.Errorf("%s/%s: traits diverge for %v", kind, p.Name, wc.Name)
 				}
 			}
@@ -77,10 +73,7 @@ func TestFleetTemplateConcurrentInstantiate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := newSparseFleet(WearFleet, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := tmpl.Metadata()
 	var wg sync.WaitGroup
 	for range 4 {
 		wg.Add(1)

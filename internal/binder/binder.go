@@ -1,9 +1,9 @@
 // Package binder provides a compact model of Android's Binder IPC layer:
-// named endpoints owned by processes and synchronous transactions that fail
-// with android.os.DeadObjectException once the owner dies — one of the
-// exceptions the paper finds behind unresponsive components ("garbage
-// collection can have the undesirable effect"). Fault campaigns inject
-// transaction faults through SetFault.
+// named endpoints and synchronous transactions that fail with
+// android.os.DeadObjectException when no endpoint is published under the
+// name — one of the exceptions the paper finds behind unresponsive
+// components ("garbage collection can have the undesirable effect"). Fault
+// campaigns inject transaction faults through SetFault.
 package binder
 
 import (
@@ -16,21 +16,11 @@ import (
 // Handler processes one transaction and returns a reply or a Throwable.
 type Handler func(code int, data any) (reply any, thr *javalang.Throwable)
 
-// Endpoint is a published Binder object.
-type Endpoint struct {
-	Name     string
-	OwnerPID int
-	handler  Handler
-}
-
-// Router is the Binder driver: it maps endpoint names to live endpoints and
+// Router is the Binder driver: it maps endpoint names to handlers and
 // delivers transactions. A Router belongs to one device.
 type Router struct {
 	mu        sync.Mutex
-	endpoints map[string]*Endpoint
-	alive     map[int]bool // PID liveness, maintained by the process table
-	// txCount counts delivered transactions, for stats/benchmarks.
-	txCount uint64
+	endpoints map[string]Handler
 
 	// Telemetry handles, cached at SetTelemetry time (nil = no-op).
 	txOK      *telemetry.Counter
@@ -48,29 +38,15 @@ type Router struct {
 
 // NewRouter returns an empty router.
 func NewRouter() *Router {
-	return &Router{
-		endpoints: make(map[string]*Endpoint),
-		alive:     make(map[int]bool),
-	}
+	return &Router{endpoints: make(map[string]Handler)}
 }
 
-// Publish registers an endpoint under name, owned by ownerPID. Publishing an
-// existing name replaces the endpoint (the owner restarted).
-func (r *Router) Publish(name string, ownerPID int, h Handler) *Endpoint {
+// Publish registers h under name. Publishing an existing name replaces the
+// endpoint.
+func (r *Router) Publish(name string, h Handler) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ep := &Endpoint{Name: name, OwnerPID: ownerPID, handler: h}
-	r.endpoints[name] = ep
-	r.alive[ownerPID] = true
-	return ep
-}
-
-// SetAlive updates PID liveness; the process table calls this on process
-// start and death. Transactions to endpoints a dead PID owns fail.
-func (r *Router) SetAlive(pid int, alive bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.alive[pid] = alive
+	r.endpoints[name] = h
 }
 
 // SetTelemetry wires the router's dispatch metrics into reg:
@@ -105,35 +81,26 @@ func (r *Router) SetFault(fault func(name string) *javalang.Throwable) {
 }
 
 // Reset empties the router back to its NewRouter state while reusing the
-// map allocations: endpoints and PID liveness drop, the transaction counter
-// rewinds, and the telemetry, flight-recorder, and fault hooks detach (a
-// persistent-mode campaign unit re-attaches its own).
+// map allocation: endpoints drop, and the telemetry, flight-recorder, and
+// fault hooks detach (a persistent-mode campaign unit re-attaches its own).
 func (r *Router) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	clear(r.endpoints)
-	clear(r.alive)
-	r.txCount = 0
 	r.txOK, r.txDead, r.txLatency = nil, nil, nil
 	r.rec = nil
 	r.fault = nil
 }
 
 // Transact delivers a synchronous transaction to the named endpoint.
-// Transactions against unknown endpoints or dead owners fail with
-// DeadObjectException, exactly the error apps observe when a remote process
-// was reclaimed.
+// Transactions against unpublished names fail with DeadObjectException,
+// exactly the error apps observe when a remote process was reclaimed.
 func (r *Router) Transact(name string, code int, data any) (any, *javalang.Throwable) {
 	timer := telemetry.StartTimer(r.txLatency)
 	defer timer.Stop()
 	r.mu.Lock()
-	ep, ok := r.endpoints[name]
-	var ownerAlive bool
-	if ok {
-		ownerAlive = r.alive[ep.OwnerPID]
-	}
+	h, ok := r.endpoints[name]
 	fault := r.fault
-	r.txCount++
 	r.mu.Unlock()
 	if fault != nil {
 		if thr := fault(name); thr != nil {
@@ -142,22 +109,22 @@ func (r *Router) Transact(name string, code int, data any) (any, *javalang.Throw
 			return nil, thr
 		}
 	}
-	if !ok || !ownerAlive {
+	if !ok {
 		r.txDead.Inc()
 		r.rec.RecordNow(telemetry.EventBinder, name, "", "dead-object")
 		return nil, javalang.Newf(javalang.ClassDeadObject,
 			"Transaction failed on small parcel; remote process %q probably died", name)
 	}
 	r.txOK.Inc()
-	return ep.handler(code, data)
+	return h(code, data)
 }
 
-// Lookup reports whether name is published with a live owner.
+// Lookup reports whether name is published.
 func (r *Router) Lookup(name string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ep, ok := r.endpoints[name]
-	return ok && r.alive[ep.OwnerPID]
+	_, ok := r.endpoints[name]
+	return ok
 }
 
 // Endpoints returns the number of published endpoints. Endpoint handlers
@@ -167,12 +134,4 @@ func (r *Router) Endpoints() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.endpoints)
-}
-
-// TxCount returns the number of transactions delivered (including failed
-// ones).
-func (r *Router) TxCount() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.txCount
 }

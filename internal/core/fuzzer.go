@@ -87,11 +87,9 @@ func (inj *Injector) metrics(c Campaign) *campaignMetrics {
 
 // ComponentRun summarizes the injections against one component.
 type ComponentRun struct {
-	Component intent.ComponentName
-	Type      manifest.ComponentType
-	Campaign  Campaign
-	Sent      int
-	Results   map[wearos.DeliveryResult]int
+	Type    manifest.ComponentType
+	Sent    int
+	Results map[wearos.DeliveryResult]int
 }
 
 // AppRun summarizes one campaign against one application.
@@ -122,11 +120,7 @@ func (inj *Injector) uid() int {
 
 // FuzzComponent runs one campaign against one component.
 func (inj *Injector) FuzzComponent(c Campaign, comp *manifest.Component) ComponentRun {
-	run := ComponentRun{
-		Component: comp.Name,
-		Type:      comp.Type,
-		Campaign:  c,
-	}
+	run := ComponentRun{Type: comp.Type}
 	// Results are tallied in an array indexed by DeliveryResult and written
 	// to run.Results once, at the end of the run.
 	var results [wearos.DeviceRebooted + 1]int

@@ -197,11 +197,9 @@ type Verdict struct {
 }
 
 // probeEndpoint is the binder endpoint the engine publishes for its own
-// health probes; probePID is its synthetic owner (below the process table's
-// PID range, so it never collides with an app process and survives reboots).
+// health probes, and probeClient its sensor-probe registration.
 const (
 	probeEndpoint = "faultinject.probe"
-	probePID      = 3
 	probeClient   = "faultinject.probe"
 )
 
@@ -478,7 +476,7 @@ func (e *Engine) probe(k Kind) (ok bool, detail string) {
 // so every probe site re-arms lazily instead of assuming attach-time state.
 func (e *Engine) ensureProbes() {
 	if !e.dev.Binder().Lookup(probeEndpoint) {
-		e.dev.Binder().Publish(probeEndpoint, probePID,
+		e.dev.Binder().Publish(probeEndpoint,
 			func(code int, data any) (any, *javalang.Throwable) { return "pong", nil })
 	}
 	svc := e.dev.SensorService()

@@ -47,8 +47,7 @@ type Event struct {
 // reader of the line formats the device logs: consumers (classification,
 // crash triage) switch on its events instead of parsing text. It is
 // stateful — FATAL EXCEPTION blocks span lines and are reassembled per PID —
-// so each consumer owns one. The zero value decodes every kind; NewDecoder
-// restricts a decoder to the kinds its consumer reads.
+// so each consumer owns one. The zero value is ready to use.
 //
 // A lazy Payload decodes to the event its rendered text decodes to
 // (FuzzDecode pins this), so a pulled dump decodes like the live stream.
@@ -59,7 +58,6 @@ type Event struct {
 // their process, frame and PID operands. An operand whose rendered text
 // would parse back to something else takes the text path.
 type Decoder struct {
-	skip   uint32              // bit k set: kind k decodes to EventNone
 	ev     Event               // the last decoded event, which Decode returns
 	blocks map[int]*fatalBlock // in-flight EventFatal reassemblies, by PID
 	// spare holds ended blocks for reuse: a crash-heavy campaign opens one
@@ -88,23 +86,10 @@ type fatalBlock struct {
 	frames  []string
 }
 
-// NewDecoder returns a decoder of only the given kinds. A line of any other
-// kind decodes to EventNone, and the costly parts of its parse (component
-// names, exception headers, block reassembly) are skipped.
-func NewDecoder(kinds ...EventKind) Decoder {
-	d := Decoder{skip: ^uint32(0)}
-	for _, k := range kinds {
-		d.skip &^= 1 << k
-	}
-	return d
-}
-
-func (d *Decoder) wants(k EventKind) bool { return d.skip&(1<<k) == 0 }
-
-// Decode returns the event e carries (Kind EventNone when there is none or
-// the decoder does not decode its kind). The event is the decoder's own and
-// the next Decode overwrites it; Event is large, and a per-line copy of it
-// would cost more than decoding most lines does.
+// Decode returns the event e carries (Kind EventNone when there is none).
+// The event is the decoder's own and the next Decode overwrites it; Event
+// is large, and a per-line copy of it would cost more than decoding most
+// lines does.
 func (d *Decoder) Decode(e *Entry) *Event {
 	if d.ev.Kind != EventNone {
 		d.ev = Event{}
@@ -121,10 +106,8 @@ func (d *Decoder) Decode(e *Entry) *Event {
 	case am && p.Op == MsgRejected:
 		d.thrownLazy(EventRejection, 0, p.Comp, e)
 	case am && (p.Op == MsgDenyProtected || p.Op == MsgDenyNotExported || p.Op == MsgDenyPermission):
-		if d.wants(EventDenial) {
-			if cn, ok := d.deniedComponent(p.Comp); ok {
-				d.emit(EventDenial).Comp = cn
-			}
+		if cn, ok := d.deniedComponent(p.Comp); ok {
+			d.emit(EventDenial).Comp = cn
 		}
 	case am && p.Op == MsgDied && strings.IndexByte(p.Verb, '(') < 0:
 		// The text path finds the PID after the first "(pid "; a name
@@ -138,15 +121,11 @@ func (d *Decoder) Decode(e *Entry) *Event {
 		// lines name no event: they are not SecurityExceptions.)
 		d.decodeText(e, e.Msg())
 	}
-	if !d.wants(d.ev.Kind) {
-		d.ev = Event{}
-	}
 	return &d.ev
 }
 
 // emit makes the decoder's event one of kind k and returns it for its
-// fields to be set. Decode drops it if the decoder does not decode kind k;
-// the parses worth skipping check wants first.
+// fields to be set.
 func (d *Decoder) emit(k EventKind) *Event {
 	d.ev.Kind = k
 	return &d.ev
@@ -232,7 +211,7 @@ func (d *Decoder) activityManager(msg string) {
 	if rest, ok := strings.CutPrefix(msg, "Delivering to "); ok {
 		kind, rest, ok1 := strings.Cut(rest, " cmp=")
 		flat, pidText, ok2 := strings.Cut(rest, " pid=")
-		if !d.wants(EventDelivery) || !ok1 || !ok2 {
+		if !ok1 || !ok2 {
 			return
 		}
 		cn, ok3 := d.component(flat)
@@ -243,9 +222,6 @@ func (d *Decoder) activityManager(msg string) {
 		}
 	} else if strings.HasPrefix(msg, string(javalang.ClassSecurity)) {
 		const marker = " targeting "
-		if !d.wants(EventDenial) {
-			return
-		}
 		i := strings.LastIndex(msg, marker)
 		if i < 0 {
 			return
@@ -255,7 +231,7 @@ func (d *Decoder) activityManager(msg string) {
 		}
 	} else if rest, ok := strings.CutPrefix(msg, "Exception thrown delivering intent to cmp="); ok {
 		flat, header, ok := strings.Cut(rest, ": ")
-		if !d.wants(EventRejection) || !ok {
+		if !ok {
 			return
 		}
 		if cn, ok := d.component(flat); ok {
@@ -282,9 +258,6 @@ func (d *Decoder) activityManager(msg string) {
 // thrown emits an EventRejection or EventCaught naming header's exception
 // class, unless header is not an exception header.
 func (d *Decoder) thrown(kind EventKind, pid int, cn intent.ComponentName, header string) {
-	if !d.wants(kind) {
-		return
-	}
 	if class, _, ok := javalang.ParseHeader(header); ok {
 		ev := d.emit(kind)
 		ev.PID, ev.Comp, ev.Class = pid, cn, class
@@ -295,7 +268,6 @@ func (d *Decoder) thrown(kind EventKind, pid int, cn intent.ComponentName, heade
 // the class operand instead of parsing the rendered exception.
 func (d *Decoder) thrownLazy(kind EventKind, pid int, cn intent.ComponentName, e *Entry) {
 	switch class := e.Payload.Verb; {
-	case !d.wants(kind):
 	case class == "":
 		d.thrown(kind, pid, cn, e.Message)
 	case isHeaderClass(class):
@@ -316,9 +288,6 @@ func isHeaderClass(class string) bool {
 // runtime feeds one AndroidRuntime line into its PID's FATAL EXCEPTION
 // block, opening a new block on the block's first line.
 func (d *Decoder) runtime(pid int, msg string) {
-	if !d.wants(EventFatal) {
-		return
-	}
 	if msg == "FATAL EXCEPTION: main" {
 		d.openBlock(pid)
 		return
@@ -346,9 +315,6 @@ func (d *Decoder) runtimeLazy(e *Entry) {
 		// Unlike the other ops' fixed prefixes, its text could read as
 		// anything.
 		d.decodeText(e, e.Msg())
-		return
-	}
-	if !d.wants(EventFatal) {
 		return
 	}
 	blk, ok := d.blocks[e.PID]

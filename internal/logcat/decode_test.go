@@ -243,10 +243,9 @@ func fuzzEntry(op uint8, tag string, pid int, text, flat string, bits uint8) (En
 
 // FuzzDecode: decoding never panics, an entry decodes exactly like its
 // threadtime text parsed back — a pulled dump decodes like the live stream,
-// for every event kind, lazy payloads included — and a decoder restricted to
-// the kinds in mask decodes like the unrestricted one with the other kinds
-// dropped. The decoders hold an open FATAL block for the entry's PID, and a
-// "has died" line follows the entry, so block reassembly is compared too.
+// for every event kind, lazy payloads included. With primed set the
+// decoders hold an open FATAL block for the entry's PID, and a "has died"
+// line follows the entry either way, so block reassembly is compared too.
 func FuzzDecode(f *testing.F) {
 	golden, err := os.ReadFile("../../testdata/golden_dump.txt")
 	if err != nil {
@@ -265,7 +264,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		if !shapes[shape] {
 			shapes[shape] = true
-			f.Add(uint8(0), e.Tag, e.PID, e.Message, "", uint8(0), ^uint16(0))
+			f.Add(uint8(0), e.Tag, e.PID, e.Message, "", uint8(0), true)
 		}
 	}
 	for _, s := range []struct {
@@ -326,41 +325,26 @@ func FuzzDecode(f *testing.F) {
 		{uint8(MsgDied), TagActivityManager, 77, "com odd,%d)", "", 0},
 		{uint8(MsgDied), TagAndroidRuntime, 77, "com.a", "", 0},
 	} {
-		f.Add(s.op, s.tag, s.pid, s.text, s.flat, s.bits, ^uint16(0))
-		f.Add(s.op, s.tag, s.pid, s.text, s.flat, s.bits, uint16(1<<EventFatal|1<<EventANR|1<<EventVerdict))
+		f.Add(s.op, s.tag, s.pid, s.text, s.flat, s.bits, true)
+		f.Add(s.op, s.tag, s.pid, s.text, s.flat, s.bits, false)
 	}
-	f.Fuzz(func(t *testing.T, op uint8, tag string, pid int, text, flat string, bits uint8, mask uint16) {
+	f.Fuzz(func(t *testing.T, op uint8, tag string, pid int, text, flat string, bits uint8, primed bool) {
 		e, ok := fuzzEntry(op, tag, pid, text, flat, bits)
 		if !ok {
 			return
 		}
 		died := amLine(fmt.Sprintf("Process p (pid %d) has died", pid))
 		// run decodes e and the death that follows it with d, which first
-		// opens a block for the PID.
+		// opens a block for the PID when primed.
 		run := func(d *Decoder, e *Entry) [2]Event {
-			decodeAll(d, runtimeLine(pid, "FATAL EXCEPTION: main"), runtimeLine(pid, "java.lang.IllegalStateException: primed"))
+			if primed {
+				decodeAll(d, runtimeLine(pid, "FATAL EXCEPTION: main"), runtimeLine(pid, "java.lang.IllegalStateException: primed"))
+			}
 			ev := *d.Decode(e)
 			return [2]Event{ev, *d.Decode(&died)}
 		}
 		var all Decoder
 		got := run(&all, &e)
-
-		var kinds []EventKind
-		for k := EventNone; k <= EventAppLine; k++ {
-			if mask&(1<<k) != 0 {
-				kinds = append(kinds, k)
-			}
-		}
-		want := got
-		for i := range want {
-			if mask&(1<<want[i].Kind) == 0 {
-				want[i] = Event{}
-			}
-		}
-		masked := NewDecoder(kinds...)
-		if m := run(&masked, &e); !reflect.DeepEqual(m, want) {
-			t.Fatalf("%q, kinds %v\n masked: %+v\n    all: %+v", e.Format(), kinds, m, want)
-		}
 
 		pe, ok := ParseLine(e.Format(), 2026)
 		if !ok || pe.Tag != e.Tag || pe.PID != e.PID || pe.Message != e.Msg() {

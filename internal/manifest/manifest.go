@@ -105,14 +105,10 @@ func (c *Component) Flat() string {
 // Package is one installed application.
 type Package struct {
 	Name       string // e.g. com.fitwell.tracker
-	Label      string // human-readable app name
 	Category   AppCategory
 	Origin     Origin
 	Downloads  int64 // Play Store downloads (3rd-party selection criterion)
 	Components []*Component
-	// UsesGoogleFit marks Health/Fitness apps that talk to the Google Fit
-	// facade (the paper's error-propagation hypothesis).
-	UsesGoogleFit bool
 	// UsesSensorManager marks apps that use SensorManager directly (the
 	// first reboot post-mortem involves such an app).
 	UsesSensorManager bool

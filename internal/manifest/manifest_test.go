@@ -14,7 +14,6 @@ func samplePackage() *Package {
 	pkg := "com.example.fit"
 	return &Package{
 		Name:     pkg,
-		Label:    "Example Fit",
 		Category: HealthFitness,
 		Origin:   ThirdParty,
 		Components: []*Component{

@@ -1,7 +1,6 @@
 // Package sensors models the wearable's sensor stack: the native
 // SensorService process (libsensorservice.so), the SensorManager framework
-// API apps use, and synthetic sensor hardware (heart rate, step counter,
-// accelerometer).
+// API apps use, and a synthetic heart-rate sensor.
 //
 // The stack matters to the reproduction because the paper's first device
 // reboot originated here: a health app that talks to the heart-rate sensor
@@ -17,40 +16,19 @@ import (
 	"repro/internal/logcat"
 )
 
-// Type enumerates the hardware/software sensors the simulated watch
-// carries.
+// Type enumerates the sensors clients register: the heart-rate sensor of
+// the paper's post-mortem, the only one the simulated watch's clients use.
 type Type int
 
-const (
-	HeartRate Type = iota + 1
-	StepCounter
-	Accelerometer
-	Gyroscope
-	AmbientLight
-	OffBodyDetect
-)
+const HeartRate Type = 1
 
 // String returns the Android sensor name string.
 func (t Type) String() string {
-	switch t {
-	case HeartRate:
+	if t == HeartRate {
 		return "android.sensor.heart_rate"
-	case StepCounter:
-		return "android.sensor.step_counter"
-	case Accelerometer:
-		return "android.sensor.accelerometer"
-	case Gyroscope:
-		return "android.sensor.gyroscope"
-	case AmbientLight:
-		return "android.sensor.light"
-	case OffBodyDetect:
-		return "android.sensor.low_latency_offbody_detect"
 	}
 	return "android.sensor.unknown"
 }
-
-// AllTypes lists every sensor on the simulated device.
-var AllTypes = []Type{HeartRate, StepCounter, Accelerometer, Gyroscope, AmbientLight, OffBodyDetect}
 
 // ServiceState is the lifecycle state of the native SensorService process.
 type ServiceState int
@@ -240,18 +218,9 @@ func (s *Service) Read(client string, t Type) (float64, *javalang.Throwable) {
 			return v, nil
 		}
 	}
-	// Synthetic but plausible readings; values are irrelevant to the study.
-	var v float64
-	switch t {
-	case HeartRate:
-		v = 72
-	case StepCounter:
-		v = 4211
-	case AmbientLight:
-		v = 180
-	default:
-		v = 0.5
-	}
+	// A synthetic but plausible reading; its value is irrelevant to the
+	// study.
+	v := 72.0
 	if s.last == nil {
 		s.last = make(map[Type]float64)
 	}

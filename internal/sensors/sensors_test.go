@@ -35,7 +35,7 @@ func TestRegisterAndRead(t *testing.T) {
 func TestReadWithoutRegistration(t *testing.T) {
 	svc, _ := newTestService(t)
 	const client = "com.fit.app"
-	_, thr := svc.Read(client, StepCounter)
+	_, thr := svc.Read(client, HeartRate)
 	if thr == nil || thr.Class != javalang.ClassIllegalState {
 		t.Fatalf("expected IllegalStateException, got %v", thr)
 	}
@@ -61,7 +61,7 @@ func TestAbortKillsService(t *testing.T) {
 	if _, thr := svc.Read(client, HeartRate); thr == nil || thr.Class != javalang.ClassDeadObject {
 		t.Fatalf("expected DeadObjectException, got %v", thr)
 	}
-	if thr := svc.Register(client, StepCounter); thr == nil || thr.Class != javalang.ClassDeadObject {
+	if thr := svc.Register(client, HeartRate); thr == nil || thr.Class != javalang.ClassDeadObject {
 		t.Fatalf("register on dead service: %v", thr)
 	}
 	// The native crash dump must be in the log (the analyzer keys off it).
@@ -110,12 +110,7 @@ func TestSensorNames(t *testing.T) {
 	if HeartRate.String() != "android.sensor.heart_rate" {
 		t.Errorf("HeartRate name = %q", HeartRate.String())
 	}
-	seen := map[string]bool{}
-	for _, ty := range AllTypes {
-		n := ty.String()
-		if seen[n] {
-			t.Errorf("duplicate sensor name %q", n)
-		}
-		seen[n] = true
+	if n := Type(0).String(); n != "android.sensor.unknown" {
+		t.Errorf("unknown sensor name = %q", n)
 	}
 }

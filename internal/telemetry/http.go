@@ -67,7 +67,6 @@ func Handler(reg *Registry, extra ...Route) http.Handler {
 type Server struct {
 	// Addr is the bound address (useful with ":0").
 	Addr string
-	ln   net.Listener
 	srv  *http.Server
 }
 
@@ -79,7 +78,7 @@ func Serve(addr string, reg *Registry, extra ...Route) (*Server, error) {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
 	srv := &http.Server{Handler: Handler(reg, extra...), ReadHeaderTimeout: 5 * time.Second}
-	s := &Server{Addr: ln.Addr().String(), ln: ln, srv: srv}
+	s := &Server{Addr: ln.Addr().String(), srv: srv}
 	go func() { _ = srv.Serve(ln) }()
 	return s, nil
 }

@@ -110,11 +110,13 @@ func (e *Event) String() string {
 const DefaultRecorderCapacity = 64
 
 // stampSampleEvery is how often a bulk Record call refreshes the cached
-// clock stamp (power of two). Reading the virtual clock takes a mutex; at
-// a few hundred ns per dispatch an exact stamp per event would blow the
-// <5% recorder budget, and between injections the virtual clock only moves
-// in fuzzer pacing steps anyway. The sampling counter is part of recorder
-// state, so stamps are deterministic for a deterministic event stream.
+// clock stamp (power of two). An exact stamp would cost a clock call and a
+// stamp-ring write per bulk event, at a few hundred ns per dispatch; and
+// the sampled stamps sit inside the exported flight windows, which the
+// pinned export hashes cover, so the rate is part of the output. Between
+// injections the virtual clock only moves in fuzzer pacing steps anyway.
+// The sampling counter is part of recorder state, so stamps are
+// deterministic for a deterministic event stream.
 const stampSampleEvery = 16
 
 // Recorder is a fixed-capacity flight recorder: a ring of pooled event

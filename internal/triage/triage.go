@@ -368,8 +368,7 @@ const (
 
 // NewCollector returns an empty streaming crash collector.
 func NewCollector() *Collector {
-	dec := logcat.NewDecoder(logcat.EventFatal, logcat.EventANR, logcat.EventVerdict)
-	return &Collector{dec: dec, seen: make(map[uint64]uint8)}
+	return &Collector{seen: make(map[uint64]uint8)}
 }
 
 // Crashes returns the finalized records in log order. The collector keeps
@@ -452,7 +451,7 @@ func (c *Collector) ConsumeAll(entries []logcat.Entry) {
 }
 
 // Consume takes one log entry, decoding it with the collector's own
-// decoder, which skips every kind Observe ignores.
+// decoder.
 func (c *Collector) Consume(e logcat.Entry) { (*collectorSink)(c).Consume(&e) }
 
 // Sink returns the collector as a log sink that decodes each entry in
@@ -468,8 +467,7 @@ func (s *collectorSink) Consume(e *logcat.Entry) {
 }
 
 // Observe takes the event a logcat Decoder decoded from one log entry, in
-// log order (a full decoder, or one of at least the fatal, ANR and verdict
-// kinds): fatal blocks, ANRs and fault verdicts become records, each
+// log order: fatal blocks, ANRs and fault verdicts become records, each
 // complete (and attachable) once its last line is in.
 func (c *Collector) Observe(ev *logcat.Event) {
 	switch ev.Kind {

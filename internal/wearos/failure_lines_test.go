@@ -99,7 +99,10 @@ func TestFailureLinesMatchEagerText(t *testing.T) {
 		if at < 0 {
 			t.Fatalf("%s: no delivery line in %d entries", name, len(entries))
 		}
-		proc := o.procs.byPID[entries[at].Payload.N]
+		proc := o.procs.byName[c.pkg]
+		if proc.PID != entries[at].Payload.N {
+			t.Fatalf("%s: delivery line names pid %d, the process is %d", name, entries[at].Payload.N, proc.PID)
+		}
 		want := eagerFailureLines(c.mode, proc, comp, c.thr)
 		got := entries[at+1:]
 		if len(got) != len(want) {

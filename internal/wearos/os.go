@@ -328,7 +328,6 @@ func newKernel(cfg Config, clock *vclock.Virtual, buf *logcat.Buffer) *OS {
 	o.sysSrv.abortSensorService = func() { o.sensor.Abort(javalang.SIGABRT) }
 	o.sysSrv.restartProcess = func(proc string) {
 		if p := o.procs.kill(proc); p != nil {
-			o.router.SetAlive(p.PID, false)
 			o.osm.procDeaths.Inc()
 			o.osm.liveProcs.Set(float64(o.procs.live()))
 			o.log.Log(1000, 1000, logcat.Info, logcat.TagActivityManager,
@@ -517,7 +516,6 @@ func (o *OS) ensureProcess(pkg string) *Process {
 	if p == nil {
 		uid := UIDAppBase + 1 + len(o.procs.byName)
 		p = o.procs.start(pkg)
-		o.router.SetAlive(p.PID, true)
 		o.osm.procStarts.Inc()
 		o.osm.liveProcs.Set(float64(o.procs.live()))
 		// "Start proc <pid>:<pkg>/u0a<n> for activity", which every crashed
@@ -679,7 +677,11 @@ func (o *OS) gate(in *intent.Intent, kind manifest.ComponentType) (*manifest.Com
 	// 2. Resolution.
 	comp := o.reg.Resolve(in, kind)
 	if comp == nil {
-		o.logDenial("", logcat.Payload{Op: logcat.MsgNotFound, Verb: kind.String(), Comp: in.Component})
+		if in.Component.IsZero() {
+			o.logDenial(implicitNotFound(in, kind), logcat.Payload{})
+		} else {
+			o.logDenial("", logcat.Payload{Op: logcat.MsgNotFound, Verb: kind.String(), Comp: in.Component})
+		}
 		o.rec.RecordNow(telemetry.EventDenial, in.Component.Class, in.Action, "not-found")
 		return nil, BlockedNotFound
 	}
@@ -696,6 +698,19 @@ func (o *OS) gate(in *intent.Intent, kind manifest.ComponentType) (*manifest.Com
 		return nil, BlockedSecurity
 	}
 	return comp, 0
+}
+
+// implicitNotFound is the line Android logs when an intent naming no
+// component resolves to nothing: the intent in its "Intent { … }" form in
+// place of the explicit-class text's component name. No campaign sends such
+// an intent, so it is rendered eagerly.
+func implicitNotFound(in *intent.Intent, kind manifest.ComponentType) string {
+	text := in.String()
+	text = "Intent { " + text[1:len(text)-1] + " }"
+	if kind == manifest.Activity {
+		return string(javalang.ClassActivityNotFound) + ": No Activity found to handle " + text
+	}
+	return "Unable to start service " + text + " U=0: not found"
 }
 
 // logDenial logs a gate denial as ActivityManager's warning.
@@ -759,7 +774,6 @@ func (o *OS) crashProcess(proc *Process, comp *manifest.Component, thr *javalang
 	o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, "",
 		logcat.Payload{Op: logcat.MsgDied, Verb: proc.Name, N: proc.PID})
 	o.procs.kill(proc.Name)
-	o.router.SetAlive(proc.PID, false)
 	o.osm.procDeaths.Inc()
 	o.osm.liveProcs.Set(float64(o.procs.live()))
 	o.FileDropBox(TagAppCrash, proc.Name)
@@ -772,10 +786,7 @@ func (o *OS) crashProcess(proc *Process, comp *manifest.Component, thr *javalang
 func (o *OS) reboot(reason string) {
 	o.log.Log(1000, 1000, logcat.Fatal, logcat.TagSystemServer,
 		"!!! REBOOTING: %s !!!", reason)
-	for _, p := range o.procs.killAll() {
-		o.router.SetAlive(p.PID, false)
-		o.osm.procDeaths.Inc()
-	}
+	o.osm.procDeaths.Add(uint64(o.procs.killAll()))
 	o.osm.liveProcs.Set(float64(o.procs.live()))
 	o.osm.reboots.Inc()
 	o.FileDropBox(TagSystemRestart, "system_server")

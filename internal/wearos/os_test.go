@@ -22,7 +22,6 @@ func testDevice(t *testing.T) *OS {
 	o := New(DefaultWatchConfig())
 	pkg := &manifest.Package{
 		Name:     "com.test.app",
-		Label:    "Test App",
 		Category: manifest.NotHealthFitness,
 		Origin:   manifest.ThirdParty,
 		Components: []*manifest.Component{
@@ -91,8 +90,9 @@ func TestUnknownComponentNotFound(t *testing.T) {
 
 // TestImplicitIntentNotFound: only explicit intents resolve. An intent
 // that names no component, even MAIN/LAUNCHER to a package whose launcher
-// activity is installed, is blocked as not found and logs the not-found
-// line.
+// activity is installed, is blocked as not found and logs Android's
+// implicit not-found line, which renders the intent in place of a
+// component.
 func TestImplicitIntentNotFound(t *testing.T) {
 	o := testDevice(t)
 	for _, kind := range []manifest.ComponentType{manifest.Activity, manifest.Service} {
@@ -109,11 +109,24 @@ func TestImplicitIntentNotFound(t *testing.T) {
 		}
 		snap := o.Logcat().Snapshot()
 		e := snap[len(snap)-1]
-		if e.Payload.Op != logcat.MsgNotFound {
-			t.Fatalf("implicit %s: last line %q is not the not-found line", kind, e.Msg())
+		want := "Unable to start service Intent { act=android.intent.action.MAIN cat=android.intent.category.LAUNCHER } U=0: not found"
+		if kind == manifest.Activity {
+			want = "android.content.ActivityNotFoundException: No Activity found to handle Intent { act=android.intent.action.MAIN cat=android.intent.category.LAUNCHER }"
 		}
-		if want := eagerDenial("not-found", in, nil, kind); e.Msg() != want {
-			t.Errorf("implicit %s: logged %q, want %q", kind, e.Msg(), want)
+		if e.Tag != logcat.TagActivityManager || e.Msg() != want {
+			t.Errorf("implicit %s: logged %s %q, want %q", kind, e.Tag, e.Msg(), want)
+		}
+		// Like the explicit not-found line, it names no event.
+		var live, dump logcat.Decoder
+		if ev := live.Decode(&e); ev.Kind != logcat.EventNone {
+			t.Errorf("implicit %s: line decodes to %+v", kind, *ev)
+		}
+		pe, ok := logcat.ParseLine(e.Format(), 2017)
+		if !ok {
+			t.Fatalf("implicit %s: dump line %q does not parse", kind, e.Format())
+		}
+		if ev := dump.Decode(&pe); ev.Kind != logcat.EventNone {
+			t.Errorf("implicit %s: dump line decodes to %+v", kind, *ev)
 		}
 	}
 	if o.Process("com.test.app") != nil {
@@ -195,60 +208,6 @@ func TestCaughtExceptionIsHandled(t *testing.T) {
 	}
 	if !strings.Contains(o.Logcat().Dump(), "caught exception") {
 		t.Fatal("handled exception not logged")
-	}
-}
-
-// publishWorkerEndpoint starts the test app's Worker service and publishes
-// an echo binder endpoint owned by its process, as a bound service would.
-func publishWorkerEndpoint(t *testing.T, o *OS) string {
-	t.Helper()
-	worker := cn("com.test.app", "Worker")
-	if got := o.StartService(explicit(worker, "")); got != DeliveredNoEffect {
-		t.Fatalf("start delivery = %v", got)
-	}
-	const endpoint = "svc:com.test.app/.Worker"
-	o.Binder().Publish(endpoint, o.Process("com.test.app").PID,
-		func(code int, data any) (any, *javalang.Throwable) { return data, nil })
-	return endpoint
-}
-
-// TestBindDeathNotification pins the process table's binder liveness on a
-// crash: an endpoint an app's process owns fails with DeadObjectException
-// once that process dies.
-func TestBindDeathNotification(t *testing.T) {
-	o := testDevice(t)
-	endpoint := publishWorkerEndpoint(t, o)
-	main := cn("com.test.app", "MainActivity")
-	o.RegisterHandler(main, func(in *intent.Intent) Outcome {
-		return Outcome{Thrown: javalang.New(javalang.ClassNullPointer, "x")}
-	}, ComponentTraits{})
-	if got := o.StartActivity(explicit(main, "android.intent.action.VIEW")); got != DeliveredCrash {
-		t.Fatalf("crash delivery = %v", got)
-	}
-	if _, thr := o.Binder().Transact(endpoint, 0, nil); thr == nil || thr.Class != javalang.ClassDeadObject {
-		t.Fatalf("transact after crash: %v", thr)
-	}
-}
-
-// TestBindSurvivesANRButNotReboot: an ANR leaves the owning process alive,
-// so its endpoint keeps answering; a reboot kills every process and with it
-// the endpoint.
-func TestBindSurvivesANRButNotReboot(t *testing.T) {
-	o := testDevice(t)
-	endpoint := publishWorkerEndpoint(t, o)
-	worker := cn("com.test.app", "Worker")
-	o.RegisterHandler(worker, func(in *intent.Intent) Outcome {
-		return Outcome{BusyFor: 10 * time.Second}
-	}, ComponentTraits{})
-	if got := o.StartService(explicit(worker, "")); got != DeliveredANR {
-		t.Fatalf("ANR delivery = %v", got)
-	}
-	if reply, thr := o.Binder().Transact(endpoint, 0, "ping"); thr != nil || reply != "ping" {
-		t.Fatalf("transact after ANR = %v, %v", reply, thr)
-	}
-	o.reboot("test")
-	if _, thr := o.Binder().Transact(endpoint, 0, nil); thr == nil || thr.Class != javalang.ClassDeadObject {
-		t.Fatalf("transact after reboot: %v", thr)
 	}
 }
 

@@ -27,14 +27,12 @@ type Process struct {
 type processTable struct {
 	nextPID int
 	byName  map[string]*Process
-	byPID   map[int]*Process
 }
 
 func newProcessTable(firstPID int) *processTable {
 	return &processTable{
 		nextPID: firstPID,
 		byName:  make(map[string]*Process),
-		byPID:   make(map[int]*Process),
 	}
 }
 
@@ -48,7 +46,6 @@ func (t *processTable) allocPID() int {
 func (t *processTable) start(name string) *Process {
 	p := &Process{PID: t.allocPID(), Name: name, Alive: true}
 	t.byName[name] = p
-	t.byPID[p.PID] = p
 	return p
 }
 
@@ -61,8 +58,8 @@ func (t *processTable) get(name string) *Process {
 	return p
 }
 
-// kill marks the process dead; the entry stays in byPID for post-mortem
-// lookups.
+// kill marks the process dead; the entry stays in byName until the
+// process restarts.
 func (t *processTable) kill(name string) *Process {
 	p := t.byName[name]
 	if p == nil {
@@ -72,16 +69,17 @@ func (t *processTable) kill(name string) *Process {
 	return p
 }
 
-// killAll marks every process dead (device reboot) and returns the victims.
-func (t *processTable) killAll() []*Process {
-	var out []*Process
+// killAll marks every process dead (device reboot) and returns how many
+// were alive.
+func (t *processTable) killAll() int {
+	n := 0
 	for _, p := range t.byName {
 		if p.Alive {
 			p.Alive = false
-			out = append(out, p)
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 // live returns the number of live processes.

@@ -60,7 +60,6 @@ func (o *OS) resetStateHash() uint64 {
 
 	mix(uint64(o.procs.nextPID))
 	mix(uint64(len(o.procs.byName)))
-	mix(uint64(len(o.procs.byPID)))
 
 	mix(uint64(o.sensor.PID()))
 	mix(uint64(o.sensor.State()))
@@ -70,7 +69,6 @@ func (o *OS) resetStateHash() uint64 {
 	mix(stale)
 
 	mix(uint64(o.router.Endpoints()))
-	mix(o.router.TxCount())
 
 	mix(o.storageDropped)
 
@@ -163,7 +161,6 @@ func (o *OS) restore(s *Snapshot) {
 	// state and sensor PID so post-restore PID sequences match a fresh boot
 	// exactly.
 	clear(o.procs.byName)
-	clear(o.procs.byPID)
 	o.procs.nextPID = s.nextPID
 	o.sensor.ResetRestart(s.sensorPID)
 

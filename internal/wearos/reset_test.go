@@ -17,11 +17,10 @@ import (
 func dirtyDevice(t *testing.T, o *OS) {
 	t.Helper()
 	driveWorkload(t, o)
-	proc := o.Process("com.test.app")
-	if proc == nil {
+	if o.Process("com.test.app") == nil {
 		t.Fatal("workload left no live app process")
 	}
-	o.Binder().Publish("svc:com.test.app/.Worker", proc.PID,
+	o.Binder().Publish("svc:com.test.app/.Worker",
 		func(code int, data any) (any, *javalang.Throwable) { return data, nil })
 	if _, thr := o.Binder().Transact("svc:com.test.app/.Worker", 0, nil); thr != nil {
 		t.Fatalf("transact failed: %v", thr)

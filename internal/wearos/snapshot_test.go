@@ -17,7 +17,6 @@ import (
 func snapTestPackage() *manifest.Package {
 	return &manifest.Package{
 		Name:     "com.test.app",
-		Label:    "Test App",
 		Category: manifest.NotHealthFitness,
 		Origin:   manifest.ThirdParty,
 		Components: []*manifest.Component{
@@ -217,7 +216,7 @@ func TestSnapshotRefusesNonQuiescent(t *testing.T) {
 	}
 
 	bound := testDevice(t)
-	bound.Binder().Publish("svc:com.test.app/.Worker", 3000,
+	bound.Binder().Publish("svc:com.test.app/.Worker",
 		func(code int, data any) (any, *javalang.Throwable) { return data, nil })
 	if _, err := bound.Snapshot(); err == nil {
 		t.Fatal("snapshot succeeded with a published binder endpoint")
