@@ -15,10 +15,11 @@
 //	farmd export -addr URL -id c1-... -o out.json     # canonical merged export
 //	farmd local  -quick 4 -campaigns AC -o out.json   # same spec, in-process
 //
-// serve drains gracefully on SIGINT/SIGTERM: no new leases, in-flight
-// merges finish, every campaign journal is flushed and closed. The queue is
-// durable when -data is set — a restarted coordinator replays its journals
-// and re-queues exactly the unfinished shards.
+// serve requires -data, the durable queue directory. It drains gracefully
+// on SIGINT/SIGTERM: no new leases or uploads, in-flight merges finish,
+// every campaign journal is flushed and closed. A coordinator restarted on
+// the same -data replays its journals, lists its campaigns in submission
+// order and re-queues exactly the unfinished shards.
 //
 // local runs the identical spec through the in-process farm engine and
 // renders the same canonical export, producing the baseline the service's
@@ -78,9 +79,8 @@ func run(args []string) error {
 func serve(args []string) error {
 	fs := flag.NewFlagSet("farmd serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8787", "listen address for the campaign API and telemetry")
-	dataDir := fs.String("data", "", "durable queue directory (campaign sidecars + journals); empty = in-memory")
+	dataDir := fs.String("data", "", "durable queue directory (campaign sidecars + journals); required")
 	leaseTTL := fs.Duration("lease-ttl", 30*time.Second, "lease lifetime between worker heartbeats")
-	retain := fs.Int("retain", 0, "keep only the last N completed campaigns hosted; older ones archive to <data>/done/ (0 = keep all)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -88,7 +88,6 @@ func serve(args []string) error {
 	coord, err := service.NewCoordinator(service.Options{
 		DataDir:   *dataDir,
 		LeaseTTL:  *leaseTTL,
-		Retain:    *retain,
 		Telemetry: reg,
 	})
 	if err != nil {
@@ -98,11 +97,7 @@ func serve(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "farmd: serving on http://%s (lease TTL %v", srv.Addr, *leaseTTL)
-	if *dataDir != "" {
-		fmt.Fprintf(os.Stderr, ", durable queue in %s", *dataDir)
-	}
-	fmt.Fprintln(os.Stderr, ")")
+	fmt.Fprintf(os.Stderr, "farmd: serving on http://%s (lease TTL %v, durable queue in %s)\n", srv.Addr, *leaseTTL, *dataDir)
 	for _, info := range coord.Campaigns() {
 		fmt.Fprintf(os.Stderr, "farmd: restored campaign %s (%s, %d/%d shards done)\n",
 			info.ID, info.State, info.Done, info.Shards)

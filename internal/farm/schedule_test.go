@@ -96,7 +96,7 @@ func TestScheduleLPT(t *testing.T) {
 	// reclaimed shard; the rest follow in order.
 	var clock atomic.Int64
 	clock.Store(time.Unix(1700000000, 0).UnixNano())
-	coord, err := service.NewCoordinator(service.Options{Clock: func() time.Time { return time.Unix(0, clock.Load()) }})
+	coord, err := service.NewCoordinator(service.Options{DataDir: t.TempDir(), Clock: func() time.Time { return time.Unix(0, clock.Load()) }})
 	if err != nil {
 		t.Fatal(err)
 	}

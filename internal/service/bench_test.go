@@ -29,12 +29,12 @@ func (c *Coordinator) requeueForBench(campID string) {
 }
 
 // BenchmarkQueueLeaseCycle measures the coordinator's queue hot path — one
-// grant + heartbeat + release round trip on an in-memory queue. This is the
+// grant + heartbeat + release round trip on the queue. This is the
 // per-shard protocol overhead a worker pays on top of shard execution;
 // scripts/bench.sh gates it so queue bookkeeping stays microseconds while
 // shard execution stays milliseconds.
 func BenchmarkQueueLeaseCycle(b *testing.B) {
-	c, err := NewCoordinator(Options{})
+	c, err := NewCoordinator(Options{DataDir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}

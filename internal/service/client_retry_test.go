@@ -127,7 +127,7 @@ func TestBackoffBounds(t *testing.T) {
 // wire, the throttle counter, and acceptance of the retried identical
 // upload once the pipeline drains.
 func TestUploadBackpressure(t *testing.T) {
-	coord, err := NewCoordinator(Options{})
+	coord, err := NewCoordinator(Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

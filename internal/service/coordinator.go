@@ -1,16 +1,16 @@
 package service
 
 import (
+	"cmp"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
-
-	"encoding/json"
 
 	"repro/internal/farm"
 	"repro/internal/telemetry"
@@ -42,10 +42,9 @@ var (
 
 // Options configures a Coordinator.
 type Options struct {
-	// DataDir, when set, makes every campaign durable: a spec sidecar and
-	// the fsynced JSONL shard journal live there, and a restarted
-	// coordinator re-queues exactly the unfinished work. Empty runs the
-	// queue in memory only.
+	// DataDir is required: every campaign's spec sidecar and fsynced JSONL
+	// shard journal live there, and a coordinator started on it again
+	// re-queues exactly the unfinished work.
 	DataDir string
 	// LeaseTTL is how long a granted lease lives between heartbeats before
 	// the reaper returns its shard to the queue. Default 30s.
@@ -53,11 +52,6 @@ type Options struct {
 	// Telemetry receives the service-level metrics; nil creates a private
 	// registry (reachable via Coordinator.Telemetry).
 	Telemetry *telemetry.Registry
-	// Retain keeps only the last Retain completed campaigns hosted in
-	// memory; older ones are archived — their spec sidecar and journal
-	// move to DataDir/done/ and they list with state "archived". 0 keeps
-	// everything.
-	Retain int
 	// Clock overrides time.Now for lease-expiry tests.
 	Clock func() time.Time
 }
@@ -74,10 +68,6 @@ const (
 	CampaignMerging  = "merging"
 	CampaignComplete = "complete"
 	CampaignFailed   = "failed"
-	// CampaignArchived marks a completed campaign evicted by the retention
-	// window: its journal and sidecar live in DataDir/done/ and only its
-	// listing survives in memory.
-	CampaignArchived = "archived"
 )
 
 // CampaignInfo is the public view of one hosted campaign.
@@ -162,8 +152,6 @@ type svcMetrics struct {
 	resultsDup    *telemetry.Counter
 	resultsRej    *telemetry.Counter
 	throttled     *telemetry.Counter
-	archived      *telemetry.Counter
-	archiveFailed *telemetry.Counter
 }
 
 func newSvcMetrics(reg *telemetry.Registry) svcMetrics {
@@ -178,8 +166,6 @@ func newSvcMetrics(reg *telemetry.Registry) svcMetrics {
 		resultsDup:    reg.Counter("service_results_duplicate_total"),
 		resultsRej:    reg.Counter("service_results_rejected_total"),
 		throttled:     reg.Counter("service_uploads_throttled_total"),
-		archived:      reg.Counter("service_campaigns_archived_total"),
-		archiveFailed: reg.Counter("service_archive_failures_total"),
 	}
 }
 
@@ -208,18 +194,21 @@ type Coordinator struct {
 	// pendingUploads counts Complete calls currently in the decode +
 	// journal-fsync pipeline; the backpressure bound caps it.
 	pendingUploads int
-	// archived lists evicted campaigns (retention), newest last. Only
-	// their identity survives; the artifacts live in DataDir/done/.
-	archived []CampaignInfo
 
 	reaperStop chan struct{}
-	merges     sync.WaitGroup
+	// uploads tracks the Complete calls past the shutdown check, so
+	// Shutdown closes no journal under an append.
+	uploads sync.WaitGroup
+	merges  sync.WaitGroup
 }
 
-// NewCoordinator builds a coordinator, restoring any durable campaigns
-// found in Options.DataDir (their journals replay exactly like -resume:
-// completed shards are restored, the rest re-queued).
+// NewCoordinator builds a coordinator, restoring the campaigns found in
+// Options.DataDir (their journals replay exactly like -resume: completed
+// shards are restored, the rest re-queued).
 func NewCoordinator(opts Options) (*Coordinator, error) {
+	if opts.DataDir == "" {
+		return nil, errors.New("service: a data dir is required")
+	}
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 30 * time.Second
 	}
@@ -257,13 +246,11 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 		completeG.Set(float64(complete))
 		workersG.Set(float64(live))
 	})
-	if opts.DataDir != "" {
-		if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
-			return nil, fmt.Errorf("service: data dir: %w", err)
-		}
-		if err := c.restore(); err != nil {
-			return nil, err
-		}
+	if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
+		return nil, fmt.Errorf("service: data dir: %w", err)
+	}
+	if err := c.restore(); err != nil {
+		return nil, err
 	}
 	go c.reaper()
 	return c, nil
@@ -306,9 +293,6 @@ func (c *Coordinator) journalFile(id string) string {
 	return filepath.Join(c.opts.DataDir, id+".ckpt")
 }
 
-// doneDir is where archived campaign artifacts move.
-func (c *Coordinator) doneDir() string { return filepath.Join(c.opts.DataDir, "done") }
-
 // specSidecar is the durable submission record next to the journal.
 type specSidecar struct {
 	ID      string       `json:"id"`
@@ -316,148 +300,53 @@ type specSidecar struct {
 	Created time.Time    `json:"created"`
 }
 
-// restore re-hosts every campaign whose sidecar survives in DataDir.
+// restore re-hosts every campaign whose sidecar is in DataDir, in
+// submission order. A sidecar must name the campaign its file is named
+// after, so no campaign is hosted twice or under an empty ID.
 func (c *Coordinator) restore() error {
 	entries, err := os.ReadDir(c.opts.DataDir)
 	if err != nil {
 		return fmt.Errorf("service: scan data dir: %w", err)
 	}
-	var names []string
+	var ids []string
 	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".spec.json") {
-			names = append(names, e.Name())
+		if id, ok := strings.CutSuffix(e.Name(), ".spec.json"); ok {
+			ids = append(ids, id)
 		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(c.opts.DataDir, name))
-		if err != nil {
-			return fmt.Errorf("service: read sidecar %s: %w", name, err)
-		}
-		var side specSidecar
-		if err := json.Unmarshal(data, &side); err != nil {
-			return fmt.Errorf("service: parse sidecar %s: %w", name, err)
-		}
-		plan, err := side.Spec.Plan()
-		if err == nil {
-			_, err = c.host(side.ID, side.Spec, plan, side.Created, true)
-		}
-		if err != nil {
-			return fmt.Errorf("service: restore %s: %w", side.ID, err)
-		}
-		if n := parseSeq(side.ID); n >= c.seq {
-			c.seq = n
-		}
-	}
-	// Archived campaigns keep their listing across restarts: each eviction
-	// left an info snapshot in done/. An unreadable one is refused like a
-	// malformed sidecar, or the campaign would vanish from the listing.
-	doneEntries, err := os.ReadDir(c.doneDir())
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("service: scan archive: %w", err)
-	}
-	for _, e := range doneEntries {
-		if !strings.HasSuffix(e.Name(), ".info.json") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(c.doneDir(), e.Name()))
-		if err != nil {
-			return fmt.Errorf("service: read archive info %s: %w", e.Name(), err)
-		}
-		var info CampaignInfo
-		if err := json.Unmarshal(data, &info); err != nil {
-			return fmt.Errorf("service: parse archive info %s: %w", e.Name(), err)
-		}
-		if info.ID == "" {
-			return fmt.Errorf("service: archive info %s names no campaign", e.Name())
-		}
-		info.State = CampaignArchived
-		c.archived = append(c.archived, info)
-		if n := parseSeq(info.ID); n >= c.seq {
-			c.seq = n
-		}
-	}
-	sort.Slice(c.archived, func(i, j int) bool {
-		return c.archived[i].Created.Before(c.archived[j].Created)
+	slices.SortFunc(ids, func(a, b string) int {
+		return cmp.Or(cmp.Compare(parseSeq(a), parseSeq(b)), strings.Compare(a, b))
 	})
+	for _, id := range ids {
+		if err := c.restoreOne(id); err != nil {
+			return fmt.Errorf("service: restore %s.spec.json: %w", id, err)
+		}
+		if n := parseSeq(id); n >= c.seq {
+			c.seq = n
+		}
+	}
 	return nil
 }
 
-// enforceRetain archives completed campaigns beyond the retention window,
-// oldest first. No-op when Options.Retain is 0 (keep everything). A
-// campaign whose archiving fails stays hosted; the failure is counted and
-// the next retention pass retries it.
-func (c *Coordinator) enforceRetain() {
-	if c.opts.Retain <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var complete []*campaign
-	for _, id := range c.order {
-		camp := c.campaigns[id]
-		if camp.settled() {
-			complete = append(complete, camp)
-		}
-	}
-	for len(complete) > c.opts.Retain {
-		if err := c.archiveLocked(complete[0]); err != nil {
-			c.met.archiveFailed.Inc()
-		}
-		complete = complete[1:]
-	}
-}
-
-// archiveLocked evicts one completed campaign: its artifacts move to
-// DataDir/done/, then its journal is closed and only its listing stays in
-// memory. If the move fails, the campaign stays hosted. Callers hold c.mu.
-func (c *Coordinator) archiveLocked(camp *campaign) error {
-	info := c.infoLocked(camp)
-	info.State = CampaignArchived
-	if c.opts.DataDir != "" {
-		if err := c.moveToDone(camp.id, info); err != nil {
-			return fmt.Errorf("service: archive %s: %w", camp.id, err)
-		}
-	}
-	camp.journal.Close()
-	camp.journal = nil
-	delete(c.campaigns, camp.id)
-	for i, id := range c.order {
-		if id == camp.id {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-	c.archived = append(c.archived, info)
-	c.met.archived.Inc()
-	return nil
-}
-
-// moveToDone writes the campaign's info snapshot to DataDir/done/ and moves
-// its journal and then its sidecar there. The sidecar goes last because a
-// restart re-hosts every campaign whose sidecar is still in DataDir. A
-// failed step undoes the ones before it, so the campaign is either wholly
-// archived or wholly still hosted.
-func (c *Coordinator) moveToDone(id string, info CampaignInfo) error {
-	data, err := json.MarshalIndent(info, "", "  ")
+// restoreOne re-hosts the campaign whose sidecar is id.spec.json.
+func (c *Coordinator) restoreOne(id string) error {
+	data, err := os.ReadFile(c.specFile(id))
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(c.doneDir(), 0o755); err != nil {
+	var side specSidecar
+	if err := json.Unmarshal(data, &side); err != nil {
 		return err
 	}
-	infoPath := filepath.Join(c.doneDir(), id+".info.json")
-	if err := os.WriteFile(infoPath, append(data, '\n'), 0o644); err != nil {
+	if side.ID == "" || side.ID != id {
+		return fmt.Errorf("sidecar names campaign %q, not its file's %q", side.ID, id)
+	}
+	plan, err := side.Spec.Plan()
+	if err != nil {
 		return err
 	}
-	journal := filepath.Join(c.doneDir(), id+".ckpt")
-	if err := os.Rename(c.journalFile(id), journal); err != nil {
-		return errors.Join(err, os.Remove(infoPath))
-	}
-	if err := os.Rename(c.specFile(id), filepath.Join(c.doneDir(), id+".spec.json")); err != nil {
-		return errors.Join(err, os.Rename(journal, c.journalFile(id)), os.Remove(infoPath))
-	}
-	return nil
+	_, err = c.host(id, side.Spec, plan, side.Created, true)
+	return err
 }
 
 // parseSeq extracts the numeric sequence from a campaign ID ("c7-..." -> 7).
@@ -480,9 +369,9 @@ func parseSeq(id string) int {
 	return n
 }
 
-// Submit plans and hosts a new campaign, returning its info. With a data
-// dir, the spec sidecar and journal are created before Submit returns, so
-// an accepted campaign survives any later crash.
+// Submit plans and hosts a new campaign, returning its info. The spec
+// sidecar and journal are created before Submit returns, so an accepted
+// campaign survives any later crash.
 func (c *Coordinator) Submit(spec CampaignSpec) (CampaignInfo, error) {
 	c.mu.Lock()
 	if c.shutdown {
@@ -500,14 +389,12 @@ func (c *Coordinator) Submit(spec CampaignSpec) (CampaignInfo, error) {
 	}
 	id := fmt.Sprintf("c%d-%08x", seq, uint32(plan.Fingerprint()))
 	created := c.now().UTC()
-	if c.opts.DataDir != "" {
-		side, err := json.MarshalIndent(specSidecar{ID: id, Spec: spec, Created: created}, "", "  ")
-		if err != nil {
-			return CampaignInfo{}, err
-		}
-		if err := os.WriteFile(c.specFile(id), append(side, '\n'), 0o644); err != nil {
-			return CampaignInfo{}, fmt.Errorf("service: write sidecar: %w", err)
-		}
+	side, err := json.MarshalIndent(specSidecar{ID: id, Spec: spec, Created: created}, "", "  ")
+	if err != nil {
+		return CampaignInfo{}, err
+	}
+	if err := os.WriteFile(c.specFile(id), append(side, '\n'), 0o644); err != nil {
+		return CampaignInfo{}, fmt.Errorf("service: write sidecar: %w", err)
 	}
 	camp, err := c.host(id, spec, plan, created, false)
 	if err != nil {
@@ -517,8 +404,8 @@ func (c *Coordinator) Submit(spec CampaignSpec) (CampaignInfo, error) {
 	return c.info(camp), nil
 }
 
-// host builds the in-memory campaign for spec's plan and, with a data dir,
-// opens its durable journal (resuming when restore is set).
+// host builds the campaign for spec's plan and opens its durable journal
+// (resuming when restore is set).
 func (c *Coordinator) host(id string, spec CampaignSpec, plan *farm.Plan, created time.Time, restore bool) (*campaign, error) {
 	n := len(plan.Shards())
 	camp := &campaign{
@@ -539,17 +426,15 @@ func (c *Coordinator) host(id string, spec CampaignSpec, plan *farm.Plan, create
 	camp.grantsC = camp.reg.Counter("campaign_leases_granted_total")
 	camp.reg.Gauge("campaign_shards_total").Set(float64(n))
 
-	if c.opts.DataDir != "" {
-		jnl, restored, _, err := plan.OpenJournal(c.journalFile(id), restore)
-		if err != nil {
-			return nil, err
-		}
-		camp.journal = jnl
-		for idx, sr := range restored {
-			if sr != nil {
-				camp.board.Resume(idx, sr)
-				camp.count(sr)
-			}
+	jnl, restored, _, err := plan.OpenJournal(c.journalFile(id), restore)
+	if err != nil {
+		return nil, err
+	}
+	camp.journal = jnl
+	for idx, sr := range restored {
+		if sr != nil {
+			camp.board.Resume(idx, sr)
+			camp.count(sr)
 		}
 	}
 
@@ -612,13 +497,11 @@ func (c *Coordinator) infoLocked(camp *campaign) CampaignInfo {
 	return inf
 }
 
-// Campaigns lists hosted campaigns in submission order, archived evictions
-// first (oldest campaigns lead either way).
+// Campaigns lists hosted campaigns in submission order.
 func (c *Coordinator) Campaigns() []CampaignInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]CampaignInfo, 0, len(c.archived)+len(c.order))
-	out = append(out, c.archived...)
+	out := make([]CampaignInfo, 0, len(c.order))
 	for _, id := range c.order {
 		out = append(out, c.infoLocked(c.campaigns[id]))
 	}
@@ -747,25 +630,32 @@ func (c *Coordinator) Release(leaseID string) error {
 // shard index, shard key). An accepted record is fsynced to the campaign
 // journal, and only then is the shard marked done; a failed append
 // re-queues the shard. Completing the last shard triggers the canonical
-// merge in the background.
+// merge in the background. A draining coordinator answers ErrShuttingDown
+// and records nothing, so a restart re-queues the shard.
 func (c *Coordinator) Complete(leaseID string, fingerprint string, record []byte) error {
 	now := c.now()
-	// Backpressure gate, before any lease-state mutation: if the fsync
-	// pipeline is saturated the upload is refused outright and the lease is
-	// untouched, so the worker can retry the identical request after
-	// Retry-After without any protocol consequence.
+	// Drain and backpressure gates, before any lease-state mutation: the
+	// upload is refused outright and the lease is untouched, so the worker
+	// can retry the identical request after Retry-After without any
+	// protocol consequence.
 	c.mu.Lock()
+	if c.shutdown {
+		c.mu.Unlock()
+		return ErrShuttingDown
+	}
 	if c.pendingUploads >= c.maxPending {
 		c.met.throttled.Inc()
 		c.mu.Unlock()
 		return ErrThrottled
 	}
 	c.pendingUploads++
+	c.uploads.Add(1)
 	c.mu.Unlock()
 	defer func() {
 		c.mu.Lock()
 		c.pendingUploads--
 		c.mu.Unlock()
+		c.uploads.Done()
 	}()
 
 	idx, sr, err := farm.DecodeShardRecord(record)
@@ -805,17 +695,14 @@ func (c *Coordinator) Complete(leaseID string, fingerprint string, record []byte
 		return fmt.Errorf("%w: fingerprint %s / shard %d does not match lease (want %s / %d)",
 			ErrBadRecord, fingerprint, idx, wantFP, l.shard)
 	}
-	jnl := camp.journal
 	c.mu.Unlock()
 
 	// Durability before acknowledgment: the fsynced journal line is what
 	// makes a restart not lose this shard. Until it lands the shard stays
 	// running without a lease, so neither the reaper nor Lease touches it.
-	if jnl != nil {
-		if err := jnl.AppendEncoded(record); err != nil {
-			camp.board.Requeue(idx)
-			return err
-		}
+	if err := camp.journal.AppendEncoded(record); err != nil {
+		camp.board.Requeue(idx)
+		return err
 	}
 	last := camp.board.Done(idx, sr, now.Sub(l.granted), l.worker)
 	camp.count(sr)
@@ -843,7 +730,6 @@ func (c *Coordinator) finalize(camp *campaign) {
 	c.mu.Unlock()
 	camp.stream.Close()
 	close(camp.finished)
-	c.enforceRetain()
 }
 
 // Export returns the canonical merged export of a complete campaign. It
@@ -907,11 +793,12 @@ func (c *Coordinator) reaper() {
 	}
 }
 
-// Shutdown drains the coordinator: new leases and submissions are refused,
-// in-flight merges are awaited, and every campaign journal is flushed and
-// closed. Outstanding leases are left to the journal's durability story —
-// their shards were never recorded done, so a restart re-queues them,
-// which is exactly "released" from the workers' point of view.
+// Shutdown drains the coordinator: new leases, submissions and uploads are
+// refused, in-flight uploads and merges are awaited, and every campaign
+// journal is flushed and closed. Outstanding leases are left to the
+// journal's durability story — their shards were never recorded done, so a
+// restart re-queues them, which is exactly "released" from the workers'
+// point of view.
 func (c *Coordinator) Shutdown() error {
 	c.mu.Lock()
 	if c.shutdown {
@@ -921,6 +808,7 @@ func (c *Coordinator) Shutdown() error {
 	c.shutdown = true
 	c.mu.Unlock()
 	close(c.reaperStop)
+	c.uploads.Wait()
 	c.merges.Wait()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -929,7 +817,6 @@ func (c *Coordinator) Shutdown() error {
 		if err := camp.journal.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		camp.journal = nil
 	}
 	return firstErr
 }

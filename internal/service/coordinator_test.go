@@ -91,7 +91,7 @@ func TestFailedAppendRequeuesShard(t *testing.T) {
 // TestFinalizeDropsShardResults: once a campaign has merged, its board no
 // longer holds the shard results, and Status still serves every row.
 func TestFinalizeDropsShardResults(t *testing.T) {
-	c, err := NewCoordinator(Options{})
+	c, err := NewCoordinator(Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestFinalizeDropsShardResults(t *testing.T) {
 // it, so the lease of an oversized upload stays live and the identical
 // upload succeeds once it fits. Submit and lease bodies share the bound.
 func TestOversizedBodyAnswers413(t *testing.T) {
-	c, err := NewCoordinator(Options{})
+	c, err := NewCoordinator(Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestOversizedBodyAnswers413(t *testing.T) {
 // raw failure records each folded upload stands for, so it ends equal to
 // the merged export's raw crash count rather than the shipped record count.
 func TestCrashCounterCountsFoldedRecords(t *testing.T) {
-	c, err := NewCoordinator(Options{})
+	c, err := NewCoordinator(Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestUndecodableRecordRequeuesShard(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := NewCoordinator(Options{})
+			c, err := NewCoordinator(Options{DataDir: t.TempDir()})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,13 +3,13 @@ package service_test
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/farm"
@@ -117,14 +117,7 @@ func FuzzWorkerEnvelopes(f *testing.F) {
 		f.Add([]byte(seed.lease), []byte(seed.result))
 	}
 
-	// Retain 1 archives merged campaigns, so valid uploads do not pile up.
-	coord, err := service.NewCoordinator(service.Options{Retain: 1})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() { coord.Shutdown() })
-	h := service.Handler(coord)
-	post := func(t *testing.T, path string, body []byte) *httptest.ResponseRecorder {
+	post := func(t *testing.T, h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
 		t.Helper()
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
@@ -133,75 +126,120 @@ func FuzzWorkerEnvelopes(f *testing.F) {
 		}
 		return rec
 	}
-	lease := func(t *testing.T) service.LeaseGrant {
-		t.Helper()
-		grant, err := coord.Lease("fuzz")
-		if errors.Is(err, service.ErrNoWork) {
-			if _, err := coord.Submit(spec); err != nil {
-				t.Fatal(err)
-			}
-			grant, err = coord.Lease("fuzz")
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return grant
-	}
 
 	f.Fuzz(func(t *testing.T, leaseBody, resultBody []byte) {
-		if rec := post(t, "/api/v1/leases", leaseBody); rec.Code == http.StatusOK {
+		// One coordinator per input, in its own data dir, so valid uploads
+		// do not pile up merged campaigns.
+		coord := newCoordinator(t, service.Options{DataDir: t.TempDir()})
+		if _, err := coord.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+		h := service.Handler(coord)
+		if rec := post(t, h, "/api/v1/leases", leaseBody); rec.Code == http.StatusOK {
 			var grant service.LeaseGrant
 			if err := json.Unmarshal(rec.Body.Bytes(), &grant); err != nil {
 				t.Fatalf("lease grant does not decode: %v\n%s", err, rec.Body)
 			}
-			post(t, "/api/v1/leases/"+grant.LeaseID+"/release", nil)
+			post(t, h, "/api/v1/leases/"+grant.LeaseID+"/release", nil)
 		}
-		grant := lease(t)
-		post(t, "/api/v1/leases/"+grant.LeaseID+"/result", resultBody)
+		grant, err := coord.Lease("fuzz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		post(t, h, "/api/v1/leases/"+grant.LeaseID+"/result", resultBody)
 		// A refused upload has already re-queued the shard; release the
 		// lease in case the body never reached the record checks.
-		post(t, "/api/v1/leases/"+grant.LeaseID+"/release", nil)
+		post(t, h, "/api/v1/leases/"+grant.LeaseID+"/release", nil)
 	})
 }
 
-// FuzzArchivedInfo: an archived campaign's info snapshot
-// (done/<id>.info.json) is read back when a coordinator starts on its data
-// dir. Every input either makes the restore fail with an explicit error or
-// restores a listing whose every entry is an archived campaign with an ID.
-// Nothing panics. `go test -fuzz=FuzzArchivedInfo ./internal/service`
+// FuzzSpecSidecar: a coordinator starting on its data dir re-hosts every
+// campaign from its <id>.spec.json sidecar. Next to one genuine campaign,
+// the fuzzer writes one sidecar of its own under <stem>.spec.json. Every
+// input either makes the restore fail with an error naming that file, or
+// restores exactly one campaign per sidecar, each once, under its file's
+// stem. Nothing panics. `go test -fuzz=FuzzSpecSidecar ./internal/service`
 // explores beyond the seeds.
-func FuzzArchivedInfo(f *testing.F) {
-	for _, seed := range []string{
-		`{"id":"c3-0123456789abcdef","spec":{"seed":1,"quick":10},"fingerprint":"0123456789abcdef","state":"complete","shards":4,"done":4,"intentsSent":96,"created":"2026-01-02T03:04:05Z"}`,
-		`{"id":"c18446744073709551616-x","state":"running"}`,
-		`{"id":""}`,
-		`{"state":"archived"}`,
-		`{"id":"c1-a","created":"not a time"}`,
-		`[]`,
-		`null`,
-		`not json`,
-		``,
-	} {
-		f.Add([]byte(seed))
+func FuzzSpecSidecar(f *testing.F) {
+	genuine := f.TempDir()
+	coord, err := service.NewCoordinator(service.Options{DataDir: genuine})
+	if err != nil {
+		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		done := filepath.Join(dir, "done")
-		if err := os.MkdirAll(done, 0o755); err != nil {
-			t.Fatal(err)
+	info, err := coord.Submit(tinySpec())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := coord.Shutdown(); err != nil {
+		f.Fatal(err)
+	}
+	files, err := os.ReadDir(genuine)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sidecar, err := os.ReadFile(filepath.Join(genuine, info.ID+".spec.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	for _, seed := range []struct{ stem, data string }{
+		{"c2-fuzz", `{"id":"c2-fuzz","spec":{"seed":1,"campaigns":"A","packages":["com.strava.wear"],"quick":10}}`},
+		// A sidecar naming no campaign once restored one called "",
+		// journaled in ".ckpt".
+		{"", `{"id":"","spec":{"seed":1,"campaigns":"A","packages":["com.heartwatch.wear"],"quick":10}}`},
+		// A second sidecar naming the genuine campaign once hosted it twice
+		// on one journal.
+		{"c2-dup", string(sidecar)},
+		// The genuine campaign's sidecar, overwritten with another spec,
+		// no longer matches its journal.
+		{info.ID, `{"id":"` + info.ID + `","spec":{"seed":2,"quick":10}}`},
+		{"c3-x", `{"id":"c3-x","spec":{"fleet":"tablet"}}`},
+		{"c3-x", `{"id":"c3-x","created":"not a time"}`},
+		{"c3-x", `null`},
+		{"c3-x", `not json`},
+		{"c3-x", ``},
+	} {
+		f.Add(seed.stem, []byte(seed.data))
+	}
+
+	f.Fuzz(func(t *testing.T, stem string, data []byte) {
+		if strings.ContainsAny(stem, "/\x00") {
+			return
 		}
-		if err := os.WriteFile(filepath.Join(done, "c1-fuzz.info.json"), data, 0o644); err != nil {
-			t.Fatal(err)
+		dir := t.TempDir()
+		for _, e := range files {
+			body, err := os.ReadFile(filepath.Join(genuine, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, e.Name()), body, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		name := stem + ".spec.json"
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			return // not a valid file name
 		}
 		c, err := service.NewCoordinator(service.Options{DataDir: dir})
 		if err != nil {
+			if !strings.Contains(err.Error(), name) {
+				t.Fatalf("sidecar %q = %q: error %q does not name the file", name, data, err)
+			}
 			return
 		}
 		defer c.Shutdown()
-		for _, info := range c.Campaigns() {
-			if info.ID == "" || info.State != service.CampaignArchived {
-				t.Fatalf("archive info %q restored listing entry %+v", data, info)
-			}
+		want := []string{info.ID, stem}
+		if stem == info.ID {
+			want = want[:1]
+		}
+		var got []string
+		for _, ci := range c.Campaigns() {
+			got = append(got, ci.ID)
+		}
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) || slices.Contains(got, "") {
+			t.Fatalf("sidecar %q = %q restored campaigns %q, want %q", name, data, got, want)
 		}
 	})
 }

@@ -27,7 +27,7 @@ import (
 //	POST /api/v1/leases                   request work {worker}       -> 200 LeaseGrant | 204 (no work) | 503 (draining)
 //	POST /api/v1/leases/{id}/heartbeat    extend lease                -> 200 {expires} | 410 (reclaimed)
 //	POST /api/v1/leases/{id}/release      return shard to queue       -> 204 | 410
-//	POST /api/v1/leases/{id}/result       upload shard record         -> 204 | 409 (mismatch) | 410 | 429 (+Retry-After)
+//	POST /api/v1/leases/{id}/result       upload shard record         -> 204 | 409 (mismatch) | 410 | 429 (+Retry-After) | 503 (draining)
 //
 // A POST body larger than maxBodyBytes answers 413 before the coordinator
 // sees it, so an oversized upload leaves its lease untouched.

@@ -322,7 +322,7 @@ func TestLeaseEdgeCases(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := newFakeClock()
 			reg := telemetry.NewRegistry()
-			c := newCoordinator(t, service.Options{Telemetry: reg, Clock: clk.Now})
+			c := newCoordinator(t, service.Options{DataDir: t.TempDir(), Telemetry: reg, Clock: clk.Now})
 			if _, err := c.Submit(tc.spec); err != nil {
 				t.Fatalf("submit: %v", err)
 			}
@@ -597,7 +597,7 @@ func TestOldSpecFieldsStillLoad(t *testing.T) {
 
 // TestSubmitValidation rejects malformed specs with useful errors.
 func TestSubmitValidation(t *testing.T) {
-	coord := newCoordinator(t, service.Options{})
+	coord := newCoordinator(t, service.Options{DataDir: t.TempDir()})
 	ts := httptest.NewServer(service.Handler(coord))
 	defer ts.Close()
 	cases := []struct {
@@ -635,7 +635,7 @@ func TestSubmitValidation(t *testing.T) {
 // with the documented status codes, 204 on an empty queue, and the /farm
 // board with its campaign filter.
 func TestHTTPProtocolSurface(t *testing.T) {
-	coord := newCoordinator(t, service.Options{})
+	coord := newCoordinator(t, service.Options{DataDir: t.TempDir()})
 	ts := httptest.NewServer(service.Handler(coord))
 	defer ts.Close()
 

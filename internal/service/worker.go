@@ -189,6 +189,11 @@ func runWorker(ctx context.Context, opts WorkerOptions, slot *executorSlot) (Wor
 			// produces identical bytes, so dropping this copy is safe.
 			stats.Lost++
 			logger.Printf("lost lease %s before upload: %v", grant.LeaseID, err)
+		case errors.Is(err, ErrShuttingDown):
+			// The coordinator recorded nothing; its restart re-queues the
+			// shard from the journal.
+			logger.Printf("coordinator draining; shard %d not recorded; worker exiting", grant.Shard)
+			return stats, nil
 		default:
 			return stats, fmt.Errorf("service: upload shard %d of %s: %w", grant.Shard, grant.CampaignID, err)
 		}

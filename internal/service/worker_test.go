@@ -15,7 +15,7 @@ import (
 // the last campaign's, and every campaign still exports byte-identically
 // to the in-process farm run of its spec (what farmd local writes).
 func TestWorkerKeepsOneExecutor(t *testing.T) {
-	coord, err := NewCoordinator(Options{})
+	coord, err := NewCoordinator(Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

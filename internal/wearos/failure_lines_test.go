@@ -87,7 +87,7 @@ func TestFailureLinesMatchEagerText(t *testing.T) {
 		}
 		out := Outcome{Thrown: c.thr, Rejected: c.mode == "reject", Caught: c.mode == "catch"}
 		if c.mode == "anr" {
-			out.BusyFor = 2 * o.cfg.ANRThreshold
+			out.BusyFor = 2 * anrThreshold
 		}
 		o.RegisterHandler(comp.Name, func(*intent.Intent) Outcome { return out }, ComponentTraits{})
 		mark := o.Logcat().Len()

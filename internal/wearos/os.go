@@ -16,6 +16,10 @@ import (
 	"repro/internal/vclock"
 )
 
+// anrThreshold is how long the main looper may stay busy before the
+// watchdog declares an ANR. Android uses 5 s for input dispatch.
+const anrThreshold = 5 * time.Second
+
 // Config describes one simulated device.
 type Config struct {
 	// DeviceName appears in boot logs (e.g. "moto360", "nexus6",
@@ -23,9 +27,6 @@ type Config struct {
 	DeviceName string
 	// OSVersion appears in boot logs (e.g. "Android Wear 2.0", "Android 7.1.1").
 	OSVersion string
-	// ANRThreshold is how long the main looper may stay busy before the
-	// watchdog declares an ANR. Android uses 5 s for input dispatch.
-	ANRThreshold time.Duration
 	// Aging parameterizes the system-server aging model.
 	Aging AgingConfig
 	// DisableTelemetry skips creating the device metric registry; every
@@ -38,10 +39,9 @@ type Config struct {
 // used in the paper's QGJ-Master experiments.
 func DefaultWatchConfig() Config {
 	return Config{
-		DeviceName:   "moto360",
-		OSVersion:    "Android Wear 2.0",
-		ANRThreshold: 5 * time.Second,
-		Aging:        DefaultAgingConfig(),
+		DeviceName: "moto360",
+		OSVersion:  "Android Wear 2.0",
+		Aging:      DefaultAgingConfig(),
 	}
 }
 
@@ -49,10 +49,9 @@ func DefaultWatchConfig() Config {
 // for the phone-comparison experiment (Table IV).
 func DefaultPhoneConfig() Config {
 	return Config{
-		DeviceName:   "nexus6",
-		OSVersion:    "Android 7.1.1",
-		ANRThreshold: 5 * time.Second,
-		Aging:        DefaultAgingConfig(),
+		DeviceName: "nexus6",
+		OSVersion:  "Android 7.1.1",
+		Aging:      DefaultAgingConfig(),
 	}
 }
 
@@ -60,10 +59,9 @@ func DefaultPhoneConfig() Config {
 // configuration used in the QGJ-UI experiments.
 func DefaultEmulatorConfig() Config {
 	return Config{
-		DeviceName:   "wear-emulator",
-		OSVersion:    "Android 7.1.1 (API 25)",
-		ANRThreshold: 5 * time.Second,
-		Aging:        DefaultAgingConfig(),
+		DeviceName: "wear-emulator",
+		OSVersion:  "Android 7.1.1 (API 25)",
+		Aging:      DefaultAgingConfig(),
 	}
 }
 
@@ -300,9 +298,6 @@ func boot(cfg Config, buf *logcat.Buffer) *OS {
 // lazily grown ring pre-seeded with the boot baseline.
 func newKernel(cfg Config, clock *vclock.Virtual, buf *logcat.Buffer) *OS {
 	log := logcat.NewLogger(buf, clock.Now)
-	if cfg.ANRThreshold <= 0 {
-		cfg.ANRThreshold = 5 * time.Second
-	}
 	var tel *telemetry.Registry
 	if !cfg.DisableTelemetry {
 		tel = telemetry.NewRegistry()
@@ -723,7 +718,7 @@ func (o *OS) logDenial(text string, p logcat.Payload) {
 func (o *OS) settle(proc *Process, comp *manifest.Component, tr ComponentTraits, builtIn bool, out Outcome) DeliveryResult {
 	// ANR takes precedence: the looper wedged before anything else could be
 	// observed.
-	if out.BusyFor > o.cfg.ANRThreshold {
+	if out.BusyFor > anrThreshold {
 		o.osm.anrs.Inc()
 		o.log.Log(1000, 1000, logcat.Error, logcat.TagActivityManager,
 			"ANR in %s (%s)", proc.Name, comp.Flat())

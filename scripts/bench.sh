@@ -59,7 +59,7 @@ go test -run '^$' -bench 'Farm8Persist' \
 go test -run '^$' -bench 'ShardBootFresh|ShardBootClone|UnitReset|UnitClone' \
     -benchmem -benchtime=1s -count=3 ./internal/wearos | tee -a "$raw"
 
-# The farm-service queue pair: the in-memory lease cycle and the durable
+# The farm-service queue pair: the lease cycle and the durable
 # (fsynced) result upload round trip.
 go test -run '^$' -bench 'QueueLeaseCycle|QueueResultRoundTrip' \
     -benchmem -benchtime=1s -count=3 ./internal/service | tee -a "$raw"

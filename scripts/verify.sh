@@ -46,11 +46,10 @@ go test -race ./internal/farm/...
 # triage reassembles failure records from them and each shard folds them
 # before they leave it, campaign specs arrive as submit bodies and inside
 # lease grants, and workers post lease requests and result uploads, and a
-# restarting coordinator reads archived campaigns' info snapshots back:
-# fuzz the record and journal decoders, the logcat decoder, the
-# collectors, the shard fold, the spec planner, the worker envelopes and
-# the archive restore briefly beyond their seed corpora (one target per
-# run, as -fuzz requires).
+# restarting coordinator reads campaign spec sidecars back: fuzz the record
+# and journal decoders, the logcat decoder, the collectors, the shard fold,
+# the spec planner, the worker envelopes and the sidecar restore briefly
+# beyond their seed corpora (one target per run, as -fuzz requires).
 go test -run '^$' -fuzz '^FuzzDecodeShardRecord$' -fuzztime 5s -parallel 2 ./internal/farm
 go test -run '^$' -fuzz '^FuzzLoadJournal$' -fuzztime 5s -parallel 2 ./internal/farm
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 5s -parallel 2 ./internal/logcat
@@ -58,7 +57,7 @@ go test -run '^$' -fuzz '^FuzzCollector$' -fuzztime 5s -parallel 2 ./internal/tr
 go test -run '^$' -fuzz '^FuzzFold$' -fuzztime 5s -parallel 2 ./internal/triage
 go test -run '^$' -fuzz '^FuzzCampaignSpec$' -fuzztime 5s -parallel 2 ./internal/service
 go test -run '^$' -fuzz '^FuzzWorkerEnvelopes$' -fuzztime 5s -parallel 2 ./internal/service
-go test -run '^$' -fuzz '^FuzzArchivedInfo$' -fuzztime 5s -parallel 2 ./internal/service
+go test -run '^$' -fuzz '^FuzzSpecSidecar$' -fuzztime 5s -parallel 2 ./internal/service
 
 # The study export is rendered by a hand-written writer that must give
 # encoding/json's bytes: fuzz it against json.MarshalIndent and
@@ -284,3 +283,35 @@ kill -TERM "$farmd_pid"
 wait "$farmd_pid"
 farmd_pid=""
 grep -q 'drained' "$svclog"
+
+# Restart on the same data dir: both campaigns come back from their
+# sidecars and journals, re-merge, and list complete in submission order;
+# the re-merged export equals the one served before the restart.
+: > "$svclog"
+"$bindir/farmd" serve -addr 127.0.0.1:0 -data "$svcdata" 2>"$svclog" &
+farmd_pid=$!
+base=""
+for _ in $(seq 1 100); do
+    base="$(sed -n 's#.*serving on http://\([^ ]*\) .*#http://\1#p' "$svclog")"
+    [ -n "$base" ] && break
+    sleep 0.1
+done
+[ -n "$base" ] || { echo "verify: restarted farmd never announced its address" >&2; cat "$svclog" >&2; exit 1; }
+"$bindir/farmd" wait -addr "$base" -id "$id" -quiet
+"$bindir/farmd" wait -addr "$base" -id "$fid" -quiet
+listed="$("$bindir/farmd" list -addr "$base" | awk '{print $1, $2}')"
+[ "$listed" = "$(printf '%s complete\n%s complete' "$id" "$fid")" ] ||
+    { echo "verify: restarted listing: $listed" >&2; exit 1; }
+"$bindir/farmd" status -addr "$base" -id "$id" | grep -q '"state": "complete"'
+"$bindir/farmd" export -addr "$base" -id "$id" -o "$svcdata/restarted.json"
+cmp "$svcdata/distributed.json" "$svcdata/restarted.json"
+kill -TERM "$farmd_pid"
+wait "$farmd_pid"
+farmd_pid=""
+
+# The coordinator has one configuration, the durable one: serve without
+# -data must refuse to start.
+if nodata="$(timeout 10 "$bindir/farmd" serve -addr 127.0.0.1:0 2>&1)"; then
+    echo "verify: farmd serve without -data started" >&2; exit 1
+fi
+echo "$nodata" | grep -q 'data dir'
