@@ -14,7 +14,9 @@ package qgj_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	qgj "repro"
 	"repro/internal/analysis"
@@ -54,13 +56,16 @@ func TestDispatchAllocFree(t *testing.T) {
 	if !ok {
 		t.Fatal("bad URI")
 	}
-	// Warm the path: first deliveries create the process entry, resolve
-	// metric handles, and fill the logcat ring's backing array.
+	// Warm the path: first deliveries create the process entry and resolve
+	// metric handles, then the logcat ring fills. A fresh device's ring
+	// allocates each chunk the first time a line reaches it, so only a full
+	// ring shows the steady state every later dispatch runs in.
 	for i := 0; i < 64; i++ {
 		if res := dev.StartActivity(in); res != wearos.DeliveredNoEffect {
 			t.Fatalf("delivery = %v", res)
 		}
 	}
+	fillRing(dev, func() { dev.StartActivity(in) })
 	allocs := testing.AllocsPerRun(2000, func() {
 		dev.StartActivity(in)
 	})
@@ -68,6 +73,50 @@ func TestDispatchAllocFree(t *testing.T) {
 	// exactly zero.
 	if allocs > 0.1 {
 		t.Fatalf("dispatch allocates %.3f objects/op, want ~0 (hot path regression)", allocs)
+	}
+}
+
+// fillRing runs step until dev's logcat ring is full, so that a measurement
+// after it sees no chunk allocation. Every dispatch gate on a device from
+// wearos.New fills its ring first.
+func fillRing(dev *wearos.OS, step func()) {
+	for dev.Logcat().Dropped() == 0 {
+		step()
+	}
+}
+
+// TestCloneRingAllocBudget pins the logcat ring's footprint: an Entry is at
+// most 144 bytes, and filling a fresh clone's ring to DefaultCapacity
+// allocates no more than its chunks, so no chunk is ever copied as the
+// ring fills.
+func TestCloneRingAllocBudget(t *testing.T) {
+	size := unsafe.Sizeof(logcat.Entry{})
+	if size > 144 {
+		t.Fatalf("sizeof(logcat.Entry) = %d bytes, want at most 144", size)
+	}
+	snap, err := wearos.BootSnapshot(wearos.DefaultWatchConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := snap.Clone().Logcat()
+	e := logcat.Entry{PID: 1000, TID: 1000, Level: logcat.Info, Tag: logcat.TagActivityManager, Message: "line"}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for ring.Len() < logcat.DefaultCapacity {
+		ring.Append(e)
+	}
+	runtime.ReadMemStats(&after)
+	// The ring holds 128-entry chunks behind a table of one pointer each,
+	// which the clone allocated. A chunk of 144-byte entries holds pointers
+	// and is over 512 bytes, so the allocator prefixes it with an 8-byte
+	// header, which lifts it from 18,432 bytes into the 19,072-byte size
+	// class.
+	const chunkLen, chunkAlloc = 128, 19072
+	chunks := uint64(logcat.DefaultCapacity / chunkLen)
+	budget := chunks * chunkAlloc
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("filling a clone's ring allocated %d bytes, budget %d (%d chunks of %d entries of %d bytes)",
+			got, budget, chunks, chunkLen, size)
 	}
 }
 
@@ -103,6 +152,7 @@ func TestDispatchRecorderAllocFree(t *testing.T) {
 			t.Fatalf("delivery = %v", res)
 		}
 	}
+	fillRing(dev, func() { dev.StartActivity(in) })
 	allocs := testing.AllocsPerRun(2000, func() {
 		dev.StartActivity(in)
 	})
@@ -156,6 +206,7 @@ func TestDispatchDenialsAndExtrasAllocFree(t *testing.T) {
 		{"needs-permission", &intent.Intent{Action: "android.intent.action.VIEW", Component: name("Guarded"), SenderUID: core.QGJUID}, func() {}, wearos.BlockedSecurity},
 		{"five-extras", extras, refill, wearos.DeliveredNoEffect},
 	}
+	fillRing(dev, func() { dev.StartActivity(cases[0].in) })
 	for _, c := range cases {
 		for range 64 {
 			c.before()
@@ -197,6 +248,7 @@ func TestDispatchMeteredCollectorAllocFree(t *testing.T) {
 			t.Fatalf("delivery = %v", res)
 		}
 	}
+	fillRing(dev, func() { dev.StartActivity(in) })
 	allocs := testing.AllocsPerRun(2000, func() { dev.StartActivity(in) })
 	if allocs > 0.1 {
 		t.Fatalf("dispatch with a metering collector allocates %.3f objects/op, want 0", allocs)
@@ -343,6 +395,8 @@ func TestFailingDispatchAllocBudget(t *testing.T) {
 		{"crash", name("Crashy"), wearos.DeliveredCrash, 4},
 		{"rejected", name("Picky"), wearos.DeliveredRejected, 0},
 	}
+	picky := &intent.Intent{Action: "android.intent.action.VIEW", Component: name("Picky"), SenderUID: core.QGJUID}
+	fillRing(dev, func() { dev.StartActivity(picky) })
 	for _, c := range cases {
 		in := &intent.Intent{Action: "android.intent.action.VIEW", Component: c.comp, SenderUID: core.QGJUID}
 		for range 64 {

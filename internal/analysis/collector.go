@@ -373,8 +373,8 @@ func (c *Collector) Observe(e *logcat.Entry, ev *logcat.Event) {
 		c.report.ANREvents++
 		c.anrTotal.Inc()
 		c.syncManifest(cr)
-		c.lastANR[ev.Proc] = recentFailure{at: e.Time, comp: ev.Comp}
-		c.pushRecent(e.Time, ev.Comp)
+		c.lastANR[ev.Proc] = recentFailure{at: e.Time(), comp: ev.Comp}
+		c.pushRecent(e.Time(), ev.Comp)
 	case logcat.EventFatal:
 		cn, ok := c.pidComp[ev.PID]
 		if !ok {
@@ -389,19 +389,19 @@ func (c *Collector) Observe(e *logcat.Entry, ev *logcat.Event) {
 		c.report.CrashEvents++
 		c.crashTotal.Inc()
 		c.syncManifest(cr)
-		c.pushRecent(e.Time, cn)
+		c.pushRecent(e.Time(), cn)
 	case logcat.EventSignal:
 		c.report.CoreServiceDeaths = append(c.report.CoreServiceDeaths, ev.Proc+" "+ev.Text)
 	case logcat.EventWatchdog:
 		// The unresponsive sensor client: the first escalation anchor.
-		c.blameProc, c.blameProcAt, c.hasBlame = ev.Proc, e.Time, true
+		c.blameProc, c.blameProcAt, c.hasBlame = ev.Proc, e.Time(), true
 	case logcat.EventAmbient:
 		// The second escalation anchor names the failing component.
-		c.blameComp, c.blameCompAt, c.hasBlame = ev.Comp, e.Time, true
+		c.blameComp, c.blameCompAt, c.hasBlame = ev.Comp, e.Time(), true
 	case logcat.EventReboot:
-		c.report.RebootTimes = append(c.report.RebootTimes, e.Time)
+		c.report.RebootTimes = append(c.report.RebootTimes, e.Time())
 		c.rebootsTotal.Inc()
-		c.attributeReboot(e.Time)
+		c.attributeReboot(e.Time())
 		c.recent, c.recentHead = c.recent[:0], 0
 		// Processes restart after reboot; stale PID mappings must not leak
 		// attributions across the boot.
@@ -413,7 +413,7 @@ func (c *Collector) Observe(e *logcat.Entry, ev *logcat.Event) {
 		// An exception header logged by the app shortly after its ANR is the
 		// trace of whatever wedged the looper (e.g. the DeadObjectException
 		// hinting at garbage collection, Section IV-A).
-		if mark, ok := c.lastANR[e.Tag]; ok && e.Time.Sub(mark.at) <= anrTraceWindow {
+		if mark, ok := c.lastANR[e.Tag]; ok && e.Time().Sub(mark.at) <= anrTraceWindow {
 			if class, _, ok := javalang.ParseHeader(ev.Text); ok {
 				c.component(mark.comp).ANRClasses[class]++
 				c.exceptions++

@@ -13,17 +13,15 @@ import (
 // cover parser edge cases the end-to-end tests rarely hit.
 
 func entry(tag, msg string, at time.Duration) logcat.Entry {
-	return logcat.Entry{
-		Time: time.Unix(0, 0).Add(at), PID: 1000, TID: 1000,
-		Level: logcat.Info, Tag: tag, Message: msg,
-	}
+	e := logcat.Entry{PID: 1000, TID: 1000, Level: logcat.Info, Tag: tag, Message: msg}
+	e.SetTime(time.Unix(0, 0).Add(at))
+	return e
 }
 
-func appEntry(pid int, tag, msg string, at time.Duration) logcat.Entry {
-	return logcat.Entry{
-		Time: time.Unix(0, 0).Add(at), PID: pid, TID: pid,
-		Level: logcat.Warn, Tag: tag, Message: msg,
-	}
+func appEntry(pid int32, tag, msg string, at time.Duration) logcat.Entry {
+	e := logcat.Entry{PID: pid, TID: pid, Level: logcat.Warn, Tag: tag, Message: msg}
+	e.SetTime(time.Unix(0, 0).Add(at))
+	return e
 }
 
 func TestCollectorIgnoresMalformedAMEntries(t *testing.T) {

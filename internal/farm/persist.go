@@ -144,9 +144,9 @@ func (e *Executor) fleet(pkg string) (*apps.Fleet, error) {
 // device returns the executor's hot device reset to the plan's snapshot,
 // or a fresh clone when there is no reusable device. The persist counters
 // record the outcome: a reuse, or a retirement (reset attempted and failed)
-// followed by a fallback clone, which adopts the retired device's grown
-// logcat ring. A cold start counts as a fallback but not a retirement, and
-// clones a new ring.
+// followed by a fallback clone, which adopts the retired device's logcat
+// ring. A cold start counts as a fallback but not a retirement, and clones
+// a new ring.
 func (e *Executor) device(met farmMetrics) (*wearos.OS, string) {
 	snap := e.p.snap
 	var retired *wearos.OS

@@ -71,8 +71,9 @@ func TestUnitExecutorReusesHotDevice(t *testing.T) {
 }
 
 // TestRetiredRingAdoption: when a hot device retires after a reboot, its
-// replacement adopts the grown logcat ring instead of growing a new one,
-// and the shard it runs is byte-identical to a fresh-boot oracle's.
+// replacement adopts the logcat ring, allocated chunks included, instead of
+// allocating a new one, and the shard it runs is byte-identical to a
+// fresh-boot oracle's.
 func TestRetiredRingAdoption(t *testing.T) {
 	const pkg = "com.heartwatch.wear"
 	p, err := NewPlan(Config{
@@ -89,7 +90,7 @@ func TestRetiredRingAdoption(t *testing.T) {
 	}
 	hot := ex.dev
 	ring := hot.Logcat()
-	grown := ring.Cap()
+	allocated := ring.Cap()
 
 	hot.SystemServer().RecordCoreServiceDown("sensorservice", javalang.SIGABRT)
 	if !hot.SystemServer().MaybeReboot() {
@@ -105,13 +106,14 @@ func TestRetiredRingAdoption(t *testing.T) {
 	if ex.dev.Logcat() != ring {
 		t.Fatal("replacement device did not adopt the retired device's ring")
 	}
-	// A fresh clone starts at 256 entries, so a shard that logs more would
-	// have grown its ring.
-	if n := ring.Len(); n <= 256 {
-		t.Fatalf("shard 1 logged only %d lines; it exercises no ring growth", n)
+	// The adopted ring keeps every chunk the retired one allocated: shard 1
+	// holds fewer lines than shard 0 reached, so a ring whose reset dropped
+	// its chunks would show fewer slots than before.
+	if n := ring.Len(); n >= allocated {
+		t.Fatalf("shard 1 holds %d lines, not fewer than the %d slots shard 0 allocated", n, allocated)
 	}
-	if ring.Cap() != grown {
-		t.Fatalf("adopted ring grew from %d to %d entries during the shard", grown, ring.Cap())
+	if ring.Cap() != allocated {
+		t.Fatalf("adopted ring has %d slots allocated after the shard, want the retired ring's %d", ring.Cap(), allocated)
 	}
 
 	UseFreshBoot(t)

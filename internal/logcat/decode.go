@@ -99,10 +99,10 @@ func (d *Decoder) Decode(e *Entry) *Event {
 	case p.Op == MsgEager:
 		d.decodeText(e, e.Message)
 	case p.Op == MsgCaught:
-		d.thrownLazy(EventCaught, e.PID, intent.ComponentName{}, e)
+		d.thrownLazy(EventCaught, int(e.PID), intent.ComponentName{}, e)
 	case am && p.Op == MsgDelivering:
 		ev := d.emit(EventDelivery)
-		ev.PID, ev.Comp, ev.Text = p.N, p.Comp, p.Verb
+		ev.PID, ev.Comp, ev.Text = int(p.N), p.Comp, p.Verb
 	case am && p.Op == MsgRejected:
 		d.thrownLazy(EventRejection, 0, p.Comp, e)
 	case am && (p.Op == MsgDenyProtected || p.Op == MsgDenyNotExported || p.Op == MsgDenyPermission):
@@ -112,7 +112,7 @@ func (d *Decoder) Decode(e *Entry) *Event {
 	case am && p.Op == MsgDied && strings.IndexByte(p.Verb, '(') < 0:
 		// The text path finds the PID after the first "(pid "; a name
 		// without '(' holds none.
-		d.finalize(p.N)
+		d.finalize(int(p.N))
 	case rt && (p.Op == MsgException || p.Op == MsgCausedBy || p.Op == MsgFrame || p.Op == MsgFatalProcess):
 		d.runtimeLazy(e)
 	case !am || p.Op != MsgDispatch && p.Op != MsgNotFound:
@@ -135,14 +135,14 @@ func (d *Decoder) decodeText(e *Entry, msg string) {
 	// Apps log caught exceptions under their process name, but the line
 	// reads the same whichever tag carries it.
 	if header, ok := strings.CutPrefix(msg, "caught exception while handling intent: "); ok {
-		d.thrown(EventCaught, e.PID, intent.ComponentName{}, header)
+		d.thrown(EventCaught, int(e.PID), intent.ComponentName{}, header)
 		return
 	}
 	switch e.Tag {
 	case TagActivityManager:
 		d.activityManager(msg)
 	case TagAndroidRuntime:
-		d.runtime(e.PID, msg)
+		d.runtime(int(e.PID), msg)
 	case TagDEBUG:
 		d.nativeSignal(msg)
 	case TagSystemServer:
@@ -317,7 +317,7 @@ func (d *Decoder) runtimeLazy(e *Entry) {
 		d.decodeText(e, e.Msg())
 		return
 	}
-	blk, ok := d.blocks[e.PID]
+	blk, ok := d.blocks[int(e.PID)]
 	if !ok {
 		return
 	}
@@ -329,7 +329,7 @@ func (d *Decoder) runtimeLazy(e *Entry) {
 	case p.Op != MsgFrame && isHeaderClass(p.Verb):
 		blk.addClass(p.Verb)
 	default:
-		d.runtime(e.PID, e.Msg())
+		d.runtime(int(e.PID), e.Msg())
 	}
 }
 

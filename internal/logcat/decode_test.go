@@ -36,7 +36,7 @@ func decodeAll(d *Decoder, entries ...Entry) []Event {
 	return out
 }
 
-func runtimeLine(pid int, msg string) Entry {
+func runtimeLine(pid int32, msg string) Entry {
 	return Entry{PID: pid, TID: pid, Level: Error, Tag: TagAndroidRuntime, Message: msg}
 }
 
@@ -198,11 +198,9 @@ func plainComponent(s string) (intent.ComponentName, bool) {
 // message. A frame takes flat's halves as class and method, text as its
 // file and pid as its line; the block ops take text as the process name. A
 // dispatch carries the launcher category with bits&64.
-func fuzzEntry(op uint8, tag string, pid int, text, flat string, bits uint8) (Entry, bool) {
-	e := Entry{
-		Time: time.Date(2026, 6, 1, 9, 30, 15, 123_000_000, time.UTC),
-		PID:  pid, TID: pid, Level: Level(1 + bits%6), Tag: tag, Message: text,
-	}
+func fuzzEntry(op uint8, tag string, pid int32, text, flat string, bits uint8) (Entry, bool) {
+	e := Entry{PID: pid, TID: pid, Level: Level(1 + bits%6), Tag: tag, Message: text}
+	e.SetTime(time.Date(2026, 6, 1, 9, 30, 15, 123_000_000, time.UTC))
 	const numOps = uint8(MsgDied) + 1
 	if op%numOps == 0 {
 		return e, true
@@ -270,7 +268,7 @@ func FuzzDecode(f *testing.F) {
 	for _, s := range []struct {
 		op   uint8
 		tag  string
-		pid  int
+		pid  int32
 		text string
 		flat string
 		bits uint8
@@ -328,7 +326,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(s.op, s.tag, s.pid, s.text, s.flat, s.bits, true)
 		f.Add(s.op, s.tag, s.pid, s.text, s.flat, s.bits, false)
 	}
-	f.Fuzz(func(t *testing.T, op uint8, tag string, pid int, text, flat string, bits uint8, primed bool) {
+	f.Fuzz(func(t *testing.T, op uint8, tag string, pid int32, text, flat string, bits uint8, primed bool) {
 		e, ok := fuzzEntry(op, tag, pid, text, flat, bits)
 		if !ok {
 			return

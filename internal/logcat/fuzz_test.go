@@ -8,11 +8,8 @@ import (
 // FuzzParseLine asserts the log parser never panics and that any line it
 // accepts carries consistent fields (the analyzer trusts these).
 func FuzzParseLine(f *testing.F) {
-	sample := Entry{
-		Time: time.Date(0, 6, 1, 9, 30, 15, 123_000_000, time.UTC),
-		PID:  1234, TID: 1240, Level: Error,
-		Tag: TagAndroidRuntime, Message: "FATAL EXCEPTION: main",
-	}
+	sample := Entry{PID: 1234, TID: 1240, Level: Error, Tag: TagAndroidRuntime, Message: "FATAL EXCEPTION: main"}
+	sample.SetTime(time.Date(0, 6, 1, 9, 30, 15, 123_000_000, time.UTC))
 	f.Add(sample.Format())
 	f.Add("06-01 09:30:15.123  1000  1000 I boot: BOOT_COMPLETED")
 	f.Add("06-01 09:30:15.123  1000  1000 W Tag: nested: colons: here")

@@ -26,7 +26,7 @@ import (
 )
 
 // Level is the Android log priority.
-type Level int
+type Level uint8
 
 const (
 	Verbose Level = iota + 1
@@ -146,7 +146,7 @@ type Payload struct {
 	// N is the number operand: the sender UID of MsgDispatch and the
 	// Permission Denial ops, the target process of MsgDelivering, the PID of
 	// MsgFatalProcess and MsgDied, the line of MsgFrame.
-	N         int
+	N         int32
 	Op        MsgOp
 	HasData   bool
 	HasExtras bool
@@ -314,16 +314,27 @@ func appendTargeting(dst []byte, c intent.ComponentName) []byte {
 // Payload.Op == MsgEager) or lazy (Payload holds the operands and Message
 // at most the operand text); Msg and Format render both identically.
 // Every ring slot holds one, so the struct is kept small (TestEntrySize
-// pins it).
+// pins it): the timestamp is stored as Unix seconds and nanoseconds, which
+// hold every time the ring sees exactly (a time.Time is 24 bytes, and an
+// int64 nanosecond count cannot reach ParseLine's year-0 times), and the
+// numbers are as wide as Android's.
 type Entry struct {
-	Time    time.Time
-	PID     int
-	TID     int
+	sec     int64
+	nsec    int32
+	PID     int32
+	TID     int32
+	Level   Level
 	Tag     string
 	Message string
 	Payload Payload
-	Level   Level
 }
+
+// Time returns the entry's timestamp, in UTC.
+func (e *Entry) Time() time.Time { return time.Unix(e.sec, int64(e.nsec)).UTC() }
+
+// SetTime stamps the entry with t. Only the instant is kept: Time returns
+// it in UTC, the zone of every clock that stamps a device's log.
+func (e *Entry) SetTime(t time.Time) { e.sec, e.nsec = t.Unix(), int32(t.Nanosecond()) }
 
 // Msg returns the entry's message text, rendering a lazy payload on demand.
 func (e *Entry) Msg() string {
@@ -338,7 +349,7 @@ const threadtimeLayout = "01-02 15:04:05.000"
 
 // appendPad5 appends n the way fmt's %5d renders it: right-aligned in a
 // five-column space-padded field, wider numbers unpadded.
-func appendPad5(dst []byte, n int) []byte {
+func appendPad5(dst []byte, n int32) []byte {
 	var scratch [20]byte
 	s := strconv.AppendInt(scratch[:0], int64(n), 10)
 	for i := len(s); i < 5; i++ {
@@ -350,7 +361,7 @@ func appendPad5(dst []byte, n int) []byte {
 // AppendFormat renders the entry in threadtime format into dst, exactly as
 // fmt.Sprintf("%s %5d %5d %s %s: %s") used to.
 func (e *Entry) AppendFormat(dst []byte) []byte {
-	dst = e.Time.AppendFormat(dst, threadtimeLayout)
+	dst = e.Time().AppendFormat(dst, threadtimeLayout)
 	dst = append(dst, ' ')
 	dst = appendPad5(dst, e.PID)
 	dst = append(dst, ' ')
@@ -410,16 +421,22 @@ func (f SinkFunc) Consume(e *Entry) { f(*e) }
 // Buffer is a bounded ring of log entries, like the kernel log buffer
 // logcat reads. Oldest entries are dropped when the buffer is full.
 //
+// The ring's slots live in chunks of chunkLen entries, each allocated the
+// first time an append reaches it and never copied: a device that logs a
+// hundred lines pays for one chunk, and a full ring holds its capacity in
+// entries plus the chunk table. Retention and eviction depend only on the
+// capacity, never on how many chunks are allocated.
+//
 // A Buffer is not safe for concurrent use. Each device's buffer is owned by
 // the goroutine that drives the device, which is the only one that appends,
 // subscribes, snapshots or clears it; a telemetry scrape from another
 // goroutine reads only the registry's atomics, never the ring.
 type Buffer struct {
-	entries []Entry
-	// maxCap is the retention capacity of a lazily allocated ring (see
-	// NewGrowableBuffer); zero means the backing is fixed at len(entries).
-	maxCap  int
-	start   int // index of oldest entry
+	// chunks[k] holds ring slots [k*chunkLen, (k+1)*chunkLen), nil until an
+	// append first reaches it.
+	chunks  []*[chunkLen]Entry
+	capN    int // retention capacity
+	start   int // slot of the oldest entry
 	count   int
 	dropped uint64
 	sinks   []Sink
@@ -443,45 +460,31 @@ type Buffer struct {
 // clear the buffer per-app the way the paper pulls logs per experiment.
 const DefaultCapacity = 1 << 16
 
+// Ring chunk geometry: chunkLen entries per chunk, a power of two. A
+// 128-entry chunk is 18 KiB (19,072 bytes with the allocator's header), so
+// the one chunk a fresh clone's boot baseline needs costs less than the
+// rest of the clone; a 1,024-entry chunk doubled a clone's cost.
+const (
+	chunkShift = 7
+	chunkLen   = 1 << chunkShift
+	chunkMask  = chunkLen - 1
+)
+
 // NewBuffer returns a ring buffer holding up to capacity entries
-// (DefaultCapacity when capacity <= 0).
+// (DefaultCapacity when capacity <= 0). It allocates only its chunk table;
+// the entries' chunks follow as appends reach them.
 func NewBuffer(capacity int) *Buffer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Buffer{entries: make([]Entry, capacity)}
-}
-
-// Growable-ring geometry: cloned devices start with a small backing array
-// and grow geometrically up to the retention capacity, so shards that log a
-// few hundred lines never pay for (or zero) the full 2^16-entry ring that a
-// fresh boot allocates eagerly.
-const (
-	growInitialCapacity = 256
-	growFactor          = 4
-)
-
-// NewGrowableBuffer returns a ring buffer that retains up to capacity
-// entries (DefaultCapacity when capacity <= 0) but allocates its backing
-// array lazily, starting at growInitialCapacity. Retention semantics are
-// identical to NewBuffer: eviction of the oldest entry begins only once
-// capacity entries are held.
-func NewGrowableBuffer(capacity int) *Buffer {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	initial := growInitialCapacity
-	if initial > capacity {
-		initial = capacity
-	}
-	return &Buffer{entries: make([]Entry, initial), maxCap: capacity}
+	return &Buffer{chunks: make([]*[chunkLen]Entry, (capacity+chunkMask)>>chunkShift), capN: capacity}
 }
 
 // Restore seeds the buffer with entries (oldest first) without fanning them
 // out to sinks and without telemetry flushes — they were already observed
 // and counted on the device the snapshot was taken from. Callers use it to
-// replay a boot-time baseline into a fresh (typically growable) buffer
-// before any sinks subscribe.
+// replay a boot-time baseline into a fresh buffer before any sinks
+// subscribe.
 func (b *Buffer) Restore(entries []Entry) {
 	for i := range entries {
 		b.push(&entries[i])
@@ -490,13 +493,13 @@ func (b *Buffer) Restore(entries []Entry) {
 }
 
 // ResetRetain returns the ring to the state Restore(baseline) leaves a
-// freshly constructed buffer in, but keeps the (possibly grown) backing
-// array: retention and eviction depend only on maxCap, so a pre-grown ring
-// is observably identical to one that grows lazily. Sinks and telemetry
-// handles are detached — the next campaign unit subscribes its own — and
-// the drop accounting re-arms, including the one-shot first-drop trigger.
-// The persistent-mode device reset uses it so a reused device never re-pays
-// the geometric ring growth that dominates a fresh clone's allocations.
+// freshly constructed buffer in, but keeps the chunks it has allocated:
+// retention and eviction depend only on the capacity, so a ring with
+// allocated chunks is observably identical to a fresh one. Sinks and
+// telemetry handles are detached — the next campaign unit subscribes its
+// own — and the drop accounting re-arms, including the one-shot first-drop
+// trigger. The persistent-mode device reset uses it so a reused device
+// never re-allocates its ring.
 func (b *Buffer) ResetRetain(baseline []Entry) {
 	b.start, b.count = 0, 0
 	b.dropped = 0
@@ -504,36 +507,9 @@ func (b *Buffer) ResetRetain(baseline []Entry) {
 	b.sinks = nil
 	b.appended = nil
 	b.droppedGauge = nil
-	if len(baseline) <= len(b.entries) {
-		// The ring already grew past the boot baseline; bulk-copy instead of
-		// re-pushing entry by entry.
-		copy(b.entries, baseline)
-		b.count = len(baseline)
-	} else {
-		for i := range baseline {
-			b.push(&baseline[i])
-		}
-	}
-	b.total = uint64(len(baseline))
+	b.total = 0
+	b.Restore(baseline)
 	b.flushed = b.total
-}
-
-// grow enlarges a growable ring's backing array by growFactor (capped at
-// maxCap), linearizing retained entries to the front.
-func (b *Buffer) grow() {
-	newCap := len(b.entries) * growFactor
-	if newCap > b.maxCap {
-		newCap = b.maxCap
-	}
-	fresh := make([]Entry, newCap)
-	head := b.start + b.count
-	if head > len(b.entries) {
-		head = len(b.entries)
-	}
-	n := copy(fresh, b.entries[b.start:head])
-	copy(fresh[n:], b.entries[:b.count-n])
-	b.entries = fresh
-	b.start = 0
 }
 
 // Subscribe registers a sink that observes every subsequent Append. Sinks
@@ -596,19 +572,14 @@ func (b *Buffer) OnFirstDrop(fn func(capacity int)) {
 // append path. Dropped() stays exact; scrapes lag by at most the cadence.
 const droppedGaugeEvery = 1024
 
-// slot claims the ring slot of the next entry, growing a growable ring or
-// evicting the oldest entry when the ring is full, and returns it for the
-// caller to overwrite. Loggers build entries in place: an Entry is large, and
-// copying it through Append's argument into the ring is measurable per line.
+// slot claims the ring slot of the next entry, evicting the oldest entry
+// when the ring is full, and returns it for the caller to overwrite. Loggers
+// build entries in place: an Entry is large, and copying it through
+// Append's argument into the ring is measurable per line.
 func (b *Buffer) slot() *Entry {
-	capN := len(b.entries)
-	if b.count == capN && capN < b.maxCap {
-		b.grow()
-		capN = len(b.entries)
-	}
-	if b.count == capN {
-		e := &b.entries[b.start]
-		if b.start++; b.start == capN {
+	if b.count == b.capN {
+		i := b.start
+		if b.start++; b.start == b.capN {
 			b.start = 0
 		}
 		b.dropped++
@@ -617,16 +588,21 @@ func (b *Buffer) slot() *Entry {
 		}
 		if !b.warned && len(b.sinks) == 0 && b.onFirstDrop != nil {
 			b.warned = true
-			b.onFirstDrop(capN)
+			b.onFirstDrop(b.capN)
 		}
-		return e
+		return &b.chunks[i>>chunkShift][i&chunkMask]
 	}
-	idx := b.start + b.count
-	if idx >= capN {
-		idx -= capN
+	i := b.start + b.count
+	if i >= b.capN {
+		i -= b.capN
 	}
 	b.count++
-	return &b.entries[idx]
+	c := b.chunks[i>>chunkShift]
+	if c == nil {
+		c = new([chunkLen]Entry)
+		b.chunks[i>>chunkShift] = c
+	}
+	return &c[i&chunkMask]
 }
 
 // push stores *e in the ring.
@@ -657,9 +633,17 @@ func (b *Buffer) Len() int {
 	return b.count
 }
 
-// Cap returns the length of the ring's backing array: the capacity of a
-// fixed ring, and what a growable ring has grown to so far.
-func (b *Buffer) Cap() int { return len(b.entries) }
+// Cap returns how many ring slots are allocated so far: the entries of the
+// chunks appends have reached.
+func (b *Buffer) Cap() int {
+	n := 0
+	for _, c := range b.chunks {
+		if c != nil {
+			n += chunkLen
+		}
+	}
+	return n
+}
 
 // Dropped returns how many entries were evicted due to capacity. Reading
 // the exact count also re-syncs the sampled logcat_dropped_lines gauge.
@@ -671,18 +655,18 @@ func (b *Buffer) Dropped() uint64 {
 	return b.dropped
 }
 
-// Snapshot returns a copy of the retained entries, oldest first. The ring
-// is copied with at most two copy calls (the wrapped and unwrapped runs),
-// not a per-element modulo walk.
+// Snapshot returns a copy of the retained entries, oldest first, copied one
+// chunk run at a time.
 func (b *Buffer) Snapshot() []Entry {
 	b.flush()
 	out := make([]Entry, b.count)
-	head := b.start + b.count
-	if head > len(b.entries) {
-		head = len(b.entries)
+	for n, i := 0, b.start; n < len(out); {
+		k := copy(out[n:min(len(out), n+b.capN-i)], b.chunks[i>>chunkShift][i&chunkMask:])
+		n += k
+		if i += k; i == b.capN {
+			i = 0
+		}
 	}
-	n := copy(out, b.entries[b.start:head])
-	copy(out[n:], b.entries[:b.count-n])
 	return out
 }
 
@@ -717,20 +701,23 @@ func (l *Logger) Log(pid, tid int, level Level, tag, format string, args ...any)
 		msg = fmt.Sprintf(format, args...)
 	}
 	e := l.buf.slot()
-	*e = Entry{Time: l.now(), PID: pid, TID: tid, Level: level, Tag: tag, Message: msg}
+	*e = Entry{PID: int32(pid), TID: int32(tid), Level: level, Tag: tag, Message: msg}
+	e.SetTime(l.now())
 	l.buf.publish(e)
 }
 
-// LogLazy appends an entry whose message renders on demand from p and its
+// LogLazy appends an entry whose message renders on demand from *p and its
 // operand text (see Payload). The injection hot path uses this to store
-// structure instead of paying fmt.Sprintf per intent.
-func (l *Logger) LogLazy(pid, tid int, level Level, tag, text string, p Payload) {
-	l.lazyAt(l.now(), pid, tid, level, tag, text, &p)
+// structure instead of paying fmt.Sprintf per intent; the payload is copied
+// from *p straight into the ring slot.
+func (l *Logger) LogLazy(pid, tid int, level Level, tag, text string, p *Payload) {
+	l.lazyAt(l.now(), pid, tid, level, tag, text, p)
 }
 
 func (l *Logger) lazyAt(t time.Time, pid, tid int, level Level, tag, text string, p *Payload) {
 	e := l.buf.slot()
-	e.Time, e.PID, e.TID, e.Level, e.Tag, e.Message = t, pid, tid, level, tag, text
+	e.SetTime(t)
+	e.PID, e.TID, e.Level, e.Tag, e.Message = int32(pid), int32(tid), level, tag, text
 	e.Payload = *p
 	l.buf.publish(e)
 }
@@ -750,7 +737,7 @@ func (l *Logger) Trace(pid, tid int, level Level, tag string, thr *javalang.Thro
 func (l *Logger) FatalException(pid int, proc string, thr *javalang.Throwable) {
 	t := l.now()
 	l.lazyAt(t, pid, pid, Error, TagAndroidRuntime, "FATAL EXCEPTION: main", &Payload{})
-	l.lazyAt(t, pid, pid, Error, TagAndroidRuntime, "", &Payload{Op: MsgFatalProcess, Verb: proc, N: pid})
+	l.lazyAt(t, pid, pid, Error, TagAndroidRuntime, "", &Payload{Op: MsgFatalProcess, Verb: proc, N: int32(pid)})
 	l.trace(t, pid, pid, Error, TagAndroidRuntime, thr)
 }
 
@@ -761,7 +748,7 @@ func (l *Logger) trace(t time.Time, pid, tid int, level Level, tag string, thr *
 		l.lazyAt(t, pid, tid, level, tag, text, &p)
 		for i := range cur.Stack {
 			f := &cur.Stack[i]
-			l.lazyAt(t, pid, tid, level, tag, "", &Payload{Op: MsgFrame, Verb: f.Class, Act: f.Method, Data: f.File, N: f.Line})
+			l.lazyAt(t, pid, tid, level, tag, "", &Payload{Op: MsgFrame, Verb: f.Class, Act: f.Method, Data: f.File, N: int32(f.Line)})
 		}
 		op = MsgCausedBy
 	}
@@ -785,7 +772,7 @@ func ParseLine(line string, year int) (Entry, bool) {
 	if len(fields) < 4 {
 		return Entry{}, false
 	}
-	var pid, tid int
+	var pid, tid int32
 	if _, err := fmt.Sscanf(fields[0], "%d", &pid); err != nil {
 		return Entry{}, false
 	}
@@ -820,5 +807,7 @@ func ParseLine(line string, year int) (Entry, bool) {
 		tag = strings.TrimSuffix(tagAndMsg, ":")
 		msg = ""
 	}
-	return Entry{Time: ts, PID: pid, TID: tid, Level: level, Tag: tag, Message: msg}, true
+	e := Entry{PID: pid, TID: tid, Level: level, Tag: tag, Message: msg}
+	e.SetTime(ts)
+	return e, true
 }

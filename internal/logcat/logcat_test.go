@@ -13,7 +13,7 @@ import (
 
 func TestBufferAppendAndSnapshot(t *testing.T) {
 	b := NewBuffer(4)
-	for i := 0; i < 3; i++ {
+	for i := range int32(3) {
 		b.Append(Entry{PID: i})
 	}
 	snap := b.Snapshot()
@@ -21,7 +21,7 @@ func TestBufferAppendAndSnapshot(t *testing.T) {
 		t.Fatalf("Len = %d", len(snap))
 	}
 	for i, e := range snap {
-		if e.PID != i {
+		if e.PID != int32(i) {
 			t.Fatalf("snapshot out of order: %v", snap)
 		}
 	}
@@ -29,7 +29,7 @@ func TestBufferAppendAndSnapshot(t *testing.T) {
 
 func TestBufferEviction(t *testing.T) {
 	b := NewBuffer(3)
-	for i := 0; i < 5; i++ {
+	for i := range int32(5) {
 		b.Append(Entry{PID: i})
 	}
 	if b.Len() != 3 {
@@ -39,7 +39,7 @@ func TestBufferEviction(t *testing.T) {
 		t.Fatalf("Dropped = %d, want 2", b.Dropped())
 	}
 	snap := b.Snapshot()
-	want := []int{2, 3, 4}
+	want := []int32{2, 3, 4}
 	for i, e := range snap {
 		if e.PID != want[i] {
 			t.Fatalf("after eviction snapshot = %v", snap)
@@ -54,7 +54,7 @@ func TestQuickRingInvariant(t *testing.T) {
 		const capN = 7
 		b := NewBuffer(capN)
 		for _, p := range pids {
-			b.Append(Entry{PID: int(p)})
+			b.Append(Entry{PID: int32(p)})
 		}
 		snap := b.Snapshot()
 		n := len(pids)
@@ -66,7 +66,7 @@ func TestQuickRingInvariant(t *testing.T) {
 			return false
 		}
 		for i := range snap {
-			if snap[i].PID != int(pids[n-wantLen+i]) {
+			if snap[i].PID != int32(pids[n-wantLen+i]) {
 				return false
 			}
 		}
@@ -79,9 +79,9 @@ func TestQuickRingInvariant(t *testing.T) {
 
 func TestSinksObserveAppends(t *testing.T) {
 	b := NewBuffer(2) // tiny: sinks must still see everything
-	var seen []int
+	var seen []int32
 	b.Subscribe(SinkFunc(func(e Entry) { seen = append(seen, e.PID) }))
-	for i := 0; i < 5; i++ {
+	for i := range int32(5) {
 		b.Append(Entry{PID: i})
 	}
 	if len(seen) != 5 {
@@ -118,8 +118,8 @@ func TestLoggerStampsVirtualTime(t *testing.T) {
 	if len(snap) != 2 {
 		t.Fatalf("Len = %d", len(snap))
 	}
-	if !snap[1].Time.Equal(snap[0].Time.Add(time.Second)) {
-		t.Fatalf("timestamps not advancing: %v %v", snap[0].Time, snap[1].Time)
+	if !snap[1].Time().Equal(snap[0].Time().Add(time.Second)) {
+		t.Fatalf("timestamps not advancing: %v %v", snap[0].Time(), snap[1].Time())
 	}
 	if !strings.Contains(snap[0].Message, "act=android.intent.action.VIEW") {
 		t.Errorf("formatted message = %q", snap[0].Message)
@@ -142,21 +142,15 @@ func TestBlockSharesTimestamp(t *testing.T) {
 		t.Fatalf("FatalException wrote %d entries, want 5", len(snap))
 	}
 	for _, e := range snap[1:] {
-		if !e.Time.Equal(snap[0].Time) {
+		if e.Time() != snap[0].Time() {
 			t.Fatal("block entries have differing timestamps")
 		}
 	}
 }
 
 func TestFormatParseRoundTrip(t *testing.T) {
-	e := Entry{
-		Time:    time.Date(0, 6, 1, 9, 30, 15, 123_000_000, time.UTC),
-		PID:     1234,
-		TID:     1240,
-		Level:   Error,
-		Tag:     TagAndroidRuntime,
-		Message: "FATAL EXCEPTION: main",
-	}
+	e := Entry{PID: 1234, TID: 1240, Level: Error, Tag: TagAndroidRuntime, Message: "FATAL EXCEPTION: main"}
+	e.SetTime(time.Date(0, 6, 1, 9, 30, 15, 123_000_000, time.UTC))
 	line := e.Format()
 	got, ok := ParseLine(line, 0)
 	if !ok {
@@ -166,8 +160,8 @@ func TestFormatParseRoundTrip(t *testing.T) {
 		got.Tag != e.Tag || got.Message != e.Message {
 		t.Fatalf("round trip: got %+v, want %+v", got, e)
 	}
-	if !got.Time.Equal(e.Time) {
-		t.Fatalf("time round trip: got %v, want %v", got.Time, e.Time)
+	if got.Time() != e.Time() {
+		t.Fatalf("time round trip: got %v, want %v", got.Time(), e.Time())
 	}
 }
 
@@ -185,10 +179,8 @@ func TestParseLineRejections(t *testing.T) {
 }
 
 func TestParseLineMessageWithColons(t *testing.T) {
-	e := Entry{
-		Time: time.Date(0, 1, 2, 3, 4, 5, 0, time.UTC), PID: 1, TID: 2,
-		Level: Info, Tag: "Tag", Message: "a: b: c",
-	}
+	e := Entry{PID: 1, TID: 2, Level: Info, Tag: "Tag", Message: "a: b: c"}
+	e.SetTime(time.Date(0, 1, 2, 3, 4, 5, 0, time.UTC))
 	got, ok := ParseLine(e.Format(), 0)
 	if !ok || got.Message != "a: b: c" || got.Tag != "Tag" {
 		t.Fatalf("got %+v ok=%v", got, ok)
@@ -218,19 +210,37 @@ func TestLevelStrings(t *testing.T) {
 	}
 }
 
+// TestDefaultCapacity: a non-positive capacity retains DefaultCapacity
+// entries, and the ring allocates its chunks only as appends reach them.
 func TestDefaultCapacity(t *testing.T) {
 	b := NewBuffer(0)
-	if got := len(b.entries); got != DefaultCapacity {
-		t.Fatalf("default capacity = %d", got)
+	if b.capN != DefaultCapacity || len(b.chunks) != DefaultCapacity/chunkLen {
+		t.Fatalf("capacity %d in %d chunks, want %d in %d", b.capN, len(b.chunks), DefaultCapacity, DefaultCapacity/chunkLen)
+	}
+	if b.Cap() != 0 {
+		t.Fatalf("a fresh ring allocated %d slots, want 0", b.Cap())
+	}
+	for i := range DefaultCapacity + 1 {
+		b.Append(Entry{PID: int32(i)})
+		if want := min(DefaultCapacity, (i/chunkLen+1)*chunkLen); b.Cap() != want {
+			t.Fatalf("after %d appends the ring allocated %d slots, want %d", i+1, b.Cap(), want)
+		}
+	}
+	if b.Len() != DefaultCapacity || b.Dropped() != 1 {
+		t.Fatalf("Len=%d Dropped=%d, want %d and 1", b.Len(), b.Dropped(), DefaultCapacity)
 	}
 }
 
-// TestEntrySize pins the size of Entry, which every sink receives by value:
-// a lazy payload's text operand shares Message and its UID or PID shares one
-// number field.
+// TestEntrySize pins the size of Entry, which every ring slot holds and
+// every SinkFunc receives by value: a lazy payload's text operand shares
+// Message, its UID or PID shares one 32-bit number field, and the time is
+// Unix seconds and nanoseconds.
 func TestEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(Entry{}); got != 176 {
-		t.Fatalf("sizeof(Entry) = %d bytes, want 176", got)
+	if got := unsafe.Sizeof(Payload{}); got != 88 {
+		t.Fatalf("sizeof(Payload) = %d bytes, want 88", got)
+	}
+	if got := unsafe.Sizeof(Entry{}); got != 144 {
+		t.Fatalf("sizeof(Entry) = %d bytes, want 144", got)
 	}
 }
 
@@ -248,21 +258,21 @@ func TestFirstDropWarnsOnlyWithoutSinks(t *testing.T) {
 	})
 	sink := &countSink{}
 	b.Subscribe(sink)
-	for i := range 5 {
+	for i := range int32(5) {
 		b.Append(Entry{PID: i})
 	}
 	if warned != 0 || b.Dropped() != 3 {
 		t.Fatalf("with a sink: warned %d times, dropped %d; want 0 and 3", warned, b.Dropped())
 	}
 	b.Unsubscribe(sink)
-	for i := 5; i <= 7; i++ {
+	for i := int32(5); i <= 7; i++ {
 		b.Append(Entry{PID: i})
 	}
 	if warned != 1 || b.Dropped() != 6 {
 		t.Fatalf("without a sink: warned %d times, dropped %d; want 1 and 6", warned, b.Dropped())
 	}
 	b.ResetRetain(nil)
-	for i := range 3 {
+	for i := range int32(3) {
 		b.Append(Entry{PID: i})
 	}
 	if warned != 2 || b.Dropped() != 1 {

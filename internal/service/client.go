@@ -177,7 +177,7 @@ func (c *Client) once(method, path string, in, out any) ([]byte, int, time.Durat
 			retryAfter = time.Duration(secs) * time.Second
 		}
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		return nil, resp.StatusCode, retryAfter, err
 	}
@@ -190,6 +190,25 @@ func (c *Client) once(method, path string, in, out any) ([]byte, int, time.Durat
 		}
 	}
 	return data, resp.StatusCode, retryAfter, nil
+}
+
+// maxSizedBody bounds the Content-Length readBody allocates up front: a
+// paper-scale export is about 2 MiB.
+const maxSizedBody = 64 << 20
+
+// readBody reads resp's body into one buffer of exactly its declared length
+// when the length is known and sane; io.ReadAll's append growth would
+// allocate several times a large export's size. Other bodies go through
+// io.ReadAll.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxSizedBody {
+		data := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, data); err != nil {
+			return nil, err
+		}
+		return data, nil
+	}
+	return io.ReadAll(resp.Body)
 }
 
 // Submit posts a campaign spec and returns the hosted campaign's info.

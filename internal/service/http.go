@@ -196,6 +196,9 @@ func (c *Coordinator) handleExport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	// A known length lets the client read the export into one buffer of
+	// its size; without it a multi-MB export would go out chunked.
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.Write(data)
 }
 

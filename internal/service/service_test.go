@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -717,5 +718,61 @@ func TestHTTPProtocolSurface(t *testing.T) {
 	mresp.Body.Close()
 	if mresp.StatusCode != http.StatusOK || !strings.Contains(string(mbody), "campaign_shards_total") {
 		t.Errorf("campaign metrics: code=%d body=%q", mresp.StatusCode, mbody)
+	}
+}
+
+// TestExportCarriesContentLength: a completed campaign's export answers
+// with its exact length declared, the length the client reads it into
+// one buffer of, and the client's bytes are the coordinator's. The export
+// (about 13 KB) outgrows net/http's response buffer, which would otherwise
+// send it chunked, with no length.
+func TestExportCarriesContentLength(t *testing.T) {
+	coord := newCoordinator(t, service.Options{DataDir: t.TempDir()})
+	ts := httptest.NewServer(service.Handler(coord))
+	defer ts.Close()
+	client := service.NewClient(ts.URL, nil)
+	info, err := client.Submit(testSpec())
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	for {
+		grant, err := coord.Lease("w")
+		if errors.Is(err, service.ErrNoWork) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("lease: %v", err)
+		}
+		if err := coord.Complete(grant.LeaseID, grant.Fingerprint, executeShard(t, grant)); err != nil {
+			t.Fatalf("complete: %v", err)
+		}
+	}
+	waitForState(t, func() (service.CampaignInfo, error) { return client.Campaign(info.ID) }, service.CampaignComplete)
+	want, err := coord.Export(info.ID)
+	if err != nil {
+		t.Fatalf("export: %v", err)
+	}
+
+	resp, err := http.Get(ts.URL + "/api/v1/campaigns/" + info.ID + "/export")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(want)) {
+		t.Errorf("export Content-Length = %q, want %d", got, len(want))
+	}
+	if resp.ContentLength != int64(len(want)) || string(body) != string(want) {
+		t.Errorf("export body: %d bytes (declared %d), want the coordinator's %d", len(body), resp.ContentLength, len(want))
+	}
+	got, err := client.Export(info.ID)
+	if err != nil {
+		t.Fatalf("client export: %v", err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("client export differs from the coordinator's (%d vs %d bytes)", len(got), len(want))
 	}
 }

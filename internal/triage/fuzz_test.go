@@ -76,9 +76,9 @@ func parseScript(script string) []scriptStep {
 	var steps []scriptStep
 	now := scriptEpoch
 	log := func(pid int, tag, msg string, p logcat.Payload) {
-		steps = append(steps, scriptStep{entry: &logcat.Entry{
-			Time: now, PID: pid, TID: pid, Level: logcat.Info, Tag: tag, Message: msg, Payload: p,
-		}})
+		e := &logcat.Entry{PID: int32(pid), TID: int32(pid), Level: logcat.Info, Tag: tag, Message: msg, Payload: p}
+		e.SetTime(now)
+		steps = append(steps, scriptStep{entry: e})
 	}
 	for _, line := range strings.Split(script, "\n") {
 		op, rest, _ := strings.Cut(line, " ")
@@ -118,7 +118,7 @@ func parseScript(script string) []scriptStep {
 			cn, ok := plainFlat(f[1])
 			n, err := strconv.Atoi(f[2])
 			if ok && err == nil {
-				log(1000, logcat.TagActivityManager, "", logcat.Payload{Op: logcat.MsgDelivering, Verb: f[0], Comp: cn, N: n})
+				log(1000, logcat.TagActivityManager, "", logcat.Payload{Op: logcat.MsgDelivering, Verb: f[0], Comp: cn, N: int32(n)})
 			}
 		case "LR":
 			flat, msg, _ := strings.Cut(rest, " ")
@@ -152,7 +152,7 @@ func parseScript(script string) []scriptStep {
 			n, err1 := strconv.Atoi(f[1])
 			line, err2 := strconv.Atoi(f[5])
 			if err1 == nil && err2 == nil {
-				log(n, f[0], "", logcat.Payload{Op: logcat.MsgFrame, Verb: f[2], Act: f[3], Data: f[4], N: line})
+				log(n, f[0], "", logcat.Payload{Op: logcat.MsgFrame, Verb: f[2], Act: f[3], Data: f[4], N: int32(line)})
 			}
 		case "LN", "LK":
 			pid, name, _ := strings.Cut(rest, " ")
@@ -161,9 +161,9 @@ func parseScript(script string) []scriptStep {
 				continue
 			}
 			if op == "LN" {
-				log(n, logcat.TagAndroidRuntime, "", logcat.Payload{Op: logcat.MsgFatalProcess, Verb: name, N: n})
+				log(n, logcat.TagAndroidRuntime, "", logcat.Payload{Op: logcat.MsgFatalProcess, Verb: name, N: int32(n)})
 			} else {
-				log(1000, logcat.TagActivityManager, "", logcat.Payload{Op: logcat.MsgDied, Verb: name, N: n})
+				log(1000, logcat.TagActivityManager, "", logcat.Payload{Op: logcat.MsgDied, Verb: name, N: int32(n)})
 			}
 		case "T":
 			if ms, err := strconv.Atoi(rest); err == nil && ms >= 0 && ms <= 3_600_000 {
@@ -230,7 +230,7 @@ func dumped(steps []scriptStep) ([]scriptStep, bool) {
 			continue
 		}
 		e, ok := logcat.ParseLine(s.entry.Format(), 0)
-		if !ok || e.Tag != s.entry.Tag || e.PID != s.entry.PID || e.Message != s.entry.Msg() || !e.Time.Equal(s.entry.Time) {
+		if !ok || e.Tag != s.entry.Tag || e.PID != s.entry.PID || e.Message != s.entry.Msg() || !e.Time().Equal(s.entry.Time()) {
 			return nil, false
 		}
 		out[i].entry = &e

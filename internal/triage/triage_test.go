@@ -114,7 +114,7 @@ func crashEntries(pid int, process string, trace []string) []logcat.Entry {
 	}, trace...)
 	var out []logcat.Entry
 	for _, l := range lines {
-		out = append(out, logcat.Entry{PID: pid, Level: logcat.Error, Tag: logcat.TagAndroidRuntime, Message: l})
+		out = append(out, logcat.Entry{PID: int32(pid), Level: logcat.Error, Tag: logcat.TagAndroidRuntime, Message: l})
 	}
 	out = append(out, logcat.Entry{PID: 1000, Level: logcat.Info, Tag: logcat.TagActivityManager,
 		Message: "Process " + process + " (pid " + itoa(pid) + ") has died"})

@@ -100,7 +100,7 @@ func TestFailureLinesMatchEagerText(t *testing.T) {
 			t.Fatalf("%s: no delivery line in %d entries", name, len(entries))
 		}
 		proc := o.procs.byName[c.pkg]
-		if proc.PID != entries[at].Payload.N {
+		if proc.PID != int(entries[at].Payload.N) {
 			t.Fatalf("%s: delivery line names pid %d, the process is %d", name, entries[at].Payload.N, proc.PID)
 		}
 		want := eagerFailureLines(c.mode, proc, comp, c.thr)

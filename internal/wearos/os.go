@@ -274,28 +274,21 @@ func newOSMetrics(reg *telemetry.Registry) osMetrics {
 
 // New boots a simulated device with the given configuration.
 func New(cfg Config) *OS {
-	return boot(cfg, logcat.NewBuffer(logcat.DefaultCapacity))
-}
-
-// BootSnapshot boots a template device and captures it, the way the farm
-// builds its boot templates. The template logs only its boot lines before
-// the capture, so it boots on a lazily grown ring instead of New's eager
-// one; the snapshot is the one New(cfg).Snapshot() returns.
-func BootSnapshot(cfg Config) (*Snapshot, error) {
-	return boot(cfg, logcat.NewGrowableBuffer(logcat.DefaultCapacity)).Snapshot()
-}
-
-func boot(cfg Config, buf *logcat.Buffer) *OS {
-	o := newKernel(cfg, vclock.NewVirtual(time.Time{}), buf)
+	o := newKernel(cfg, vclock.NewVirtual(time.Time{}), logcat.NewBuffer(logcat.DefaultCapacity))
 	o.logBootSequence()
 	return o
 }
 
+// BootSnapshot boots a template device and captures it, the way the farm
+// builds its boot templates: the snapshot New(cfg).Snapshot() returns.
+func BootSnapshot(cfg Config) (*Snapshot, error) {
+	return New(cfg).Snapshot()
+}
+
 // newKernel wires up every OS subsystem around the provided clock and log
-// buffer without logging the boot sequence. New and BootSnapshot compose it
-// with a fresh clock (and an eagerly allocated or a lazily grown ring);
-// Snapshot.Clone composes it with the template's frozen clock time and a
-// lazily grown ring pre-seeded with the boot baseline.
+// buffer without logging the boot sequence. New composes it with a fresh
+// clock and an empty ring; Snapshot.Clone composes it with the template's
+// frozen clock time and a ring pre-seeded with the boot baseline.
 func newKernel(cfg Config, clock *vclock.Virtual, buf *logcat.Buffer) *OS {
 	log := logcat.NewLogger(buf, clock.Now)
 	var tel *telemetry.Registry
@@ -600,7 +593,7 @@ func (o *OS) logDispatch(verb string, in *intent.Intent) {
 	launcher := len(in.Categories) == 1 && in.Categories[0] == intent.CategoryLauncher
 	if (len(in.Categories) == 0 || launcher) && in.Type == "" && in.Flags == 0 {
 		data, opaque := intent.SplitURIText(&in.Data)
-		o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, opaque, logcat.Payload{
+		o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, opaque, &logcat.Payload{
 			Op:        logcat.MsgDispatch,
 			Verb:      verb,
 			Act:       in.Action,
@@ -609,7 +602,7 @@ func (o *OS) logDispatch(verb string, in *intent.Intent) {
 			Comp:      in.Component,
 			HasExtras: in.Extras.Len() > 0,
 			Launcher:  launcher,
-			N:         in.SenderUID,
+			N:         int32(in.SenderUID),
 		})
 		return
 	}
@@ -629,11 +622,11 @@ func (o *OS) deliver(in *intent.Intent, kind manifest.ComponentType, verb string
 
 	// 4. Process bring-up and delivery bookkeeping.
 	proc := o.ensureProcess(comp.Name.Package)
-	o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, "", logcat.Payload{
+	o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, "", &logcat.Payload{
 		Op:   logcat.MsgDelivering,
 		Verb: comp.Type.String(),
 		Comp: comp.Name,
-		N:    proc.PID,
+		N:    int32(proc.PID),
 	})
 
 	// 5. Handler execution.
@@ -664,7 +657,7 @@ func (o *OS) gate(in *intent.Intent, kind manifest.ComponentType) (*manifest.Com
 	// app) sending e.g. ACTION_BATTERY_LOW gets a SecurityException and the
 	// intent is ignored — "the specified and secure behavior" (Section IV-A).
 	if o.protected(in.Action) && in.SenderUID != UIDSystem {
-		o.logDenial("", logcat.Payload{Op: logcat.MsgDenyProtected, Act: in.Action, Comp: in.Component, N: in.SenderUID})
+		o.logDenial("", &logcat.Payload{Op: logcat.MsgDenyProtected, Act: in.Action, Comp: in.Component, N: int32(in.SenderUID)})
 		o.rec.RecordNow(telemetry.EventDenial, in.Component.Class, in.Action, "protected-action")
 		return nil, BlockedSecurity
 	}
@@ -673,9 +666,9 @@ func (o *OS) gate(in *intent.Intent, kind manifest.ComponentType) (*manifest.Com
 	comp := o.reg.Resolve(in, kind)
 	if comp == nil {
 		if in.Component.IsZero() {
-			o.logDenial(implicitNotFound(in, kind), logcat.Payload{})
+			o.logDenial(implicitNotFound(in, kind), &logcat.Payload{})
 		} else {
-			o.logDenial("", logcat.Payload{Op: logcat.MsgNotFound, Verb: kind.String(), Comp: in.Component})
+			o.logDenial("", &logcat.Payload{Op: logcat.MsgNotFound, Verb: kind.String(), Comp: in.Component})
 		}
 		o.rec.RecordNow(telemetry.EventDenial, in.Component.Class, in.Action, "not-found")
 		return nil, BlockedNotFound
@@ -683,12 +676,12 @@ func (o *OS) gate(in *intent.Intent, kind manifest.ComponentType) (*manifest.Com
 
 	// 3. Export / permission checks on the target component.
 	if !comp.Exported && in.SenderUID != UIDSystem {
-		o.logDenial("", logcat.Payload{Op: logcat.MsgDenyNotExported, Comp: comp.Name, N: in.SenderUID})
+		o.logDenial("", &logcat.Payload{Op: logcat.MsgDenyNotExported, Comp: comp.Name, N: int32(in.SenderUID)})
 		o.rec.RecordNow(telemetry.EventDenial, in.Component.Class, in.Action, "not-exported")
 		return nil, BlockedSecurity
 	}
 	if comp.Permission != "" && in.SenderUID != UIDSystem {
-		o.logDenial(comp.Permission, logcat.Payload{Op: logcat.MsgDenyPermission, Comp: comp.Name})
+		o.logDenial(comp.Permission, &logcat.Payload{Op: logcat.MsgDenyPermission, Comp: comp.Name})
 		o.rec.RecordNow(telemetry.EventDenial, in.Component.Class, in.Action, "needs-permission")
 		return nil, BlockedSecurity
 	}
@@ -709,7 +702,7 @@ func implicitNotFound(in *intent.Intent, kind manifest.ComponentType) string {
 }
 
 // logDenial logs a gate denial as ActivityManager's warning.
-func (o *OS) logDenial(text string, p logcat.Payload) {
+func (o *OS) logDenial(text string, p *logcat.Payload) {
 	o.log.LogLazy(1000, 1000, logcat.Warn, logcat.TagActivityManager, text, p)
 }
 
@@ -742,7 +735,7 @@ func (o *OS) settle(proc *Process, comp *manifest.Component, tr ComponentTraits,
 	case out.Caught:
 		// Handled gracefully: the app logs it and moves on.
 		text, p := logcat.ThrownPayload(logcat.MsgCaught, out.Thrown)
-		o.log.LogLazy(proc.PID, proc.PID, logcat.Warn, proc.Name, text, p)
+		o.log.LogLazy(proc.PID, proc.PID, logcat.Warn, proc.Name, text, &p)
 		o.sysSrv.RecordStartSuccess(comp.Name)
 		return DeliveredHandledException
 	case out.Rejected:
@@ -751,7 +744,7 @@ func (o *OS) settle(proc *Process, comp *manifest.Component, tr ComponentTraits,
 		// the analyzer can count it (Fig. 2), but nothing crashes.
 		text, p := logcat.ThrownPayload(logcat.MsgRejected, out.Thrown)
 		p.Comp = comp.Name
-		o.log.LogLazy(1000, 1000, logcat.Warn, logcat.TagActivityManager, text, p)
+		o.log.LogLazy(1000, 1000, logcat.Warn, logcat.TagActivityManager, text, &p)
 		o.sysSrv.RecordStartSuccess(comp.Name)
 		return DeliveredRejected
 	default:
@@ -767,7 +760,7 @@ func (o *OS) settle(proc *Process, comp *manifest.Component, tr ComponentTraits,
 func (o *OS) crashProcess(proc *Process, comp *manifest.Component, thr *javalang.Throwable) {
 	o.log.FatalException(proc.PID, proc.Name, thr)
 	o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, "",
-		logcat.Payload{Op: logcat.MsgDied, Verb: proc.Name, N: proc.PID})
+		&logcat.Payload{Op: logcat.MsgDied, Verb: proc.Name, N: int32(proc.PID)})
 	o.procs.kill(proc.Name)
 	o.osm.procDeaths.Inc()
 	o.osm.liveProcs.Set(float64(o.procs.live()))

@@ -105,7 +105,7 @@ func (o *OS) resetStateHash() uint64 {
 // retirement.
 //
 // The reset restores every mutable subsystem Clone would build: clock,
-// logcat ring (backing array retained), telemetry registry, binder router,
+// logcat ring (allocated chunks retained), telemetry registry, binder router,
 // process table, sensor service, package/permission registries, handler
 // tables, and the system server's aging state. The final state
 // hash comparison against the value captured at Snapshot time is the

@@ -119,21 +119,21 @@ func (o *OS) Snapshot() (*Snapshot, error) {
 
 // Clone stamps out a fresh device from the snapshot without re-running
 // boot. The clone shares the snapshot's package structures and gets its own
-// copies of every mutable piece: clock, logcat ring (lazily grown, seeded
-// with the boot baseline), process table, aging state, and
-// telemetry registry. Clones are fully independent of the snapshot and of
-// each other. Safe to call concurrently.
+// copies of every mutable piece: clock, logcat ring (seeded with the boot
+// baseline, its chunks allocated as lines reach them), process table, aging
+// state, and telemetry registry. Clones are fully independent of the
+// snapshot and of each other. Safe to call concurrently.
 func (s *Snapshot) Clone() *OS {
-	buf := logcat.NewGrowableBuffer(logcat.DefaultCapacity)
+	buf := logcat.NewBuffer(logcat.DefaultCapacity)
 	buf.Restore(s.baseline)
 	return s.clone(buf)
 }
 
 // CloneReplacing is Clone for a device that replaces retired, a device of
 // the snapshot's Config that the caller discards: the clone adopts
-// retired's logcat ring, backing array included, instead of growing a new
-// one. Retention depends only on the ring's capacity, so a pre-grown ring
-// is observably identical to a lazily grown one (logcat.Buffer.ResetRetain).
+// retired's logcat ring, allocated chunks included, instead of allocating a
+// new one. Retention depends only on the ring's capacity, so an adopted
+// ring is observably identical to a fresh one (logcat.Buffer.ResetRetain).
 // retired must not be used afterwards. A nil retired, or one built from
 // another Config, clones exactly as Clone does.
 func (s *Snapshot) CloneReplacing(retired *OS) *OS {

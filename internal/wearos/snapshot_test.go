@@ -96,9 +96,8 @@ func TestCloneMatchesFreshBoot(t *testing.T) {
 	}
 }
 
-// TestBootSnapshotMatchesNewSnapshot: a template booted on the growable
-// ring captures the snapshot New(cfg).Snapshot() does, and clones of the two
-// run identically.
+// TestBootSnapshotMatchesNewSnapshot: BootSnapshot captures the snapshot
+// New(cfg).Snapshot() does, and clones of the two run identically.
 func TestBootSnapshotMatchesNewSnapshot(t *testing.T) {
 	eager, err := New(DefaultWatchConfig()).Snapshot()
 	if err != nil {

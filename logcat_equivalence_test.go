@@ -197,7 +197,7 @@ func triageDigest(entries []logcat.Entry) []string {
 func checkLiveMatchesDump(t *testing.T, dev *wearos.OS) (*analysis.Report, []string) {
 	t.Helper()
 	snap := dev.Logcat().Snapshot()
-	parsed := parsedDump(t, dev, snap[0].Time.Year())
+	parsed := parsedDump(t, dev, snap[0].Time().Year())
 	live, fromDump := analysis.AnalyzeEntries(snap), analysis.AnalyzeEntries(parsed)
 	if got, want := reportDigest(fromDump), reportDigest(live); got != want {
 		t.Fatalf("analysis of the parsed dump diverges:\n dump:\n%s\n live:\n%s", got, want)

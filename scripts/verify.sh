@@ -46,13 +46,16 @@ go test -race ./internal/farm/...
 # triage reassembles failure records from them and each shard folds them
 # before they leave it, campaign specs arrive as submit bodies and inside
 # lease grants, and workers post lease requests and result uploads, and a
-# restarting coordinator reads campaign spec sidecars back: fuzz the record
-# and journal decoders, the logcat decoder, the collectors, the shard fold,
-# the spec planner, the worker envelopes and the sidecar restore briefly
-# beyond their seed corpora (one target per run, as -fuzz requires).
+# restarting coordinator reads campaign spec sidecars back, and every line
+# lands in a chunked logcat ring: fuzz the record and journal decoders, the
+# logcat decoder, the ring against its plain-slice model, the collectors,
+# the shard fold, the spec planner, the worker envelopes and the sidecar
+# restore briefly beyond their seed corpora (one target per run, as -fuzz
+# requires).
 go test -run '^$' -fuzz '^FuzzDecodeShardRecord$' -fuzztime 5s -parallel 2 ./internal/farm
 go test -run '^$' -fuzz '^FuzzLoadJournal$' -fuzztime 5s -parallel 2 ./internal/farm
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 5s -parallel 2 ./internal/logcat
+go test -run '^$' -fuzz '^FuzzBuffer$' -fuzztime 5s -parallel 2 ./internal/logcat
 go test -run '^$' -fuzz '^FuzzCollector$' -fuzztime 5s -parallel 2 ./internal/triage
 go test -run '^$' -fuzz '^FuzzFold$' -fuzztime 5s -parallel 2 ./internal/triage
 go test -run '^$' -fuzz '^FuzzCampaignSpec$' -fuzztime 5s -parallel 2 ./internal/service
