@@ -413,10 +413,10 @@ func TestFailingDispatchAllocBudget(t *testing.T) {
 
 // TestUIStudyAllocBudget bounds the whole QGJ-UI study, both mutation
 // modes, in allocations per replayed event: Monkey writes its log straight
-// into one builder, the log parses back without a line slice, the fuzzer
-// reuses its command buffer and mutation scratch, plain command lines
-// tokenize into substrings, and the second mode's emulator adopts the
-// first one's logcat ring.
+// into one builder, the log is walked back twice without an event slice
+// (each event's arguments reuse one slice), the fuzzer reuses its command
+// buffer and mutation scratch, plain command lines tokenize into
+// substrings, and each mode's emulator keeps a one-chunk logcat ring.
 func TestUIStudyAllocBudget(t *testing.T) {
 	const events = 5000
 	allocs := testing.AllocsPerRun(1, func() {
@@ -425,8 +425,8 @@ func TestUIStudyAllocBudget(t *testing.T) {
 		}
 	})
 	perEvent := allocs / (2 * events)
-	if perEvent > 10 {
-		t.Fatalf("UI study allocates %.1f objects/event (%.0f for 2 x %d events), budget is 10",
+	if perEvent > 7 {
+		t.Fatalf("UI study allocates %.1f objects/event (%.0f for 2 x %d events), budget is 7",
 			perEvent, allocs, events)
 	}
 	t.Logf("UI study: %.2f allocations/event", perEvent)

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"sync"
+
 	"repro/internal/apps"
+	"repro/internal/logcat"
 	"repro/internal/uifuzz"
 	"repro/internal/wearos"
 )
@@ -23,28 +26,44 @@ type UIResult struct {
 // (Section III-E), each on a freshly booted Android Watch emulator carrying
 // the built-in apps plus the top-20 third-party apps: a fresh one per mode
 // keeps runs independent and repeatable, the paper's stated reason for
-// using the emulator at all. The emulator boots once; the second mode's
+// using the emulator at all. The emulator boots once; the random mode's
 // device is a clone of that boot, which is a fresh boot state for state
-// (wearos' TestCloneMatchesFreshBoot), and it adopts the first device's
-// logcat ring instead of allocating another.
+// (wearos' TestCloneMatchesFreshBoot). Nothing couples the two runs, so
+// they run side by side, one goroutine per device.
+//
+// Each device keeps a one-chunk logcat ring: its collector reads every
+// line as it is appended, and nobody dumps its log.
 func RunUIStudy(opts UIOptions) (*UIResult, error) {
-	dev := wearos.New(wearos.DefaultEmulatorConfig())
+	cfg := wearos.DefaultEmulatorConfig()
+	cfg.LogCapacity = logcat.ChunkCapacity
+	dev := wearos.New(cfg)
 	boot, err := dev.Snapshot()
 	if err != nil {
 		return nil, err
 	}
 	res := &UIResult{}
-	for i, m := range []struct {
+	modes := []struct {
 		mode uifuzz.Mode
+		dev  *wearos.OS
 		out  *uifuzz.Outcome
-	}{{uifuzz.SemiValid, &res.SemiValid}, {uifuzz.Random, &res.Random}} {
-		if i > 0 {
-			dev = boot.CloneReplacing(dev)
-		}
-		if err := apps.BuildEmulatorFleet(opts.Seed).InstallInto(dev); err != nil {
+	}{{uifuzz.SemiValid, dev, &res.SemiValid}, {uifuzz.Random, boot.Clone(), &res.Random}}
+	errs := make([]error, len(modes))
+	var wg sync.WaitGroup
+	for i, m := range modes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if errs[i] = apps.BuildEmulatorFleet(opts.Seed).InstallInto(m.dev); errs[i] != nil {
+				return
+			}
+			*m.out = uifuzz.New(m.dev).Run(m.mode, uifuzz.Config{Seed: opts.Seed, Events: opts.Events})
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
-		*m.out = uifuzz.New(dev).Run(m.mode, uifuzz.Config{Seed: opts.Seed, Events: opts.Events})
 	}
 	return res, nil
 }

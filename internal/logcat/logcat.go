@@ -470,6 +470,11 @@ const (
 	chunkMask  = chunkLen - 1
 )
 
+// ChunkCapacity is the capacity of a ring of one chunk: the smallest ring
+// that allocates a whole chunk, for a device whose collectors read every
+// line as it is appended and whose log nobody dumps.
+const ChunkCapacity = chunkLen
+
 // NewBuffer returns a ring buffer holding up to capacity entries
 // (DefaultCapacity when capacity <= 0). It allocates only its chunk table;
 // the entries' chunks follow as appends reach them.

@@ -9,6 +9,7 @@ package monkey
 import (
 	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/rng"
 	"repro/internal/telemetry"
@@ -214,36 +215,66 @@ func writeCoord(sb *strings.Builder, v float64) {
 	sb.Write(strconv.AppendFloat(buf[:0], v, 'f', 2, 64))
 }
 
-// ParseLog reads a Monkey verbose log back into events. Unparseable lines
-// are skipped, like QGJ-UI's tolerant log scraper. Event arguments are
-// substrings of log.
-func ParseLog(log string) []Event {
-	out := make([]Event, 0, strings.Count(log, ":Sending "))
-	var last *Event
-	for rest := log; rest != ""; {
-		var line string
-		line, rest, _ = strings.Cut(rest, "\n")
-		trimmed := strings.TrimSpace(line)
-		switch {
-		case strings.HasPrefix(trimmed, ":Sending "):
-			name, args, ok := strings.Cut(strings.TrimPrefix(trimmed, ":Sending "), ": ")
-			if !ok {
-				continue
+// Events walks a Monkey verbose log, yielding its events in log order
+// until yield returns false. Unparseable lines are skipped, like QGJ-UI's
+// tolerant log scraper, and an intent line belongs to the last event
+// before it. Every event's Args and Intent reuse one slice each, and their
+// strings are substrings of log: an event is valid until the next yield,
+// so a caller that keeps one copies its slices.
+func Events(log string) func(yield func(Event) bool) {
+	return func(yield func(Event) bool) {
+		var ev Event // the event being read; Type 0 until the first one
+		var args, intent []string
+		for rest := log; rest != ""; {
+			var line string
+			line, rest, _ = strings.Cut(rest, "\n")
+			trimmed := strings.TrimSpace(line)
+			switch {
+			case strings.HasPrefix(trimmed, ":Sending "):
+				name, a, ok := strings.Cut(strings.TrimPrefix(trimmed, ":Sending "), ": ")
+				if !ok {
+					continue
+				}
+				t, ok := eventTypeByName(name)
+				if !ok {
+					continue
+				}
+				if ev.Type != 0 && !yield(ev) {
+					return
+				}
+				args = appendFields(args[:0], a)
+				ev = Event{Type: t, Args: args}
+			case strings.HasPrefix(trimmed, "// Sending intent: am "):
+				if ev.Type == 0 {
+					continue
+				}
+				intent = appendFields(intent[:0], strings.TrimPrefix(trimmed, "// Sending intent: am "))
+				ev.Intent = intent
 			}
-			t, ok := eventTypeByName(name)
-			if !ok {
-				continue
-			}
-			out = append(out, Event{Type: t, Args: strings.Fields(args)})
-			last = &out[len(out)-1]
-		case strings.HasPrefix(trimmed, "// Sending intent: am "):
-			if last == nil {
-				continue
-			}
-			last.Intent = strings.Fields(strings.TrimPrefix(trimmed, "// Sending intent: am "))
+		}
+		if ev.Type != 0 {
+			yield(ev)
 		}
 	}
-	return out
+}
+
+// appendFields appends s's fields, as strings.Fields splits them, to dst.
+func appendFields(dst []string, s string) []string {
+	start := -1
+	for i, r := range s {
+		if unicode.IsSpace(r) {
+			if start >= 0 {
+				dst = append(dst, s[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
 }
 
 func eventTypeByName(name string) (EventType, bool) {

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -192,6 +194,66 @@ func TestOversizedBodyAnswers413(t *testing.T) {
 	}
 	c.maxBody = int64(len(upload))
 	post(path, upload, http.StatusNoContent)
+}
+
+// TestDecodeBodyAllocs: a result upload whose Content-Length is declared
+// is read into one buffer of that size and decoded from it, so a 1 MiB
+// upload allocates at most 2.5x its size (the buffer and the record's
+// copy); a body of unknown length still decodes, and a body over the
+// bound still answers 413 whether or not its length is declared.
+func TestDecodeBodyAllocs(t *testing.T) {
+	record := append(append([]byte(`{"pad":"`), bytes.Repeat([]byte("x"), 1<<20)...), `"}`...)
+	upload, err := json.Marshal(resultUpload{Fingerprint: "fp", Record: record})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Coordinator{maxBody: maxBodyBytes}
+	decode := func(declared bool) (resultUpload, *httptest.ResponseRecorder) {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/leases/l/result", bytes.NewReader(upload))
+		if !declared {
+			req.ContentLength = -1
+		}
+		var up resultUpload
+		rec := httptest.NewRecorder()
+		c.decodeBody(rec, req, "result upload", &up)
+		return up, rec
+	}
+
+	for _, declared := range []bool{true, false} {
+		up, rec := decode(declared)
+		if rec.Code != http.StatusOK || up.Fingerprint != "fp" || !bytes.Equal(up.Record, record) {
+			t.Fatalf("declared=%v: status %d, fingerprint %q, record of %d bytes (want %d)",
+				declared, rec.Code, up.Fingerprint, len(up.Record), len(record))
+		}
+	}
+
+	// The least of a few runs, so a runtime allocation that lands inside
+	// the window does not count.
+	least := uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for range 5 {
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/leases/l/result", bytes.NewReader(upload))
+		rec := httptest.NewRecorder()
+		var up resultUpload
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		c.decodeBody(rec, req, "result upload", &up)
+		runtime.ReadMemStats(&ms)
+		least = min(least, ms.TotalAlloc-before)
+	}
+	ratio := float64(least) / float64(len(upload))
+	if ratio > 2.5 {
+		t.Fatalf("decoding a %d-byte upload allocates %d bytes (%.2fx), budget 2.5x", len(upload), least, ratio)
+	}
+	t.Logf("decoding a %d-byte upload allocates %.2fx its size", len(upload), ratio)
+
+	c.maxBody = int64(len(upload)) - 1
+	for _, declared := range []bool{true, false} {
+		if _, rec := decode(declared); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("declared=%v: a body over the bound answers %d, want 413", declared, rec.Code)
+		}
+	}
 }
 
 // TestCrashCounterCountsFoldedRecords: campaign_crashes_total counts the

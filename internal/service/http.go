@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -44,8 +45,23 @@ const maxBodyBytes = 64 << 20
 // decodeBody decodes r's JSON body into v, reading at most c.maxBody
 // bytes. On failure it writes the error response, 413 for an oversized
 // body and 400 otherwise, naming what was parsed, and returns false.
+//
+// A body whose Content-Length is declared and within the bound is read
+// into one buffer of exactly that size; only a body of unknown length is
+// read by io.ReadAll, whose buffer grows as it fills.
 func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.maxBody)).Decode(v)
+	body := http.MaxBytesReader(w, r.Body, c.maxBody)
+	var data []byte
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= c.maxBody {
+		data = make([]byte, n)
+		_, err = io.ReadFull(body, data)
+	} else {
+		data, err = io.ReadAll(body)
+	}
+	if err == nil {
+		err = json.Unmarshal(data, v)
+	}
 	if err == nil {
 		return true
 	}

@@ -119,8 +119,9 @@ func (f *Fuzzer) Run(mode Mode, cfg Config) Outcome {
 	gen := monkey.NewGenerator(f.dev, monkey.Config{Seed: cfg.Seed, Events: cfg.Events})
 	log := gen.Log()
 
-	// Step 6: parse the Monkey log back into events.
-	events := monkey.ParseLog(log)
+	// Step 6: walk the Monkey log back into events, once for the mutator's
+	// donor pools and once to mutate and replay them.
+	events := monkey.Events(log)
 	f.grantPkg = ""
 	if pkgs := f.dev.Registry().Packages(); len(pkgs) > 0 {
 		f.grantPkg = pkgs[0].Name
@@ -133,7 +134,7 @@ func (f *Fuzzer) Run(mode Mode, cfg Config) Outcome {
 	defer f.dev.Logcat().Unsubscribe(col.Sink())
 
 	out := Outcome{Mode: mode, Report: col.Report()}
-	for _, ev := range events {
+	events(func(ev monkey.Event) bool {
 		mutated := mut.mutate(ev)
 		crashesBefore := out.Report.CrashEvents
 		exceptionsBefore := col.Exceptions()
@@ -156,7 +157,8 @@ func (f *Fuzzer) Run(mode Mode, cfg Config) Outcome {
 		}
 		// Light pacing: Monkey throttles between events.
 		f.dev.Clock().Advance(10 * time.Millisecond)
-	}
+		return true
+	})
 	return out
 }
 
@@ -222,10 +224,12 @@ type mutator struct {
 	args, intent []string
 }
 
-func newMutator(mode Mode, seed uint64, events []monkey.Event) *mutator {
+// newMutator builds a mutator whose donor pools hold the values observed
+// over one walk of events.
+func newMutator(mode Mode, seed uint64, events func(yield func(monkey.Event) bool)) *mutator {
 	m := &mutator{mode: mode, r: rng.New(seed).Split("ui-mutator")}
 	seenA, seenC := map[string]bool{}, map[string]bool{}
-	for _, ev := range events {
+	events(func(ev monkey.Event) bool {
 		if ev.IsIntent() {
 			for i := 0; i+1 < len(ev.Intent); i++ {
 				switch ev.Intent[i] {
@@ -256,7 +260,8 @@ func newMutator(mode Mode, seed uint64, events []monkey.Event) *mutator {
 				m.observedKeys = append(m.observedKeys, ev.Args[0])
 			}
 		}
-	}
+		return true
+	})
 	return m
 }
 

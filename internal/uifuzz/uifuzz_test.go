@@ -80,6 +80,17 @@ func TestOutcomeReportIsFinal(t *testing.T) {
 	}
 }
 
+// walk yields evs in order, the way monkey.Events walks a log.
+func walk(evs []monkey.Event) func(yield func(monkey.Event) bool) {
+	return func(yield func(monkey.Event) bool) {
+		for _, ev := range evs {
+			if !yield(ev) {
+				return
+			}
+		}
+	}
+}
+
 func TestMutatorSemiValidUsesObservedValues(t *testing.T) {
 	events := []monkey.Event{
 		{Type: monkey.AppSwitch, Args: []string{"(to launcher)"},
@@ -88,7 +99,7 @@ func TestMutatorSemiValidUsesObservedValues(t *testing.T) {
 			Intent: []string{"start", "-n", "com.b/.Main", "-a", "android.intent.action.VIEW"}},
 		{Type: monkey.Touch, Args: []string{"(ACTION_DOWN)", "10.00", "20.00"}},
 	}
-	m := newMutator(SemiValid, 1, events)
+	m := newMutator(SemiValid, 1, walk(events))
 	observed := map[string]bool{"android.intent.action.MAIN": true, "android.intent.action.VIEW": true}
 	for i := 0; i < 50; i++ {
 		out := m.mutate(events[0])
@@ -104,7 +115,7 @@ func TestMutatorRandomProducesGarbage(t *testing.T) {
 	events := []monkey.Event{
 		{Type: monkey.AppSwitch, Intent: []string{"start", "-n", "com.a/.Main", "-a", "android.intent.action.MAIN"}},
 	}
-	m := newMutator(Random, 1, events)
+	m := newMutator(Random, 1, walk(events))
 	sawGarbage := false
 	for i := 0; i < 20; i++ {
 		out := m.mutate(events[0])
@@ -121,7 +132,7 @@ func TestMutatorRandomProducesGarbage(t *testing.T) {
 
 func TestMutatorDoesNotAliasInput(t *testing.T) {
 	ev := monkey.Event{Type: monkey.Touch, Args: []string{"(ACTION_DOWN)", "1.00", "2.00"}}
-	m := newMutator(Random, 1, []monkey.Event{ev})
+	m := newMutator(Random, 1, walk([]monkey.Event{ev}))
 	out := m.mutate(ev)
 	out.Args[1] = "mutated-more"
 	if ev.Args[1] != "1.00" {

@@ -33,6 +33,11 @@ type Config struct {
 	// instrumentation site degrades to a nil-check. The zero value keeps
 	// telemetry on.
 	DisableTelemetry bool
+	// LogCapacity is the logcat ring's capacity in lines; <= 0 keeps
+	// logcat.DefaultCapacity. A device whose log nobody dumps, because a
+	// subscribed collector reads every line as it is appended, can keep
+	// just a tail (logcat.ChunkCapacity).
+	LogCapacity int
 }
 
 // DefaultWatchConfig returns the Moto 360 / Android Wear 2.0 configuration
@@ -274,7 +279,7 @@ func newOSMetrics(reg *telemetry.Registry) osMetrics {
 
 // New boots a simulated device with the given configuration.
 func New(cfg Config) *OS {
-	o := newKernel(cfg, vclock.NewVirtual(time.Time{}), logcat.NewBuffer(logcat.DefaultCapacity))
+	o := newKernel(cfg, vclock.NewVirtual(time.Time{}), logcat.NewBuffer(cfg.LogCapacity))
 	o.logBootSequence()
 	return o
 }

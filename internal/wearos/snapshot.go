@@ -119,12 +119,13 @@ func (o *OS) Snapshot() (*Snapshot, error) {
 
 // Clone stamps out a fresh device from the snapshot without re-running
 // boot. The clone shares the snapshot's package structures and gets its own
-// copies of every mutable piece: clock, logcat ring (seeded with the boot
-// baseline, its chunks allocated as lines reach them), process table, aging
-// state, and telemetry registry. Clones are fully independent of the
-// snapshot and of each other. Safe to call concurrently.
+// copies of every mutable piece: clock, logcat ring (of the Config's
+// LogCapacity, seeded with the boot baseline, its chunks allocated as lines
+// reach them), process table, aging state, and telemetry registry. Clones
+// are fully independent of the snapshot and of each other. Safe to call
+// concurrently.
 func (s *Snapshot) Clone() *OS {
-	buf := logcat.NewBuffer(logcat.DefaultCapacity)
+	buf := logcat.NewBuffer(s.cfg.LogCapacity)
 	buf.Restore(s.baseline)
 	return s.clone(buf)
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/intent"
 	"repro/internal/javalang"
+	"repro/internal/logcat"
 	"repro/internal/manifest"
 )
 
@@ -252,4 +253,61 @@ func TestSnapshotCarriesInstalledPackages(t *testing.T) {
 	if clone.Logcat().Dump() == template.Logcat().Dump() {
 		t.Fatal("clone delivery did not extend its own log")
 	}
+}
+
+// lineCounter is a logcat sink that counts the lines it sees.
+type lineCounter struct{ n int }
+
+func (c *lineCounter) Consume(*logcat.Entry) { c.n++ }
+
+// TestTailRingDevice: a LogCapacity of one chunk keeps the device's ring at
+// 128 lines however much it logs, with every eviction counted, and a clone
+// of its snapshot and a reset of that clone keep the capacity. A subscribed
+// sink, like the UI study's collector, still sees every line.
+func TestTailRingDevice(t *testing.T) {
+	cfg := DefaultEmulatorConfig()
+	cfg.LogCapacity = logcat.ChunkCapacity
+	dev := New(cfg)
+	boot := dev.Logcat().Len()
+	snap, err := dev.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func(name string, o *OS, base int) {
+		t.Helper()
+		sink := &lineCounter{}
+		o.Logcat().Subscribe(sink)
+		defer o.Logcat().Unsubscribe(sink)
+		const lines = 10000
+		for i := range lines {
+			o.log.Log(1000, 1000, logcat.Info, logcat.TagActivityManager, "line %d", i)
+		}
+		buf := o.Logcat()
+		if got := buf.Cap(); got != 128 {
+			t.Errorf("%s: Cap() = %d after %d lines, want 128", name, got, lines)
+		}
+		if got := buf.Len(); got != 128 {
+			t.Errorf("%s: Len() = %d, want 128", name, got)
+		}
+		if got, want := buf.Dropped(), uint64(base+lines-128); got != want {
+			t.Errorf("%s: Dropped() = %d, want %d", name, got, want)
+		}
+		if sink.n != lines {
+			t.Errorf("%s: sink saw %d lines, want %d", name, sink.n, lines)
+		}
+	}
+	fill("booted", dev, boot)
+
+	clone := snap.Clone()
+	if got := clone.Logcat().Len(); got != boot {
+		t.Fatalf("clone holds %d lines, want the %d-line boot baseline", got, boot)
+	}
+	fill("clone", clone, boot)
+	if !clone.ResetTo(snap) {
+		t.Fatal("ResetTo retired a tail-ring clone")
+	}
+	if got := clone.Logcat().Len(); got != boot {
+		t.Fatalf("reset clone holds %d lines, want the %d-line boot baseline", got, boot)
+	}
+	fill("reset clone", clone, boot)
 }

@@ -68,10 +68,13 @@ go test -run '^$' -fuzz '^FuzzSpecSidecar$' -fuzztime 5s -parallel 2 ./internal/
 # engine would otherwise spend the whole run minimizing byte by byte.
 go test -run '^$' -fuzz '^FuzzStudyExportJSON$' -fuzztime 5s -fuzzminimizetime 100x -parallel 2 ./internal/report
 
-# Every command QGJ-UI replays goes through the adb shell's tokenizer and
-# am's component and URI parsers, and every pulled dump through the logcat
-# line parser: fuzz the shell, tokenize against its quoting reference, the
-# two intent parsers and the line parser the same way.
+# Every event QGJ-UI replays is walked out of Monkey's log, every command
+# goes through the adb shell's tokenizer and am's component and URI
+# parsers, and every pulled dump through the logcat line parser: fuzz the
+# log walker against its slice-building oracle, the shell, tokenize
+# against its quoting reference, the two intent parsers and the line
+# parser the same way.
+go test -run '^$' -fuzz '^FuzzEvents$' -fuzztime 5s -parallel 2 ./internal/monkey
 go test -run '^$' -fuzz '^FuzzShellRun$' -fuzztime 5s -parallel 2 ./internal/adb
 go test -run '^$' -fuzz '^FuzzTokenize$' -fuzztime 5s -parallel 2 ./internal/adb
 go test -run '^$' -fuzz '^FuzzParseURI$' -fuzztime 5s -parallel 2 ./internal/intent
