@@ -258,7 +258,7 @@ func (c *Collector) UseTelemetry(reg *telemetry.Registry) *Collector {
 	c.anrTotal = reg.Counter("analysis_anr_events_total")
 	c.securityTotal = reg.Counter("analysis_security_events_total")
 	c.rebootsTotal = reg.Counter("analysis_reboots_total")
-	c.consumeSeconds = reg.Histogram("analysis_consume_seconds", telemetry.DefLatencyBuckets)
+	c.consumeSeconds = reg.Histogram("analysis_consume_seconds")
 	c.manifest = make(map[Manifestation]*telemetry.Gauge, len(AllManifestations))
 	for _, m := range AllManifestations {
 		c.manifest[m] = reg.Gauge("analysis_components", telemetry.L("manifestation", m.String()))

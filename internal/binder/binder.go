@@ -57,7 +57,7 @@ func (r *Router) SetTelemetry(reg *telemetry.Registry) {
 	defer r.mu.Unlock()
 	r.txOK = reg.Counter("binder_transactions_total", telemetry.L("status", "ok"))
 	r.txDead = reg.Counter("binder_transactions_total", telemetry.L("status", "dead"))
-	r.txLatency = reg.Histogram("binder_transact_seconds", telemetry.DefLatencyBuckets)
+	r.txLatency = reg.Histogram("binder_transact_seconds")
 }
 
 // SetFlightRecorder attaches the device flight recorder; dead-object

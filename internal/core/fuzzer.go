@@ -35,8 +35,6 @@ const injSampleEvery = 16
 type Injector struct {
 	Dev *wearos.OS
 	Cfg GeneratorConfig
-	// SenderUID defaults to QGJUID when zero.
-	SenderUID int
 	// Observe, when non-nil, receives every injected intent together with
 	// its delivery result, after the delivery settled. The farm's triage
 	// pipeline uses it to pair crashing intents with the FATAL EXCEPTION
@@ -74,7 +72,7 @@ func (inj *Injector) metrics(c Campaign) *campaignMetrics {
 	campaign := telemetry.L("campaign", c.Letter())
 	m := &campaignMetrics{
 		generated:   tel.Counter("qgj_intents_generated_total", campaign),
-		injSecs:     tel.Histogram("qgj_injection_seconds", telemetry.DefLatencyBuckets, campaign),
+		injSecs:     tel.Histogram("qgj_injection_seconds", campaign),
 		progress:    tel.Gauge("qgj_component_progress"),
 		compsFuzzed: tel.Counter("qgj_components_fuzzed_total"),
 	}
@@ -111,13 +109,6 @@ func (ar AppRun) Results() map[wearos.DeliveryResult]int {
 	return out
 }
 
-func (inj *Injector) uid() int {
-	if inj.SenderUID != 0 {
-		return inj.SenderUID
-	}
-	return QGJUID
-}
-
 // FuzzComponent runs one campaign against one component.
 func (inj *Injector) FuzzComponent(c Campaign, comp *manifest.Component) ComponentRun {
 	run := ComponentRun{Type: comp.Type}
@@ -151,7 +142,7 @@ func (inj *Injector) FuzzComponent(c Campaign, comp *manifest.Component) Compone
 		flat = comp.Flat()
 	}
 
-	c.Generate(comp.Name, inj.Cfg, inj.uid(), func(in *intent.Intent) {
+	c.Generate(comp.Name, inj.Cfg, QGJUID, func(in *intent.Intent) {
 		rec.Record(telemetry.EventIntent, flat, in.Action, "")
 		// Latency is sampled 1-in-injSampleEvery: two wall-clock reads per
 		// intent are the single most expensive instruction in this callback,

@@ -7,7 +7,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/jsonw"
@@ -18,10 +17,10 @@ import (
 // from the last completed chunk after every device reboot. Here a chunk is
 // one shard (campaign × package); every completed shard's JSON line is
 // appended and fsynced before the shard counts as done, and -resume replays
-// the journal instead of re-executing finished shards. farm.Run's journal
-// writer batches the fsyncs, so a SIGKILL at any instant loses at most the
-// shards in flight plus the records queued for the writer or in its
-// unsynced batch.
+// the journal instead of re-executing finished shards. farm.Run appends
+// every record waiting to be committed with one fsync, so a SIGKILL at any
+// instant loses at most the shards in flight plus the records waiting or in
+// the unsynced batch.
 //
 // Format (JSON lines):
 //
@@ -134,9 +133,9 @@ func fingerprint(seed uint64, fleet string, shards []ShardKey, gen core.Generato
 
 // ShardJournal is the append side of a checkpoint file: the durable
 // work-queue log farm.Run and the service coordinator both write. The
-// coordinator appends one fsynced record per upload; farm.Run's journal
-// writer (writeBatches) appends every record waiting in its queue with one
-// fsync. Safe for concurrent appends from several goroutines.
+// coordinator appends one fsynced record per upload; farm.Run appends every
+// record waiting to be committed with one fsync (appendRecords). Safe for
+// concurrent appends from several goroutines.
 type ShardJournal struct {
 	mu sync.Mutex
 	f  journalFile
@@ -232,54 +231,18 @@ func (j *ShardJournal) Close() error {
 	return j.f.Close()
 }
 
-// executed is one shard result on its way from a worker to the journal.
-type executed struct {
-	idx int
-	sr  *ShardResult
-	dur time.Duration
-}
-
-// writeBatches is farm.Run's journal writer. It takes every result waiting
-// in queue, encodes them into one reused buffer, appends them with a single
-// fsync, and only then hands the batch to commit, with the error if the
-// batch did not become durable. After a failed batch it writes nothing
-// more: it keeps draining queue, so no worker blocks on a send, and hands
-// every later batch to commit with the same error. It returns once queue
-// is closed and empty.
-func (j *ShardJournal) writeBatches(queue <-chan executed, commit func(batch []executed, err error)) {
-	var (
-		batch []executed
-		w     jsonw.Writer
-		err   error
-	)
-	for first := range queue {
-		batch = append(batch[:0], first)
-	waiting:
-		for {
-			select {
-			case e, ok := <-queue:
-				if !ok {
-					break waiting
-				}
-				batch = append(batch, e)
-			default:
-				break waiting
-			}
-		}
-		if err == nil {
-			w = jsonw.Writer{B: w.B[:0]}
-			for _, e := range batch {
-				writeRecord(&w, e.idx, e.sr)
-				w.B = append(w.B, '\n')
-			}
-			if err = w.Err(); err != nil {
-				err = fmt.Errorf("farm: encode checkpoint record: %w", err)
-			} else {
-				err = j.appendLines(w.B)
-			}
-		}
-		commit(batch, err)
+// appendRecords encodes the shards' records into w's reused buffer and
+// appends them with one write and one fsync.
+func (j *ShardJournal) appendRecords(w *jsonw.Writer, batch []executed) error {
+	*w = jsonw.Writer{B: w.B[:0]}
+	for _, e := range batch {
+		writeRecord(w, e.idx, e.sr)
+		w.B = append(w.B, '\n')
 	}
+	if err := w.Err(); err != nil {
+		return fmt.Errorf("farm: encode checkpoint record: %w", err)
+	}
+	return j.appendLines(w.B)
 }
 
 // loadJournal reads a checkpoint file, tolerating a truncated tail: the

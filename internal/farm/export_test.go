@@ -21,24 +21,60 @@ const BootFresh = "fresh-boot"
 // switches the oracle off again; t.Cleanup does too, so a failing test
 // cannot leak it into the next one.
 func UseFreshBoot(t testing.TB) (off func()) {
-	freshBoot = func(kind apps.FleetKind, seed uint64, pkg string) (*apps.Fleet, *wearos.OS, string, error) {
-		tmpl, err := apps.NewFleetTemplate(kind, seed)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		fleet, err := tmpl.Instantiate(pkg)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		dev := wearos.New(deviceConfig(kind))
-		if _, err := fleet.InstallPackageInto(dev, pkg); err != nil {
-			return nil, nil, "", err
-		}
-		return fleet, dev, BootFresh, nil
-	}
+	freshBoot = bootFresh
 	off = func() { freshBoot = nil }
 	t.Cleanup(off)
 	return off
+}
+
+// FailUnitBoot makes the k-th unit boot (1-based, counted across every
+// executor in the test binary) fail with err; every other unit boots on
+// the fresh-boot oracle. failed returns the package whose boot failed, ""
+// before it has. off switches the failure off again, as t.Cleanup does.
+func FailUnitBoot(t testing.TB, k int, err error) (failed func() string, off func()) {
+	var (
+		mu    sync.Mutex
+		boots int
+		pkgOf string
+	)
+	freshBoot = func(kind apps.FleetKind, seed uint64, pkg string) (*apps.Fleet, *wearos.OS, string, error) {
+		mu.Lock()
+		boots++
+		fail := boots == k
+		if fail {
+			pkgOf = pkg
+		}
+		mu.Unlock()
+		if fail {
+			return nil, nil, "", err
+		}
+		return bootFresh(kind, seed, pkg)
+	}
+	off = func() { freshBoot = nil }
+	t.Cleanup(off)
+	failed = func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		return pkgOf
+	}
+	return failed, off
+}
+
+// bootFresh is the fresh-boot oracle's unit boot.
+func bootFresh(kind apps.FleetKind, seed uint64, pkg string) (*apps.Fleet, *wearos.OS, string, error) {
+	tmpl, err := apps.NewFleetTemplate(kind, seed)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	fleet, err := tmpl.Instantiate(pkg)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	dev := wearos.New(deviceConfig(kind))
+	if _, err := fleet.InstallPackageInto(dev, pkg); err != nil {
+		return nil, nil, "", err
+	}
+	return fleet, dev, BootFresh, nil
 }
 
 // FailJournalSync makes the k-th fsync (1-based, the header's included) of
@@ -123,7 +159,7 @@ func (f *syncFailer) Sync() error {
 		return f.File.Sync()
 	}
 	// A failing disk is slow to say so; meanwhile the workers fill the
-	// journal writer's queue and block on it.
+	// results channel and block on it.
 	time.Sleep(100 * time.Millisecond)
 	info, err := f.File.Stat()
 	if err != nil {

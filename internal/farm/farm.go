@@ -1,9 +1,10 @@
 // Package farm is the campaign execution engine: it shards a fuzz study
 // into independent (campaign, package) work units, runs them on a pool of
 // worker goroutines — each worker resetting one hot simulated device in
-// place between its units — journals every completed shard to a checkpoint
-// file through one writer that batches fsyncs, and merges the per-shard
-// analysis results into a single report.
+// place between its units — commits every completed shard on one goroutine
+// (journaling the waiting records to a checkpoint file with one fsync
+// before any of them counts as done), and merges the per-shard analysis
+// results into a single report.
 //
 // The determinism contract (docs/farm.md): for a fixed seed and shard plan,
 // the merged result is byte-identical for any worker count and across any
@@ -28,9 +29,11 @@
 package farm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
@@ -38,6 +41,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/intent"
+	"repro/internal/jsonw"
 	"repro/internal/manifest"
 	"repro/internal/rng"
 	"repro/internal/telemetry"
@@ -86,10 +90,11 @@ type Config struct {
 	// dispatch order only, never results.
 	Status *StatusBoard
 	// Progress, when non-nil, is called after every completed shard with
-	// the cumulative completed/total counts and intents sent so far. Calls
-	// are serialized but arrive in completion order, not plan order; with a
-	// checkpoint, in durability order: a shard is reported only once its
-	// journal record is fsynced.
+	// the cumulative completed/total counts and intents sent so far. Every
+	// call comes from Run's own goroutine, so calls are serialized; they
+	// arrive in commit order, not plan order. With a checkpoint that is
+	// durability order: a shard is reported only once its journal record is
+	// fsynced.
 	Progress func(done, total int, key ShardKey, sentSoFar int)
 }
 
@@ -200,18 +205,18 @@ func newFarmMetrics(reg *telemetry.Registry) farmMetrics {
 		done:           reg.Counter("farm_shards_done_total"),
 		resumed:        reg.Counter("farm_shards_resumed_total"),
 		intents:        reg.Counter("farm_intents_total"),
-		shardSeconds:   reg.Histogram("farm_shard_seconds", telemetry.DefLatencyBuckets),
-		mergeSeconds:   reg.Histogram("farm_merge_seconds", telemetry.DefLatencyBuckets),
+		shardSeconds:   reg.Histogram("farm_shard_seconds"),
+		mergeSeconds:   reg.Histogram("farm_merge_seconds"),
 		crashesRaw:     reg.Gauge("farm_crashes_raw"),
 		crashBuckets:   reg.Gauge("farm_crash_buckets"),
-		cloneSeconds:   reg.Histogram("farm_clone_seconds", telemetry.DefLatencyBuckets),
-		queueWait:      reg.Histogram("farm_shard_queue_wait_seconds", telemetry.DefLatencyBuckets),
+		cloneSeconds:   reg.Histogram("farm_clone_seconds"),
+		queueWait:      reg.Histogram("farm_shard_queue_wait_seconds"),
 		recorderEvents: reg.Counter("farm_recorder_events_total"),
 
 		persistReuses:    reg.Counter("farm_persist_reuses_total"),
 		persistRetires:   reg.Counter("farm_persist_retires_total"),
 		persistFallbacks: reg.Counter("farm_persist_fallbacks_total"),
-		resetSeconds:     reg.Histogram("farm_reset_seconds", telemetry.DefLatencyBuckets),
+		resetSeconds:     reg.Histogram("farm_reset_seconds"),
 	}
 }
 
@@ -240,8 +245,9 @@ func deviceConfig(kind apps.FleetKind) wearos.Config {
 // Run executes the farm in one process by composing the Plan API: plan,
 // load the shard table (restoring completed shards from the journal on
 // resume), then run a pool of Executors that each take the next pending
-// shard from the table until none is left, and Merge. The service
-// coordinator drains the same table, with leases in place of the pool.
+// shard from the table until none is left, commit their outcomes on Run's
+// own goroutine, and Merge. The service coordinator drains the same table,
+// with leases in place of the pool.
 func Run(cfg Config) (*Result, error) {
 	p, err := NewPlan(cfg)
 	if err != nil {
@@ -278,48 +284,13 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	start := time.Now()
+	// Workers only execute: each sends its shard's outcome to results and
+	// goes on to the next shard, until none is pending or stop is set.
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex // serializes completions and Progress; guards firstErr
-		firstErr error
+		wg      sync.WaitGroup
+		results = make(chan executed, workers)
+		stop    atomic.Bool
 	)
-	// complete marks one executed shard done, under mu.
-	complete := func(e executed) {
-		board.Done(e.idx, e.sr, e.dur, e.sr.BootSource)
-		met.done.Inc()
-		met.intents.Add(uint64(e.sr.Sent))
-		if cfg.Progress != nil {
-			t := board.Tally()
-			cfg.Progress(t.Finished(), t.Total, e.sr.Key, t.IntentsTotal)
-		}
-	}
-	// With a checkpoint, a worker hands each result to the journal writer
-	// and goes straight on to its next shard; the writer completes a batch
-	// of results only once their records are durable.
-	var queue chan executed
-	writerDone := make(chan struct{})
-	if jnl != nil {
-		// One slot per worker: every worker can finish a shard while the
-		// writer is inside a batch's fsync without waiting for it.
-		queue = make(chan executed, workers)
-		go func() {
-			defer close(writerDone)
-			jnl.writeBatches(queue, func(batch []executed, err error) {
-				mu.Lock()
-				defer mu.Unlock()
-				for _, e := range batch {
-					if err != nil {
-						board.Fail(e.idx)
-					} else {
-						complete(e)
-					}
-				}
-				if firstErr == nil {
-					firstErr = err
-				}
-			})
-		}()
-	}
 	execs := make([]*Executor, min(workers, len(p.shards)-resumed))
 	for i := range execs {
 		execs[i] = p.NewExecutor()
@@ -327,13 +298,7 @@ func Run(cfg Config) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			ex := execs[i]
-			for {
-				mu.Lock()
-				stop := firstErr != nil
-				mu.Unlock()
-				if stop {
-					return
-				}
+			for !stop.Load() {
 				wait := time.Since(start)
 				idx, ok := board.Next(wait)
 				if !ok {
@@ -346,29 +311,62 @@ func Run(cfg Config) (*Result, error) {
 				dur := time.Since(t0)
 				met.shardSeconds.Observe(dur.Seconds())
 				met.inflight.Add(-1)
-				e := executed{idx, sr, dur}
-				switch {
-				case err != nil:
-					mu.Lock()
-					board.Fail(idx)
-					if firstErr == nil {
-						firstErr = fmt.Errorf("farm: shard %s: %w", p.shards[idx], err)
-					}
-					mu.Unlock()
-				case queue != nil:
-					queue <- e
-				default:
-					mu.Lock()
-					complete(e)
-					mu.Unlock()
+				if err != nil {
+					stop.Store(true)
 				}
+				results <- executed{idx, sr, dur, err}
 			}
 		}()
 	}
-	wg.Wait()
-	if queue != nil {
-		close(queue)
-		<-writerDone
+	go func() {
+		wg.Wait()
+		close(results)
+	}()
+
+	// This goroutine is the only one that finishes a shard. It takes every
+	// outcome waiting, journals the batch's records with one fsync when
+	// checkpointing, and only then marks them done and reports them, so a
+	// shard counts as done only once it is durable. After a failed append
+	// nothing more is journaled or marked done.
+	var (
+		firstErr, jnlErr error
+		batch            []executed
+		w                jsonw.Writer
+	)
+	for e := range results {
+		batch = append(batch[:0], e)
+		for len(results) > 0 {
+			batch = append(batch, <-results)
+		}
+		good := batch[:0]
+		for _, e := range batch {
+			if e.err != nil {
+				board.Fail(e.idx)
+				firstErr = cmp.Or(firstErr, fmt.Errorf("farm: shard %s: %w", p.shards[e.idx], e.err))
+			} else {
+				good = append(good, e)
+			}
+		}
+		if jnl != nil && jnlErr == nil && len(good) > 0 {
+			jnlErr = jnl.appendRecords(&w, good)
+		}
+		for _, e := range good {
+			if jnlErr != nil {
+				board.Fail(e.idx)
+				continue
+			}
+			board.Done(e.idx, e.sr, e.dur, e.sr.BootSource)
+			met.done.Inc()
+			met.intents.Add(uint64(e.sr.Sent))
+			if cfg.Progress != nil {
+				t := board.Tally()
+				cfg.Progress(t.Finished(), t.Total, e.sr.Key, t.IntentsTotal)
+			}
+		}
+		firstErr = cmp.Or(firstErr, jnlErr)
+		if firstErr != nil {
+			stop.Store(true)
+		}
 	}
 	if firstErr != nil {
 		return nil, firstErr
@@ -383,6 +381,15 @@ func Run(cfg Config) (*Result, error) {
 		res.Device = execs[0].dev
 	}
 	return res, nil
+}
+
+// executed is one shard's outcome on its way from a worker to Run's
+// commit loop.
+type executed struct {
+	idx int
+	sr  *ShardResult
+	dur time.Duration
+	err error
 }
 
 // selectTargets filters the fleet packages, preserving fleet order, and

@@ -508,6 +508,10 @@ func TestStatusBoardTracksRun(t *testing.T) {
 // registered, which follows the board into each later run. A hook the test
 // registers after the first run writes farm_eta_seconds last on every
 // scrape, so a later run that added a hook of its own would overwrite it.
+// Inside Progress the worker may already hold the next shard, so the hook's
+// pending and running gauges together count the shards not yet done: only
+// Run's goroutine marks shards done, and the hook reads one Tally, so a hook
+// left on a stale board reads the wrong sum.
 func TestStatusGaugesRegisterOnce(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cfg := farm.Config{
@@ -526,8 +530,9 @@ func TestStatusGaugesRegisterOnce(t *testing.T) {
 	reg.OnCollect(func() { reg.Gauge("farm_eta_seconds").Set(sentinel) })
 	for run := 2; run <= 4; run++ {
 		cfg.Progress = func(done, total int, _ farm.ShardKey, _ int) {
-			if got := reg.Snapshot().Gauges["farm_shards_pending"]; got != float64(total-done) {
-				t.Errorf("run %d at %d/%d shards: farm_shards_pending = %v, want %d", run, done, total, got, total-done)
+			g := reg.Snapshot().Gauges
+			if got := g["farm_shards_pending"] + g["farm_shards_running"]; got != float64(total-done) {
+				t.Errorf("run %d at %d/%d shards: farm_shards_pending + farm_shards_running = %v, want %d", run, done, total, got, total-done)
 			}
 		}
 		if _, err := farm.Run(cfg); err != nil {
@@ -675,7 +680,7 @@ func TestTriageMinimizedReproducers(t *testing.T) {
 
 // TestJournalSyncFailureStopsRun: a failed fsync fails the run with an
 // error wrapping it, promptly (no worker stays blocked handing results to
-// the journal writer); no shard of the failed batch is reported done,
+// Run's commit loop); no shard of the failed batch is reported done,
 // through Progress, the status board or farm_shards_done_total; and the
 // journal left behind resumes to the uninterrupted run's export.
 func TestJournalSyncFailureStopsRun(t *testing.T) {
@@ -735,6 +740,103 @@ func TestJournalSyncFailureStopsRun(t *testing.T) {
 	resumed := runStudy(t, core.Sharding{Workers: 2, Checkpoint: ckpt, Resume: true})
 	if resumed.Resumed != len(reported) {
 		t.Errorf("resume restored %d shards; %d were reported done", resumed.Resumed, len(reported))
+	}
+	if got := exportForCompare(t, resumed); got != want {
+		t.Error("resumed run differs from the uninterrupted run")
+	}
+}
+
+// TestShardErrorStopsRun: an executor error fails the run with
+// "farm: shard <key>: ..." wrapping it, and every shard that executed
+// without error is still committed. With a checkpoint, each committed shard
+// keeps its journal record, the failed shard has none, and -resume
+// re-executes exactly it and the shards never committed, reaching the
+// uninterrupted run's export.
+func TestShardErrorStopsRun(t *testing.T) {
+	want := exportForCompare(t, runStudy(t, core.Sharding{Workers: 2}))
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	injected := errors.New("injected boot failure")
+	// The fifth unit boot fails: four shards have booted before it.
+	const k = 5
+	var committed []farm.ShardKey
+	for _, sharding := range []core.Sharding{{Workers: 2}, {Workers: 2, Checkpoint: ckpt}} {
+		failed, off := farm.FailUnitBoot(t, k, injected)
+		board := farm.NewStatusBoard()
+		committed = nil
+		_, err := experiments.RunWearStudy(farm.Config{
+			Seed:     1,
+			Gen:      testGen(),
+			Packages: testPackages,
+			Sharding: sharding,
+			Status:   board,
+			Progress: func(_, _ int, key farm.ShardKey, _ int) {
+				if committed = append(committed, key); len(committed) == 1 {
+					// Hold the commit loop while the workers run into the
+					// failure, so it arrives in one batch with good shards.
+					time.Sleep(200 * time.Millisecond)
+				}
+			},
+		})
+		off()
+
+		var failedKeys []farm.ShardKey
+		for _, sh := range board.Status().Shards {
+			if sh.State == farm.StateFailed {
+				failedKeys = append(failedKeys, sh.Key)
+			}
+		}
+		if len(failedKeys) != 1 || failedKeys[0].Package != failed() {
+			t.Fatalf("checkpoint %q: failed shards %v, want one of package %q", sharding.Checkpoint, failedKeys, failed())
+		}
+		key := failedKeys[0]
+		if !errors.Is(err, injected) || !strings.HasPrefix(err.Error(), "farm: shard "+key.String()+": ") {
+			t.Fatalf("checkpoint %q: run error = %v, want \"farm: shard %s: ...\" wrapping %v", sharding.Checkpoint, err, key, injected)
+		}
+		if len(committed) < k-1 || slices.Contains(committed, key) {
+			t.Fatalf("checkpoint %q: committed %v; want the %d shards booted before the failure, without %s", sharding.Checkpoint, committed, k-1, key)
+		}
+	}
+
+	// The journal holds exactly the checkpointed run's committed shards.
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var journaled []farm.ShardKey
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")[1:] {
+		var rec struct{ Key farm.ShardKey }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("journal line is not a record: %v", err)
+		}
+		journaled = append(journaled, rec.Key)
+	}
+	if len(journaled) != len(committed) {
+		t.Fatalf("journal holds %v; committed %v", journaled, committed)
+	}
+	for _, key := range committed {
+		if !slices.Contains(journaled, key) {
+			t.Fatalf("shard %s was committed but has no journal record", key)
+		}
+	}
+
+	var reexecuted []farm.ShardKey
+	resumed, err := experiments.RunWearStudy(farm.Config{
+		Seed:     1,
+		Gen:      testGen(),
+		Packages: testPackages,
+		Sharding: core.Sharding{Workers: 2, Checkpoint: ckpt, Resume: true},
+		Progress: func(_, _ int, key farm.ShardKey, _ int) { reexecuted = append(reexecuted, key) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Resumed != len(journaled) || len(journaled)+len(reexecuted) != resumed.Shards {
+		t.Fatalf("%d shards journaled, %d resumed, %d re-executed, of %d", len(journaled), resumed.Resumed, len(reexecuted), resumed.Shards)
+	}
+	for _, key := range reexecuted {
+		if slices.Contains(journaled, key) {
+			t.Errorf("resume re-executed %s, which was journaled", key)
+		}
 	}
 	if got := exportForCompare(t, resumed); got != want {
 		t.Error("resumed run differs from the uninterrupted run")

@@ -88,10 +88,11 @@ type Config struct {
 	Seed uint64
 	// Events is the number of UI events to generate.
 	Events int
-	// IntentRatio is the probability an event also emits an intent line
-	// (app switches always do). Default 0.25.
-	IntentRatio float64
 }
+
+// intentRatio is the probability an event also emits an intent line (app
+// switches always do).
+const intentRatio = 0.25
 
 // Generator produces the event stream for one device's app population.
 type Generator struct {
@@ -104,9 +105,6 @@ type Generator struct {
 
 // NewGenerator builds a generator against the device's installed apps.
 func NewGenerator(dev *wearos.OS, cfg Config) *Generator {
-	if cfg.IntentRatio <= 0 {
-		cfg.IntentRatio = 0.25
-	}
 	g := &Generator{cfg: cfg, r: rng.New(cfg.Seed).Split("monkey")}
 	g.generated = dev.Telemetry().Counter("monkey_events_total")
 	for _, p := range dev.Registry().Packages() {
@@ -193,7 +191,7 @@ func (g *Generator) writeEvent(sb *strings.Builder, t EventType) {
 	sb.WriteByte('\n')
 	// A share of non-app-switch events also surfaces intents ("These UI
 	// events may trigger monkey to generate some intents").
-	if t != AppSwitch && len(g.launchers) > 0 && g.r.Bool(g.cfg.IntentRatio) {
+	if t != AppSwitch && len(g.launchers) > 0 && g.r.Bool(intentRatio) {
 		cmp = rng.Pick(g.r, g.launchers)
 		action = rng.Pick(g.r, intentActions)
 	}

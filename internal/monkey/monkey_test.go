@@ -117,7 +117,7 @@ func TestAppSwitchCarriesIntent(t *testing.T) {
 
 func TestIntentRatio(t *testing.T) {
 	dev := newDevWithLaunchers(t, 2)
-	evs := events(dev, Config{Seed: 3, Events: 10000, IntentRatio: 0.25})
+	evs := events(dev, Config{Seed: 3, Events: 10000})
 	intents := 0
 	for _, e := range evs {
 		if e.IsIntent() {

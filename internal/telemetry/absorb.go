@@ -2,21 +2,11 @@ package telemetry
 
 import "math"
 
-// Merge folds src's observations into h. Both histograms must share the
-// same bucket bounds (the farm absorbs per-shard registries whose metrics
-// are created from identical wiring, so mismatched bounds indicate a bug
-// and the merge is dropped rather than producing a corrupt distribution).
+// Merge folds src's observations into h bucket by bucket: every histogram
+// has the same buckets.
 func (h *Histogram) Merge(src *Histogram) {
 	if h == nil || src == nil {
 		return
-	}
-	if len(h.bounds) != len(src.bounds) {
-		return
-	}
-	for i := range h.bounds {
-		if h.bounds[i] != src.bounds[i] {
-			return
-		}
 	}
 	for i := range src.buckets {
 		if n := src.buckets[i].Load(); n != 0 {
@@ -65,7 +55,7 @@ func (r *Registry) Absorb(src *Registry) {
 				r.Gauge(e.name, e.labels...)
 			}
 		case kindHistogram:
-			r.Histogram(e.name, e.hist.Bounds(), e.labels...).Merge(e.hist)
+			r.Histogram(e.name, e.labels...).Merge(e.hist)
 		}
 	}
 }

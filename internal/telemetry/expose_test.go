@@ -13,7 +13,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("qgj_intents_injected_total", L("campaign", "A"), L("result", "crash")).Add(7)
 	reg.Gauge("wearos_instability").Set(12.5)
-	h := reg.Histogram("binder_transact_seconds", []float64{0.001, 0.01})
+	h := reg.Histogram("binder_transact_seconds")
 	h.Observe(0.0005)
 	h.Observe(0.5)
 
@@ -92,7 +92,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("a_total").Add(3)
 	reg.Gauge("b", L("x", "y")).Set(1.25)
-	reg.Histogram("c_seconds", []float64{1, 2}).Observe(1.5)
+	reg.Histogram("c_seconds").Observe(1.5)
 
 	snap := reg.Snapshot()
 	data, err := json.Marshal(snap)

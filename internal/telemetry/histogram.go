@@ -25,22 +25,15 @@ var DefLatencyBuckets = []float64{
 // above the last bound land in the implicit +Inf overflow bucket. A nil
 // *Histogram is a no-op.
 type Histogram struct {
-	bounds  []float64 // ascending upper bounds
-	buckets []atomic.Uint64
+	buckets []atomic.Uint64 // one per DefLatencyBuckets bound, then +Inf
 	count   atomic.Uint64
 	sumBits atomic.Uint64
 }
 
-// NewHistogram builds a histogram with the given ascending upper bounds
-// (nil or empty defaults to DefLatencyBuckets). The bounds slice is copied
-// and sorted defensively.
-func NewHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefLatencyBuckets
-	}
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, buckets: make([]atomic.Uint64, len(b)+1)}
+// NewHistogram builds a histogram over DefLatencyBuckets, the one bucket
+// layout every histogram shares.
+func NewHistogram() *Histogram {
+	return &Histogram{buckets: make([]atomic.Uint64, len(DefLatencyBuckets)+1)}
 }
 
 // Observe records one value.
@@ -49,7 +42,7 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	// Binary search for the first bound >= v.
-	i := sort.SearchFloat64s(h.bounds, v)
+	i := sort.SearchFloat64s(DefLatencyBuckets, v)
 	h.buckets[i].Add(1)
 	h.count.Add(1)
 	for {
@@ -77,12 +70,12 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Bounds returns the configured upper bounds.
+// Bounds returns a copy of the bucket upper bounds.
 func (h *Histogram) Bounds() []float64 {
 	if h == nil {
 		return nil
 	}
-	return append([]float64(nil), h.bounds...)
+	return append([]float64(nil), DefLatencyBuckets...)
 }
 
 // BucketCounts returns the per-bucket counts; the last element is the +Inf
@@ -133,17 +126,17 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 		if i == len(counts)-1 {
 			// Overflow bucket: clamp to the largest finite bound.
-			return h.bounds[len(h.bounds)-1]
+			return DefLatencyBuckets[len(DefLatencyBuckets)-1]
 		}
 		lo := 0.0
 		if i > 0 {
-			lo = h.bounds[i-1]
+			lo = DefLatencyBuckets[i-1]
 		}
-		hi := h.bounds[i]
+		hi := DefLatencyBuckets[i]
 		frac := (rank - cum) / float64(c)
 		return lo + (hi-lo)*frac
 	}
-	return h.bounds[len(h.bounds)-1]
+	return DefLatencyBuckets[len(DefLatencyBuckets)-1]
 }
 
 // Timer is a running wall-clock measurement for one histogram. It is a

@@ -2,47 +2,65 @@ package telemetry
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 )
 
+// bucketOf is the index of the bucket whose upper bound is le, or the
+// overflow bucket's for +Inf.
+func bucketOf(t *testing.T, le float64) int {
+	t.Helper()
+	if math.IsInf(le, 1) {
+		return len(DefLatencyBuckets)
+	}
+	i := slices.Index(DefLatencyBuckets, le)
+	if i < 0 {
+		t.Fatalf("%v is not a bucket bound", le)
+	}
+	return i
+}
+
 func TestHistogramBucketBoundaries(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4})
+	h := NewHistogram()
 	// v <= bound lands in that bucket: a value exactly on a boundary counts
 	// into the boundary's own bucket, not the next one.
-	h.Observe(0.5) // bucket le=1
-	h.Observe(1)   // bucket le=1 (boundary)
-	h.Observe(1.5) // bucket le=2
-	h.Observe(2)   // bucket le=2 (boundary)
-	h.Observe(4)   // bucket le=4 (boundary)
-	h.Observe(9)   // overflow (+Inf)
-	got := h.BucketCounts()
-	want := []uint64{2, 2, 1, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("bucket[%d] = %d, want %d (all: %v)", i, got[i], want[i], got)
-		}
+	h.Observe(0.75) // bucket le=1
+	h.Observe(1)    // bucket le=1 (boundary)
+	h.Observe(1.5)  // bucket le=2.5
+	h.Observe(2.5)  // bucket le=2.5 (boundary)
+	h.Observe(10)   // bucket le=10 (boundary)
+	h.Observe(20)   // overflow (+Inf)
+	want := make([]uint64, len(DefLatencyBuckets)+1)
+	want[bucketOf(t, 1)] = 2
+	want[bucketOf(t, 2.5)] = 2
+	want[bucketOf(t, 10)] = 1
+	want[bucketOf(t, math.Inf(1))] = 1
+	if got := h.BucketCounts(); !slices.Equal(got, want) {
+		t.Fatalf("buckets = %v, want %v", got, want)
 	}
 	if h.Count() != 6 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if math.Abs(h.Sum()-18.0) > 1e-9 {
+	if math.Abs(h.Sum()-35.75) > 1e-9 {
 		t.Fatalf("sum = %v", h.Sum())
 	}
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram([]float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
-	// Uniform 1..100: quantiles should interpolate to ~q*100.
+	h := NewHistogram()
+	// Uniform 10ms..1s in 10ms steps, uniform within each bucket too:
+	// quantiles should interpolate to ~q seconds.
 	for v := 1; v <= 100; v++ {
-		h.Observe(float64(v))
+		h.Observe(float64(v) / 100)
 	}
 	cases := []struct{ q, want, tol float64 }{
-		{0.50, 50, 5},
-		{0.90, 90, 5},
-		{0.99, 99, 5},
-		{1.00, 100, 1e-9},
+		{0.50, 0.50, 0.05},
+		{0.90, 0.90, 0.05},
+		{0.99, 0.99, 0.05},
+		{1.00, 1.00, 1e-9},
 	}
 	for _, c := range cases {
 		if got := h.Quantile(c.q); math.Abs(got-c.want) > c.tol {
@@ -52,13 +70,13 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestHistogramQuantileEdgeCases(t *testing.T) {
-	h := NewHistogram([]float64{1, 2})
+	h := NewHistogram()
 	if got := h.Quantile(0.5); got != 0 {
 		t.Fatalf("empty histogram quantile = %v, want 0", got)
 	}
 	h.Observe(100) // overflow only
-	if got := h.Quantile(0.5); got != 2 {
-		t.Fatalf("overflow-only quantile = %v, want clamp to largest bound 2", got)
+	if got := h.Quantile(0.5); got != 10 {
+		t.Fatalf("overflow-only quantile = %v, want clamp to largest bound 10", got)
 	}
 	if got := h.Quantile(math.NaN()); got != 0 {
 		t.Fatalf("NaN quantile = %v", got)
@@ -69,7 +87,7 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 }
 
 func TestHistogramConcurrentObserve(t *testing.T) {
-	h := NewHistogram([]float64{0.5})
+	h := NewHistogram()
 	const goroutines, perG = 8, 4000
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
@@ -87,7 +105,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		t.Fatalf("count = %d", h.Count())
 	}
 	counts := h.BucketCounts()
-	if counts[0] != goroutines*perG || counts[1] != goroutines*perG {
+	if counts[bucketOf(t, 0.25)] != goroutines*perG || counts[bucketOf(t, 1)] != goroutines*perG {
 		t.Fatalf("buckets = %v", counts)
 	}
 	want := float64(goroutines*perG) * (0.25 + 0.75)
@@ -96,21 +114,24 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 }
 
-func TestHistogramDefaultBucketsAndSort(t *testing.T) {
-	h := NewHistogram(nil)
-	if len(h.Bounds()) != len(DefLatencyBuckets) {
-		t.Fatal("nil bounds must default to DefLatencyBuckets")
+func TestHistogramDefaultBuckets(t *testing.T) {
+	if !sort.Float64sAreSorted(DefLatencyBuckets) {
+		t.Fatalf("DefLatencyBuckets not ascending: %v", DefLatencyBuckets)
 	}
-	// Unsorted input bounds are sorted defensively.
-	h2 := NewHistogram([]float64{3, 1, 2})
-	b := h2.Bounds()
-	if b[0] != 1 || b[1] != 2 || b[2] != 3 {
-		t.Fatalf("bounds not sorted: %v", b)
+	h := NewHistogram()
+	b := h.Bounds()
+	if !slices.Equal(b, DefLatencyBuckets) || len(h.BucketCounts()) != len(b)+1 {
+		t.Fatalf("bounds %v and %d buckets, want DefLatencyBuckets and one overflow bucket", b, len(h.BucketCounts()))
+	}
+	// Bounds is a copy: writing it leaves the layout alone.
+	b[0] = 99
+	if h.Bounds()[0] != DefLatencyBuckets[0] || DefLatencyBuckets[0] == 99 {
+		t.Fatal("Bounds returned the histogram's own slice")
 	}
 }
 
 func TestTimerObserves(t *testing.T) {
-	h := NewHistogram(DefLatencyBuckets)
+	h := NewHistogram()
 	timer := StartTimer(h)
 	time.Sleep(time.Millisecond)
 	timer.Stop()

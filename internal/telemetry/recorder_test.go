@@ -205,7 +205,7 @@ func TestRegistryAbsorb(t *testing.T) {
 	src.Counter("dispatch_total", L("result", "crash")).Add(3)
 	src.Counter("dispatch_total", L("result", "anr")).Add(1)
 	src.Gauge("live_processes").Set(4)
-	src.Histogram("lat_seconds", []float64{1, 2}).Observe(1.5)
+	src.Histogram("lat_seconds").Observe(1.5)
 	hookRan := false
 	src.OnCollect(func() { hookRan = true; src.Gauge("derived").Set(7) })
 
@@ -225,7 +225,7 @@ func TestRegistryAbsorb(t *testing.T) {
 	if v := dst.Gauge("derived").Value(); v != 7 {
 		t.Fatalf("derived gauge = %v, want 7", v)
 	}
-	h := dst.Histogram("lat_seconds", []float64{1, 2})
+	h := dst.Histogram("lat_seconds")
 	if h.Count() != 1 || h.Sum() != 1.5 {
 		t.Fatalf("histogram count=%d sum=%v", h.Count(), h.Sum())
 	}
@@ -233,7 +233,7 @@ func TestRegistryAbsorb(t *testing.T) {
 	// Absorbing a second shard is additive and commutative.
 	src2 := NewRegistry()
 	src2.Counter("dispatch_total", L("result", "crash")).Add(10)
-	src2.Histogram("lat_seconds", []float64{1, 2}).Observe(0.5)
+	src2.Histogram("lat_seconds").Observe(0.5)
 	dst.Absorb(src2)
 	if v := dst.Counter("dispatch_total", L("result", "crash")).Value(); v != 15 {
 		t.Fatalf("crash counter after second absorb = %d, want 15", v)

@@ -187,8 +187,8 @@ func sortLabels(labels []Label) []Label {
 // lookup get-or-creates the entry, enforcing kind consistency. A new entry
 // gets its metric value under the registry lock, so concurrent first uses
 // of one name (shard registries absorbed from parallel farm workers) never
-// race to create it; bounds apply to a new histogram only.
-func (r *Registry) lookup(name string, k kind, bounds []float64, labels []Label) *entry {
+// race to create it.
+func (r *Registry) lookup(name string, k kind, labels []Label) *entry {
 	labels = sortLabels(labels)
 	key := metricKey(name, labels)
 	r.mu.Lock()
@@ -206,7 +206,7 @@ func (r *Registry) lookup(name string, k kind, bounds []float64, labels []Label)
 	case kindGauge:
 		e.gauge = &Gauge{}
 	case kindHistogram:
-		e.hist = NewHistogram(bounds)
+		e.hist = NewHistogram()
 	}
 	r.metrics[key] = e
 	return e
@@ -217,7 +217,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, kindCounter, nil, labels).counter
+	return r.lookup(name, kindCounter, labels).counter
 }
 
 // Gauge returns the gauge for name+labels, creating it on first use.
@@ -225,17 +225,16 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, kindGauge, nil, labels).gauge
+	return r.lookup(name, kindGauge, labels).gauge
 }
 
-// Histogram returns the histogram for name+labels, creating it with the
-// given bucket upper bounds on first use (bounds are ignored on later
-// lookups of the same metric). Pass nil bounds for DefLatencyBuckets.
-func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Histogram {
+// Histogram returns the histogram for name+labels, creating it over
+// DefLatencyBuckets on first use.
+func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, kindHistogram, bounds, labels).hist
+	return r.lookup(name, kindHistogram, labels).hist
 }
 
 // OnCollect registers fn to run before every exposition (WritePrometheus

@@ -58,7 +58,7 @@ func TestConcurrentFirstUse(t *testing.T) {
 			defer wg.Done()
 			reg.Counter("first_total").Inc()
 			reg.Gauge("first_gauge").Add(1)
-			reg.Histogram("first_seconds", nil).Observe(0.5)
+			reg.Histogram("first_seconds").Observe(0.5)
 		}()
 	}
 	wg.Wait()
@@ -98,7 +98,7 @@ func TestNilRegistryAndMetricsNoop(t *testing.T) {
 	var reg *Registry
 	c := reg.Counter("a_total")
 	g := reg.Gauge("b")
-	h := reg.Histogram("c_seconds", nil)
+	h := reg.Histogram("c_seconds")
 	c.Inc()
 	c.Add(5)
 	g.Set(1)

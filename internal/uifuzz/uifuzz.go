@@ -119,8 +119,9 @@ func (f *Fuzzer) Run(mode Mode, cfg Config) Outcome {
 	gen := monkey.NewGenerator(f.dev, monkey.Config{Seed: cfg.Seed, Events: cfg.Events})
 	log := gen.Log()
 
-	// Step 6: walk the Monkey log back into events, once for the mutator's
-	// donor pools and once to mutate and replay them.
+	// Step 6: walk the Monkey log back into events, once to mutate and
+	// replay them and, in semi-valid mode, once before that for the
+	// mutator's donor pools.
 	events := monkey.Events(log)
 	f.grantPkg = ""
 	if pkgs := f.dev.Registry().Packages(); len(pkgs) > 0 {
@@ -224,10 +225,14 @@ type mutator struct {
 	args, intent []string
 }
 
-// newMutator builds a mutator whose donor pools hold the values observed
-// over one walk of events.
+// newMutator builds a mutator. In semi-valid mode its donor pools hold the
+// values observed over one walk of events; random mode never reads them, so
+// it does not walk.
 func newMutator(mode Mode, seed uint64, events func(yield func(monkey.Event) bool)) *mutator {
 	m := &mutator{mode: mode, r: rng.New(seed).Split("ui-mutator")}
+	if mode != SemiValid {
+		return m
+	}
 	seenA, seenC := map[string]bool{}, map[string]bool{}
 	events(func(ev monkey.Event) bool {
 		if ev.IsIntent() {

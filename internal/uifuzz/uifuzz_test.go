@@ -130,6 +130,14 @@ func TestMutatorRandomProducesGarbage(t *testing.T) {
 	}
 }
 
+// TestRandomMutatorSkipsWalk: random mode reads no donor pool, so building
+// its mutator never walks the Monkey log.
+func TestRandomMutatorSkipsWalk(t *testing.T) {
+	newMutator(Random, 1, func(func(monkey.Event) bool) {
+		t.Fatal("a random-mode mutator walked the Monkey log")
+	})
+}
+
 func TestMutatorDoesNotAliasInput(t *testing.T) {
 	ev := monkey.Event{Type: monkey.Touch, Args: []string{"(ACTION_DOWN)", "1.00", "2.00"}}
 	m := newMutator(Random, 1, walk([]monkey.Event{ev}))
